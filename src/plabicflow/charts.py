@@ -27,10 +27,9 @@ from .plabic import (
     ModelInvariantError,
     PlabicModel,
     analyze,
-    boundary_value,
-    enumerate_matchings,
-    flow_weight,
-    positroid,
+    enumerate_matchings,  # noqa: F401  re-exported: charts.enumerate_matchings
+    face_weights,
+    matching_table,
 )
 from .seeds import Quiver, quiver_b_entries
 
@@ -49,12 +48,9 @@ def face_lattice(model: PlabicModel) -> tuple[str, ...]:
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
     """Generating function of matchings with boundary value I, in edge
     variables; zero when I is not in the positroid."""
-    I = tuple(I)
     lattice = edge_lattice(model)
     pos = {}
-    for m in enumerate_matchings(model):
-        if boundary_value(model, m) != I:
-            continue
+    for m in matching_table(model).at(I):
         exp = tuple(1 if e in m else 0 for e in lattice)
         pos[exp] = pos.get(exp, 0) + 1
     return LaurentPoly.make(lattice, pos)
@@ -70,21 +66,20 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     minimal and maximal exponents, both with coefficient 1.
     """
     I = tuple(I)
+    an = analyze(model)
     lattice = face_lattice(model)
+    # face indices in lattice order: the faces by sorted label, star omitted
+    columns = [an.label_to_face[J] for J in an.lattice_subsets
+               if an.label_to_face[J] != an.star]
+    weights = face_weights(model, I)
     terms: dict[tuple, int] = {}
-    found = False
-    for m in enumerate_matchings(model):
-        if boundary_value(model, m) != I:
-            continue
-        found = True
-        w = flow_weight(model, m)
-        wn = {format_ksubset(J, model.n): c for J, c in w.items()}
-        exp = tuple(wn[x] for x in lattice)
+    for w in weights:
+        exp = tuple(w[i] for i in columns)
         if min(exp, default=0) < 0:
-            raise ModelInvariantError("weight-negative", f"{I}: {wn}")
+            raise ModelInvariantError("weight-negative", f"{I}: {dict(zip(lattice, exp))}")
         terms[exp] = terms.get(exp, 0) + 1
     f = LaurentPoly.make(lattice, terms)
-    if not found:
+    if not weights:
         return f
     for which, (exp, unique) in (
         ("min", lp_min_exponent(f)),

@@ -66,6 +66,12 @@ def _parse_kn(text: str) -> tuple[int, int]:
     return k, n
 
 
+def _parse_level(level: int | None) -> int | None:
+    if level is not None and level < 0:
+        raise UsageError(f"--level must be >= 0, got {level}")
+    return level
+
+
 def _parse_mutations(text: str | None) -> list[str]:
     if not text:
         return []
@@ -119,10 +125,9 @@ def _emit_vector(vec: dict[str, int], fmt: str) -> None:
 
 def cmd_matchings(args) -> int:
     model = load_any_model(args.model)
-    rows = []
-    for m in plabic.enumerate_matchings(model):
-        bv = format_ksubset(plabic.boundary_value(model, m), model.n)
-        rows.append((bv, sorted(m)))
+    table = plabic.matching_table(model)
+    rows = [(format_ksubset(I, model.n), sorted(m))
+            for m, I in zip(table.matchings, table.boundary)]
     if args.format == "pretty":
         for bv, eds in rows:
             print(f"{bv}: {' '.join(eds)}")
@@ -251,8 +256,9 @@ def cmd_xcheck(args) -> int:
 
 def cmd_gt_cone(args) -> int:
     k, n = _parse_kn(args.kn)
+    level = _parse_level(args.level)
     cone = cones.gt_inequalities(k, n)
-    if args.level is None:
+    if level is None:
         if args.format == "json":
             _emit_json(cones.cone_to_json_obj(cone))
         elif args.format == "pretty":
@@ -267,9 +273,9 @@ def cmd_gt_cone(args) -> int:
             for cov in cone.ineqs:
                 print(",".join(str(c) for c in cov))
         return 0
-    pts = cones.lattice_points(cone, args.level)
+    pts = cones.lattice_points(cone, level)
     rows = sorted(
-        (args.level,) + tuple(p[l] for l in cone.ambient[1:]) for p in pts
+        (level,) + tuple(p[l] for l in cone.ambient[1:]) for p in pts
     )
     if args.format == "json":
         _emit_json({
@@ -455,7 +461,8 @@ def cmd_verify(args) -> int:
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all"
         )
     k, n = _parse_kn(args.kn) if args.kn else (2, 4)
-    level = args.level if args.level is not None else 2
+    level = _parse_level(args.level)
+    level = 2 if level is None else level
     all_ok = True
     for suite in chosen:
         if suite == "plucker":

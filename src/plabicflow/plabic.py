@@ -16,6 +16,7 @@ rectangles model of the (k, n) grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .combinat import (
     KSubset,
@@ -71,17 +72,6 @@ class PlabicModel:
     star_spec: frozenset
     _analysis: object = field(default=None, repr=False, compare=False)
 
-    def copy_raw(self) -> "PlabicModel":
-        return PlabicModel(
-            self.k,
-            self.n,
-            dict(self.colors),
-            {e: ends for e, ends in self.edges.items()},
-            {v: tuple(r) for v, r in self.rot.items()},
-            dict(self.label_specs),
-            self.star_spec,
-        )
-
 
 @dataclass
 class Face:
@@ -104,6 +94,8 @@ class Analysis:
     anticlockwise: set[int]
     lattice_subsets: tuple[KSubset, ...]
     lattice: tuple[str, ...]
+    # derived from the matchings on first request, see matching_table
+    table: "MatchingTable | None" = field(default=None, repr=False)
 
 
 def _other_end(ends: tuple[End, End], here: End) -> End:
@@ -565,19 +557,81 @@ def boundary_value(model: PlabicModel, m) -> KSubset:
     return value
 
 
+class MatchingTable:
+    """The perfect matchings of one model, grouped by boundary value.
+
+    ``matchings`` is the output of one ``enumerate_matchings`` call, in its
+    order, and ``boundary[i]`` the boundary value of ``matchings[i]``;
+    ``groups`` maps each boundary value to the indices of its matchings and
+    ``positroid`` lists the boundary values in sorted order.  Face weights
+    are filled per boundary value by ``face_weights``.  The public fields
+    are tuples and a read-only mapping, so callers cannot change the table.
+    """
+
+    def __init__(self, model: PlabicModel, matchings):
+        self.matchings: tuple[frozenset, ...] = tuple(matchings)
+        self.boundary: tuple[KSubset, ...] = tuple(
+            boundary_value(model, m) for m in self.matchings
+        )
+        groups: dict[KSubset, list[int]] = {}
+        for i, I in enumerate(self.boundary):
+            groups.setdefault(I, []).append(i)
+        self.groups = MappingProxyType({I: tuple(ix) for I, ix in groups.items()})
+        self.positroid: tuple[KSubset, ...] = tuple(sorted(groups))
+        self._weights: dict[KSubset, tuple[tuple[int, ...], ...]] = {}
+
+    def at(self, I) -> tuple[frozenset, ...]:
+        """The matchings with boundary value I, in enumeration order."""
+        return tuple(self.matchings[i] for i in self.groups.get(tuple(I), ()))
+
+
+def matching_table(model: PlabicModel) -> MatchingTable:
+    """The model's matching table, built on first request and kept with
+    the model's analysis; later requests are lookups."""
+    an = analyze(model)
+    if an.table is None:
+        an.table = MatchingTable(model, enumerate_matchings(model))
+    return an.table
+
+
 def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
-    return tuple(sorted({boundary_value(model, m) for m in enumerate_matchings(model)}))
+    return matching_table(model).positroid
 
 
 def base_matching(model: PlabicModel) -> frozenset:
     """The unique matching whose boundary value is lex-maximal."""
-    target = lex_max(positroid(model))
-    hits = [m for m in enumerate_matchings(model) if boundary_value(model, m) == target]
+    table = matching_table(model)
+    target = lex_max(table.positroid)
+    hits = table.groups[target]
     if len(hits) != 1:
         raise ModelInvariantError(
             "base-matching-not-unique", f"{len(hits)} matchings reach {target}"
         )
-    return hits[0]
+    return table.matchings[hits[0]]
+
+
+def face_weights(model: PlabicModel, I) -> tuple[tuple[int, ...], ...]:
+    """Face weights of the matchings with boundary value I, relative to the
+    base matching, in the order of ``matching_table(model).at(I)``.
+
+    Each vector is indexed by face index.  It is computed on first request
+    for I and kept in the table, after the flow decomposition and the
+    dual-arrow system agree on it (see ``flow_weight``).
+    """
+    table = matching_table(model)
+    I = tuple(I)
+    got = table._weights.get(I)
+    if got is None:
+        ms = table.at(I)
+        if ms:
+            an = analyze(model)
+            mstar = base_matching(model)
+            weights = [flow_weight(model, m, mstar) for m in ms]
+            got = tuple(tuple(w[f.label] for f in an.faces) for w in weights)
+        else:
+            got = ()
+        table._weights[I] = got
+    return got
 
 
 def weight_of_matching(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
@@ -740,9 +794,8 @@ def check_model(model: PlabicModel) -> None:
             )
     if not pairwise_weakly_separated([f.label for f in an.faces], model.n):
         raise ModelInvariantError("labels-not-weakly-separated")
-    mstar = base_matching(model)
-    for m in enumerate_matchings(model):
-        flow_weight(model, m, mstar)
+    for I in pos:
+        face_weights(model, I)
 
 
 # ------------------------------------------------------------ square move
@@ -1152,16 +1205,3 @@ def build_rectangles_model(k: int, n: int) -> PlabicModel:
             )
     return model
 
-
-def builtin_model(name: str) -> PlabicModel:
-    """Resolve a builtin model name: "shark" or "rect:k,n"."""
-    if name == "shark":
-        return shark_model()
-    if name.startswith("rect:"):
-        body = name[len("rect:"):]
-        try:
-            k_s, n_s = body.split(",")
-            return build_rectangles_model(int(k_s), int(n_s))
-        except ValueError as exc:
-            raise ValueError(f"bad rect spec {name!r}: {exc}") from None
-    raise ValueError(f"unknown builtin model {name!r}")

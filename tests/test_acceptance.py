@@ -90,7 +90,7 @@ def test_criterion_01_shark_flows_and_partitions():
 
 def test_criterion_02_valuation_equals_kappa():
     t0 = time.perf_counter()
-    for k, n in [(2, 5), (2, 6), (3, 6)]:
+    for k, n in [(2, 5), (2, 6), (3, 6), (4, 8)]:
         base = build_rectangles_model(k, n)
         seeds_and_models = [(seed_of_model(base), base)]
         s0 = seeds_and_models[0][0]
@@ -128,7 +128,7 @@ def test_criterion_03_kappa_grid_49():
 
 def test_criterion_04_x_mutation_matches_flows():
     t0 = time.perf_counter()
-    expected_moves = {(2, 4): 1, (2, 5): 2, (3, 6): 3}
+    expected_moves = {(2, 4): 1, (2, 5): 2, (3, 6): 3, (4, 8): 5}
     for (k, n), want in expected_moves.items():
         model = build_rectangles_model(k, n)
         s = seed_of_model(model)
@@ -227,6 +227,7 @@ def test_criterion_10_plucker_relations():
         (2, 4, build_rectangles_model(2, 4)),
         (2, 5, build_rectangles_model(2, 5)),
         (2, 5, shark_model()),
+        (4, 8, build_rectangles_model(4, 8)),
     ]
     for k, n, model in models:
         for rel in three_term_relations(k, n):

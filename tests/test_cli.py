@@ -180,6 +180,17 @@ def test_gt_cone_points_csv(capsys):
     assert len(lines) == 7  # six level-1 points
 
 
+@pytest.mark.parametrize("argv", [
+    ("gt-cone", "--kn", "2,4", "--level", "-1"),
+    ("verify", "weyl-count", "--kn", "2,4", "--level", "-1"),
+])
+def test_negative_level_is_usage_error(capsys, argv):
+    rc, out, err = run_out(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "--level must be >= 0" in err
+
+
 def test_no_body_csv(capsys):
     rc, out, _ = run_out(capsys, "no-body", "rect:2,4", "--format", "csv")
     assert rc == 0

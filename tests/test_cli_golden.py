@@ -1,0 +1,121 @@
+"""Byte-identity guard for the CLI examples in README.md.
+
+Every command of README's CLI block is run in ``--format pretty`` and
+``--format json``; its exit code and the sha256 of its stdout are pinned.
+A change to the computation that is meant to leave the output alone must
+leave every pin alone.  To re-pin after an intended output change, run
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and paste the printed table over ``GOLDEN``.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+
+import pytest
+
+from plabicflow import cli
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+FORMATS = ("pretty", "json")
+
+# (command as in README, format) -> (exit code, sha256 of stdout)
+GOLDEN = {
+    ('matchings shark', 'pretty'):
+        (0, '180e0237a497e20d95582d3253e7cbfedfcf0d512d79fce438ca5722fc74a203'),
+    ('matchings shark', 'json'):
+        (0, 'f737e06ae8733a946d3370b60ce98f1a4a9df8666f204611d91b886e397ba5c6'),
+    ('partition shark 35', 'pretty'):
+        (0, '2f1750262cec5a6f56a888e3702ba81dd39cfd5692e9cdc8439b56d3009dafae'),
+    ('partition shark 35', 'json'):
+        (0, '8463cf6456ad2a61c49c6d2c5a7fb6fd0fb0bd99876f8b7be4a1b57eeea7f16c'),
+    ('flow shark 25', 'pretty'):
+        (0, 'fd17604d9d930050e298cd62babf20ff725f313bc27fbdd4f7dbcc458467d3bc'),
+    ('flow shark 25', 'json'):
+        (0, 'c992f8f6cebd8ec72daf52ba36887561318cc3eb5d1590bbf1dfa1f5a2e015d5'),
+    ('valuation shark 25', 'pretty'):
+        (0, '2696e39863e0e612c6d1743a57af17803fb58c259d427946aa2971b03818c49d'),
+    ('valuation shark 25', 'json'):
+        (0, '2991599ffb51d292c118fc4cde5cc33dd3e9407656f63999fa44f5a051e6b20a'),
+    ('kappa rect:4,9 1,4,5,7', 'pretty'):
+        (0, '3263640997c382622e0bfe7c6a97ebb3e0aa5793d09df15980fe6ddbabdab881'),
+    ('kappa rect:4,9 1,4,5,7', 'json'):
+        (0, '991b6f3aa58bdedf7c0714b06d4bc8b6f9eaf756e9c63b391fdffea40ef7b9d5'),
+    ('mutate rect:2,4 --mutations 13', 'pretty'):
+        (0, 'c843f8638218cbc1fcc18c2f7090c6ab122522f8b2fed91c3952ad01ecc55e79'),
+    ('mutate rect:2,4 --mutations 13', 'json'):
+        (0, 'd3e2f09645ced97b37f87555dcc02e2c08e78f695ceb1f9a8d197f105bd61abf'),
+    ('xcheck rect:3,6 --mutations 124,145', 'pretty'):
+        (0, 'a97ba9d016fbe429ed6b49ffb3c0c659aa80f701843b218a67b78bf7316da5f8'),
+    ('xcheck rect:3,6 --mutations 124,145', 'json'):
+        (0, 'a97ba9d016fbe429ed6b49ffb3c0c659aa80f701843b218a67b78bf7316da5f8'),
+    ('gt-cone --kn 2,4', 'pretty'):
+        (0, '0b3e1cef48b9d0229b7741b02dc461e4baa89065a288738727f394b1825e6c95'),
+    ('gt-cone --kn 2,4', 'json'):
+        (0, '4c6389cd41b0b9ec0f33881496c671525c9befc0cff982c0b88d68cd6da672ca'),
+    ('gt-cone --kn 2,5 --level 2', 'pretty'):
+        (0, '860df1f47e8ea9627011d619cc5c9f6f9f8fcebe303cec18b35b973cbab32b62'),
+    ('gt-cone --kn 2,5 --level 2', 'json'):
+        (0, '5cf6452d04d18516497e2fb9fdfda6919489275d8e702551f515fb432381df38'),
+    ('no-body rect:2,4', 'pretty'):
+        (0, 'ce303ca2f51639583880c85ba06715d78fd9cb83ee6bc869a6d84542ef77663a'),
+    ('no-body rect:2,4', 'json'):
+        (0, '3e09d5869c8d64dc69ce16440c036c04c5fe520cdbf369e89b10a809d51b0da8'),
+    ('superpotential --kn 2,4 --mutations 13', 'pretty'):
+        (0, 'b3f379ce05a44da0ec4693c78337b8a00fa3c67c07449f99b3523d3b1ebb40a9'),
+    ('superpotential --kn 2,4 --mutations 13', 'json'):
+        (0, '615ff9d703a6947019d51175f9752841d9cdcfcc29618b7ea109b7d95f9adbac'),
+    ('wx --kn 2,4', 'pretty'):
+        (0, 'bad1cf35babda04f972a7e290cd31baa8df61854c74799383c47dfcaf39b22a9'),
+    ('wx --kn 2,4', 'json'):
+        (0, '8d525d249b239d129ba2263ea948acc329fd93069cff447cf4a198710b6804b9'),
+    ('verify all --kn 2,5', 'pretty'):
+        (0, 'dacf549e9e1809e48a4edd0d4106780210944ab0f68e3fc040aa7fce11a8b400'),
+    ('verify all --kn 2,5', 'json'):
+        (0, 'dacf549e9e1809e48a4edd0d4106780210944ab0f68e3fc040aa7fce11a8b400'),
+}
+
+
+def readme_commands() -> list[str]:
+    """The ``plabicflow ...`` lines of README's CLI block, comments cut."""
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("plabicflow "):
+            out.append(line[len("plabicflow "):])
+    return out
+
+
+def run_hashed(command: str, fmt: str) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(shlex.split(command) + ["--format", fmt])
+    return rc, hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+def test_every_readme_command_is_pinned():
+    commands = readme_commands()
+    assert len(commands) == 13
+    assert sorted((c, f) for c in commands for f in FORMATS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("command,fmt", sorted(GOLDEN))
+def test_output_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == GOLDEN[command, fmt]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for command in readme_commands():
+        for fmt in FORMATS:
+            rc, digest = run_hashed(command, fmt)
+            print(f"    ({command!r}, {fmt!r}):\n        ({rc}, {digest!r}),")
+    print("}")

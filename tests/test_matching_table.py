@@ -1,0 +1,245 @@
+"""The per-model matching table against the route it replaced.
+
+The reference below enumerates the matchings afresh on every call and
+filters them by ``boundary_value``; it is kept here as the oracle for the
+table's positroid, base matching, partition functions and flow polynomials.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+from plabicflow import cli, plabic
+from plabicflow.charts import (
+    edge_lattice,
+    face_lattice,
+    flow_polynomial,
+    partition_function,
+    plucker_verify,
+    three_term_relations,
+)
+from plabicflow.combinat import format_ksubset, ksubsets
+from plabicflow.laurent import LaurentPoly
+from plabicflow.plabic import (
+    ModelInvariantError,
+    NotPlabicMutable,
+    base_matching,
+    boundary_value,
+    build_rectangles_model,
+    face_weights,
+    flow_weight,
+    matching_table,
+    positroid,
+    shark_model,
+    square_move,
+)
+from plabicflow.seeds import mutable_vertices, seed_of_model
+
+BASES = {
+    "shark": shark_model,
+    "rect:2,5": lambda: build_rectangles_model(2, 5),
+    "rect:3,6": lambda: build_rectangles_model(3, 6),
+    "rect:3,7": lambda: build_rectangles_model(3, 7),
+}
+ORBIT_SEEDS = (1, 2)
+
+
+def orbit(model, seed: int, moves: int = 3):
+    """The model after up to ``moves`` seeded square moves."""
+    rng = random.Random(seed)
+    for _ in range(moves):
+        s = seed_of_model(model)
+        choices = mutable_vertices(s.quiver)
+        rng.shuffle(choices)
+        for j in choices:
+            try:
+                model = square_move(model, s.labels[j])
+            except NotPlabicMutable:
+                continue
+            break
+    return model
+
+
+MODELS = {name: build for name, build in BASES.items()}
+for _name, _build in BASES.items():
+    for _seed in ORBIT_SEEDS:
+        MODELS[f"{_name} orbit {_seed}"] = (
+            lambda build=_build, seed=_seed: orbit(build(), seed))
+
+
+# ------------------------------------------------------ the reference route
+
+
+class Reference:
+    """Everything recomputed from a fresh enumeration, nothing cached."""
+
+    def __init__(self, model):
+        self.model = model
+        self.groups: dict = {}
+        for m in plabic.enumerate_matchings(model):
+            self.groups.setdefault(boundary_value(model, m), []).append(m)
+
+    def positroid(self):
+        return tuple(sorted(self.groups))
+
+    def base(self):
+        (hit,) = self.groups[max(self.groups)]
+        return hit
+
+    def partition(self, I):
+        lattice = edge_lattice(self.model)
+        terms = Counter(tuple(int(e in m) for e in lattice)
+                        for m in self.groups.get(I, ()))
+        return LaurentPoly.make(lattice, terms)
+
+    def flow(self, I):
+        lattice = face_lattice(self.model)
+        n, mstar = self.model.n, self.base()
+        terms = Counter()
+        for m in self.groups.get(I, ()):
+            w = {format_ksubset(J, n): c for J, c in flow_weight(self.model, m, mstar).items()}
+            terms[tuple(w[x] for x in lattice)] += 1
+        return LaurentPoly.make(lattice, terms)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_table_equals_fresh_enumeration(name):
+    model = MODELS[name]()
+    ref = Reference(model)
+    assert positroid(model) == ref.positroid()
+    assert base_matching(model) == ref.base()
+    for I in ksubsets(model.n, model.k):
+        assert partition_function(model, I) == ref.partition(I), (name, I)
+        assert flow_polynomial(model, I) == ref.flow(I), (name, I)
+
+
+def test_orbits_leave_the_base_model():
+    for name, build in BASES.items():
+        base = plabic.save_model(build())
+        moved = [plabic.save_model(orbit(build(), seed)) for seed in ORBIT_SEEDS]
+        assert all(text != base for text in moved), name
+
+
+# ------------------------------------------------ one enumeration per model
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Counts ``enumerate_matchings`` calls per model object."""
+    calls = Counter()
+    real = plabic.enumerate_matchings
+
+    def counted(model):
+        calls[id(model)] += 1
+        return real(model)
+
+    monkeypatch.setattr(plabic, "enumerate_matchings", counted)
+    return calls
+
+
+def test_one_enumeration_per_model(enumerations):
+    model = build_rectangles_model(3, 6)
+    moved = orbit(build_rectangles_model(3, 6), 1)
+    for m in (model, moved):
+        positroid(m)
+        base_matching(m)
+        for I in ksubsets(6, 3):
+            partition_function(m, I)
+            flow_polynomial(m, I)
+            face_weights(m, I)
+        for rel in three_term_relations(3, 6):
+            assert plucker_verify(m, rel)
+        plabic.check_model(m)
+    assert enumerations[id(model)] == 1
+    assert enumerations[id(moved)] == 1
+
+
+def test_cli_commands_enumerate_once_per_model(enumerations, capsys):
+    # xcheck walks three models: the start and two square moves
+    assert cli.main(["xcheck", "rect:3,6", "--mutations", "124,145"]) == 0
+    assert cli.main(["verify", "valuation-kappa", "--kn", "2,5"]) == 0
+    assert cli.main(["matchings", "rect:2,5"]) == 0
+    capsys.readouterr()
+    assert set(enumerations.values()) == {1}
+    assert len(enumerations) == 3 + 3 + 1
+
+
+# ------------------------------------------------------ laziness and checks
+
+
+@pytest.fixture
+def weighings(monkeypatch):
+    """Counts the cross-checked face-weight computations."""
+    calls = []
+    real = plabic.flow_weight
+
+    def counted(model, m, mstar=None):
+        calls.append(m)
+        return real(model, m, mstar)
+
+    monkeypatch.setattr(plabic, "flow_weight", counted)
+    return calls
+
+
+def test_weights_are_filled_per_boundary_value(weighings):
+    model = build_rectangles_model(3, 6)
+    I = (2, 4, 6)
+    partition_function(model, I)
+    assert weighings == []  # a partition function needs no face weights
+    flow_polynomial(model, I)
+    assert sorted(map(sorted, weighings)) == sorted(map(sorted, matching_table(model).at(I)))
+    flow_polynomial(model, I)
+    assert len(weighings) == len(matching_table(model).at(I))
+
+
+def test_every_matching_is_cross_checked_once(weighings):
+    model = build_rectangles_model(3, 6)
+    for _ in range(2):
+        for I in positroid(model):
+            flow_polynomial(model, I)
+    assert sorted(map(sorted, weighings)) == sorted(
+        map(sorted, matching_table(model).matchings))
+
+
+def test_table_path_still_runs_the_cross_check(monkeypatch):
+    real = plabic.weight_of_matching
+
+    def off_by_one(model, m, mstar=None):
+        return {J: c + 1 for J, c in real(model, m, mstar).items()}
+
+    monkeypatch.setattr(plabic, "weight_of_matching", off_by_one)
+    model = build_rectangles_model(2, 5)
+    with pytest.raises(ModelInvariantError, match="flow-weight-mismatch"):
+        flow_polynomial(model, (2, 4))
+
+
+def test_returned_collections_cannot_corrupt_the_table(monkeypatch):
+    handed = []
+    real = plabic.enumerate_matchings
+
+    def keep(model):
+        out = real(model)
+        handed.append(out)
+        return out
+
+    monkeypatch.setattr(plabic, "enumerate_matchings", keep)
+    model = build_rectangles_model(2, 5)
+    I = (2, 4)
+
+    def snapshot():
+        return (positroid(model), base_matching(model),
+                partition_function(model, I), flow_polynomial(model, I))
+
+    before = snapshot()
+    table = matching_table(model)
+    handed[0].clear()
+    list(table.at(I)).clear()
+    with pytest.raises(TypeError):
+        table.groups[I] = ()
+    with pytest.raises(TypeError):
+        face_weights(model, I)[0][0] = 7
+    with pytest.raises(TypeError):
+        table.matchings[0] = frozenset()
+    assert snapshot() == before
+    assert len(handed) == 1
