@@ -17,11 +17,10 @@ from .laurent import (
     LaurentPoly,
     lp_add,
     lp_equal,
-    lp_exact_div,
     lp_min_exponent,
     lp_max_exponent,
     lp_mul,
-    lp_pow,
+    lp_substitute,
 )
 from .plabic import (
     ModelInvariantError,
@@ -107,8 +106,8 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
 
     The coordinate at the mutated vertex inverts, every other coordinate i
     picks up a factor (1 + x_j)^{b_ij} after clearing the monomial
-    x_j^{max(-b_ij, 0)}; the transform is applied termwise with one global
-    clearing power so all arithmetic stays polynomial.
+    x_j^{max(-b_ij, 0)}: one ``lp_substitute`` with the exchange binomial
+    u = 1 + x_j.
     """
     vset = set(q.vertices)
     if j not in vset:
@@ -127,42 +126,17 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
             f"lattice {incoming} does not match quiver vertices at {j}",
         )
     lattice = tuple(sorted(rename[x] for x in incoming))
-    col = {x: i for i, x in enumerate(lattice)}
     b = quiver_b_entries(q)
-
-    terms = []  # (sigma exponent as list, E)
-    emin = 0
-    for exp, coeff in f.terms:
-        m = {rename[x]: e for x, e in zip(f.lattice, exp)}
-        E = sum(b.get((i, j), 0) * m[i] for i in lattice if i != j)
-        sig = [0] * len(lattice)
-        for i in lattice:
-            if i == j:
-                continue
-            sig[col[i]] = m[i]
-        sig[col[j]] = -m[j] + sum(
-            max(-b.get((i, j), 0), 0) * m[i] for i in lattice if i != j
-        )
-        emin = min(emin, E)
-        terms.append((tuple(sig), E, coeff))
-
-    D = -emin
-    one_plus_xj = LaurentPoly.make(
-        lattice,
-        {
-            tuple(0 for _ in lattice): 1,
-            tuple(1 if x == j else 0 for x in lattice): 1,
-        },
-    )
-    total = LaurentPoly.zero(lattice)
-    for sig, E, coeff in terms:
-        piece = lp_mul(
-            LaurentPoly.monomial(lattice, sig, coeff), lp_pow(one_plus_xj, E + D)
-        )
-        total = lp_add(total, piece)
-    if D:
-        total = lp_exact_div(total, lp_pow(one_plus_xj, D))
-    return total
+    images = {}
+    for x in incoming:
+        i = rename[x]
+        if i == j:
+            images[x] = ({j: -1}, 0)
+        else:
+            bij = b.get((i, j), 0)
+            images[x] = ({i: 1, j: max(-bij, 0)}, bij)
+    one_plus_xj = lp_add(LaurentPoly.one(lattice), LaurentPoly.monomial(lattice, {j: 1}))
+    return lp_substitute(f, images, one_plus_xj)
 
 
 # ------------------------------------------------------ Plucker relations

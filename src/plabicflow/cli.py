@@ -207,22 +207,17 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-def _xcheck_one(model: PlabicModel, j: str) -> tuple[PlabicModel, int]:
-    """One square move at the face named j; returns (new model, #boundaries).
+def _xcheck_one(model: PlabicModel, j: str, moved: PlabicModel) -> int:
+    """Check one square move at the face named j; returns #boundaries.
 
     The identity checked: mutation at j carries each flow polynomial of the
     moved model back to the one computed on the original model.
     """
-    an = plabic.analyze(model)
-    face = next(
-        f for f in an.faces if format_ksubset(f.label, model.n) == j
-    )
-    model2 = plabic.square_move(model, face.label)
     q = seeds.quiver_of_model(model)
     checked = 0
     for I in plabic.positroid(model):
         f_old = charts.flow_polynomial(model, I)
-        image = charts.x_mutate(q, j, charts.flow_polynomial(model2, I))
+        image = charts.x_mutate(q, j, charts.flow_polynomial(moved, I))
         if not lp_equal(image, f_old):
             raise ModelInvariantError(
                 "xcheck",
@@ -230,7 +225,7 @@ def _xcheck_one(model: PlabicModel, j: str) -> tuple[PlabicModel, int]:
                 f"I={format_ksubset(I, model.n)}",
             )
         checked += 1
-    return model2, checked
+    return checked
 
 
 def cmd_xcheck(args) -> int:
@@ -243,13 +238,18 @@ def cmd_xcheck(args) -> int:
             raise UsageError("model has no mutable faces")
     cur = model
     for j in path:
+        s = seeds.seed_of_model(cur)
+        if j not in s.labels:
+            raise UsageError(f"no face named {j!r}")
+        moved = plabic.square_move(cur, s.labels[j])
         try:
-            cur, nb = _xcheck_one(cur, j)
+            nb = _xcheck_one(cur, j, moved)
         except ModelInvariantError as exc:
-            if exc.args and exc.args[0] == "xcheck":
-                print(f"FAIL xcheck {j}: {exc.args[-1]}")
+            if exc.violation == "xcheck":
+                print(f"FAIL xcheck {j}: {exc.detail}")
                 return 1
             raise
+        cur = moved
         print(f"PASS xcheck {j} ({nb} boundary values)")
     return 0
 
@@ -358,13 +358,7 @@ def _suite_valuation_kappa(k: int, n: int):
         yield ok, detail
         return
     moves = []
-    for j in seeds.mutable_vertices(seeds.quiver_of_model(model)):
-        an = plabic.analyze(model)
-        face = next(f for f in an.faces if format_ksubset(f.label, n) == j)
-        try:
-            m2 = plabic.square_move(model, face.label)
-        except NotPlabicMutable:
-            continue
+    for j, m2 in plabic.square_moves(model):
         ok, detail = _val_kappa_all(m2, f"rect:{k},{n} after move {j}")
         if not ok:
             yield ok, detail
@@ -376,15 +370,13 @@ def _suite_valuation_kappa(k: int, n: int):
 def _suite_xflow(k: int, n: int):
     model = plabic.build_rectangles_model(k, n)
     done = []
-    for j in seeds.mutable_vertices(seeds.quiver_of_model(model)):
-        try:
-            _xcheck_one(model, j)
-        except NotPlabicMutable:
-            continue
-        except ModelInvariantError as exc:
-            yield False, str(exc)
-            return
-        done.append(j)
+    try:
+        for j, moved in plabic.square_moves(model):
+            _xcheck_one(model, j, moved)
+            done.append(j)
+    except ModelInvariantError as exc:
+        yield False, str(exc)
+        return
     yield True, f"rect:{k},{n} flow/mutation agree at [{','.join(done)}]"
 
 
@@ -447,41 +439,36 @@ def _suite_weyl_count(k: int, n: int, level: int):
     yield True, f"rect:{k},{n} point counts match dimensions for levels 0..{level}"
 
 
-SUITES = ("plucker", "valuation-kappa", "xflow", "trop-a", "gt-trop",
-          "wformula", "weyl-count")
+# suite name -> suite(k, n, level); the names resolve at call time
+SUITES = {
+    "plucker": lambda k, n, level: _suite_plucker(k, n),
+    "valuation-kappa": lambda k, n, level: _suite_valuation_kappa(k, n),
+    "xflow": lambda k, n, level: _suite_xflow(k, n),
+    "trop-a": lambda k, n, level: _suite_trop_a(k, n),
+    "gt-trop": lambda k, n, level: _suite_gt_trop(k, n),
+    "wformula": lambda k, n, level: _suite_wformula(k, n),
+    "weyl-count": lambda k, n, level: _suite_weyl_count(k, n, level),
+}
 
 
 def cmd_verify(args) -> int:
     if args.suite == "all":
-        chosen = SUITES
+        chosen = list(SUITES)
     elif args.suite in SUITES:
-        chosen = (args.suite,)
+        chosen = [args.suite]
     else:
         raise UsageError(
             f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all"
         )
-    k, n = _parse_kn(args.kn) if args.kn else (2, 4)
+    instances = [_parse_kn(kn) for kn in args.kn] if args.kn else [(2, 4)]
     level = _parse_level(args.level)
     level = 2 if level is None else level
     all_ok = True
-    for suite in chosen:
-        if suite == "plucker":
-            results = _suite_plucker(k, n)
-        elif suite == "valuation-kappa":
-            results = _suite_valuation_kappa(k, n)
-        elif suite == "xflow":
-            results = _suite_xflow(k, n)
-        elif suite == "trop-a":
-            results = _suite_trop_a(k, n)
-        elif suite == "gt-trop":
-            results = _suite_gt_trop(k, n)
-        elif suite == "wformula":
-            results = _suite_wformula(k, n)
-        else:
-            results = _suite_weyl_count(k, n, level)
-        for ok, detail in results:
-            print(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
-            all_ok = all_ok and ok
+    for k, n in instances:
+        for suite in chosen:
+            for ok, detail in SUITES[suite](k, n, level):
+                print(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
+                all_ok = all_ok and ok
     return 0 if all_ok else 1
 
 
@@ -543,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, help="run a verification suite")
     p.add_argument("suite", help=f"one of: {', '.join(SUITES)}, all")
-    p.add_argument("--kn", help="instance, e.g. 2,4 (default 2,4)")
+    p.add_argument("--kn", action="append",
+                   help="instance, e.g. 2,4 (repeatable; default 2,4)")
     p.add_argument("--level", type=int,
                    help="max level for weyl-count (default 2)")
 

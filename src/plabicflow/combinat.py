@@ -201,12 +201,6 @@ def young_of(I: KSubset, n: int) -> tuple[int, ...]:
     return parts
 
 
-def subset_of_young(parts, n: int) -> KSubset:
-    """Inverse of young_of (given the box height k = len(parts))."""
-    k = len(parts)
-    return tuple(sorted(parts[t - 1] + (k + 1 - t) for t in range(1, k + 1)))
-
-
 def young_cells(parts) -> set[tuple[int, int]]:
     """Cells (row, col), 1-indexed, of a partition."""
     return {(r, c) for r, lam in enumerate(parts, 1) for c in range(1, lam + 1)}

@@ -10,7 +10,6 @@ can be compared covector by covector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -77,14 +76,6 @@ def cone_to_json_obj(c: Cone) -> dict:
             {lab: a for lab, a in zip(c.ambient, cov) if a} for cov in c.ineqs
         ],
     }
-
-
-def cone_from_json_obj(obj) -> Cone:
-    return make_cone(tuple(obj["ambient"]), [dict(m) for m in obj["ineqs"]])
-
-
-def cone_to_json(c: Cone) -> str:
-    return json.dumps(cone_to_json_obj(c), sort_keys=True)
 
 
 # -------------------------------------------------------------- GT cones

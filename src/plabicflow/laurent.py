@@ -196,10 +196,6 @@ def lp_neg(f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.make(f.lattice, {e: -c for e, c in f.terms})
 
 
-def lp_sub(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return lp_add(f, lp_neg(g))
-
-
 def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     _require_same_lattice(f, g)
     out: dict[Exponent, int] = {}
@@ -274,76 +270,54 @@ def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.make(f.lattice, {vec_add(e, shift): c for e, c in quot.items()})
 
 
-def lp_substitute(f: LaurentPoly, images: dict[str, LaurentPoly], codomain) -> LaurentPoly:
-    """Homomorphic image of f under label -> LaurentPoly images.
+def lp_substitute(
+    f: LaurentPoly, images: dict[str, tuple[dict[str, int], int]], u: LaurentPoly
+) -> LaurentPoly:
+    """Homomorphic image of f over u's lattice, one label at a time.
 
-    Every label of f's lattice needs an image over the codomain lattice.
-    Negative powers are exact for monomial images; for a non-monomial image
-    u = x^m * u0 (u0 unit-normalized by factoring the min exponent) the
-    negative powers are handled globally: multiply through by u0^D and
-    exact-divide at the end.  A non-exact division raises NotInvertible.
+    ``images`` maps every label of f's lattice to a pair (m, e) standing
+    for x^m * u^e: m a sparse {label: exponent} monomial over u's lattice,
+    e an integer power of the one shared exchange binomial u.  Negative
+    powers of u are cleared with one global u^D and divided out exactly at
+    the end; a non-exact division raises NotLaurent.
     """
-    codomain = check_lattice(codomain)
+    col = {lab: i for i, lab in enumerate(u.lattice)}
+    sparse = []
     for lab in f.lattice:
         if lab not in images:
             raise ValueError(f"no image for label {lab!r}")
-        if images[lab].lattice != codomain:
-            raise ValueError(f"image of {lab!r} not over codomain lattice")
-    if f.is_zero():
-        return LaurentPoly.zero(codomain)
+        m, e = images[lab]
+        unknown = set(m) - set(col)
+        if unknown:
+            raise ValueError(f"image of {lab!r} uses {sorted(unknown)} outside the codomain")
+        sparse.append(([(col[x], v) for x, v in m.items() if v], e))
 
-    d = len(codomain)
-    # split each image u = x^m * u0 with u0's min exponent at the origin
-    mono_part: dict[str, Exponent] = {}
-    unit_part: dict[str, LaurentPoly] = {}  # only non-monomial u0 kept here
-    const_part: dict[str, int] = {}  # coefficient of a pure-monomial image
-    for lab in f.lattice:
-        u = images[lab]
-        if u.is_zero():
-            raise ValueError(f"image of {lab!r} is zero")
-        umin = tuple(min(e[j] for e, _ in u.terms) for j in range(d))
-        u0 = LaurentPoly.make(codomain, {vec_sub(e, umin): c for e, c in u.terms})
-        mono_part[lab] = umin
-        if u0.is_monomial():
-            const_part[lab] = u0.terms[0][1]
-        else:
-            unit_part[lab] = u0
+    d = len(u.lattice)
+    by_power: dict[int, dict[Exponent, int]] = {}
+    for exp, c in f.terms:
+        mono = [0] * d
+        E = 0
+        for x, (pairs, e) in zip(exp, sparse):
+            if x:
+                for i, v in pairs:
+                    mono[i] += x * v
+                E += x * e
+        group = by_power.setdefault(E, {})
+        key = tuple(mono)
+        group[key] = group.get(key, 0) + c
 
-    # required clearing power per non-monomial image
-    clear: dict[str, int] = {}
-    for lab in unit_part:
-        i = f.lattice.index(lab)
-        low = min(e[i] for e, _ in f.terms)
-        if low < 0:
-            clear[lab] = -low
-
-    acc = LaurentPoly.zero(codomain)
-    for e, c in f.terms:
-        base = (0,) * d
-        coeff = c
-        for i, lab in enumerate(f.lattice):
-            base = vec_add(base, vec_scale(mono_part[lab], e[i]))
-            cc = const_part.get(lab, 1)
-            if cc != 1:
-                if e[i] >= 0:
-                    coeff *= cc ** e[i]
-                elif abs(cc) == 1:
-                    coeff *= cc ** (e[i] % 2)  # (+-1)^e depends only on parity
-                else:
-                    raise NotInvertible(f"coefficient {cc} not invertible")
-        term = LaurentPoly.make(codomain, {base: coeff})
-        for lab, u0 in unit_part.items():
-            i = f.lattice.index(lab)
-            p = e[i] + clear.get(lab, 0)
-            term = lp_mul(term, lp_pow(u0, p))
-        acc = lp_add(acc, term)
-    for lab, Dp in clear.items():
-        if Dp:
-            try:
-                acc = lp_exact_div(acc, lp_pow(unit_part[lab], Dp))
-            except NotLaurent as exc:
-                raise NotInvertible(str(exc)) from exc
-    return acc
+    D = max(0, -min(by_power, default=0))
+    out: dict[Exponent, int] = {}
+    power, p = LaurentPoly.one(u.lattice), 0
+    for E in sorted(by_power):
+        power = lp_mul(power, lp_pow(u, E + D - p))
+        p = E + D
+        for e1, c1 in by_power[E].items():
+            for e2, c2 in power.terms:
+                key = vec_add(e1, e2)
+                out[key] = out.get(key, 0) + c1 * c2
+    total = LaurentPoly.make(u.lattice, out)
+    return lp_exact_div(total, lp_pow(u, D)) if D else total
 
 
 def lp_min_exponent(f: LaurentPoly, tiebreak: list[str] | None = None):
@@ -381,9 +355,3 @@ def lp_max_exponent(f: LaurentPoly):
     m, unique = lp_min_exponent(neg)
     return vec_scale(m, -1), unique
 
-
-def tropicalize(f: LaurentPoly) -> list[Exponent]:
-    """The deduplicated exponent list; Trop(f)(v) = min over it of <m, v>."""
-    if f.is_zero():
-        raise ValueError("tropicalization of 0 undefined")
-    return [e for e, _ in f.terms]

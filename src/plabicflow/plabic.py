@@ -15,6 +15,7 @@ rectangles model of the (k, n) grid.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -40,6 +41,7 @@ class ModelInvariantError(Exception):
 
     def __init__(self, violation: str, detail: str = ""):
         self.violation = violation
+        self.detail = detail
         super().__init__(f"{violation}: {detail}" if detail else violation)
 
 
@@ -810,15 +812,17 @@ def _fresh(base: str, taken) -> str:
     return f"{base}{i}"
 
 
-def square_move(model: PlabicModel, face_label: KSubset, validate: bool = True) -> PlabicModel:
+def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     """Urban renewal at an internal quadrilateral face.
 
     Four new nodes of opposite colors are placed inside the face, joined in
     a square and tied to the old corners by legs; the old face edges are
     removed and any corner left with degree two is contracted away (its two
     same-colored neighbors are identified, splicing rotations; a boundary
-    stub reattaches directly).  The face's label is replaced by its exchange
-    partner; every other face keeps its label.
+    stub reattaches directly).  The face's label is replaced by its Plucker
+    exchange partner (``seeds.exchange_label``); every other face keeps its
+    label.  The moved model must keep the positroid, and its dual quiver
+    must be the matrix mutation of the model's.
     """
     an = analyze(model)
     face_label = tuple(face_label)
@@ -854,24 +858,14 @@ def square_move(model: PlabicModel, face_label: KSubset, validate: bool = True) 
         raise NotPlabicMutable(f"face {face_label} corners do not alternate")
 
     # exchange label from the quiver around the face
-    ins = [an.faces[s].label for e, s, t in an.arrows if t == fi]
-    outs = [an.faces[t].label for e, s, t in an.arrows if s == fi]
-    if len(ins) != 2 or len(outs) != 2:
-        raise ModelInvariantError(
-            "exchange-mismatch", f"face {face_label}: in {ins}, out {outs}"
-        )
-    S = set(ins[0]) & set(ins[1])
-    quad = (set(ins[0]) | set(ins[1])) - S
-    if set(outs[0]) & set(outs[1]) != S or (set(outs[0]) | set(outs[1])) - S != quad:
-        raise ModelInvariantError(
-            "exchange-mismatch", f"in/out faces disagree: {ins} vs {outs}"
-        )
-    pair = set(face_label) - S
-    if len(quad) != 4 or not pair <= quad or len(pair) != 2 or set(face_label) != S | pair:
-        raise ModelInvariantError(
-            "exchange-mismatch", f"label {face_label} not S+pair with S={sorted(S)}"
-        )
-    new_label = tuple(sorted(S | (quad - pair)))
+    from . import seeds
+
+    seed = seeds.seed_of_model(model)
+    j_old = format_ksubset(face_label, model.n)
+    try:
+        new_label = seeds.exchange_label(seed.quiver, seed.labels, j_old)
+    except NotPlabicMutable as exc:
+        raise ModelInvariantError("exchange-mismatch", f"face {face_label}: {exc}") from None
 
     # --- surgery on copies
     colors = dict(model.colors)
@@ -1008,26 +1002,36 @@ def square_move(model: PlabicModel, face_label: KSubset, validate: bool = True) 
     )
     analyze(result)
 
-    if validate:
-        if positroid(result) != positroid(model):
-            raise ModelInvariantError("positroid-changed")
-        from . import seeds
-
-        j_old = format_ksubset(face_label, model.n)
-        j_new = format_ksubset(new_label, model.n)
-        q_new = seeds.quiver_of_model(result)
-        expect = seeds.fz_mutate(seeds.quiver_of_model(model), j_old)
-        got = {
-            (j_old if u == j_new else u, j_old if v == j_new else v): b
-            for (u, v), b in seeds.mutation_entries(q_new).items()
-        }
-        want = seeds.mutation_entries(expect)
-        if got != want:
-            diff = {kk for kk in set(got) | set(want) if got.get(kk) != want.get(kk)}
-            raise ModelInvariantError(
-                "quiver-fz-mismatch", f"entries differ at {sorted(diff)}"
-            )
+    if positroid(result) != positroid(model):
+        raise ModelInvariantError("positroid-changed")
+    j_new = format_ksubset(new_label, model.n)
+    q_new = seeds.quiver_of_model(result)
+    expect = seeds.fz_mutate(seed.quiver, j_old)
+    got = {
+        (j_old if u == j_new else u, j_old if v == j_new else v): b
+        for (u, v), b in seeds.mutation_entries(q_new).items()
+    }
+    want = seeds.mutation_entries(expect)
+    if got != want:
+        diff = {kk for kk in set(got) | set(want) if got.get(kk) != want.get(kk)}
+        raise ModelInvariantError(
+            "quiver-fz-mismatch", f"entries differ at {sorted(diff)}"
+        )
     return result
+
+
+def square_moves(model: PlabicModel) -> Iterator[tuple[str, PlabicModel]]:
+    """Yield (face name, moved model) for every mutable face of the model
+    whose square move is defined, in ``mutable_vertices`` order."""
+    from . import seeds
+
+    seed = seeds.seed_of_model(model)
+    for j in seeds.mutable_vertices(seed.quiver):
+        try:
+            moved = square_move(model, seed.labels[j])
+        except NotPlabicMutable:
+            continue
+        yield j, moved
 
 
 # --------------------------------------------------------- builtin models

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from .cones import Cone, cone_from_tropical, grid_label, make_cone
 from .laurent import (
     LaurentPoly,
-    NotInvertible,
-    NotLaurent,
     lp_add,
     lp_equal,
     lp_mul,
@@ -234,11 +232,8 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     s2 = mutate_labels(s, j)
     (j2,) = set(s2.labels) - set(s.labels)
     lattice2 = ("q",) + tuple(sorted(s2.labels))
-    images: dict[str, LaurentPoly] = {}
-    for lab in W.poly.lattice:
-        if lab == j:
-            continue
-        images[lab] = LaurentPoly.monomial(lattice2, {lab: 1})
+    images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
+    images[j] = ({j2: -1}, 1)
     num_in: dict[str, int] = {}
     num_out: dict[str, int] = {}
     for u, v, mult in s.quiver.arrows:
@@ -250,8 +245,7 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
         LaurentPoly.monomial(lattice2, num_in),
         LaurentPoly.monomial(lattice2, num_out),
     )
-    images[j] = lp_mul(binom, LaurentPoly.monomial(lattice2, {j2: -1}))
-    out = lp_substitute(W.poly, images, lattice2)
+    out = lp_substitute(W.poly, images, binom)
     _check_a_form(out)
     return SuperpotentialExpr(out, "A-form")
 

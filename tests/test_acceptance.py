@@ -33,11 +33,10 @@ from plabicflow.cones import (
 )
 from plabicflow.laurent import lp_equal
 from plabicflow.plabic import (
-    NotPlabicMutable,
     build_rectangles_model,
     positroid,
     shark_model,
-    square_move,
+    square_moves,
 )
 from plabicflow.seeds import (
     exact_sequence_checks,
@@ -64,17 +63,6 @@ def kappa_point(s, I):
     return {v: c for v, c in kappa_vector(s, I).items() if v != star}
 
 
-def square_movable(model, s):
-    out = []
-    for j in mutable_vertices(s.quiver):
-        try:
-            moved = square_move(model, s.labels[j])
-        except NotPlabicMutable:
-            continue
-        out.append((j, moved))
-    return out
-
-
 def test_criterion_01_shark_flows_and_partitions():
     t0 = time.perf_counter()
     rc, out = run_cli("flow", "shark", "25")
@@ -93,8 +81,7 @@ def test_criterion_02_valuation_equals_kappa():
     for k, n in [(2, 5), (2, 6), (3, 6), (4, 8)]:
         base = build_rectangles_model(k, n)
         seeds_and_models = [(seed_of_model(base), base)]
-        s0 = seeds_and_models[0][0]
-        for _j, moved in square_movable(base, s0):
+        for _j, moved in square_moves(base):
             seeds_and_models.append((seed_of_model(moved), moved))
         assert len(seeds_and_models) >= 2
         for s, model in seeds_and_models:
@@ -133,7 +120,7 @@ def test_criterion_04_x_mutation_matches_flows():
         model = build_rectangles_model(k, n)
         s = seed_of_model(model)
         q = s.quiver
-        moves = square_movable(model, s)
+        moves = list(square_moves(model))
         assert len(moves) == want
         for j, moved in moves:
             for I in positroid(model):
@@ -149,7 +136,7 @@ def test_criterion_05_tropical_mutation_of_kappa():
     for k, n in instances:
         s = rectangles_seed(k, n)
         model = build_rectangles_model(k, n)
-        for j, _m in square_movable(model, s):
+        for j, _m in square_moves(model):
             s2 = mutate_labels(s, j)
             (j2,) = set(s2.labels) - set(s.labels)
             for I in ksubsets(n, k):
@@ -243,7 +230,7 @@ def test_criterion_11_exact_sequence_identities():
     for k, n in [(2, 4), (2, 5), (3, 6)]:
         model = build_rectangles_model(k, n)
         s = seed_of_model(model)
-        for j, moved in square_movable(model, s):
+        for j, moved in square_moves(model):
             tested.append(mutate_labels(s, j))
             tested.append(seed_of_model(moved))
     assert len(tested) == 18

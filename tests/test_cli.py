@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from plabicflow import cli
+from plabicflow.laurent import lp_add
 from plabicflow.plabic import save_model, shark_model
 
 
@@ -145,6 +146,23 @@ def test_xcheck_hexagonal_is_usage_error(capsys):
     assert "not mutable" in err
 
 
+def test_xcheck_mismatch_is_verification_failure(monkeypatch, capsys):
+    real = cli.charts.x_mutate
+    monkeypatch.setattr(cli.charts, "x_mutate",
+                        lambda q, j, f: lp_add(real(q, j, f), real(q, j, f)))
+    rc, out, _ = run_out(capsys, "xcheck", "rect:2,4")
+    assert rc == 1
+    assert out == "FAIL xcheck 13: mutation at 13 disagrees with flows at I=12\n"
+
+
+@pytest.mark.parametrize("face", ["999", "12"])
+def test_xcheck_unknown_face_is_usage_error(capsys, face):
+    rc, out, err = run_out(capsys, "xcheck", "rect:3,6", "--mutations", face)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: no face named '{face}'\n"
+
+
 def test_gt_cone_json(capsys):
     rc, out, _ = run_out(capsys, "gt-cone", "--kn", "2,4", "--format", "json")
     assert rc == 0
@@ -236,6 +254,28 @@ def test_verify_all(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 7
     assert all(l.startswith("PASS ") for l in lines)
+
+
+def test_verify_repeated_kn_concatenates_runs(capsys):
+    singles = [run_out(capsys, "verify", "all", "--kn", kn) for kn in ("2,4", "2,5")]
+    rc, out, _ = run_out(capsys, "verify", "all", "--kn", "2,4", "--kn", "2,5")
+    assert [r for r, _o, _e in singles] == [0, 0]
+    assert rc == 0
+    assert out == singles[0][1] + singles[1][1]
+
+
+def test_verify_repeated_kn_fails_if_any_instance_fails(monkeypatch, capsys):
+    real = cli._suite_plucker
+    monkeypatch.setattr(
+        cli, "_suite_plucker",
+        lambda k, n: [(False, "forced failure")] if n == 5 else real(k, n),
+    )
+    rc, out, _ = run_out(capsys, "verify", "plucker", "--kn", "2,4", "--kn", "2,5")
+    assert rc == 1
+    assert out.splitlines() == [
+        "PASS plucker: rect:2,4 all three-term relations, both charts",
+        "FAIL plucker: forced failure",
+    ]
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -13,9 +13,7 @@ from plabicflow.laurent import (
     lp_mul,
     lp_neg,
     lp_pow,
-    lp_sub,
     lp_substitute,
-    tropicalize,
 )
 
 L3 = ("a", "b", "c")
@@ -42,7 +40,7 @@ def test_monomial_and_pretty():
     m = LaurentPoly.monomial(("24", "34"), {"34": 1})
     f = lp_add(m, LaurentPoly.monomial(("24", "34"), {"24": 1, "34": 1}))
     assert f.pretty() == "y34*(1+y24)"
-    assert lp_sub(m, f).pretty("y") == "-y24*y34"
+    assert lp_add(m, lp_neg(f)).pretty("y") == "-y24*y34"
     q = LaurentPoly.monomial(("q", "13", "34"), {"q": 1, "13": 1, "34": -1})
     assert q.pretty("p") == "q*p13*p34^-1"
 
@@ -110,36 +108,31 @@ def test_min_exponent_additive_for_positive_polys(f, g):
     assert eh == tuple(x + y for x, y in zip(ef, eg))
 
 
-def test_substitute_is_a_homomorphism():
-    target = ("u", "v")
-    images = {
-        "a": LaurentPoly.make(target, {(1, 0): 1, (0, 1): 1}),  # u + v
-        "b": LaurentPoly.monomial(target, {"u": -1}),
-        "c": LaurentPoly.monomial(target, {"v": 2}),
-    }
-    f = poly({(1, 1, 0): 1})
-    g = poly({(0, 0, 1): 1, (2, 0, 0): -3})
-    sf = lp_substitute(f, images, target)
-    sg = lp_substitute(g, images, target)
-    sfg = lp_substitute(lp_mul(f, g), images, target)
-    assert lp_equal(sfg, lp_mul(sf, sg))
-    ssum = lp_substitute(lp_add(f, g), images, target)
-    assert lp_equal(ssum, lp_add(sf, sg))
+# a -> u*(1+v), b -> v, c -> 1 over (u, v): the image of b + c is the
+# exchange binomial 1 + v itself, so any F * (b + c)^3 has a Laurent image
+# although its terms carry a down to a^-3.
+TARGET = ("u", "v")
+BINOM = LaurentPoly.make(TARGET, {(0, 0): 1, (0, 1): 1})
+IMAGES = {"a": ({"u": 1}, 1), "b": ({"v": 1}, 0), "c": ({}, 0)}
+CLEAR = lp_pow(poly({(0, 1, 0): 1, (0, 0, 0): 1}), 3)
+
+
+@given(polys, polys)
+@settings(max_examples=60)
+def test_substitute_is_a_homomorphism(F, G):
+    f, g = lp_mul(F, CLEAR), lp_mul(G, CLEAR)
+    sf = lp_substitute(f, IMAGES, BINOM)
+    sg = lp_substitute(g, IMAGES, BINOM)
+    assert lp_equal(lp_substitute(lp_mul(f, g), IMAGES, BINOM), lp_mul(sf, sg))
+    assert lp_equal(lp_substitute(lp_add(f, g), IMAGES, BINOM), lp_add(sf, sg))
 
 
 def test_substitute_requires_monomial_denominators():
-    # a term with a negative exponent of a non-monomial image is not Laurent
-    target = ("u",)
-    images = {
-        "a": LaurentPoly.make(target, {(1,): 1, (0,): 1}),
-        "b": LaurentPoly.monomial(target, {"u": 1}),
-        "c": LaurentPoly.monomial(target, {}),
-    }
+    # a^-1 maps to (u*(1+v))^-1, which is not a Laurent polynomial
     f = poly({(-1, 0, 0): 1})
-    with pytest.raises((NotLaurent, NotInvertible)):
-        lp_substitute(f, images, target)
-
-
-def test_tropicalize():
-    f = poly({(0, 1, 0): 1, (1, 1, 0): 2})
-    assert sorted(tropicalize(f)) == [(0, 1, 0), (1, 1, 0)]
+    with pytest.raises(NotLaurent):
+        lp_substitute(f, IMAGES, BINOM)
+    assert lp_equal(
+        lp_substitute(lp_mul(f, CLEAR), IMAGES, BINOM),
+        LaurentPoly.make(TARGET, {(-1, 0): 1, (-1, 1): 2, (-1, 2): 1}),
+    )

@@ -128,9 +128,11 @@ def test_orbits_leave_the_base_model():
 def enumerations(monkeypatch):
     """Counts ``enumerate_matchings`` calls per model object."""
     calls = Counter()
+    seen = []  # keep alive: a freed model's id could be reused by a later one
     real = plabic.enumerate_matchings
 
     def counted(model):
+        seen.append(model)
         calls[id(model)] += 1
         return real(model)
 

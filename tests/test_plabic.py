@@ -4,6 +4,7 @@ from plabicflow.combinat import format_ksubset, ksubsets
 from plabicflow.plabic import (
     ModelInvariantError,
     NotPlabicMutable,
+    SHARK_TEXT,
     ParseError,
     analyze,
     base_matching,
@@ -166,6 +167,16 @@ def test_square_move_guards():
     m36 = build_rectangles_model(3, 6)
     with pytest.raises(NotPlabicMutable):
         square_move(m36, (1, 4, 5))  # hexagonal face
+
+
+def test_square_move_rejects_labels_that_contradict_the_quiver():
+    # swapping the labels 14 and 24 leaves the quadrilateral face labelled
+    # 14 with out-neighbors 23 and 24, which share no exchange quadruple
+    text = SHARK_TEXT.replace(" 14\n", " @\n").replace(" 24\n", " 14\n")
+    m = load_model(text.replace(" @\n", " 24\n"))
+    with pytest.raises(ModelInvariantError) as err:
+        square_move(m, (1, 4))
+    assert err.value.violation == "exchange-mismatch"
 
 
 def test_shark_square_move():

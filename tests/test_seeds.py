@@ -7,7 +7,7 @@ from plabicflow.plabic import (
     NotPlabicMutable,
     build_rectangles_model,
     shark_model,
-    square_move,
+    square_moves,
 )
 from plabicflow.seeds import (
     NotMutable,
@@ -183,11 +183,7 @@ def test_mutated_quiver_matches_square_moved_model():
     for k, n in [(2, 4), (2, 5), (3, 6)]:
         model = build_rectangles_model(k, n)
         s = seed_of_model(model)
-        for j in mutable_vertices(s.quiver):
-            try:
-                moved = square_move(model, s.labels[j])
-            except NotPlabicMutable:
-                continue
+        for j, moved in square_moves(model):
             s2 = mutate_labels(s, j)
             smod = seed_of_model(moved)
             assert key(s2.quiver) == key(smod.quiver)
