@@ -21,6 +21,7 @@ invariant violation.  Output is byte-deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import random
 import sys
@@ -97,15 +98,20 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _csv_writer():
+    """CSV rows on stdout; fields holding a comma (labels at n >= 10) are quoted."""
+    return csv.writer(sys.stdout, lineterminator="\n")
+
+
 def _emit_poly(poly: LaurentPoly, fmt: str, prefix: str) -> None:
     if fmt == "pretty":
         print(poly.pretty(prefix))
     elif fmt == "json":
         _emit_json(poly.to_json_obj())
     else:  # csv
-        print(",".join(list(poly.lattice) + ["coeff"]))
-        for exp, c in poly.terms:
-            print(",".join(str(e) for e in exp) + f",{c}")
+        out = _csv_writer()
+        out.writerow(list(poly.lattice) + ["coeff"])
+        out.writerows(list(exp) + [c] for exp, c in poly.terms)
 
 
 def _emit_vector(vec: dict[str, int], fmt: str) -> None:
@@ -115,9 +121,9 @@ def _emit_vector(vec: dict[str, int], fmt: str) -> None:
     elif fmt == "json":
         _emit_json(vec)
     else:
-        print("label,value")
-        for lab, v in items:
-            print(f"{lab},{v}")
+        out = _csv_writer()
+        out.writerow(["label", "value"])
+        out.writerows(items)
 
 
 # ---------------------------------------------------------------- commands
@@ -134,9 +140,9 @@ def cmd_matchings(args) -> int:
     elif args.format == "json":
         _emit_json([{"boundary": bv, "edges": eds} for bv, eds in rows])
     else:
-        print("boundary,edges")
-        for bv, eds in rows:
-            print(f"{bv},{';'.join(eds)}")
+        out = _csv_writer()
+        out.writerow(["boundary", "edges"])
+        out.writerows([bv, ";".join(eds)] for bv, eds in rows)
     return 0
 
 
@@ -201,9 +207,9 @@ def cmd_mutate(args) -> int:
             "arrows": [list(a) for a in q.arrows],
         })
     else:
-        print("vertex,label,frozen")
-        for v in q.vertices:
-            print(f"{v},{labels[v]},{int(v in q.frozen)}")
+        out = _csv_writer()
+        out.writerow(["vertex", "label", "frozen"])
+        out.writerows([v, labels[v], int(v in q.frozen)] for v in q.vertices)
     return 0
 
 
@@ -269,9 +275,9 @@ def cmd_gt_cone(args) -> int:
                 ]
                 print(" ".join(parts) + " >= 0")
         else:
-            print(",".join(cone.ambient))
-            for cov in cone.ineqs:
-                print(",".join(str(c) for c in cov))
+            out = _csv_writer()
+            out.writerow(cone.ambient)
+            out.writerows(cone.ineqs)
         return 0
     pts = cones.lattice_points(cone, level)
     rows = sorted(
@@ -284,9 +290,9 @@ def cmd_gt_cone(args) -> int:
             "points": [list(r) for r in rows],
         })
     else:
-        print(",".join(cone.ambient))
-        for r in rows:
-            print(",".join(str(x) for x in r))
+        out = _csv_writer()
+        out.writerow(cone.ambient)
+        out.writerows(rows)
         if args.format == "pretty":
             print(f"# {len(rows)} points")
     return 0
@@ -300,9 +306,9 @@ def cmd_no_body(args) -> int:
     if args.format == "json":
         _emit_json([{l: p.get(l, 0) for l in labels} for p in pts])
     else:
-        print(",".join(labels))
-        for p in pts:
-            print(",".join(str(p.get(l, 0)) for l in labels))
+        out = _csv_writer()
+        out.writerow(labels)
+        out.writerows([p.get(l, 0) for l in labels] for p in pts)
         if args.format == "pretty":
             print(f"# {len(pts)} points")
     return 0

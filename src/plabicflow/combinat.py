@@ -8,7 +8,9 @@ inferred from the largest element.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 KSubset = tuple[int, ...]
 
@@ -201,16 +203,27 @@ def young_of(I: KSubset, n: int) -> tuple[int, ...]:
     return parts
 
 
-def young_cells(parts) -> set[tuple[int, int]]:
-    """Cells (row, col), 1-indexed, of a partition."""
-    return {(r, c) for r, lam in enumerate(parts, 1) for c in range(1, lam + 1)}
+@lru_cache(maxsize=None)
+def _diag_counts(I: KSubset, n: int) -> tuple[int, ...]:
+    """Cell count of lambda_I on each diagonal d = col - row, d = 1-k .. n-k-1."""
+    parts = young_of(I, n)
+    k = len(parts)
+    return tuple(
+        sum(1 for r in range(max(1, 1 - d), k + 1) if parts[r - 1] - r >= d)
+        for d in range(1 - k, n - k)
+    )
 
 
 def max_diag(J: KSubset, I: KSubset, n: int) -> int:
     """Maximal number of cells on one diagonal of lambda_J minus lambda_I.
 
     The difference is taken as a plain cell-set difference; diagonals are
-    indexed by col - row.
+    indexed by d = col - row.  Closed form: the cells of a partition lambda
+    on diagonal d are the rows r >= max(1, 1-d) with lambda_r - r >= d, and
+    lambda_r - r strictly decreases in r, so for every lambda they are an
+    initial run of the same ray of rows.  Hence lambda_J minus lambda_I has
+    exactly max(0, c_J(d) - c_I(d)) cells on diagonal d, where c counts the
+    cells of one shape on d, and the answer is the largest of these.
 
     >>> max_diag((2, 4), (1, 3), 4)
     1
@@ -219,13 +232,9 @@ def max_diag(J: KSubset, I: KSubset, n: int) -> int:
     """
     if len(J) != len(I):
         raise ValueError(f"size mismatch: |{J}| != |{I}|")
-    cells = young_cells(young_of(J, n)) - young_cells(young_of(I, n))
-    if not cells:
-        return 0
-    counts: dict[int, int] = {}
-    for r, c in cells:
-        counts[c - r] = counts.get(c - r, 0) + 1
-    return max(counts.values())
+    cj = _diag_counts(tuple(J), n)
+    ci = _diag_counts(tuple(I), n)
+    return max(0, max(map(sub, cj, ci), default=0))
 
 
 def lex_max(P) -> KSubset:

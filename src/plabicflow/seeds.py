@@ -350,19 +350,21 @@ def exact_sequence_checks(s: Seed) -> bool:
         return False
     if any(c != 0 for c in colsum.values()):
         return False
-    wt = wt_matrix(s)
-    for v in q.vertices:  # column of the product, restricted away from star
-        if v == q.star:
-            continue
-        for i in q.vertices:  # row of the product
-            if i == q.star:
-                continue
-            tot = 0
-            for w in q.vertices:
-                tot += wt.get((i, w), 0) * beta.get((w, v), 0)
-            if tot != (-1 if i == v else 0):
-                return False
-    return True
+    # the product wt . beta, summed over the nonzero entries of both
+    beta_rows: dict[str, list[tuple[str, int]]] = {}
+    for (w, v), c in beta.items():
+        beta_rows.setdefault(w, []).append((v, c))
+    prod: dict[tuple[str, str], int] = {}
+    for (i, w), a in wt_matrix(s).items():
+        for v, c in beta_rows.get(w, ()):
+            prod[(i, v)] = prod.get((i, v), 0) + a * c
+    # away from the star: every diagonal entry -1, every other entry 0
+    if any(prod.get((v, v), 0) != -1 for v in q.vertices if v != q.star):
+        return False
+    return all(
+        c == 0 for (i, v), c in prod.items()
+        if i != v and q.star not in (i, v)
+    )
 
 
 # ------------------------------------------------------ tropical mutation

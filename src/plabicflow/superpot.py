@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cones import Cone, cone_from_tropical, grid_label, make_cone
+from .cones import Cone, grid_label, make_cone
 from .laurent import (
     LaurentPoly,
     lp_add,
@@ -24,7 +24,6 @@ from .seeds import (
     Seed,
     beta_matrix,
     mutate_labels,
-    quiver_b_entries,
     rectangles_seed,
     wt_matrix,
 )

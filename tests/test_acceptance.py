@@ -12,7 +12,7 @@ import random
 import time
 
 from plabicflow import cli
-from plabicflow.combinat import format_ksubset, ksubsets
+from plabicflow.combinat import ksubsets
 from plabicflow.charts import (
     flow_polynomial,
     partition_function,
@@ -43,7 +43,6 @@ from plabicflow.seeds import (
     kappa_vector,
     mutable_vertices,
     mutate_labels,
-    quiver_of_model,
     rectangles_seed,
     seed_of_model,
     trop_a_mutate,
@@ -131,7 +130,7 @@ def test_criterion_04_x_mutation_matches_flows():
 
 def test_criterion_05_tropical_mutation_of_kappa():
     t0 = time.perf_counter()
-    instances = [(2, 4), (2, 5), (3, 6)]
+    instances = [(2, 4), (2, 5), (3, 6), (4, 8)]
     checked_pairs = 0
     for k, n in instances:
         s = rectangles_seed(k, n)
@@ -147,7 +146,7 @@ def test_criterion_05_tropical_mutation_of_kappa():
                 }
                 assert moved == want, (k, n, j, I)
             checked_pairs += 1
-    assert checked_pairs == 6
+    assert checked_pairs == 11
     # the piecewise-linear map is an involution
     rng = random.Random(0)
     count = 0
@@ -225,7 +224,7 @@ def test_criterion_10_plucker_relations():
 def test_criterion_11_exact_sequence_identities():
     t0 = time.perf_counter()
     tested = []
-    for k, n in [(1, 2), (2, 4), (2, 5), (2, 6), (3, 6), (4, 9)]:
+    for k, n in [(1, 2), (2, 4), (2, 5), (2, 6), (3, 6), (4, 9), (5, 10)]:
         tested.append(rectangles_seed(k, n))
     for k, n in [(2, 4), (2, 5), (3, 6)]:
         model = build_rectangles_model(k, n)
@@ -233,7 +232,7 @@ def test_criterion_11_exact_sequence_identities():
         for j, moved in square_moves(model):
             tested.append(mutate_labels(s, j))
             tested.append(seed_of_model(moved))
-    assert len(tested) == 18
+    assert len(tested) == 19
     for s in tested:
         assert exact_sequence_checks(s)
     assert time.perf_counter() - t0 < 1.0

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -41,6 +43,24 @@ def test_flow_csv(capsys):
     rc, out, _ = run_out(capsys, "flow", "shark", "25", "--format", "csv")
     assert rc == 0
     assert out == "14,15,23,24,34,coeff\n0,0,0,0,1,1\n0,0,0,1,1,1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("flow", "rect:2,10", "1,10"),
+    ("kappa", "rect:2,10", "1,10"),
+    ("matchings", "rect:2,10"),
+    ("mutate", "rect:2,10"),
+    ("no-body", "rect:2,10"),
+])
+def test_csv_quotes_comma_labels(capsys, argv):
+    # at n >= 10 a face name is a comma list; as a field it must stay one
+    rc, out, _ = run_out(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows
+    assert all(len(row) == len(header) for row in rows)
+    if argv[0] == "flow":
+        assert header[:2] == ["1,3", "1,4"] and len(header) == 17
 
 
 def test_flow_order_override(capsys):

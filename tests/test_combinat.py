@@ -15,9 +15,21 @@ from plabicflow.combinat import (
     rectangle_label,
     shifted_key,
     weakly_separated,
-    young_cells,
     young_of,
 )
+
+
+def young_cells(parts) -> set[tuple[int, int]]:
+    """Cells (row, col), 1-indexed, of a partition."""
+    return {(r, c) for r, lam in enumerate(parts, 1) for c in range(1, lam + 1)}
+
+
+def cell_set_max_diag(J, I, n: int) -> int:
+    """Reference MaxDiag: count the cells of the set difference per diagonal."""
+    counts: dict[int, int] = {}
+    for r, c in young_cells(young_of(J, n)) - young_cells(young_of(I, n)):
+        counts[c - r] = counts.get(c - r, 0) + 1
+    return max(counts.values(), default=0)
 
 
 def test_ksubsets_order_and_count():
@@ -100,7 +112,31 @@ def test_max_diag_values():
     assert max_diag((6, 7, 8, 9), (1, 4, 5, 7), 9) == 3
 
 
-@given(st.integers(2, 8).flatmap(lambda n: st.tuples(
+def test_max_diag_rejects_bad_input():
+    with pytest.raises(ValueError):
+        max_diag((1, 2), (1, 2, 3), 4)
+    # a bad subset raises on every call, not only the first
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            max_diag((2, 1), (1, 2), 4)
+        with pytest.raises(ValueError):
+            max_diag((1, 2), (1, 5), 4)
+
+
+def test_max_diag_equals_cell_sets_exhaustive():
+    # every pair of k-subsets, contained shapes and k = 0, n included
+    pairs = 0
+    for n in range(9):
+        for k in range(n + 1):
+            subs = ksubsets(n, k)
+            for J in subs:
+                for I in subs:
+                    assert max_diag(J, I, n) == cell_set_max_diag(J, I, n), (J, I, n)
+                    pairs += 1
+    assert pairs == 17577
+
+
+@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, n - 1))).flatmap(lambda nk: st.tuples(
         st.just(nk[0]),
         st.sets(st.integers(1, nk[0]), min_size=nk[1], max_size=nk[1]),
@@ -110,7 +146,9 @@ def test_max_diag_zero_iff_contained(args):
     n, A, B = args
     J, I = tuple(sorted(A)), tuple(sorted(B))
     contained = young_cells(young_of(J, n)) <= young_cells(young_of(I, n))
-    assert (max_diag(J, I, n) == 0) == contained
+    got = max_diag(J, I, n)
+    assert (got == 0) == contained
+    assert got == cell_set_max_diag(J, I, n)
 
 
 def test_shifted_key_and_lex_max():

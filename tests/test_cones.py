@@ -1,8 +1,7 @@
 import pytest
 
-from plabicflow.combinat import format_ksubset, ksubsets
+from plabicflow.combinat import ksubsets
 from plabicflow.cones import (
-    Cone,
     GTPattern,
     Unbounded,
     body_membership_check,

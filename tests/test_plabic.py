@@ -18,7 +18,7 @@ from plabicflow.plabic import (
     shark_model,
     square_move,
 )
-from plabicflow.seeds import mutable_vertices, quiver_of_model, seed_of_model
+from plabicflow.seeds import mutable_vertices, quiver_of_model
 
 # the full matching table of the 5-node fixture: boundary value -> edge sets
 SHARK_MATCHINGS = [

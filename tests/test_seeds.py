@@ -11,7 +11,7 @@ from plabicflow.plabic import (
 )
 from plabicflow.seeds import (
     NotMutable,
-    Quiver,
+    Seed,
     beta_matrix,
     exact_sequence_checks,
     exchange_label,
@@ -164,8 +164,35 @@ def test_beta_unbalanced_outside_scope():
 
 
 def test_exact_sequence_identities():
-    for k, n in [(1, 2), (2, 4), (2, 5), (2, 6), (3, 6), (4, 9)]:
+    for k, n in [(1, 2), (2, 4), (2, 5), (2, 6), (3, 6), (4, 9), (5, 10)]:
         assert exact_sequence_checks(rectangles_seed(k, n))
+
+
+def test_exact_sequence_rejects_swapped_labels():
+    # swapping the labels of two mutable vertices keeps the quiver and beta
+    # but breaks wt . beta = -1 away from the star
+    s = rectangles_seed(3, 6)
+    a, b = mutable_vertices(s.quiver)[:2]
+    assert (a, b) == ("124", "125")
+    labels = dict(s.labels)
+    labels[a], labels[b] = labels[b], labels[a]
+    swapped = Seed(s.k, s.n, s.quiver, labels)
+    assert exact_sequence_checks(s)
+    assert not exact_sequence_checks(swapped)
+
+
+def test_exact_sequence_checks_diagonal_and_off_diagonal():
+    # swapping the frozen labels 15 and 34 of (2,5) keeps every diagonal
+    # entry of wt . beta at -1 and breaks only an off-diagonal one
+    s = rectangles_seed(2, 5)
+    labels = dict(s.labels)
+    labels["15"], labels["34"] = labels["34"], labels["15"]
+    assert not exact_sequence_checks(Seed(s.k, s.n, s.quiver, labels))
+    # one label everywhere: wt is 0, so only the diagonal entries fail
+    s = rectangles_seed(2, 4)
+    same = {v: s.labels[s.quiver.star] for v in s.quiver.vertices}
+    assert wt_matrix(Seed(s.k, s.n, s.quiver, same)) == {}
+    assert not exact_sequence_checks(Seed(s.k, s.n, s.quiver, same))
 
 
 def test_exact_sequence_after_mutation():

@@ -10,7 +10,6 @@ from plabicflow.cones import (
     make_cone,
 )
 from plabicflow.laurent import lp_equal
-from plabicflow.plabic import ModelInvariantError
 from plabicflow.seeds import (
     NotMutable,
     mutate_labels,
