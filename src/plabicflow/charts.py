@@ -62,9 +62,18 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     Each matching with boundary value I contributes the monomial of its
     face weight; the weight is independently recomputed from the flow
     decomposition (left-face counts), and the polynomial must have unique
-    minimal and maximal exponents, both with coefficient 1.
+    minimal and maximal exponents, both with coefficient 1.  It is built
+    and checked once per model and I, then kept in the matching table.
     """
     I = tuple(I)
+    table = matching_table(model)
+    f = table._flows.get(I)
+    if f is None:
+        f = table._flows[I] = _checked_flow_polynomial(model, I)
+    return f
+
+
+def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     an = analyze(model)
     lattice = face_lattice(model)
     # face indices in lattice order: the faces by sorted label, star omitted

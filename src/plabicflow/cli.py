@@ -389,14 +389,14 @@ def _suite_xflow(k: int, n: int):
 def _suite_trop_a(k: int, n: int):
     s = seeds.rectangles_seed(k, n)
     q = s.quiver
+    base = {I: seeds.kappa_vector(s, I) for I in ksubsets(n, k)}
     for j in seeds.mutable_vertices(q):
         try:
             s2 = seeds.mutate_labels(s, j)
         except NotPlabicMutable:
             continue
         j2 = next(iter(set(s2.labels) - set(s.labels)))
-        for I in ksubsets(n, k):
-            kv = seeds.kappa_vector(s, I)
+        for I, kv in base.items():
             moved = seeds.trop_a_mutate(q, j, kv)
             want = seeds.kappa_vector(s2, I)
             want = {j if a == j2 else a: b for a, b in want.items()}

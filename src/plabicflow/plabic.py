@@ -511,35 +511,49 @@ def load_model(text: str) -> PlabicModel:
 
 
 def enumerate_matchings(model: PlabicModel) -> list[frozenset]:
-    """All edge sets covering every internal node exactly once."""
-    nodes = sorted(model.colors)
-    incident: dict[str, list[str]] = {v: [] for v in nodes}
-    for e in sorted(model.edges):
+    """All edge sets covering every internal node exactly once.
+
+    A backtracker over integer masks.  Edges are numbered in sorted order
+    and nodes in branch order (fewest incident edges first, then by id), so
+    node i is bit i of the covered mask.  Each step branches on the lowest
+    uncovered node and skips an edge that covers a covered node; a boundary
+    edge covers only its own node.  The matchings come out sorted by their
+    sorted edge names, which the edge numbering preserves.
+    """
+    names = sorted(model.edges)
+    incident: dict[str, list[int]] = {v: [] for v in model.colors}
+    for i, e in enumerate(names):
         for end in model.edges[e]:
             if end[0] == "n":
-                incident[end[1]].append(e)
-    results: list[frozenset] = []
+                incident[end[1]].append(i)
+    order = sorted(incident, key=lambda u: (len(incident[u]), u))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    covers = [0] * len(names)
+    for i, e in enumerate(names):
+        for end in model.edges[e]:
+            if end[0] == "n":
+                covers[i] |= bit[end[1]]
+    # options[b]: (edge index, covered mask) for each edge at node b
+    options = [[(i, covers[i]) for i in incident[v]] for v in order]
+    full = (1 << len(order)) - 1
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
 
-    def extend(covered: set, chosen: list):
-        free = [v for v in nodes if v not in covered]
+    def extend(covered: int):
+        free = full & ~covered
         if not free:
-            results.append(frozenset(chosen))
+            found.append(tuple(sorted(chosen)))
             return
-        v = min(free, key=lambda u: (len(incident[u]), u))
-        for e in incident[v]:
-            other = _other_end(model.edges[e], ("n", v))
-            if other[0] == "n" and other[1] in covered:
+        for i, mask in options[(free & -free).bit_length() - 1]:
+            if covered & mask:
                 continue
-            newly = {v} | ({other[1]} if other[0] == "n" else set())
-            covered |= newly
-            chosen.append(e)
-            extend(covered, chosen)
+            chosen.append(i)
+            extend(covered | mask)
             chosen.pop()
-            covered -= newly
 
-    extend(set(), [])
-    results.sort(key=lambda m: tuple(sorted(m)))
-    return results
+    extend(0)
+    found.sort()
+    return [frozenset(names[i] for i in m) for m in found]
 
 
 def boundary_value(model: PlabicModel, m) -> KSubset:
@@ -566,8 +580,9 @@ class MatchingTable:
     order, and ``boundary[i]`` the boundary value of ``matchings[i]``;
     ``groups`` maps each boundary value to the indices of its matchings and
     ``positroid`` lists the boundary values in sorted order.  Face weights
-    are filled per boundary value by ``face_weights``.  The public fields
-    are tuples and a read-only mapping, so callers cannot change the table.
+    are filled per boundary value by ``face_weights``, and the checked flow
+    polynomials by ``charts.flow_polynomial``.  The public fields are
+    tuples and a read-only mapping, so callers cannot change the table.
     """
 
     def __init__(self, model: PlabicModel, matchings):
@@ -581,6 +596,7 @@ class MatchingTable:
         self.groups = MappingProxyType({I: tuple(ix) for I, ix in groups.items()})
         self.positroid: tuple[KSubset, ...] = tuple(sorted(groups))
         self._weights: dict[KSubset, tuple[tuple[int, ...], ...]] = {}
+        self._flows: dict = {}  # boundary value -> LaurentPoly
 
     def at(self, I) -> tuple[frozenset, ...]:
         """The matchings with boundary value I, in enumeration order."""

@@ -1,12 +1,16 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from plabicflow import cli
+import plabicflow
+from plabicflow import cli, seeds
+from plabicflow.combinat import ksubsets
 from plabicflow.laurent import lp_add
 from plabicflow.plabic import save_model, shark_model
 
@@ -362,3 +366,28 @@ def test_byte_determinism_subprocess():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout and a.stdout
+
+
+def test_trop_a_computes_the_base_kappa_table_once(monkeypatch, capsys):
+    base = seeds.rectangles_seed(3, 6).labels
+    calls = []
+    real = seeds.kappa_vector
+
+    def counted(s, I):
+        if s.labels == base:
+            calls.append(tuple(I))
+        return real(s, I)
+
+    monkeypatch.setattr(seeds, "kappa_vector", counted)
+    rc, out, _ = run_out(capsys, "verify", "trop-a", "--kn", "3,6")
+    assert rc == 0 and out.startswith("PASS trop-a")
+    assert sorted(calls) == list(ksubsets(6, 3))
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(plabicflow.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plabicflow", "verify", "plucker", "--kn", "2,5"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("PASS plucker") and proc.stdout.count("\n") == 1

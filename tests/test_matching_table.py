@@ -1,16 +1,19 @@
-"""The per-model matching table against the route it replaced.
+"""The matching layer against the routes it replaced.
 
-The reference below enumerates the matchings afresh on every call and
-filters them by ``boundary_value``; it is kept here as the oracle for the
-table's positroid, base matching, partition functions and flow polynomials.
+``reference_matchings`` is the set-based backtracker that the bitmask
+enumerator replaced; it is the oracle for ``enumerate_matchings``, list and
+order.  ``Reference`` enumerates the matchings afresh on every call and
+filters them by ``boundary_value``; it is the oracle for the table's
+positroid, base matching, partition functions and flow polynomials.
 """
 
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plabicflow import cli, plabic
+from plabicflow import charts, cli, plabic
 from plabicflow.charts import (
     edge_lattice,
     face_lattice,
@@ -24,6 +27,7 @@ from plabicflow.laurent import LaurentPoly
 from plabicflow.plabic import (
     ModelInvariantError,
     NotPlabicMutable,
+    PlabicModel,
     base_matching,
     boundary_value,
     build_rectangles_model,
@@ -33,6 +37,7 @@ from plabicflow.plabic import (
     positroid,
     shark_model,
     square_move,
+    square_moves,
 )
 from plabicflow.seeds import mutable_vertices, seed_of_model
 
@@ -66,6 +71,89 @@ for _name, _build in BASES.items():
     for _seed in ORBIT_SEEDS:
         MODELS[f"{_name} orbit {_seed}"] = (
             lambda build=_build, seed=_seed: orbit(build(), seed))
+
+
+# ------------------------------------------------- the reference enumerator
+
+
+def reference_matchings(model):
+    """All perfect matchings, by set-based backtracking over node names."""
+    nodes = sorted(model.colors)
+    incident = {v: [] for v in nodes}
+    for e in sorted(model.edges):
+        for end in model.edges[e]:
+            if end[0] == "n":
+                incident[end[1]].append(e)
+    results = []
+
+    def other_end(ends, here):
+        return ends[1] if ends[0] == here else ends[0]
+
+    def extend(covered, chosen):
+        free = [v for v in nodes if v not in covered]
+        if not free:
+            results.append(frozenset(chosen))
+            return
+        v = min(free, key=lambda u: (len(incident[u]), u))
+        for e in incident[v]:
+            other = other_end(model.edges[e], ("n", v))
+            if other[0] == "n" and other[1] in covered:
+                continue
+            newly = {v} | ({other[1]} if other[0] == "n" else set())
+            covered |= newly
+            chosen.append(e)
+            extend(covered, chosen)
+            chosen.pop()
+            covered -= newly
+
+    extend(set(), [])
+    results.sort(key=lambda m: tuple(sorted(m)))
+    return results
+
+
+ENUMERATED = {
+    "shark": shark_model,
+    **{f"rect:{k},{n}": (lambda k=k, n=n: build_rectangles_model(k, n))
+       for k, n in ((2, 5), (3, 6), (3, 7), (4, 8), (4, 9))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED))
+def test_enumeration_equals_reference(name):
+    model = ENUMERATED[name]()
+    assert plabic.enumerate_matchings(model) == reference_matchings(model)
+
+
+@pytest.mark.parametrize("kn", [(3, 6), (3, 7), (4, 8)])
+def test_enumeration_equals_reference_after_each_square_move(kn):
+    moved = list(square_moves(build_rectangles_model(*kn)))
+    assert moved
+    for face, model in moved:
+        assert plabic.enumerate_matchings(model) == reference_matchings(model), face
+
+
+@given(st.sampled_from([(3, 6), (3, 7)]), st.integers(0, 2**16), st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_enumeration_equals_reference_on_orbits(kn, seed, moves):
+    model = orbit(build_rectangles_model(*kn), seed, moves)
+    assert plabic.enumerate_matchings(model) == reference_matchings(model)
+
+
+@pytest.mark.parametrize("kn, count", [((4, 8), 424), ((4, 9), 1450), ((5, 10), 7234)])
+def test_rectangles_matching_counts(kn, count):
+    assert len(plabic.enumerate_matchings(build_rectangles_model(*kn))) == count
+
+
+def test_enumeration_edge_cases():
+    def bare(colors, edges):
+        return PlabicModel(1, 2, colors, edges, {}, {}, frozenset())
+
+    assert plabic.enumerate_matchings(bare({}, {})) == [frozenset()]
+    assert plabic.enumerate_matchings(bare({"a": "black"}, {})) == []
+    path = bare({"a": "black", "b": "white"},
+                {"x": (("t", 1), ("n", "a")), "y": (("n", "a"), ("n", "b")),
+                 "z": (("n", "b"), ("t", 2))})
+    assert plabic.enumerate_matchings(path) == [frozenset("xz"), frozenset("y")]
 
 
 # ------------------------------------------------------ the reference route
@@ -245,3 +333,45 @@ def test_returned_collections_cannot_corrupt_the_table(monkeypatch):
         table.matchings[0] = frozenset()
     assert snapshot() == before
     assert len(handed) == 1
+
+
+# ------------------------------------------- one flow polynomial per (model, I)
+
+
+def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
+    built = []
+    real = charts.lp_min_exponent
+
+    def counted(f, *args, **kwargs):
+        built.append(f)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(charts, "lp_min_exponent", counted)
+    models = [build_rectangles_model(3, 6), orbit(build_rectangles_model(3, 6), 1)]
+    for model in models:
+        for _ in range(2):
+            for I in ksubsets(6, 3):
+                flow_polynomial(model, I)
+            for rel in three_term_relations(3, 6):
+                assert plucker_verify(model, rel, "flow")
+    assert len(built) == sum(len(positroid(m)) for m in models)
+    for model in models:
+        I = positroid(model)[0]
+        assert flow_polynomial(model, list(I)) is flow_polynomial(model, I)
+
+
+def test_perturbed_weight_raises_on_first_call(monkeypatch):
+    real = charts.face_weights
+
+    def doubled(model, I):  # every coefficient 2, so both extremes fail
+        weights = real(model, I)
+        return weights + weights
+
+    model = build_rectangles_model(2, 5)
+    I = (2, 4)
+    monkeypatch.setattr(charts, "face_weights", doubled)
+    for _ in range(2):
+        with pytest.raises(ModelInvariantError, match="flow-extremes"):
+            flow_polynomial(model, I)
+    monkeypatch.undo()
+    assert flow_polynomial(model, I) == Reference(model).flow(I)
