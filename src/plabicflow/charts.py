@@ -38,10 +38,10 @@ def edge_lattice(model: PlabicModel) -> tuple[str, ...]:
 
 
 def face_lattice(model: PlabicModel) -> tuple[str, ...]:
-    """Face labels in canonical order, star face omitted."""
+    """Face labels in subset order, star face omitted."""
     an = analyze(model)
-    star_name = format_ksubset(an.faces[an.star].label, model.n)
-    return tuple(x for x in an.lattice if x != star_name)
+    star = an.faces[an.star].label
+    return tuple(format_ksubset(I, model.n) for I in an.lattice if I != star)
 
 
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
@@ -76,8 +76,8 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
 def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     an = analyze(model)
     lattice = face_lattice(model)
-    # face indices in lattice order: the faces by sorted label, star omitted
-    columns = [an.label_to_face[J] for J in an.lattice_subsets
+    # face indices in lattice order, star omitted
+    columns = [an.label_to_face[J] for J in an.lattice
                if an.label_to_face[J] != an.star]
     weights = face_weights(model, I)
     terms: dict[tuple, int] = {}
@@ -116,12 +116,12 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
     The coordinate at the mutated vertex inverts, every other coordinate i
     picks up a factor (1 + x_j)^{b_ij} after clearing the monomial
     x_j^{max(-b_ij, 0)}: one ``lp_substitute`` with the exchange binomial
-    u = 1 + x_j.
+    u = 1 + x_j.  The result lives on q's non-star vertices, in vertex order.
     """
     vset = set(q.vertices)
     if j not in vset:
         raise ModelInvariantError("unknown-node", f"no vertex {j}")
-    old = [x for x in q.vertices if x != q.star]
+    old = tuple(x for x in q.vertices if x != q.star)
     incoming = [x for x in f.lattice]
     extra = [x for x in incoming if x not in vset]
     missing = [x for x in old if x not in set(incoming)]
@@ -134,7 +134,6 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
             "quiver-fz-mismatch",
             f"lattice {incoming} does not match quiver vertices at {j}",
         )
-    lattice = tuple(sorted(rename[x] for x in incoming))
     b = quiver_b_entries(q)
     images = {}
     for x in incoming:
@@ -144,7 +143,7 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
         else:
             bij = b.get((i, j), 0)
             images[x] = ({i: 1, j: max(-bij, 0)}, bij)
-    one_plus_xj = lp_add(LaurentPoly.one(lattice), LaurentPoly.monomial(lattice, {j: 1}))
+    one_plus_xj = lp_add(LaurentPoly.one(old), LaurentPoly.monomial(old, {j: 1}))
     return lp_substitute(f, images, one_plus_xj)
 
 

@@ -73,10 +73,19 @@ def _parse_level(level: int | None) -> int | None:
     return level
 
 
-def _parse_mutations(text: str | None) -> list[str]:
-    if not text:
-        return []
-    return [p.strip() for p in text.split(",") if p.strip()]
+def _parse_mutations(text: str | None, k: int, n: int) -> list[str]:
+    """Face names from a comma list.  Past n = 9 a name is itself a comma
+    list of k elements (``format_ksubset``), so the list is read in groups
+    of k: ``1,3,1,4`` names the faces ``1,3`` and ``1,4`` when k = 2."""
+    parts = [p.strip() for p in (text or "").split(",") if p.strip()]
+    if n <= 9:
+        return parts
+    if len(parts) % k:
+        raise UsageError(
+            f"--mutations lists {len(parts)} numbers; at n = {n} each face "
+            f"name takes k = {k}"
+        )
+    return [",".join(parts[i:i + k]) for i in range(0, len(parts), k)]
 
 
 def _reorder(poly: LaurentPoly, order: str | None) -> LaurentPoly:
@@ -115,7 +124,7 @@ def _emit_poly(poly: LaurentPoly, fmt: str, prefix: str) -> None:
 
 
 def _emit_vector(vec: dict[str, int], fmt: str) -> None:
-    items = sorted(vec.items())
+    items = list(vec.items())
     if fmt == "pretty":
         print(" ".join(f"{lab}={v}" for lab, v in items))
     elif fmt == "json":
@@ -173,8 +182,10 @@ def cmd_flow(args) -> int:
 
 def cmd_valuation(args) -> int:
     model, I = _model_and_subset(args)
-    f = _reorder(charts.flow_polynomial(model, I), args.order)
-    _emit_vector(charts.valuation(model, f), args.format)
+    f = charts.flow_polynomial(model, I)
+    # --order only breaks ties; the vector prints in lattice order
+    v = charts.valuation(model, _reorder(f, args.order))
+    _emit_vector({lab: v[lab] for lab in f.lattice}, args.format)
     return 0
 
 
@@ -188,7 +199,7 @@ def cmd_kappa(args) -> int:
 def cmd_mutate(args) -> int:
     model = load_any_model(args.model)
     s = seeds.seed_of_model(model)
-    for j in _parse_mutations(args.mutations):
+    for j in _parse_mutations(args.mutations, s.k, s.n):
         s = seeds.mutate_labels(s, j)
     q = s.quiver
     labels = {v: format_ksubset(s.labels[v], s.n) for v in q.vertices}
@@ -202,7 +213,7 @@ def cmd_mutate(args) -> int:
     elif args.format == "json":
         _emit_json({
             "labels": labels,
-            "frozen": sorted(q.frozen),
+            "frozen": [v for v in q.vertices if v in q.frozen],
             "star": q.star,
             "arrows": [list(a) for a in q.arrows],
         })
@@ -236,7 +247,7 @@ def _xcheck_one(model: PlabicModel, j: str, moved: PlabicModel) -> int:
 
 def cmd_xcheck(args) -> int:
     model = load_any_model(args.model)
-    path = _parse_mutations(args.mutations)
+    path = _parse_mutations(args.mutations, model.k, model.n)
     if not path:
         q = seeds.quiver_of_model(model)
         path = seeds.mutable_vertices(q)[:1]
@@ -302,7 +313,7 @@ def cmd_no_body(args) -> int:
     model = load_any_model(args.model)
     s = seeds.seed_of_model(model)
     pts = cones.no_body_level1(s)
-    labels = sorted({l for p in pts for l in p})
+    labels = [v for v in s.quiver.vertices if v != s.quiver.star]
     if args.format == "json":
         _emit_json([{l: p.get(l, 0) for l in labels} for p in pts])
     else:
@@ -318,7 +329,7 @@ def cmd_superpotential(args) -> int:
     k, n = _parse_kn(args.kn)
     s = seeds.rectangles_seed(k, n)
     W = superpot.w_rectangles(k, n)
-    for j in _parse_mutations(args.mutations):
+    for j in _parse_mutations(args.mutations, k, n):
         W = superpot.a_mutate_w(s, W, j)
         s = seeds.mutate_labels(s, j)
     _emit_poly(_reorder(W.poly, args.order), args.format, "p")

@@ -4,6 +4,13 @@ A k-subset of [n] = {1, ..., n} is represented as a sorted tuple of ints.
 Textual form is a digit string like "1457" when n <= 9, otherwise a comma
 list like "1,4,10".  The ambient n is always carried alongside, never
 inferred from the largest element.
+
+Labels are ordered as tuples (subset order), never as their textual
+forms: "1,3,4" precedes "1,3,10".  The order is applied where names are
+first made from subsets -- ``plabic.analyze`` (the face lattice),
+``seeds.quiver_of_model`` and ``seeds.mutate_labels`` (quiver vertices)
+-- and everything downstream takes its order from ``Analysis.lattice``
+or ``Quiver.vertices``.  For n <= 9 the two orders agree.
 """
 
 from __future__ import annotations

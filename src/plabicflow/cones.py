@@ -86,12 +86,10 @@ def grid_label(k: int, n: int, t: int, s: int) -> str:
 
 
 def gt_ambient(k: int, n: int) -> tuple[str, ...]:
-    labs = sorted(
-        grid_label(k, n, t, s)
-        for t in range(1, k + 1)
-        for s in range(1, n - k + 1)
-    )
-    return ("r",) + tuple(labs)
+    """The level "r", then the rectangles seed's non-star vertices (the
+    grid labels) in vertex order."""
+    q = rectangles_seed(k, n).quiver
+    return ("r",) + tuple(v for v in q.vertices if v != q.star)
 
 
 def gt_inequalities(k: int, n: int) -> Cone:
@@ -136,8 +134,9 @@ def gt_inequalities(k: int, n: int) -> Cone:
 
 def cone_from_tropical(W: LaurentPoly, star_label: str) -> Cone:
     """One covector per monomial of W: the q-exponent lands on the level
-    coordinate, the star exponent is dropped, everything else is copied."""
-    labs = sorted(x for x in W.lattice if x not in ("q", star_label))
+    coordinate, the star exponent is dropped, everything else is copied in
+    W's lattice order."""
+    labs = [x for x in W.lattice if x not in ("q", star_label)]
     ambient = ("r",) + tuple(labs)
     covs = []
     for exp, _coeff in W.terms:
@@ -273,13 +272,14 @@ class GTPattern:
 
 @lru_cache(maxsize=None)
 def kappa_table(k: int, n: int):
-    """Map from level-1 point (sorted tuple of grid coordinates) to I."""
+    """Map from level-1 point ((label, value) pairs in ``gt_ambient``
+    order) to I."""
     s = rectangles_seed(k, n)
     star = s.quiver.star
     table = {}
     for I in ksubsets(n, k):
         kv = kappa_vector(s, I)
-        key = tuple(sorted((lab, c) for lab, c in kv.items() if lab != star))
+        key = tuple((lab, c) for lab, c in kv.items() if lab != star)
         table[key] = I
     return table
 
@@ -296,6 +296,7 @@ def gt_decompose(pat: GTPattern) -> list[KSubset]:
     if r < 0 or not cone_contains(cone, {**pat.v, "r": r}):
         raise ValueError("point is not in the Gelfand-Tsetlin cone at this level")
     table = kappa_table(k, n)
+    ambient = cone.ambient[1:]
     w = n - k
 
     def vval(v, t, s):
@@ -317,7 +318,7 @@ def gt_decompose(pat: GTPattern) -> list[KSubset]:
                     tot += peel[(tt, ss)]
                     tt, ss = tt - 1, ss - 1
                 point[grid_label(k, n, t, s)] = tot
-        key = tuple(sorted(point.items()))
+        key = tuple((lab, point[lab]) for lab in ambient)
         if key not in table:
             raise ValueError(f"peeled layer is not a level-1 point: {point}")
         out.append(table[key])
@@ -363,7 +364,7 @@ def _affine_rank(points) -> int:
     independent points), computed exactly."""
     if not points:
         return 0
-    labs = sorted(points[0])
+    labs = list(points[0])
     base = points[0]
     rows = [
         [Fraction(p[lab] - base[lab]) for lab in labs] for p in points[1:]

@@ -94,8 +94,7 @@ class Analysis:
     stub: dict[int, str]  # boundary label -> edge id
     gap_face: dict[int, int]
     anticlockwise: set[int]
-    lattice_subsets: tuple[KSubset, ...]
-    lattice: tuple[str, ...]
+    lattice: tuple[KSubset, ...]  # face labels in subset order
     # derived from the matchings on first request, see matching_table
     table: "MatchingTable | None" = field(default=None, repr=False)
 
@@ -364,8 +363,6 @@ def analyze(model: PlabicModel) -> Analysis:
                 "boundary-arrow", f"stub {l} arrow {s}->{t} not between gap faces"
             )
 
-    subsets = tuple(sorted(f.label for f in faces))
-    lattice = tuple(format_ksubset(I, model.n) for I in subsets)
     analysis = Analysis(
         faces,
         face_of_dart,
@@ -375,8 +372,7 @@ def analyze(model: PlabicModel) -> Analysis:
         stub_of,
         gap_face,
         anticlockwise,
-        subsets,
-        lattice,
+        tuple(sorted(f.label for f in faces)),
     )
     model._analysis = analysis
     return analysis

@@ -1,7 +1,9 @@
 """Quivers, labelled seeds, kappa vectors, and tropical mutation.
 
 A quiver is the dual graph of a plabic model: one vertex per face (named by
-the face's label string), one arrow per edge, boundary faces frozen.  A seed
+the face's label string, listed in the subset order of the labels), one
+arrow per edge, boundary faces frozen.  Mutation keeps that order, so every
+lattice derived from ``Quiver.vertices`` is in subset order too.  A seed
 adds the k-subset labels.  Mutation comes in three flavors: ``fz_mutate``
 (matrix mutation of the quiver alone), ``mutate_labels`` (seed-level, with
 the Plucker exchange of the mutated label), and ``trop_a_mutate`` (the
@@ -45,15 +47,16 @@ class Quiver:
 
 
 def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
-    """Canonicalize and sanity-check quiver data.
+    """Sanity-check quiver data; the vertices keep the order given.
 
     ``arrow_counts`` maps ordered pairs (source, target) to positive
-    multiplicities.  Two-cycles with a mutable endpoint are rejected: an
-    exchange matrix cannot carry an arrow in both directions between such a
-    pair.  Frozen-frozen two-cycles are allowed (they occur in degenerate
-    duals, e.g. the two-face disc) and are never consulted by mutation.
+    multiplicities; the arrows are listed in vertex order.  Two-cycles with
+    a mutable endpoint are rejected: an exchange matrix cannot carry an
+    arrow in both directions between such a pair.  Frozen-frozen two-cycles
+    are allowed (they occur in degenerate duals, e.g. the two-face disc)
+    and are never consulted by mutation.
     """
-    vertices = tuple(sorted(vertices))
+    vertices = tuple(vertices)
     vset = set(vertices)
     if len(vset) != len(vertices):
         raise ModelInvariantError("duplicate-label", "repeated quiver vertex")
@@ -77,11 +80,14 @@ def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
                 "exchange-mismatch", f"two-cycle between {u} and {v}"
             )
         arrows.append((u, v, mult))
-    return Quiver(vertices, frozen, star, tuple(sorted(arrows)))
+    pos = {v: i for i, v in enumerate(vertices)}
+    arrows.sort(key=lambda a: (pos[a[0]], pos[a[1]]))
+    return Quiver(vertices, frozen, star, tuple(arrows))
 
 
 def quiver_of_model(model: PlabicModel) -> Quiver:
-    """Dual quiver of a plabic model; faces are named by their label strings."""
+    """Dual quiver of a plabic model; faces are named by their label strings
+    and listed in the subset order of their labels."""
     an = analyze(model)
     name = {f.index: format_ksubset(f.label, model.n) for f in an.faces}
     counts: dict[tuple[str, str], int] = {}
@@ -89,7 +95,8 @@ def quiver_of_model(model: PlabicModel) -> Quiver:
         key = (name[s], name[t])
         counts[key] = counts.get(key, 0) + 1
     frozen = frozenset(name[f.index] for f in an.faces if f.gap is not None)
-    return make_quiver(name.values(), frozen, name[an.star], counts)
+    vertices = [name[an.label_to_face[I]] for I in an.lattice]
+    return make_quiver(vertices, frozen, name[an.star], counts)
 
 
 def mutable_vertices(q: Quiver) -> list[str]:
@@ -183,13 +190,12 @@ def _dimer_mutate(q: Quiver, j: str) -> Quiver:
     return make_quiver(q.vertices, q.frozen, q.star, counts)
 
 
-def _rename_vertex(q: Quiver, old: str, new: str) -> Quiver:
-    if new in set(q.vertices) and new != old:
-        raise ModelInvariantError("duplicate-label", f"vertex {new} already present")
+def _rename_vertex(q: Quiver, old: str, new: str, labels: dict[str, KSubset]) -> Quiver:
+    """Rename vertex old to new, placing it by the subset order of labels."""
     rn = lambda x: new if x == old else x
     counts = {(rn(u), rn(v)): m for u, v, m in q.arrows}
     return make_quiver(
-        [rn(v) for v in q.vertices],
+        sorted(map(rn, q.vertices), key=labels.__getitem__),
         [rn(v) for v in q.frozen],
         rn(q.star),
         counts,
@@ -260,9 +266,9 @@ def mutate_labels(s: Seed, j: str) -> Seed:
         raise ModelInvariantError(
             "labels-not-weakly-separated", f"after exchanging {j} -> {new_name}"
         )
-    q2 = _rename_vertex(_dimer_mutate(s.quiver, j), j, new_name)
     labels2 = {v: lab for v, lab in s.labels.items() if v != j}
     labels2[new_name] = new_label
+    q2 = _rename_vertex(_dimer_mutate(s.quiver, j), j, new_name, labels2)
     return Seed(s.k, s.n, q2, labels2)
 
 

@@ -76,7 +76,7 @@ def w_rectangles(k: int, n: int) -> SuperpotentialExpr:
     """
     s = rectangles_seed(k, n)
     star = s.quiver.star
-    lattice = ("q",) + tuple(sorted(s.labels))
+    lattice = ("q",) + s.quiver.vertices
     w = n - k
 
     def P(i, j):
@@ -156,7 +156,7 @@ def w_x_rectangles(k: int, n: int) -> SuperpotentialExpr:
     """
     s0 = rectangles_seed(k, n)
     star = s0.quiver.star
-    lattice = tuple(sorted(s0.labels))
+    lattice = s0.quiver.vertices
     total = LaurentPoly.zero(lattice)
     for s in range(1, n + 1):
         base = LaurentPoly.monomial(lattice, {boundary_vertex(k, n, s, star): 1})
@@ -177,7 +177,7 @@ def _beta_dual_image(s: Seed, wx: LaurentPoly) -> LaurentPoly:
     star = s.quiver.star
     corner = grid_label(s.k, s.n, s.k, s.n - s.k)
     beta = beta_matrix(s)
-    plabs = tuple(sorted(v for v in s.labels if v != star))
+    plabs = tuple(v for v in s.quiver.vertices if v != star)
     lattice = ("q",) + plabs
     terms: dict[tuple, int] = {}
     for exp, coeff in wx.terms:
@@ -230,7 +230,7 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
         raise NotMutable(f"vertex {j} is frozen")
     s2 = mutate_labels(s, j)
     (j2,) = set(s2.labels) - set(s.labels)
-    lattice2 = ("q",) + tuple(sorted(s2.labels))
+    lattice2 = ("q",) + s2.quiver.vertices
     images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
     images[j] = ({j2: -1}, 1)
     num_in: dict[str, int] = {}
@@ -260,7 +260,7 @@ def gvector_cone_ineqs(k: int, n: int) -> Cone:
     star = s.quiver.star
     wa = w_rectangles(k, n).poly
     wtm = wt_matrix(s)
-    ambient = tuple(sorted(s.quiver.vertices))
+    ambient = s.quiver.vertices
     covs = []
     for exp, _c in wa.terms:
         m = dict(zip(wa.lattice, exp))
