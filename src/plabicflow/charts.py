@@ -46,11 +46,23 @@ def face_lattice(model: PlabicModel) -> tuple[str, ...]:
 
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
     """Generating function of matchings with boundary value I, in edge
-    variables; zero when I is not in the positroid."""
+    variables; zero when I is not in the positroid.  It is built once per
+    model and I, then kept in the matching table."""
+    I = tuple(I)
+    table = matching_table(model)
+    p = table._partitions.get(I)
+    if p is None:
+        p = table._partitions[I] = _partition_polynomial(model, I)
+    return p
+
+
+def _partition_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
+    # the edge lattice is the bit order of the table's edge masks
     lattice = edge_lattice(model)
-    pos = {}
-    for m in matching_table(model).at(I):
-        exp = tuple(1 if e in m else 0 for e in lattice)
+    bits = range(len(lattice))
+    pos: dict[tuple, int] = {}
+    for mask in matching_table(model).masks_at(I):
+        exp = tuple(mask >> i & 1 for i in bits)
         pos[exp] = pos.get(exp, 0) + 1
     return LaurentPoly.make(lattice, pos)
 

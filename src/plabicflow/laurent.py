@@ -323,23 +323,24 @@ def lp_substitute(
 def lp_min_exponent(f: LaurentPoly, tiebreak: list[str] | None = None):
     """Minimal exponent under the coordinatewise partial order.
 
-    Returns (exponent tuple, unique flag).  When no unique minimum exists the
-    lex-minimal exponent is returned (coordinates ordered per `tiebreak`
-    labels, default = lattice order) with flag False.
+    Returns (exponent tuple, unique flag).  A unique minimum is one below
+    every exponent, so it exists iff the coordinatewise minimum of all
+    exponents is itself an exponent, and then it is that vector.  When no
+    unique minimum exists the lex-minimal one of the minimal exponents is
+    returned (coordinates ordered per `tiebreak` labels, default = lattice
+    order) with flag False.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no minimal exponent")
     exps = [e for e, _ in f.terms]
+    low = tuple(map(min, *exps)) if len(exps) > 1 else exps[0]
+    if low in exps:
+        return low, True
     minimal = [
         e
         for e in exps
         if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps)
     ]
-    dominated_all = [
-        e for e in minimal if all(all(x <= y for x, y in zip(e, o)) for o in exps)
-    ]
-    if len(minimal) == 1 and dominated_all:
-        return minimal[0], True
     perm = list(range(len(f.lattice)))
     if tiebreak is not None:
         perm = [f.lattice.index(lab) for lab in tiebreak]
@@ -348,10 +349,15 @@ def lp_min_exponent(f: LaurentPoly, tiebreak: list[str] | None = None):
 
 
 def lp_max_exponent(f: LaurentPoly):
-    """Maximal exponent under the coordinatewise partial order, with flag."""
+    """Maximal exponent under the coordinatewise partial order, with flag;
+    the coordinatewise maximum when that is an exponent, as for the
+    minimum."""
     if f.is_zero():
         raise ValueError("zero polynomial has no maximal exponent")
+    exps = [e for e, _ in f.terms]
+    high = tuple(map(max, *exps)) if len(exps) > 1 else exps[0]
+    if high in exps:
+        return high, True
     neg = LaurentPoly.make(f.lattice, {vec_scale(e, -1): c for e, c in f.terms})
     m, unique = lp_min_exponent(neg)
     return vec_scale(m, -1), unique
-

@@ -573,30 +573,59 @@ class MatchingTable:
     """The perfect matchings of one model, grouped by boundary value.
 
     ``matchings`` is the output of one ``enumerate_matchings`` call, in its
-    order, and ``boundary[i]`` the boundary value of ``matchings[i]``;
-    ``groups`` maps each boundary value to the indices of its matchings and
-    ``positroid`` lists the boundary values in sorted order.  Face weights
-    are filled per boundary value by ``face_weights``, and the checked flow
-    polynomials by ``charts.flow_polynomial``.  The public fields are
-    tuples and a read-only mapping, so callers cannot change the table.
+    order, ``masks[i]`` is ``matchings[i]`` as an edge mask (bit j for the
+    j-th edge of ``sorted(model.edges)``) and ``boundary[i]`` its boundary
+    value, read from the mask at the boundary-stub bits; ``groups`` maps
+    each boundary value to the indices of its matchings and ``positroid``
+    lists the boundary values in sorted order.  Face weights are filled per
+    boundary value by ``face_weights`` over the model's ``FaceGraph``, built
+    on the first such request; partition functions and checked flow
+    polynomials are filled by ``charts``.  The public fields are tuples and
+    a read-only mapping, so callers cannot change the table.
     """
 
     def __init__(self, model: PlabicModel, matchings):
+        an = analyze(model)
         self.matchings: tuple[frozenset, ...] = tuple(matchings)
-        self.boundary: tuple[KSubset, ...] = tuple(
-            boundary_value(model, m) for m in self.matchings
+        bit = {e: 1 << i for i, e in enumerate(sorted(model.edges))}
+        self.masks: tuple[int, ...] = tuple(
+            sum(map(bit.__getitem__, m)) for m in self.matchings
         )
+        # l is in the boundary value iff stub l is used xor l is clockwise
+        stubs = [(l, bit[an.stub[l]], l in an.anticlockwise)
+                 for l in range(1, model.n + 1)]
+        stub_mask = sum(b for _, b, _ in stubs)
+        values: dict[int, KSubset] = {}  # mask & stub_mask -> boundary value
+        boundary = []
+        for mask in self.masks:
+            key = mask & stub_mask
+            I = values.get(key)
+            if I is None:
+                I = values[key] = tuple(
+                    l for l, b, acw in stubs if bool(key & b) == acw)
+                if len(I) != model.k:
+                    raise ModelInvariantError(
+                        "boundary-size", f"matching boundary {I} has size != k"
+                    )
+            boundary.append(I)
+        self.boundary: tuple[KSubset, ...] = tuple(boundary)
         groups: dict[KSubset, list[int]] = {}
         for i, I in enumerate(self.boundary):
             groups.setdefault(I, []).append(i)
         self.groups = MappingProxyType({I: tuple(ix) for I, ix in groups.items()})
         self.positroid: tuple[KSubset, ...] = tuple(sorted(groups))
+        self._graph: FaceGraph | None = None
         self._weights: dict[KSubset, tuple[tuple[int, ...], ...]] = {}
+        self._partitions: dict = {}  # boundary value -> LaurentPoly
         self._flows: dict = {}  # boundary value -> LaurentPoly
 
     def at(self, I) -> tuple[frozenset, ...]:
         """The matchings with boundary value I, in enumeration order."""
         return tuple(self.matchings[i] for i in self.groups.get(tuple(I), ()))
+
+    def masks_at(self, I) -> tuple[int, ...]:
+        """The edge masks of ``at(I)``, in the same order."""
+        return tuple(self.masks[i] for i in self.groups.get(tuple(I), ()))
 
 
 def matching_table(model: PlabicModel) -> MatchingTable:
@@ -612,16 +641,202 @@ def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
     return matching_table(model).positroid
 
 
-def base_matching(model: PlabicModel) -> frozenset:
-    """The unique matching whose boundary value is lex-maximal."""
-    table = matching_table(model)
+def _base_index(table: MatchingTable) -> int:
     target = lex_max(table.positroid)
     hits = table.groups[target]
     if len(hits) != 1:
         raise ModelInvariantError(
             "base-matching-not-unique", f"{len(hits)} matchings reach {target}"
         )
-    return table.matchings[hits[0]]
+    return hits[0]
+
+
+def base_matching(model: PlabicModel) -> frozenset:
+    """The unique matching whose boundary value is lex-maximal."""
+    table = matching_table(model)
+    return table.matchings[_base_index(table)]
+
+
+class FaceGraph:
+    """The face graph of one model, indexed for face weights of matchings
+    given as edge masks (bit i for the i-th edge of ``sorted(model.edges)``).
+
+    The weight of a matching M relative to the base matching solves
+    w(target) - w(source) = [e in base] - [e in M] over the dual arrows,
+    with w = 0 on the star face.  The right side is 0 off D = M ^ base, and
+    on D it is +1 for a base edge and -1 for any other.
+
+    - ``tree``: a breadth-first spanning tree from the star face, as
+      (child, parent, edge bit, step) with w[child] = w[parent] + step on D;
+    - ``cotree``: every other arrow, as (source, target, edge bit, step),
+      whose residual w[target] - w[source] - (step on D) must vanish;
+    - the dart of each edge in the flow picture (base edges run black to
+      white, all others white to black): ``head`` its head node, internal
+      nodes numbered from 0 and tip l as -l, ``left`` the face on its left
+      as a face bit; ``leaving[v]`` is the mask of the darts with tail v,
+      ``from_tips`` of those with a tip as tail;
+    - ``nbrs[f]``: (face bit, edge bit) per arrow at face f, ``around[f]``
+      the union of those face bits and ``edges_at[f]`` of the edge bits.
+    """
+
+    def __init__(self, model: PlabicModel, base: int):
+        an = analyze(model)
+        nodes = {v: i for i, v in enumerate(sorted(model.colors))}
+        F = len(an.faces)
+        self.base = base
+        self.labels = tuple(f.label for f in an.faces)
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(F)]
+        self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
+        self.around = [0] * F
+        self.edges_at = [0] * F
+        self.head: list[int] = []
+        self.left: list[int] = []
+        self.leaving = [0] * len(nodes)
+        self.from_tips = 0
+        for i, (e, s, t) in enumerate(an.arrows):  # arrows are in edge order
+            ebit = 1 << i
+            step = 1 if base & ebit else -1
+            adj[s].append((t, ebit, step))
+            adj[t].append((s, ebit, -step))
+            for u, v in ((s, t), (t, s)):
+                self.nbrs[u].append((1 << v, ebit))
+                self.around[u] |= 1 << v
+                self.edges_at[u] |= ebit
+            ends = model.edges[e]
+            first = BLACK if base & ebit else WHITE
+            if _end_color(model, ends, ends[0]) == first:
+                tail, head, rev = ends[0], ends[1], (("e", e), 1)
+            else:
+                tail, head, rev = ends[1], ends[0], (("e", e), 0)
+            if tail[0] == "n":
+                self.leaving[nodes[tail[1]]] |= ebit
+            else:
+                self.from_tips |= ebit
+            self.head.append(nodes[head[1]] if head[0] == "n" else -head[1])
+            self.left.append(1 << an.face_of_dart[rev])
+        self.tree: list[tuple[int, int, int, int]] = []
+        reached = {an.star}
+        order = [an.star]
+        tree_edges = 0
+        for u in order:
+            for v, ebit, step in adj[u]:
+                if v not in reached:
+                    reached.add(v)
+                    order.append(v)
+                    self.tree.append((v, u, ebit, step))
+                    tree_edges |= ebit
+        if len(order) != F:
+            raise ModelInvariantError("disconnected", "face graph not connected")
+        self.cotree = [(s, t, 1 << i, 1 if base >> i & 1 else -1)
+                       for i, (_, s, t) in enumerate(an.arrows)
+                       if not tree_edges >> i & 1]
+
+    def _named(self, w) -> dict[KSubset, int]:
+        return dict(zip(self.labels, w))
+
+    def dual_weights(self, mask: int) -> list[int]:
+        """Face weights by face index from the dual-arrow system: one pass
+        down the spanning tree, then every non-tree residual must vanish
+        and every weight be nonnegative."""
+        diff = mask ^ self.base
+        w = [0] * len(self.labels)
+        for child, parent, ebit, step in self.tree:
+            w[child] = w[parent] + step if diff & ebit else w[parent]
+        for s, t, ebit, step in self.cotree:
+            if w[t] - w[s] != (step if diff & ebit else 0):
+                raise ModelInvariantError(
+                    "weight-inconsistent",
+                    f"arrow {self.labels[s]} -> {self.labels[t]}: {self._named(w)}",
+                )
+        if min(w) < 0:
+            raise ModelInvariantError("weight-negative", f"{self._named(w)}")
+        return w
+
+    def flow_weights(self, mask: int) -> list[int]:
+        """Face weights by face index from the flow picture.
+
+        M ^ base decomposes into vertex-disjoint boundary-to-boundary paths
+        and internal cycles of darts.  Each component adds 1 to every face
+        enclosed on its left: the faces left of its darts, flooded through
+        face adjacency as a face mask, blocked on the component's edges.
+        """
+        diff = mask ^ self.base
+        head, left, leaving = self.head, self.left, self.leaving
+        comps = []  # (edge mask, face mask of left faces)
+        used = 0
+        # boundary-to-boundary paths first, then the darts left form cycles
+        starts = diff & self.from_tips
+        rest = diff
+        while rest:
+            if starts:
+                first = starts & -starts
+                starts ^= first
+            else:
+                first = rest & -rest
+            i = first.bit_length() - 1
+            comp, seeds = first, left[i]
+            while head[i] >= 0:
+                # the one dart of the difference that leaves the head node
+                out = leaving[head[i]] & diff
+                if out == first:
+                    break  # a closed cycle
+                if not out or out & (out - 1):
+                    raise ModelInvariantError(
+                        "flow-degree",
+                        f"{bin(out).count('1')} darts leave node {head[i]}")
+                if out & (used | comp):
+                    raise ModelInvariantError(
+                        "flow-degree", f"two darts enter node {head[i]}")
+                comp |= out
+                i = out.bit_length() - 1
+                seeds |= left[i]
+            else:  # reached the boundary
+                if not first & self.from_tips:
+                    raise ModelInvariantError("flow-degree", "broken cycle")
+            used |= comp
+            rest &= ~comp
+            comps.append((comp, seeds))
+        w = [0] * len(self.labels)
+        for comp, seeds in comps:
+            region = todo = seeds
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                u = low.bit_length() - 1
+                if self.edges_at[u] & comp:
+                    reach = 0
+                    for fbit, ebit in self.nbrs[u]:
+                        if not comp & ebit:
+                            reach |= fbit
+                else:
+                    reach = self.around[u]
+                todo |= reach & ~region
+                region |= reach
+            while region:
+                low = region & -region
+                region ^= low
+                w[low.bit_length() - 1] += 1
+        return w
+
+    def weigh(self, mask: int) -> tuple[int, ...]:
+        """The face weights of one matching, after both routes agree."""
+        flow = self.flow_weights(mask)
+        dual = self.dual_weights(mask)
+        if flow != dual:
+            raise ModelInvariantError(
+                "flow-weight-mismatch",
+                f"flow {self._named(flow)} vs matching {self._named(dual)}",
+            )
+        return tuple(dual)
+
+
+def face_graph(model: PlabicModel) -> FaceGraph:
+    """The model's face graph, built on the first face-weight request and
+    kept in its matching table."""
+    table = matching_table(model)
+    if table._graph is None:
+        table._graph = FaceGraph(model, table.masks[_base_index(table)])
+    return table._graph
 
 
 def face_weights(model: PlabicModel, I) -> tuple[tuple[int, ...], ...]:
@@ -630,20 +845,14 @@ def face_weights(model: PlabicModel, I) -> tuple[tuple[int, ...], ...]:
 
     Each vector is indexed by face index.  It is computed on first request
     for I and kept in the table, after the flow decomposition and the
-    dual-arrow system agree on it (see ``flow_weight``).
+    dual-arrow system agree on it (``FaceGraph.weigh``).
     """
     table = matching_table(model)
     I = tuple(I)
     got = table._weights.get(I)
     if got is None:
-        ms = table.at(I)
-        if ms:
-            an = analyze(model)
-            mstar = base_matching(model)
-            weights = [flow_weight(model, m, mstar) for m in ms]
-            got = tuple(tuple(w[f.label] for f in an.faces) for w in weights)
-        else:
-            got = ()
+        masks = table.masks_at(I)
+        got = tuple(map(face_graph(model).weigh, masks)) if masks else ()
         table._weights[I] = got
     return got
 
@@ -753,7 +962,9 @@ def flow_weight(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
     Each component contributes 1 to every face enclosed on its left: the
     faces immediately left of its darts are flooded through face adjacency,
     blocked on the component's own edges.  The result must agree with the
-    matching-weight computation, which is asserted.
+    matching-weight computation, which is asserted.  This and the two
+    routes it calls work on edge-name sets; they are the reference for the
+    edge-mask routes of ``FaceGraph``.
     """
     an = analyze(model)
     if mstar is None:

@@ -288,6 +288,27 @@ def test_verify_repeated_kn_concatenates_runs(capsys):
     assert out == singles[0][1] + singles[1][1]
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        rc_all, _out, _ = run_out(capsys, "verify", "all", "--kn", "2,5")
+        rc, out, _ = run_out(capsys, "verify", "plucker")
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    assert (rc_all, rc) == (0, 0)
+    # the earlier --kn list does not carry over into the default instance
+    assert out == "PASS plucker: rect:2,4 all three-term relations, both charts\n"
+
+
 def test_verify_repeated_kn_fails_if_any_instance_fails(monkeypatch, capsys):
     real = cli._suite_plucker
     monkeypatch.setattr(

@@ -95,6 +95,50 @@ def test_min_max_exponent():
         lp_min_exponent(poly({}))
 
 
+def quadratic_min_exponent(f, tiebreak=None):
+    """The all-pairs search that the coordinatewise fast path replaced."""
+    exps = [e for e, _ in f.terms]
+    minimal = [e for e in exps
+               if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps)]
+    below_all = [e for e in minimal if all(all(x <= y for x, y in zip(e, o)) for o in exps)]
+    if len(minimal) == 1 and below_all:
+        return minimal[0], True
+    perm = list(range(len(f.lattice)))
+    if tiebreak is not None:
+        perm = [f.lattice.index(lab) for lab in tiebreak]
+    return min(minimal, key=lambda e: tuple(e[i] for i in perm)), False
+
+
+def quadratic_max_exponent(f):
+    neg = LaurentPoly.make(f.lattice, {tuple(-x for x in e): c for e, c in f.terms})
+    m, unique = quadratic_min_exponent(neg)
+    return tuple(-x for x in m), unique
+
+
+@st.composite
+def nonzero_polys(draw):
+    """Nonzero polynomials over 0-4 coordinates, exponents -3..3; with
+    ``pad`` the coordinatewise min and max are added as terms, so both
+    extremes are unique."""
+    lattice = tuple("abcd"[:draw(st.integers(0, 4))])
+    terms = draw(st.dictionaries(
+        st.tuples(*(st.integers(-3, 3) for _ in lattice)),
+        st.integers(-5, 5).filter(bool), min_size=1, max_size=8))
+    if draw(st.booleans()):
+        for pick in (min, max):
+            terms.setdefault(tuple(map(pick, zip(*terms))) if lattice else (), 1)
+    return LaurentPoly.make(lattice, terms)
+
+
+@given(nonzero_polys(), st.data())
+@settings(max_examples=200)
+def test_extremes_equal_quadratic_search(f, data):
+    order = data.draw(st.permutations(f.lattice))
+    assert lp_min_exponent(f) == quadratic_min_exponent(f)
+    assert lp_min_exponent(f, tiebreak=list(order)) == quadratic_min_exponent(f, list(order))
+    assert lp_max_exponent(f) == quadratic_max_exponent(f)
+
+
 @given(polys, polys)
 @settings(max_examples=60)
 def test_min_exponent_additive_for_positive_polys(f, g):

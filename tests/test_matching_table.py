@@ -209,6 +209,73 @@ def test_orbits_leave_the_base_model():
         assert all(text != base for text in moved), name
 
 
+# -------------------------------------- the mask routes against the set routes
+
+
+def assert_routes_equal_reference(model):
+    """Table masks and boundary values, and both face-weight routes on every
+    matching, against the set-based public functions."""
+    table = matching_table(model)
+    names = edge_lattice(model)
+    assert table.boundary == tuple(boundary_value(model, m) for m in table.matchings)
+    assert table.matchings == tuple(
+        frozenset(e for i, e in enumerate(names) if mask >> i & 1)
+        for mask in table.masks)
+    faces = plabic.analyze(model).faces
+    mstar = base_matching(model)
+    graph = plabic.face_graph(model)
+    reference = {}
+    for m, mask in zip(table.matchings, table.masks):
+        dual = plabic.weight_of_matching(model, m, mstar)
+        flow = flow_weight(model, m, mstar)
+        reference[m] = tuple(flow[f.label] for f in faces)
+        assert graph.dual_weights(mask) == [dual[f.label] for f in faces]
+        assert graph.flow_weights(mask) == list(reference[m])
+    for I in table.positroid:
+        assert face_weights(model, I) == tuple(reference[m] for m in table.at(I))
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED))
+def test_mask_routes_equal_reference(name):
+    assert_routes_equal_reference(ENUMERATED[name]())
+
+
+@given(st.sampled_from(sorted(BASES)), st.integers(0, 2**16), st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_mask_routes_equal_reference_on_orbits(name, seed, moves):
+    assert_routes_equal_reference(orbit(BASES[name](), seed, moves))
+
+
+def test_routes_reject_a_non_matching():
+    # flipping one internal edge of the base matching uncovers or doubly
+    # covers both its ends: no face weights solve the dual system there, and
+    # the difference is one dart that is neither a path nor a cycle
+    model = build_rectangles_model(3, 6)
+    graph = plabic.face_graph(model)
+    internal = [i for i, e in enumerate(edge_lattice(model))
+                if all(end[0] == "n" for end in model.edges[e])]
+    assert internal
+    for i in internal:
+        bad = graph.base ^ (1 << i)
+        with pytest.raises(ModelInvariantError, match="weight-inconsistent"):
+            graph.dual_weights(bad)
+        with pytest.raises(ModelInvariantError, match="flow-degree"):
+            graph.flow_weights(bad)
+
+
+def test_dual_route_rejects_negative_weights():
+    # measured from any other matching, the base matching sits below it on
+    # some face: weights solve the system there but are not all nonnegative
+    model = build_rectangles_model(3, 6)
+    table = matching_table(model)
+    base = plabic.face_graph(model).base
+    for other in table.masks[:20]:
+        if other == base:
+            continue
+        with pytest.raises(ModelInvariantError, match="weight-negative"):
+            plabic.FaceGraph(model, other).dual_weights(base)
+
+
 # ------------------------------------------------ one enumeration per model
 
 
@@ -260,15 +327,15 @@ def test_cli_commands_enumerate_once_per_model(enumerations, capsys):
 
 @pytest.fixture
 def weighings(monkeypatch):
-    """Counts the cross-checked face-weight computations."""
+    """Counts the cross-checked face-weight computations, by edge mask."""
     calls = []
-    real = plabic.flow_weight
+    real = plabic.FaceGraph.weigh
 
-    def counted(model, m, mstar=None):
-        calls.append(m)
-        return real(model, m, mstar)
+    def counted(graph, mask):
+        calls.append(mask)
+        return real(graph, mask)
 
-    monkeypatch.setattr(plabic, "flow_weight", counted)
+    monkeypatch.setattr(plabic.FaceGraph, "weigh", counted)
     return calls
 
 
@@ -277,8 +344,9 @@ def test_weights_are_filled_per_boundary_value(weighings):
     I = (2, 4, 6)
     partition_function(model, I)
     assert weighings == []  # a partition function needs no face weights
+    assert matching_table(model)._graph is None  # nor the face graph
     flow_polynomial(model, I)
-    assert sorted(map(sorted, weighings)) == sorted(map(sorted, matching_table(model).at(I)))
+    assert sorted(weighings) == sorted(matching_table(model).masks_at(I))
     flow_polynomial(model, I)
     assert len(weighings) == len(matching_table(model).at(I))
 
@@ -288,17 +356,27 @@ def test_every_matching_is_cross_checked_once(weighings):
     for _ in range(2):
         for I in positroid(model):
             flow_polynomial(model, I)
-    assert sorted(map(sorted, weighings)) == sorted(
-        map(sorted, matching_table(model).matchings))
+    assert sorted(weighings) == sorted(matching_table(model).masks)
+
+
+def perturb(monkeypatch, route):
+    real = getattr(plabic.FaceGraph, route)
+
+    def off_by_one(graph, mask):
+        return [c + 1 for c in real(graph, mask)]
+
+    monkeypatch.setattr(plabic.FaceGraph, route, off_by_one)
 
 
 def test_table_path_still_runs_the_cross_check(monkeypatch):
-    real = plabic.weight_of_matching
+    perturb(monkeypatch, "dual_weights")
+    model = build_rectangles_model(2, 5)
+    with pytest.raises(ModelInvariantError, match="flow-weight-mismatch"):
+        flow_polynomial(model, (2, 4))
 
-    def off_by_one(model, m, mstar=None):
-        return {J: c + 1 for J, c in real(model, m, mstar).items()}
 
-    monkeypatch.setattr(plabic, "weight_of_matching", off_by_one)
+def test_table_path_compares_the_flow_route(monkeypatch):
+    perturb(monkeypatch, "flow_weights")
     model = build_rectangles_model(2, 5)
     with pytest.raises(ModelInvariantError, match="flow-weight-mismatch"):
         flow_polynomial(model, (2, 4))
@@ -358,6 +436,29 @@ def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
     for model in models:
         I = positroid(model)[0]
         assert flow_polynomial(model, list(I)) is flow_polynomial(model, I)
+
+
+def test_partition_function_is_built_once_per_boundary_value(monkeypatch):
+    built = []
+    real = charts._partition_polynomial
+
+    def counted(model, I):
+        built.append(I)
+        return real(model, I)
+
+    monkeypatch.setattr(charts, "_partition_polynomial", counted)
+    models = [build_rectangles_model(3, 6), orbit(build_rectangles_model(3, 6), 1)]
+    subsets = list(ksubsets(6, 3))
+    for model in models:
+        for _ in range(2):
+            for I in subsets:
+                partition_function(model, I)
+            for rel in three_term_relations(3, 6):
+                assert plucker_verify(model, rel, "partition")
+    assert len(built) == len(models) * len(subsets)
+    for model in models:
+        I = positroid(model)[0]
+        assert partition_function(model, list(I)) is partition_function(model, I)
 
 
 def test_perturbed_weight_raises_on_first_call(monkeypatch):
