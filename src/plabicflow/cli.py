@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import random
 import sys
 
@@ -402,11 +403,7 @@ def _suite_trop_a(k: int, n: int):
     s = seeds.rectangles_seed(k, n)
     q = s.quiver
     base = {I: seeds.kappa_vector(s, I) for I in ksubsets(n, k)}
-    for j in seeds.mutable_vertices(q):
-        try:
-            s2 = seeds.mutate_labels(s, j)
-        except NotPlabicMutable:
-            continue
+    for j, s2 in seeds.seed_mutations(s):
         j2 = next(iter(set(s2.labels) - set(s.labels)))
         for I, kv in base.items():
             moved = seeds.trop_a_mutate(q, j, kv)
@@ -562,7 +559,28 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# 128 + SIGPIPE, the status a shell reports for a pipeline stage whose
+# reader went away (``plabicflow verify all | head -1``)
+EXIT_BROKEN_PIPE = 141
+
+
 def main(argv=None) -> int:
+    """Run one command; the return value is the process exit code."""
+    try:
+        rc = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again, as the Python docs advise for
+        # SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return rc
+
+
+def _run(argv) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:

@@ -96,7 +96,17 @@ def weakly_separated(I: KSubset, J: KSubset, n: int) -> bool:
     Equivalently: no cyclic pattern a < b < c < d with a, c in I \\ J and
     b, d in J \\ I.  Implemented by counting maximal blocks of the cyclic
     membership word: separated iff there are at most two blocks.
+
+    Any sequences are accepted; they are made tuples and the answer is
+    memoised by the pair (``_weakly_separated``), at most C(n,k)^2 entries
+    per (k, n).  A size mismatch raises ValueError on every call.
     """
+    return _weakly_separated(tuple(I), tuple(J), n)
+
+
+@lru_cache(maxsize=None)
+def _weakly_separated(I: KSubset, J: KSubset, n: int) -> bool:
+    """``weakly_separated`` on tuples; exceptions are not cached."""
     if len(I) != len(J):
         raise ValueError(f"size mismatch: |{I}| != |{J}|")
     S = set(I) - set(J)
@@ -119,9 +129,9 @@ def weakly_separated(I: KSubset, J: KSubset, n: int) -> bool:
 
 
 def pairwise_weakly_separated(coll, n: int) -> bool:
-    coll = list(coll)
+    coll = [tuple(I) for I in coll]
     return all(
-        weakly_separated(I, J, n) for I, J in combinations(coll, 2)
+        _weakly_separated(I, J, n) for I, J in combinations(coll, 2)
     )
 
 
@@ -232,15 +242,26 @@ def max_diag(J: KSubset, I: KSubset, n: int) -> int:
     exactly max(0, c_J(d) - c_I(d)) cells on diagonal d, where c counts the
     cells of one shape on d, and the answer is the largest of these.
 
+    Any sequences are accepted; they are made tuples and the answer is
+    memoised by the label pair (``_max_diag``), at most C(n,k)^2 entries
+    per (k, n).  A size mismatch or a bad subset raises ValueError on every
+    call.
+
     >>> max_diag((2, 4), (1, 3), 4)
     1
     >>> max_diag((1, 3), (2, 4), 4)
     0
     """
+    return _max_diag(tuple(J), tuple(I), n)
+
+
+@lru_cache(maxsize=None)
+def _max_diag(J: KSubset, I: KSubset, n: int) -> int:
+    """``max_diag`` on tuples; exceptions are not cached."""
     if len(J) != len(I):
         raise ValueError(f"size mismatch: |{J}| != |{I}|")
-    cj = _diag_counts(tuple(J), n)
-    ci = _diag_counts(tuple(I), n)
+    cj = _diag_counts(J, n)
+    ci = _diag_counts(I, n)
     return max(0, max(map(sub, cj, ci), default=0))
 
 

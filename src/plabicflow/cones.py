@@ -192,9 +192,15 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
     """All integer points of the level-r slice, by exact projection.
 
     Variables are eliminated one by one (Fourier-Motzkin); the chain of
-    projections then drives an exact, backtracking-free enumeration.  If
-    some projection leaves a coordinate without an upper or lower bound
-    the slice is unbounded and an error is raised.
+    projections then drives an exact, backtracking-free enumeration in
+    lexicographic order.  Each projection is stored once as sparse rows
+    per coordinate: the lower rows (positive coefficient a) and the upper
+    rows (a < 0), each as (const, ((i, c), ...) over the nonzero earlier
+    coordinates, a).  A coordinate's range is read from those rows alone,
+    and the last coordinate is filled in one flat loop.  An infeasible
+    slice gives [] and an empty ambient [{}]; if the enumeration reaches a
+    coordinate with no lower or no upper row, the slice is unbounded and
+    Unbounded is raised.
     """
     vars_ = list(c.ambient[1:])
     nv = len(vars_)
@@ -208,36 +214,56 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
             return []
         systems.append(nxt)
     systems.reverse()  # systems[i] constrains vars_[: i+1]
+    if nv == 0:
+        return [{}]
+
+    lower: list[list] = []
+    upper: list[list] = []
+    for depth, system in enumerate(systems):
+        lo_rows, hi_rows = [], []
+        for const, coeffs in system:
+            a = coeffs[depth]
+            if a:
+                prefix = tuple((i, x) for i, x in enumerate(coeffs[:depth]) if x)
+                (lo_rows if a > 0 else hi_rows).append((const, prefix, a))
+        lower.append(lo_rows)
+        upper.append(hi_rows)
 
     points: list[dict[str, int]] = []
     assignment = [0] * nv
+    last = nv - 1
 
     def feasible_range(depth):
-        lo, hi = None, None
-        for const, coeffs in systems[depth]:
-            a = coeffs[depth]
-            if a == 0:
-                continue
-            partial = const + sum(
-                coeffs[i] * assignment[i] for i in range(depth) if coeffs[i]
-            )
-            if a > 0:
-                # a*x >= -partial  ->  x >= ceil(-partial / a)
-                bound = -(partial // a)
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                # a*x >= -partial with a < 0  ->  x <= floor(partial / -a)
-                bound = partial // (-a)
-                hi = bound if hi is None else min(hi, bound)
+        lo_rows, hi_rows = lower[depth], upper[depth]
+        if not lo_rows or not hi_rows:
+            raise Unbounded(f"coordinate {vars_[depth]} unbounded at level {r}")
+        lo = hi = None
+        for const, prefix, a in lo_rows:
+            for i, x in prefix:
+                const += x * assignment[i]
+            # a*x >= -const  ->  x >= ceil(-const / a)
+            bound = -(const // a)
+            if lo is None or bound > lo:
+                lo = bound
+        for const, prefix, a in hi_rows:
+            for i, x in prefix:
+                const += x * assignment[i]
+            # a*x >= -const with a < 0  ->  x <= floor(const / -a)
+            bound = const // -a
+            if hi is None or bound < hi:
+                hi = bound
         return lo, hi
 
     def rec(depth):
-        if depth == nv:
-            points.append(dict(zip(vars_, assignment)))
-            return
         lo, hi = feasible_range(depth)
-        if lo is None or hi is None:
-            raise Unbounded(f"coordinate {vars_[depth]} unbounded at level {r}")
+        if depth == last:
+            head = dict(zip(vars_, assignment))
+            name = vars_[last]
+            for val in range(lo, hi + 1):
+                point = head.copy()
+                point[name] = val
+                points.append(point)
+            return
         for val in range(lo, hi + 1):
             assignment[depth] = val
             rec(depth + 1)

@@ -22,13 +22,14 @@ seed), so the exact-sequence identities survive mutation there.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .combinat import (
     KSubset,
+    _max_diag,
     format_ksubset,
-    max_diag,
     pairwise_weakly_separated,
 )
 from .plabic import ModelInvariantError, NotPlabicMutable, PlabicModel, analyze
@@ -272,6 +273,19 @@ def mutate_labels(s: Seed, j: str) -> Seed:
     return Seed(s.k, s.n, q2, labels2)
 
 
+def seed_mutations(s: Seed) -> Iterator[tuple[str, Seed]]:
+    """Yield (vertex, mutated seed) for every mutable vertex whose label
+    exchange is defined, in ``mutable_vertices`` order; vertices refused
+    with NotPlabicMutable are skipped.  The seed-level twin of
+    ``plabic.square_moves``."""
+    for j in mutable_vertices(s.quiver):
+        try:
+            moved = mutate_labels(s, j)
+        except NotPlabicMutable:
+            continue
+        yield j, moved
+
+
 # ------------------------------------------------------------- invariants
 
 
@@ -280,9 +294,13 @@ def kappa_vector(s: Seed, I: KSubset) -> dict[str, int]:
 
     Coordinate at vertex J is the longest diagonal of the set difference
     of Young diagrams young(label(J)) minus young(I); the star coordinate
-    is always 0.
+    is always 0.  Each coordinate comes from the memoised kernel
+    ``combinat._max_diag``, so a table over all k-subsets and a sequence of
+    seeds (which share most labels) computes each label pair once.
     """
-    out = {v: max_diag(s.labels[v], I, s.n) for v in s.quiver.vertices}
+    I = tuple(I)
+    labels, n = s.labels, s.n
+    out = {v: _max_diag(tuple(labels[v]), I, n) for v in s.quiver.vertices}
     if out[s.quiver.star] != 0:
         raise ModelInvariantError(
             "bad-label", f"star label {s.labels[s.quiver.star]} has nonzero kappa"

@@ -412,3 +412,19 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("PASS plucker") and proc.stdout.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["verify", "all", "--kn", "2,5"], ["flow", "shark", "25"]])
+def test_closed_stdout_exits_141_without_traceback(argv):
+    # the reader end is closed before the command writes a byte, as when
+    # `| head -1` exits before the output is flushed
+    env = dict(os.environ, PYTHONPATH=str(Path(plabicflow.__file__).parents[1]))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "plabicflow", *argv],
+                              stdout=w, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(w)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""

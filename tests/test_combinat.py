@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,6 +92,48 @@ def test_weak_separation_examples():
     assert not pairwise_weakly_separated([(1, 3), (2, 4)], 4)
 
 
+def crossing_weakly_separated(I, J, n: int) -> bool:
+    """Reference weak separation: no cyclic crossing a < b < c < d with
+    a, c on one side of I \\ J, J \\ I and b, d on the other."""
+    S, T = set(I) - set(J), set(J) - set(I)
+    for a, b, c, d in combinations(range(1, n + 1), 4):
+        for X, Y in ((S, T), (T, S)):
+            if a in X and c in X and b in Y and d in Y:
+                return False
+    return True
+
+
+def test_weak_separation_equals_crossings_exhaustive():
+    # every pair of k-subsets with n <= 8, each asked twice (the second
+    # answer comes from the memo) and once more as lists
+    pairs = 0
+    for n in range(9):
+        for k in range(n + 1):
+            subs = ksubsets(n, k)
+            for I in subs:
+                for J in subs:
+                    want = crossing_weakly_separated(I, J, n)
+                    assert weakly_separated(I, J, n) is want, (I, J, n)
+                    assert weakly_separated(I, J, n) is want
+                    assert weakly_separated(list(I), list(J), n) is want
+                    pairs += 1
+    assert pairs == 17577
+
+
+def test_weak_separation_bad_input_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            weakly_separated((1, 2), (1, 2, 3), 4)
+        with pytest.raises(ValueError):
+            weakly_separated([1, 2], [1, 2, 3], 4)
+        with pytest.raises(ValueError):
+            pairwise_weakly_separated([(1, 2), [1, 2, 3]], 4)
+        assert weakly_separated([1, 3], [2, 4], 4) is False
+        assert weakly_separated([1, 3], (1, 4), 4) is True
+        assert pairwise_weakly_separated([[1, 2], [1, 3], (1, 4)], 4)
+        assert not pairwise_weakly_separated([[1, 3], [2, 4]], 4)
+
+
 def test_young_roundtrip_and_cells():
     # partition shape of a k-subset inside the k x (n-k) box: the first
     # window [1,k] is the empty shape, the last window the full box
@@ -121,6 +165,23 @@ def test_max_diag_rejects_bad_input():
             max_diag((2, 1), (1, 2), 4)
         with pytest.raises(ValueError):
             max_diag((1, 2), (1, 5), 4)
+
+
+def test_max_diag_accepts_lists_on_every_call():
+    # list arguments are made tuples before the memo; repeated calls agree
+    for n in range(8):
+        for k in range(n + 1):
+            subs = ksubsets(n, k)
+            for J in subs:
+                for I in subs:
+                    want = cell_set_max_diag(J, I, n)
+                    assert max_diag(list(J), list(I), n) == want, (J, I, n)
+                    assert max_diag(list(J), I, n) == want
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            max_diag([1, 2], [1, 2, 3], 4)
+        with pytest.raises(ValueError):
+            max_diag([2, 1], [1, 2], 4)
 
 
 def test_max_diag_equals_cell_sets_exhaustive():

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plabicflow.combinat import ksubsets
 from plabicflow.cones import (
     GTPattern,
     Unbounded,
+    _eliminate,
     body_membership_check,
     cone_contains,
     cone_to_json_obj,
@@ -96,6 +98,108 @@ def test_lattice_points_unbounded():
     c = make_cone(("r", "x"), [{"x": 1}])
     with pytest.raises(Unbounded):
         lattice_points(c, 1)
+
+
+def dense_lattice_points(c, r):
+    """Reference enumerator: each coordinate's range re-sums the dense
+    coefficient prefix of every row of its projection."""
+    vars_ = list(c.ambient[1:])
+    nv = len(vars_)
+    systems = [[(cov[0] * r, tuple(cov[1:])) for cov in c.ineqs]]
+    for d in range(nv - 1, 0, -1):
+        nxt = _eliminate(systems[-1], d)
+        if nxt is None:
+            return []
+        systems.append(nxt)
+    systems.reverse()
+
+    points = []
+    assignment = [0] * nv
+
+    def feasible_range(depth):
+        lo, hi = None, None
+        for const, coeffs in systems[depth]:
+            a = coeffs[depth]
+            if a == 0:
+                continue
+            partial = const + sum(
+                coeffs[i] * assignment[i] for i in range(depth) if coeffs[i]
+            )
+            if a > 0:
+                bound = -(partial // a)
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                bound = partial // (-a)
+                hi = bound if hi is None else min(hi, bound)
+        return lo, hi
+
+    def rec(depth):
+        if depth == nv:
+            points.append(dict(zip(vars_, assignment)))
+            return
+        lo, hi = feasible_range(depth)
+        if lo is None or hi is None:
+            raise Unbounded(f"coordinate {vars_[depth]} unbounded at level {r}")
+        for val in range(lo, hi + 1):
+            assignment[depth] = val
+            rec(depth + 1)
+
+    rec(0)
+    return points
+
+
+def _outcome(enumerate_, c, r):
+    """The points as (label, value) lists, order kept, or the error raised."""
+    try:
+        return [list(p.items()) for p in enumerate_(c, r)]
+    except Unbounded as exc:
+        return ("Unbounded", str(exc))
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
+def test_lattice_points_equal_dense_on_gt_cones(k, n):
+    c = gt_inequalities(k, n)
+    for r in range(4):
+        got = _outcome(lattice_points, c, r)
+        assert got == _outcome(dense_lattice_points, c, r)
+        assert len(got) == weyl_dim(k, n, r)
+
+
+def test_lattice_points_edge_cases_equal_dense():
+    # infeasible: eliminating y meets y >= r and y <= 0 at r = 1
+    infeasible = make_cone(("r", "x", "y"), [
+        {"x": 1}, {"x": -1, "r": 1}, {"y": 1, "r": -1}, {"y": -1}])
+    # x is bounded, y has no upper row once reached
+    unbounded = make_cone(("r", "x", "y"), [{"x": 1}, {"x": -1, "r": 1}, {"y": 1}])
+    # x has an empty range, so the unbounded y is never reached
+    unreached = make_cone(("r", "x", "y"), [{"x": 1, "r": -2}, {"x": -1, "r": 1}, {"y": 1}])
+    empty = make_cone(("r",), [{"r": 1}])
+    cases = [(infeasible, 1, []), (unbounded, 1, ("Unbounded", "coordinate y unbounded at level 1")),
+             (unreached, 1, []), (empty, 1, [[]]), (empty, 0, [[]])]
+    for c, r, want in cases:
+        assert _outcome(lattice_points, c, r) == want
+        assert _outcome(dense_lattice_points, c, r) == want
+    assert lattice_points(empty, 1) == [{}]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(-2, 2), min_size=m + 1, max_size=m + 1), max_size=7),
+    st.integers(0, 3),
+    st.booleans(),
+)))
+def test_lattice_points_equal_dense_on_small_cones(args):
+    m, covs, r, boxed = args
+    ambient = ("r",) + tuple(f"x{i}" for i in range(m))
+    if boxed:  # |x_i| <= r: mostly bounded slices with many points
+        for i in range(1, m + 1):
+            for sign in (1, -1):
+                cov = [0] * (m + 1)
+                cov[0], cov[i] = 1, sign
+                covs = covs + [cov]
+    c = make_cone(ambient, covs)
+    assert _outcome(lattice_points, c, r) == _outcome(dense_lattice_points, c, r)
 
 
 def test_kappa_table_injective():

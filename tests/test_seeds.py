@@ -24,6 +24,7 @@ from plabicflow.seeds import (
     quiver_b_entries,
     quiver_of_model,
     rectangles_seed,
+    seed_mutations,
     seed_of_model,
     trop_a_mutate,
     wt_matrix,
@@ -111,6 +112,24 @@ def test_exchange_label_patterns():
     s36 = rectangles_seed(3, 6)
     with pytest.raises(NotPlabicMutable):
         exchange_label(s36.quiver, s36.labels, "145")
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])
+def test_seed_mutations_skips_refused_vertices(k, n):
+    s = rectangles_seed(k, n)
+    want = []
+    for j in mutable_vertices(s.quiver):
+        try:
+            want.append((j, mutate_labels(s, j)))
+        except NotPlabicMutable:
+            continue
+    got = list(seed_mutations(s))
+    assert [j for j, _ in got] == [j for j, _ in want]
+    assert all(a.labels == b.labels and a.quiver == b.quiver
+               for (_, a), (_, b) in zip(got, want))
+    # (3,6) and (4,8) have hexagonal vertices, refused and skipped; at
+    # (4,8) an exchangeable vertex follows them
+    assert len(got) < len(mutable_vertices(s.quiver)) or k == 2
 
 
 def test_kappa_table_24():
