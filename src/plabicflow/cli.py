@@ -75,26 +75,37 @@ def _parse_level(level: int | None) -> int | None:
     return level
 
 
-def _parse_mutations(text: str | None, k: int, n: int) -> list[str]:
-    """Face names from a comma list.  Past n = 9 a name is itself a comma
-    list of k elements (``format_ksubset``), so the list is read in groups
-    of k: ``1,3,1,4`` names the faces ``1,3`` and ``1,4`` when k = 2."""
+def _parse_names(text: str | None, k: int, n: int, what: str,
+                 alone=frozenset()) -> list[str]:
+    """Names from a comma list.  Past n = 9 a face name is itself a comma
+    list of k elements (``format_ksubset``), so a token in ``alone`` stands
+    for itself and any other token starts a face name of k tokens:
+    ``1,3,1,4`` names the faces ``1,3`` and ``1,4`` when k = 2."""
     parts = [p.strip() for p in (text or "").split(",") if p.strip()]
     if n <= 9:
         return parts
-    if len(parts) % k:
-        raise UsageError(
-            f"--mutations lists {len(parts)} numbers; at n = {n} each face "
-            f"name takes k = {k}"
-        )
-    return [",".join(parts[i:i + k]) for i in range(0, len(parts), k)]
+    names = []
+    i = 0
+    while i < len(parts):
+        step = 1 if parts[i] in alone else k
+        if i + step > len(parts):
+            raise UsageError(
+                f"{what} ends in {len(parts) - i} numbers; at n = {n} each "
+                f"face name takes k = {k}"
+            )
+        names.append(",".join(parts[i:i + step]))
+        i += step
+    return names
 
 
-def _reorder(poly: LaurentPoly, order: str | None) -> LaurentPoly:
-    """Rebuild a polynomial over a user-supplied permutation of its lattice."""
+def _reorder(poly: LaurentPoly, order: str | None, k: int, n: int) -> LaurentPoly:
+    """Rebuild a polynomial over a user-supplied permutation of its lattice.
+
+    A token that is a lattice label (``q``, an edge name, a face of k = 1)
+    stands alone in the list; see ``_parse_names``."""
     if not order:
         return poly
-    labels = tuple(p.strip() for p in order.split(",") if p.strip())
+    labels = tuple(_parse_names(order, k, n, "--order", set(poly.lattice)))
     if sorted(labels) != sorted(poly.lattice):
         raise UsageError(
             f"--order must be a permutation of {','.join(poly.lattice)}"
@@ -170,14 +181,14 @@ def _model_and_subset(args) -> tuple[PlabicModel, tuple[int, ...]]:
 
 def cmd_partition(args) -> int:
     model, I = _model_and_subset(args)
-    poly = _reorder(charts.partition_function(model, I), args.order)
+    poly = _reorder(charts.partition_function(model, I), args.order, model.k, model.n)
     _emit_poly(poly, args.format, "")
     return 0
 
 
 def cmd_flow(args) -> int:
     model, I = _model_and_subset(args)
-    poly = _reorder(charts.flow_polynomial(model, I), args.order)
+    poly = _reorder(charts.flow_polynomial(model, I), args.order, model.k, model.n)
     _emit_poly(poly, args.format, "y")
     return 0
 
@@ -186,7 +197,7 @@ def cmd_valuation(args) -> int:
     model, I = _model_and_subset(args)
     f = charts.flow_polynomial(model, I)
     # --order only breaks ties; the vector prints in lattice order
-    v = charts.valuation(model, _reorder(f, args.order))
+    v = charts.valuation(model, _reorder(f, args.order, model.k, model.n))
     _emit_vector({lab: v[lab] for lab in f.lattice}, args.format)
     return 0
 
@@ -201,7 +212,7 @@ def cmd_kappa(args) -> int:
 def cmd_mutate(args) -> int:
     model = load_any_model(args.model)
     s = seeds.seed_of_model(model)
-    for j in _parse_mutations(args.mutations, s.k, s.n):
+    for j in _parse_names(args.mutations, s.k, s.n, "--mutations"):
         s = seeds.mutate_labels(s, j)
     q = s.quiver
     labels = {v: format_ksubset(s.labels[v], s.n) for v in q.vertices}
@@ -249,7 +260,7 @@ def _xcheck_one(model: PlabicModel, j: str, moved: PlabicModel) -> int:
 
 def cmd_xcheck(args) -> int:
     model = load_any_model(args.model)
-    path = _parse_mutations(args.mutations, model.k, model.n)
+    path = _parse_names(args.mutations, model.k, model.n, "--mutations")
     if not path:
         q = seeds.quiver_of_model(model)
         path = seeds.mutable_vertices(q)[:1]
@@ -331,17 +342,17 @@ def cmd_superpotential(args) -> int:
     k, n = _parse_kn(args.kn)
     s = seeds.rectangles_seed(k, n)
     W = superpot.w_rectangles(k, n)
-    for j in _parse_mutations(args.mutations, k, n):
+    for j in _parse_names(args.mutations, k, n, "--mutations"):
         W = superpot.a_mutate_w(s, W, j)
         s = seeds.mutate_labels(s, j)
-    _emit_poly(_reorder(W.poly, args.order), args.format, "p")
+    _emit_poly(_reorder(W.poly, args.order, k, n), args.format, "p")
     return 0
 
 
 def cmd_wx(args) -> int:
     k, n = _parse_kn(args.kn)
     W = superpot.w_x_rectangles(k, n)
-    _emit_poly(_reorder(W.poly, args.order), args.format, "x")
+    _emit_poly(_reorder(W.poly, args.order, k, n), args.format, "x")
     return 0
 
 

@@ -198,7 +198,8 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
     rows (a < 0), each as (const, ((i, c), ...) over the nonzero earlier
     coordinates, a).  A coordinate's range is read from those rows alone,
     and the last coordinate is filled in one flat loop.  An infeasible
-    slice gives [] and an empty ambient [{}]; if the enumeration reaches a
+    slice gives [] (also when a row on the level alone fails at r) and an
+    otherwise feasible empty ambient [{}]; if the enumeration reaches a
     coordinate with no lower or no upper row, the slice is unbounded and
     Unbounded is raised.
     """
@@ -206,7 +207,11 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
     nv = len(vars_)
     base = []
     for cov in c.ineqs:
-        base.append((cov[0] * r, tuple(cov[1:])))
+        const, coeffs = cov[0] * r, tuple(cov[1:])
+        if any(coeffs):
+            base.append((const, coeffs))
+        elif const < 0:
+            return []  # a row on the level alone that this level breaks
     systems = [base]  # systems[d] involves vars_[: nv-d]
     for d in range(nv - 1, 0, -1):
         nxt = _eliminate(systems[-1], d)

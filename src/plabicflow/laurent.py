@@ -14,7 +14,6 @@ with zero exponents omitted from each "exp" map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 
@@ -110,9 +109,6 @@ class LaurentPoly:
                 {"coeff": c, "exp": self.exp_as_dict(e)} for e, c in self.terms
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
     @staticmethod
     def from_json_obj(obj) -> "LaurentPoly":

@@ -4,8 +4,9 @@ A model is a bicolored plane graph embedded in a disc, given combinatorially
 by rotation systems (counterclockwise edge order at each internal node) plus
 ``n`` boundary stubs whose endpoints sit on the disc boundary, labelled
 1..n clockwise.  Faces are recovered by closing the disc with virtual
-boundary arcs and tracing dart orbits; every face carries a k-subset label
-and one face is distinguished (the base face, written ``*`` informally).
+boundary arcs and tracing dart orbits; every face carries the k-subset
+label read off the model's trips, and one face is distinguished (the base
+face, written ``*`` informally).
 
 The module provides the dimer-model layer: perfect matchings (internal
 nodes covered exactly once), their boundary values and face weights, the
@@ -21,7 +22,6 @@ from types import MappingProxyType
 
 from .combinat import (
     KSubset,
-    check_ksubset,
     cyclic_interval,
     format_ksubset,
     ksubsets,
@@ -29,7 +29,6 @@ from .combinat import (
     necklace_of_positroid,
     pairwise_weakly_separated,
     parse_ksubset,
-    rectangle_label,
 )
 
 BLACK = "black"
@@ -70,17 +69,16 @@ class PlabicModel:
     colors: dict[str, str]  # internal node id -> BLACK | WHITE
     edges: dict[str, tuple[End, End]]
     rot: dict[str, tuple[str, ...]]  # node id -> CCW incident edge ids
-    label_specs: dict[frozenset, KSubset]  # bounding edge-id set -> label
-    star_spec: frozenset
+    star_spec: frozenset  # the star's bounding edge ids, or {("gap", l)}
     _analysis: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class Face:
     index: int
-    darts: frozenset  # darts whose right side is this face
+    darts: tuple  # darts whose right side is this face, in orbit order
     edge_ids: frozenset  # real edges on the boundary of the face
-    label: KSubset | None
+    label: KSubset
     gap: int | None  # l when this is the gap face between stubs l, l+1
 
 
@@ -95,8 +93,49 @@ class Analysis:
     gap_face: dict[int, int]
     anticlockwise: set[int]
     lattice: tuple[KSubset, ...]  # face labels in subset order
+    adjacency: FaceAdjacency
     # derived from the matchings on first request, see matching_table
     table: "MatchingTable | None" = field(default=None, repr=False)
+
+
+class FaceAdjacency:
+    """Faces joined across the dual arrows, with edge bit i for arrow i:
+    ``nbrs[f]`` holds (face bit, edge bit) per arrow at face f,
+    ``around[f]`` the union of those face bits and ``edges_at[f]`` of the
+    edge bits."""
+
+    def __init__(self, F: int, arrows):
+        self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
+        self.around = [0] * F
+        self.edges_at = [0] * F
+        for i, (_, s, t) in enumerate(arrows):
+            sbit, tbit, ebit = 1 << s, 1 << t, 1 << i
+            self.nbrs[s].append((tbit, ebit))
+            self.nbrs[t].append((sbit, ebit))
+            self.around[s] |= tbit
+            self.around[t] |= sbit
+            self.edges_at[s] |= ebit
+            self.edges_at[t] |= ebit
+
+    def region(self, seeds: int, blocked: int) -> int:
+        """The faces reached from the face mask ``seeds`` across edges
+        outside the edge mask ``blocked``, as a face mask."""
+        nbrs, around, edges_at = self.nbrs, self.around, self.edges_at
+        region = todo = seeds
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            u = low.bit_length() - 1
+            if edges_at[u] & blocked:
+                reach = 0
+                for fbit, ebit in nbrs[u]:
+                    if not blocked & ebit:
+                        reach |= fbit
+            else:
+                reach = around[u]
+            todo |= reach & ~region
+            region |= reach
+        return region
 
 
 def _other_end(ends: tuple[End, End], here: End) -> End:
@@ -121,22 +160,11 @@ def _end_color(model: PlabicModel, ends: tuple[End, End], end: End) -> str:
 def _closed_rotation_system(model: PlabicModel):
     """Rotations for the disc closed up with virtual tips and arcs.
 
-    Returns (rots, ends) over vertex keys ("n", id) / ("t", l) and edge keys
-    ("e", id) / ("a", l), where arc l joins tips l and l+1 (cyclically).
+    Returns (rots, ends, stub_of) over vertex keys ("n", id) / ("t", l) and
+    edge keys ("e", id) / ("a", l), where arc l joins tips l and l+1
+    (cyclically) and stub_of[l] is the edge at tip l.
     """
     n = model.n
-    ends: dict = {}
-    for e, (a, b) in model.edges.items():
-        ka = ("n", a[1]) if a[0] == "n" else ("t", a[1])
-        kb = ("n", b[1]) if b[0] == "n" else ("t", b[1])
-        ends[("e", e)] = (ka, kb)
-    for l in range(1, n + 1):
-        nxt = 1 if l == n else l + 1
-        ends[("a", l)] = (("t", l), ("t", nxt))
-
-    rots: dict = {}
-    for v, r in model.rot.items():
-        rots[("n", v)] = [("e", e) for e in r]
     stub_of: dict[int, str] = {}
     for e, (a, b) in model.edges.items():
         for end in (a, b):
@@ -146,67 +174,64 @@ def _closed_rotation_system(model: PlabicModel):
                         "duplicate-boundary-label", f"label {end[1]}"
                     )
                 stub_of[end[1]] = e
-    if set(stub_of) != set(range(1, n + 1)):
+    # checked before anything is built per boundary label, so a huge n in
+    # the kn line costs nothing
+    if len(stub_of) != n or set(stub_of) != set(range(1, n + 1)):
         raise ModelInvariantError(
             "bad-boundary-labels",
             f"have {sorted(stub_of)}, expected 1..{n}",
         )
+    ends: dict = {("e", e): ab for e, ab in model.edges.items()}
+    for l in range(1, n + 1):
+        nxt = 1 if l == n else l + 1
+        ends[("a", l)] = (("t", l), ("t", nxt))
+
+    rots: dict = {}
+    for v, r in model.rot.items():
+        rots[("n", v)] = [("e", e) for e in r]
     for l in range(1, n + 1):
         prev = n if l == 1 else l - 1
         rots[("t", l)] = [("a", prev), ("e", stub_of[l]), ("a", l)]
     return rots, ends, stub_of
 
 
-def _dart_ends(ends, dart):
-    ekey, d = dart
-    a, b = ends[ekey]
-    return (a, b) if d == 0 else (b, a)
-
-
-def _next_dart(rots, ends, dart):
-    _, head = _dart_ends(ends, dart)
-    r = rots[head]
-    i = r.index(dart[0])
-    ekey = r[(i + 1) % len(r)]
-    a, b = ends[ekey]
-    return (ekey, 0) if a == head else (ekey, 1)
+def _dart_successors(rots, ends) -> dict:
+    """The next dart of each dart's face: at its head, the edge after it
+    in the counterclockwise rotation, leaving the head.  A bijection on
+    the darts, as every rotation lists each edge at its node once."""
+    succ = {}
+    for head, r in rots.items():
+        for i, ekey in enumerate(r):
+            nxt = r[(i + 1) % len(r)]
+            succ[(ekey, 0 if ends[ekey][1] == head else 1)] = (
+                nxt, 0 if ends[nxt][0] == head else 1)
+    return succ
 
 
 def _trace_faces(model: PlabicModel):
-    """All dart orbits of the closed surface; the all-arc orbit is dropped.
+    """All dart orbits of the closed surface but the outer face.
 
     Returns (orbits, stub_of) where each orbit is the ordered dart list of
-    one face (the face lies on the right of each of its darts).
+    one face (the face lies on the right of each of its darts).  Only a
+    model that passed ``_validate_raw`` may be traced.  The outer face is
+    the one orbit of arcs alone: each arc run from tip l to tip l + 1 turns
+    into stub l + 1, and the arcs run the other way close up.
     """
     rots, ends, stub_of = _closed_rotation_system(model)
-    for vk, r in rots.items():
-        if len(set(r)) != len(r):
-            raise ModelInvariantError("rotation-repeat", f"at {vk}")
-    all_darts = [(ek, d) for ek in sorted(ends, key=str) for d in (0, 1)]
-    seen = set()
+    succ = _dart_successors(rots, ends)
     orbits = []
-    outer = None
-    for start in all_darts:
-        if start in seen:
-            continue
-        orbit = [start]
-        seen.add(start)
-        cur = _next_dart(rots, ends, start)
-        while cur != start:
-            if cur in seen:
-                raise ModelInvariantError("face-trace", f"orbit collision at {cur}")
-            orbit.append(cur)
-            seen.add(cur)
-            cur = _next_dart(rots, ends, cur)
-        if all(ek[0] == "a" for ek, _ in orbit):
-            if outer is not None:
-                raise ModelInvariantError("outer-face", "more than one all-arc face")
-            outer = orbit
-        else:
-            orbits.append(orbit)
-    if outer is None:
-        raise ModelInvariantError("outer-face", "no all-arc face found")
-    return orbits, stub_of, ends
+    for ek in sorted(ends, key=str):
+        for start in ((ek, 0), (ek, 1)):
+            if start not in succ:
+                continue  # on an orbit already traced
+            orbit = [start]
+            cur = succ.pop(start)
+            while cur != start:
+                orbit.append(cur)
+                cur = succ.pop(cur)
+            if any(e[0] == "e" for e, _ in orbit):
+                orbits.append(orbit)
+    return orbits, stub_of
 
 
 def _validate_raw(model: PlabicModel):
@@ -248,7 +273,7 @@ def _validate_raw(model: PlabicModel):
         adj.setdefault(ka, set()).add(kb)
         adj.setdefault(kb, set()).add(ka)
     if adj:
-        start = next(iter(sorted(adj, key=str)))
+        start = next(iter(adj))
         seen = {start}
         stack = [start]
         while stack:
@@ -262,16 +287,80 @@ def _validate_raw(model: PlabicModel):
             raise ModelInvariantError("disconnected", f"missing {want - seen}")
 
 
+def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
+    """The face a star spec names: its bounding edge-id set (the text-format
+    identity) or a single ("gap", l) token naming the gap face along
+    boundary arc l -- needed when tiny models have two faces with identical
+    edge sets, where edge sets cannot tell them apart."""
+    gaps = [x for x in spec if isinstance(x, tuple) and x[:1] == ("gap",)]
+    if gaps:
+        if len(spec) != 1:
+            raise ModelInvariantError(
+                "star-unmatched", f"mixed face spec {sorted(map(str, spec))}")
+        l = gaps[0][1]
+        if l not in gap_face:
+            raise ModelInvariantError("star-unmatched", f"no gap face {l}")
+        return gap_face[l]
+    hits = [f.index for f in faces if f.edge_ids == spec]
+    if len(hits) > 1:
+        raise ModelInvariantError(
+            "ambiguous-face-spec", f"two faces bounded by {sorted(spec)}"
+        )
+    if not hits:
+        raise ModelInvariantError("star-unmatched", f"{sorted(spec)}")
+    return hits[0]
+
+
+def _trip_labels(model: PlabicModel, arrows, stub_of, adjacency: FaceAdjacency
+                 ) -> list[tuple[int, ...]]:
+    """Postnikov's target labelling, read off the trips.
+
+    The trip from tip l enters the graph along stub l; at a black node it
+    leaves by the previous edge of the counterclockwise rotation, at a
+    white node by the next one, until it reaches a tip j.  A face carries j
+    iff it lies left of the trip ending at j: the faces left of the trip's
+    darts, flooded across every edge the trip does not use.  Returns the
+    sorted label of each face by index.
+    """
+    index = {e: i for i, (e, _, _) in enumerate(arrows)}
+    edges, rot, colors = model.edges, model.rot, model.colors
+    left = [0] * (model.n + 1)  # j -> mask of the faces left of trip j
+    for l in range(1, model.n + 1):
+        e, here = stub_of[l], ("t", l)
+        # a tip takes the color opposite its node
+        from_black = colors[_other_end(edges[e], here)[1]] == WHITE
+        path = seeds = 0
+        while True:
+            i = index[e]
+            path |= 1 << i
+            # the arrow of edge i runs from the face right of its black-to-
+            # white dart to the face right of its white-to-black dart
+            _, s, t = arrows[i]
+            seeds |= 1 << (t if from_black else s)
+            a, there = edges[e]
+            if a != here:
+                there = a
+            if there[0] == "t":
+                break
+            here = there
+            r = rot[there[1]]
+            from_black = colors[there[1]] == BLACK
+            i = r.index(e)
+            e = r[i - 1] if from_black else r[(i + 1) % len(r)]
+        left[there[1]] = adjacency.region(seeds, path)
+    return [tuple(j for j in range(1, model.n + 1) if left[j] >> f & 1)
+            for f in range(len(adjacency.around))]
+
+
 def analyze(model: PlabicModel) -> Analysis:
     if model._analysis is not None:
         return model._analysis
     _validate_raw(model)
-    orbits, stub_of, ends = _trace_faces(model)
+    orbits, stub_of = _trace_faces(model)
 
-    faces: list[Face] = []
     face_of_dart: dict = {}
+    gaps: list[int | None] = []
     for i, orbit in enumerate(orbits):
-        edge_ids = frozenset(ek[1] for ek, _ in orbit if ek[0] == "e")
         gap = None
         for ek, d in orbit:
             if ek[0] == "a":
@@ -280,73 +369,43 @@ def analyze(model: PlabicModel) -> Analysis:
                         "gap-structure", f"face with two arcs {gap},{ek[1]}"
                     )
                 gap = ek[1]
-        faces.append(Face(i, frozenset(orbit), edge_ids, None, gap))
+        gaps.append(gap)
         for dart in orbit:
             face_of_dart[dart] = i
 
-    gap_face = {f.gap: f.index for f in faces if f.gap is not None}
+    gap_face = {g: i for i, g in enumerate(gaps) if g is not None}
     if set(gap_face) != set(range(1, model.n + 1)):
         raise ModelInvariantError("gap-structure", f"gap faces {sorted(gap_face)}")
-
-    # resolve labels; a spec is either a face's bounding edge-id set (the
-    # text-format identity) or a single ("gap", l) token naming the gap face
-    # along boundary arc l — needed when tiny models have two faces with
-    # identical edge sets, where edge sets cannot tell them apart
-    by_edges: dict = {}
-    ambiguous = set()
-    for f in faces:
-        if f.edge_ids in by_edges:
-            ambiguous.add(f.edge_ids)
-        by_edges[f.edge_ids] = f.index
-
-    def resolve(spec, what: str) -> int:
-        gaps = [x for x in spec if isinstance(x, tuple) and x[:1] == ("gap",)]
-        if gaps:
-            if len(spec) != 1:
-                raise ModelInvariantError(what, f"mixed face spec {sorted(map(str, spec))}")
-            l = gaps[0][1]
-            if l not in gap_face:
-                raise ModelInvariantError(what, f"no gap face {l}")
-            return gap_face[l]
-        if spec in ambiguous:
-            raise ModelInvariantError(
-                "ambiguous-face-spec", f"two faces bounded by {sorted(spec)}"
-            )
-        if spec not in by_edges:
-            raise ModelInvariantError(what, f"{sorted(spec)}")
-        return by_edges[spec]
-
-    seen_labels = set()
-    for spec, label in model.label_specs.items():
-        idx = resolve(spec, "label-spec-unmatched")
-        check_ksubset(label, model.n)
-        if len(label) != model.k:
-            raise ModelInvariantError(
-                "bad-label", f"{label} is not a {model.k}-subset"
-            )
-        if label in seen_labels:
-            raise ModelInvariantError("duplicate-label", format_ksubset(label, model.n))
-        seen_labels.add(label)
-        faces[idx].label = label
-    for f in faces:
-        if f.label is None:
-            raise ModelInvariantError(
-                "unlabeled-face", f"face bounded by {sorted(f.edge_ids)}"
-            )
-    star = resolve(model.star_spec, "star-unmatched")
-    label_to_face = {f.label: f.index for f in faces}
 
     # dual arrows: one per real edge, pointing white-on-right
     arrows = []
     for e in sorted(model.edges):
-        e_ends = model.edges[e]
-        c0 = _end_color(model, e_ends, e_ends[0])
-        c1 = _end_color(model, e_ends, e_ends[1])
-        if c0 == c1:
-            raise ModelInvariantError("bipartite", f"edge {e}")
-        d_bw = (("e", e), 0) if c0 == BLACK else (("e", e), 1)
-        d_wb = (("e", e), 1) if c0 == BLACK else (("e", e), 0)
-        arrows.append((e, face_of_dart[d_bw], face_of_dart[d_wb]))
+        # _validate_raw has checked the colors; a tip takes the color
+        # opposite its node
+        a, b = model.edges[e]
+        black0 = (model.colors[a[1]] == BLACK if a[0] == "n"
+                  else model.colors[b[1]] == WHITE)
+        s = face_of_dart[(("e", e), 0 if black0 else 1)]  # right of black -> white
+        t = face_of_dart[(("e", e), 1 if black0 else 0)]
+        arrows.append((e, s, t))
+
+    adjacency = FaceAdjacency(len(orbits), arrows)
+    faces: list[Face] = []
+    label_to_face: dict = {}
+    for i, (orbit, label) in enumerate(
+            zip(orbits, _trip_labels(model, arrows, stub_of, adjacency))):
+        edge_ids = frozenset(ek[1] for ek, _ in orbit if ek[0] == "e")
+        if len(label) != model.k:
+            raise ModelInvariantError(
+                "bad-label",
+                f"face bounded by {sorted(edge_ids)} lies left of "
+                f"{len(label)} trips, not k = {model.k}",
+            )
+        if label in label_to_face:
+            raise ModelInvariantError("duplicate-label", format_ksubset(label, model.n))
+        label_to_face[label] = i
+        faces.append(Face(i, tuple(orbit), edge_ids, label, gaps[i]))
+    star = _star_face(faces, gap_face, model.star_spec)
 
     # orientation class per boundary edge
     anticlockwise = set()
@@ -356,9 +415,7 @@ def analyze(model: PlabicModel) -> Analysis:
         s, t = arrow_of[stub_of[l]]
         if (s, t) == (gap_face[l], gap_face[prev]):
             anticlockwise.add(l)
-        elif (s, t) == (gap_face[prev], gap_face[l]):
-            pass
-        else:
+        elif (s, t) != (gap_face[prev], gap_face[l]):
             raise ModelInvariantError(
                 "boundary-arrow", f"stub {l} arrow {s}->{t} not between gap faces"
             )
@@ -372,7 +429,8 @@ def analyze(model: PlabicModel) -> Analysis:
         stub_of,
         gap_face,
         anticlockwise,
-        tuple(sorted(f.label for f in faces)),
+        tuple(sorted(label_to_face)),
+        adjacency,
     )
     model._analysis = analysis
     return analysis
@@ -498,8 +556,25 @@ def load_model(text: str) -> PlabicModel:
         raise ParseError(1, "missing kn line")
     if star_spec is None:
         raise ParseError(1, "missing star line")
-    model = PlabicModel(k, n, colors, edges, rot, label_specs, star_spec)
-    analyze(model)
+    model = PlabicModel(k, n, colors, edges, rot, star_spec)
+    an = analyze(model)
+    # every face needs a label line, and every line must state the label
+    # the trips give that face
+    derived = {f.edge_ids: f.label for f in an.faces}
+    for spec, label in label_specs.items():
+        if spec not in derived:
+            raise ModelInvariantError("label-spec-unmatched", f"{sorted(spec)}")
+        if derived[spec] != label:
+            raise ModelInvariantError(
+                "label-mismatch",
+                f"face {','.join(sorted(spec))} labelled "
+                f"{format_ksubset(label, n)}, its trips give "
+                f"{format_ksubset(derived[spec], n)}",
+            )
+    if len(label_specs) != len(an.faces):
+        # a face without a line, or two faces bounded by the same edges
+        f = next(f for f in an.faces if label_specs.get(f.edge_ids) != f.label)
+        raise ModelInvariantError("unlabeled-face", f"face bounded by {sorted(f.edge_ids)}")
     return model
 
 
@@ -675,8 +750,7 @@ class FaceGraph:
       nodes numbered from 0 and tip l as -l, ``left`` the face on its left
       as a face bit; ``leaving[v]`` is the mask of the darts with tail v,
       ``from_tips`` of those with a tip as tail;
-    - ``nbrs[f]``: (face bit, edge bit) per arrow at face f, ``around[f]``
-      the union of those face bits and ``edges_at[f]`` of the edge bits.
+    - ``region``: the face flood of the model's ``FaceAdjacency``.
     """
 
     def __init__(self, model: PlabicModel, base: int):
@@ -685,10 +759,8 @@ class FaceGraph:
         F = len(an.faces)
         self.base = base
         self.labels = tuple(f.label for f in an.faces)
+        self.region = an.adjacency.region
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(F)]
-        self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
-        self.around = [0] * F
-        self.edges_at = [0] * F
         self.head: list[int] = []
         self.left: list[int] = []
         self.leaving = [0] * len(nodes)
@@ -698,10 +770,6 @@ class FaceGraph:
             step = 1 if base & ebit else -1
             adj[s].append((t, ebit, step))
             adj[t].append((s, ebit, -step))
-            for u, v in ((s, t), (t, s)):
-                self.nbrs[u].append((1 << v, ebit))
-                self.around[u] |= 1 << v
-                self.edges_at[u] |= ebit
             ends = model.edges[e]
             first = BLACK if base & ebit else WHITE
             if _end_color(model, ends, ends[0]) == first:
@@ -798,20 +866,7 @@ class FaceGraph:
             comps.append((comp, seeds))
         w = [0] * len(self.labels)
         for comp, seeds in comps:
-            region = todo = seeds
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                u = low.bit_length() - 1
-                if self.edges_at[u] & comp:
-                    reach = 0
-                    for fbit, ebit in self.nbrs[u]:
-                        if not comp & ebit:
-                            reach |= fbit
-                else:
-                    reach = self.around[u]
-                todo |= reach & ~region
-                region |= reach
+            region = self.region(seeds, comp)
             while region:
                 low = region & -region
                 region ^= low
@@ -1042,10 +1097,10 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     a square and tied to the old corners by legs; the old face edges are
     removed and any corner left with degree two is contracted away (its two
     same-colored neighbors are identified, splicing rotations; a boundary
-    stub reattaches directly).  The face's label is replaced by its Plucker
-    exchange partner (``seeds.exchange_label``); every other face keeps its
-    label.  The moved model must keep the positroid, and its dual quiver
-    must be the matrix mutation of the model's.
+    stub reattaches directly).  The moved model's trip labels must be the
+    model's with the face's label replaced by its Plucker exchange partner
+    (``seeds.exchange_label``), it must keep the positroid, and its dual
+    quiver must be the matrix mutation of the model's.
     """
     an = analyze(model)
     face_label = tuple(face_label)
@@ -1055,12 +1110,8 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     face = an.faces[fi]
     if face.gap is not None:
         raise NotPlabicMutable(f"face {face_label} touches the boundary")
-    orbit = sorted(face.darts)[:1]
-    rots, ends_all, _ = _closed_rotation_system(model)
-    cur = _next_dart(rots, ends_all, orbit[0])
-    while cur != orbit[0]:
-        orbit.append(cur)
-        cur = _next_dart(rots, ends_all, cur)
+    first = face.darts.index(min(face.darts))
+    orbit = face.darts[first:] + face.darts[:first]
     if len(orbit) != 4:
         raise NotPlabicMutable(
             f"face {face_label} has {len(orbit)} sides, need 4"
@@ -1069,8 +1120,8 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     if len(set(sq_edges)) != 4:
         raise NotPlabicMutable(f"face {face_label} has a repeated edge")
     corners = []
-    for dart in orbit:
-        _, head = _dart_ends(ends_all, dart)
+    for (_, e), d in orbit:
+        head = model.edges[e][1 - d]
         if head[0] != "n":
             raise NotPlabicMutable(f"face {face_label} has a boundary corner")
         corners.append(head[1])
@@ -1173,57 +1224,21 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
         del rot[c]
         del edges[legs[c]]
 
-    raw = PlabicModel(model.k, model.n, colors, edges, {v: tuple(r) for v, r in rot.items()}, {}, frozenset())
-    orbits, _, new_ends = _trace_faces(raw)
-
-    # match new faces to old ones through surviving darts
-    old_dart_face = {}
-    for f in an.faces:
-        if f.index == fi:
-            continue
-        for ek, d in f.darts:
-            if ek[0] == "e" and ek[1] in edges:
-                old_dart_face[(ek, d)] = f.index
-    new_square_edges = set(square.values())
-    label_specs: dict[frozenset, KSubset] = {}
-    star_spec = None
-    matched_old = set()
-    for orbit2 in orbits:
-        eids = frozenset(ek[1] for ek, _ in orbit2 if ek[0] == "e")
-        hit = {old_dart_face[d] for d in orbit2 if d in old_dart_face}
-        if not hit:
-            if not eids <= new_square_edges or len(eids) != 4:
-                raise ModelInvariantError(
-                    "face-correspondence", f"orphan face {sorted(eids)}"
-                )
-            label_specs[eids] = new_label
-            continue
-        if len(hit) != 1:
-            raise ModelInvariantError(
-                "face-correspondence", f"face {sorted(eids)} matches {hit}"
-            )
-        old = hit.pop()
-        if old in matched_old:
-            raise ModelInvariantError(
-                "face-correspondence", f"old face {old} matched twice"
-            )
-        matched_old.add(old)
-        label_specs[eids] = an.faces[old].label
-        if old == an.star:
-            star_spec = eids
-    if len(label_specs) != len(an.faces):
-        raise ModelInvariantError(
-            "face-correspondence",
-            f"{len(label_specs)} new faces vs {len(an.faces)} old",
-        )
-    if star_spec is None:
-        raise ModelInvariantError("face-correspondence", "star face lost")
-
+    # the star is a gap face (seed_of_model requires it frozen), so it keeps
+    # its gap; every face but the moved one keeps its label
     result = PlabicModel(
-        model.k, model.n, colors, edges,
-        {v: tuple(r) for v, r in rot.items()}, label_specs, star_spec,
+        model.k, model.n, colors, edges, {v: tuple(r) for v, r in rot.items()},
+        frozenset({("gap", an.faces[an.star].gap)}),
     )
-    analyze(result)
+    got = analyze(result).lattice
+    want = tuple(sorted(set(an.lattice) - {face_label} | {new_label}))
+    if got != want:
+        raise ModelInvariantError(
+            "exchange-mismatch",
+            f"moving {format_ksubset(face_label, model.n)} gives labels "
+            f"{[format_ksubset(I, model.n) for I in got]}, "
+            f"exchange gives {[format_ksubset(I, model.n) for I in want]}",
+        )
 
     if positroid(result) != positroid(model):
         raise ModelInvariantError("positroid-changed")
@@ -1302,16 +1317,9 @@ def _star_model(k: int, n: int) -> PlabicModel:
     colors = {"C": color}
     edges = {f"E{l}": (("n", "C"), ("t", l)) for l in range(1, n + 1)}
     rot = {"C": tuple(f"E{l}" for l in range(n, 0, -1))}
-    # every face is a gap face here, so name them by gap index (edge sets
-    # collide at n = 2: both faces are bounded by the same two edges)
-    label_specs = {}
-    for l in range(1, n + 1):
-        nxt = 1 if l == n else l + 1
-        label_specs[frozenset({("gap", l)})] = tuple(
-            sorted(cyclic_interval(nxt, (nxt + k - 2) % n + 1, n))
-        )
-    star_spec = frozenset({("gap", n)})
-    model = PlabicModel(k, n, colors, edges, rot, label_specs, star_spec)
+    # every face is a gap face here, so name the star by its gap index
+    # (edge sets collide at n = 2: both faces are bounded by the same edges)
+    model = PlabicModel(k, n, colors, edges, rot, frozenset({("gap", n)}))
     analyze(model)
     if positroid(model) != tuple(ksubsets(n, k)):
         raise ModelInvariantError("positroid-mismatch", f"star model ({k},{n})")
@@ -1324,7 +1332,7 @@ def build_rectangles_model(k: int, n: int) -> PlabicModel:
     Planar dual of the grid quiver whose vertices are the rectangle labels:
     each closed quiver face becomes one graph node (clockwise faces white,
     counterclockwise black), each arrow one edge, and the quiver vertices
-    come back as the faces of the result, carrying their labels.
+    come back as the faces of the result, whose trips label them.
     """
     if not (1 <= k <= n - 1):
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
@@ -1389,37 +1397,7 @@ def build_rectangles_model(k: int, n: int) -> PlabicModel:
         else:
             raise ModelInvariantError("rect-build", f"arrow {a} in {len(nodes)} cycles")
 
-    # faces of the graph = vertices of the quiver; bounding edges = incident arrows
-    def incident(t, s) -> set[str]:
-        out = set()
-        if s <= w - 1:
-            out.add(r_id(t, s))
-        if s >= 2:
-            out.add(r_id(t, s - 1))
-        if t <= k - 1:
-            out.add(c_id(t, s))
-        if t >= 2:
-            out.add(c_id(t - 1, s))
-        if t <= k - 1 and s <= w - 1:
-            out.add(d_id(t, s))
-        if t >= 2 and s >= 2:
-            out.add(d_id(t - 1, s - 1))
-        if (t, s) == (1, 1):
-            out.add("istar")
-        if (t, s) == (k, 1):
-            out.add("scol")
-        if (t, s) == (1, w):
-            out.add("srow")
-        return out
-
-    label_specs: dict[frozenset, KSubset] = {}
-    for t in range(1, k + 1):
-        for s in range(1, w + 1):
-            label_specs[frozenset(incident(t, s))] = rectangle_label(k, n, t, s)
-    star_spec = frozenset({"istar", "scol", "srow"})
-    label_specs[star_spec] = tuple(range(1, k + 1))
-
-    model = PlabicModel(k, n, colors, edges, rot, label_specs, star_spec)
+    model = PlabicModel(k, n, colors, edges, rot, frozenset({"istar", "scol", "srow"}))
     an = analyze(model)
     # the boundary gap faces must carry the cyclic-interval labels
     for l in range(1, n + 1):

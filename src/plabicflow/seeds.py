@@ -32,7 +32,13 @@ from .combinat import (
     format_ksubset,
     pairwise_weakly_separated,
 )
-from .plabic import ModelInvariantError, NotPlabicMutable, PlabicModel, analyze
+from .plabic import (
+    ModelInvariantError,
+    NotPlabicMutable,
+    PlabicModel,
+    analyze,
+    build_rectangles_model,
+)
 
 
 class NotMutable(Exception):
@@ -220,8 +226,6 @@ def seed_of_model(model: PlabicModel) -> Seed:
 
 @lru_cache(maxsize=None)
 def rectangles_seed(k: int, n: int) -> Seed:
-    from .plabic import build_rectangles_model
-
     return seed_of_model(build_rectangles_model(k, n))
 
 

@@ -105,6 +105,8 @@ def dense_lattice_points(c, r):
     coefficient prefix of every row of its projection."""
     vars_ = list(c.ambient[1:])
     nv = len(vars_)
+    if any(cov[0] * r < 0 and not any(cov[1:]) for cov in c.ineqs):
+        return []
     systems = [[(cov[0] * r, tuple(cov[1:])) for cov in c.ineqs]]
     for d in range(nv - 1, 0, -1):
         nxt = _eliminate(systems[-1], d)
@@ -180,6 +182,21 @@ def test_lattice_points_edge_cases_equal_dense():
         assert _outcome(lattice_points, c, r) == want
         assert _outcome(dense_lattice_points, c, r) == want
     assert lattice_points(empty, 1) == [{}]
+
+
+def test_lattice_points_honour_level_only_rows_at_every_size():
+    # r <= 0 empties the slice at r = 1 whatever the number of coordinates
+    one = make_cone(("r", "x"), [{"x": 1}, {"x": -1, "r": 1}, {"r": -1}])
+    two = make_cone(("r", "x", "y"), [
+        {"x": 1}, {"x": -1, "r": 1}, {"y": 1}, {"y": -1, "r": 1}, {"r": -1}])
+    none = make_cone(("r",), [{"r": -1}])
+    for c in (one, two, none):
+        assert lattice_points(c, 1) == []
+        assert dense_lattice_points(c, 1) == []
+    assert lattice_points(one, 0) == [{"x": 0}]
+    assert lattice_points(two, 0) == [{"x": 0, "y": 0}]
+    assert lattice_points(none, 0) == [{}]
+    assert dense_lattice_points(none, 0) == [{}]
 
 
 @settings(max_examples=200, deadline=None)

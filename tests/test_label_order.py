@@ -147,15 +147,37 @@ def test_vector_rows_in_subset_order(capsys, cmd):
 
 
 def test_valuation_order_breaks_ties_but_prints_in_lattice_order(capsys):
-    # --order cannot yet name comma faces, so this runs below n = 10
-    lattice = face_lattice(build_rectangles_model(3, 7))
-    rc, plain, _ = run_out(capsys, "valuation", "rect:3,7", "146")
+    for k, n, subset in [(3, 7, "146"), (3, 10, "1,4,6")]:
+        lattice = face_lattice(build_rectangles_model(k, n))
+        model = f"rect:{k},{n}"
+        rc, plain, _ = run_out(capsys, "valuation", model, subset)
+        assert rc == 0
+        rc, out, _ = run_out(capsys, "valuation", model, subset,
+                             "--order", ",".join(reversed(lattice)))
+        assert rc == 0
+        assert _pretty_labels(out) == list(lattice)
+        assert out == plain  # the rect valuation is unique; no tie to break
+
+
+def test_order_reads_comma_faces_beside_single_tokens(capsys):
+    # at n >= 10 a lattice label without a comma (q here) stands alone and
+    # every other token starts a face name of k tokens
+    rc, plain, _ = run_out(capsys, "superpotential", "--kn", "2,10", "--format", "json")
     assert rc == 0
-    rc, out, _ = run_out(capsys, "valuation", "rect:3,7", "146",
-                         "--order", ",".join(reversed(lattice)))
+    faces = [lab for lab in json.loads(plain)["lattice"] if lab != "q"][::-1]
+    order = faces[:3] + ["q"] + faces[3:]
+    rc, out, _ = run_out(capsys, "superpotential", "--kn", "2,10",
+                         "--format", "json", "--order", ",".join(order))
     assert rc == 0
-    assert _pretty_labels(out) == list(lattice)
-    assert out == plain  # the rect valuation is unique; no tie to break
+    assert json.loads(out)["lattice"] == order
+    faces = [str(j) for j in range(10, 1, -1)]  # k = 1: every face stands alone
+    rc, flow, _ = run_out(capsys, "flow", "rect:1,10", "3", "--format", "json",
+                          "--order", ",".join(faces))
+    assert rc == 0
+    assert json.loads(flow)["lattice"] == faces
+    for bad in (",".join(order) + ",1", ",".join(order[1:])):
+        rc, _out, err = run_out(capsys, "superpotential", "--kn", "2,10", "--order", bad)
+        assert rc == 2 and "--order" in err
 
 
 def test_no_body_and_mutate_rows_in_subset_order(capsys):

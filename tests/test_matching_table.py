@@ -146,7 +146,7 @@ def test_rectangles_matching_counts(kn, count):
 
 def test_enumeration_edge_cases():
     def bare(colors, edges):
-        return PlabicModel(1, 2, colors, edges, {}, {}, frozenset())
+        return PlabicModel(1, 2, colors, edges, {}, frozenset())
 
     assert plabic.enumerate_matchings(bare({}, {})) == [frozenset()]
     assert plabic.enumerate_matchings(bare({"a": "black"}, {})) == []

@@ -170,13 +170,12 @@ def test_square_move_guards():
 
 
 def test_square_move_rejects_labels_that_contradict_the_quiver():
-    # swapping the labels 14 and 24 leaves the quadrilateral face labelled
-    # 14 with out-neighbors 23 and 24, which share no exchange quadruple
+    # swapping the labels 14 and 24 contradicts the trips, so the file is
+    # refused on load, before any move could read the wrong labels
     text = SHARK_TEXT.replace(" 14\n", " @\n").replace(" 24\n", " 14\n")
-    m = load_model(text.replace(" @\n", " 24\n"))
     with pytest.raises(ModelInvariantError) as err:
-        square_move(m, (1, 4))
-    assert err.value.violation == "exchange-mismatch"
+        load_model(text.replace(" @\n", " 24\n"))
+    assert err.value.violation == "label-mismatch"
 
 
 def test_shark_square_move():
