@@ -38,22 +38,20 @@ def edge_lattice(model: PlabicModel) -> tuple[str, ...]:
 
 
 def face_lattice(model: PlabicModel) -> tuple[str, ...]:
-    """Face labels in subset order, star face omitted."""
+    """Face labels in subset order, star face omitted; named once per model."""
     an = analyze(model)
     star = an.faces[an.star].label
-    return tuple(format_ksubset(I, model.n) for I in an.lattice if I != star)
+    return an.derive("face lattice", lambda: tuple(
+        format_ksubset(I, model.n) for I in an.lattice if I != star))
 
 
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
     """Generating function of matchings with boundary value I, in edge
     variables; zero when I is not in the positroid.  It is built once per
-    model and I, then kept in the matching table."""
+    model and I."""
     I = tuple(I)
-    table = matching_table(model)
-    p = table._partitions.get(I)
-    if p is None:
-        p = table._partitions[I] = _partition_polynomial(model, I)
-    return p
+    return analyze(model).derive(
+        ("partition function", I), lambda: _partition_polynomial(model, I))
 
 
 def _partition_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
@@ -75,14 +73,11 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     face weight; the weight is independently recomputed from the flow
     decomposition (left-face counts), and the polynomial must have unique
     minimal and maximal exponents, both with coefficient 1.  It is built
-    and checked once per model and I, then kept in the matching table.
+    and checked once per model and I.
     """
     I = tuple(I)
-    table = matching_table(model)
-    f = table._flows.get(I)
-    if f is None:
-        f = table._flows[I] = _checked_flow_polynomial(model, I)
-    return f
+    return analyze(model).derive(
+        ("flow polynomial", I), lambda: _checked_flow_polynomial(model, I))
 
 
 def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
@@ -163,7 +158,10 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
 
 
 def three_term_relations(k: int, n: int):
-    """All (a, b, c, d, S) with S a (k-2)-subset and a<b<c<d outside S."""
+    """All (a, b, c, d, S) with S a (k-2)-subset and a<b<c<d outside S;
+    none when k < 2."""
+    if k < 2:
+        return
     for S in ksubsets(n, k - 2):
         rest = [x for x in range(1, n + 1) if x not in S]
         for a, b, c, d in combinations(rest, 4):

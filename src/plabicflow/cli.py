@@ -15,7 +15,8 @@ fixture, or ``rect:k,n``) or on a Grassmannian instance given as ``--kn k,n``:
 * ``verify`` — named verification suites with pass/fail reporting
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 model
-invariant violation.  Output is byte-deterministic for fixed inputs.
+invariant violation or internal consistency fault.  Output is
+byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 
 from . import charts, cones, plabic, seeds, superpot
 from .combinat import format_ksubset, ksubsets, parse_ksubset
-from .laurent import LaurentPoly, lp_equal
+from .laurent import LaurentPoly, NotLaurent, lp_equal
 from .plabic import ModelInvariantError, NotPlabicMutable, ParseError, PlabicModel
 from .seeds import NotMutable
 
@@ -49,10 +50,12 @@ def load_any_model(spec: str) -> PlabicModel:
         k, n = _parse_kn(spec[len("rect:"):])
         return plabic.build_rectangles_model(k, n)
     try:
-        with open(spec) as fh:
+        with open(spec, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read model {spec!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"model {spec!r} is not UTF-8 text: {exc}") from None
     return plabic.load_model(text)
 
 
@@ -195,6 +198,11 @@ def cmd_flow(args) -> int:
 
 def cmd_valuation(args) -> int:
     model, I = _model_and_subset(args)
+    if I not in plabic.positroid(model):
+        raise UsageError(
+            f"{format_ksubset(I, model.n)} is outside the model's positroid: "
+            "its flow polynomial is 0, which has no valuation"
+        )
     f = charts.flow_polynomial(model, I)
     # --order only breaks ties; the vector prints in lattice order
     v = charts.valuation(model, _reorder(f, args.order, model.k, model.n))
@@ -405,6 +413,8 @@ def _suite_xflow(k: int, n: int):
             _xcheck_one(model, j, moved)
             done.append(j)
     except ModelInvariantError as exc:
+        if exc.violation != "xcheck":
+            raise
         yield False, str(exc)
         return
     yield True, f"rect:{k},{n} flow/mutation agree at [{','.join(done)}]"
@@ -526,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, func, help=hlp)
         p.add_argument("model", help="model file, 'shark', or 'rect:k,n'")
         p.add_argument("subset", help="k-subset, e.g. 25 or 1,4,5,7")
-        p.add_argument("--order", help="comma-separated variable order override")
+        if name != "kappa":  # kappa prints a vector, in vertex order
+            p.add_argument("--order", help="comma-separated variable order override")
 
     p = add("mutate", cmd_mutate, help="mutate the seed along a vertex path")
     p.add_argument("model", help="model file, 'shark', or 'rect:k,n'")
@@ -601,7 +612,7 @@ def _run(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, ValueError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NotMutable, NotPlabicMutable) as exc:
@@ -612,6 +623,11 @@ def _run(argv) -> int:
         return 2
     except ModelInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, NotLaurent) as exc:
+        # bad input is refused as a UsageError where it is read, so these
+        # are faults of the package, not of the request
+        print(f"internal error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 from .combinat import KSubset, format_ksubset, ksubsets, rectangle_label
 from .laurent import LaurentPoly
@@ -303,8 +304,8 @@ class GTPattern:
 
 @lru_cache(maxsize=None)
 def kappa_table(k: int, n: int):
-    """Map from level-1 point ((label, value) pairs in ``gt_ambient``
-    order) to I."""
+    """Read-only map from level-1 point ((label, value) pairs in
+    ``gt_ambient`` order) to I."""
     s = rectangles_seed(k, n)
     star = s.quiver.star
     table = {}
@@ -312,7 +313,7 @@ def kappa_table(k: int, n: int):
         kv = kappa_vector(s, I)
         key = tuple((lab, c) for lab, c in kv.items() if lab != star)
         table[key] = I
-    return table
+    return MappingProxyType(table)
 
 
 def gt_decompose(pat: GTPattern) -> list[KSubset]:

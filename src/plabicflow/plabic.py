@@ -16,7 +16,7 @@ rectangles model of the (k, n) grid.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -62,18 +62,28 @@ End = tuple[str, object]
 # Edge keys are ("e", edge_id) for real edges, ("a", l) for boundary arcs.
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlabicModel:
+    """A model.  Its maps are read-only copies taken at construction, so
+    nothing derived from a model can go stale; ``analyze`` is the one
+    writer of ``_analysis``, which stays None until the model is analysed."""
+
     k: int
     n: int
-    colors: dict[str, str]  # internal node id -> BLACK | WHITE
-    edges: dict[str, tuple[End, End]]
-    rot: dict[str, tuple[str, ...]]  # node id -> CCW incident edge ids
+    colors: Mapping[str, str]  # internal node id -> BLACK | WHITE
+    edges: Mapping[str, tuple[End, End]]
+    rot: Mapping[str, tuple[str, ...]]  # node id -> CCW incident edge ids
     star_spec: frozenset  # the star's bounding edge ids, or {("gap", l)}
-    _analysis: object = field(default=None, repr=False, compare=False)
+    _analysis: Analysis | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "colors", MappingProxyType(dict(self.colors)))
+        object.__setattr__(self, "edges", MappingProxyType(dict(self.edges)))
+        object.__setattr__(self, "rot", MappingProxyType(
+            {v: tuple(r) for v, r in self.rot.items()}))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Face:
     index: int
     darts: tuple  # darts whose right side is this face, in orbit order
@@ -82,7 +92,7 @@ class Face:
     gap: int | None  # l when this is the gap face between stubs l, l+1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Analysis:
     faces: list[Face]
     face_of_dart: dict  # dart -> face index (outer face excluded)
@@ -94,8 +104,21 @@ class Analysis:
     anticlockwise: set[int]
     lattice: tuple[KSubset, ...]  # face labels in subset order
     adjacency: FaceAdjacency
-    # derived from the matchings on first request, see matching_table
-    table: "MatchingTable | None" = field(default=None, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def derive(self, key, build):
+        """The model's quantity named ``key``, made by ``build()`` on the
+        first request and kept for the model's lifetime.  Every quantity
+        derived from a model past its analysis (matching table, face graph
+        and weights, partition functions, flow polynomials, face names,
+        seed) is kept here and nowhere else.  A build that raises keeps
+        nothing, so the next request builds again."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        value = self._derived[key] = build()
+        return value
 
 
 class FaceAdjacency:
@@ -432,7 +455,7 @@ def analyze(model: PlabicModel) -> Analysis:
         tuple(sorted(label_to_face)),
         adjacency,
     )
-    model._analysis = analysis
+    object.__setattr__(model, "_analysis", analysis)
     return analysis
 
 
@@ -652,11 +675,8 @@ class MatchingTable:
     j-th edge of ``sorted(model.edges)``) and ``boundary[i]`` its boundary
     value, read from the mask at the boundary-stub bits; ``groups`` maps
     each boundary value to the indices of its matchings and ``positroid``
-    lists the boundary values in sorted order.  Face weights are filled per
-    boundary value by ``face_weights`` over the model's ``FaceGraph``, built
-    on the first such request; partition functions and checked flow
-    polynomials are filled by ``charts``.  The public fields are tuples and
-    a read-only mapping, so callers cannot change the table.
+    lists the boundary values in sorted order.  The public fields are
+    tuples and a read-only mapping, so callers cannot change the table.
     """
 
     def __init__(self, model: PlabicModel, matchings):
@@ -689,10 +709,6 @@ class MatchingTable:
             groups.setdefault(I, []).append(i)
         self.groups = MappingProxyType({I: tuple(ix) for I, ix in groups.items()})
         self.positroid: tuple[KSubset, ...] = tuple(sorted(groups))
-        self._graph: FaceGraph | None = None
-        self._weights: dict[KSubset, tuple[tuple[int, ...], ...]] = {}
-        self._partitions: dict = {}  # boundary value -> LaurentPoly
-        self._flows: dict = {}  # boundary value -> LaurentPoly
 
     def at(self, I) -> tuple[frozenset, ...]:
         """The matchings with boundary value I, in enumeration order."""
@@ -704,12 +720,10 @@ class MatchingTable:
 
 
 def matching_table(model: PlabicModel) -> MatchingTable:
-    """The model's matching table, built on first request and kept with
-    the model's analysis; later requests are lookups."""
-    an = analyze(model)
-    if an.table is None:
-        an.table = MatchingTable(model, enumerate_matchings(model))
-    return an.table
+    """The model's matching table, built from one enumeration on the first
+    request; later requests are lookups."""
+    return analyze(model).derive(
+        "matching table", lambda: MatchingTable(model, enumerate_matchings(model)))
 
 
 def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
@@ -886,12 +900,10 @@ class FaceGraph:
 
 
 def face_graph(model: PlabicModel) -> FaceGraph:
-    """The model's face graph, built on the first face-weight request and
-    kept in its matching table."""
+    """The model's face graph, built on the first face-weight request."""
     table = matching_table(model)
-    if table._graph is None:
-        table._graph = FaceGraph(model, table.masks[_base_index(table)])
-    return table._graph
+    return analyze(model).derive(
+        "face graph", lambda: FaceGraph(model, table.masks[_base_index(table)]))
 
 
 def face_weights(model: PlabicModel, I) -> tuple[tuple[int, ...], ...]:
@@ -899,17 +911,16 @@ def face_weights(model: PlabicModel, I) -> tuple[tuple[int, ...], ...]:
     base matching, in the order of ``matching_table(model).at(I)``.
 
     Each vector is indexed by face index.  It is computed on first request
-    for I and kept in the table, after the flow decomposition and the
-    dual-arrow system agree on it (``FaceGraph.weigh``).
+    for I, after the flow decomposition and the dual-arrow system agree on
+    it (``FaceGraph.weigh``).
     """
-    table = matching_table(model)
     I = tuple(I)
-    got = table._weights.get(I)
-    if got is None:
-        masks = table.masks_at(I)
-        got = tuple(map(face_graph(model).weigh, masks)) if masks else ()
-        table._weights[I] = got
-    return got
+
+    def build():
+        masks = matching_table(model).masks_at(I)
+        return tuple(map(face_graph(model).weigh, masks)) if masks else ()
+
+    return analyze(model).derive(("face weights", I), build)
 
 
 def weight_of_matching(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
@@ -1143,7 +1154,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
 
     # --- surgery on copies
     colors = dict(model.colors)
-    edges = {e: ends for e, ends in model.edges.items()}
+    edges = dict(model.edges)
     rot = {v: list(r) for v, r in model.rot.items()}
 
     taken_nodes = set(colors)
@@ -1227,7 +1238,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     # the star is a gap face (seed_of_model requires it frozen), so it keeps
     # its gap; every face but the moved one keeps its label
     result = PlabicModel(
-        model.k, model.n, colors, edges, {v: tuple(r) for v, r in rot.items()},
+        model.k, model.n, colors, edges, rot,
         frozenset({("gap", an.faces[an.star].gap)}),
     )
     got = analyze(result).lattice

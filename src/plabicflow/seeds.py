@@ -22,9 +22,10 @@ seed), so the exact-sequence identities survive mutation there.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .combinat import (
     KSubset,
@@ -93,17 +94,8 @@ def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
 
 
 def quiver_of_model(model: PlabicModel) -> Quiver:
-    """Dual quiver of a plabic model; faces are named by their label strings
-    and listed in the subset order of their labels."""
-    an = analyze(model)
-    name = {f.index: format_ksubset(f.label, model.n) for f in an.faces}
-    counts: dict[tuple[str, str], int] = {}
-    for _e, s, t in an.arrows:
-        key = (name[s], name[t])
-        counts[key] = counts.get(key, 0) + 1
-    frozen = frozenset(name[f.index] for f in an.faces if f.gap is not None)
-    vertices = [name[an.label_to_face[I]] for I in an.lattice]
-    return make_quiver(vertices, frozen, name[an.star], counts)
+    """Dual quiver of a plabic model: the quiver of its seed."""
+    return seed_of_model(model).quiver
 
 
 def mutable_vertices(q: Quiver) -> list[str]:
@@ -209,19 +201,35 @@ def _rename_vertex(q: Quiver, old: str, new: str, labels: dict[str, KSubset]) ->
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Seed:
     k: int
     n: int
     quiver: Quiver
-    labels: dict[str, KSubset]  # vertex name -> k-subset
+    labels: Mapping[str, KSubset]  # vertex name -> k-subset, a read-only copy
+
+    def __post_init__(self):
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
 
 
 def seed_of_model(model: PlabicModel) -> Seed:
+    """The seed of a model, derived once per model: its dual quiver, with
+    faces named by their label strings and listed in the subset order of
+    their labels, and the face labels."""
     an = analyze(model)
-    q = quiver_of_model(model)
-    labels = {format_ksubset(f.label, model.n): f.label for f in an.faces}
-    return Seed(model.k, model.n, q, labels)
+
+    def build():
+        name = {f.index: format_ksubset(f.label, model.n) for f in an.faces}
+        counts: dict[tuple[str, str], int] = {}
+        for _e, s, t in an.arrows:
+            key = (name[s], name[t])
+            counts[key] = counts.get(key, 0) + 1
+        frozen = frozenset(name[f.index] for f in an.faces if f.gap is not None)
+        vertices = [name[an.label_to_face[I]] for I in an.lattice]
+        q = make_quiver(vertices, frozen, name[an.star], counts)
+        return Seed(model.k, model.n, q, {name[f.index]: f.label for f in an.faces})
+
+    return an.derive("seed", build)
 
 
 @lru_cache(maxsize=None)
@@ -229,7 +237,7 @@ def rectangles_seed(k: int, n: int) -> Seed:
     return seed_of_model(build_rectangles_model(k, n))
 
 
-def exchange_label(q: Quiver, labels: dict[str, KSubset], j: str) -> KSubset:
+def exchange_label(q: Quiver, labels: Mapping[str, KSubset], j: str) -> KSubset:
     """The Plucker exchange partner of label j in its quiver neighborhood.
 
     The two in-neighbors must carry S+{a,b} and S+{c,d}, the two

@@ -428,3 +428,70 @@ def test_closed_stdout_exits_141_without_traceback(argv):
         os.close(w)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert proc.stderr == ""
+
+
+# ------------------------------------------------- exit codes of bad requests
+
+
+def test_valuation_outside_the_positroid_is_usage_error(capsys):
+    rc, out, err = run_out(capsys, "valuation", "shark", "45")
+    assert (rc, out) == (2, "")
+    assert err == ("error: 45 is outside the model's positroid: its flow "
+                   "polynomial is 0, which has no valuation\n")
+
+
+def test_non_utf8_model_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.plabic"
+    path.write_bytes(save_model(shark_model()).encode() + b"# caf\xe9\n")
+    rc, out, err = run_out(capsys, "flow", str(path), "25")
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: model '{path}' is not UTF-8 text: ")
+
+
+def test_kappa_has_no_order_option(capsys):
+    rc, out, err = run_out(capsys, "kappa", "shark", "35", "--order", "zz")
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --order zz" in err
+
+
+def test_value_error_inside_the_package_is_an_internal_fault(monkeypatch, capsys):
+    # an image over the moved model's lattice cannot be compared with the
+    # old flow polynomial: a fault of the package, not of the request
+    monkeypatch.setattr(cli.charts, "x_mutate", lambda q, j, f: lp_add(f, f))
+    rc, out, err = run_out(capsys, "xcheck", "rect:2,4")
+    assert (rc, out) == (3, "")
+    assert err.startswith("internal error: lattice mismatch: ")
+
+
+def test_plucker_at_k_1_has_no_relations_to_fail(capsys):
+    rc, out, _ = run_out(capsys, "verify", "plucker", "--kn", "1,4")
+    assert rc == 0
+    assert out == "PASS plucker: rect:1,4 all three-term relations, both charts\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "xflow", "--kn", "2,5"],
+    ["verify", "valuation-kappa", "--kn", "2,5"],
+    ["xcheck", "rect:2,5"],
+])
+def test_invariant_violation_inside_a_suite_exits_3(monkeypatch, capsys, argv):
+    real = cli.plabic.FaceGraph.flow_weights
+
+    def last_face_plus_one(graph, mask):
+        w = real(graph, mask)
+        w[-1] += 1
+        return w
+
+    monkeypatch.setattr(cli.plabic.FaceGraph, "flow_weights", last_face_plus_one)
+    rc, out, err = run_out(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert err.startswith("invariant violation: flow-weight-mismatch: ")
+
+
+def test_xflow_mismatch_is_verification_failure(monkeypatch, capsys):
+    real = cli.charts.x_mutate
+    monkeypatch.setattr(cli.charts, "x_mutate",
+                        lambda q, j, f: lp_add(real(q, j, f), real(q, j, f)))
+    rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,5")
+    assert (rc, err) == (1, "")
+    assert out == "FAIL xflow: xcheck: mutation at 13 disagrees with flows at I=12\n"

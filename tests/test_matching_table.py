@@ -339,16 +339,26 @@ def weighings(monkeypatch):
     return calls
 
 
-def test_weights_are_filled_per_boundary_value(weighings):
+def test_weights_are_filled_per_boundary_value(weighings, monkeypatch):
+    graphs = []
+    real = plabic.FaceGraph
+
+    def counted(*args):
+        graphs.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(plabic, "FaceGraph", counted)
     model = build_rectangles_model(3, 6)
     I = (2, 4, 6)
     partition_function(model, I)
     assert weighings == []  # a partition function needs no face weights
-    assert matching_table(model)._graph is None  # nor the face graph
+    assert graphs == []  # nor the face graph
     flow_polynomial(model, I)
     assert sorted(weighings) == sorted(matching_table(model).masks_at(I))
     flow_polynomial(model, I)
     assert len(weighings) == len(matching_table(model).at(I))
+    flow_polynomial(model, (1, 2, 3))
+    assert graphs == [model]  # one face graph serves every boundary value
 
 
 def test_every_matching_is_cross_checked_once(weighings):
