@@ -273,9 +273,14 @@ def lp_substitute(
 
     ``images`` maps every label of f's lattice to a pair (m, e) standing
     for x^m * u^e: m a sparse {label: exponent} monomial over u's lattice,
-    e an integer power of the one shared exchange binomial u.  Negative
-    powers of u are cleared with one global u^D and divided out exactly at
-    the end; a non-exact division raises NotLaurent.
+    e an integer power of the one shared exchange binomial u.  The terms of
+    f are grouped by their power E of u, each group a polynomial g_E.  The
+    groups with E >= 0 expand to the plain polynomial P = sum g_E u^E.  With
+    u^-D the lowest power (D = 0 when there is no negative one), the other
+    groups give N = sum g_E u^(E+D), and the image is P + N / u^D.  As
+    P u^D is a multiple of u^D, the image is Laurent exactly when u^D
+    divides P u^D + N, that is exactly when it divides N; so only N goes to
+    ``lp_exact_div``, and a non-exact division raises NotLaurent.
     """
     col = {lab: i for i, lab in enumerate(u.lattice)}
     sparse = []
@@ -303,17 +308,33 @@ def lp_substitute(
         group[key] = group.get(key, 0) + c
 
     D = max(0, -min(by_power, default=0))
-    out: dict[Exponent, int] = {}
-    power, p = LaurentPoly.one(u.lattice), 0
-    for E in sorted(by_power):
-        power = lp_mul(power, lp_pow(u, E + D - p))
-        p = E + D
-        for e1, c1 in by_power[E].items():
-            for e2, c2 in power.terms:
-                key = vec_add(e1, e2)
-                out[key] = out.get(key, 0) + c1 * c2
-    total = LaurentPoly.make(u.lattice, out)
-    return lp_exact_div(total, lp_pow(u, D)) if D else total
+    powers = [LaurentPoly.one(u.lattice)]
+
+    def power(p: int) -> LaurentPoly:
+        """u^p, each power one product from the one before."""
+        while len(powers) <= p:
+            powers.append(lp_mul(powers[-1], u))
+        return powers[p]
+
+    def expand(negative: bool) -> dict[Exponent, int]:
+        """P's terms, or with ``negative`` N's."""
+        out: dict[Exponent, int] = {}
+        for E, group in by_power.items():
+            if (E < 0) != negative:
+                continue
+            up = power(E + D if negative else E)
+            for e1, c1 in group.items():
+                for e2, c2 in up.terms:
+                    key = vec_add(e1, e2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    out = expand(negative=False)
+    if D:
+        quot = lp_exact_div(LaurentPoly.make(u.lattice, expand(negative=True)), power(D))
+        for e, c in quot.terms:
+            out[e] = out.get(e, 0) + c
+    return LaurentPoly.make(u.lattice, out)
 
 
 def lp_min_exponent(f: LaurentPoly, tiebreak: list[str] | None = None):

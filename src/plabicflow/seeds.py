@@ -134,44 +134,56 @@ def fz_mutate(q: Quiver, j: str) -> Quiver:
     b'_{uv} = -b_{uv} when j is an endpoint, else
     b'_{uv} = b_{uv} + sgn(b_{uj}) * max(b_{uj} b_{jv}, 0).
     Frozen-frozen arrows are copied through unchanged.
+
+    Only the neighbourhood of j changes.  The correction term is nonzero
+    only when b_{uj} and b_{jv} have the same sign: for u an in-neighbour
+    and v an out-neighbour of j, b'_{uv} gains b_{uj} b_{jv}, and by skew
+    symmetry b'_{vu} loses it.  So the entries are copied, those touching j
+    negated, and one product is added per in-/out-neighbour pair of j that
+    is not frozen-frozen.
     """
+    return make_quiver(q.vertices, q.frozen, q.star, _fz_counts(q, j))
+
+
+def _fz_counts(q: Quiver, j: str) -> dict[tuple[str, str], int]:
+    """Arrow counts of ``fz_mutate(q, j)``, by the neighbourhood rule."""
     if j not in set(q.vertices):
         raise ModelInvariantError("unknown-node", f"no vertex {j}")
     if j in q.frozen:
         raise NotMutable(f"vertex {j} is frozen")
+    frozen = q.frozen
     b = quiver_b_entries(q)
-    counts: dict[tuple[str, str], int] = {}
-    for u in q.vertices:
-        for v in q.vertices:
-            if u == v or (u in q.frozen and v in q.frozen):
+    ins = [(u, m) for (u, v), m in b.items() if v == j and m > 0]
+    outs = [(v, m) for (u, v), m in b.items() if u == j and m > 0]
+    b = {
+        (u, v): (-bb if j in (u, v) else bb)
+        for (u, v), bb in b.items()
+        if u not in frozen or v not in frozen
+    }
+    for u, mu in ins:
+        for v, mv in outs:
+            if u in frozen and v in frozen:
                 continue
-            buv = b.get((u, v), 0)
-            if u == j or v == j:
-                nb = -buv
-            else:
-                buj = b.get((u, j), 0)
-                bjv = b.get((j, v), 0)
-                sgn = (buj > 0) - (buj < 0)
-                nb = buv + sgn * max(buj * bjv, 0)
-            if nb > 0:
-                counts[(u, v)] = nb
+            c = mu * mv
+            b[(u, v)] = b.get((u, v), 0) + c
+            b[(v, u)] = b.get((v, u), 0) - c
+    counts = {pair: bb for pair, bb in b.items() if bb > 0}
     for u, v, mult in q.arrows:
-        if u in q.frozen and v in q.frozen:
+        if u in frozen and v in frozen:
             counts[(u, v)] = mult
-    return make_quiver(q.vertices, q.frozen, q.star, counts)
+    return counts
 
 
-def _dimer_mutate(q: Quiver, j: str) -> Quiver:
-    """Matrix mutation at j plus the dimer update of frozen-frozen arrows.
+def _corner_rule(q: Quiver, j: str, counts: dict[tuple[str, str], int]) -> None:
+    """The dimer update of frozen-frozen arrows after mutation at j.
 
+    ``counts`` are the arrow counts of ``fz_mutate(q, j)``, updated in place.
     Each 2-path u -> j -> v with both u and v frozen sits at a corner of
     the quadrilateral face dual to j, and the square move reverses the
     corner's third arrow v -> u to u -> v.  Seeds reachable from the
     rectangles seed always carry that arrow; its absence means the quiver
     is not the dual of a plabic model.
     """
-    base = fz_mutate(q, j)
-    counts = {(u, v): m for u, v, m in base.arrows}
     ins = [(u, m) for u, v, m in q.arrows if v == j and u in q.frozen]
     outs = [(v, m) for u, v, m in q.arrows if u == j and v in q.frozen]
     for u, mu in ins:
@@ -185,20 +197,6 @@ def _dimer_mutate(q: Quiver, j: str) -> Quiver:
                 )
             counts[(v, u)] = have - c
             counts[(u, v)] = counts.get((u, v), 0) + c
-    counts = {e: m for e, m in counts.items() if m > 0}
-    return make_quiver(q.vertices, q.frozen, q.star, counts)
-
-
-def _rename_vertex(q: Quiver, old: str, new: str, labels: dict[str, KSubset]) -> Quiver:
-    """Rename vertex old to new, placing it by the subset order of labels."""
-    rn = lambda x: new if x == old else x
-    counts = {(rn(u), rn(v)): m for u, v, m in q.arrows}
-    return make_quiver(
-        sorted(map(rn, q.vertices), key=labels.__getitem__),
-        [rn(v) for v in q.frozen],
-        rn(q.star),
-        counts,
-    )
 
 
 @dataclass(frozen=True)
@@ -281,7 +279,18 @@ def mutate_labels(s: Seed, j: str) -> Seed:
         )
     labels2 = {v: lab for v, lab in s.labels.items() if v != j}
     labels2[new_name] = new_label
-    q2 = _rename_vertex(_dimer_mutate(s.quiver, j), j, new_name, labels2)
+    # mutate on arrow counts, rename j to new_name, and place it by the subset
+    # order of the labels; the one make_quiver checks the result
+    q = s.quiver
+    rn = lambda x: new_name if x == j else x
+    counts = _fz_counts(q, j)
+    _corner_rule(q, j, counts)
+    q2 = make_quiver(
+        sorted(map(rn, q.vertices), key=labels2.__getitem__),
+        q.frozen,
+        q.star,
+        {(rn(u), rn(v)): m for (u, v), m in counts.items()},
+    )
     return Seed(s.k, s.n, q2, labels2)
 
 

@@ -187,6 +187,19 @@ def test_xcheck_unknown_face_is_usage_error(capsys, face):
     assert err == f"error: no face named '{face}'\n"
 
 
+@pytest.mark.parametrize("argv,face", [
+    (("mutate", "rect:2,4", "--mutations", "99"), "99"),
+    (("superpotential", "--kn", "2,4", "--mutations", "99"), "99"),
+    # the first move renames 24, so the second finds no face of that name
+    (("mutate", "shark", "--mutations", "24,24,24"), "24"),
+], ids=["mutate", "superpotential", "mutate-renamed"])
+def test_unknown_face_is_usage_error_as_in_xcheck(capsys, argv, face):
+    rc, out, err = run_out(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: no face named '{face}'\n"
+
+
 def test_gt_cone_json(capsys):
     rc, out, _ = run_out(capsys, "gt-cone", "--kn", "2,4", "--format", "json")
     assert rc == 0
@@ -231,6 +244,31 @@ def test_negative_level_is_usage_error(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "--level must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (("gt-cone", "--kn", "2,4", "--level", "1000"), "84,001,919,001 lattice points by level 1000"),
+    # levels 0..29 of (2,4) already pass the budget; nothing is printed
+    (("verify", "weyl-count", "--kn", "2,4", "--level", "1000"), "515,592 lattice points by level 29"),
+    (("verify", "all", "--kn", "2,5", "--level", "100"), "596,904 lattice points by level 15"),
+], ids=["gt-cone", "weyl-count", "verify-all"])
+def test_point_budget_refuses_large_slices(capsys, argv, needs):
+    rc, out, err = run_out(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert needs in err
+    assert "past the point budget of 500,000" in err
+
+
+def test_point_budget_is_inclusive(monkeypatch, capsys):
+    # (2,5) has 50 points at level 2, and 1 + 10 + 50 up to it
+    monkeypatch.setattr(cli, "POINT_BUDGET", 50)
+    assert run_out(capsys, "gt-cone", "--kn", "2,5", "--level", "2")[0] == 0
+    assert run_out(capsys, "verify", "weyl-count", "--kn", "2,5")[0] == 2
+    monkeypatch.setattr(cli, "POINT_BUDGET", 61)
+    assert run_out(capsys, "verify", "weyl-count", "--kn", "2,5")[0] == 0
+    monkeypatch.setattr(cli, "POINT_BUDGET", 49)
+    assert run_out(capsys, "gt-cone", "--kn", "2,5", "--level", "2")[0] == 2
 
 
 def test_no_body_csv(capsys):

@@ -2,12 +2,13 @@
 
 Every command of README's CLI block is run in ``--format pretty`` and
 ``--format json``; its exit code and the sha256 of its stdout are pinned.
-A change to the computation that is meant to leave the output alone must
-leave every pin alone.  To re-pin after an intended output change, run
+So are a few longer exchange paths (``EXCHANGE_PATHS``).  A change to the
+computation that is meant to leave the output alone must leave every pin
+alone.  To re-pin after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and paste the printed table over ``GOLDEN``.
+and paste the printed tables over ``GOLDEN`` and ``EXCHANGE_PATHS``.
 """
 
 import contextlib
@@ -80,6 +81,20 @@ GOLDEN = {
         (0, 'dacf549e9e1809e48a4edd0d4106780210944ab0f68e3fc040aa7fce11a8b400'),
 }
 
+# Five-step exchange paths through the Laurent substitution and the seed
+# mutation: on the superpotential path every substitution divides by a
+# power of the exchange binomial, on the xcheck path 55 of 175 do.
+EXCHANGE_PATHS = {
+    ('superpotential --kn 4,9 --mutations 1238,1237,1278,1345,1679', 'pretty'):
+        (0, '17f5b3755f80ba77fc00c1aa5396cc6a02582dc1c4b2568768f8c1631bace890'),
+    ('superpotential --kn 4,9 --mutations 1238,1237,1278,1345,1679', 'json'):
+        (0, '0427b6bcbc5989b34ebd6a3ad32bb928ad108c41aab47caf43a2466e372c9dab'),
+    ('mutate rect:4,9 --mutations 1238,1237,1278,1345,1679', 'json'):
+        (0, 'a7a5718248324a6754d9f591fb684f0bbe129ba535e49b76863fbb9fd31d41e5'),
+    ('xcheck rect:3,7 --mutations 125,156,126,145,467', 'pretty'):
+        (0, '082623ae3cfb57c9524c27932fba81e948fc47409352f0a731d77427d70b9bfa'),
+}
+
 
 def readme_commands() -> list[str]:
     """The ``plabicflow ...`` lines of README's CLI block, comments cut."""
@@ -112,10 +127,19 @@ def test_output_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == GOLDEN[command, fmt]
 
 
-if __name__ == "__main__":
-    print("GOLDEN = {")
-    for command in readme_commands():
-        for fmt in FORMATS:
-            rc, digest = run_hashed(command, fmt)
-            print(f"    ({command!r}, {fmt!r}):\n        ({rc}, {digest!r}),")
+@pytest.mark.parametrize("command,fmt", sorted(EXCHANGE_PATHS))
+def test_exchange_path_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == EXCHANGE_PATHS[command, fmt]
+
+
+def print_table(name, pins):
+    print(f"{name} = {{")
+    for command, fmt in pins:
+        rc, digest = run_hashed(command, fmt)
+        print(f"    ({command!r}, {fmt!r}):\n        ({rc}, {digest!r}),")
     print("}")
+
+
+if __name__ == "__main__":
+    print_table("GOLDEN", [(c, f) for c in readme_commands() for f in FORMATS])
+    print_table("EXCHANGE_PATHS", list(EXCHANGE_PATHS))

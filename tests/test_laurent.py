@@ -180,3 +180,70 @@ def test_substitute_requires_monomial_denominators():
         lp_substitute(lp_mul(f, CLEAR), IMAGES, BINOM),
         LaurentPoly.make(TARGET, {(-1, 0): 1, (-1, 1): 2, (-1, 2): 1}),
     )
+
+
+def global_substitute(f, images, u):
+    """The substitution route that dividing only the negative part replaced:
+    clear every negative power of u with one global u^D, expand all of f,
+    and divide the whole product by u^D."""
+    col = {lab: i for i, lab in enumerate(u.lattice)}
+    d = len(u.lattice)
+    by_power = {}
+    for exp, c in f.terms:
+        mono = [0] * d
+        E = 0
+        for lab, x in zip(f.lattice, exp):
+            m, e = images[lab]
+            for y, v in m.items():
+                mono[col[y]] += x * v
+            E += x * e
+        group = by_power.setdefault(E, {})
+        group[tuple(mono)] = group.get(tuple(mono), 0) + c
+    D = max(0, -min(by_power, default=0))
+    total = LaurentPoly.zero(u.lattice)
+    for E, group in by_power.items():
+        total = lp_add(total, lp_mul(LaurentPoly.make(u.lattice, group), lp_pow(u, E + D)))
+    return lp_exact_div(total, lp_pow(u, D)) if D else total
+
+
+SOURCE = ("a", "b", "c", "d")
+TARGET3 = ("x", "y", "z")
+small_exps = st.tuples(*(st.integers(-2, 2) for _ in TARGET3))
+
+
+@st.composite
+def substitutions(draw):
+    """(f, images, u): u = s*x^p + t*x^q a random binomial; b and c map to
+    x^p and x^q, so s*b + t*c maps to u itself and f = F * (s*b + t*c)^h
+    clears up to h negative powers of u; a and d map to random monomials
+    times u^e with e of either sign."""
+    p = draw(small_exps)
+    q = draw(small_exps.filter(lambda e: e != p))
+    s, t = (draw(st.sampled_from([-2, -1, 1, 3])) for _ in range(2))
+    u = LaurentPoly.make(TARGET3, {p: s, q: t})
+    images = {"b": (dict(zip(TARGET3, p)), 0), "c": (dict(zip(TARGET3, q)), 0)}
+    for lab in ("a", "d"):
+        images[lab] = (dict(zip(TARGET3, draw(small_exps))), draw(st.integers(-2, 2)))
+    F = LaurentPoly.make(SOURCE, draw(st.dictionaries(
+        st.tuples(*(st.integers(-2, 2) for _ in SOURCE)),
+        st.integers(-4, 4).filter(bool), min_size=1, max_size=6)))
+    if draw(st.integers(0, 9)) == 9:
+        F = LaurentPoly.zero(SOURCE)
+    H = LaurentPoly.make(SOURCE, {(0, 1, 0, 0): s, (0, 0, 1, 0): t})
+    return lp_mul(F, lp_pow(H, draw(st.integers(0, 4)))), images, u
+
+
+@given(substitutions())
+@settings(max_examples=300)
+def test_substitute_equals_global_division(case):
+    # the same polynomial, or NotLaurent on both sides; the strategy gives
+    # f = 0, images without negative powers of u (D = 0), and D > 0 both
+    # divisible and not
+    f, images, u = case
+    try:
+        want = global_substitute(f, images, u)
+    except NotLaurent:
+        with pytest.raises(NotLaurent):
+            lp_substitute(f, images, u)
+        return
+    assert lp_substitute(f, images, u) == want

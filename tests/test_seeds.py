@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from plabicflow import seeds
 from plabicflow.combinat import format_ksubset, ksubsets
 from plabicflow.plabic import (
     ModelInvariantError,
@@ -89,6 +92,60 @@ def test_fz_mutate_24():
     assert mutation_entries(q3) == mutation_entries(q)
     with pytest.raises(NotMutable):
         fz_mutate(q, "12")
+
+
+def dense_fz_mutate(q, j):
+    """The matrix rule over every vertex pair, which the neighbourhood rule
+    of ``fz_mutate`` replaced."""
+    b = quiver_b_entries(q)
+    counts = {}
+    for u in q.vertices:
+        for v in q.vertices:
+            if u == v or (u in q.frozen and v in q.frozen):
+                continue
+            buv = b.get((u, v), 0)
+            if u == j or v == j:
+                nb = -buv
+            else:
+                buj = b.get((u, j), 0)
+                bjv = b.get((j, v), 0)
+                sgn = (buj > 0) - (buj < 0)
+                nb = buv + sgn * max(buj * bjv, 0)
+            if nb > 0:
+                counts[(u, v)] = nb
+    for u, v, mult in q.arrows:
+        if u in q.frozen and v in q.frozen:
+            counts[(u, v)] = mult
+    return make_quiver(q.vertices, q.frozen, q.star, counts)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (3, 7), (4, 8), (4, 9)])
+def test_fz_mutate_equals_dense_rule_on_random_walks(k, n):
+    # seeded walks of mutations at any mutable vertex, never straight back,
+    # leave the plabic seeds; at k = 4 (infinite type) arrows of
+    # multiplicity above 1 occur along them
+    rng = random.Random(0)
+    top = 1
+    for _walk in range(4):
+        q, last = rectangles_seed(k, n).quiver, None
+        for _step in range(25):
+            for j in mutable_vertices(q):
+                assert fz_mutate(q, j) == dense_fz_mutate(q, j)
+            last = rng.choice([j for j in mutable_vertices(q) if j != last])
+            q = fz_mutate(q, last)
+            top = max([top] + [m for _u, _v, m in q.arrows])
+    assert top > 1 or k < 4
+
+
+def test_mutate_labels_builds_one_quiver(monkeypatch):
+    s = rectangles_seed(3, 7)
+    built = []
+    real = seeds.make_quiver
+    monkeypatch.setattr(seeds, "make_quiver", lambda *a: built.append(a) or real(*a))
+    for j, _moved in seed_mutations(s):
+        built.clear()
+        seeds.mutate_labels(s, j)
+        assert len(built) == 1
 
 
 def test_seed_and_mutate_labels():
