@@ -30,7 +30,7 @@ import random
 import sys
 
 from . import charts, cones, plabic, seeds, superpot
-from .combinat import format_ksubset, ksubsets, parse_ksubset
+from .combinat import KSubset, format_ksubset, ksubsets, parse_ksubset
 from .laurent import LaurentPoly, NotLaurent, lp_equal
 from .plabic import ModelInvariantError, NotPlabicMutable, ParseError, PlabicModel
 from .seeds import NotMutable
@@ -270,25 +270,21 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-def _xcheck_one(model: PlabicModel, j: str, moved: PlabicModel) -> int:
-    """Check one square move at the face named j; returns #boundaries.
-
-    The identity checked: mutation at j carries each flow polynomial of the
-    moved model back to the one computed on the original model.
-    """
+def _xcheck_one(model: PlabicModel, j: str, moved: PlabicModel) -> KSubset | None:
+    """The first boundary value I at which mutation at the face named j does
+    not carry the moved model's flow polynomial back to the one computed on
+    the original model, or None when it carries every one."""
     q = seeds.quiver_of_model(model)
-    checked = 0
     for I in plabic.positroid(model):
         f_old = charts.flow_polynomial(model, I)
         image = charts.x_mutate(q, j, charts.flow_polynomial(moved, I))
         if not lp_equal(image, f_old):
-            raise ModelInvariantError(
-                "xcheck",
-                f"mutation at {j} disagrees with flows at "
-                f"I={format_ksubset(I, model.n)}",
-            )
-        checked += 1
-    return checked
+            return I
+    return None
+
+
+def _xcheck_mismatch(j: str, I: KSubset, n: int) -> str:
+    return f"mutation at {j} disagrees with flows at I={format_ksubset(I, n)}"
 
 
 def cmd_xcheck(args) -> int:
@@ -304,15 +300,12 @@ def cmd_xcheck(args) -> int:
         s = seeds.seed_of_model(cur)
         _require_face(s, j)
         moved = plabic.square_move(cur, s.labels[j])
-        try:
-            nb = _xcheck_one(cur, j, moved)
-        except ModelInvariantError as exc:
-            if exc.violation == "xcheck":
-                print(f"FAIL xcheck {j}: {exc.detail}")
-                return 1
-            raise
+        I = _xcheck_one(cur, j, moved)
+        if I is not None:
+            print(f"FAIL xcheck {j}: {_xcheck_mismatch(j, I, cur.n)}")
+            return 1
+        print(f"PASS xcheck {j} ({len(plabic.positroid(cur))} boundary values)")
         cur = moved
-        print(f"PASS xcheck {j} ({nb} boundary values)")
     return 0
 
 
@@ -336,10 +329,9 @@ def cmd_gt_cone(args) -> int:
             out.writerows(cone.ineqs)
         return 0
     _check_point_budget(k, n, [level], "gt-cone --level")
-    pts = cones.lattice_points(cone, level)
-    rows = sorted(
-        (level,) + tuple(p[l] for l in cone.ambient[1:]) for p in pts
-    )
+    # lattice_points enumerates in lexicographic order, so the rows come sorted
+    rows = [(level,) + tuple(p[l] for l in cone.ambient[1:])
+            for p in cones.lattice_points(cone, level)]
     if args.format == "json":
         _emit_json({
             "ambient": list(cone.ambient),
@@ -393,17 +385,17 @@ def cmd_wx(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-def _suite_plucker(k: int, n: int):
-    model = plabic.build_rectangles_model(k, n)
-    for rel in charts.three_term_relations(k, n):
+def _suite_plucker(model: PlabicModel, tag: str, level: int):
+    for rel in charts.three_term_relations(model.k, model.n):
         if not charts.plucker_verify(model, rel, chart="both"):
             a, b, c, d, S = rel
-            yield False, f"relation ({a},{b},{c},{d};S={S}) fails on rect:{k},{n}"
-            return
-    yield True, f"rect:{k},{n} all three-term relations, both charts"
+            return False, f"relation ({a},{b},{c},{d};S={S}) fails on {tag}"
+    return True, f"{tag} all three-term relations, both charts"
 
 
-def _val_kappa_all(model: PlabicModel, tag: str):
+def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
+    """The FAIL detail of the first boundary value whose flow valuation is
+    not its κ vector, or None."""
     s = seeds.seed_of_model(model)
     for I in plabic.positroid(model):
         f = charts.flow_polynomial(model, I)
@@ -411,45 +403,37 @@ def _val_kappa_all(model: PlabicModel, tag: str):
         kv = {a: b for a, b in seeds.kappa_vector(s, I).items()
               if a != s.quiver.star}
         if v != kv:
-            return False, f"{tag}: I={format_ksubset(I, model.n)} valuation {v} != kappa {kv}"
-    return True, tag
+            return f"{tag}: I={format_ksubset(I, model.n)} valuation {v} != kappa {kv}"
+    return None
 
 
-def _suite_valuation_kappa(k: int, n: int):
-    model = plabic.build_rectangles_model(k, n)
-    ok, detail = _val_kappa_all(model, f"rect:{k},{n}")
-    if not ok:
-        yield ok, detail
-        return
+def _suite_valuation_kappa(model: PlabicModel, tag: str, level: int):
+    bad = _val_kappa_mismatch(model, tag)
+    if bad:
+        return False, bad
     moves = []
-    for j, m2 in plabic.square_moves(model):
-        ok, detail = _val_kappa_all(m2, f"rect:{k},{n} after move {j}")
-        if not ok:
-            yield ok, detail
-            return
+    for j, moved in plabic.square_moves(model):
+        bad = _val_kappa_mismatch(moved, f"{tag} after move {j}")
+        if bad:
+            return False, bad
         moves.append(j)
-    yield True, f"rect:{k},{n} base and after moves [{','.join(moves)}]"
+    return True, f"{tag} base and after moves [{','.join(moves)}]"
 
 
-def _suite_xflow(k: int, n: int):
-    model = plabic.build_rectangles_model(k, n)
+def _suite_xflow(model: PlabicModel, tag: str, level: int):
     done = []
-    try:
-        for j, moved in plabic.square_moves(model):
-            _xcheck_one(model, j, moved)
-            done.append(j)
-    except ModelInvariantError as exc:
-        if exc.violation != "xcheck":
-            raise
-        yield False, str(exc)
-        return
-    yield True, f"rect:{k},{n} flow/mutation agree at [{','.join(done)}]"
+    for j, moved in plabic.square_moves(model):
+        I = _xcheck_one(model, j, moved)
+        if I is not None:
+            return False, f"xcheck: {_xcheck_mismatch(j, I, model.n)}"
+        done.append(j)
+    return True, f"{tag} flow/mutation agree at [{','.join(done)}]"
 
 
-def _suite_trop_a(k: int, n: int):
-    s = seeds.rectangles_seed(k, n)
+def _suite_trop_a(model: PlabicModel, tag: str, level: int):
+    s = seeds.seed_of_model(model)
     q = s.quiver
-    base = {I: seeds.kappa_vector(s, I) for I in ksubsets(n, k)}
+    base = {I: seeds.kappa_vector(s, I) for I in ksubsets(s.n, s.k)}
     for j, s2 in seeds.seed_mutations(s):
         j2 = next(iter(set(s2.labels) - set(s.labels)))
         for I, kv in base.items():
@@ -457,59 +441,52 @@ def _suite_trop_a(k: int, n: int):
             want = seeds.kappa_vector(s2, I)
             want = {j if a == j2 else a: b for a, b in want.items()}
             if moved != want:
-                yield False, (
-                    f"rect:{k},{n} at {j}, I={format_ksubset(I, n)}: "
-                    f"{moved} != {want}"
-                )
-                return
+                return False, f"{tag} at {j}, I={format_ksubset(I, s.n)}: {moved} != {want}"
         rng = random.Random(0)
         for _ in range(50):
             v = {x: rng.randint(-5, 5) for x in q.vertices}
             v[q.star] = 0
             if seeds.trop_a_mutate(q, j, seeds.trop_a_mutate(q, j, v)) != v:
-                yield False, f"rect:{k},{n} at {j}: double mutation moved {v}"
-                return
-    yield True, f"rect:{k},{n} kappa-compatibility and involution"
+                return False, f"{tag} at {j}: double mutation moved {v}"
+    return True, f"{tag} kappa-compatibility and involution"
 
 
-def _suite_gt_trop(k: int, n: int):
-    s = seeds.rectangles_seed(k, n)
-    cw = cones.cone_from_tropical(superpot.w_rectangles(k, n).poly, s.quiver.star)
-    cg = cones.gt_inequalities(k, n)
-    if cw != cg:
-        yield False, f"rect:{k},{n}: tropical cone differs from inequality cone"
-        return
-    yield True, f"rect:{k},{n} tropicalized potential equals the pattern cone"
+def _suite_gt_trop(model: PlabicModel, tag: str, level: int):
+    k, n = model.k, model.n
+    star = seeds.rectangles_seed(k, n).quiver.star
+    cw = cones.cone_from_tropical(superpot.w_rectangles(k, n).poly, star)
+    if cw != cones.gt_inequalities(k, n):
+        return False, f"{tag}: tropical cone differs from inequality cone"
+    return True, f"{tag} tropicalized potential equals the pattern cone"
 
 
-def _suite_wformula(k: int, n: int):
-    if superpot.verify_wformula(k, n):
-        yield True, f"rect:{k},{n} boundary-module expansion equals the potential"
-    else:
-        lhs, rhs = superpot.wformula_sides(k, n)
-        yield False, f"rect:{k},{n}: {lhs.pretty('p')} != {rhs.pretty('p')}"
+def _suite_wformula(model: PlabicModel, tag: str, level: int):
+    if superpot.verify_wformula(model.k, model.n):
+        return True, f"{tag} boundary-module expansion equals the potential"
+    lhs, rhs = superpot.wformula_sides(model.k, model.n)
+    return False, f"{tag}: {lhs.pretty('p')} != {rhs.pretty('p')}"
 
 
-def _suite_weyl_count(k: int, n: int, level: int):
+def _suite_weyl_count(model: PlabicModel, tag: str, level: int):
+    k, n = model.k, model.n
     cone = cones.gt_inequalities(k, n)
     for r in range(level + 1):
         got = len(cones.lattice_points(cone, r))
         want = cones.weyl_dim(k, n, r)
         if got != want:
-            yield False, f"rect:{k},{n} level {r}: {got} points != dimension {want}"
-            return
-    yield True, f"rect:{k},{n} point counts match dimensions for levels 0..{level}"
+            return False, f"{tag} level {r}: {got} points != dimension {want}"
+    return True, f"{tag} point counts match dimensions for levels 0..{level}"
 
 
-# suite name -> suite(k, n, level); the names resolve at call time
+# suite name -> suite(model, tag, level) -> (ok, detail)
 SUITES = {
-    "plucker": lambda k, n, level: _suite_plucker(k, n),
-    "valuation-kappa": lambda k, n, level: _suite_valuation_kappa(k, n),
-    "xflow": lambda k, n, level: _suite_xflow(k, n),
-    "trop-a": lambda k, n, level: _suite_trop_a(k, n),
-    "gt-trop": lambda k, n, level: _suite_gt_trop(k, n),
-    "wformula": lambda k, n, level: _suite_wformula(k, n),
-    "weyl-count": lambda k, n, level: _suite_weyl_count(k, n, level),
+    "plucker": _suite_plucker,
+    "valuation-kappa": _suite_valuation_kappa,
+    "xflow": _suite_xflow,
+    "trop-a": _suite_trop_a,
+    "gt-trop": _suite_gt_trop,
+    "wformula": _suite_wformula,
+    "weyl-count": _suite_weyl_count,
 }
 
 
@@ -530,10 +507,12 @@ def cmd_verify(args) -> int:
             _check_point_budget(k, n, range(level + 1), "verify weyl-count")
     all_ok = True
     for k, n in instances:
+        # one model per instance, shared by the suites and their memos
+        model = plabic.build_rectangles_model(k, n)
         for suite in chosen:
-            for ok, detail in SUITES[suite](k, n, level):
-                print(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
-                all_ok = all_ok and ok
+            ok, detail = SUITES[suite](model, f"rect:{k},{n}", level)
+            print(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
+            all_ok = all_ok and ok
     return 0 if all_ok else 1
 
 

@@ -21,10 +21,6 @@ class NotLaurent(ArithmeticError):
     """Division or substitution result is not a Laurent polynomial."""
 
 
-class NotInvertible(ArithmeticError):
-    """A negative power of a non-invertible image was requested."""
-
-
 Exponent = tuple[int, ...]
 
 
@@ -188,10 +184,6 @@ def lp_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.make(f.lattice, out)
 
 
-def lp_neg(f: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly.make(f.lattice, {e: -c for e, c in f.terms})
-
-
 def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     _require_same_lattice(f, g)
     out: dict[Exponent, int] = {}
@@ -200,24 +192,6 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
             e = vec_add(e1, e2)
             out[e] = out.get(e, 0) + c1 * c2
     return LaurentPoly.make(f.lattice, out)
-
-
-def lp_pow(f: LaurentPoly, e: int) -> LaurentPoly:
-    if e < 0:
-        if f.is_monomial():
-            (m, c) = f.terms[0]
-            if abs(c) != 1:
-                raise NotInvertible(f"coefficient {c} not invertible")
-            return LaurentPoly.make(f.lattice, {vec_scale(m, e): c**e})
-        raise NotInvertible("negative power of a non-monomial")
-    out = LaurentPoly.one(f.lattice)
-    base = f
-    while e:
-        if e & 1:
-            out = lp_mul(out, base)
-        base = lp_mul(base, base) if e > 1 else base
-        e >>= 1
-    return out
 
 
 def lp_equal(f: LaurentPoly, g: LaurentPoly) -> bool:

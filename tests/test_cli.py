@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import plabicflow
-from plabicflow import cli, seeds
+from plabicflow import charts, cli, cones, seeds, superpot
 from plabicflow.combinat import ksubsets
 from plabicflow.laurent import lp_add
 from plabicflow.plabic import save_model, shark_model
@@ -348,10 +348,12 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
 
 
 def test_verify_repeated_kn_fails_if_any_instance_fails(monkeypatch, capsys):
-    real = cli._suite_plucker
-    monkeypatch.setattr(
-        cli, "_suite_plucker",
-        lambda k, n: [(False, "forced failure")] if n == 5 else real(k, n),
+    real = cli.SUITES["plucker"]
+    monkeypatch.setitem(
+        cli.SUITES, "plucker",
+        lambda model, tag, level: (
+            (False, "forced failure") if model.n == 5 else real(model, tag, level)
+        ),
     )
     rc, out, _ = run_out(capsys, "verify", "plucker", "--kn", "2,4", "--kn", "2,5")
     assert rc == 1
@@ -362,8 +364,8 @@ def test_verify_repeated_kn_fails_if_any_instance_fails(monkeypatch, capsys):
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(
-        cli, "_suite_plucker", lambda k, n: [(False, "forced failure")]
+    monkeypatch.setitem(
+        cli.SUITES, "plucker", lambda model, tag, level: (False, "forced failure")
     )
     rc, out, _ = run_out(capsys, "verify", "plucker")
     assert rc == 1
@@ -533,3 +535,75 @@ def test_xflow_mismatch_is_verification_failure(monkeypatch, capsys):
     rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,5")
     assert (rc, err) == (1, "")
     assert out == "FAIL xflow: xcheck: mutation at 13 disagrees with flows at I=12\n"
+
+
+# ------------------------------------------------- forced failures per suite
+# Each patches one kernel the suite calls and pins the FAIL line and exit 1.
+
+
+def test_valuation_kappa_mismatch_is_verification_failure(monkeypatch, capsys):
+    real = charts.valuation
+
+    def first_plus_one(model, f):
+        v = real(model, f)
+        return {**v, f.lattice[0]: v[f.lattice[0]] + 1}
+
+    monkeypatch.setattr(charts, "valuation", first_plus_one)
+    rc, out, err = run_out(capsys, "verify", "valuation-kappa", "--kn", "2,4")
+    assert (rc, err) == (1, "")
+    assert out == (
+        "FAIL valuation-kappa: rect:2,4: I=12 valuation "
+        "{'13': 2, '14': 1, '23': 1, '34': 2} != kappa "
+        "{'13': 1, '14': 1, '23': 1, '34': 2}\n"
+    )
+
+
+def test_trop_a_mismatch_is_verification_failure(monkeypatch, capsys):
+    monkeypatch.setattr(seeds, "trop_a_mutate", lambda q, j, v: dict(v))
+    rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "2,4")
+    assert (rc, err) == (1, "")
+    assert out == (
+        "FAIL trop-a: rect:2,4 at 13, I=13: "
+        "{'12': 0, '13': 0, '14': 1, '23': 1, '34': 1} != "
+        "{'12': 0, '14': 1, '23': 1, '13': 1, '34': 1}\n"
+    )
+
+
+def test_gt_trop_mismatch_is_verification_failure(monkeypatch, capsys):
+    real = cones.gt_inequalities
+
+    def first_dropped(k, n):
+        c = real(k, n)
+        return cones.Cone(c.ambient, c.ineqs[1:])
+
+    monkeypatch.setattr(cones, "gt_inequalities", first_dropped)
+    rc, out, err = run_out(capsys, "verify", "gt-trop", "--kn", "2,4")
+    assert (rc, err) == (1, "")
+    assert out == "FAIL gt-trop: rect:2,4: tropical cone differs from inequality cone\n"
+
+
+def test_wformula_mismatch_is_verification_failure(monkeypatch, capsys):
+    real = superpot.wformula_sides
+
+    def doubled_rhs(k, n):
+        lhs, rhs = real(k, n)
+        return lhs, lp_add(rhs, rhs)
+
+    monkeypatch.setattr(superpot, "wformula_sides", doubled_rhs)
+    rc, out, err = run_out(capsys, "verify", "wformula", "--kn", "2,4")
+    assert (rc, err) == (1, "")
+    terms = ("p23*p34^2", "p14*p34^2", "p14*p23^2*p34", "p14^2*p23*p34",
+             "p13^2*p14*p23*p34", "q*p13^2*p14*p23")
+    denom = "p13^-1*p14^-1*p23^-1*p34^-1"
+    assert out == (
+        f"FAIL wformula: rect:2,4: {denom}*({'+'.join(terms)}) != "
+        f"{denom}*({'+'.join('2*' + t for t in terms)})\n"
+    )
+
+
+def test_weyl_count_mismatch_is_verification_failure(monkeypatch, capsys):
+    real = cones.weyl_dim
+    monkeypatch.setattr(cones, "weyl_dim", lambda k, n, r: real(k, n, r) + (r == 1))
+    rc, out, err = run_out(capsys, "verify", "weyl-count", "--kn", "2,4")
+    assert (rc, err) == (1, "")
+    assert out == "FAIL weyl-count: rect:2,4 level 1: 6 points != dimension 7\n"

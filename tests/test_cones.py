@@ -167,6 +167,16 @@ def test_lattice_points_equal_dense_on_gt_cones(k, n):
         assert len(got) == weyl_dim(k, n, r)
 
 
+@pytest.mark.parametrize("k,n,r", [(2, 4, 3), (2, 5, 2), (3, 6, 2), (3, 7, 2),
+                                   (4, 8, 2), (4, 8, 3)])
+def test_lattice_points_come_sorted_without_repeats(k, n, r):
+    # `gt-cone --level` prints the points in the order they are enumerated
+    c = gt_inequalities(k, n)
+    rows = [tuple(p[l] for l in c.ambient[1:]) for p in lattice_points(c, r)]
+    assert rows == sorted(set(rows))
+    assert len(rows) == weyl_dim(k, n, r)
+
+
 def test_lattice_points_edge_cases_equal_dense():
     # infeasible: eliminating y meets y >= r and y <= 0 at r = 1
     infeasible = make_cone(("r", "x", "y"), [

@@ -320,6 +320,13 @@ def test_cli_commands_enumerate_once_per_model(enumerations, capsys):
     capsys.readouterr()
     assert set(enumerations.values()) == {1}
     assert len(enumerations) == 3 + 3 + 1
+    enumerations.clear()
+    # one rect:3,6 model serves plucker, valuation-kappa and xflow; each of
+    # the two move suites builds the three moved models anew
+    assert cli.main(["verify", "all", "--kn", "3,6"]) == 0
+    capsys.readouterr()
+    assert set(enumerations.values()) == {1}
+    assert len(enumerations) == 1 + 2 * 3
 
 
 # ------------------------------------------------------ laziness and checks
