@@ -30,7 +30,7 @@ from .plabic import (
     face_weights,
     matching_table,
 )
-from .seeds import Quiver, quiver_b_entries
+from .seeds import Quiver, neighbours
 
 
 def edge_lattice(model: PlabicModel) -> tuple[str, ...]:
@@ -107,9 +107,9 @@ def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     return f
 
 
-def valuation(model: PlabicModel, f: LaurentPoly) -> dict[str, int]:
+def valuation(f: LaurentPoly) -> dict[str, int]:
     """Coordinatewise-minimal exponent of f, lex tiebreak in face order."""
-    exp, _unique = lp_min_exponent(f, tiebreak=list(f.lattice))
+    exp, _unique = lp_min_exponent(f)
     return dict(zip(f.lattice, exp))
 
 
@@ -125,9 +125,8 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
     x_j^{max(-b_ij, 0)}: one ``lp_substitute`` with the exchange binomial
     u = 1 + x_j.  The result lives on q's non-star vertices, in vertex order.
     """
+    ins, outs = neighbours(q, j)
     vset = set(q.vertices)
-    if j not in vset:
-        raise ModelInvariantError("unknown-node", f"no vertex {j}")
     old = tuple(x for x in q.vertices if x != q.star)
     incoming = [x for x in f.lattice]
     extra = [x for x in incoming if x not in vset]
@@ -141,14 +140,13 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
             "quiver-fz-mismatch",
             f"lattice {incoming} does not match quiver vertices at {j}",
         )
-    b = quiver_b_entries(q)
     images = {}
     for x in incoming:
         i = rename[x]
         if i == j:
             images[x] = ({j: -1}, 0)
         else:
-            bij = b.get((i, j), 0)
+            bij = ins.get(i, 0) - outs.get(i, 0)
             images[x] = ({i: 1, j: max(-bij, 0)}, bij)
     one_plus_xj = lp_add(LaurentPoly.one(old), LaurentPoly.monomial(old, {j: 1}))
     return lp_substitute(f, images, one_plus_xj)

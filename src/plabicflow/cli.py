@@ -227,10 +227,7 @@ def cmd_valuation(args) -> int:
             f"{format_ksubset(I, model.n)} is outside the model's positroid: "
             "its flow polynomial is 0, which has no valuation"
         )
-    f = charts.flow_polynomial(model, I)
-    # --order only breaks ties; the vector prints in lattice order
-    v = charts.valuation(model, _reorder(f, args.order, model.k, model.n))
-    _emit_vector({lab: v[lab] for lab in f.lattice}, args.format)
+    _emit_vector(charts.valuation(charts.flow_polynomial(model, I)), args.format)
     return 0
 
 
@@ -274,7 +271,7 @@ def _xcheck_one(model: PlabicModel, j: str, moved: PlabicModel) -> KSubset | Non
     """The first boundary value I at which mutation at the face named j does
     not carry the moved model's flow polynomial back to the one computed on
     the original model, or None when it carries every one."""
-    q = seeds.quiver_of_model(model)
+    q = seeds.seed_of_model(model).quiver
     for I in plabic.positroid(model):
         f_old = charts.flow_polynomial(model, I)
         image = charts.x_mutate(q, j, charts.flow_polynomial(moved, I))
@@ -291,8 +288,7 @@ def cmd_xcheck(args) -> int:
     model = load_any_model(args.model)
     path = _parse_names(args.mutations, model.k, model.n, "--mutations")
     if not path:
-        q = seeds.quiver_of_model(model)
-        path = seeds.mutable_vertices(q)[:1]
+        path = seeds.mutable_vertices(seeds.seed_of_model(model).quiver)[:1]
         if not path:
             raise UsageError("model has no mutable faces")
     cur = model
@@ -399,7 +395,7 @@ def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
     s = seeds.seed_of_model(model)
     for I in plabic.positroid(model):
         f = charts.flow_polynomial(model, I)
-        v = charts.valuation(model, f)
+        v = charts.valuation(f)
         kv = {a: b for a, b in seeds.kappa_vector(s, I).items()
               if a != s.quiver.star}
         if v != kv:
@@ -425,7 +421,7 @@ def _suite_xflow(model: PlabicModel, tag: str, level: int):
     for j, moved in plabic.square_moves(model):
         I = _xcheck_one(model, j, moved)
         if I is not None:
-            return False, f"xcheck: {_xcheck_mismatch(j, I, model.n)}"
+            return False, f"{tag}: {_xcheck_mismatch(j, I, model.n)}"
         done.append(j)
     return True, f"{tag} flow/mutation agree at [{','.join(done)}]"
 
@@ -544,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = add(name, func, help=hlp)
         p.add_argument("model", help="model file, 'shark', or 'rect:k,n'")
         p.add_argument("subset", help="k-subset, e.g. 25 or 1,4,5,7")
-        if name != "kappa":  # kappa prints a vector, in vertex order
+        # valuation and kappa print a vector in face order, with nothing to reorder
+        if name in ("partition", "flow"):
             p.add_argument("--order", help="comma-separated variable order override")
 
     p = add("mutate", cmd_mutate, help="mutate the seed along a vertex path")

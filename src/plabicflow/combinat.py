@@ -8,7 +8,7 @@ inferred from the largest element.
 Labels are ordered as tuples (subset order), never as their textual
 forms: "1,3,4" precedes "1,3,10".  The order is applied where names are
 first made from subsets -- ``plabic.analyze`` (the face lattice),
-``seeds.quiver_of_model`` and ``seeds.mutate_labels`` (quiver vertices)
+``seeds.seed_of_model`` and ``seeds.mutate_labels`` (quiver vertices)
 -- and everything downstream takes its order from ``Analysis.lattice``
 or ``Quiver.vertices``.  For n <= 9 the two orders agree.
 """

@@ -14,6 +14,7 @@ with zero exponents omitted from each "exp" map.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 
@@ -71,9 +72,9 @@ class LaurentPoly:
         return LaurentPoly.make(lattice, {(0,) * len(lattice): 1})
 
     @staticmethod
-    def monomial(lattice, exp: dict[str, int] | Exponent, coeff: int = 1) -> "LaurentPoly":
+    def monomial(lattice, exp: Mapping[str, int] | Exponent, coeff: int = 1) -> "LaurentPoly":
         lattice = check_lattice(lattice)
-        if isinstance(exp, dict):
+        if isinstance(exp, Mapping):
             unknown = set(exp) - set(lattice)
             if unknown:
                 raise ValueError(f"labels {sorted(unknown)} not in lattice")

@@ -1104,21 +1104,23 @@ def _fresh(base: str, taken) -> str:
 def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     """Urban renewal at an internal quadrilateral face.
 
-    Four new nodes of opposite colors are placed inside the face, joined in
-    a square and tied to the old corners by legs; the old face edges are
-    removed and any corner left with degree two is contracted away (its two
-    same-colored neighbors are identified, splicing rotations; a boundary
-    stub reattaches directly).  The moved model's trip labels must be the
-    model's with the face's label replaced by its Plucker exchange partner
-    (``seeds.exchange_label``), it must keep the positroid, and its dual
-    quiver must be the matrix mutation of the model's.
+    The face's four edges give way to a square of four new corners of
+    opposite colors, each tied by a leg to its old corner.  A corner whose
+    only other edge is a boundary stub hands that stub to its new corner;
+    a corner whose only other edge goes to an internal node z goes away
+    with that edge, and the two square edges at its new corner join z in
+    its place (same-colored neighbors identified).  The result is built in
+    one pass, creating only what it keeps.  The moved model's trip labels
+    must be the model's with the face's label replaced by its Plucker
+    exchange partner (``seeds.exchange_label``), it must keep the
+    positroid, and its dual quiver must be the matrix mutation of the
+    model's.
     """
     an = analyze(model)
     face_label = tuple(face_label)
     if face_label not in an.label_to_face:
         raise NotPlabicMutable(f"no face labelled {face_label}")
-    fi = an.label_to_face[face_label]
-    face = an.faces[fi]
+    face = an.faces[an.label_to_face[face_label]]
     if face.gap is not None:
         raise NotPlabicMutable(f"face {face_label} touches the boundary")
     first = face.darts.index(min(face.darts))
@@ -1127,9 +1129,11 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
         raise NotPlabicMutable(
             f"face {face_label} has {len(orbit)} sides, need 4"
         )
-    sq_edges = [ek[1] for ek, _ in orbit]
-    if len(set(sq_edges)) != 4:
+    sides = [ek[1] for ek, _ in orbit]
+    if len(set(sides)) != 4:
         raise NotPlabicMutable(f"face {face_label} has a repeated edge")
+    # corner i is the head of side i; there the rotation runs side i, then
+    # side i + 1 (``_dart_successors``), and the colors alternate
     corners = []
     for (_, e), d in orbit:
         head = model.edges[e][1 - d]
@@ -1138,11 +1142,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
         corners.append(head[1])
     if len(set(corners)) != 4:
         raise NotPlabicMutable(f"face {face_label} has a repeated corner")
-    cols = [model.colors[c] for c in corners]
-    if cols[0] == cols[1] or cols[1] == cols[2]:
-        raise NotPlabicMutable(f"face {face_label} corners do not alternate")
 
-    # exchange label from the quiver around the face
     from . import seeds
 
     seed = seeds.seed_of_model(model)
@@ -1152,88 +1152,57 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     except NotPlabicMutable as exc:
         raise ModelInvariantError("exchange-mismatch", f"face {face_label}: {exc}") from None
 
-    # --- surgery on copies
-    colors = dict(model.colors)
-    edges = dict(model.edges)
-    rot = {v: list(r) for v, r in model.rot.items()}
-
-    taken_nodes = set(colors)
-    taken_edges = set(edges)
-    new_corner = {}
-    legs = {}
+    # fresh names for every new corner, leg and square edge, dropped or not
+    taken_nodes, taken_edges = set(model.colors), set(model.edges)
+    new_corner, leg, square = {}, {}, []
     for c in corners:
-        nc = _fresh(f"{c}x", taken_nodes)
-        taken_nodes.add(nc)
-        new_corner[c] = nc
-        colors[nc] = WHITE if model.colors[c] == BLACK else BLACK
-        lg = _fresh(f"leg_{c}", taken_edges)
-        taken_edges.add(lg)
-        legs[c] = lg
-        edges[lg] = (("n", c), ("n", nc))
-    square = {}
+        new_corner[c] = _fresh(f"{c}x", taken_nodes)
+        taken_nodes.add(new_corner[c])
+    for c in corners:
+        leg[c] = _fresh(f"leg_{c}", taken_edges)
+        taken_edges.add(leg[c])
     for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        se = _fresh(f"sq_{a}_{b}", taken_edges)
-        taken_edges.add(se)
-        square[i] = se
-        edges[se] = (("n", new_corner[a]), ("n", new_corner[b]))
-    for e in sq_edges:
-        del edges[e]
+        square.append(_fresh(f"sq_{corners[i]}_{corners[(i + 1) % 4]}", taken_edges))
+        taken_edges.add(square[-1])
 
-    # corner rotations: the face's (incoming, outgoing) pair becomes the leg
+    colors = dict(model.colors)
+    edges = {e: ends for e, ends in model.edges.items() if e not in sides}
+    rot = {v: list(r) for v, r in model.rot.items()}
+    attach = []  # where square edges i - 1 and i meet, for corner i
     for i, c in enumerate(corners):
-        e_in = sq_edges[i]  # dart i ends at corner i... see below
-        e_out = sq_edges[(i + 1) % 4]
-        r = rot[c]
-        p = r.index(e_in)
-        r2 = r[p:] + r[:p]
-        if r2[1] != e_out:
-            raise ModelInvariantError(
-                "rotation-face-mismatch",
-                f"at {c}: {e_in} then {r2[1]}, expected {e_out}",
-            )
-        rot[c] = [legs[c]] + r2[2:]
-    # new corner rotations: [leg, previous square edge, next square edge]
-    for i, c in enumerate(corners):
-        nc = new_corner[c]
-        rot[nc] = [legs[c], square[(i - 1) % 4], square[i]]
-
-    # contract corners left with degree two
-    corner_set = set(corners)
-    for c in corners:
-        if len(rot[c]) != 2:
-            continue
-        g = next(e for e in rot[c] if e != legs[c])
-        z_end = _other_end(edges[g], ("n", c))
-        nc = new_corner[c]
-        if z_end[0] == "t":
-            # boundary stub reattaches to the new corner
-            a, b = edges[g]
-            edges[g] = tuple(("n", nc) if x == ("n", c) else x for x in (a, b))
-            rc = rot[nc]
-            rot[nc] = [g if x == legs[c] else x for x in rc]
-        else:
-            z = z_end[1]
-            if z in corner_set or z in new_corner.values():
+        r = rot.pop(c)
+        p = r.index(sides[i])
+        rest = (r[p:] + r[:p])[2:]  # c's other edges, counterclockwise
+        pair = [square[i - 1], square[i]]
+        far = _other_end(edges[rest[0]], ("n", c)) if len(rest) == 1 else None
+        if far is not None and far[0] == "n":
+            # c and its one edge go away; the square joins z in their place
+            g, z = rest[0], far[1]
+            if z in corners:
                 raise ModelInvariantError(
                     "contracted-into-corner", f"corner {c} contracts into {z}"
                 )
-            rnc = rot[nc]
-            p = rnc.index(legs[c])
-            seq = rnc[p + 1 :] + rnc[:p]
+            del colors[c], edges[g]
             q = rot[z].index(g)
-            rot[z] = rot[z][:q] + seq + rot[z][q + 1 :]
-            for se in seq:
-                a, b = edges[se]
-                edges[se] = tuple(
-                    ("n", z) if x == ("n", nc) else x for x in (a, b)
-                )
-            del edges[g]
-            del colors[nc]
-            del rot[nc]
-        del colors[c]
-        del rot[c]
-        del edges[legs[c]]
+            rot[z][q:q + 1] = pair
+            attach.append(z)
+            continue
+        nc = new_corner[c]
+        colors[nc] = WHITE if colors[c] == BLACK else BLACK
+        if far is None:
+            # c keeps its other edges and a leg to the new corner
+            edges[leg[c]] = (("n", c), ("n", nc))
+            rot[c] = [leg[c]] + rest
+            rot[nc] = [leg[c]] + pair
+        else:
+            # c goes away and hands its boundary stub to the new corner
+            g = rest[0]
+            del colors[c]
+            edges[g] = tuple(("n", nc) if x == ("n", c) else x for x in edges[g])
+            rot[nc] = [g] + pair
+        attach.append(nc)
+    for i, se in enumerate(square):
+        edges[se] = (("n", attach[i]), ("n", attach[(i + 1) % 4]))
 
     # the star is a gap face (seed_of_model requires it frozen), so it keeps
     # its gap; every face but the moved one keeps its label
@@ -1254,7 +1223,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     if positroid(result) != positroid(model):
         raise ModelInvariantError("positroid-changed")
     j_new = format_ksubset(new_label, model.n)
-    q_new = seeds.quiver_of_model(result)
+    q_new = seeds.seed_of_model(result).quiver
     expect = seeds.fz_mutate(seed.quiver, j_old)
     got = {
         (j_old if u == j_new else u, j_old if v == j_new else v): b

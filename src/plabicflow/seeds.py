@@ -23,7 +23,7 @@ seed), so the exact-sequence identities survive mutation there.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -52,6 +52,26 @@ class Quiver:
     frozen: frozenset[str]
     star: str
     arrows: tuple[tuple[str, str, int], ...]  # (source, target, multiplicity)
+    # mutable vertex -> its in/out maps, filled by ``neighbours``
+    _neighbours: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+
+
+def neighbours(q: Quiver, j: str) -> tuple[Mapping[str, int], Mapping[str, int]]:
+    """The arrows at a mutable vertex j, as read-only maps in-neighbour ->
+    multiplicity and out-neighbour -> multiplicity, in vertex order.  Each
+    vertex's maps are read off the arrows once per quiver.  An arrow at a
+    mutable vertex has no reverse arrow (``make_quiver``), so these are also
+    the positive exchange-matrix entries b_{uj} and b_{jv}."""
+    memo = q._neighbours
+    if j not in memo:
+        if j not in q.vertices:
+            raise ModelInvariantError("unknown-node", f"no vertex {j}")
+        if j in q.frozen:
+            raise NotMutable(f"vertex {j} is frozen")
+        memo[j] = (MappingProxyType({u: m for u, v, m in q.arrows if v == j}),
+                   MappingProxyType({v: m for u, v, m in q.arrows if u == j}))
+    return memo[j]
 
 
 def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
@@ -91,11 +111,6 @@ def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
     pos = {v: i for i, v in enumerate(vertices)}
     arrows.sort(key=lambda a: (pos[a[0]], pos[a[1]]))
     return Quiver(vertices, frozen, star, tuple(arrows))
-
-
-def quiver_of_model(model: PlabicModel) -> Quiver:
-    """Dual quiver of a plabic model: the quiver of its seed."""
-    return seed_of_model(model).quiver
 
 
 def mutable_vertices(q: Quiver) -> list[str]:
@@ -147,30 +162,19 @@ def fz_mutate(q: Quiver, j: str) -> Quiver:
 
 def _fz_counts(q: Quiver, j: str) -> dict[tuple[str, str], int]:
     """Arrow counts of ``fz_mutate(q, j)``, by the neighbourhood rule."""
-    if j not in set(q.vertices):
-        raise ModelInvariantError("unknown-node", f"no vertex {j}")
-    if j in q.frozen:
-        raise NotMutable(f"vertex {j} is frozen")
+    ins, outs = neighbours(q, j)
     frozen = q.frozen
-    b = quiver_b_entries(q)
-    ins = [(u, m) for (u, v), m in b.items() if v == j and m > 0]
-    outs = [(v, m) for (u, v), m in b.items() if u == j and m > 0]
-    b = {
-        (u, v): (-bb if j in (u, v) else bb)
-        for (u, v), bb in b.items()
-        if u not in frozen or v not in frozen
-    }
-    for u, mu in ins:
-        for v, mv in outs:
+    # arrows at j reverse, the rest are copied; a pair with a mutable end
+    # carries arrows one way only (``make_quiver``), so its net count is
+    # the one arrow count
+    counts = {((v, u) if j in (u, v) else (u, v)): mult for u, v, mult in q.arrows}
+    for u, mu in ins.items():
+        for v, mv in outs.items():
             if u in frozen and v in frozen:
                 continue
-            c = mu * mv
-            b[(u, v)] = b.get((u, v), 0) + c
-            b[(v, u)] = b.get((v, u), 0) - c
-    counts = {pair: bb for pair, bb in b.items() if bb > 0}
-    for u, v, mult in q.arrows:
-        if u in frozen and v in frozen:
-            counts[(u, v)] = mult
+            net = counts.pop((u, v), 0) - counts.pop((v, u), 0) + mu * mv
+            if net:
+                counts[(u, v) if net > 0 else (v, u)] = abs(net)
     return counts
 
 
@@ -184,10 +188,11 @@ def _corner_rule(q: Quiver, j: str, counts: dict[tuple[str, str], int]) -> None:
     rectangles seed always carry that arrow; its absence means the quiver
     is not the dual of a plabic model.
     """
-    ins = [(u, m) for u, v, m in q.arrows if v == j and u in q.frozen]
-    outs = [(v, m) for u, v, m in q.arrows if u == j and v in q.frozen]
-    for u, mu in ins:
-        for v, mv in outs:
+    ins, outs = neighbours(q, j)
+    for u, mu in ins.items():
+        for v, mv in outs.items():
+            if u not in q.frozen or v not in q.frozen:
+                continue
             c = mu * mv
             have = counts.get((v, u), 0)
             if have < c:
@@ -243,13 +248,9 @@ def exchange_label(q: Quiver, labels: Mapping[str, KSubset], j: str) -> KSubset:
     S plus two of {a,b,c,d}; the exchange partner is S plus the other two.
     Raises NotPlabicMutable when the neighborhood does not have this shape.
     """
-    ins: list[KSubset] = []
-    outs: list[KSubset] = []
-    for u, v, mult in q.arrows:
-        if v == j:
-            ins.extend([labels[u]] * mult)
-        if u == j:
-            outs.extend([labels[v]] * mult)
+    in_mult, out_mult = neighbours(q, j)
+    ins = [labels[u] for u, mult in in_mult.items() for _ in range(mult)]
+    outs = [labels[v] for v, mult in out_mult.items() for _ in range(mult)]
     if len(ins) != 2 or len(outs) != 2:
         raise NotPlabicMutable(
             f"vertex {j} has {len(ins)} in-arrows and {len(outs)} out-arrows"
@@ -266,8 +267,6 @@ def exchange_label(q: Quiver, labels: Mapping[str, KSubset], j: str) -> KSubset:
 
 def mutate_labels(s: Seed, j: str) -> Seed:
     """Seed mutation: quiver mutation plus the Plucker label exchange at j."""
-    if j in s.quiver.frozen:
-        raise NotMutable(f"vertex {j} is frozen")
     new_label = exchange_label(s.quiver, s.labels, j)
     new_name = format_ksubset(new_label, s.n)
     others = [lab for v, lab in s.labels.items() if v != j]
@@ -421,15 +420,9 @@ def trop_a_mutate(q: Quiver, j: str, v: dict[str, int]) -> dict[str, int]:
     v'_j = min(sum over in-arrows, sum over out-arrows) - v_j with arrow
     multiplicities; all other coordinates are unchanged.
     """
-    if j in q.frozen:
-        raise NotMutable(f"vertex {j} is frozen")
-    s_in = 0
-    s_out = 0
-    for u, w, mult in q.arrows:
-        if w == j:
-            s_in += mult * v[u]
-        if u == j:
-            s_out += mult * v[w]
+    ins, outs = neighbours(q, j)
+    s_in = sum(mult * v[u] for u, mult in ins.items())
+    s_out = sum(mult * v[w] for w, mult in outs.items())
     out = dict(v)
     out[j] = min(s_in, s_out) - v[j]
     return out

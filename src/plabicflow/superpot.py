@@ -20,10 +20,10 @@ from .laurent import (
 )
 from .plabic import ModelInvariantError
 from .seeds import (
-    NotMutable,
     Seed,
     beta_matrix,
     mutate_labels,
+    neighbours,
     rectangles_seed,
     wt_matrix,
 )
@@ -226,24 +226,14 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     """
     if W.tag != "A-form":
         raise ValueError("a_mutate_w needs an A-form superpotential")
-    if j in s.quiver.frozen:
-        raise NotMutable(f"vertex {j} is frozen")
     s2 = mutate_labels(s, j)
     (j2,) = set(s2.labels) - set(s.labels)
     lattice2 = ("q",) + s2.quiver.vertices
     images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
     images[j] = ({j2: -1}, 1)
-    num_in: dict[str, int] = {}
-    num_out: dict[str, int] = {}
-    for u, v, mult in s.quiver.arrows:
-        if v == j:
-            num_in[u] = num_in.get(u, 0) + mult
-        if u == j:
-            num_out[v] = num_out.get(v, 0) + mult
-    binom = lp_add(
-        LaurentPoly.monomial(lattice2, num_in),
-        LaurentPoly.monomial(lattice2, num_out),
-    )
+    ins, outs = neighbours(s.quiver, j)
+    binom = lp_add(LaurentPoly.monomial(lattice2, ins),
+                   LaurentPoly.monomial(lattice2, outs))
     out = lp_substitute(W.poly, images, binom)
     _check_a_form(out)
     return SuperpotentialExpr(out, "A-form")

@@ -86,7 +86,7 @@ def test_criterion_02_valuation_equals_kappa():
         for s, model in seeds_and_models:
             star = s.quiver.star
             for I in ksubsets(n, k):
-                val = valuation(model, flow_polynomial(model, I))
+                val = valuation(flow_polynomial(model, I))
                 kap = kappa_point(s, I)
                 assert val == kap, (k, n, I)
     assert time.perf_counter() - t0 < 30.0

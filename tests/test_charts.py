@@ -80,7 +80,7 @@ def test_valuation_equals_kappa_rect24():
     star = s.quiver.star
     for I in ksubsets(4, 2):
         f = flow_polynomial(m, I)
-        val = valuation(m, f)
+        val = valuation(f)
         kap = kappa_vector(s, I)
         assert val == {v: c for v, c in kap.items() if v != star}
 
@@ -90,7 +90,7 @@ def test_valuation_equals_kappa_shark():
     s = seed_of_model(m)
     star = s.quiver.star
     for I in positroid(m):
-        val = valuation(m, flow_polynomial(m, I))
+        val = valuation(flow_polynomial(m, I))
         assert val == {v: c for v, c in kappa_vector(s, I).items() if v != star}
 
 
@@ -99,7 +99,7 @@ def test_valuation_equals_kappa_after_square_move():
     s = seed_of_model(m)
     star = s.quiver.star
     for I in ksubsets(4, 2):
-        val = valuation(m, flow_polynomial(m, I))
+        val = valuation(flow_polynomial(m, I))
         assert val == {v: c for v, c in kappa_vector(s, I).items() if v != star}
 
 

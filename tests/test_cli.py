@@ -489,9 +489,12 @@ def test_non_utf8_model_file_is_usage_error(tmp_path, capsys):
 
 
 def test_kappa_has_no_order_option(capsys):
-    rc, out, err = run_out(capsys, "kappa", "shark", "35", "--order", "zz")
-    assert (rc, out) == (2, "")
-    assert "unrecognized arguments: --order zz" in err
+    # both print a vector in face order; valuation has no tie to break,
+    # since a flow polynomial's minimal exponent is unique
+    for command in ("kappa", "valuation"):
+        rc, out, err = run_out(capsys, command, "shark", "35", "--order", "zz")
+        assert (rc, out) == (2, "")
+        assert "unrecognized arguments: --order zz" in err
 
 
 def test_value_error_inside_the_package_is_an_internal_fault(monkeypatch, capsys):
@@ -534,7 +537,7 @@ def test_xflow_mismatch_is_verification_failure(monkeypatch, capsys):
                         lambda q, j, f: lp_add(real(q, j, f), real(q, j, f)))
     rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,5")
     assert (rc, err) == (1, "")
-    assert out == "FAIL xflow: xcheck: mutation at 13 disagrees with flows at I=12\n"
+    assert out == "FAIL xflow: rect:2,5: mutation at 13 disagrees with flows at I=12\n"
 
 
 # ------------------------------------------------- forced failures per suite
@@ -544,8 +547,8 @@ def test_xflow_mismatch_is_verification_failure(monkeypatch, capsys):
 def test_valuation_kappa_mismatch_is_verification_failure(monkeypatch, capsys):
     real = charts.valuation
 
-    def first_plus_one(model, f):
-        v = real(model, f)
+    def first_plus_one(f):
+        v = real(f)
         return {**v, f.lattice[0]: v[f.lattice[0]] + 1}
 
     monkeypatch.setattr(charts, "valuation", first_plus_one)

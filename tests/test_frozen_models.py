@@ -68,7 +68,6 @@ def test_the_shared_kappa_table_is_read_only():
 def test_per_model_quantities_are_derived_once():
     model = build_rectangles_model(3, 6)
     assert seeds.seed_of_model(model) is seeds.seed_of_model(model)
-    assert seeds.quiver_of_model(model) is seeds.seed_of_model(model).quiver
     assert charts.face_lattice(model) is charts.face_lattice(model)
     assert plabic.matching_table(model) is plabic.matching_table(model)
     assert plabic.face_graph(model) is plabic.face_graph(model)

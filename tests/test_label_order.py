@@ -27,7 +27,6 @@ from plabicflow.seeds import (
     kappa_vector,
     mutable_vertices,
     mutate_labels,
-    quiver_of_model,
     rectangles_seed,
     seed_of_model,
 )
@@ -57,13 +56,13 @@ def _check_quiver(q, n):
 
 @pytest.mark.parametrize("k,n", LARGE)
 def test_quiver_vertices_in_subset_order(k, n):
-    q = quiver_of_model(build_rectangles_model(k, n))
+    q = seed_of_model(build_rectangles_model(k, n)).quiver
     _check_quiver(q, n)
     assert_subset_order(face_lattice(build_rectangles_model(k, n)), n)
 
 
 def test_move_order_at_3_11_starts_with_the_smallest_subset():
-    q = quiver_of_model(build_rectangles_model(3, 11))
+    q = seed_of_model(build_rectangles_model(3, 11)).quiver
     assert mutable_vertices(q)[:2] == ["1,2,4", "1,2,5"]
 
 
@@ -144,19 +143,6 @@ def test_vector_rows_in_subset_order(capsys, cmd):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["label", "value"]
     assert_subset_order([r[0] for r in rows[1:]], 10)
-
-
-def test_valuation_order_breaks_ties_but_prints_in_lattice_order(capsys):
-    for k, n, subset in [(3, 7, "146"), (3, 10, "1,4,6")]:
-        lattice = face_lattice(build_rectangles_model(k, n))
-        model = f"rect:{k},{n}"
-        rc, plain, _ = run_out(capsys, "valuation", model, subset)
-        assert rc == 0
-        rc, out, _ = run_out(capsys, "valuation", model, subset,
-                             "--order", ",".join(reversed(lattice)))
-        assert rc == 0
-        assert _pretty_labels(out) == list(lattice)
-        assert out == plain  # the rect valuation is unique; no tie to break
 
 
 def test_order_reads_comma_faces_beside_single_tokens(capsys):

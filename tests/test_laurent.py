@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -49,6 +51,9 @@ def test_monomial_and_pretty():
     assert lp_add(m, minus_f).pretty("y") == "-y24*y34"
     q = LaurentPoly.monomial(("q", "13", "34"), {"q": 1, "13": 1, "34": -1})
     assert q.pretty("p") == "q*p13*p34^-1"
+    # a read-only name map (as seeds.neighbours gives) is a name map too
+    ro = LaurentPoly.monomial(("24", "34"), MappingProxyType({"34": 1, "24": 2}))
+    assert ro.terms == (((2, 1), 1),)
 
 
 def test_json_roundtrip():

@@ -1,5 +1,9 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
+from plabicflow import seeds
 from plabicflow.combinat import format_ksubset, ksubsets
 from plabicflow.plabic import (
     ModelInvariantError,
@@ -17,8 +21,9 @@ from plabicflow.plabic import (
     save_model,
     shark_model,
     square_move,
+    square_moves,
 )
-from plabicflow.seeds import mutable_vertices, quiver_of_model
+from plabicflow.seeds import mutable_vertices
 
 # the full matching table of the 5-node fixture: boundary value -> edge sets
 SHARK_MATCHINGS = [
@@ -121,7 +126,7 @@ def test_rectangles_24():
     assert labels == ["12", "13", "14", "23", "34"]
     assert format_ksubset(an.faces[an.star].label, 4) == "12"
     assert positroid(m) == tuple(ksubsets(4, 2))
-    assert mutable_vertices(quiver_of_model(m)) == ["13"]
+    assert mutable_vertices(seeds.seed_of_model(m).quiver) == ["13"]
 
 
 def test_rectangles_labels_formula():
@@ -186,6 +191,55 @@ def test_shark_square_move():
     # the move contracts the square's corner pair: one node fewer
     assert len(m2.colors) == len(m.colors) - 1
     assert positroid(m2) == positroid(m)
+
+
+# (start model, depth): every model reached by up to ``depth`` successive
+# square moves, 171 moves in all
+ORBIT_WALKS = (("shark", 3), ("rect:2,5", 3), ("rect:2,6", 3), ("rect:3,6", 3),
+               ("rect:3,7", 2), ("rect:4,8", 2))
+ORBIT_SHA256 = "982dcb651008e91f22b140309b3f23e42a47ee40da9fba3ba256c4824cf0abc5"
+
+
+def _corner_cases(model, j):
+    """What the square move at face j does at each corner: keep its leg to
+    the new corner ("leg"), hand its one other edge, a boundary stub, to
+    the new corner ("stub"), or merge into that edge's internal node
+    ("merge")."""
+    an = analyze(model)
+    face = an.faces[an.label_to_face[seeds.seed_of_model(model).labels[j]]]
+    sides = {e for (_, e), _ in face.darts}
+    for (_, e), d in face.darts:
+        c = model.edges[e][1 - d][1]
+        others = [g for g in model.rot[c] if g not in sides]
+        if len(others) != 1:
+            yield "leg"
+        elif any(end[0] == "t" for end in model.edges[others[0]]):
+            yield "stub"
+        else:
+            yield "merge"
+
+
+def test_square_move_orbit_models_are_pinned():
+    # the text of every moved model, its path included, is pinned, and the
+    # walk reaches every corner case of the move
+    digest = hashlib.sha256()
+    cases = Counter()
+
+    def walk(model, depth, path):
+        for j, moved in square_moves(model) if depth else ():
+            cases.update(_corner_cases(model, j))
+            digest.update(f"{path}{j}\n{save_model(moved)}".encode())
+            walk(moved, depth - 1, f"{path}{j} ")
+
+    for spec, depth in ORBIT_WALKS:
+        if spec == "shark":
+            start = shark_model()
+        else:
+            start = build_rectangles_model(*map(int, spec[5:].split(",")))
+        walk(start, depth, f"{spec} ")
+    assert sum(cases.values()) == 4 * 171
+    assert cases == {"leg": 246, "stub": 179, "merge": 259}
+    assert digest.hexdigest() == ORBIT_SHA256
 
 
 def test_degenerate_two_face_disc():

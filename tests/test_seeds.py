@@ -25,7 +25,6 @@ from plabicflow.seeds import (
     mutate_labels,
     mutation_entries,
     quiver_b_entries,
-    quiver_of_model,
     rectangles_seed,
     seed_mutations,
     seed_of_model,
@@ -58,7 +57,7 @@ BETA24 = {
 
 
 def test_quiver_of_rect24():
-    q = quiver_of_model(build_rectangles_model(2, 4))
+    q = seed_of_model(build_rectangles_model(2, 4)).quiver
     assert q.arrows == Q24_ARROWS
     assert q.star == "12"
     assert sorted(q.frozen) == ["12", "14", "23", "34"]
@@ -79,7 +78,7 @@ def test_make_quiver_guards():
 
 
 def test_fz_mutate_24():
-    q = quiver_of_model(build_rectangles_model(2, 4))
+    q = seed_of_model(build_rectangles_model(2, 4)).quiver
     q2 = fz_mutate(q, "13")
     # arrows at 13 reverse; composite arrows through 13 cancel against the
     # existing frozen-frozen arrows, which are copied through untouched

@@ -106,7 +106,7 @@ def test_square_move_orbits_keep_carried_labels(k, n):
     model = build_rectangles_model(k, n)
     moves = 0
     for _ in range(6):
-        faces = seeds.mutable_vertices(seeds.quiver_of_model(model))
+        faces = seeds.mutable_vertices(seeds.seed_of_model(model).quiver)
         rng.shuffle(faces)
         for j in faces:
             label = seeds.seed_of_model(model).labels[j]
