@@ -145,6 +145,16 @@ def test_vector_rows_in_subset_order(capsys, cmd):
     assert_subset_order([r[0] for r in rows[1:]], 10)
 
 
+def test_valuation_prints_in_lattice_order(capsys):
+    # valuation takes no --order (test_cli::test_kappa_has_no_order_option):
+    # its rows always follow the face lattice, at n <= 9 and at n >= 10
+    for k, n, subset in [(3, 7, "146"), (3, 10, "1,4,6")]:
+        lattice = face_lattice(build_rectangles_model(k, n))
+        rc, out, _ = run_out(capsys, "valuation", f"rect:{k},{n}", subset)
+        assert rc == 0
+        assert _pretty_labels(out) == list(lattice)
+
+
 def test_order_reads_comma_faces_beside_single_tokens(capsys):
     # at n >= 10 a lattice label without a comma (q here) stands alone and
     # every other token starts a face name of k tokens
