@@ -181,8 +181,8 @@ def _emit_vector(vec: dict[str, int], fmt: str) -> None:
 def cmd_matchings(args) -> int:
     model = load_any_model(args.model)
     table = plabic.matching_table(model)
-    rows = [(format_ksubset(I, model.n), sorted(m))
-            for m, I in zip(table.matchings, table.boundary)]
+    rows = [(format_ksubset(I, model.n), table.edge_names(m))
+            for m, I in zip(table.masks, table.boundary)]
     if args.format == "pretty":
         for bv, eds in rows:
             print(f"{bv}: {' '.join(eds)}")

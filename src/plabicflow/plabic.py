@@ -16,7 +16,7 @@ rectangles model of the (k, n) grid.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -111,8 +111,8 @@ class Analysis:
         first request and kept for the model's lifetime.  Every quantity
         derived from a model past its analysis (matching table, face graph
         and weights, partition functions, flow polynomials, face names,
-        seed) is kept here and nowhere else.  A build that raises keeps
-        nothing, so the next request builds again."""
+        seed, square-moved models) is kept here and nowhere else.  A build
+        that raises keeps nothing, so the next request builds again."""
         try:
             return self._derived[key]
         except KeyError:
@@ -604,15 +604,22 @@ def load_model(text: str) -> PlabicModel:
 # ------------------------------------------------------------- matchings
 
 
-def enumerate_matchings(model: PlabicModel) -> list[frozenset]:
-    """All edge sets covering every internal node exactly once.
+# byte b with its eight bits in reverse order, at index b
+_BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-    A backtracker over integer masks.  Edges are numbered in sorted order
-    and nodes in branch order (fewest incident edges first, then by id), so
-    node i is bit i of the covered mask.  Each step branches on the lowest
-    uncovered node and skips an edge that covers a covered node; a boundary
-    edge covers only its own node.  The matchings come out sorted by their
-    sorted edge names, which the edge numbering preserves.
+
+def matching_masks(model: PlabicModel) -> list[int]:
+    """All edge sets covering every internal node exactly once, as edge
+    masks: bit i for the i-th edge of ``sorted(model.edges)``.
+
+    A backtracker over integer masks.  Nodes are numbered in branch order
+    (fewest incident edges first, then by id), so node i is bit i of the
+    covered mask.  Each step branches on the lowest uncovered node and skips
+    an edge that covers a covered node; a boundary edge covers only its own
+    node.  The matchings come out sorted by their sorted edge names: of two,
+    the one holding the lowest edge where they differ comes first, which is
+    descending order of the bit-reversed mask (two perfect matchings are
+    never nested, so neither is a prefix of the other).
     """
     names = sorted(model.edges)
     incident: dict[str, list[int]] = {v: [] for v in model.colors}
@@ -627,27 +634,44 @@ def enumerate_matchings(model: PlabicModel) -> list[frozenset]:
         for end in model.edges[e]:
             if end[0] == "n":
                 covers[i] |= bit[end[1]]
-    # options[b]: (edge index, covered mask) for each edge at node b
-    options = [[(i, covers[i]) for i in incident[v]] for v in order]
+    # options[b]: (edge bit, covered mask) for each edge at node b
+    options = [[(1 << i, covers[i]) for i in incident[v]] for v in order]
     full = (1 << len(order)) - 1
-    found: list[tuple[int, ...]] = []
-    chosen: list[int] = []
+    found: list[int] = []
 
-    def extend(covered: int):
+    def extend(covered: int, chosen: int):
         free = full & ~covered
         if not free:
-            found.append(tuple(sorted(chosen)))
+            found.append(chosen)
             return
-        for i, mask in options[(free & -free).bit_length() - 1]:
-            if covered & mask:
-                continue
-            chosen.append(i)
-            extend(covered | mask)
-            chosen.pop()
+        for ebit, mask in options[(free & -free).bit_length() - 1]:
+            if not covered & mask:
+                extend(covered | mask, chosen | ebit)
 
-    extend(0)
-    found.sort()
-    return [frozenset(names[i] for i in m) for m in found]
+    extend(0, 0)
+    # the little-endian bytes of a mask, each bit-reversed, read it lowest
+    # bit first
+    size = (len(names) + 7) // 8
+    found.sort(key=lambda m: m.to_bytes(size, "little").translate(_BITS_REVERSED),
+               reverse=True)
+    return found
+
+
+def _edge_names(names, mask: int) -> list[str]:
+    """The names of the set bits of an edge mask, lowest bit first, so in
+    the order of ``names``."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(names[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def enumerate_matchings(model: PlabicModel) -> list[frozenset]:
+    """``matching_masks`` as sets of edge names, in the same order."""
+    names = sorted(model.edges)
+    return [frozenset(_edge_names(names, m)) for m in matching_masks(model)]
 
 
 def boundary_value(model: PlabicModel, m) -> KSubset:
@@ -670,22 +694,21 @@ def boundary_value(model: PlabicModel, m) -> KSubset:
 class MatchingTable:
     """The perfect matchings of one model, grouped by boundary value.
 
-    ``matchings`` is the output of one ``enumerate_matchings`` call, in its
-    order, ``masks[i]`` is ``matchings[i]`` as an edge mask (bit j for the
-    j-th edge of ``sorted(model.edges)``) and ``boundary[i]`` its boundary
-    value, read from the mask at the boundary-stub bits; ``groups`` maps
-    each boundary value to the indices of its matchings and ``positroid``
-    lists the boundary values in sorted order.  The public fields are
-    tuples and a read-only mapping, so callers cannot change the table.
+    ``masks`` is the output of one ``matching_masks`` call, in its order:
+    bit j of a mask for the j-th edge of ``edges``, which is
+    ``sorted(model.edges)``.  ``boundary[i]`` is the boundary value of
+    ``masks[i]``, read at the boundary-stub bits; ``groups`` maps each
+    boundary value to the indices of its matchings and ``positroid`` lists
+    the boundary values in sorted order.  The public fields are tuples and a
+    read-only mapping, so callers cannot change the table.  Edge names are
+    made only on request (``edge_names``, ``at``).
     """
 
-    def __init__(self, model: PlabicModel, matchings):
+    def __init__(self, model: PlabicModel, masks):
         an = analyze(model)
-        self.matchings: tuple[frozenset, ...] = tuple(matchings)
-        bit = {e: 1 << i for i, e in enumerate(sorted(model.edges))}
-        self.masks: tuple[int, ...] = tuple(
-            sum(map(bit.__getitem__, m)) for m in self.matchings
-        )
+        self.edges: tuple[str, ...] = tuple(sorted(model.edges))
+        self.masks: tuple[int, ...] = tuple(masks)
+        bit = {e: 1 << i for i, e in enumerate(self.edges)}
         # l is in the boundary value iff stub l is used xor l is clockwise
         stubs = [(l, bit[an.stub[l]], l in an.anticlockwise)
                  for l in range(1, model.n + 1)]
@@ -710,12 +733,18 @@ class MatchingTable:
         self.groups = MappingProxyType({I: tuple(ix) for I, ix in groups.items()})
         self.positroid: tuple[KSubset, ...] = tuple(sorted(groups))
 
+    def edge_names(self, mask: int) -> list[str]:
+        """The edges of a mask by name, in sorted order."""
+        return _edge_names(self.edges, mask)
+
     def at(self, I) -> tuple[frozenset, ...]:
-        """The matchings with boundary value I, in enumeration order."""
-        return tuple(self.matchings[i] for i in self.groups.get(tuple(I), ()))
+        """The matchings with boundary value I as sets of edge names, in
+        enumeration order."""
+        return tuple(frozenset(self.edge_names(m)) for m in self.masks_at(I))
 
     def masks_at(self, I) -> tuple[int, ...]:
-        """The edge masks of ``at(I)``, in the same order."""
+        """The edge masks of the matchings with boundary value I, in
+        enumeration order."""
         return tuple(self.masks[i] for i in self.groups.get(tuple(I), ()))
 
 
@@ -723,7 +752,7 @@ def matching_table(model: PlabicModel) -> MatchingTable:
     """The model's matching table, built from one enumeration on the first
     request; later requests are lookups."""
     return analyze(model).derive(
-        "matching table", lambda: MatchingTable(model, enumerate_matchings(model)))
+        "matching table", lambda: MatchingTable(model, matching_masks(model)))
 
 
 def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
@@ -743,7 +772,7 @@ def _base_index(table: MatchingTable) -> int:
 def base_matching(model: PlabicModel) -> frozenset:
     """The unique matching whose boundary value is lex-maximal."""
     table = matching_table(model)
-    return table.matchings[_base_index(table)]
+    return frozenset(table.edge_names(table.masks[_base_index(table)]))
 
 
 class FaceGraph:
@@ -908,7 +937,7 @@ def face_graph(model: PlabicModel) -> FaceGraph:
 
 def face_weights(model: PlabicModel, I) -> tuple[tuple[int, ...], ...]:
     """Face weights of the matchings with boundary value I, relative to the
-    base matching, in the order of ``matching_table(model).at(I)``.
+    base matching, in the order of ``matching_table(model).masks_at(I)``.
 
     Each vector is indexed by face index.  It is computed on first request
     for I, after the flow decomposition and the dual-arrow system agree on
@@ -1238,18 +1267,25 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     return result
 
 
-def square_moves(model: PlabicModel) -> Iterator[tuple[str, PlabicModel]]:
-    """Yield (face name, moved model) for every mutable face of the model
-    whose square move is defined, in ``mutable_vertices`` order."""
+def square_moves(model: PlabicModel) -> tuple[tuple[str, PlabicModel], ...]:
+    """(face name, moved model) for every mutable face of the model whose
+    square move is defined, in ``mutable_vertices`` order.  The moves are
+    made once per model, so every caller shares the moved models and what
+    they derive."""
     from . import seeds
 
-    seed = seeds.seed_of_model(model)
-    for j in seeds.mutable_vertices(seed.quiver):
-        try:
-            moved = square_move(model, seed.labels[j])
-        except NotPlabicMutable:
-            continue
-        yield j, moved
+    def build():
+        seed = seeds.seed_of_model(model)
+        moves = []
+        for j in seeds.mutable_vertices(seed.quiver):
+            try:
+                moved = square_move(model, seed.labels[j])
+            except NotPlabicMutable:
+                continue
+            moves.append((j, moved))
+        return tuple(moves)
+
+    return analyze(model).derive("square moves", build)
 
 
 # --------------------------------------------------------- builtin models

@@ -2,13 +2,15 @@
 
 Every command of README's CLI block is run in ``--format pretty`` and
 ``--format json``; its exit code and the sha256 of its stdout are pinned.
-So are a few longer exchange paths (``EXCHANGE_PATHS``).  A change to the
-computation that is meant to leave the output alone must leave every pin
-alone.  To re-pin after an intended output change, run
+So are a few longer exchange paths (``EXCHANGE_PATHS``) and larger matching
+listings in every format (``MATCHINGS``).  A change to the computation that
+is meant to leave the output alone must leave every pin alone.  To re-pin
+after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and paste the printed tables over ``GOLDEN`` and ``EXCHANGE_PATHS``.
+and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS`` and
+``MATCHINGS``.
 """
 
 import contextlib
@@ -95,6 +97,23 @@ EXCHANGE_PATHS = {
         (0, '082623ae3cfb57c9524c27932fba81e948fc47409352f0a731d77427d70b9bfa'),
 }
 
+# Matching listings past the README's shark, in every format: the edge names
+# are read off the table's edge masks, so these pin their order and spelling.
+MATCHINGS = {
+    ('matchings rect:3,7', 'pretty'):
+        (0, '4d82b17b14d2e42b0691076e6d0036f6292c6ba5cfb34e6f22d59217036ded78'),
+    ('matchings rect:3,7', 'json'):
+        (0, '36f52ce394d0013f52dfcb83fae737391f82fcb4d7b04a7c25928b62ca112a6a'),
+    ('matchings rect:3,7', 'csv'):
+        (0, '4d69b995896451586452eb08c1cd05d61b580ba842638c56b7dab52556db4d51'),
+    ('matchings rect:4,8', 'pretty'):
+        (0, '0308d51d823f2738e25373aba3982bc2d1d9b942479487d1999f795aa3492a6e'),
+    ('matchings rect:4,8', 'json'):
+        (0, '2d04980cb71ab12f0414961e96b7746117e1923487bc84c4b1994f2b3113286f'),
+    ('matchings rect:4,8', 'csv'):
+        (0, '6a98ccdfe6c8031f37486f06f8a6dc8fd8ba42c84d9e1d5938137653e99a9bd9'),
+}
+
 
 def readme_commands() -> list[str]:
     """The ``plabicflow ...`` lines of README's CLI block, comments cut."""
@@ -132,6 +151,11 @@ def test_exchange_path_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == EXCHANGE_PATHS[command, fmt]
 
 
+@pytest.mark.parametrize("command,fmt", sorted(MATCHINGS))
+def test_matching_listing_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == MATCHINGS[command, fmt]
+
+
 def print_table(name, pins):
     print(f"{name} = {{")
     for command, fmt in pins:
@@ -143,3 +167,4 @@ def print_table(name, pins):
 if __name__ == "__main__":
     print_table("GOLDEN", [(c, f) for c in readme_commands() for f in FORMATS])
     print_table("EXCHANGE_PATHS", list(EXCHANGE_PATHS))
+    print_table("MATCHINGS", list(MATCHINGS))

@@ -2,9 +2,12 @@
 
 ``reference_matchings`` is the set-based backtracker that the bitmask
 enumerator replaced; it is the oracle for ``enumerate_matchings``, list and
-order.  ``Reference`` enumerates the matchings afresh on every call and
-filters them by ``boundary_value``; it is the oracle for the table's
-positroid, base matching, partition functions and flow polynomials.
+order.  ``index_matchings`` is the bitmask backtracker that handed each
+matching on as a sorted tuple of edge indices; it is the oracle for
+``matching_masks``, masks and order.  ``Reference`` enumerates the
+matchings afresh on every call and filters them by ``boundary_value``; it
+is the oracle for the table's positroid, base matching, partition
+functions and flow polynomials.
 """
 
 import random
@@ -139,6 +142,59 @@ def test_enumeration_equals_reference_on_orbits(kn, seed, moves):
     assert plabic.enumerate_matchings(model) == reference_matchings(model)
 
 
+def index_matchings(model):
+    """All perfect matchings as sorted tuples of edge indices (into
+    ``sorted(model.edges)``), in sorted order: a backtracker over a covered
+    mask that keeps the chosen edges in a list."""
+    names = sorted(model.edges)
+    incident = {v: [] for v in model.colors}
+    for i, e in enumerate(names):
+        for end in model.edges[e]:
+            if end[0] == "n":
+                incident[end[1]].append(i)
+    order = sorted(incident, key=lambda u: (len(incident[u]), u))
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    covers = [0] * len(names)
+    for i, e in enumerate(names):
+        for end in model.edges[e]:
+            if end[0] == "n":
+                covers[i] |= bit[end[1]]
+    options = [[(i, covers[i]) for i in incident[v]] for v in order]
+    full = (1 << len(order)) - 1
+    found = []
+    chosen = []
+
+    def extend(covered):
+        free = full & ~covered
+        if not free:
+            found.append(tuple(sorted(chosen)))
+            return
+        for i, mask in options[(free & -free).bit_length() - 1]:
+            if covered & mask:
+                continue
+            chosen.append(i)
+            extend(covered | mask)
+            chosen.pop()
+
+    extend(0)
+    found.sort()
+    return found
+
+
+ORACLE_BASES = {**BASES, "rect:4,8": lambda: build_rectangles_model(4, 8)}
+
+
+@given(st.sampled_from(sorted(ORACLE_BASES)), st.integers(0, 2**16), st.integers(0, 3))
+@settings(max_examples=25, deadline=None)
+def test_masks_equal_the_index_backtracker_on_orbits(name, seed, moves):
+    model = orbit(ORACLE_BASES[name](), seed, moves)
+    found = index_matchings(model)
+    names = sorted(model.edges)
+    assert plabic.matching_masks(model) == [sum(1 << i for i in m) for m in found]
+    assert plabic.enumerate_matchings(model) == [
+        frozenset(names[i] for i in m) for m in found]
+
+
 @pytest.mark.parametrize("kn, count", [((4, 8), 424), ((4, 9), 1450), ((5, 10), 7234)])
 def test_rectangles_matching_counts(kn, count):
     assert len(plabic.enumerate_matchings(build_rectangles_model(*kn))) == count
@@ -216,16 +272,15 @@ def assert_routes_equal_reference(model):
     """Table masks and boundary values, and both face-weight routes on every
     matching, against the set-based public functions."""
     table = matching_table(model)
-    names = edge_lattice(model)
-    assert table.boundary == tuple(boundary_value(model, m) for m in table.matchings)
-    assert table.matchings == tuple(
-        frozenset(e for i, e in enumerate(names) if mask >> i & 1)
-        for mask in table.masks)
+    matchings = plabic.enumerate_matchings(model)
+    bit = {e: 1 << i for i, e in enumerate(edge_lattice(model))}
+    assert table.masks == tuple(sum(map(bit.__getitem__, m)) for m in matchings)
+    assert table.boundary == tuple(boundary_value(model, m) for m in matchings)
     faces = plabic.analyze(model).faces
     mstar = base_matching(model)
     graph = plabic.face_graph(model)
     reference = {}
-    for m, mask in zip(table.matchings, table.masks):
+    for m, mask in zip(matchings, table.masks):
         dual = plabic.weight_of_matching(model, m, mstar)
         flow = flow_weight(model, m, mstar)
         reference[m] = tuple(flow[f.label] for f in faces)
@@ -281,17 +336,17 @@ def test_dual_route_rejects_negative_weights():
 
 @pytest.fixture
 def enumerations(monkeypatch):
-    """Counts ``enumerate_matchings`` calls per model object."""
+    """Counts ``matching_masks`` calls per model object."""
     calls = Counter()
     seen = []  # keep alive: a freed model's id could be reused by a later one
-    real = plabic.enumerate_matchings
+    real = plabic.matching_masks
 
     def counted(model):
         seen.append(model)
         calls[id(model)] += 1
         return real(model)
 
-    monkeypatch.setattr(plabic, "enumerate_matchings", counted)
+    monkeypatch.setattr(plabic, "matching_masks", counted)
     return calls
 
 
@@ -321,12 +376,12 @@ def test_cli_commands_enumerate_once_per_model(enumerations, capsys):
     assert set(enumerations.values()) == {1}
     assert len(enumerations) == 3 + 3 + 1
     enumerations.clear()
-    # one rect:3,6 model serves plucker, valuation-kappa and xflow; each of
-    # the two move suites builds the three moved models anew
+    # one rect:3,6 model serves plucker, valuation-kappa and xflow, and its
+    # three square-moved models serve both move suites
     assert cli.main(["verify", "all", "--kn", "3,6"]) == 0
     capsys.readouterr()
     assert set(enumerations.values()) == {1}
-    assert len(enumerations) == 1 + 2 * 3
+    assert len(enumerations) == 1 + 3
 
 
 # ------------------------------------------------------ laziness and checks
@@ -401,14 +456,14 @@ def test_table_path_compares_the_flow_route(monkeypatch):
 
 def test_returned_collections_cannot_corrupt_the_table(monkeypatch):
     handed = []
-    real = plabic.enumerate_matchings
+    real = plabic.matching_masks
 
     def keep(model):
         out = real(model)
         handed.append(out)
         return out
 
-    monkeypatch.setattr(plabic, "enumerate_matchings", keep)
+    monkeypatch.setattr(plabic, "matching_masks", keep)
     model = build_rectangles_model(2, 5)
     I = (2, 4)
 
@@ -425,9 +480,25 @@ def test_returned_collections_cannot_corrupt_the_table(monkeypatch):
     with pytest.raises(TypeError):
         face_weights(model, I)[0][0] = 7
     with pytest.raises(TypeError):
-        table.matchings[0] = frozenset()
+        table.masks[0] = 0
     assert snapshot() == before
     assert len(handed) == 1
+
+
+def test_table_path_never_names_matchings(monkeypatch, capsys):
+    # the table, its queries and the matchings listing read edge masks only
+    def refuse(model):
+        raise AssertionError("enumerate_matchings called on the table path")
+
+    monkeypatch.setattr(plabic, "enumerate_matchings", refuse)
+    monkeypatch.setattr(charts, "enumerate_matchings", refuse)
+    model = build_rectangles_model(3, 6)
+    for I in positroid(model):
+        partition_function(model, I)
+        flow_polynomial(model, I)
+        face_weights(model, I)
+    assert cli.main(["matchings", "rect:3,6"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 42
 
 
 # ------------------------------------------- one flow polynomial per (model, I)
