@@ -14,9 +14,10 @@ fixture, or ``rect:k,n``) or on a Grassmannian instance given as ``--kn k,n``:
 * ``superpotential`` / ``wx`` — the potential in cluster or simples variables
 * ``verify`` — named verification suites with pass/fail reporting
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 model
-invariant violation or internal consistency fault.  Output is
-byte-deterministic for fixed inputs.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a model
+past the matching budget (``plabic.MATCHING_BUDGET``), 3 model invariant
+violation or internal consistency fault.  Output is byte-deterministic for
+fixed inputs.
 """
 
 from __future__ import annotations
@@ -181,8 +182,10 @@ def _emit_vector(vec: dict[str, int], fmt: str) -> None:
 def cmd_matchings(args) -> int:
     model = load_any_model(args.model)
     table = plabic.matching_table(model)
-    rows = [(format_ksubset(I, model.n), table.edge_names(m))
-            for m, I in zip(table.masks, table.boundary)]
+    label = {I: format_ksubset(I, model.n) for I in table.positroid}
+    # made one at a time, so pretty and csv rows are written as they come
+    rows = ((label[I], table.edge_names(m))
+            for m, I in zip(table.masks, table.boundary))
     if args.format == "pretty":
         for bv, eds in rows:
             print(f"{bv}: {' '.join(eds)}")
@@ -625,6 +628,11 @@ def _run(argv) -> int:
         return 2
     except cones.Unbounded as exc:
         print(f"error: unbounded enumeration: {exc}", file=sys.stderr)
+        return 2
+    except plabic.MatchingBudgetExceeded as exc:
+        # verify builds its models from --kn as rectangles models
+        where = getattr(args, "model", None) or f"rect:{exc.k},{exc.n}"
+        print(f"error: {where} has {exc}", file=sys.stderr)
         return 2
     except ModelInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -607,54 +607,127 @@ def load_model(text: str) -> PlabicModel:
 # byte b with its eight bits in reverse order, at index b
 _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
+# Most perfect matchings ``matching_masks`` lists for one model (at least 1);
+# a model with more is refused with MatchingBudgetExceeded.  rect (6,12) has
+# 207,997 matchings, and ``plabicflow flow rect:6,12 1,3,5,7,9,11`` takes
+# about 0.7 s and 115 MB on a 2-vCPU x86 box; rect (6,13) has 1,205,690 and
+# rect (7,14) 10,094,282.
+MATCHING_BUDGET = 1_000_000
+
+
+class MatchingBudgetExceeded(Exception):
+    """A model has more perfect matchings than the matching budget."""
+
+    def __init__(self, model: PlabicModel, count: int, budget: int):
+        self.k, self.n = model.k, model.n
+        self.count = count
+        self.budget = budget
+        super().__init__(
+            f"{count:,} perfect matchings, past the matching budget of {budget:,}")
+
 
 def matching_masks(model: PlabicModel) -> list[int]:
     """All edge sets covering every internal node exactly once, as edge
     masks: bit i for the i-th edge of ``sorted(model.edges)``.
 
-    A backtracker over integer masks.  Nodes are numbered in branch order
-    (fewest incident edges first, then by id), so node i is bit i of the
-    covered mask.  Each step branches on the lowest uncovered node and skips
-    an edge that covers a covered node; a boundary edge covers only its own
-    node.  The matchings come out sorted by their sorted edge names: of two,
-    the one holding the lowest edge where they differ comes first, which is
+    A memoised recursion over the covered-node mask (frontier-based search).
+    Nodes are numbered breadth-first over the internal edges, each component
+    from its first node in (fewest incident edges, id) order, so node i is
+    bit i of the covered mask and the frontier between covered and uncovered
+    nodes stays narrow.  ``rest(covered)`` lists the edge masks that
+    complete ``covered``: it branches on the lowest uncovered node's edges,
+    skips an edge that covers a covered node (a boundary edge covers only
+    its own node), and is kept per mask, so a dead end is explored once.
+    The matchings come out sorted by their sorted edge names: of two, the
+    one holding the lowest edge where they differ comes first, which is
     descending order of the bit-reversed mask (two perfect matchings are
     never nested, so neither is a prefix of the other).
+
+    Raises MatchingBudgetExceeded, having built at most about twice
+    ``MATCHING_BUDGET`` list entries, when there are more matchings than
+    that: once the lists built pass the budget, one integer count over the
+    same recursion decides.
     """
     names = sorted(model.edges)
     incident: dict[str, list[int]] = {v: [] for v in model.colors}
+    ends = []  # the internal nodes of each edge
     for i, e in enumerate(names):
-        for end in model.edges[e]:
-            if end[0] == "n":
-                incident[end[1]].append(i)
-    order = sorted(incident, key=lambda u: (len(incident[u]), u))
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    covers = [0] * len(names)
-    for i, e in enumerate(names):
-        for end in model.edges[e]:
-            if end[0] == "n":
-                covers[i] |= bit[end[1]]
+        nodes = [end[1] for end in model.edges[e] if end[0] == "n"]
+        ends.append(nodes)
+        for u in nodes:
+            incident[u].append(i)
+    bit = dict.fromkeys(incident, 0)
+    order: list[str] = []
+    for start in sorted(incident, key=lambda u: (len(incident[u]), u)):
+        if bit[start]:
+            continue
+        bit[start] = 1 << len(order)
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):
+            for i in incident[order[head]]:
+                for w in ends[i]:
+                    if not bit[w]:
+                        bit[w] = 1 << len(order)
+                        order.append(w)
+            head += 1
+    covers = [sum(map(bit.__getitem__, nodes)) for nodes in ends]
     # options[b]: (edge bit, covered mask) for each edge at node b
     options = [[(1 << i, covers[i]) for i in incident[v]] for v in order]
     full = (1 << len(order)) - 1
-    found: list[int] = []
+    memo = {full: [0]}
+    budget = MATCHING_BUDGET
+    built, limit = 0, budget  # list entries built, and how many before counting
 
-    def extend(covered: int, chosen: int):
-        free = full & ~covered
-        if not free:
-            found.append(chosen)
-            return
-        for ebit, mask in options[(free & -free).bit_length() - 1]:
-            if not covered & mask:
-                extend(covered | mask, chosen | ebit)
+    def rest(covered: int) -> list[int]:
+        nonlocal built, limit
+        out = memo.get(covered)
+        if out is None:
+            out = []
+            free = full & ~covered
+            for ebit, mask in options[(free & -free).bit_length() - 1]:
+                if not covered & mask:
+                    out += [ebit | c for c in rest(covered | mask)]
+            memo[covered] = out
+            built += len(out)
+            if built > limit:
+                count = _count_completions(options, full, memo)
+                if count > budget:
+                    raise MatchingBudgetExceeded(model, count, budget)
+                limit = float("inf")  # counted, and it fits
+        return out
 
-    extend(0, 0)
+    try:
+        found = rest(0)
+    finally:
+        # rest refers to itself: without this its memo and the model would
+        # live on until the next garbage collection
+        del rest
     # the little-endian bytes of a mask, each bit-reversed, read it lowest
     # bit first
     size = (len(names) + 7) // 8
     found.sort(key=lambda m: m.to_bytes(size, "little").translate(_BITS_REVERSED),
                reverse=True)
     return found
+
+
+def _count_completions(options, full: int, memo: dict) -> int:
+    """The number of matchings ``matching_masks`` lists, by the same
+    recursion over integers; a covered mask already in ``memo`` counts its
+    list."""
+    counts = {covered: len(out) for covered, out in memo.items()}
+
+    def count(covered: int) -> int:
+        got = counts.get(covered)
+        if got is None:
+            free = full & ~covered
+            got = counts[covered] = sum(
+                count(covered | mask)
+                for _, mask in options[(free & -free).bit_length() - 1]
+                if not covered & mask)
+        return got
+
+    return count(0)
 
 
 def _edge_names(names, mask: int) -> list[str]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import plabicflow
-from plabicflow import charts, cli, cones, seeds, superpot
+from plabicflow import charts, cli, cones, plabic, seeds, superpot
 from plabicflow.combinat import ksubsets
 from plabicflow.laurent import lp_add
 from plabicflow.plabic import save_model, shark_model
@@ -269,6 +269,36 @@ def test_point_budget_is_inclusive(monkeypatch, capsys):
     assert run_out(capsys, "verify", "weyl-count", "--kn", "2,5")[0] == 0
     monkeypatch.setattr(cli, "POINT_BUDGET", 49)
     assert run_out(capsys, "gt-cone", "--kn", "2,5", "--level", "2")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("matchings", "rect:4,8"),
+    ("flow", "rect:4,8", "1357"),
+    ("verify", "plucker", "--kn", "4,8"),
+], ids=["matchings", "flow", "verify"])
+def test_matching_budget_refuses_one_past_the_count(monkeypatch, capsys, argv):
+    # rect:4,8 has 424 perfect matchings
+    monkeypatch.setattr(plabic, "MATCHING_BUDGET", 423)
+    rc, out, err = run_out(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: rect:4,8 has 424 perfect matchings, past the "
+                   "matching budget of 423\n")
+
+
+def test_matching_budget_is_inclusive(monkeypatch, capsys):
+    monkeypatch.setattr(plabic, "MATCHING_BUDGET", 424)
+    rc, out, _ = run_out(capsys, "matchings", "rect:4,8", "--format", "csv")
+    assert rc == 0
+    assert len(out.splitlines()) == 1 + 424
+
+
+def test_matching_budget_refuses_rect_6_13(capsys):
+    rc, out, err = run_out(capsys, "matchings", "rect:6,13")
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: rect:6,13 has 1,205,690 perfect matchings, past the "
+                   "matching budget of 1,000,000\n")
 
 
 def test_no_body_csv(capsys):

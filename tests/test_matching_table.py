@@ -10,7 +10,10 @@ is the oracle for the table's positroid, base matching, partition
 functions and flow polynomials.
 """
 
+import gc
 import random
+import tracemalloc
+import weakref
 from collections import Counter
 
 import pytest
@@ -181,7 +184,11 @@ def index_matchings(model):
     return found
 
 
-ORACLE_BASES = {**BASES, "rect:4,8": lambda: build_rectangles_model(4, 8)}
+ORACLE_BASES = {
+    **BASES,
+    "rect:4,8": lambda: build_rectangles_model(4, 8),
+    "rect:4,9": lambda: build_rectangles_model(4, 9),
+}
 
 
 @given(st.sampled_from(sorted(ORACLE_BASES)), st.integers(0, 2**16), st.integers(0, 3))
@@ -195,9 +202,38 @@ def test_masks_equal_the_index_backtracker_on_orbits(name, seed, moves):
         frozenset(names[i] for i in m) for m in found]
 
 
-@pytest.mark.parametrize("kn, count", [((4, 8), 424), ((4, 9), 1450), ((5, 10), 7234)])
+def direct_sum(a, b):
+    """a and b side by side on one disc: b's nodes and edges primed and its
+    boundary labels shifted past a's.  The internal nodes fall into two
+    components, so ``analyze`` refuses the result (a model is connected), but
+    its matchings are the unions of one matching of a and one of b."""
+    def end(e):
+        return ("n", e[1] + "'") if e[0] == "n" else ("t", e[1] + a.n)
+
+    return PlabicModel(
+        a.k + b.k, a.n + b.n,
+        {**a.colors, **{v + "'": c for v, c in b.colors.items()}},
+        {**a.edges, **{e + "'": (end(x), end(y)) for e, (x, y) in b.edges.items()}},
+        {}, frozenset())
+
+
+@given(st.sampled_from(sorted(BASES)), st.sampled_from(sorted(BASES)),
+       st.integers(0, 2**16), st.integers(0, 3))
+@settings(max_examples=15, deadline=None)
+def test_masks_equal_the_index_backtracker_on_two_components(left, right, seed, moves):
+    # the breadth-first node order starts again on the second component
+    a = orbit(BASES[left](), seed, moves)
+    b = orbit(BASES[right](), seed + 1, moves)
+    model = direct_sum(a, b)
+    masks = plabic.matching_masks(model)
+    assert masks == [sum(1 << i for i in m) for m in index_matchings(model)]
+    assert len(masks) == len(plabic.matching_masks(a)) * len(plabic.matching_masks(b))
+
+
+@pytest.mark.parametrize("kn, count", [((4, 8), 424), ((4, 9), 1450), ((5, 10), 7234),
+                                       ((6, 12), 207997)])
 def test_rectangles_matching_counts(kn, count):
-    assert len(plabic.enumerate_matchings(build_rectangles_model(*kn))) == count
+    assert len(plabic.matching_masks(build_rectangles_model(*kn))) == count
 
 
 def test_enumeration_edge_cases():
@@ -210,6 +246,53 @@ def test_enumeration_edge_cases():
                 {"x": (("t", 1), ("n", "a")), "y": (("n", "a"), ("n", "b")),
                  "z": (("n", "b"), ("t", 2))})
     assert plabic.enumerate_matchings(path) == [frozenset("xz"), frozenset("y")]
+    # an isolated node beside the path leaves nothing to cover it
+    lone = bare({**path.colors, "c": "white"}, path.edges)
+    assert plabic.enumerate_matchings(lone) == []
+
+
+@pytest.mark.parametrize("name", sorted(ENUMERATED))
+def test_matching_budget_is_exact(monkeypatch, name):
+    model = ENUMERATED[name]()
+    masks = plabic.matching_masks(model)
+    monkeypatch.setattr(plabic, "MATCHING_BUDGET", len(masks))
+    assert plabic.matching_masks(model) == masks
+    for budget in (len(masks) - 1, 1):
+        monkeypatch.setattr(plabic, "MATCHING_BUDGET", budget)
+        with pytest.raises(plabic.MatchingBudgetExceeded) as info:
+            plabic.matching_masks(model)
+        assert (info.value.count, info.value.budget) == (len(masks), budget)
+        assert not isinstance(info.value, ValueError)
+
+
+def test_matching_budget_refuses_before_listing(monkeypatch):
+    # listing the 207,997 matchings of rect (6,12) peaks at about 80 MB; a
+    # budget of 1000 is refused having built some thousands of entries
+    monkeypatch.setattr(plabic, "MATCHING_BUDGET", 1000)
+    model = build_rectangles_model(6, 12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(plabic.MatchingBudgetExceeded) as info:
+            plabic.matching_masks(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.count == 207997
+    assert peak < 2_000_000
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # a cycle through the memoised recursion would keep its lists and the
+    # model alive until the next garbage collection
+    model = build_rectangles_model(3, 6)
+    ref = weakref.ref(model)
+    gc.disable()
+    try:
+        plabic.matching_masks(model)
+        del model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------------ the reference route
