@@ -15,12 +15,12 @@ from itertools import combinations
 from .combinat import KSubset, format_ksubset, ksubsets
 from .laurent import (
     LaurentPoly,
+    Substitution,
     lp_add,
     lp_equal,
     lp_min_exponent,
     lp_max_exponent,
     lp_mul,
-    lp_substitute,
 )
 from .plabic import (
     ModelInvariantError,
@@ -43,6 +43,13 @@ def face_lattice(model: PlabicModel) -> tuple[str, ...]:
     star = an.faces[an.star].label
     return an.derive("face lattice", lambda: tuple(
         format_ksubset(I, model.n) for I in an.lattice if I != star))
+
+
+def _face_columns(model: PlabicModel) -> tuple[int, ...]:
+    """Face indices in the order of ``face_lattice``; found once per model."""
+    an = analyze(model)
+    return an.derive("face columns", lambda: tuple(
+        an.label_to_face[J] for J in an.lattice if an.label_to_face[J] != an.star))
 
 
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
@@ -81,11 +88,8 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
 
 
 def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
-    an = analyze(model)
     lattice = face_lattice(model)
-    # face indices in lattice order, star omitted
-    columns = [an.label_to_face[J] for J in an.lattice
-               if an.label_to_face[J] != an.star]
+    columns = _face_columns(model)
     weights = face_weights(model, I)
     terms: dict[tuple, int] = {}
     for w in weights:
@@ -122,13 +126,24 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
 
     The coordinate at the mutated vertex inverts, every other coordinate i
     picks up a factor (1 + x_j)^{b_ij} after clearing the monomial
-    x_j^{max(-b_ij, 0)}: one ``lp_substitute`` with the exchange binomial
+    x_j^{max(-b_ij, 0)}: one substitution with the exchange binomial
     u = 1 + x_j.  The result lives on q's non-star vertices, in vertex order.
+    The substitution is built once per quiver, j and f's lattice, and kept
+    on the quiver.
     """
+    key = (j, f.lattice)
+    step = q._x_steps.get(key)
+    if step is None:
+        step = q._x_steps[key] = _x_step(q, j, f.lattice)
+    return step.apply(f)
+
+
+def _x_step(q: Quiver, j: str, incoming: tuple[str, ...]) -> Substitution:
+    """The substitution of ``x_mutate`` at j for polynomials on the lattice
+    ``incoming``: q's non-star vertices, or those with j renamed."""
     ins, outs = neighbours(q, j)
     vset = set(q.vertices)
     old = tuple(x for x in q.vertices if x != q.star)
-    incoming = [x for x in f.lattice]
     extra = [x for x in incoming if x not in vset]
     missing = [x for x in old if x not in set(incoming)]
     if not extra and not missing:
@@ -138,7 +153,7 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
     else:
         raise ModelInvariantError(
             "quiver-fz-mismatch",
-            f"lattice {incoming} does not match quiver vertices at {j}",
+            f"lattice {list(incoming)} does not match quiver vertices at {j}",
         )
     images = {}
     for x in incoming:
@@ -149,7 +164,7 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
             bij = ins.get(i, 0) - outs.get(i, 0)
             images[x] = ({i: 1, j: max(-bij, 0)}, bij)
     one_plus_xj = lp_add(LaurentPoly.one(old), LaurentPoly.monomial(old, {j: 1}))
-    return lp_substitute(f, images, one_plus_xj)
+    return Substitution(incoming, images, one_plus_xj)
 
 
 # ------------------------------------------------------ Plucker relations

@@ -241,75 +241,103 @@ def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.make(f.lattice, {vec_add(e, shift): c for e, c in quot.items()})
 
 
+class Substitution:
+    """One homomorphism from the Laurent polynomials on ``lattice`` to
+    those on u's lattice, built once and applied to any number of them.
+
+    ``images`` maps every label of ``lattice`` to a pair (m, e) standing
+    for x^m * u^e: m a sparse {label: exponent} monomial over u's lattice,
+    e an integer power of the one shared exchange binomial u.  The build
+    turns the images into sparse columns; the powers of u are made on
+    first use and kept for every later ``apply``.
+    """
+
+    def __init__(
+        self, lattice, images: dict[str, tuple[dict[str, int], int]], u: LaurentPoly
+    ):
+        col = {lab: i for i, lab in enumerate(u.lattice)}
+        sparse = []
+        for lab in lattice:
+            if lab not in images:
+                raise ValueError(f"no image for label {lab!r}")
+            m, e = images[lab]
+            unknown = set(m) - set(col)
+            if unknown:
+                raise ValueError(
+                    f"image of {lab!r} uses {sorted(unknown)} outside the codomain")
+            sparse.append(([(col[x], v) for x, v in m.items() if v], e))
+        self.lattice = tuple(lattice)
+        self.u = u
+        self._sparse = sparse
+        self._powers = [LaurentPoly.one(u.lattice)]
+
+    def _power(self, p: int) -> LaurentPoly:
+        """u^p, each power one product from the one before."""
+        powers = self._powers
+        while len(powers) <= p:
+            powers.append(lp_mul(powers[-1], self.u))
+        return powers[p]
+
+    def apply(self, f: LaurentPoly) -> LaurentPoly:
+        """The image of f, which must live on the built lattice.
+
+        The terms of f are grouped by their power E of u, each group a
+        polynomial g_E.  The groups with E >= 0 expand to the plain
+        polynomial P = sum g_E u^E.  With u^-D the lowest power (D = 0 when
+        there is no negative one), the other groups give
+        N = sum g_E u^(E+D), and the image is P + N / u^D.  As P u^D is a
+        multiple of u^D, the image is Laurent exactly when u^D divides
+        P u^D + N, that is exactly when it divides N; so only N goes to
+        ``lp_exact_div``, and a non-exact division raises NotLaurent.
+        """
+        if f.lattice != self.lattice:
+            raise ValueError(
+                f"lattice mismatch: {f.lattice} vs substitution on {self.lattice}")
+        lattice = self.u.lattice
+        d = len(lattice)
+        by_power: dict[int, dict[Exponent, int]] = {}
+        for exp, c in f.terms:
+            mono = [0] * d
+            E = 0
+            for x, (pairs, e) in zip(exp, self._sparse):
+                if x:
+                    for i, v in pairs:
+                        mono[i] += x * v
+                    E += x * e
+            group = by_power.setdefault(E, {})
+            key = tuple(mono)
+            group[key] = group.get(key, 0) + c
+
+        D = max(0, -min(by_power, default=0))
+
+        def expand(negative: bool) -> dict[Exponent, int]:
+            """P's terms, or with ``negative`` N's."""
+            out: dict[Exponent, int] = {}
+            for E, group in by_power.items():
+                if (E < 0) != negative:
+                    continue
+                up = self._power(E + D if negative else E)
+                for e1, c1 in group.items():
+                    for e2, c2 in up.terms:
+                        key = vec_add(e1, e2)
+                        out[key] = out.get(key, 0) + c1 * c2
+            return out
+
+        out = expand(negative=False)
+        if D:
+            quot = lp_exact_div(LaurentPoly.make(lattice, expand(negative=True)),
+                                self._power(D))
+            for e, c in quot.terms:
+                out[e] = out.get(e, 0) + c
+        return LaurentPoly.make(lattice, out)
+
+
 def lp_substitute(
     f: LaurentPoly, images: dict[str, tuple[dict[str, int], int]], u: LaurentPoly
 ) -> LaurentPoly:
-    """Homomorphic image of f over u's lattice, one label at a time.
-
-    ``images`` maps every label of f's lattice to a pair (m, e) standing
-    for x^m * u^e: m a sparse {label: exponent} monomial over u's lattice,
-    e an integer power of the one shared exchange binomial u.  The terms of
-    f are grouped by their power E of u, each group a polynomial g_E.  The
-    groups with E >= 0 expand to the plain polynomial P = sum g_E u^E.  With
-    u^-D the lowest power (D = 0 when there is no negative one), the other
-    groups give N = sum g_E u^(E+D), and the image is P + N / u^D.  As
-    P u^D is a multiple of u^D, the image is Laurent exactly when u^D
-    divides P u^D + N, that is exactly when it divides N; so only N goes to
-    ``lp_exact_div``, and a non-exact division raises NotLaurent.
-    """
-    col = {lab: i for i, lab in enumerate(u.lattice)}
-    sparse = []
-    for lab in f.lattice:
-        if lab not in images:
-            raise ValueError(f"no image for label {lab!r}")
-        m, e = images[lab]
-        unknown = set(m) - set(col)
-        if unknown:
-            raise ValueError(f"image of {lab!r} uses {sorted(unknown)} outside the codomain")
-        sparse.append(([(col[x], v) for x, v in m.items() if v], e))
-
-    d = len(u.lattice)
-    by_power: dict[int, dict[Exponent, int]] = {}
-    for exp, c in f.terms:
-        mono = [0] * d
-        E = 0
-        for x, (pairs, e) in zip(exp, sparse):
-            if x:
-                for i, v in pairs:
-                    mono[i] += x * v
-                E += x * e
-        group = by_power.setdefault(E, {})
-        key = tuple(mono)
-        group[key] = group.get(key, 0) + c
-
-    D = max(0, -min(by_power, default=0))
-    powers = [LaurentPoly.one(u.lattice)]
-
-    def power(p: int) -> LaurentPoly:
-        """u^p, each power one product from the one before."""
-        while len(powers) <= p:
-            powers.append(lp_mul(powers[-1], u))
-        return powers[p]
-
-    def expand(negative: bool) -> dict[Exponent, int]:
-        """P's terms, or with ``negative`` N's."""
-        out: dict[Exponent, int] = {}
-        for E, group in by_power.items():
-            if (E < 0) != negative:
-                continue
-            up = power(E + D if negative else E)
-            for e1, c1 in group.items():
-                for e2, c2 in up.terms:
-                    key = vec_add(e1, e2)
-                    out[key] = out.get(key, 0) + c1 * c2
-        return out
-
-    out = expand(negative=False)
-    if D:
-        quot = lp_exact_div(LaurentPoly.make(u.lattice, expand(negative=True)), power(D))
-        for e, c in quot.terms:
-            out[e] = out.get(e, 0) + c
-    return LaurentPoly.make(u.lattice, out)
+    """Homomorphic image of f over u's lattice: one ``Substitution`` built
+    on f's lattice and applied to f."""
+    return Substitution(f.lattice, images, u).apply(f)
 
 
 def lp_min_exponent(f: LaurentPoly, tiebreak: list[str] | None = None):

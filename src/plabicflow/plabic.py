@@ -866,7 +866,9 @@ class FaceGraph:
       nodes numbered from 0 and tip l as -l, ``left`` the face on its left
       as a face bit; ``leaving[v]`` is the mask of the darts with tail v,
       ``from_tips`` of those with a tip as tail;
-    - ``region``: the face flood of the model's ``FaceAdjacency``.
+    - ``region``: the face flood of the model's ``FaceAdjacency``, and
+      ``floods``, its memo: (seed faces, component edges) -> the indices
+      of the faces flooded, filled by ``flow_weights``.
     """
 
     def __init__(self, model: PlabicModel, base: int):
@@ -876,6 +878,7 @@ class FaceGraph:
         self.base = base
         self.labels = tuple(f.label for f in an.faces)
         self.region = an.adjacency.region
+        self.floods: dict[tuple[int, int], list[int]] = {}
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(F)]
         self.head: list[int] = []
         self.left: list[int] = []
@@ -943,6 +946,8 @@ class FaceGraph:
         and internal cycles of darts.  Each component adds 1 to every face
         enclosed on its left: the faces left of its darts, flooded through
         face adjacency as a face mask, blocked on the component's edges.
+        The decomposition and its checks run on every call; a flood is made
+        once per graph and (left faces, component).
         """
         diff = mask ^ self.base
         head, left, leaving = self.head, self.left, self.leaving
@@ -981,12 +986,19 @@ class FaceGraph:
             rest &= ~comp
             comps.append((comp, seeds))
         w = [0] * len(self.labels)
+        floods = self.floods
         for comp, seeds in comps:
-            region = self.region(seeds, comp)
-            while region:
-                low = region & -region
-                region ^= low
-                w[low.bit_length() - 1] += 1
+            faces = floods.get((seeds, comp))
+            if faces is None:
+                region = self.region(seeds, comp)
+                faces = []
+                while region:
+                    low = region & -region
+                    region ^= low
+                    faces.append(low.bit_length() - 1)
+                floods[seeds, comp] = faces
+            for f in faces:
+                w[f] += 1
         return w
 
     def weigh(self, mask: int) -> tuple[int, ...]:

@@ -55,6 +55,10 @@ class Quiver:
     # mutable vertex -> its in/out maps, filled by ``neighbours``
     _neighbours: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # (vertex, lattice) -> the built X-mutation step, filled by
+    # ``charts.x_mutate``; a step does not refer back to the quiver
+    _x_steps: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
 
 def neighbours(q: Quiver, j: str) -> tuple[Mapping[str, int], Mapping[str, int]]:

@@ -141,6 +141,21 @@ def test_x_mutate_lattice_mismatch():
         x_mutate(q, "13", bad)
 
 
+def test_x_mutate_checks_each_lattice_once_per_quiver():
+    # a step built for one lattice at j does not serve another: a lattice
+    # that does not fit the quiver fails its own build, after a good one
+    # and again on a second try, since a build that raises keeps nothing
+    m = build_rectangles_model(2, 4)
+    q = seed_of_model(m).quiver
+    good = flow_polynomial(square_move(m, (1, 3)), (1, 2))
+    assert lp_equal(x_mutate(q, "13", good), flow_polynomial(m, (1, 2)))
+    bad = LaurentPoly.make(("13", "99"), {(1, 0): 1})
+    for _ in range(2):
+        with pytest.raises(ModelInvariantError, match="quiver-fz-mismatch"):
+            x_mutate(q, "13", bad)
+    assert list(q._x_steps) == [("13", good.lattice)]
+
+
 def test_three_term_relation_count():
     # one relation per (k-2)-subset and 4-subset of the complement
     rels = list(three_term_relations(2, 5))

@@ -1,9 +1,11 @@
 import csv
+import gc
 import io
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -568,6 +570,65 @@ def test_xflow_mismatch_is_verification_failure(monkeypatch, capsys):
     rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,5")
     assert (rc, err) == (1, "")
     assert out == "FAIL xflow: rect:2,5: mutation at 13 disagrees with flows at I=12\n"
+
+
+MUTATION_COMMANDS = [
+    ["verify", "xflow", "--kn", "3,6"],
+    ["xcheck", "rect:3,6", "--mutations", "124,145"],
+]
+
+
+@pytest.mark.parametrize("argv", MUTATION_COMMANDS)
+def test_one_x_mutation_step_per_quiver_and_vertex(monkeypatch, capsys, argv):
+    # every boundary value of one move shares one built step
+    real = charts._x_step
+    builds = []
+
+    def counted(q, j, lattice):
+        builds.append((q, j))
+        return real(q, j, lattice)
+
+    monkeypatch.setattr(charts, "_x_step", counted)
+    rc, out, _ = run_out(capsys, *argv)
+    assert rc == 0
+    # xcheck prints one line per move, xflow lists its moves in brackets
+    if argv[0] == "xcheck":
+        moves = out.count("PASS xcheck")
+    else:
+        moves = len(out.split("[")[1].split(","))
+    assert len(builds) == moves > 1
+    assert all(not (q1 is q2 and j1 == j2)
+               for n, (q1, j1) in enumerate(builds) for q2, j2 in builds[:n])
+
+
+@pytest.mark.parametrize("argv", MUTATION_COMMANDS)
+def test_mutation_commands_leave_no_reference_cycle(monkeypatch, capsys, argv):
+    # the models, their quivers and the built steps are freed by reference
+    # counting once the command returns: no cycle through a memo
+    refs = []
+
+    def watched(build):
+        def call(*args):
+            out = build(*args)
+            for obj in (out, getattr(out, "quiver", None)):
+                if obj is not None:
+                    refs.append((type(obj).__name__, weakref.ref(obj)))
+            return out
+        return call
+
+    for module, name in ((plabic, "build_rectangles_model"), (plabic, "square_move"),
+                         (seeds, "seed_of_model"), (charts, "_x_step")):
+        monkeypatch.setattr(module, name, watched(getattr(module, name)))
+    gc.collect()
+    gc.disable()
+    try:
+        rc, _out, _ = run_out(capsys, *argv)
+        assert rc == 0
+        assert {kind for kind, _ in refs} == {
+            "PlabicModel", "Seed", "Quiver", "Substitution"}
+        assert [kind for kind, ref in refs if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 # ------------------------------------------------- forced failures per suite

@@ -13,6 +13,8 @@ from plabicflow.laurent import (
     lp_min_exponent,
     lp_mul,
     lp_substitute,
+    Substitution,
+    vec_add,
 )
 
 L3 = ("a", "b", "c")
@@ -248,3 +250,128 @@ def test_substitute_equals_global_division(case):
             lp_substitute(f, images, u)
         return
     assert lp_substitute(f, images, u) == want
+
+
+def one_shot_substitute(f, images, u):
+    """The substitution before it was split into a build and an apply: the
+    image columns and the powers of u are made afresh for every f."""
+    col = {lab: i for i, lab in enumerate(u.lattice)}
+    sparse = []
+    for lab in f.lattice:
+        if lab not in images:
+            raise ValueError(f"no image for label {lab!r}")
+        m, e = images[lab]
+        unknown = set(m) - set(col)
+        if unknown:
+            raise ValueError(f"image of {lab!r} uses {sorted(unknown)} outside the codomain")
+        sparse.append(([(col[x], v) for x, v in m.items() if v], e))
+
+    d = len(u.lattice)
+    by_power = {}
+    for exp, c in f.terms:
+        mono = [0] * d
+        E = 0
+        for x, (pairs, e) in zip(exp, sparse):
+            if x:
+                for i, v in pairs:
+                    mono[i] += x * v
+                E += x * e
+        group = by_power.setdefault(E, {})
+        key = tuple(mono)
+        group[key] = group.get(key, 0) + c
+
+    D = max(0, -min(by_power, default=0))
+    powers = [LaurentPoly.one(u.lattice)]
+
+    def power(p):
+        while len(powers) <= p:
+            powers.append(lp_mul(powers[-1], u))
+        return powers[p]
+
+    def expand(negative):
+        out = {}
+        for E, group in by_power.items():
+            if (E < 0) != negative:
+                continue
+            up = power(E + D if negative else E)
+            for e1, c1 in group.items():
+                for e2, c2 in up.terms:
+                    key = vec_add(e1, e2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    out = expand(negative=False)
+    if D:
+        quot = lp_exact_div(LaurentPoly.make(u.lattice, expand(negative=True)), power(D))
+        for e, c in quot.terms:
+            out[e] = out.get(e, 0) + c
+    return LaurentPoly.make(u.lattice, out)
+
+
+def lowest_power(f, images):
+    """D of f: minus the lowest power of u among the images of its terms."""
+    powers = [sum(x * images[lab][1] for lab, x in zip(f.lattice, exp))
+              for exp, _ in f.terms]
+    return max(0, -min(powers, default=0))
+
+
+@st.composite
+def substitution_runs(draw):
+    """(images, u, fs): one substitution of the ``substitutions`` shape and
+    several polynomials for it, ordered so that D rises and then falls, so a
+    built step reuses its powers of u out of order.  a maps to a monomial
+    over u, d to one over u^2, so each f reaches u^-D for D up to about 8."""
+    p = draw(small_exps)
+    q = draw(small_exps.filter(lambda e: e != p))
+    s, t = (draw(st.sampled_from([-2, -1, 1, 3])) for _ in range(2))
+    u = LaurentPoly.make(TARGET3, {p: s, q: t})
+    images = {"b": (dict(zip(TARGET3, p)), 0), "c": (dict(zip(TARGET3, q)), 0),
+              "a": (dict(zip(TARGET3, draw(small_exps))), -1),
+              "d": (dict(zip(TARGET3, draw(small_exps))), -2)}
+    H = LaurentPoly.make(SOURCE, {(0, 1, 0, 0): s, (0, 0, 1, 0): t})
+    fs = []
+    for _ in range(draw(st.integers(2, 7))):
+        F = LaurentPoly.make(SOURCE, draw(st.dictionaries(
+            st.tuples(*(st.integers(-2, 2) for _ in SOURCE)),
+            st.integers(-4, 4).filter(bool), min_size=1, max_size=5)))
+        fs.append(lp_mul(F, power(H, draw(st.integers(0, 5)))))
+    fs.sort(key=lambda f: lowest_power(f, images))
+    return images, u, fs[0::2] + fs[1::2][::-1]
+
+
+@given(substitution_runs())
+@settings(max_examples=120, deadline=None)
+def test_built_substitution_equals_one_shot_route(case):
+    # one step, many polynomials: the powers of u cached for a large D are
+    # reused for the smaller ones after it; a polynomial whose image is not
+    # Laurent raises on both routes and leaves the step usable
+    images, u, fs = case
+    step = Substitution(SOURCE, images, u)
+    for f in fs:
+        try:
+            want = one_shot_substitute(f, images, u)
+        except NotLaurent:
+            with pytest.raises(NotLaurent):
+                step.apply(f)
+            continue
+        assert step.apply(f) == want
+        assert lp_substitute(f, images, u) == want
+
+
+def test_built_substitution_raises_not_laurent_and_stays_usable():
+    # a^-1 maps to (u*(1+v))^-1: not Laurent on either route; the same step
+    # then carries a^-3 * (b + c)^3 as the one-shot route does
+    step = Substitution(L3, IMAGES, BINOM)
+    bad = poly({(-1, 0, 0): 1})
+    with pytest.raises(NotLaurent):
+        one_shot_substitute(bad, IMAGES, BINOM)
+    with pytest.raises(NotLaurent):
+        step.apply(bad)
+    good = lp_mul(poly({(-3, 0, 0): 1}), CLEAR)
+    assert step.apply(good) == one_shot_substitute(good, IMAGES, BINOM)
+
+
+def test_built_substitution_refuses_another_lattice():
+    step = Substitution(L3, IMAGES, BINOM)
+    with pytest.raises(ValueError, match="lattice mismatch"):
+        step.apply(LaurentPoly.one(SOURCE))

@@ -387,18 +387,52 @@ def test_mask_routes_equal_reference_on_orbits(name, seed, moves):
 def test_routes_reject_a_non_matching():
     # flipping one internal edge of the base matching uncovers or doubly
     # covers both its ends: no face weights solve the dual system there, and
-    # the difference is one dart that is neither a path nor a cycle
+    # the difference is one dart that is neither a path nor a cycle; the
+    # checks run before any flood, so a warm flood memo changes nothing
     model = build_rectangles_model(3, 6)
     graph = plabic.face_graph(model)
     internal = [i for i, e in enumerate(edge_lattice(model))
                 if all(end[0] == "n" for end in model.edges[e])]
     assert internal
-    for i in internal:
-        bad = graph.base ^ (1 << i)
-        with pytest.raises(ModelInvariantError, match="weight-inconsistent"):
-            graph.dual_weights(bad)
-        with pytest.raises(ModelInvariantError, match="flow-degree"):
-            graph.flow_weights(bad)
+    for warm in (False, True):
+        if warm:
+            for mask in matching_table(model).masks:
+                graph.weigh(mask)
+            assert graph.floods
+        for i in internal:
+            bad = graph.base ^ (1 << i)
+            with pytest.raises(ModelInvariantError, match="weight-inconsistent"):
+                graph.dual_weights(bad)
+            with pytest.raises(ModelInvariantError, match="flow-degree"):
+                graph.flow_weights(bad)
+
+
+FLOOD_BASES = {**BASES, "rect:4,8": lambda: build_rectangles_model(4, 8)}
+
+
+@given(st.sampled_from(sorted(FLOOD_BASES)), st.integers(0, 2**16), st.integers(0, 3))
+@settings(max_examples=20, deadline=None)
+def test_flood_memo_equals_a_fresh_flood(name, seed, moves):
+    # the first pass misses on each new (left faces, component) and hits on
+    # the repeats; the second pass, in the other order, only hits; a graph
+    # whose memo is emptied before every call floods afresh each time
+    model = orbit(FLOOD_BASES[name](), seed, moves)
+    graph = plabic.face_graph(model)
+    fresh = plabic.FaceGraph(model, graph.base)
+    order = list(matching_table(model).masks)
+    random.Random(seed).shuffle(order)
+    weights = {}
+    floods = 0
+    for mask in order:
+        fresh.floods.clear()
+        weights[mask] = tuple(fresh.flow_weights(mask))
+        floods += len(fresh.floods)
+        assert graph.weigh(mask) == weights[mask]
+    filled = dict(graph.floods)
+    assert len(order) > 1 and 0 < len(filled) <= floods
+    for mask in reversed(order):
+        assert graph.weigh(mask) == weights[mask]
+    assert graph.floods == filled
 
 
 def test_dual_route_rejects_negative_weights():
