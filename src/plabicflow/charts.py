@@ -27,7 +27,7 @@ from .plabic import (
     PlabicModel,
     analyze,
     enumerate_matchings,  # noqa: F401  re-exported: charts.enumerate_matchings
-    face_weights,
+    face_graph,
     matching_table,
 )
 from .seeds import Quiver, neighbours
@@ -80,7 +80,8 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     face weight; the weight is independently recomputed from the flow
     decomposition (left-face counts), and the polynomial must have unique
     minimal and maximal exponents, both with coefficient 1.  It is built
-    and checked once per model and I.
+    and checked once per model and I, and its exponents are the one place
+    the face weights are kept.
     """
     I = tuple(I)
     return analyze(model).derive(
@@ -88,18 +89,19 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
 
 
 def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
+    # weighing raises weight-negative on any face, so no exponent is negative
     lattice = face_lattice(model)
+    masks = matching_table(model).masks_at(I)
+    if not masks:
+        return LaurentPoly.make(lattice, {})
     columns = _face_columns(model)
-    weights = face_weights(model, I)
+    weigh = face_graph(model).weigh
     terms: dict[tuple, int] = {}
-    for w in weights:
+    for mask in masks:
+        w = weigh(mask)
         exp = tuple(w[i] for i in columns)
-        if min(exp, default=0) < 0:
-            raise ModelInvariantError("weight-negative", f"{I}: {dict(zip(lattice, exp))}")
         terms[exp] = terms.get(exp, 0) + 1
     f = LaurentPoly.make(lattice, terms)
-    if not weights:
-        return f
     for which, (exp, unique) in (
         ("min", lp_min_exponent(f)),
         ("max", lp_max_exponent(f)),
@@ -185,19 +187,16 @@ def _with(S, x, y):
     return tuple(sorted(set(S) | {x, y}))
 
 
-def plucker_verify(model: PlabicModel, rel, chart: str = "both") -> bool:
-    """Check one three-term relation in the requested chart(s).
+def plucker_verify(model: PlabicModel, rel) -> bool:
+    """Check one three-term relation in both charts.
 
     The relation on (a, b, c, d, S) is
     D(Sac) D(Sbd) = D(Sab) D(Scd) + D(Sad) D(Sbc),
-    with coordinates taken to be partition functions ("partition"), flow
-    polynomials ("flow"), or both; subsets outside the positroid contribute
-    zero.
+    with coordinates taken to be partition functions, then flow
+    polynomials; subsets outside the positroid contribute zero.
     """
     a, b, c, d, S = rel
-    charts = ("partition", "flow") if chart == "both" else (chart,)
-    for ch in charts:
-        coord = partition_function if ch == "partition" else flow_polynomial
+    for coord in (partition_function, flow_polynomial):
         ac, bd = coord(model, _with(S, a, c)), coord(model, _with(S, b, d))
         ab, cd = coord(model, _with(S, a, b)), coord(model, _with(S, c, d))
         ad, bc = coord(model, _with(S, a, d)), coord(model, _with(S, b, c))

@@ -368,8 +368,9 @@ def cmd_superpotential(args) -> int:
     W = superpot.w_rectangles(k, n)
     for j in _parse_names(args.mutations, k, n, "--mutations"):
         _require_face(s, j)
+        s2 = seeds.mutate_labels(s, j)
         W = superpot.a_mutate_w(s, W, j)
-        s = seeds.mutate_labels(s, j)
+        s = s2
     _emit_poly(_reorder(W.poly, args.order, k, n), args.format, "p")
     return 0
 
@@ -386,7 +387,7 @@ def cmd_wx(args) -> int:
 
 def _suite_plucker(model: PlabicModel, tag: str, level: int):
     for rel in charts.three_term_relations(model.k, model.n):
-        if not charts.plucker_verify(model, rel, chart="both"):
+        if not charts.plucker_verify(model, rel):
             a, b, c, d, S = rel
             return False, f"relation ({a},{b},{c},{d};S={S}) fails on {tag}"
     return True, f"{tag} all three-term relations, both charts"

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 from .combinat import KSubset, format_ksubset, ksubsets, rectangle_label
 from .laurent import LaurentPoly
-from .seeds import Quiver, Seed, kappa_vector, rectangles_seed, trop_a_mutate
+from .seeds import Seed, kappa_vector, rectangles_seed
 
 
 class Unbounded(Exception):
@@ -376,19 +376,6 @@ def no_body_level1(s: Seed) -> list[dict[str, int]]:
 def body_membership_check(points, cone: Cone) -> bool:
     """Every point lies in the level-1 slice of the cone."""
     return all(cone_contains(cone, {**p, "r": 1}) for p in points)
-
-
-def trop_mutate_points(q: Quiver, j: str, pts) -> list[dict[str, int]]:
-    """Tropical mutation applied to each point (star coordinate fixed 0)."""
-    out = []
-    for p in pts:
-        full = dict(p)
-        full.setdefault(q.star, 0)
-        moved = trop_a_mutate(q, j, full)
-        if moved[q.star] != 0:
-            raise ValueError("mutation moved the star coordinate")
-        out.append({lab: c for lab, c in moved.items() if lab != q.star})
-    return out
 
 
 def _affine_rank(points) -> int:

@@ -340,15 +340,14 @@ def lp_substitute(
     return Substitution(f.lattice, images, u).apply(f)
 
 
-def lp_min_exponent(f: LaurentPoly, tiebreak: list[str] | None = None):
+def lp_min_exponent(f: LaurentPoly):
     """Minimal exponent under the coordinatewise partial order.
 
     Returns (exponent tuple, unique flag).  A unique minimum is one below
     every exponent, so it exists iff the coordinatewise minimum of all
     exponents is itself an exponent, and then it is that vector.  When no
-    unique minimum exists the lex-minimal one of the minimal exponents is
-    returned (coordinates ordered per `tiebreak` labels, default = lattice
-    order) with flag False.
+    unique minimum exists the lex-minimal one of the minimal exponents, in
+    lattice order, is returned with flag False.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no minimal exponent")
@@ -361,11 +360,7 @@ def lp_min_exponent(f: LaurentPoly, tiebreak: list[str] | None = None):
         for e in exps
         if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps)
     ]
-    perm = list(range(len(f.lattice)))
-    if tiebreak is not None:
-        perm = [f.lattice.index(lab) for lab in tiebreak]
-    key = lambda e: tuple(e[i] for i in perm)
-    return min(minimal, key=key), False
+    return min(minimal), False
 
 
 def lp_max_exponent(f: LaurentPoly):

@@ -109,10 +109,12 @@ class Analysis:
     def derive(self, key, build):
         """The model's quantity named ``key``, made by ``build()`` on the
         first request and kept for the model's lifetime.  Every quantity
-        derived from a model past its analysis (matching table, face graph
-        and weights, partition functions, flow polynomials, face names,
-        seed, square-moved models) is kept here and nowhere else.  A build
-        that raises keeps nothing, so the next request builds again."""
+        derived from a model past its analysis (matching table, face graph,
+        partition functions, flow polynomials, face names, seed,
+        square-moved models) is kept here and nowhere else, and each once:
+        face weights are kept only as the exponents of the flow
+        polynomials.  A build that raises keeps nothing, so the next
+        request builds again."""
         try:
             return self._derived[key]
         except KeyError:
@@ -477,7 +479,18 @@ def _parse_end(tok: str, line_no: int) -> End:
     raise ParseError(line_no, f"bad edge end {tok!r} (want n:<node> or b:<label>)")
 
 
+def _text_id(name: str) -> bool:
+    """Whether a node or edge id can be written in the text format: one
+    token, with no ``#`` (a comment) and no ``,`` (label and star lines
+    join edge ids with it)."""
+    return name.split() == [name] and "#" not in name and "," not in name
+
+
 def save_model(model: PlabicModel) -> str:
+    bad = [name for name in (*model.colors, *model.edges) if not _text_id(name)]
+    if bad:
+        raise ModelInvariantError(
+            "unrepresentable", f"id {bad[0]!r} is not one token free of ',' and '#'")
     an = analyze(model)
     seen_specs = set()
     for f in an.faces:
@@ -534,12 +547,16 @@ def load_model(text: str) -> PlabicModel:
         elif cmd == "node":
             if len(parts) != 3 or parts[2] not in (BLACK, WHITE):
                 raise ParseError(line_no, "node wants <id> black|white")
+            if not _text_id(parts[1]):
+                raise ParseError(line_no, f"node id {parts[1]!r} contains ','")
             if parts[1] in colors:
                 raise ParseError(line_no, f"duplicate node {parts[1]}")
             colors[parts[1]] = parts[2]
         elif cmd == "edge":
             if len(parts) != 4:
                 raise ParseError(line_no, "edge wants <id> <end> <end>")
+            if not _text_id(parts[1]):
+                raise ParseError(line_no, f"edge id {parts[1]!r} contains ','")
             if parts[1] in edges:
                 raise ParseError(line_no, f"duplicate edge {parts[1]}")
             edges[parts[1]] = (
@@ -771,10 +788,10 @@ class MatchingTable:
     bit j of a mask for the j-th edge of ``edges``, which is
     ``sorted(model.edges)``.  ``boundary[i]`` is the boundary value of
     ``masks[i]``, read at the boundary-stub bits; ``groups`` maps each
-    boundary value to the indices of its matchings and ``positroid`` lists
+    boundary value to the masks of its matchings and ``positroid`` lists
     the boundary values in sorted order.  The public fields are tuples and a
     read-only mapping, so callers cannot change the table.  Edge names are
-    made only on request (``edge_names``, ``at``).
+    made only on request (``edge_names``).
     """
 
     def __init__(self, model: PlabicModel, masks):
@@ -801,24 +818,19 @@ class MatchingTable:
             boundary.append(I)
         self.boundary: tuple[KSubset, ...] = tuple(boundary)
         groups: dict[KSubset, list[int]] = {}
-        for i, I in enumerate(self.boundary):
-            groups.setdefault(I, []).append(i)
-        self.groups = MappingProxyType({I: tuple(ix) for I, ix in groups.items()})
+        for mask, I in zip(self.masks, self.boundary):
+            groups.setdefault(I, []).append(mask)
+        self.groups = MappingProxyType({I: tuple(ms) for I, ms in groups.items()})
         self.positroid: tuple[KSubset, ...] = tuple(sorted(groups))
 
     def edge_names(self, mask: int) -> list[str]:
         """The edges of a mask by name, in sorted order."""
         return _edge_names(self.edges, mask)
 
-    def at(self, I) -> tuple[frozenset, ...]:
-        """The matchings with boundary value I as sets of edge names, in
-        enumeration order."""
-        return tuple(frozenset(self.edge_names(m)) for m in self.masks_at(I))
-
     def masks_at(self, I) -> tuple[int, ...]:
         """The edge masks of the matchings with boundary value I, in
         enumeration order."""
-        return tuple(self.masks[i] for i in self.groups.get(tuple(I), ()))
+        return self.groups.get(tuple(I), ())
 
 
 def matching_table(model: PlabicModel) -> MatchingTable:
@@ -832,7 +844,7 @@ def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
     return matching_table(model).positroid
 
 
-def _base_index(table: MatchingTable) -> int:
+def _base_mask(table: MatchingTable) -> int:
     target = lex_max(table.positroid)
     hits = table.groups[target]
     if len(hits) != 1:
@@ -845,7 +857,7 @@ def _base_index(table: MatchingTable) -> int:
 def base_matching(model: PlabicModel) -> frozenset:
     """The unique matching whose boundary value is lex-maximal."""
     table = matching_table(model)
-    return frozenset(table.edge_names(table.masks[_base_index(table)]))
+    return frozenset(table.edge_names(_base_mask(table)))
 
 
 class FaceGraph:
@@ -1014,27 +1026,11 @@ class FaceGraph:
 
 
 def face_graph(model: PlabicModel) -> FaceGraph:
-    """The model's face graph, built on the first face-weight request."""
-    table = matching_table(model)
+    """The model's face graph, built on the first face-weight request.
+    Face weights are not kept: ``charts.flow_polynomial`` keeps them as its
+    exponents."""
     return analyze(model).derive(
-        "face graph", lambda: FaceGraph(model, table.masks[_base_index(table)]))
-
-
-def face_weights(model: PlabicModel, I) -> tuple[tuple[int, ...], ...]:
-    """Face weights of the matchings with boundary value I, relative to the
-    base matching, in the order of ``matching_table(model).masks_at(I)``.
-
-    Each vector is indexed by face index.  It is computed on first request
-    for I, after the flow decomposition and the dual-arrow system agree on
-    it (``FaceGraph.weigh``).
-    """
-    I = tuple(I)
-
-    def build():
-        masks = matching_table(model).masks_at(I)
-        return tuple(map(face_graph(model).weigh, masks)) if masks else ()
-
-    return analyze(model).derive(("face weights", I), build)
+        "face graph", lambda: FaceGraph(model, _base_mask(matching_table(model))))
 
 
 def weight_of_matching(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
@@ -1199,8 +1195,9 @@ def check_model(model: PlabicModel) -> None:
             )
     if not pairwise_weakly_separated([f.label for f in an.faces], model.n):
         raise ModelInvariantError("labels-not-weakly-separated")
-    for I in pos:
-        face_weights(model, I)
+    weigh = face_graph(model).weigh
+    for mask in matching_table(model).masks:
+        weigh(mask)
 
 
 # ------------------------------------------------------------ square move

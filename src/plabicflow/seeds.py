@@ -269,31 +269,38 @@ def exchange_label(q: Quiver, labels: Mapping[str, KSubset], j: str) -> KSubset:
     return tuple(sorted(S | (quad - pair)))
 
 
+def label_exchange(s: Seed, j: str) -> tuple[str, dict[str, KSubset], tuple[str, ...]]:
+    """The label side of seed mutation at j: the name of j's exchange
+    partner, the labels with j's exchanged, and the quiver's vertices with
+    j renamed, placed by the subset order of the labels.  Raises
+    NotPlabicMutable as ``exchange_label`` does, and ``duplicate-label``
+    when the partner is already a label."""
+    new_label = exchange_label(s.quiver, s.labels, j)
+    if new_label in s.labels.values():
+        raise ModelInvariantError("duplicate-label", f"{new_label} already a label")
+    new_name = format_ksubset(new_label, s.n)
+    labels = {v: lab for v, lab in s.labels.items() if v != j}
+    labels[new_name] = new_label
+    vertices = sorted((new_name if v == j else v for v in s.quiver.vertices),
+                      key=labels.__getitem__)
+    return new_name, labels, tuple(vertices)
+
+
 def mutate_labels(s: Seed, j: str) -> Seed:
     """Seed mutation: quiver mutation plus the Plucker label exchange at j."""
-    new_label = exchange_label(s.quiver, s.labels, j)
-    new_name = format_ksubset(new_label, s.n)
-    others = [lab for v, lab in s.labels.items() if v != j]
-    if new_label in others:
-        raise ModelInvariantError("duplicate-label", f"{new_label} already a label")
-    if not pairwise_weakly_separated(others + [new_label], s.n):
+    new_name, labels2, vertices = label_exchange(s, j)
+    if not pairwise_weakly_separated(list(labels2.values()), s.n):
         raise ModelInvariantError(
             "labels-not-weakly-separated", f"after exchanging {j} -> {new_name}"
         )
-    labels2 = {v: lab for v, lab in s.labels.items() if v != j}
-    labels2[new_name] = new_label
-    # mutate on arrow counts, rename j to new_name, and place it by the subset
-    # order of the labels; the one make_quiver checks the result
+    # mutate on arrow counts and rename j to new_name; the one make_quiver
+    # checks the result
     q = s.quiver
     rn = lambda x: new_name if x == j else x
     counts = _fz_counts(q, j)
     _corner_rule(q, j, counts)
-    q2 = make_quiver(
-        sorted(map(rn, q.vertices), key=labels2.__getitem__),
-        q.frozen,
-        q.star,
-        {(rn(u), rn(v)): m for (u, v), m in counts.items()},
-    )
+    q2 = make_quiver(vertices, q.frozen, q.star,
+                     {(rn(u), rn(v)): m for (u, v), m in counts.items()})
     return Seed(s.k, s.n, q2, labels2)
 
 

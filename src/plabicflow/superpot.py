@@ -22,7 +22,7 @@ from .plabic import ModelInvariantError
 from .seeds import (
     Seed,
     beta_matrix,
-    mutate_labels,
+    label_exchange,
     neighbours,
     rectangles_seed,
     wt_matrix,
@@ -222,13 +222,14 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
 
     The exchange relation replaces p_j by
     (product over in-arrows + product over out-arrows) / p_j', and the
-    result must again be a Laurent polynomial.
+    result must again be a Laurent polynomial.  Its lattice is q and the
+    vertices of ``mutate_labels(s, j)``, read off ``label_exchange``; the
+    seed's own checks run in ``mutate_labels``.
     """
     if W.tag != "A-form":
         raise ValueError("a_mutate_w needs an A-form superpotential")
-    s2 = mutate_labels(s, j)
-    (j2,) = set(s2.labels) - set(s.labels)
-    lattice2 = ("q",) + s2.quiver.vertices
+    j2, _labels, vertices = label_exchange(s, j)
+    lattice2 = ("q",) + vertices
     images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
     images[j] = ({j2: -1}, 1)
     ins, outs = neighbours(s.quiver, j)

@@ -217,7 +217,7 @@ def test_criterion_10_plucker_relations():
     ]
     for k, n, model in models:
         for rel in three_term_relations(k, n):
-            assert plucker_verify(model, rel, chart="both"), (k, n, rel)
+            assert plucker_verify(model, rel), (k, n, rel)
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from plabicflow import charts
 from plabicflow.combinat import ksubsets
 from plabicflow.laurent import LaurentPoly, lp_equal, lp_min_exponent
 from plabicflow.plabic import (
@@ -167,7 +168,7 @@ def test_three_term_relation_count():
 def test_plucker_relations_rect():
     m = build_rectangles_model(2, 4)
     for rel in three_term_relations(2, 4):
-        assert plucker_verify(m, rel, chart="both")
+        assert plucker_verify(m, rel)
 
 
 def test_plucker_relations_shark():
@@ -175,11 +176,16 @@ def test_plucker_relations_shark():
     # but still hold with those coordinates set to zero
     m = shark_model()
     for rel in three_term_relations(2, 5):
-        assert plucker_verify(m, rel, chart="both")
+        assert plucker_verify(m, rel)
 
 
-def test_plucker_single_chart_arg():
+def test_plucker_fails_in_either_chart(monkeypatch):
+    # every relation is checked in both charts, so one wrong chart fails it:
+    # with every coordinate 1 the relation reads 1 = 2
     m = build_rectangles_model(2, 4)
     rel = next(iter(three_term_relations(2, 4)))
-    assert plucker_verify(m, rel, chart="partition")
-    assert plucker_verify(m, rel, chart="flow")
+    assert plucker_verify(m, rel)
+    for chart in ("partition_function", "flow_polynomial"):
+        with monkeypatch.context() as patch:
+            patch.setattr(charts, chart, lambda model, I: LaurentPoly.one(("x",)))
+            assert not plucker_verify(m, rel)

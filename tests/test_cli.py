@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -518,6 +519,19 @@ def test_non_utf8_model_file_is_usage_error(tmp_path, capsys):
     rc, out, err = run_out(capsys, "flow", str(path), "25")
     assert (rc, out) == (2, "")
     assert err.startswith(f"error: model '{path}' is not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("old,new", [("B1", "B,1"), ("B1B2", "B1,B2")])
+def test_comma_in_an_id_is_a_parse_error(tmp_path, old, new):
+    # a label or star line would read the edge id B1,B2 as two ids
+    path = tmp_path / "comma.plabic"
+    path.write_text(re.sub(rf"\b{old}\b", new, plabic.SHARK_TEXT))
+    env = dict(os.environ, PYTHONPATH=str(Path(plabicflow.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "plabicflow", "flow", str(path), "25"],
+                          capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: line ") and "contains ','" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_kappa_has_no_order_option(capsys):

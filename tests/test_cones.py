@@ -18,10 +18,9 @@ from plabicflow.cones import (
     level1_slice_check,
     make_cone,
     no_body_level1,
-    trop_mutate_points,
     weyl_dim,
 )
-from plabicflow.seeds import kappa_vector, mutate_labels, rectangles_seed
+from plabicflow.seeds import kappa_vector, rectangles_seed
 
 
 def _kappa_point(s, I):
@@ -299,14 +298,3 @@ def test_level1_slice_check_fails_on_subset():
     pts = [p for p in no_body_level1(s) if any(p.values())]
     assert not level1_slice_check(pts, gt_inequalities(2, 4))
 
-
-def test_trop_mutate_points_matches_mutated_kappa():
-    s = rectangles_seed(2, 4)
-    s2 = mutate_labels(s, "13")
-    pts = no_body_level1(s)
-    moved = trop_mutate_points(s.quiver, "13", pts)
-    want = [
-        {("13" if lab == "24" else lab): c for lab, c in p.items()}
-        for p in no_body_level1(s2)
-    ]
-    assert moved == want

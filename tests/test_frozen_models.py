@@ -71,8 +71,6 @@ def test_per_model_quantities_are_derived_once():
     assert charts.face_lattice(model) is charts.face_lattice(model)
     assert plabic.matching_table(model) is plabic.matching_table(model)
     assert plabic.face_graph(model) is plabic.face_graph(model)
-    I = (1, 3, 5)
-    assert plabic.face_weights(model, I) is plabic.face_weights(model, list(I))
     # two models built alike share nothing
     other = build_rectangles_model(3, 6)
     assert seeds.seed_of_model(other) is not seeds.seed_of_model(model)

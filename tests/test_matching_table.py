@@ -12,6 +12,7 @@ functions and flow polynomials.
 
 import gc
 import random
+import sys
 import tracemalloc
 import weakref
 from collections import Counter
@@ -37,7 +38,6 @@ from plabicflow.plabic import (
     base_matching,
     boundary_value,
     build_rectangles_model,
-    face_weights,
     flow_weight,
     matching_table,
     positroid,
@@ -352,8 +352,8 @@ def test_orbits_leave_the_base_model():
 
 
 def assert_routes_equal_reference(model):
-    """Table masks and boundary values, and both face-weight routes on every
-    matching, against the set-based public functions."""
+    """Table masks, boundary values and groups, and both face-weight routes
+    on every matching, against the set-based public functions."""
     table = matching_table(model)
     matchings = plabic.enumerate_matchings(model)
     bit = {e: 1 << i for i, e in enumerate(edge_lattice(model))}
@@ -362,15 +362,16 @@ def assert_routes_equal_reference(model):
     faces = plabic.analyze(model).faces
     mstar = base_matching(model)
     graph = plabic.face_graph(model)
-    reference = {}
     for m, mask in zip(matchings, table.masks):
         dual = plabic.weight_of_matching(model, m, mstar)
         flow = flow_weight(model, m, mstar)
-        reference[m] = tuple(flow[f.label] for f in faces)
+        reference = tuple(flow[f.label] for f in faces)
         assert graph.dual_weights(mask) == [dual[f.label] for f in faces]
-        assert graph.flow_weights(mask) == list(reference[m])
+        assert graph.flow_weights(mask) == list(reference)
+        assert graph.weigh(mask) == reference
     for I in table.positroid:
-        assert face_weights(model, I) == tuple(reference[m] for m in table.at(I))
+        assert table.masks_at(I) == tuple(
+            mask for mask, J in zip(table.masks, table.boundary) if J == I)
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATED))
@@ -476,7 +477,6 @@ def test_one_enumeration_per_model(enumerations):
         for I in ksubsets(6, 3):
             partition_function(m, I)
             flow_polynomial(m, I)
-            face_weights(m, I)
         for rel in three_term_relations(3, 6):
             assert plucker_verify(m, rel)
         plabic.check_model(m)
@@ -535,7 +535,7 @@ def test_weights_are_filled_per_boundary_value(weighings, monkeypatch):
     flow_polynomial(model, I)
     assert sorted(weighings) == sorted(matching_table(model).masks_at(I))
     flow_polynomial(model, I)
-    assert len(weighings) == len(matching_table(model).at(I))
+    assert len(weighings) == len(matching_table(model).masks_at(I))
     flow_polynomial(model, (1, 2, 3))
     assert graphs == [model]  # one face graph serves every boundary value
 
@@ -591,11 +591,11 @@ def test_returned_collections_cannot_corrupt_the_table(monkeypatch):
     before = snapshot()
     table = matching_table(model)
     handed[0].clear()
-    list(table.at(I)).clear()
+    list(table.masks_at(I)).clear()
     with pytest.raises(TypeError):
         table.groups[I] = ()
     with pytest.raises(TypeError):
-        face_weights(model, I)[0][0] = 7
+        table.masks_at(I)[0] = 0
     with pytest.raises(TypeError):
         table.masks[0] = 0
     assert snapshot() == before
@@ -613,12 +613,32 @@ def test_table_path_never_names_matchings(monkeypatch, capsys):
     for I in positroid(model):
         partition_function(model, I)
         flow_polynomial(model, I)
-        face_weights(model, I)
+    plabic.check_model(model)
     assert cli.main(["matchings", "rect:3,6"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 42
 
 
 # ------------------------------------------- one flow polynomial per (model, I)
+
+
+def test_face_weights_are_kept_only_as_flow_exponents():
+    # after the table, every flow polynomial of rect (4,9) keeps little more
+    # than its own term tuples (1.2 times); a second store of the weights,
+    # one vector per matching, about doubles that
+    model = build_rectangles_model(4, 9)
+    table = matching_table(model)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        polys = [flow_polynomial(model, I) for I in table.positroid]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    terms = sum(sys.getsizeof(f.terms) + sum(sys.getsizeof(t) + sys.getsizeof(t[0])
+                                             for t in f.terms) for f in polys)
+    assert kept <= 1.4 * terms
 
 
 def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
@@ -636,7 +656,7 @@ def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
             for I in ksubsets(6, 3):
                 flow_polynomial(model, I)
             for rel in three_term_relations(3, 6):
-                assert plucker_verify(model, rel, "flow")
+                assert plucker_verify(model, rel)
     assert len(built) == sum(len(positroid(m)) for m in models)
     for model in models:
         I = positroid(model)[0]
@@ -659,7 +679,7 @@ def test_partition_function_is_built_once_per_boundary_value(monkeypatch):
             for I in subsets:
                 partition_function(model, I)
             for rel in three_term_relations(3, 6):
-                assert plucker_verify(model, rel, "partition")
+                assert plucker_verify(model, rel)
     assert len(built) == len(models) * len(subsets)
     for model in models:
         I = positroid(model)[0]
@@ -667,15 +687,15 @@ def test_partition_function_is_built_once_per_boundary_value(monkeypatch):
 
 
 def test_perturbed_weight_raises_on_first_call(monkeypatch):
-    real = charts.face_weights
+    real = plabic.MatchingTable.masks_at
 
-    def doubled(model, I):  # every coefficient 2, so both extremes fail
-        weights = real(model, I)
-        return weights + weights
+    def doubled(table, I):  # every coefficient 2, so both extremes fail
+        masks = real(table, I)
+        return masks + masks
 
     model = build_rectangles_model(2, 5)
     I = (2, 4)
-    monkeypatch.setattr(charts, "face_weights", doubled)
+    monkeypatch.setattr(plabic.MatchingTable, "masks_at", doubled)
     for _ in range(2):
         with pytest.raises(ModelInvariantError, match="flow-extremes"):
             flow_polynomial(model, I)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from collections import Counter
 
 import pytest
@@ -10,6 +11,7 @@ from plabicflow.plabic import (
     NotPlabicMutable,
     SHARK_TEXT,
     ParseError,
+    PlabicModel,
     analyze,
     base_matching,
     boundary_value,
@@ -104,6 +106,47 @@ def test_load_errors():
     )
     with pytest.raises((ParseError, ModelInvariantError)):
         load_model(bad)
+
+
+# an id with a ',' in it: label and star lines join edge ids with ','
+COMMA_TEXTS = {
+    "node": (re.sub(r"\bB1\b", "B,1", SHARK_TEXT), "node B,1 white"),
+    "edge": (re.sub(r"\bB1B2\b", "B1,B2", SHARK_TEXT), "edge B1,B2 n:B1 n:B2"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMMA_TEXTS))
+def test_load_refuses_a_comma_in_an_id(kind):
+    text, line = COMMA_TEXTS[kind]
+    with pytest.raises(ParseError, match=f"{kind} id") as err:
+        load_model(text)
+    assert err.value.line_no == text.splitlines().index(line) + 1
+
+
+def _renamed(model, node=None, edge=None):
+    """The model with one node or one edge renamed."""
+    v = lambda x: node[1] if node and x == node[0] else x
+    e = lambda x: edge[1] if edge and x == edge[0] else x
+    end = lambda t: ("n", v(t[1])) if t[0] == "n" else t
+    return PlabicModel(
+        model.k, model.n,
+        {v(x): c for x, c in model.colors.items()},
+        {e(x): (end(a), end(b)) for x, (a, b) in model.edges.items()},
+        {v(x): tuple(map(e, r)) for x, r in model.rot.items()},
+        frozenset(map(e, model.star_spec)),
+    )
+
+
+def test_save_refuses_a_comma_in_an_id():
+    node = _renamed(shark_model(), node=("B1", "B,1"))
+    edge = _renamed(shark_model(), edge=("B1B2", "B1,B2"))
+    # the moved model names its new edges after the nodes: sq_B,1_B5 ...
+    moved = square_move(node, (2, 4))
+    assert any("," in x for x in moved.edges)
+    for model in (node, edge, moved):
+        assert positroid(model) == positroid(shark_model())
+        with pytest.raises(ModelInvariantError, match="unrepresentable"):
+            save_model(model)
 
 
 def test_invariant_errors():

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plabicflow import cli, seeds, superpot
 from plabicflow.cones import (
     cone_contains,
     cone_from_tropical,
@@ -9,15 +11,20 @@ from plabicflow.cones import (
     lattice_points,
     make_cone,
 )
-from plabicflow.laurent import lp_equal
+from plabicflow.laurent import LaurentPoly, lp_add, lp_equal, lp_substitute
+from plabicflow.plabic import NotPlabicMutable
 from plabicflow.seeds import (
     NotMutable,
+    mutable_vertices,
     mutate_labels,
+    neighbours,
     rectangles_seed,
     trop_a_mutate,
     wt_matrix,
 )
 from plabicflow.superpot import (
+    SuperpotentialExpr,
+    _check_a_form,
     a_mutate_w,
     boundary_vertex,
     ext_factors,
@@ -152,6 +159,66 @@ def test_a_mutate_w_guards():
         a_mutate_w(s, W, "12")
     with pytest.raises(ValueError):
         a_mutate_w(s, w_x_rectangles(2, 4), "13")
+
+
+def full_seed_a_mutate_w(s, W, j):
+    """The potential step on a whole seed mutation, which gives the
+    partner's name and the vertex order: the reference for ``a_mutate_w``,
+    which reads both off ``seeds.label_exchange``."""
+    if W.tag != "A-form":
+        raise ValueError("a_mutate_w needs an A-form superpotential")
+    s2 = mutate_labels(s, j)
+    (j2,) = set(s2.labels) - set(s.labels)
+    lattice2 = ("q",) + s2.quiver.vertices
+    images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
+    images[j] = ({j2: -1}, 1)
+    ins, outs = neighbours(s.quiver, j)
+    binom = lp_add(LaurentPoly.monomial(lattice2, ins),
+                   LaurentPoly.monomial(lattice2, outs))
+    out = lp_substitute(W.poly, images, binom)
+    _check_a_form(out)
+    return SuperpotentialExpr(out, "A-form")
+
+
+@given(st.sampled_from([(3, 7), (4, 8), (3, 10)]), st.integers(0, 2**16))
+@settings(max_examples=20, deadline=None)
+def test_a_mutate_w_equals_the_full_seed_step(kn, seed):
+    # (3,10) has two-digit labels, where string order is not subset order
+    k, n = kn
+    rng = random.Random(seed)
+    s, W = rectangles_seed(k, n), w_rectangles(k, n)
+    steps = 0
+    for _try in range(60):
+        if steps == 4:
+            break
+        j = rng.choice(mutable_vertices(s.quiver))
+        try:
+            want = full_seed_a_mutate_w(s, W, j)
+        except NotPlabicMutable:
+            with pytest.raises(NotPlabicMutable):
+                a_mutate_w(s, W, j)
+            continue
+        got = a_mutate_w(s, W, j)
+        assert (got.poly.lattice, got.poly.terms) == (want.poly.lattice, want.poly.terms)
+        s, W = mutate_labels(s, j), got
+        steps += 1
+    assert steps == 4
+
+
+def test_superpotential_mutates_the_seed_once_per_step(monkeypatch, capsys):
+    calls = []
+    real = seeds.mutate_labels
+
+    def counted(s, j):
+        calls.append(j)
+        return real(s, j)
+
+    for module in (seeds, superpot, cli):
+        if getattr(module, "mutate_labels", None) is real:
+            monkeypatch.setattr(module, "mutate_labels", counted)
+    rc = cli.main(["superpotential", "--kn", "4,8", "--mutations", "1245,1237,1256"])
+    assert rc == 0 and capsys.readouterr().out
+    assert calls == ["1245", "1237", "1256"]
 
 
 def test_tropicalized_w_equals_gt_cone():
