@@ -57,17 +57,13 @@ def make_cone(ambient, covectors) -> Cone:
     return Cone(ambient, tuple(sorted(out)))
 
 
-def cone_contains(c: Cone, point: dict) -> bool:
-    """Membership test; the point maps ambient labels to numbers (missing
-    labels count as 0)."""
-    for cov in c.ineqs:
-        tot = 0
-        for lab, a in zip(c.ambient, cov):
-            if a:
-                tot += a * point.get(lab, 0)
-        if tot < 0:
-            return False
-    return True
+def cone_contains(c: Cone, point: tuple[int, ...]) -> bool:
+    """Membership test for a point over ``c.ambient``, level first."""
+    if len(point) != len(c.ambient):
+        raise ValueError(
+            f"point has {len(point)} coordinates, the ambient {len(c.ambient)}"
+        )
+    return all(sum(a * x for a, x in zip(cov, point)) >= 0 for cov in c.ineqs)
 
 
 def cone_to_json_obj(c: Cone) -> dict:
@@ -189,8 +185,9 @@ def _eliminate(system, var_ix):
     return cleaned
 
 
-def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
-    """All integer points of the level-r slice, by exact projection.
+def lattice_points(c: Cone, r: int) -> list[tuple[int, ...]]:
+    """All integer points of the level-r slice, as tuples over ``c.ambient``
+    (so each starts with r), by exact projection.
 
     Variables are eliminated one by one (Fourier-Motzkin); the chain of
     projections then drives an exact, backtracking-free enumeration in
@@ -200,7 +197,7 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
     coordinates, a).  A coordinate's range is read from those rows alone,
     and the last coordinate is filled in one flat loop.  An infeasible
     slice gives [] (also when a row on the level alone fails at r) and an
-    otherwise feasible empty ambient [{}]; if the enumeration reaches a
+    otherwise feasible empty ambient [(r,)]; if the enumeration reaches a
     coordinate with no lower or no upper row, the slice is unbounded and
     Unbounded is raised.
     """
@@ -221,7 +218,7 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
         systems.append(nxt)
     systems.reverse()  # systems[i] constrains vars_[: i+1]
     if nv == 0:
-        return [{}]
+        return [(r,)]
 
     lower: list[list] = []
     upper: list[list] = []
@@ -235,7 +232,7 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
         lower.append(lo_rows)
         upper.append(hi_rows)
 
-    points: list[dict[str, int]] = []
+    points: list[tuple[int, ...]] = []
     assignment = [0] * nv
     last = nv - 1
 
@@ -263,12 +260,8 @@ def lattice_points(c: Cone, r: int) -> list[dict[str, int]]:
     def rec(depth):
         lo, hi = feasible_range(depth)
         if depth == last:
-            head = dict(zip(vars_, assignment))
-            name = vars_[last]
-            for val in range(lo, hi + 1):
-                point = head.copy()
-                point[name] = val
-                points.append(point)
+            head = (r, *assignment[:last])
+            points.extend([(*head, val) for val in range(lo, hi + 1)])
             return
         for val in range(lo, hi + 1):
             assignment[depth] = val
@@ -304,16 +297,9 @@ class GTPattern:
 
 @lru_cache(maxsize=None)
 def kappa_table(k: int, n: int):
-    """Read-only map from level-1 point ((label, value) pairs in
-    ``gt_ambient`` order) to I."""
-    s = rectangles_seed(k, n)
-    star = s.quiver.star
-    table = {}
-    for I in ksubsets(n, k):
-        kv = kappa_vector(s, I)
-        key = tuple((lab, c) for lab, c in kv.items() if lab != star)
-        table[key] = I
-    return MappingProxyType(table)
+    """Read-only map from level-1 point (a tuple over ``gt_ambient``) to I."""
+    points = no_body_level1(rectangles_seed(k, n))
+    return MappingProxyType(dict(zip(points, ksubsets(n, k))))
 
 
 def gt_decompose(pat: GTPattern) -> list[KSubset]:
@@ -324,38 +310,39 @@ def gt_decompose(pat: GTPattern) -> list[KSubset]:
     point of some k-subset, which is subtracted off; r steps exhaust v.
     """
     k, n, r = pat.k, pat.n, pat.r
+    w = n - k
     cone = gt_inequalities(k, n)
-    if r < 0 or not cone_contains(cone, {**pat.v, "r": r}):
+    cells = {grid_label(k, n, t, s): (t, s)
+             for t in range(1, k + 1) for s in range(1, w + 1)}
+    if pat.v.keys() != cells.keys():
+        missing = [lab for lab in cells if lab not in pat.v]
+        extra = sorted((lab for lab in pat.v if lab not in cells), key=str)
+        raise ValueError(
+            f"pattern labels are not the grid's: missing {missing}, extra {extra}"
+        )
+    if r < 0 or not cone_contains(cone, (r, *(pat.v[lab] for lab in cone.ambient[1:]))):
         raise ValueError("point is not in the Gelfand-Tsetlin cone at this level")
     table = kappa_table(k, n)
-    ambient = cone.ambient[1:]
-    w = n - k
-
-    def vval(v, t, s):
-        return v[grid_label(k, n, t, s)] if t >= 1 and s >= 1 else 0
+    order = [cells[lab] for lab in cone.ambient[1:]]
+    # the grid with row 0 and column 0 zero, so v_(t-1)(s-1) is always read
+    cur = [[0] * (w + 1) for _ in range(k + 1)]
+    for lab, (t, s) in cells.items():
+        cur[t][s] = pat.v[lab]
 
     out: list[KSubset] = []
-    cur = dict(pat.v)
     for _step in range(r):
-        peel = {}
+        layer = [[0] * (w + 1) for _ in range(k + 1)]
         for t in range(1, k + 1):
             for s in range(1, w + 1):
-                u = vval(cur, t, s) - vval(cur, t - 1, s - 1)
-                peel[(t, s)] = 1 if u > 0 else 0
-        point = {}
-        for t in range(1, k + 1):
-            for s in range(1, w + 1):
-                tt, ss, tot = t, s, 0
-                while tt >= 1 and ss >= 1:
-                    tot += peel[(tt, ss)]
-                    tt, ss = tt - 1, ss - 1
-                point[grid_label(k, n, t, s)] = tot
-        key = tuple((lab, point[lab]) for lab in ambient)
-        if key not in table:
+                layer[t][s] = (cur[t][s] > cur[t - 1][s - 1]) + layer[t - 1][s - 1]
+        point = (1, *(layer[t][s] for t, s in order))
+        if point not in table:
             raise ValueError(f"peeled layer is not a level-1 point: {point}")
-        out.append(table[key])
-        cur = {lab: cur[lab] - point[lab] for lab in cur}
-    if any(cur.values()):
+        out.append(table[point])
+        for t in range(1, k + 1):
+            for s in range(1, w + 1):
+                cur[t][s] -= layer[t][s]
+    if any(map(any, cur)):
         raise ValueError(f"residue after {r} layers: {cur}")
     return out
 
@@ -363,19 +350,19 @@ def gt_decompose(pat: GTPattern) -> list[KSubset]:
 # ------------------------------------------------- level-1 NO point sets
 
 
-def no_body_level1(s: Seed) -> list[dict[str, int]]:
-    """Kappa vectors of all k-subsets, star coordinate dropped."""
+def no_body_level1(s: Seed) -> list[tuple[int, ...]]:
+    """The level-1 points (1, *kappa) of all k-subsets, kappa over the
+    seed's non-star vertices in vertex order."""
     star = s.quiver.star
-    out = []
-    for I in ksubsets(s.n, s.k):
-        kv = kappa_vector(s, I)
-        out.append({lab: c for lab, c in kv.items() if lab != star})
-    return out
+    return [
+        (1, *(c for v, c in kappa_vector(s, I).items() if v != star))
+        for I in ksubsets(s.n, s.k)
+    ]
 
 
 def body_membership_check(points, cone: Cone) -> bool:
     """Every point lies in the level-1 slice of the cone."""
-    return all(cone_contains(cone, {**p, "r": 1}) for p in points)
+    return all(p[0] == 1 and cone_contains(cone, p) for p in points)
 
 
 def _affine_rank(points) -> int:
@@ -383,15 +370,10 @@ def _affine_rank(points) -> int:
     independent points), computed exactly."""
     if not points:
         return 0
-    labs = list(points[0])
     base = points[0]
-    rows = [
-        [Fraction(p[lab] - base[lab]) for lab in labs] for p in points[1:]
-    ]
+    rows = [[Fraction(a - b) for a, b in zip(p, base)] for p in points[1:]]
     rank = 0
-    ncols = len(labs)
-    col = 0
-    for col in range(ncols):
+    for col in range(len(base)):
         piv = None
         for i in range(rank, len(rows)):
             if rows[i][col] != 0:
@@ -420,13 +402,7 @@ def level1_slice_check(points, cone: Cone) -> bool:
         return False
     dim = len(cone.ambient) - 1
     for cov in cone.ineqs:
-        tight = []
-        for p in points:
-            tot = cov[0]
-            for lab, a in zip(cone.ambient[1:], cov[1:]):
-                tot += a * p.get(lab, 0)
-            if tot == 0:
-                tight.append(p)
+        tight = [p for p in points if sum(a * x for a, x in zip(cov, p)) == 0]
         if _affine_rank(tight) < dim:
             return False
     return True

@@ -387,22 +387,18 @@ def wt_matrix(s: Seed) -> dict[tuple[str, str], int]:
 
 
 def exact_sequence_checks(s: Seed) -> bool:
-    """Three matrix identities tying beta, rank, and weight together.
+    """Two matrix identities tying beta, rank, and weight together.
 
-    beta of the all-ones vector is 0; every column of beta sums to 0
-    (rank of beta is 0); and wt composed with beta is minus the identity
-    away from the star coordinate.
+    Every column of beta sums to 0 (rank of beta is 0), and wt composed
+    with beta is minus the identity away from the star coordinate.  The
+    third, beta of the all-ones vector is 0, is enforced by ``beta_matrix``,
+    which raises ``beta-unbalanced`` on a seed that breaks it.
     """
     q = s.quiver
     beta = beta_matrix(s)
-    # beta(all-ones): sum of columns, per row
-    rowsum: dict[str, int] = {}
     colsum: dict[str, int] = {}
-    for (row, col), c in beta.items():
-        rowsum[row] = rowsum.get(row, 0) + c
+    for (_row, col), c in beta.items():
         colsum[col] = colsum.get(col, 0) + c
-    if any(c != 0 for c in rowsum.values()):
-        return False
     if any(c != 0 for c in colsum.values()):
         return False
     # the product wt . beta, summed over the nonzero entries of both

@@ -102,7 +102,7 @@ def test_criterion_03_kappa_grid_49():
     assert kv[grid_label(4, 9, 1, 1)] == 0 and grid_label(4, 9, 1, 1) == "1235"
     assert kv[grid_label(4, 9, 4, 5)] == 3 and grid_label(4, 9, 4, 5) == "6789"
     cone = gt_inequalities(4, 9)
-    assert cone_contains(cone, {**kappa_point(s, (1, 4, 5, 7)), "r": 1})
+    assert cone_contains(cone, (1, *kappa_point(s, (1, 4, 5, 7)).values()))
     seen = set()
     for I in ksubsets(9, 4):
         key = tuple(sorted(kappa_vector(s, I).items()))
@@ -189,14 +189,15 @@ def test_criterion_08_decomposition_roundtrip():
         cone = gt_inequalities(k, n)
         for r in (1, 2):
             for p in lattice_points(cone, r):
-                parts = gt_decompose(GTPattern(k, n, r, p))
+                pat = dict(zip(cone.ambient[1:], p[1:]))
+                parts = gt_decompose(GTPattern(k, n, r, pat))
                 assert len(parts) == r
-                total = {lab: 0 for lab in p}
+                total = {lab: 0 for lab in pat}
                 for I in parts:
                     for lab, v in kappa_point(s, I).items():
                         total[lab] += v
-                assert total == p, (k, n, r, p)
-                assert gt_decompose(GTPattern(k, n, r, p)) == parts
+                assert total == pat, (k, n, r, p)
+                assert gt_decompose(GTPattern(k, n, r, pat)) == parts
     assert time.perf_counter() - t0 < 10.0
 
 

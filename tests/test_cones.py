@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +29,11 @@ from plabicflow.seeds import kappa_vector, rectangles_seed
 def _kappa_point(s, I):
     star = s.quiver.star
     return {v: c for v, c in kappa_vector(s, I).items() if v != star}
+
+
+def _pattern(c, p):
+    """The GT pattern of a lattice point (a tuple over ``c.ambient``)."""
+    return dict(zip(c.ambient[1:], p[1:]))
 
 
 def test_grid_labels_and_ambient():
@@ -67,10 +75,18 @@ def test_cone_contains():
     c = gt_inequalities(2, 4)
     s = rectangles_seed(2, 4)
     for I in ksubsets(4, 2):
-        assert cone_contains(c, {**_kappa_point(s, I), "r": 1})
-    assert not cone_contains(c, {"13": -1, "14": 0, "23": 0, "34": 0, "r": 1})
+        assert cone_contains(c, (1, *_kappa_point(s, I).values()))
+    # points are over ("r", "13", "14", "23", "34")
+    assert not cone_contains(c, (1, -1, 0, 0, 0))
     # level bound: 34-entry at most r more than 13-entry
-    assert not cone_contains(c, {"13": 0, "14": 1, "23": 1, "34": 2, "r": 1})
+    assert not cone_contains(c, (1, 0, 1, 1, 2))
+
+
+def test_cone_contains_rejects_a_point_of_the_wrong_length():
+    c = gt_inequalities(2, 4)
+    for point in [(1, 0, 0, 0), (1, 0, 0, 0, 0, 0), ()]:
+        with pytest.raises(ValueError):
+            cone_contains(c, point)
 
 
 def test_lattice_point_counts_match_dimension_formula():
@@ -90,7 +106,7 @@ def test_weyl_dim_values():
 
 def test_lattice_points_level_zero_is_origin():
     c = gt_inequalities(2, 4)
-    assert lattice_points(c, 0) == [{"13": 0, "14": 0, "23": 0, "34": 0}]
+    assert lattice_points(c, 0) == [(0, 0, 0, 0, 0)]
 
 
 def test_lattice_points_unbounded():
@@ -136,7 +152,7 @@ def dense_lattice_points(c, r):
 
     def rec(depth):
         if depth == nv:
-            points.append(dict(zip(vars_, assignment)))
+            points.append((r, *assignment))
             return
         lo, hi = feasible_range(depth)
         if lo is None or hi is None:
@@ -150,9 +166,9 @@ def dense_lattice_points(c, r):
 
 
 def _outcome(enumerate_, c, r):
-    """The points as (label, value) lists, order kept, or the error raised."""
+    """The points, order kept, or the error raised."""
     try:
-        return [list(p.items()) for p in enumerate_(c, r)]
+        return list(enumerate_(c, r))
     except Unbounded as exc:
         return ("Unbounded", str(exc))
 
@@ -171,7 +187,7 @@ def test_lattice_points_equal_dense_on_gt_cones(k, n):
 def test_lattice_points_come_sorted_without_repeats(k, n, r):
     # `gt-cone --level` prints the points in the order they are enumerated
     c = gt_inequalities(k, n)
-    rows = [tuple(p[l] for l in c.ambient[1:]) for p in lattice_points(c, r)]
+    rows = lattice_points(c, r)
     assert rows == sorted(set(rows))
     assert len(rows) == weyl_dim(k, n, r)
 
@@ -186,11 +202,10 @@ def test_lattice_points_edge_cases_equal_dense():
     unreached = make_cone(("r", "x", "y"), [{"x": 1, "r": -2}, {"x": -1, "r": 1}, {"y": 1}])
     empty = make_cone(("r",), [{"r": 1}])
     cases = [(infeasible, 1, []), (unbounded, 1, ("Unbounded", "coordinate y unbounded at level 1")),
-             (unreached, 1, []), (empty, 1, [[]]), (empty, 0, [[]])]
+             (unreached, 1, []), (empty, 1, [(1,)]), (empty, 0, [(0,)])]
     for c, r, want in cases:
         assert _outcome(lattice_points, c, r) == want
         assert _outcome(dense_lattice_points, c, r) == want
-    assert lattice_points(empty, 1) == [{}]
 
 
 def test_lattice_points_honour_level_only_rows_at_every_size():
@@ -202,10 +217,10 @@ def test_lattice_points_honour_level_only_rows_at_every_size():
     for c in (one, two, none):
         assert lattice_points(c, 1) == []
         assert dense_lattice_points(c, 1) == []
-    assert lattice_points(one, 0) == [{"x": 0}]
-    assert lattice_points(two, 0) == [{"x": 0, "y": 0}]
-    assert lattice_points(none, 0) == [{}]
-    assert dense_lattice_points(none, 0) == [{}]
+    assert lattice_points(one, 0) == [(0, 0)]
+    assert lattice_points(two, 0) == [(0, 0, 0)]
+    assert lattice_points(none, 0) == [(0,)]
+    assert dense_lattice_points(none, 0) == [(0,)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,15 +270,16 @@ def test_gt_decompose_roundtrip_all_points():
         c = gt_inequalities(k, n)
         for r in (1, 2):
             for p in lattice_points(c, r):
-                parts = gt_decompose(GTPattern(k, n, r, p))
+                pat = _pattern(c, p)
+                parts = gt_decompose(GTPattern(k, n, r, pat))
                 assert len(parts) == r
-                total = {lab: 0 for lab in p}
+                total = {lab: 0 for lab in pat}
                 for I in parts:
                     for lab, v in _kappa_point(s, I).items():
                         total[lab] += v
-                assert total == p
+                assert total == pat
                 # peeling is canonical: a second run gives the same list
-                assert gt_decompose(GTPattern(k, n, r, p)) == parts
+                assert gt_decompose(GTPattern(k, n, r, pat)) == parts
 
 
 def test_gt_decompose_rejects_outside_points():
@@ -277,11 +293,19 @@ def test_gt_decompose_rejects_outside_points():
         gt_decompose(GTPattern(2, 4, 1, doubled))
 
 
+def test_gt_decompose_rejects_missing_and_extra_labels():
+    with pytest.raises(ValueError, match=r"missing \['14', '23', '34'\], extra \[\]"):
+        gt_decompose(GTPattern(2, 4, 1, {"13": 0}))
+    full = {lab: 0 for lab in gt_ambient(2, 4)[1:]}
+    with pytest.raises(ValueError, match=r"missing \[\], extra \['99'\]"):
+        gt_decompose(GTPattern(2, 4, 1, {**full, "99": 0}))
+
+
 def test_no_body_level1_points():
     s = rectangles_seed(2, 4)
     pts = no_body_level1(s)
     assert len(pts) == 6
-    assert {"13": 0, "14": 0, "23": 0, "34": 0} in pts
+    assert (1, 0, 0, 0, 0) in pts
     c = gt_inequalities(2, 4)
     assert body_membership_check(pts, c)
 
@@ -295,6 +319,28 @@ def test_level1_slice_check():
 def test_level1_slice_check_fails_on_subset():
     # dropping a vertex of the slice breaks the facet certificates
     s = rectangles_seed(2, 4)
-    pts = [p for p in no_body_level1(s) if any(p.values())]
+    pts = [p for p in no_body_level1(s) if any(p[1:])]
     assert not level1_slice_check(pts, gt_inequalities(2, 4))
 
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (2, 4), (2, 5), (3, 6), (3, 7), (4, 8),
+                                 (4, 9), (2, 10), (3, 10)])
+def test_level1_kappa_points_are_the_level1_slice(k, n):
+    # (2,10) and (3,10) order their labels as subsets, not as strings
+    assert sorted(no_body_level1(rectangles_seed(k, n))) == lattice_points(
+        gt_inequalities(k, n), 1)
+
+
+def test_lattice_points_memory_per_point():
+    c = gt_inequalities(4, 8)
+    lattice_points(c, 1)  # builds the seed and the cone outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        points = lattice_points(c, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(points) == weyl_dim(4, 8, 3)
+    assert peak <= 256 * len(points), peak / len(points)

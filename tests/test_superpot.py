@@ -243,20 +243,19 @@ def test_trop_membership_preserved_under_mutation():
         v = {x: rng.randint(-3, 3) for x in s.quiver.vertices}
         v[star] = 0
         samples.append((rng.randint(0, 3), v))
+    gt = gt_inequalities(2, 4)
     for r in (1, 2):
-        for pt in lattice_points(gt_inequalities(2, 4), r):
-            v = dict(pt)
+        for pt in lattice_points(gt, r):
+            v = dict(zip(gt.ambient[1:], pt[1:]))
             v[star] = 0
             samples.append((r, v))
 
     inside = 0
     for r, v in samples:
         mv = trop_a_mutate(s.quiver, "13", v)
-        old_pt = {**{a: b for a, b in v.items() if a != star}, "r": r}
-        new_pt = {
-            **{("24" if a == "13" else a): b for a, b in mv.items() if a != star},
-            "r": r,
-        }
+        renamed = {("24" if a == "13" else a): b for a, b in mv.items()}
+        old_pt = (r, *(v[a] for a in cone_old.ambient[1:]))
+        new_pt = (r, *(renamed[a] for a in cone_new.ambient[1:]))
         in_old = cone_contains(cone_old, old_pt)
         assert in_old == cone_contains(cone_new, new_pt)
         inside += in_old
