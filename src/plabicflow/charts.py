@@ -129,7 +129,7 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
     The coordinate at the mutated vertex inverts, every other coordinate i
     picks up a factor (1 + x_j)^{b_ij} after clearing the monomial
     x_j^{max(-b_ij, 0)}: one substitution with the exchange binomial
-    u = 1 + x_j.  The result lives on q's non-star vertices, in vertex order.
+    u = 1 + x_j.  The result lives on ``q.lattice``.
     The substitution is built once per quiver, j and f's lattice, and kept
     on the quiver.
     """
@@ -142,29 +142,24 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
 
 def _x_step(q: Quiver, j: str, incoming: tuple[str, ...]) -> Substitution:
     """The substitution of ``x_mutate`` at j for polynomials on the lattice
-    ``incoming``: q's non-star vertices, or those with j renamed."""
+    ``incoming``, which must be q's lattice with j renamed: the lattice of
+    the seed mutated at j."""
     ins, outs = neighbours(q, j)
-    vset = set(q.vertices)
-    old = tuple(x for x in q.vertices if x != q.star)
-    extra = [x for x in incoming if x not in vset]
-    missing = [x for x in old if x not in set(incoming)]
-    if not extra and not missing:
-        rename = {x: x for x in incoming}
-    elif len(extra) == 1 and missing == [j]:
-        rename = {x: (j if x == extra[0] else x) for x in incoming}
-    else:
+    old = q.lattice
+    extra = [x for x in incoming if x not in q.vertices]
+    missing = [x for x in old if x not in incoming]
+    if len(incoming) != len(old) or len(extra) != 1 or missing != [j]:
         raise ModelInvariantError(
             "quiver-fz-mismatch",
             f"lattice {list(incoming)} does not match quiver vertices at {j}",
         )
     images = {}
     for x in incoming:
-        i = rename[x]
-        if i == j:
+        if x == extra[0]:
             images[x] = ({j: -1}, 0)
         else:
-            bij = ins.get(i, 0) - outs.get(i, 0)
-            images[x] = ({i: 1, j: max(-bij, 0)}, bij)
+            bij = ins.get(x, 0) - outs.get(x, 0)
+            images[x] = ({x: 1, j: max(-bij, 0)}, bij)
     one_plus_xj = lp_add(LaurentPoly.one(old), LaurentPoly.monomial(old, {j: 1}))
     return Substitution(incoming, images, one_plus_xj)
 

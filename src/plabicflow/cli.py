@@ -346,7 +346,7 @@ def cmd_no_body(args) -> int:
     model = load_any_model(args.model)
     s = seeds.seed_of_model(model)
     pts = cones.no_body_level1(s)
-    labels = [v for v in s.quiver.vertices if v != s.quiver.star]
+    labels = s.quiver.lattice
     if args.format == "json":
         _emit_json([dict(zip(labels, p[1:])) for p in pts])
     else:
@@ -396,8 +396,8 @@ def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
     for I in plabic.positroid(model):
         f = charts.flow_polynomial(model, I)
         v = charts.valuation(f)
-        kv = {a: b for a, b in seeds.kappa_vector(s, I).items()
-              if a != s.quiver.star}
+        kappa = seeds.kappa_vector(s, I)
+        kv = {a: kappa[a] for a in s.quiver.lattice}
         if v != kv:
             return f"{tag}: I={format_ksubset(I, model.n)} valuation {v} != kappa {kv}"
     return None

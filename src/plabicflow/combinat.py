@@ -140,62 +140,6 @@ def shifted_key(I: KSubset, i: int, n: int) -> tuple[int, ...]:
     return tuple(sorted((x - i) % n for x in I))
 
 
-def necklace_check(seq, n: int) -> tuple[bool, str]:
-    """Test whether a length-n sequence of k-subsets is a Grassmann necklace.
-
-    Three equivalent criteria are evaluated:
-      (1) I_i \\ {i} is contained in I_{i+1} (indices mod n);
-      (2) I_i \\ I_j is contained in the cyclic interval [i, j);
-      (3) I_i is <=_i-minimal among all terms, and the terms are pairwise
-          weakly separated.
-    Returns (verdict, diagnostic).  The criteria agreeing with each other is
-    an internal invariant; disagreement raises RuntimeError.
-    """
-    seq = [tuple(I) for I in seq]
-    if len(seq) != n:
-        raise ValueError(f"need {n} terms, got {len(seq)}")
-    k = len(seq[0])
-    if any(len(I) != k for I in seq):
-        raise ValueError("terms have unequal sizes")
-
-    fail1 = None
-    for i in range(1, n + 1):
-        Ii, Inext = seq[i - 1], seq[i % n]
-        if not (set(Ii) - {i}) <= set(Inext):
-            fail1 = f"I_{i} \\ {{{i}}} not in I_{i % n + 1}"
-            break
-
-    fail2 = None
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            arc = set(cyclic_interval(i, j, n)) - {j}
-            if not (set(seq[i - 1]) - set(seq[j - 1])) <= arc:
-                fail2 = f"I_{i} \\ I_{j} leaves [{i},{j})"
-                break
-        if fail2:
-            break
-
-    fail3 = None
-    for i in range(1, n + 1):
-        ki = shifted_key(seq[i - 1], i, n)
-        if any(shifted_key(J, i, n) < ki for J in seq):
-            fail3 = f"I_{i} not <=_{i}-minimal"
-            break
-    if fail3 is None and not pairwise_weakly_separated(set(seq), n):
-        fail3 = "terms not pairwise weakly separated"
-
-    verdicts = (fail1 is None, fail2 is None, fail3 is None)
-    if len(set(verdicts)) != 1:
-        raise RuntimeError(
-            f"necklace criteria disagree on {seq}: {fail1=} {fail2=} {fail3=}"
-        )
-    if verdicts[0]:
-        return True, "ok"
-    return False, "; ".join(f for f in (fail1, fail2, fail3) if f)
-
-
 def necklace_of_positroid(P, n: int) -> tuple[KSubset, ...]:
     """The sequence of <=_i-minima of a nonempty collection of k-subsets."""
     P = [tuple(I) for I in P]

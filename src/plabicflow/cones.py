@@ -85,8 +85,7 @@ def grid_label(k: int, n: int, t: int, s: int) -> str:
 def gt_ambient(k: int, n: int) -> tuple[str, ...]:
     """The level "r", then the rectangles seed's non-star vertices (the
     grid labels) in vertex order."""
-    q = rectangles_seed(k, n).quiver
-    return ("r",) + tuple(v for v in q.vertices if v != q.star)
+    return ("r",) + rectangles_seed(k, n).quiver.lattice
 
 
 def gt_inequalities(k: int, n: int) -> Cone:
@@ -353,11 +352,9 @@ def gt_decompose(pat: GTPattern) -> list[KSubset]:
 def no_body_level1(s: Seed) -> list[tuple[int, ...]]:
     """The level-1 points (1, *kappa) of all k-subsets, kappa over the
     seed's non-star vertices in vertex order."""
-    star = s.quiver.star
-    return [
-        (1, *(c for v, c in kappa_vector(s, I).items() if v != star))
-        for I in ksubsets(s.n, s.k)
-    ]
+    lattice = s.quiver.lattice
+    return [(1, *map(kappa_vector(s, I).__getitem__, lattice))
+            for I in ksubsets(s.n, s.k)]
 
 
 def body_membership_check(points, cone: Cone) -> bool:

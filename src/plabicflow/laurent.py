@@ -72,14 +72,13 @@ class LaurentPoly:
         return LaurentPoly.make(lattice, {(0,) * len(lattice): 1})
 
     @staticmethod
-    def monomial(lattice, exp: Mapping[str, int] | Exponent, coeff: int = 1) -> "LaurentPoly":
+    def monomial(lattice, exp: Mapping[str, int], coeff: int = 1) -> "LaurentPoly":
         lattice = check_lattice(lattice)
-        if isinstance(exp, Mapping):
-            unknown = set(exp) - set(lattice)
-            if unknown:
-                raise ValueError(f"labels {sorted(unknown)} not in lattice")
-            exp = tuple(exp.get(lab, 0) for lab in lattice)
-        return LaurentPoly.make(lattice, {tuple(exp): coeff})
+        unknown = set(exp) - set(lattice)
+        if unknown:
+            raise ValueError(f"labels {sorted(unknown)} not in lattice")
+        key = tuple(exp.get(lab, 0) for lab in lattice)
+        return LaurentPoly.make(lattice, {key: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -106,19 +105,6 @@ class LaurentPoly:
                 {"coeff": c, "exp": self.exp_as_dict(e)} for e, c in self.terms
             ],
         }
-
-    @staticmethod
-    def from_json_obj(obj) -> "LaurentPoly":
-        lattice = check_lattice(obj["lattice"])
-        index = {lab: i for i, lab in enumerate(lattice)}
-        term_map: dict[Exponent, int] = {}
-        for t in obj["terms"]:
-            e = [0] * len(lattice)
-            for lab, v in t["exp"].items():
-                e[index[lab]] = int(v)
-            e = tuple(e)
-            term_map[e] = term_map.get(e, 0) + int(t["coeff"])
-        return LaurentPoly.make(lattice, term_map)
 
     def pretty(self, var_prefix: str = "y") -> str:
         """Human form; factors out the coordinatewise-min monomial.

@@ -764,21 +764,25 @@ def enumerate_matchings(model: PlabicModel) -> list[frozenset]:
     return [frozenset(_edge_names(names, m)) for m in matching_masks(model)]
 
 
-def boundary_value(model: PlabicModel, m) -> KSubset:
-    """The k-subset cut out on the boundary by a matching."""
+def _boundary(model: PlabicModel, used_stubs) -> KSubset:
+    """The boundary value of a matching that uses the stubs at the boundary
+    positions ``used_stubs``: l is in it iff stub l is used xor l is
+    clockwise."""
     an = analyze(model)
-    m = set(m)
-    out = []
-    for l in range(1, model.n + 1):
-        used = an.stub[l] in m
-        if (l in an.anticlockwise) == used:
-            out.append(l)
-    value = tuple(out)
+    value = tuple(l for l in range(1, model.n + 1)
+                  if (l in used_stubs) == (l in an.anticlockwise))
     if len(value) != model.k:
         raise ModelInvariantError(
             "boundary-size", f"matching boundary {value} has size != k"
         )
     return value
+
+
+def boundary_value(model: PlabicModel, m) -> KSubset:
+    """The k-subset cut out on the boundary by a matching."""
+    stub = analyze(model).stub
+    m = set(m)
+    return _boundary(model, {l for l in range(1, model.n + 1) if stub[l] in m})
 
 
 class MatchingTable:
@@ -799,22 +803,16 @@ class MatchingTable:
         self.edges: tuple[str, ...] = tuple(sorted(model.edges))
         self.masks: tuple[int, ...] = tuple(masks)
         bit = {e: 1 << i for i, e in enumerate(self.edges)}
-        # l is in the boundary value iff stub l is used xor l is clockwise
-        stubs = [(l, bit[an.stub[l]], l in an.anticlockwise)
-                 for l in range(1, model.n + 1)]
-        stub_mask = sum(b for _, b, _ in stubs)
+        stubs = [(l, bit[an.stub[l]]) for l in range(1, model.n + 1)]
+        stub_mask = sum(b for _, b in stubs)
         values: dict[int, KSubset] = {}  # mask & stub_mask -> boundary value
         boundary = []
         for mask in self.masks:
             key = mask & stub_mask
             I = values.get(key)
             if I is None:
-                I = values[key] = tuple(
-                    l for l, b, acw in stubs if bool(key & b) == acw)
-                if len(I) != model.k:
-                    raise ModelInvariantError(
-                        "boundary-size", f"matching boundary {I} has size != k"
-                    )
+                I = values[key] = _boundary(
+                    model, {l for l, b in stubs if key & b})
             boundary.append(I)
         self.boundary: tuple[KSubset, ...] = tuple(boundary)
         groups: dict[KSubset, list[int]] = {}
@@ -1223,9 +1221,9 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     its place (same-colored neighbors identified).  The result is built in
     one pass, creating only what it keeps.  The moved model's trip labels
     must be the model's with the face's label replaced by its Plucker
-    exchange partner (``seeds.exchange_label``), it must keep the
-    positroid, and its dual quiver must be the matrix mutation of the
-    model's.
+    exchange partner (``seeds.label_exchange``), it must keep the
+    positroid, and the arrows of its dual quiver with a mutable end must be
+    those of the matrix mutation of the model's.
     """
     an = analyze(model)
     face_label = tuple(face_label)
@@ -1257,9 +1255,9 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     from . import seeds
 
     seed = seeds.seed_of_model(model)
-    j_old = format_ksubset(face_label, model.n)
+    j = format_ksubset(face_label, model.n)
     try:
-        new_label = seeds.exchange_label(seed.quiver, seed.labels, j_old)
+        j_new, _labels, vertices = seeds.label_exchange(seed, j)
     except NotPlabicMutable as exc:
         raise ModelInvariantError("exchange-mismatch", f"face {face_label}: {exc}") from None
 
@@ -1321,30 +1319,26 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
         model.k, model.n, colors, edges, rot,
         frozenset({("gap", an.faces[an.star].gap)}),
     )
-    got = analyze(result).lattice
-    want = tuple(sorted(set(an.lattice) - {face_label} | {new_label}))
-    if got != want:
+    got = tuple(format_ksubset(I, model.n) for I in analyze(result).lattice)
+    if got != vertices:
         raise ModelInvariantError(
             "exchange-mismatch",
-            f"moving {format_ksubset(face_label, model.n)} gives labels "
-            f"{[format_ksubset(I, model.n) for I in got]}, "
-            f"exchange gives {[format_ksubset(I, model.n) for I in want]}",
+            f"moving {j} gives labels {list(got)}, exchange gives {list(vertices)}",
         )
 
     if positroid(result) != positroid(model):
         raise ModelInvariantError("positroid-changed")
-    j_new = format_ksubset(new_label, model.n)
+    # compare the arrows with a mutable end, the moved face renamed back to j
+    expect = seeds.fz_mutate(seed.quiver, j)
     q_new = seeds.seed_of_model(result).quiver
-    expect = seeds.fz_mutate(seed.quiver, j_old)
-    got = {
-        (j_old if u == j_new else u, j_old if v == j_new else v): b
-        for (u, v), b in seeds.mutation_entries(q_new).items()
-    }
-    want = seeds.mutation_entries(expect)
+    rn = lambda x: j if x == j_new else x
+    got = {(rn(u), rn(v), m) for u, v, m in q_new.arrows
+           if u not in q_new.frozen or v not in q_new.frozen}
+    want = {(u, v, m) for u, v, m in expect.arrows
+            if u not in expect.frozen or v not in expect.frozen}
     if got != want:
-        diff = {kk for kk in set(got) | set(want) if got.get(kk) != want.get(kk)}
         raise ModelInvariantError(
-            "quiver-fz-mismatch", f"entries differ at {sorted(diff)}"
+            "quiver-fz-mismatch", f"arrows differ at {sorted(got ^ want)}"
         )
     return result
 

@@ -12,7 +12,9 @@ piecewise-linear action on integer vectors).
 Entries of the exchange matrix between two frozen vertices need care:
 ``fz_mutate`` is the plain matrix rule and copies frozen-frozen arrows
 through unchanged (matrix mutation does not define them), so comparisons of
-its output restrict to entries touching at least one mutable vertex.
+its output restrict to the arrows with at least one mutable end.  A pair
+with a mutable end carries arrows one way only (``make_quiver``), so those
+arrows are exactly the exchange-matrix entries that mutation tracks.
 ``mutate_labels`` additionally applies the dimer corner rule -- each 2-path
 u -> j -> v between frozen vertices reverses the corner arrow v -> u --
 which keeps the quiver equal to the dual of the square-moved model whenever
@@ -52,6 +54,9 @@ class Quiver:
     frozen: frozenset[str]
     star: str
     arrows: tuple[tuple[str, str, int], ...]  # (source, target, multiplicity)
+    # every vertex but the star, in vertex order: the coordinates of
+    # X-mutation, kappa points, the GT ambient and the potential's image
+    lattice: tuple[str, ...] = field(init=False, repr=False, compare=False)
     # mutable vertex -> its in/out maps, filled by ``neighbours``
     _neighbours: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
@@ -59,6 +64,10 @@ class Quiver:
     # ``charts.x_mutate``; a step does not refer back to the quiver
     _x_steps: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lattice",
+                           tuple(v for v in self.vertices if v != self.star))
 
 
 def neighbours(q: Quiver, j: str) -> tuple[Mapping[str, int], Mapping[str, int]]:
@@ -119,32 +128,6 @@ def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
 
 def mutable_vertices(q: Quiver) -> list[str]:
     return [v for v in q.vertices if v not in q.frozen]
-
-
-def quiver_b_entries(q: Quiver) -> dict[tuple[str, str], int]:
-    """Signed exchange-matrix entries, both orientations of every pair.
-
-    Accumulated, so a frozen-frozen two-cycle nets out; entries of zero net
-    multiplicity are dropped.
-    """
-    b: dict[tuple[str, str], int] = {}
-    for u, v, mult in q.arrows:
-        b[(u, v)] = b.get((u, v), 0) + mult
-        b[(v, u)] = b.get((v, u), 0) - mult
-    return {pair: bb for pair, bb in b.items() if bb != 0}
-
-
-def mutation_entries(q: Quiver) -> dict[tuple[str, str], int]:
-    """Exchange-matrix entries with at least one mutable endpoint.
-
-    This is the part of the quiver that mutation tracks; frozen-frozen
-    entries are never consulted.
-    """
-    return {
-        (u, v): bb
-        for (u, v), bb in quiver_b_entries(q).items()
-        if u not in q.frozen or v not in q.frozen
-    }
 
 
 def fz_mutate(q: Quiver, j: str) -> Quiver:

@@ -174,10 +174,9 @@ def _beta_dual_image(s: Seed, wx: LaurentPoly) -> LaurentPoly:
 
     A monomial x^m goes to q^(m at the corner vertex) times the product of
     p_v^(-<beta column at v, m>) over non-star vertices."""
-    star = s.quiver.star
     corner = grid_label(s.k, s.n, s.k, s.n - s.k)
     beta = beta_matrix(s)
-    plabs = tuple(v for v in s.quiver.vertices if v != star)
+    plabs = s.quiver.lattice
     lattice = ("q",) + plabs
     terms: dict[tuple, int] = {}
     for exp, coeff in wx.terms:
@@ -203,9 +202,7 @@ def wformula_sides(k: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     for exp, coeff in wa.terms:
         key = tuple(e for i, e in enumerate(exp) if i != six)
         terms[key] = terms.get(key, 0) + coeff
-    rhs = LaurentPoly.make(
-        tuple(lab for lab in wa.lattice if lab != star), terms
-    )
+    rhs = LaurentPoly.make(("q",) + s.quiver.lattice, terms)
     return lhs, rhs
 
 
@@ -248,7 +245,6 @@ def gvector_cone_ineqs(k: int, n: int) -> Cone:
     transports it to a functional on the projectives lattice.
     """
     s = rectangles_seed(k, n)
-    star = s.quiver.star
     wa = w_rectangles(k, n).poly
     wtm = wt_matrix(s)
     ambient = s.quiver.vertices
@@ -258,9 +254,7 @@ def gvector_cone_ineqs(k: int, n: int) -> Cone:
         cov = {}
         for u in ambient:
             cov[u] = m.get("q", 0) + sum(
-                m.get(v, 0) * wtm.get((v, u), 0)
-                for v in s.quiver.vertices
-                if v != star
+                m.get(v, 0) * wtm.get((v, u), 0) for v in s.quiver.lattice
             )
         covs.append(cov)
     return make_cone(ambient, covs)

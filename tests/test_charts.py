@@ -1,6 +1,7 @@
 import pytest
 
 from plabicflow import charts
+from plabicflow.cli import load_any_model
 from plabicflow.combinat import ksubsets
 from plabicflow.laurent import LaurentPoly, lp_equal, lp_min_exponent
 from plabicflow.plabic import (
@@ -9,6 +10,7 @@ from plabicflow.plabic import (
     positroid,
     shark_model,
     square_move,
+    square_moves,
 )
 from plabicflow.charts import (
     edge_lattice,
@@ -31,6 +33,26 @@ def test_edge_and_face_lattices():
     )
     # star face 12 is omitted from the face lattice
     assert face_lattice(m) == ("14", "15", "23", "24", "34")
+
+
+def _orbit(model, depth):
+    """The model and every model reached from it by up to ``depth``
+    successive square moves."""
+    yield model
+    if depth:
+        for _j, moved in square_moves(model):
+            yield from _orbit(moved, depth - 1)
+
+
+@pytest.mark.parametrize("spec,depth", [
+    ("rect:2,5", 0), ("rect:3,6", 0), ("rect:3,7", 3), ("rect:4,8", 0),
+    ("rect:4,9", 0), ("rect:2,10", 0), ("rect:3,10", 0), ("shark", 0),
+])
+def test_face_lattice_is_the_seed_lattice(spec, depth):
+    # flow polynomials live on the face lattice and X-mutation reads the
+    # seed's, so the two must name the same faces in the same order
+    for m in _orbit(load_any_model(spec), depth):
+        assert face_lattice(m) == seed_of_model(m).quiver.lattice
 
 
 def test_partition_function_single_matching():

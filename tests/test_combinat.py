@@ -10,7 +10,6 @@ from plabicflow.combinat import (
     ksubsets,
     lex_max,
     max_diag,
-    necklace_check,
     necklace_of_positroid,
     pairwise_weakly_separated,
     parse_ksubset,
@@ -216,15 +215,6 @@ def test_shifted_key_and_lex_max():
     P = [(1, 2), (1, 3), (2, 3)]
     assert lex_max(P) == (2, 3)
     assert shifted_key((2, 3), 2, 3) == (0, 1)
-
-
-def test_necklace():
-    neck = ((1, 2), (2, 3), (3, 4), (1, 4), (1, 5))
-    ok, _ = necklace_check(neck, 5)
-    assert ok
-    bad = ((1, 2), (3, 4), (2, 3), (1, 4), (1, 5))
-    ok, why = necklace_check(bad, 5)
-    assert not ok and why
 
 
 def test_necklace_of_positroid_full():

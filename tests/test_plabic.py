@@ -7,6 +7,7 @@ import pytest
 from plabicflow import seeds
 from plabicflow.combinat import format_ksubset, ksubsets
 from plabicflow.plabic import (
+    MatchingTable,
     ModelInvariantError,
     NotPlabicMutable,
     SHARK_TEXT,
@@ -234,6 +235,36 @@ def test_shark_square_move():
     # the move contracts the square's corner pair: one node fewer
     assert len(m2.colors) == len(m.colors) - 1
     assert positroid(m2) == positroid(m)
+
+
+@pytest.mark.parametrize("mult", [0, 2])
+def test_square_move_checks_the_quiver_against_fz_mutate(monkeypatch, mult):
+    # a matrix mutation that drops one arrow at j (mult 0), or raises its
+    # multiplicity by one (mult 2), is not the moved model's dual quiver
+    real = seeds.fz_mutate
+
+    def perturbed(q, j):
+        out = real(q, j)
+        u, v, m = next(a for a in out.arrows if j in a[:2])
+        assert m == 1
+        counts = {(a, b): c for a, b, c in out.arrows}
+        counts[(u, v)] = mult
+        return seeds.make_quiver(out.vertices, out.frozen, out.star, counts)
+
+    monkeypatch.setattr(seeds, "fz_mutate", perturbed)
+    with pytest.raises(ModelInvariantError) as err:
+        square_move(build_rectangles_model(2, 5), (1, 3))
+    assert err.value.violation == "quiver-fz-mismatch"
+
+
+def test_boundary_size_is_checked_on_both_routes():
+    # the shark cuts no 2-subset out of the boundary when no stub is used
+    with pytest.raises(ModelInvariantError) as err:
+        boundary_value(shark_model(), set())
+    assert err.value.violation == "boundary-size"
+    with pytest.raises(ModelInvariantError) as err:
+        MatchingTable(shark_model(), [0])
+    assert err.value.violation == "boundary-size"
 
 
 # (start model, depth): every model reached by up to ``depth`` successive

@@ -1,0 +1,70 @@
+"""No dead public helpers: every public function and method of the package
+is named somewhere in the package or the benchmark, outside its own body.
+
+Tests do not count as callers.  A name that only tests reach is either a
+check that is still waiting for a suite to run it, listed below with its
+reason, or dead code to delete.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "plabicflow"
+
+# public names that no code in the package or the benchmark names, each
+# with the reason it stays
+ALLOWED = {
+    "combinat.max_diag": "the benchmark tracer wraps it and a per-layer "
+                         "metric counts its calls",
+    "combinat.weakly_separated": "the benchmark tracer wraps it",
+    "plabic.flow_weight": "the reference flow route; the benchmark's "
+                          "per-layer metrics name it",
+    "plabic.check_model": "a whole-model check that no suite runs yet",
+    "cones.level1_slice_check": "the no-body check that no suite runs yet",
+    "superpot.gvector_cone_ineqs": "a cone check that no suite runs yet",
+}
+
+
+def _names(node) -> Counter:
+    """Every identifier a node's subtree names: variables, attributes and
+    imported names."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.rsplit(".", 1)[-1]] += 1
+    return out
+
+
+def _public_defs(tree: ast.Module):
+    """(qualified name, def) for each public top-level function and each
+    public method of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_")):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_every_public_helper_has_a_caller_outside_tests():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    named = Counter()
+    for tree in trees.values():
+        named += _names(tree)
+    unreferenced = set()
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for qualname, node in _public_defs(tree):
+            if named[node.name] == _names(node)[node.name]:
+                unreferenced.add(f"{path.stem}.{qualname}")
+    assert unreferenced == set(ALLOWED)

@@ -23,8 +23,6 @@ from plabicflow.seeds import (
     make_quiver,
     mutable_vertices,
     mutate_labels,
-    mutation_entries,
-    quiver_b_entries,
     rectangles_seed,
     seed_mutations,
     seed_of_model,
@@ -73,8 +71,6 @@ def test_make_quiver_guards():
     # frozen-frozen two-cycles are legitimate (degenerate duals)
     q = make_quiver(["a", "b"], ["a", "b"], "a", {("a", "b"): 1, ("b", "a"): 1})
     assert len(q.arrows) == 2
-    assert quiver_b_entries(q) == {}  # nets to zero
-    assert mutation_entries(q) == {}
 
 
 def test_fz_mutate_24():
@@ -86,9 +82,10 @@ def test_fz_mutate_24():
         ("12", "13", 1), ("12", "14", 1), ("12", "23", 1), ("13", "14", 1),
         ("13", "23", 1), ("34", "13", 1), ("34", "14", 1), ("34", "23", 1),
     )
-    # involution on the tracked entries
+    # involution on the tracked entries, the arrows at 13
     q3 = fz_mutate(q2, "13")
-    assert mutation_entries(q3) == mutation_entries(q)
+    at13 = lambda q: {a for a in q.arrows if "13" in a[:2]}
+    assert at13(q3) == at13(q)
     with pytest.raises(NotMutable):
         fz_mutate(q, "12")
 
@@ -96,7 +93,10 @@ def test_fz_mutate_24():
 def dense_fz_mutate(q, j):
     """The matrix rule over every vertex pair, which the neighbourhood rule
     of ``fz_mutate`` replaced."""
-    b = quiver_b_entries(q)
+    b = {}
+    for u, v, mult in q.arrows:
+        b[(u, v)] = b.get((u, v), 0) + mult
+        b[(v, u)] = b.get((v, u), 0) - mult
     counts = {}
     for u in q.vertices:
         for v in q.vertices:
