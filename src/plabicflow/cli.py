@@ -447,6 +447,18 @@ def _suite_trop_a(model: PlabicModel, tag: str, level: int):
     return True, f"{tag} kappa-compatibility and involution"
 
 
+def _suite_exact_seq(model: PlabicModel, tag: str, level: int):
+    s = seeds.seed_of_model(model)
+    if not seeds.exact_sequence_checks(s):
+        return False, f"{tag}: wt.beta != -id on the seed"
+    done = []
+    for j, s2 in seeds.seed_mutations(s):
+        if not seeds.exact_sequence_checks(s2):
+            return False, f"{tag} after mutation at {j}: wt.beta != -id"
+        done.append(j)
+    return True, f"{tag} wt.beta = -id on the seed and after mutations [{','.join(done)}]"
+
+
 def _suite_gt_trop(model: PlabicModel, tag: str, level: int):
     k, n = model.k, model.n
     star = seeds.rectangles_seed(k, n).quiver.star
@@ -480,6 +492,7 @@ SUITES = {
     "valuation-kappa": _suite_valuation_kappa,
     "xflow": _suite_xflow,
     "trop-a": _suite_trop_a,
+    "exact-seq": _suite_exact_seq,
     "gt-trop": _suite_gt_trop,
     "wformula": _suite_wformula,
     "weyl-count": _suite_weyl_count,

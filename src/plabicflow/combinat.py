@@ -15,6 +15,7 @@ or ``Quiver.vertices``.  For n <= 9 the two orders agree.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
 from operator import sub
@@ -186,27 +187,55 @@ def max_diag(J: KSubset, I: KSubset, n: int) -> int:
     exactly max(0, c_J(d) - c_I(d)) cells on diagonal d, where c counts the
     cells of one shape on d, and the answer is the largest of these.
 
-    Any sequences are accepted; they are made tuples and the answer is
-    memoised by the label pair (``_max_diag``), at most C(n,k)^2 entries
-    per (k, n).  A size mismatch or a bad subset raises ValueError on every
-    call.
+    Any sequences are accepted.  This computes one pair and keeps nothing;
+    the memo of tables over many pairs is ``_max_diag_row``.  A size
+    mismatch or a bad subset raises ValueError.
 
     >>> max_diag((2, 4), (1, 3), 4)
     1
     >>> max_diag((1, 3), (2, 4), 4)
     0
     """
-    return _max_diag(tuple(J), tuple(I), n)
-
-
-@lru_cache(maxsize=None)
-def _max_diag(J: KSubset, I: KSubset, n: int) -> int:
-    """``max_diag`` on tuples; exceptions are not cached."""
+    J, I = tuple(J), tuple(I)
     if len(J) != len(I):
         raise ValueError(f"size mismatch: |{J}| != |{I}|")
-    cj = _diag_counts(J, n)
-    ci = _diag_counts(I, n)
-    return max(0, max(map(sub, cj, ci), default=0))
+    return max(0, max(map(sub, _diag_counts(J, n), _diag_counts(I, n)), default=0))
+
+
+class _MaxDiagRow(dict):
+    """J -> max_diag(J, I, n) for one (I, n); an entry is computed on its
+    first request and kept."""
+
+    __slots__ = ("I", "n")
+
+    def __init__(self, I: KSubset, n: int):
+        super().__init__()
+        self.I, self.n = I, n
+
+    def __missing__(self, J: KSubset) -> int:
+        value = self[J] = max_diag(J, self.I, self.n)
+        return value
+
+
+# (I, n) -> its row; the one memo of MaxDiag, at most C(n,k)^2 entries per
+# (k, n) in all
+_MAX_DIAG_ROWS: dict[tuple[KSubset, int], _MaxDiagRow] = {}
+
+
+def _max_diag_row(I: KSubset, n: int) -> Mapping[KSubset, int]:
+    """The memoised row of I: a mapping from a tuple J to max_diag(J, I, n),
+    filled on first request of each J, shared by every caller.
+
+    I must be a tuple.  A bad I raises ValueError on every call and leaves
+    no row behind.  Looking up a bad J, or a J of another size, raises
+    ValueError and leaves no entry behind.  The row is the package's to
+    fill: read it only.
+    """
+    row = _MAX_DIAG_ROWS.get((I, n))
+    if row is None:
+        check_ksubset(I, n)
+        row = _MAX_DIAG_ROWS[(I, n)] = _MaxDiagRow(I, n)
+    return row
 
 
 def lex_max(P) -> KSubset:

@@ -186,6 +186,12 @@ def lp_equal(f: LaurentPoly, g: LaurentPoly) -> bool:
     return f.terms == g.terms
 
 
+def _coordinatewise_min(exps: list[Exponent]) -> Exponent:
+    """The coordinatewise minimum of a nonempty list of exponents, in one
+    pass over the coordinates."""
+    return tuple(map(min, *exps)) if len(exps) > 1 else exps[0]
+
+
 def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """Exact quotient f/g, or NotLaurent.
 
@@ -200,9 +206,8 @@ def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     _require_same_lattice(f, g)
     if f.is_zero():
         return f
-    d = len(f.lattice)
-    fmin = tuple(min(e[i] for e, _ in f.terms) for i in range(d))
-    gmin = tuple(min(e[i] for e, _ in g.terms) for i in range(d))
+    fmin = _coordinatewise_min([e for e, _ in f.terms])
+    gmin = _coordinatewise_min([e for e, _ in g.terms])
     shift = vec_sub(fmin, gmin)
     rem = {vec_sub(e, fmin): c for e, c in f.terms}
     div = {vec_sub(e, gmin): c for e, c in g.terms}
@@ -338,7 +343,7 @@ def lp_min_exponent(f: LaurentPoly):
     if f.is_zero():
         raise ValueError("zero polynomial has no minimal exponent")
     exps = [e for e, _ in f.terms]
-    low = tuple(map(min, *exps)) if len(exps) > 1 else exps[0]
+    low = _coordinatewise_min(exps)
     if low in exps:
         return low, True
     minimal = [

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 from .combinat import (
     KSubset,
-    _max_diag,
+    _max_diag_row,
     format_ksubset,
     pairwise_weakly_separated,
 )
@@ -197,9 +197,14 @@ class Seed:
     n: int
     quiver: Quiver
     labels: Mapping[str, KSubset]  # vertex name -> k-subset, a read-only copy
+    # the labels as tuples in vertex order: the order of every kappa vector
+    vertex_labels: tuple[KSubset, ...] = field(init=False, repr=False,
+                                               compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
+        object.__setattr__(self, "vertex_labels", tuple(
+            tuple(self.labels[v]) for v in self.quiver.vertices))
 
 
 def seed_of_model(model: PlabicModel) -> Seed:
@@ -304,32 +309,35 @@ def seed_mutations(s: Seed) -> Iterator[tuple[str, Seed]]:
 
 
 def kappa_vector(s: Seed, I: KSubset) -> dict[str, int]:
-    """MaxDiag vector of I with respect to the seed's labels.
+    """MaxDiag vector of I with respect to the seed's labels, in vertex order.
 
     Coordinate at vertex J is the longest diagonal of the set difference
     of Young diagrams young(label(J)) minus young(I); the star coordinate
-    is always 0.  Each coordinate comes from the memoised kernel
-    ``combinat._max_diag``, so a table over all k-subsets and a sequence of
-    seeds (which share most labels) computes each label pair once.
+    is always 0.  The coordinates are lookups in I's row of the one MaxDiag
+    memo (``combinat._max_diag_row``), so a table over all k-subsets and a
+    sequence of seeds (which share most labels) computes each label pair
+    once.  A bad I raises ValueError on every call and is not memoised.
     """
-    I = tuple(I)
-    labels, n = s.labels, s.n
-    out = {v: _max_diag(tuple(labels[v]), I, n) for v in s.quiver.vertices}
-    if out[s.quiver.star] != 0:
+    return dict(zip(s.quiver.vertices, _kappa_column(s, tuple(I))))
+
+
+def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
+    """``kappa_vector`` as a tuple in vertex order; I is a tuple."""
+    if len(I) != s.k:
+        raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
+    row = _max_diag_row(I, s.n)
+    col = tuple(map(row.__getitem__, s.vertex_labels))
+    if row[s.labels[s.quiver.star]]:
         raise ModelInvariantError(
             "bad-label", f"star label {s.labels[s.quiver.star]} has nonzero kappa"
         )
-    return out
+    return col
 
 
-def beta_matrix(s: Seed) -> dict[tuple[str, str], int]:
-    """Boundary map from vertex simples to vertex projectives.
-
-    Column at an interior vertex v is (sum of in-neighbors) - (sum of
-    out-neighbors); at a boundary vertex v it is e_v - (sum of
-    out-neighbors) + (sum of interior in-neighbors).  Entries are returned
-    as a sparse (row, column) map.
-    """
+def _beta_columns(s: Seed) -> dict[str, dict[str, int]]:
+    """The nonzero entries of ``beta_matrix`` by column: column -> row ->
+    entry.  Raises ``beta-unbalanced`` when a row does not sum to 0, that is
+    when beta does not annihilate the all-ones vector."""
     q = s.quiver
     cols: dict[str, dict[str, int]] = {v: {} for v in q.vertices}
 
@@ -353,8 +361,21 @@ def beta_matrix(s: Seed) -> dict[tuple[str, str], int]:
             "beta-unbalanced",
             "all-ones vector not annihilated; seed outside the supported class",
         )
+    return cols
+
+
+def beta_matrix(s: Seed) -> dict[tuple[str, str], int]:
+    """Boundary map from vertex simples to vertex projectives.
+
+    Column at an interior vertex v is (sum of in-neighbors) - (sum of
+    out-neighbors); at a boundary vertex v it is e_v - (sum of
+    out-neighbors) + (sum of interior in-neighbors).  Entries are returned
+    as a sparse (row, column) map.  Raises ``beta-unbalanced`` on a seed
+    whose beta does not annihilate the all-ones vector.
+    """
     return {
-        (row, col): c for col, colmap in cols.items() for row, c in colmap.items()
+        (row, col): c
+        for col, colmap in _beta_columns(s).items() for row, c in colmap.items()
     }
 
 
@@ -374,31 +395,31 @@ def exact_sequence_checks(s: Seed) -> bool:
 
     Every column of beta sums to 0 (rank of beta is 0), and wt composed
     with beta is minus the identity away from the star coordinate.  The
-    third, beta of the all-ones vector is 0, is enforced by ``beta_matrix``,
-    which raises ``beta-unbalanced`` on a seed that breaks it.
+    third, beta of the all-ones vector is 0, is enforced where beta is
+    built: a seed that breaks it raises ``beta-unbalanced``, as
+    ``beta_matrix`` does.
+
+    wt . beta is built one column at a time: column v is the sum over w of
+    beta[w, v] times the kappa vector of label(w), a tuple in vertex order.
+    The star's entry is 0 in every kappa vector (``kappa_vector`` raises
+    ``bad-label`` otherwise), so the star row needs no exception.
     """
     q = s.quiver
-    beta = beta_matrix(s)
-    colsum: dict[str, int] = {}
-    for (_row, col), c in beta.items():
-        colsum[col] = colsum.get(col, 0) + c
-    if any(c != 0 for c in colsum.values()):
+    cols = _beta_columns(s)
+    if any(sum(colmap.values()) for colmap in cols.values()):
         return False
-    # the product wt . beta, summed over the nonzero entries of both
-    beta_rows: dict[str, list[tuple[str, int]]] = {}
-    for (w, v), c in beta.items():
-        beta_rows.setdefault(w, []).append((v, c))
-    prod: dict[tuple[str, str], int] = {}
-    for (i, w), a in wt_matrix(s).items():
-        for v, c in beta_rows.get(w, ()):
-            prod[(i, v)] = prod.get((i, v), 0) + a * c
-    # away from the star: every diagonal entry -1, every other entry 0
-    if any(prod.get((v, v), 0) != -1 for v in q.vertices if v != q.star):
-        return False
-    return all(
-        c == 0 for (i, v), c in prod.items()
-        if i != v and q.star not in (i, v)
-    )
+    wt = {v: _kappa_column(s, J) for v, J in zip(q.vertices, s.vertex_labels)}
+    m = len(q.vertices)
+    for i, v in enumerate(q.vertices):
+        if v == q.star:
+            continue
+        col = [0] * m  # column v of wt . beta, plus e_v
+        col[i] = 1
+        for w, c in cols[v].items():
+            col = [a + c * x for a, x in zip(col, wt[w])]
+        if any(col):
+            return False
+    return True
 
 
 # ------------------------------------------------------ tropical mutation

@@ -347,7 +347,7 @@ def test_verify_all(capsys):
     rc, out, _ = run_out(capsys, "verify", "all")
     assert rc == 0
     lines = out.strip().split("\n")
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(l.startswith("PASS ") for l in lines)
 
 

@@ -78,9 +78,9 @@ GOLDEN = {
     ('wx --kn 2,4', 'json'):
         (0, '8d525d249b239d129ba2263ea948acc329fd93069cff447cf4a198710b6804b9'),
     ('verify all --kn 2,5', 'pretty'):
-        (0, 'dacf549e9e1809e48a4edd0d4106780210944ab0f68e3fc040aa7fce11a8b400'),
+        (0, 'e8f54506d93c6cf3d7b00cf3f4007ead072f0140e9610eb3128afca2c3822c6c'),
     ('verify all --kn 2,5', 'json'):
-        (0, 'dacf549e9e1809e48a4edd0d4106780210944ab0f68e3fc040aa7fce11a8b400'),
+        (0, 'e8f54506d93c6cf3d7b00cf3f4007ead072f0140e9610eb3128afca2c3822c6c'),
 }
 
 # Five-step exchange paths through the Laurent substitution and the seed

@@ -226,7 +226,7 @@ def test_verify_all_at_n_10_and_the_xflow_moves_read_back(capsys):
     rc, out, _ = run_out(capsys, "verify", "all", "--kn", "2,10", "--kn", "3,10")
     assert rc == 0
     lines = out.splitlines()
-    assert len(lines) == 14
+    assert len(lines) == 16
     assert all(line.startswith("PASS ") for line in lines)
     # the printed move list is a --mutations argument read in groups of k
     (xflow,) = [x for x in lines if x.startswith("PASS xflow: rect:3,10")]

@@ -16,8 +16,6 @@ PACKAGE = ROOT / "src" / "plabicflow"
 # public names that no code in the package or the benchmark names, each
 # with the reason it stays
 ALLOWED = {
-    "combinat.max_diag": "the benchmark tracer wraps it and a per-layer "
-                         "metric counts its calls",
     "combinat.weakly_separated": "the benchmark tracer wraps it",
     "plabic.flow_weight": "the reference flow route; the benchmark's "
                           "per-layer metrics name it",

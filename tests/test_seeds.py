@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from plabicflow import seeds
+from plabicflow import combinat, seeds
 from plabicflow.combinat import format_ksubset, ksubsets
 from plabicflow.plabic import (
     ModelInvariantError,
@@ -14,6 +14,7 @@ from plabicflow.plabic import (
 )
 from plabicflow.seeds import (
     NotMutable,
+    Quiver,
     Seed,
     beta_matrix,
     exact_sequence_checks,
@@ -29,6 +30,7 @@ from plabicflow.seeds import (
     trop_a_mutate,
     wt_matrix,
 )
+from test_combinat import cell_set_max_diag
 
 # dual quiver of the (2,4) rectangles model
 Q24_ARROWS = (
@@ -330,3 +332,142 @@ def test_degenerate_seed():
     b = beta_matrix(s)
     assert b == {("1", "1"): 1, ("2", "1"): -1,
                  ("1", "2"): -1, ("2", "2"): 1}
+
+
+# ------------------------------------- the kappa memo and the wt . beta check
+
+# the walks of the property tests below: instances, longest walk
+WALK_INSTANCES = [(3, 6), (3, 7), (4, 8), (4, 9)]
+WALK_STEPS = 6
+
+
+def random_walk_seed(k: int, n: int, rng: random.Random, steps: int) -> Seed:
+    """The seed after ``steps`` random accepted ``mutate_labels`` moves from
+    the rectangles seed; a refused vertex is passed over."""
+    s = rectangles_seed(k, n)
+    for _ in range(steps):
+        vertices = mutable_vertices(s.quiver)
+        for j in rng.sample(vertices, len(vertices)):
+            try:
+                s = mutate_labels(s, j)
+            except NotPlabicMutable:
+                continue
+            break
+    return s
+
+
+walks = st.tuples(st.sampled_from(WALK_INSTANCES), st.integers(0, 2**32),
+                  st.integers(0, WALK_STEPS))
+
+
+@settings(max_examples=30, deadline=None)
+@given(walks)
+def test_kappa_vector_equals_cell_sets_on_random_walks(walk):
+    (k, n), seed, steps = walk
+    rng = random.Random(seed)
+    s = random_walk_seed(k, n, rng, steps)
+    subsets = ksubsets(n, k)
+    for I in rng.sample(subsets, 12):
+        kv = kappa_vector(s, I)
+        assert list(kv) == list(s.quiver.vertices)  # vertex order
+        assert kv == {v: cell_set_max_diag(s.labels[v], I, n) for v in kv}
+        assert kappa_vector(s, list(I)) == kv  # any sequence, same memo
+
+
+def test_kappa_vector_bad_subset_raises_every_time_and_is_not_memoised():
+    s = rectangles_seed(3, 6)
+    kappa_vector(s, (1, 2, 4))  # a memoised row to compare against
+    rows = {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()}
+    for bad in [(2, 1, 4), (1, 2, 7), (0, 1, 2), (1, 1, 2), (1, 2), (1, 2, 3, 4)]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                kappa_vector(s, bad)
+    assert {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()} == rows
+
+
+def test_max_diag_row_rejects_bad_subsets_and_labels():
+    row = combinat._max_diag_row((1, 3), 4)
+    assert row[(2, 4)] == 1
+    assert combinat._max_diag_row((1, 3), 4) is row
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            combinat._max_diag_row((3, 1), 4)
+        with pytest.raises(ValueError):
+            row[(1, 2, 3)]  # another size: no entry is kept
+    assert ((3, 1), 4) not in combinat._MAX_DIAG_ROWS
+    assert (1, 2, 3) not in row
+
+
+def test_a_star_label_with_nonzero_kappa_is_refused():
+    # the star's label 12 swapped with 34: kappa of 12 at the star is
+    # MaxDiag(34, 12) = 2, so both kappa_vector and the wt . beta check,
+    # whose column of 34 is that kappa vector, raise bad-label
+    s = rectangles_seed(2, 4)
+    labels = dict(s.labels)
+    labels["12"], labels["34"] = labels["34"], labels["12"]
+    swapped = Seed(s.k, s.n, s.quiver, labels)
+    assert kappa_vector(swapped, (3, 4))["12"] == 0
+    for check in (lambda t: kappa_vector(t, (1, 2)), exact_sequence_checks,
+                  dict_product_exact_sequence_checks):
+        with pytest.raises(ModelInvariantError) as err:
+            check(swapped)
+        assert err.value.violation == "bad-label"
+
+
+def dict_product_exact_sequence_checks(s: Seed) -> bool:
+    """The exact-sequence check as a product of sparse (row, column) maps,
+    the reference route for ``exact_sequence_checks``."""
+    q = s.quiver
+    beta = beta_matrix(s)
+    colsum = {}
+    for (_row, col), c in beta.items():
+        colsum[col] = colsum.get(col, 0) + c
+    if any(c != 0 for c in colsum.values()):
+        return False
+    beta_rows = {}
+    for (w, v), c in beta.items():
+        beta_rows.setdefault(w, []).append((v, c))
+    prod = {}
+    for (i, w), a in wt_matrix(s).items():
+        for v, c in beta_rows.get(w, ()):
+            prod[(i, v)] = prod.get((i, v), 0) + a * c
+    if any(prod.get((v, v), 0) != -1 for v in q.vertices if v != q.star):
+        return False
+    return all(
+        c == 0 for (i, v), c in prod.items()
+        if i != v and q.star not in (i, v)
+    )
+
+
+def exact_sequence_outcome(check, s: Seed):
+    """True, False, or the name of the invariant the check raised on."""
+    try:
+        return check(s)
+    except ModelInvariantError as exc:
+        return exc.violation
+
+
+@settings(max_examples=30, deadline=None)
+@given(walks)
+def test_exact_sequence_checks_equal_dict_product_on_random_walks(walk):
+    (k, n), seed, steps = walk
+    rng = random.Random(seed)
+    s = random_walk_seed(k, n, rng, steps)
+    assert exact_sequence_checks(s) is True
+    assert dict_product_exact_sequence_checks(s) is True
+    # two labels swapped: the same quiver, so beta still balances
+    a, b = rng.sample(list(s.quiver.vertices), 2)
+    labels = dict(s.labels)
+    labels[a], labels[b] = labels[b], labels[a]
+    swapped = Seed(k, n, s.quiver, labels)
+    got = exact_sequence_outcome(exact_sequence_checks, swapped)
+    assert got == exact_sequence_outcome(dict_product_exact_sequence_checks, swapped)
+    assert got in (False, "bad-label")
+    # one arrow dropped: an arrow's ends lose their balance
+    arrows = list(s.quiver.arrows)
+    del arrows[rng.randrange(len(arrows))]
+    q = s.quiver
+    dropped = Seed(k, n, Quiver(q.vertices, q.frozen, q.star, tuple(arrows)), s.labels)
+    got = exact_sequence_outcome(exact_sequence_checks, dropped)
+    assert got == exact_sequence_outcome(dict_product_exact_sequence_checks, dropped)
+    assert got in (False, "beta-unbalanced")
