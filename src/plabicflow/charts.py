@@ -28,7 +28,7 @@ from .plabic import (
     analyze,
     enumerate_matchings,  # noqa: F401  re-exported: charts.enumerate_matchings
     face_graph,
-    matching_table,
+    masks_at,
 )
 from .seeds import Quiver, neighbours
 
@@ -62,11 +62,11 @@ def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
 
 
 def _partition_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
-    # the edge lattice is the bit order of the table's edge masks
+    # the edge lattice is the bit order of the edge masks
     lattice = edge_lattice(model)
     bits = range(len(lattice))
     pos: dict[tuple, int] = {}
-    for mask in matching_table(model).masks_at(I):
+    for mask in masks_at(model, I):
         exp = tuple(mask >> i & 1 for i in bits)
         pos[exp] = pos.get(exp, 0) + 1
     return LaurentPoly.make(lattice, pos)
@@ -91,7 +91,7 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
 def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     # weighing raises weight-negative on any face, so no exponent is negative
     lattice = face_lattice(model)
-    masks = matching_table(model).masks_at(I)
+    masks = masks_at(model, I)
     if not masks:
         return LaurentPoly.make(lattice, {})
     columns = _face_columns(model)

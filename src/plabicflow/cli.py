@@ -14,7 +14,7 @@ fixture, or ``rect:k,n``) or on a Grassmannian instance given as ``--kn k,n``:
 * ``superpotential`` / ``wx`` — the potential in cluster or simples variables
 * ``verify`` — named verification suites with pass/fail reporting
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or a model
+Exit codes: 0 success, 1 verification failure, 2 usage error or a request
 past the matching budget (``plabic.MATCHING_BUDGET``), 3 model invariant
 violation or internal consistency fault.  Output is byte-deterministic for
 fixed inputs.
@@ -177,6 +177,31 @@ def _emit_vector(vec: dict[str, int], fmt: str) -> None:
         out.writerows(items)
 
 
+RECORD_FIELDS = ("suite", "instance", "ok", "detail")
+
+
+def _record_writer(fmt: str):
+    """The printer of ``verify`` and ``xcheck`` results, one call per PASS
+    or FAIL line: ``emit(line, suite, instance, ok, detail)`` prints the
+    line as it reads in pretty, and the record {suite, instance, ok,
+    detail} otherwise, one JSON object a line or one CSV row.  The CSV
+    header comes with the first row, so a request refused before its first
+    result prints nothing, as in pretty."""
+    if fmt == "pretty":
+        return lambda line, *record: print(line)
+    if fmt == "json":
+        return lambda line, *record: _emit_json(dict(zip(RECORD_FIELDS, record)))
+    out = _csv_writer()
+    header = [RECORD_FIELDS]
+
+    def emit(line, suite, instance, ok, detail):
+        if header:
+            out.writerow(header.pop())
+        out.writerow([suite, instance, int(ok), detail])
+
+    return emit
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -226,7 +251,7 @@ def cmd_flow(args) -> int:
 
 def cmd_valuation(args) -> int:
     model, I = _model_and_subset(args)
-    if I not in plabic.positroid(model):
+    if not plabic.masks_at(model, I):
         raise UsageError(
             f"{format_ksubset(I, model.n)} is outside the model's positroid: "
             "its flow polynomial is 0, which has no valuation"
@@ -295,16 +320,20 @@ def cmd_xcheck(args) -> int:
         path = seeds.mutable_vertices(seeds.seed_of_model(model).quiver)[:1]
         if not path:
             raise UsageError("model has no mutable faces")
+    emit = _record_writer(args.format)
     cur = model
-    for j in path:
+    for i, j in enumerate(path):
         s = seeds.seed_of_model(cur)
         _require_face(s, j)
         moved = plabic.square_move(cur, s.labels[j])
         I = _xcheck_one(cur, j, moved)
+        where = args.model + (f" after {','.join(path[:i])}" if i else "")
         if I is not None:
-            print(f"FAIL xcheck {j}: {_xcheck_mismatch(j, I, cur.n)}")
+            detail = f"{j}: {_xcheck_mismatch(j, I, cur.n)}"
+            emit(f"FAIL xcheck {detail}", "xcheck", where, False, detail)
             return 1
-        print(f"PASS xcheck {j} ({len(plabic.positroid(cur))} boundary values)")
+        detail = f"{j} ({len(plabic.positroid(cur))} boundary values)"
+        emit(f"PASS xcheck {detail}", "xcheck", where, True, detail)
         cur = moved
     return 0
 
@@ -382,6 +411,8 @@ def cmd_wx(args) -> int:
 
 
 def _suite_plucker(model: PlabicModel, tag: str, level: int):
+    # the relations ask about every boundary value: one table serves them all
+    plabic.matching_table(model)
     for rel in charts.three_term_relations(model.k, model.n):
         if not charts.plucker_verify(model, rel):
             a, b, c, d, S = rel
@@ -514,13 +545,15 @@ def cmd_verify(args) -> int:
     if "weyl-count" in chosen:
         for k, n in instances:
             _check_point_budget(k, n, range(level + 1), "verify weyl-count")
+    emit = _record_writer(args.format)
     all_ok = True
     for k, n in instances:
         # one model per instance, shared by the suites and their memos
         model = plabic.build_rectangles_model(k, n)
+        tag = f"rect:{k},{n}"
         for suite in chosen:
-            ok, detail = SUITES[suite](model, f"rect:{k},{n}", level)
-            print(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}")
+            ok, detail = SUITES[suite](model, tag, level)
+            emit(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}", suite, tag, ok, detail)
             all_ok = all_ok and ok
     return 0 if all_ok else 1
 

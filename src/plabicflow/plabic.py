@@ -109,7 +109,8 @@ class Analysis:
     def derive(self, key, build):
         """The model's quantity named ``key``, made by ``build()`` on the
         first request and kept for the model's lifetime.  Every quantity
-        derived from a model past its analysis (matching table, face graph,
+        derived from a model past its analysis (matching frontier, matching
+        table or lists of one boundary value, base value, face graph,
         partition functions, flow polynomials, face names, seed,
         square-moved models) is kept here and nowhere else, and each once:
         face weights are kept only as the exponents of the flow
@@ -121,6 +122,11 @@ class Analysis:
             pass
         value = self._derived[key] = build()
         return value
+
+    def kept(self, key):
+        """The quantity named ``key`` if it has been built, else None;
+        builds nothing."""
+        return self._derived.get(key)
 
 
 class FaceAdjacency:
@@ -624,74 +630,149 @@ def load_model(text: str) -> PlabicModel:
 # byte b with its eight bits in reverse order, at index b
 _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-# Most perfect matchings ``matching_masks`` lists for one model (at least 1);
-# a model with more is refused with MatchingBudgetExceeded.  rect (6,12) has
-# 207,997 matchings, and ``plabicflow flow rect:6,12 1,3,5,7,9,11`` takes
-# about 0.7 s and 115 MB on a 2-vCPU x86 box; rect (6,13) has 1,205,690 and
-# rect (7,14) 10,094,282.
+# Most perfect matchings one request lists (at least 1): all of a model's for
+# ``matching_masks(model)``, those of one boundary value for
+# ``matching_masks(model, I)``.  A request for more is refused with
+# MatchingBudgetExceeded.  rect (6,12) has 207,997 matchings in all, rect
+# (6,13) 1,205,690 and rect (7,14) 10,094,282.  Of those of (7,14), 58,800
+# have boundary value 1,2,4,8,9,10,12; ``plabicflow flow rect:7,14
+# 1,2,4,8,9,10,12`` lists just them, in about 4 s and 70 MB on a 2-vCPU x86
+# box with Python 3.11.
 MATCHING_BUDGET = 1_000_000
 
 
 class MatchingBudgetExceeded(Exception):
-    """A model has more perfect matchings than the matching budget."""
+    """A request would list more perfect matchings than the matching budget;
+    ``I`` is the boundary value asked for, or None for all matchings."""
 
-    def __init__(self, model: PlabicModel, count: int, budget: int):
+    def __init__(self, model: PlabicModel, count: int, budget: int, I=None):
         self.k, self.n = model.k, model.n
         self.count = count
         self.budget = budget
+        self.I = I
+        at = "" if I is None else f" with boundary value {format_ksubset(I, model.n)}"
         super().__init__(
-            f"{count:,} perfect matchings, past the matching budget of {budget:,}")
+            f"{count:,} perfect matchings{at}, past the matching budget of {budget:,}")
 
 
-def matching_masks(model: PlabicModel) -> list[int]:
-    """All edge sets covering every internal node exactly once, as edge
-    masks: bit i for the i-th edge of ``sorted(model.edges)``.
+class _Frontier:
+    """The layout of one model's matching recursion, shared by the whole
+    enumeration, the lists of one boundary value and the base-value search.
 
-    A memoised recursion over the covered-node mask (frontier-based search).
-    Nodes are numbered breadth-first over the internal edges, each component
-    from its first node in (fewest incident edges, id) order, so node i is
-    bit i of the covered mask and the frontier between covered and uncovered
-    nodes stays narrow.  ``rest(covered)`` lists the edge masks that
+    Bit i of an edge mask is the i-th edge of ``names``, which is
+    ``sorted(model.edges)``.  The internal nodes are numbered breadth-first
+    over the internal edges, each component from its first node in (fewest
+    incident edges, id) order, so node b is bit b of a covered mask and the
+    frontier between covered and uncovered nodes stays narrow.
+    ``options[b]`` lists (edge bit, covered mask) for each edge at node b,
+    ``inner[b]`` the same without the boundary stubs, and ``stubs`` holds
+    (boundary label, edge bit, covered mask) for each stub in label order.
+    Nothing here refers to the model, so keeping it keeps no model alive.
+    """
+
+    def __init__(self, model: PlabicModel):
+        self.names = tuple(sorted(model.edges))
+        incident: dict[str, list[int]] = {v: [] for v in model.colors}
+        ends = []  # the internal nodes of each edge
+        stub_at = []  # (boundary label, edge index) per stub
+        for i, e in enumerate(self.names):
+            nodes = []
+            for kind, val in model.edges[e]:
+                if kind == "n":
+                    nodes.append(val)
+                else:
+                    stub_at.append((val, i))
+            ends.append(nodes)
+            for u in nodes:
+                incident[u].append(i)
+        bit = dict.fromkeys(incident, 0)
+        order: list[str] = []
+        for start in sorted(incident, key=lambda u: (len(incident[u]), u)):
+            if bit[start]:
+                continue
+            bit[start] = 1 << len(order)
+            order.append(start)
+            head = len(order) - 1
+            while head < len(order):
+                for i in incident[order[head]]:
+                    for w in ends[i]:
+                        if not bit[w]:
+                            bit[w] = 1 << len(order)
+                            order.append(w)
+                head += 1
+        covers = [sum(map(bit.__getitem__, nodes)) for nodes in ends]
+        stub_edges = {i for _, i in stub_at}
+        self.full = (1 << len(order)) - 1
+        self.options = [[(1 << i, covers[i]) for i in incident[v]] for v in order]
+        self.inner = [[(1 << i, covers[i]) for i in incident[v] if i not in stub_edges]
+                      for v in order]
+        self.stubs = tuple((l, 1 << i, covers[i]) for l, i in sorted(stub_at))
+
+
+def _frontier(model: PlabicModel) -> _Frontier:
+    """The model's frontier, made once per analysed model.  A bare model
+    that was never analysed (one ``analyze`` would refuse) gets a fresh one,
+    so its matchings can still be listed."""
+    an = model._analysis
+    if an is None:
+        return _Frontier(model)
+    return an.derive("frontier", lambda: _Frontier(model))
+
+
+def matching_masks(model: PlabicModel, I=None) -> list[int]:
+    """The edge sets covering every internal node exactly once, as edge
+    masks (bit i for the i-th edge of ``sorted(model.edges)``): all of them,
+    or, given a boundary value I, those with boundary value I.
+
+    A memoised recursion over the covered-node mask (frontier-based search,
+    see ``_Frontier``).  ``rest(covered)`` lists the edge masks that
     complete ``covered``: it branches on the lowest uncovered node's edges,
     skips an edge that covers a covered node (a boundary edge covers only
     its own node), and is kept per mask, so a dead end is explored once.
+    Given I, stub l is in every matching when (l in I) == (l anticlockwise)
+    and in none otherwise: the forced stubs cover their nodes before the
+    recursion starts, which then runs on the internal edges alone; two
+    forced stubs at one node leave no matching.
+
     The matchings come out sorted by their sorted edge names: of two, the
     one holding the lowest edge where they differ comes first, which is
     descending order of the bit-reversed mask (two perfect matchings are
-    never nested, so neither is a prefix of the other).
+    never nested, so neither is a prefix of the other).  So the list of I
+    is the whole list's matchings with boundary value I, in the same order.
 
     Raises MatchingBudgetExceeded, having built at most about twice
-    ``MATCHING_BUDGET`` list entries, when there are more matchings than
-    that: once the lists built pass the budget, one integer count over the
-    same recursion decides.
+    ``MATCHING_BUDGET`` list entries, when the request holds more matchings
+    than that: once the lists built pass the budget, one integer count over
+    the same recursion decides.
     """
-    names = sorted(model.edges)
-    incident: dict[str, list[int]] = {v: [] for v in model.colors}
-    ends = []  # the internal nodes of each edge
-    for i, e in enumerate(names):
-        nodes = [end[1] for end in model.edges[e] if end[0] == "n"]
-        ends.append(nodes)
-        for u in nodes:
-            incident[u].append(i)
-    bit = dict.fromkeys(incident, 0)
-    order: list[str] = []
-    for start in sorted(incident, key=lambda u: (len(incident[u]), u)):
-        if bit[start]:
-            continue
-        bit[start] = 1 << len(order)
-        order.append(start)
-        head = len(order) - 1
-        while head < len(order):
-            for i in incident[order[head]]:
-                for w in ends[i]:
-                    if not bit[w]:
-                        bit[w] = 1 << len(order)
-                        order.append(w)
-            head += 1
-    covers = [sum(map(bit.__getitem__, nodes)) for nodes in ends]
-    # options[b]: (edge bit, covered mask) for each edge at node b
-    options = [[(1 << i, covers[i]) for i in incident[v]] for v in order]
-    full = (1 << len(order)) - 1
+    fr = _frontier(model)
+    options, covered, forced = fr.options, 0, 0
+    if I is not None:
+        I = tuple(I)
+        if I != tuple(l for l in range(1, model.n + 1) if l in I):
+            return []  # not a sorted subset of 1..n: no boundary value
+        anticlockwise = analyze(model).anticlockwise
+        options = fr.inner
+        for l, ebit, mask in fr.stubs:
+            if (l in I) == (l in anticlockwise):
+                if covered & mask:
+                    return []
+                covered |= mask
+                forced |= ebit
+    found = _completions(model, I, options, fr.full, covered)
+    if forced:
+        found = [forced | m for m in found]
+    # the little-endian bytes of a mask, each bit-reversed, read it lowest
+    # bit first
+    size = (len(fr.names) + 7) // 8
+    found.sort(key=lambda m: m.to_bytes(size, "little").translate(_BITS_REVERSED),
+               reverse=True)
+    return found
+
+
+def _completions(model: PlabicModel, I, options, full: int, start: int) -> list[int]:
+    """The edge masks that complete the covered mask ``start`` over
+    ``options``, unsorted; the recursion of ``matching_masks``."""
     memo = {full: [0]}
     budget = MATCHING_BUDGET
     built, limit = 0, budget  # list entries built, and how many before counting
@@ -708,30 +789,24 @@ def matching_masks(model: PlabicModel) -> list[int]:
             memo[covered] = out
             built += len(out)
             if built > limit:
-                count = _count_completions(options, full, memo)
+                count = _count_completions(options, full, memo, start)
                 if count > budget:
-                    raise MatchingBudgetExceeded(model, count, budget)
+                    raise MatchingBudgetExceeded(model, count, budget, I)
                 limit = float("inf")  # counted, and it fits
         return out
 
     try:
-        found = rest(0)
+        return rest(start)
     finally:
         # rest refers to itself: without this its memo and the model would
         # live on until the next garbage collection
         del rest
-    # the little-endian bytes of a mask, each bit-reversed, read it lowest
-    # bit first
-    size = (len(names) + 7) // 8
-    found.sort(key=lambda m: m.to_bytes(size, "little").translate(_BITS_REVERSED),
-               reverse=True)
-    return found
 
 
-def _count_completions(options, full: int, memo: dict) -> int:
-    """The number of matchings ``matching_masks`` lists, by the same
-    recursion over integers; a covered mask already in ``memo`` counts its
-    list."""
+def _count_completions(options, full: int, memo: dict, start: int) -> int:
+    """The number of matchings ``_completions`` lists from ``start``, by
+    the same recursion over integers; a covered mask already in ``memo``
+    counts its list."""
     counts = {covered: len(out) for covered, out in memo.items()}
 
     def count(covered: int) -> int:
@@ -744,7 +819,65 @@ def _count_completions(options, full: int, memo: dict) -> int:
                 if not covered & mask)
         return got
 
-    return count(0)
+    return count(start)
+
+
+def base_value(model: PlabicModel) -> KSubset | None:
+    """The lexicographically largest boundary value of the model's
+    matchings (the base value), or None when it has none; found once per
+    model, without listing a matching.
+
+    Of k-subsets, the lex-max is the one least in sum over l in I of
+    2^(n-l).  A matching's sum is a constant plus a weight per used stub:
+    l is in I iff stub l is used xor l is clockwise, so stub l weighs
+    +2^(n-l) when l is anticlockwise and -2^(n-l), with 2^(n-l) in the
+    constant, when it is clockwise.  One integer min over the recursion of
+    ``matching_masks`` finds the least sum, whose bits are the value.
+    """
+    return analyze(model).derive("base value", lambda: _least_boundary(model))
+
+
+def _least_boundary(model: PlabicModel) -> KSubset | None:
+    an = analyze(model)
+    fr = _frontier(model)
+    n = model.n
+    weight, total = {}, 0
+    for l, ebit, _ in fr.stubs:
+        if l in an.anticlockwise:
+            weight[ebit] = 1 << (n - l)
+        else:
+            weight[ebit] = -(1 << (n - l))
+            total += 1 << (n - l)
+    options = [[(weight.get(ebit, 0), mask) for ebit, mask in opts]
+               for opts in fr.options]
+    full = fr.full
+    best: dict[int, int | None] = {full: 0}
+
+    def least(covered: int) -> int | None:
+        if covered in best:
+            return best[covered]
+        free = full & ~covered
+        out = None
+        for w, mask in options[(free & -free).bit_length() - 1]:
+            if not covered & mask:
+                rest = least(covered | mask)
+                if rest is not None and (out is None or w + rest < out):
+                    out = w + rest
+        best[covered] = out
+        return out
+
+    try:
+        low = least(0)
+    finally:
+        del least  # it refers to itself, as ``_completions``' rest does
+    if low is None:
+        return None
+    total += low
+    value = tuple(l for l in range(1, n + 1) if total >> (n - l) & 1)
+    if len(value) != model.k:
+        raise ModelInvariantError(
+            "boundary-size", f"matching boundary {value} has size != k")
+    return value
 
 
 def _edge_names(names, mask: int) -> list[str]:
@@ -799,12 +932,10 @@ class MatchingTable:
     """
 
     def __init__(self, model: PlabicModel, masks):
-        an = analyze(model)
-        self.edges: tuple[str, ...] = tuple(sorted(model.edges))
+        fr = _frontier(model)
+        self.edges: tuple[str, ...] = fr.names
         self.masks: tuple[int, ...] = tuple(masks)
-        bit = {e: 1 << i for i, e in enumerate(self.edges)}
-        stubs = [(l, bit[an.stub[l]]) for l in range(1, model.n + 1)]
-        stub_mask = sum(b for _, b in stubs)
+        stub_mask = sum(ebit for _, ebit, _ in fr.stubs)
         values: dict[int, KSubset] = {}  # mask & stub_mask -> boundary value
         boundary = []
         for mask in self.masks:
@@ -812,7 +943,7 @@ class MatchingTable:
             I = values.get(key)
             if I is None:
                 I = values[key] = _boundary(
-                    model, {l for l, b in stubs if key & b})
+                    model, {l for l, ebit, _ in fr.stubs if key & ebit})
             boundary.append(I)
         self.boundary: tuple[KSubset, ...] = tuple(boundary)
         groups: dict[KSubset, list[int]] = {}
@@ -833,18 +964,44 @@ class MatchingTable:
 
 def matching_table(model: PlabicModel) -> MatchingTable:
     """The model's matching table, built from one enumeration on the first
-    request; later requests are lookups."""
-    return analyze(model).derive(
-        "matching table", lambda: MatchingTable(model, matching_masks(model)))
+    request; later requests are lookups.  Its base value, the lex-max of its
+    positroid, must be the one ``base_value`` finds without listing."""
+
+    def build():
+        table = MatchingTable(model, matching_masks(model))
+        want = lex_max(table.positroid) if table.positroid else None
+        got = base_value(model)
+        if got != want:
+            raise ModelInvariantError(
+                "base-value-mismatch",
+                f"the table's lex-max boundary value is {want}, the search gives {got}")
+        return table
+
+    return analyze(model).derive("matching table", build)
+
+
+def masks_at(model: PlabicModel, I) -> tuple[int, ...]:
+    """The edge masks of the matchings with boundary value I, in
+    enumeration order: the group of the model's matching table when the
+    model has one, else ``matching_masks(model, I)``, listed once per model
+    and I.  So a query about one boundary value lists only its matchings."""
+    I = tuple(I)
+    an = analyze(model)
+    table = an.kept("matching table")
+    if table is not None:
+        return table.masks_at(I)
+    return an.derive(("matchings at", I), lambda: tuple(matching_masks(model, I)))
 
 
 def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
     return matching_table(model).positroid
 
 
-def _base_mask(table: MatchingTable) -> int:
-    target = lex_max(table.positroid)
-    hits = table.groups[target]
+def _base_mask(model: PlabicModel) -> int:
+    target = base_value(model)
+    if target is None:
+        raise ModelInvariantError("no-matchings")
+    hits = masks_at(model, target)
     if len(hits) != 1:
         raise ModelInvariantError(
             "base-matching-not-unique", f"{len(hits)} matchings reach {target}"
@@ -854,8 +1011,7 @@ def _base_mask(table: MatchingTable) -> int:
 
 def base_matching(model: PlabicModel) -> frozenset:
     """The unique matching whose boundary value is lex-maximal."""
-    table = matching_table(model)
-    return frozenset(table.edge_names(_base_mask(table)))
+    return frozenset(_edge_names(_frontier(model).names, _base_mask(model)))
 
 
 class FaceGraph:
@@ -1028,7 +1184,7 @@ def face_graph(model: PlabicModel) -> FaceGraph:
     Face weights are not kept: ``charts.flow_polynomial`` keeps them as its
     exponents."""
     return analyze(model).derive(
-        "face graph", lambda: FaceGraph(model, _base_mask(matching_table(model))))
+        "face graph", lambda: FaceGraph(model, _base_mask(model)))
 
 
 def weight_of_matching(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:

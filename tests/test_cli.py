@@ -274,19 +274,24 @@ def test_point_budget_is_inclusive(monkeypatch, capsys):
     assert run_out(capsys, "gt-cone", "--kn", "2,5", "--level", "2")[0] == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ("matchings", "rect:4,8"),
-    ("flow", "rect:4,8", "1357"),
-    ("verify", "plucker", "--kn", "4,8"),
+@pytest.mark.parametrize("argv,count,at", [
+    (("matchings", "rect:4,8"), 424, ""),
+    (("flow", "rect:4,8", "1357"), 24, " with boundary value 1357"),
+    (("verify", "plucker", "--kn", "4,8"), 424, ""),
 ], ids=["matchings", "flow", "verify"])
-def test_matching_budget_refuses_one_past_the_count(monkeypatch, capsys, argv):
-    # rect:4,8 has 424 perfect matchings
-    monkeypatch.setattr(plabic, "MATCHING_BUDGET", 423)
+def test_matching_budget_refuses_one_past_the_count(monkeypatch, capsys, argv, count, at):
+    # rect:4,8 has 424 perfect matchings, 24 of them with boundary value
+    # 1357; a flow lists only the matchings of its boundary value, so the
+    # budget applies to those
+    monkeypatch.setattr(plabic, "MATCHING_BUDGET", count - 1)
     rc, out, err = run_out(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err == ("error: rect:4,8 has 424 perfect matchings, past the "
-                   "matching budget of 423\n")
+    assert err == (f"error: rect:4,8 has {count} perfect matchings{at}, past the "
+                   f"matching budget of {count - 1}\n")
+    if at:
+        monkeypatch.setattr(plabic, "MATCHING_BUDGET", count)
+        assert run_out(capsys, *argv)[0] == 0
 
 
 def test_matching_budget_is_inclusive(monkeypatch, capsys):
@@ -715,3 +720,51 @@ def test_weyl_count_mismatch_is_verification_failure(monkeypatch, capsys):
     rc, out, err = run_out(capsys, "verify", "weyl-count", "--kn", "2,4")
     assert (rc, err) == (1, "")
     assert out == "FAIL weyl-count: rect:2,4 level 1: 6 points != dimension 7\n"
+
+
+# ------------------------------------------- verify and xcheck as records
+
+
+@pytest.mark.parametrize("argv,records", [
+    (("verify", "trop-a", "--kn", "2,5", "--kn", "2,4"),
+     [("trop-a", "rect:2,5", "rect:2,5 kappa-compatibility and involution"),
+      ("trop-a", "rect:2,4", "rect:2,4 kappa-compatibility and involution")]),
+    (("xcheck", "rect:3,6", "--mutations", "124,145"),
+     [("xcheck", "rect:3,6", "124 (20 boundary values)"),
+      ("xcheck", "rect:3,6 after 124", "145 (20 boundary values)")]),
+], ids=["verify", "xcheck"])
+def test_verify_and_xcheck_print_one_record_per_line(capsys, argv, records):
+    rc, pretty, _ = run_out(capsys, *argv)
+    assert rc == 0
+    assert len(pretty.splitlines()) == len(records)
+    rc, out, _ = run_out(capsys, *argv, "--format", "json")
+    assert rc == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"suite": s, "instance": i, "ok": True, "detail": d} for s, i, d in records]
+    rc, out, _ = run_out(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    assert list(csv.reader(io.StringIO(out))) == [
+        ["suite", "instance", "ok", "detail"]] + [[s, i, "1", d] for s, i, d in records]
+
+
+def test_a_fail_record_carries_the_witness(monkeypatch, capsys):
+    real = cli.charts.x_mutate
+    monkeypatch.setattr(cli.charts, "x_mutate",
+                        lambda q, j, f: lp_add(real(q, j, f), real(q, j, f)))
+    rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,5", "--format", "json")
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {
+        "suite": "xflow", "instance": "rect:2,5", "ok": False,
+        "detail": "rect:2,5: mutation at 13 disagrees with flows at I=12"}
+    rc, out, err = run_out(capsys, "xcheck", "rect:2,5", "--mutations", "13",
+                           "--format", "csv")
+    assert (rc, err) == (1, "")
+    assert out == ("suite,instance,ok,detail\n"
+                   'xcheck,"rect:2,5",0,13: mutation at 13 disagrees with flows at I=12\n')
+
+
+def test_a_refused_xcheck_prints_no_csv_header(capsys):
+    rc, out, err = run_out(capsys, "xcheck", "rect:2,4", "--mutations", "99",
+                           "--format", "csv")
+    assert (rc, out) == (2, "")
+    assert "no face named '99'" in err

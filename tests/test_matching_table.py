@@ -29,12 +29,13 @@ from plabicflow.charts import (
     plucker_verify,
     three_term_relations,
 )
-from plabicflow.combinat import format_ksubset, ksubsets
+from plabicflow.combinat import format_ksubset, ksubsets, lex_max
 from plabicflow.laurent import LaurentPoly
 from plabicflow.plabic import (
     ModelInvariantError,
     NotPlabicMutable,
     PlabicModel,
+    analyze,
     base_matching,
     boundary_value,
     build_rectangles_model,
@@ -453,19 +454,30 @@ def test_dual_route_rejects_negative_weights():
 
 
 @pytest.fixture
-def enumerations(monkeypatch):
-    """Counts ``matching_masks`` calls per model object."""
-    calls = Counter()
+def listings(monkeypatch):
+    """Counts ``matching_masks`` calls: whole enumerations per model object,
+    and lists of one boundary value per (model object, I)."""
+    whole, per_value = Counter(), Counter()
     seen = []  # keep alive: a freed model's id could be reused by a later one
     real = plabic.matching_masks
 
-    def counted(model):
+    def counted(model, I=None):
         seen.append(model)
-        calls[id(model)] += 1
-        return real(model)
+        if I is None:
+            whole[id(model)] += 1
+        else:
+            per_value[id(model), tuple(I)] += 1
+        return real(model, I)
 
     monkeypatch.setattr(plabic, "matching_masks", counted)
-    return calls
+    return whole, per_value
+
+
+@pytest.fixture
+def enumerations(listings):
+    """Counts whole enumerations (``matching_masks`` calls without a
+    boundary value) per model object."""
+    return listings[0]
 
 
 def test_one_enumeration_per_model(enumerations):
@@ -484,21 +496,36 @@ def test_one_enumeration_per_model(enumerations):
     assert enumerations[id(moved)] == 1
 
 
-def test_cli_commands_enumerate_once_per_model(enumerations, capsys):
-    # xcheck walks three models: the start and two square moves
+def test_cli_commands_enumerate_once_per_model(listings, capsys):
+    whole, per_value = listings
+    # xcheck walks three models: the start and two square moves; the commands
+    # that walk the positroid build the whole table first and list no single
+    # boundary value
     assert cli.main(["xcheck", "rect:3,6", "--mutations", "124,145"]) == 0
     assert cli.main(["verify", "valuation-kappa", "--kn", "2,5"]) == 0
     assert cli.main(["matchings", "rect:2,5"]) == 0
     capsys.readouterr()
-    assert set(enumerations.values()) == {1}
-    assert len(enumerations) == 3 + 3 + 1
-    enumerations.clear()
+    assert set(whole.values()) == {1}
+    assert len(whole) == 3 + 3 + 1
+    assert not per_value
+    whole.clear()
     # one rect:3,6 model serves plucker, valuation-kappa and xflow, and its
     # three square-moved models serve both move suites
     assert cli.main(["verify", "all", "--kn", "3,6"]) == 0
     capsys.readouterr()
-    assert set(enumerations.values()) == {1}
-    assert len(enumerations) == 1 + 3
+    assert set(whole.values()) == {1}
+    assert len(whole) == 1 + 3
+    assert not per_value
+    whole.clear()
+    # a one-shot query about I lists the matchings of I and of the base
+    # value 456, each once, and enumerates nothing whole
+    for cmd in ("flow", "partition", "valuation"):
+        assert cli.main([cmd, "rect:3,6", "246"]) == 0
+    capsys.readouterr()
+    assert not whole
+    assert set(per_value.values()) == {1}
+    assert sorted(I for _, I in per_value) == [(2, 4, 6), (2, 4, 6), (2, 4, 6),
+                                               (4, 5, 6), (4, 5, 6)]
 
 
 # ------------------------------------------------------ laziness and checks
@@ -602,6 +629,81 @@ def test_returned_collections_cannot_corrupt_the_table(monkeypatch):
     assert len(handed) == 1
 
 
+# ------------------------------------------- the matchings of one boundary value
+
+
+def square_move_orbit(spec: str, depth: int) -> list:
+    """The model ``spec`` names and every model reached from it by up to
+    ``depth`` square moves, each saved text once."""
+    seen, level = {}, [cli.load_any_model(spec)]
+    for d in range(depth + 1):
+        nxt = []
+        for model in level:
+            text = plabic.save_model(model)
+            if text not in seen:
+                seen[text] = model
+                if d < depth:
+                    nxt += [moved for _, moved in square_moves(model)]
+        level = nxt
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("spec", ["shark", "rect:2,5", "rect:3,6", "rect:3,7",
+                                  "rect:4,8", "rect:4,9"])
+def test_lists_of_one_boundary_value_are_the_table_groups(spec):
+    for model in square_move_orbit(spec, 2):
+        table = matching_table(model)
+        total = 0
+        for I in ksubsets(model.n, model.k):
+            masks = plabic.matching_masks(model, I)
+            assert masks == list(table.masks_at(I))
+            total += len(masks)
+        assert total == len(table.masks)
+        assert plabic.base_value(model) == lex_max(table.positroid)
+
+
+def test_masks_at_lists_one_boundary_value_without_the_table():
+    model = build_rectangles_model(3, 6)
+    I = (2, 4, 6)
+    masks = plabic.masks_at(model, I)
+    assert masks is plabic.masks_at(model, list(I))  # listed once
+    assert analyze(model).kept("matching table") is None
+    # the face graph's base matching is the one matching of the base value
+    assert plabic.face_graph(model).base == plabic.masks_at(model, (4, 5, 6))[0]
+    assert analyze(model).kept("matching table") is None
+    assert masks == matching_table(model).masks_at(I)
+    assert plabic.masks_at(model, I) is matching_table(model).masks_at(I)
+    # an unsorted value names no boundary value on either route
+    assert plabic.matching_masks(model, (6, 4, 2)) == []
+    assert matching_table(model).masks_at((6, 4, 2)) == ()
+
+
+def test_the_base_value_search_checks_the_boundary_size():
+    # with 2 taken for anticlockwise, the shark's least sum is the 1-subset 5
+    model = shark_model()
+    analyze(model).anticlockwise.add(2)
+    with pytest.raises(ModelInvariantError) as err:
+        plabic.base_value(model)
+    assert err.value.violation == "boundary-size"
+
+
+def test_two_forced_stubs_at_one_node_leave_no_matching():
+    # the shark's node B2 holds the stubs at 4 and 5, both anticlockwise, so
+    # the value 45 forces both: it lists nothing, and it is the one 2-subset
+    # missing from the shark's positroid
+    model = shark_model()
+    assert {4, 5} <= analyze(model).anticlockwise
+    assert plabic.matching_masks(model, (4, 5)) == []
+    assert [I for I in ksubsets(5, 2) if I not in positroid(model)] == [(4, 5)]
+
+
+def test_a_base_value_off_the_table_is_refused(monkeypatch):
+    monkeypatch.setattr(plabic, "_least_boundary", lambda model: (1, 2))
+    with pytest.raises(ModelInvariantError) as err:
+        matching_table(build_rectangles_model(2, 5))
+    assert err.value.violation == "base-value-mismatch"
+
+
 def test_table_path_never_names_matchings(monkeypatch, capsys):
     # the table, its queries and the matchings listing read edge masks only
     def refuse(model):
@@ -687,15 +789,16 @@ def test_partition_function_is_built_once_per_boundary_value(monkeypatch):
 
 
 def test_perturbed_weight_raises_on_first_call(monkeypatch):
-    real = plabic.MatchingTable.masks_at
+    real = plabic.masks_at
 
-    def doubled(table, I):  # every coefficient 2, so both extremes fail
-        masks = real(table, I)
+    def doubled(model, I):  # every coefficient 2, so both extremes fail
+        masks = real(model, I)
         return masks + masks
 
     model = build_rectangles_model(2, 5)
     I = (2, 4)
-    monkeypatch.setattr(plabic.MatchingTable, "masks_at", doubled)
+    # the entry flow polynomials read their matchings through
+    monkeypatch.setattr(charts, "masks_at", doubled)
     for _ in range(2):
         with pytest.raises(ModelInvariantError, match="flow-extremes"):
             flow_polynomial(model, I)

@@ -471,3 +471,33 @@ def test_exact_sequence_checks_equal_dict_product_on_random_walks(walk):
     got = exact_sequence_outcome(exact_sequence_checks, dropped)
     assert got == exact_sequence_outcome(dict_product_exact_sequence_checks, dropped)
     assert got in (False, "beta-unbalanced")
+
+
+def test_exact_sequence_column_sums_see_the_row_wt_cannot():
+    # kappa of the full-rectangle label 45 is the zero vector, so wt . beta
+    # cannot see row 45 of beta.  After the mutation at 14 the frozen arrow
+    # 15 -> 45 puts -1 in column 15 of that row alone.  Moving it to
+    # 23 -> 45 keeps every row sum and wt . beta = -id away from the star;
+    # only the column sums (+1 at 15, -1 at 23) reject the seed.
+    s = mutate_labels(rectangles_seed(2, 5), "14")
+    assert exact_sequence_checks(s)
+    assert not any(kappa_vector(s, (4, 5)).values())
+    q = s.quiver
+    counts = {(u, v): m for u, v, m in q.arrows}
+    assert counts.pop(("15", "45")) == 1 and ("23", "45") not in counts
+    counts["23", "45"] = 1
+    moved = Seed(s.k, s.n, make_quiver(q.vertices, q.frozen, q.star, counts), s.labels)
+    beta = beta_matrix(moved)  # the rows still balance
+    colsum = {}
+    for (_row, col), c in beta.items():
+        colsum[col] = colsum.get(col, 0) + c
+    assert {col: c for col, c in colsum.items() if c} == {"15": 1, "23": -1}
+    wt = wt_matrix(moved)
+    for v in q.vertices:
+        if v == q.star:
+            continue
+        for i in q.vertices:
+            entry = sum(wt.get((i, w), 0) * beta.get((w, v), 0) for w in q.vertices)
+            assert entry == (-1 if i == v else 0)
+    assert not exact_sequence_checks(moved)
+    assert not dict_product_exact_sequence_checks(moved)
