@@ -5,7 +5,12 @@ Partition functions live in edge variables (one coordinate per edge of the
 model); flow polynomials live in face variables away from the star face.
 The two are tied together matching by matching: the face weight of a
 matching is computed both from the dual-arrow linear system and from the
-flow decomposition, and the two must agree.
+flow decomposition, and the two must agree.  Both routes of
+``plabic.FaceGraph`` give the weights packed into one int, a field per
+face in the flow polynomial's column order; a flow polynomial counts its
+matchings by packed value and reads each exponent tuple off the packed
+value once, so no weight list is built per matching.  A face-weight
+violation names the boundary value and the matching's edges.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from .laurent import (
     lp_add,
     lp_equal,
     lp_min_exponent,
-    lp_max_exponent,
     lp_mul,
 )
 from .plabic import (
@@ -40,16 +44,9 @@ def edge_lattice(model: PlabicModel) -> tuple[str, ...]:
 def face_lattice(model: PlabicModel) -> tuple[str, ...]:
     """Face labels in subset order, star face omitted; named once per model."""
     an = analyze(model)
-    star = an.faces[an.star].label
     return an.derive("face lattice", lambda: tuple(
-        format_ksubset(I, model.n) for I in an.lattice if I != star))
-
-
-def _face_columns(model: PlabicModel) -> tuple[int, ...]:
-    """Face indices in the order of ``face_lattice``; found once per model."""
-    an = analyze(model)
-    return an.derive("face columns", lambda: tuple(
-        an.label_to_face[J] for J in an.lattice if an.label_to_face[J] != an.star))
+        format_ksubset(I, model.n) for I in an.lattice
+        if I != an.faces[an.star].label))
 
 
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
@@ -77,8 +74,8 @@ def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     face variables.
 
     Each matching with boundary value I contributes the monomial of its
-    face weight; the weight is independently recomputed from the flow
-    decomposition (left-face counts), and the polynomial must have unique
+    face weight, from the dual-arrow system and independently from the
+    flow decomposition (left-face counts), and the polynomial must have unique
     minimal and maximal exponents, both with coefficient 1.  It is built
     and checked once per model and I, and its exponents are the one place
     the face weights are kept.
@@ -94,23 +91,29 @@ def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     masks = masks_at(model, I)
     if not masks:
         return LaurentPoly.make(lattice, {})
-    columns = _face_columns(model)
-    weigh = face_graph(model).weigh
-    terms: dict[tuple, int] = {}
-    for mask in masks:
-        w = weigh(mask)
-        exp = tuple(w[i] for i in columns)
-        terms[exp] = terms.get(exp, 0) + 1
-    f = LaurentPoly.make(lattice, terms)
-    for which, (exp, unique) in (
-        ("min", lp_min_exponent(f)),
-        ("max", lp_max_exponent(f)),
-    ):
-        if not unique or f.coeff_of(exp) != 1:
+    graph = face_graph(model)
+    flow_route, dual_route = graph.flow_route, graph.dual_route
+    counts: dict[int, int] = {}  # packed face weights -> matchings
+    try:
+        for mask in masks:
+            flow = flow_route(mask)
+            w = dual_route(mask)
+            if flow != w:
+                raise graph.mismatch(flow, w)
+            counts[w] = counts.get(w, 0) + 1
+    except ModelInvariantError as exc:
+        raise ModelInvariantError(exc.violation, (
+            f"at I={format_ksubset(I, model.n)}, matching "
+            f"{','.join(graph.edge_names(mask))}: {exc.detail}")) from exc
+    # the coordinatewise least and greatest exponents must be terms, each
+    # with coefficient 1
+    for which, extreme in zip(("min", "max"), graph.extremes(counts)):
+        if counts.get(extreme) != 1:
             raise ModelInvariantError(
                 "flow-extremes", f"{which} term of flow polynomial at {I}"
             )
-    return f
+    exponents = graph.exponents
+    return LaurentPoly.make(lattice, {exponents(w): c for w, c in counts.items()})
 
 
 def valuation(f: LaurentPoly) -> dict[str, int]:

@@ -90,8 +90,14 @@ def _parse_names(text: str | None, k: int, n: int, what: str,
     """Names from a comma list.  Past n = 9 a face name is itself a comma
     list of k elements (``format_ksubset``), so a token in ``alone`` stands
     for itself and any other token starts a face name of k tokens:
-    ``1,3,1,4`` names the faces ``1,3`` and ``1,4`` when k = 2."""
-    parts = [p.strip() for p in (text or "").split(",") if p.strip()]
+    ``1,3,1,4`` names the faces ``1,3`` and ``1,4`` when k = 2.  No text
+    (the option left out) names nothing; an empty name or element, as in
+    ``,`` or ``124,,145``, is refused."""
+    if text is None:
+        return []
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts:
+        raise UsageError(f"empty name in {what} {text!r}")
     if n <= 9:
         return parts
     names = []
@@ -132,7 +138,7 @@ def _reorder(poly: LaurentPoly, order: str | None, k: int, n: int) -> LaurentPol
 
     A token that is a lattice label (``q``, an edge name, a face of k = 1)
     stands alone in the list; see ``_parse_names``."""
-    if not order:
+    if order is None:
         return poly
     labels = tuple(_parse_names(order, k, n, "--order", set(poly.lattice)))
     if sorted(labels) != sorted(poly.lattice):

@@ -44,7 +44,10 @@ def parse_ksubset(text: str, n: int) -> KSubset:
     """
     text = text.strip()
     if "," in text:
-        elems = [int(p) for p in text.split(",") if p.strip()]
+        parts = [p.strip() for p in text.split(",")]
+        if "" in parts:
+            raise ValueError(f"empty element in k-subset {text!r}")
+        elems = [int(p) for p in parts]
     else:
         if not text.isdigit():
             raise ValueError(f"cannot parse k-subset {text!r}")

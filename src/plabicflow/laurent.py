@@ -40,10 +40,6 @@ def vec_sub(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(a: Exponent, c: int) -> Exponent:
-    return tuple(c * x for x in a)
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """Sparse Laurent polynomial over a labelled lattice."""
@@ -88,12 +84,6 @@ class LaurentPoly:
 
     def num_terms(self) -> int:
         return len(self.terms)
-
-    def coeff_of(self, exp: Exponent) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
 
     def exp_as_dict(self, exp: Exponent) -> dict[str, int]:
         return {lab: e for lab, e in zip(self.lattice, exp) if e != 0}
@@ -352,18 +342,3 @@ def lp_min_exponent(f: LaurentPoly):
         if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps)
     ]
     return min(minimal), False
-
-
-def lp_max_exponent(f: LaurentPoly):
-    """Maximal exponent under the coordinatewise partial order, with flag;
-    the coordinatewise maximum when that is an exponent, as for the
-    minimum."""
-    if f.is_zero():
-        raise ValueError("zero polynomial has no maximal exponent")
-    exps = [e for e, _ in f.terms]
-    high = tuple(map(max, *exps)) if len(exps) > 1 else exps[0]
-    if high in exps:
-        return high, True
-    neg = LaurentPoly.make(f.lattice, {vec_scale(e, -1): c for e, c in f.terms})
-    m, unique = lp_min_exponent(neg)
-    return vec_scale(m, -1), unique

@@ -636,8 +636,8 @@ _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # MatchingBudgetExceeded.  rect (6,12) has 207,997 matchings in all, rect
 # (6,13) 1,205,690 and rect (7,14) 10,094,282.  Of those of (7,14), 58,800
 # have boundary value 1,2,4,8,9,10,12; ``plabicflow flow rect:7,14
-# 1,2,4,8,9,10,12`` lists just them, in about 4 s and 70 MB on a 2-vCPU x86
-# box with Python 3.11.
+# 1,2,4,8,9,10,12`` lists and weighs just them, in about 1.6 s and 70 MB on
+# a 2-vCPU x86 box with Python 3.11.
 MATCHING_BUDGET = 1_000_000
 
 
@@ -1020,105 +1020,223 @@ class FaceGraph:
 
     The weight of a matching M relative to the base matching solves
     w(target) - w(source) = [e in base] - [e in M] over the dual arrows,
-    with w = 0 on the star face.  The right side is 0 off D = M ^ base, and
-    on D it is +1 for a base edge and -1 for any other.
+    with w = 0 on the star face.  Both routes give it as one packed int: a
+    field of ``width`` bits per face, in the flow polynomial's column order
+    with the star last (``fields``), then one per non-tree arrow
+    (``cotree``), each holding its value plus the bias 2^(width - 1).
+    ``width`` is the least multiple of 8 with 2^(width - 1) > max(2F, E),
+    for F faces and E edges, so no field carries into the next for any
+    edge mask: a weight sums at most F - 1 tree arrows, a residual the at
+    most F arrows of one cycle, and a flow count is at most the number of
+    components.
 
-    - ``tree``: a breadth-first spanning tree from the star face, as
-      (child, parent, edge bit, step) with w[child] = w[parent] + step on D;
-    - ``cotree``: every other arrow, as (source, target, edge bit, step),
-      whose residual w[target] - w[source] - (step on D) must vanish;
-    - the dart of each edge in the flow picture (base edges run black to
-      white, all others white to black): ``head`` its head node, internal
-      nodes numbered from 0 and tip l as -l, ``left`` the face on its left
-      as a face bit; ``leaving[v]`` is the mask of the darts with tail v,
-      ``from_tips`` of those with a tip as tail;
-    - ``region``: the face flood of the model's ``FaceAdjacency``, and
-      ``floods``, its memo: (seed faces, component edges) -> the indices
-      of the faces flooded, filled by ``flow_weights``.
+    - The dual route is an affine map of the edge mask: ``constant`` less
+      the column of each edge of M, summed four edges at a time, one hex
+      digit of the mask per lookup in ``digit_sums``.  Down a breadth-first
+      spanning tree from the star, w[f] sums +-([e in base] - [e in M])
+      over the tree arrows of f's path, and a non-tree arrow s -> t leaves
+      the residual w[t] - w[s] - ([e in base] - [e in M]), which must
+      vanish.  So a tree arrow's column is the sum, over its subtree, of
+      each face's field and of the residual fields of the non-tree arrows
+      that enter (+) or leave (-) the face, all made in one pass from the
+      leaves up; ``digit_sums`` takes 15 sums per four edges.
+    - The flow route decomposes M ^ base into vertex-disjoint
+      boundary-to-boundary paths and internal cycles of darts (base edges
+      run black to white, all others white to black), each adding 1 to
+      every face enclosed on its left.  Dart i has ``head[i]`` as its head
+      node (internal nodes numbered from 0, tip l as -l) and the face
+      ``left[i]`` on its left, as a face bit; ``leaving[v]`` is the mask of
+      the darts with tail v, ``at_node[v]`` of every dart at v, and
+      ``from_tips`` of those with a tip as tail.  ``components`` keeps per
+      start dart each component found from it, as (its darts, the darts at
+      its nodes, its packed flood): the faces left of its darts, flooded
+      through ``region`` and blocked on its darts.
     """
 
     def __init__(self, model: PlabicModel, base: int):
         an = analyze(model)
         nodes = {v: i for i, v in enumerate(sorted(model.colors))}
-        F = len(an.faces)
+        F, E = len(an.faces), len(an.arrows)
         self.base = base
         self.labels = tuple(f.label for f in an.faces)
+        self.names = _frontier(model).names
         self.region = an.adjacency.region
-        self.floods: dict[tuple[int, int], list[int]] = {}
+        self.components: dict[int, list[tuple[int, int, int]]] = {}
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(F)]
-        self.head: list[int] = []
-        self.left: list[int] = []
-        self.leaving = [0] * len(nodes)
-        self.from_tips = 0
+        self.head = heads = []
+        self.left = lefts = []
+        self.leaving = leaving = [0] * len(nodes)
+        self.at_node = at_node = [0] * len(nodes)
+        from_tips = 0
+        colors, edges = model.colors, model.edges
         for i, (e, s, t) in enumerate(an.arrows):  # arrows are in edge order
             ebit = 1 << i
-            step = 1 if base & ebit else -1
-            adj[s].append((t, ebit, step))
-            adj[t].append((s, ebit, -step))
-            ends = model.edges[e]
-            first = BLACK if base & ebit else WHITE
-            if _end_color(model, ends, ends[0]) == first:
-                tail, head, rev = ends[0], ends[1], (("e", e), 1)
+            adj[s].append((t, i, 1))
+            adj[t].append((s, i, -1))
+            # the arrow runs from the face right of the black-to-white dart
+            # to the face right of the white-to-black one; a tip takes the
+            # color opposite its node
+            a, b = edges[e]
+            black, white = (a, b) if (colors[a[1]] == BLACK if a[0] == "n"
+                                      else colors[b[1]] == WHITE) else (b, a)
+            if base & ebit:
+                tail, head, left = black, white, t
             else:
-                tail, head, rev = ends[1], ends[0], (("e", e), 0)
+                tail, head, left = white, black, s
             if tail[0] == "n":
-                self.leaving[nodes[tail[1]]] |= ebit
+                v = nodes[tail[1]]
+                leaving[v] |= ebit
+                at_node[v] |= ebit
             else:
-                self.from_tips |= ebit
-            self.head.append(nodes[head[1]] if head[0] == "n" else -head[1])
-            self.left.append(1 << an.face_of_dart[rev])
-        self.tree: list[tuple[int, int, int, int]] = []
-        reached = {an.star}
+                from_tips |= ebit
+            if head[0] == "n":
+                v = nodes[head[1]]
+                heads.append(v)
+                at_node[v] |= ebit
+            else:
+                heads.append(-head[1])
+            lefts.append(1 << left)
+        self.from_tips = from_tips
+        # the spanning tree as (child, parent, edge index, +1 when the arrow
+        # runs parent -> child)
+        tree: list[tuple[int, int, int, int]] = []
+        reached = [False] * F
+        reached[an.star] = True
         order = [an.star]
         tree_edges = 0
         for u in order:
-            for v, ebit, step in adj[u]:
-                if v not in reached:
-                    reached.add(v)
+            for v, i, sign in adj[u]:
+                if not reached[v]:
+                    reached[v] = True
                     order.append(v)
-                    self.tree.append((v, u, ebit, step))
-                    tree_edges |= ebit
+                    tree.append((v, u, i, sign))
+                    tree_edges |= 1 << i
         if len(order) != F:
             raise ModelInvariantError("disconnected", "face graph not connected")
-        self.cotree = [(s, t, 1 << i, 1 if base >> i & 1 else -1)
-                       for i, (_, s, t) in enumerate(an.arrows)
-                       if not tree_edges >> i & 1]
+        faces = [an.label_to_face[J] for J in an.lattice]
+        faces.remove(an.star)
+        self.fields = (*faces, an.star)
+        width = self.width = 8 * ((max(2 * F, E).bit_length() + 8) // 8)
+        self.face_bits = width * F
+        unit = self.unit = [0] * F  # the 1 of each face's field, by face index
+        for p, f in enumerate(self.fields):
+            unit[f] = 1 << width * p
+        # a tree arrow's column sums its subtree's face fields and the
+        # residual fields of the non-tree arrows into (+) and out of (-) it
+        sub = unit[:]
+        columns = [0] * E
+        self.cotree = []  # (source, target) of each non-tree arrow
+        one = 1 << self.face_bits  # the 1 of the next residual field
+        for i, (_, s, t) in enumerate(an.arrows):
+            if not tree_edges >> i & 1:
+                self.cotree.append((s, t))
+                sub[t] += one
+                sub[s] -= one
+                columns[i] = -one
+                one <<= width
+        for child, parent, i, sign in reversed(tree):
+            sub[parent] += sub[child]
+            columns[i] = sub[child] if sign > 0 else -sub[child]
+        self.bias = (one - 1) // ((1 << width) - 1) << (width - 1)
+        self.guards = self.bias & (1 << self.face_bits) - 1
+        # per hex digit of an edge mask's little-endian bytes (each byte's
+        # high digit first, as ``bytes.hex`` writes them): digit -> the sum
+        # of the columns of its four edges that it sets
+        self.nbytes = (E + 7) // 8
+        columns += [0] * (8 * self.nbytes - E)
+        self.digit_sums = []
+        for j in range(0, E, 8):
+            for low in (j + 4, j):
+                a, b, c, d = columns[low:low + 4]
+                ab, cd = a + b, c + d
+                self.digit_sums.append({
+                    "0": 0, "1": a, "2": b, "3": ab, "4": c, "5": a + c,
+                    "6": b + c, "7": ab + c, "8": d, "9": a + d, "a": b + d,
+                    "b": ab + d, "c": cd, "d": a + cd, "e": b + cd, "f": ab + cd})
+        self.constant = self.bias + sum(
+            sums[digit] for sums, digit in zip(
+                self.digit_sums, base.to_bytes(self.nbytes, "little").hex()))
 
-    def _named(self, w) -> dict[KSubset, int]:
-        return dict(zip(self.labels, w))
-
-    def dual_weights(self, mask: int) -> list[int]:
-        """Face weights by face index from the dual-arrow system: one pass
-        down the spanning tree, then every non-tree residual must vanish
-        and every weight be nonnegative."""
-        diff = mask ^ self.base
+    def weights(self, packed: int) -> list[int]:
+        """The face fields of a packed value by face index, less the bias."""
+        width, half = self.width, 1 << (self.width - 1)
         w = [0] * len(self.labels)
-        for child, parent, ebit, step in self.tree:
-            w[child] = w[parent] + step if diff & ebit else w[parent]
-        for s, t, ebit, step in self.cotree:
-            if w[t] - w[s] != (step if diff & ebit else 0):
-                raise ModelInvariantError(
-                    "weight-inconsistent",
-                    f"arrow {self.labels[s]} -> {self.labels[t]}: {self._named(w)}",
-                )
-        if min(w) < 0:
+        for p, f in enumerate(self.fields):
+            w[f] = (packed >> width * p & (2 * half - 1)) - half
+        return w
+
+    def _named(self, packed: int) -> dict[KSubset, int]:
+        return dict(zip(self.labels, self.weights(packed)))
+
+    def exponents(self, packed: int) -> tuple[int, ...]:
+        """The weights of a value ``weigh`` returned, in the flow
+        polynomial's column order (the star's 0 left out)."""
+        x = packed - self.bias  # no borrow: every field is at least its bias
+        cols = len(self.labels) - 1
+        if self.width == 8:
+            return tuple(x.to_bytes(cols + 1, "little")[:cols])
+        width, mask = self.width, (1 << self.width) - 1
+        return tuple(x >> width * p & mask for p in range(cols))
+
+    def extremes(self, values) -> tuple[int, int]:
+        """The coordinatewise least and greatest of a nonempty collection of
+        values ``weigh`` returned, as packed values.  Less the bias, each
+        field is below its guard bit, so setting the guard bits of x and
+        subtracting y leaves the guard bit of a field set exactly where x
+        >= y there, with no borrow between fields."""
+        width, top = self.width, self.bias  # top: every field's guard bit
+        fill = (1 << width) - 1
+        values = iter(values)
+        low = high = next(values) - top
+        for x in values:
+            x -= top
+            keep = (((x | top) - high & top) >> width - 1) * fill  # x >= high
+            high = x & keep | high & ~keep
+            keep = (((x | top) - low & top) >> width - 1) * fill  # x >= low
+            low = low & keep | x & ~keep
+        return low + top, high + top
+
+    def edge_names(self, mask: int) -> list[str]:
+        """The edges of a mask by name, in sorted order."""
+        return _edge_names(self.names, mask)
+
+    def dual_route(self, mask: int) -> int:
+        """The packed face weights from the dual-arrow system: ``constant``
+        less one column per edge of the mask; then every residual field
+        must hold its bias and every weight field have its guard bit (the
+        top one) set, as a weight is nonnegative."""
+        w = self.constant
+        digits = mask.to_bytes(self.nbytes, "little").hex()
+        for sums, digit in zip(self.digit_sums, digits):
+            w -= sums[digit]
+        off = (w ^ self.bias) >> self.face_bits  # residual fields off their bias
+        if off:
+            s, t = self.cotree[((off & -off).bit_length() - 1) // self.width]
+            raise ModelInvariantError(
+                "weight-inconsistent",
+                f"arrow {self.labels[s]} -> {self.labels[t]}: {self._named(w)}",
+            )
+        if w & self.guards != self.guards:
             raise ModelInvariantError("weight-negative", f"{self._named(w)}")
         return w
 
-    def flow_weights(self, mask: int) -> list[int]:
-        """Face weights by face index from the flow picture.
+    def flow_route(self, mask: int) -> int:
+        """The packed face weights from the flow picture: ``bias`` plus the
+        flood of each component of M ^ base.
 
-        M ^ base decomposes into vertex-disjoint boundary-to-boundary paths
-        and internal cycles of darts.  Each component adds 1 to every face
-        enclosed on its left: the faces left of its darts, flooded through
-        face adjacency as a face mask, blocked on the component's edges.
-        The decomposition and its checks run on every call; a flood is made
-        once per graph and (left faces, component).
+        The decomposition runs on every call.  A component stored under its
+        start dart is taken when the difference holds exactly its darts
+        among the darts at its nodes and no earlier component used one of
+        them: then the walk would find it without raising.  The one taken
+        moves to the front of its list, as matchings in enumeration order
+        share most components with the one before.  Any other start is
+        walked (``_walk``), and what the walks found is stored once the
+        whole decomposition has succeeded, so a mask that raises stores
+        nothing and no component is stored twice.
         """
         diff = mask ^ self.base
-        head, left, leaving = self.head, self.left, self.leaving
-        comps = []  # (edge mask, face mask of left faces)
-        used = 0
+        components = self.components
+        packed, used, found = self.bias, 0, []
         # boundary-to-boundary paths first, then the darts left form cycles
         starts = diff & self.from_tips
         rest = diff
@@ -1128,55 +1246,71 @@ class FaceGraph:
                 starts ^= first
             else:
                 first = rest & -rest
-            i = first.bit_length() - 1
-            comp, seeds = first, left[i]
-            while head[i] >= 0:
-                # the one dart of the difference that leaves the head node
-                out = leaving[head[i]] & diff
-                if out == first:
-                    break  # a closed cycle
-                if not out or out & (out - 1):
-                    raise ModelInvariantError(
-                        "flow-degree",
-                        f"{bin(out).count('1')} darts leave node {head[i]}")
-                if out & (used | comp):
-                    raise ModelInvariantError(
-                        "flow-degree", f"two darts enter node {head[i]}")
-                comp |= out
-                i = out.bit_length() - 1
-                seeds |= left[i]
-            else:  # reached the boundary
-                if not first & self.from_tips:
-                    raise ModelInvariantError("flow-degree", "broken cycle")
+            stored = components.get(first, ())
+            for p, entry in enumerate(stored):
+                comp, guard, flood = entry
+                if diff & guard == comp and not comp & used:
+                    if p:  # to the front: the next matching likely shares it
+                        del stored[p]
+                        stored.insert(0, entry)
+                    break
+            else:
+                comp, guard, flood = self._walk(first, diff, used)
+                found.append((first, (comp, guard, flood)))
             used |= comp
             rest &= ~comp
-            comps.append((comp, seeds))
-        w = [0] * len(self.labels)
-        floods = self.floods
-        for comp, seeds in comps:
-            faces = floods.get((seeds, comp))
-            if faces is None:
-                region = self.region(seeds, comp)
-                faces = []
-                while region:
-                    low = region & -region
-                    region ^= low
-                    faces.append(low.bit_length() - 1)
-                floods[seeds, comp] = faces
-            for f in faces:
-                w[f] += 1
-        return w
+            packed += flood
+        for first, entry in found:
+            components.setdefault(first, []).append(entry)
+        return packed
 
-    def weigh(self, mask: int) -> tuple[int, ...]:
-        """The face weights of one matching, after both routes agree."""
-        flow = self.flow_weights(mask)
-        dual = self.dual_weights(mask)
+    def _walk(self, first: int, diff: int, used: int) -> tuple[int, int, int]:
+        """The component of ``diff`` from the dart ``first``, as (its darts,
+        the darts at its nodes, its packed flood), following the one dart
+        of ``diff`` that leaves each head node; ``used`` holds the darts of
+        the components found before it."""
+        head, left, leaving, at_node = self.head, self.left, self.leaving, self.at_node
+        i = first.bit_length() - 1
+        comp = guard = first
+        seeds = left[i]
+        while head[i] >= 0:
+            guard |= at_node[head[i]]
+            out = leaving[head[i]] & diff
+            if out == first:
+                break  # a closed cycle
+            if not out or out & (out - 1):
+                raise ModelInvariantError(
+                    "flow-degree",
+                    f"{bin(out).count('1')} darts leave node {head[i]}")
+            if out & (used | comp):
+                raise ModelInvariantError(
+                    "flow-degree", f"two darts enter node {head[i]}")
+            comp |= out
+            i = out.bit_length() - 1
+            seeds |= left[i]
+        else:  # reached the boundary
+            if not first & self.from_tips:
+                raise ModelInvariantError("flow-degree", "broken cycle")
+        region, flood, unit = self.region(seeds, comp), 0, self.unit
+        while region:
+            low = region & -region
+            region ^= low
+            flood += unit[low.bit_length() - 1]
+        return comp, guard, flood
+
+    def weigh(self, mask: int) -> int:
+        """The packed face weights of one matching, after both routes agree."""
+        flow = self.flow_route(mask)
+        dual = self.dual_route(mask)
         if flow != dual:
-            raise ModelInvariantError(
-                "flow-weight-mismatch",
-                f"flow {self._named(flow)} vs matching {self._named(dual)}",
-            )
-        return tuple(dual)
+            raise self.mismatch(flow, dual)
+        return dual
+
+    def mismatch(self, flow: int, dual: int) -> ModelInvariantError:
+        """The error for packed flow and dual weights that differ."""
+        return ModelInvariantError(
+            "flow-weight-mismatch",
+            f"flow {self._named(flow)} vs matching {self._named(dual)}")
 
 
 def face_graph(model: PlabicModel) -> FaceGraph:

@@ -3,7 +3,7 @@ import pytest
 from plabicflow import charts
 from plabicflow.cli import load_any_model
 from plabicflow.combinat import ksubsets
-from plabicflow.laurent import LaurentPoly, lp_equal, lp_min_exponent
+from plabicflow.laurent import LaurentPoly, lp_equal
 from plabicflow.plabic import (
     ModelInvariantError,
     build_rectangles_model,
@@ -132,8 +132,9 @@ def test_flow_extremes_unique():
     m = build_rectangles_model(2, 5)
     for I in ksubsets(5, 2):
         f = flow_polynomial(m, I)
-        exp, unique = lp_min_exponent(f)
-        assert unique and f.coeff_of(exp) == 1
+        terms = dict(f.terms)
+        for pick in (min, max):
+            assert terms.get(tuple(map(pick, zip(*terms)))) == 1
 
 
 def test_x_mutate_direction():

@@ -203,6 +203,33 @@ def test_unknown_face_is_usage_error_as_in_xcheck(capsys, argv, face):
     assert err == f"error: no face named '{face}'\n"
 
 
+@pytest.mark.parametrize("argv,option,text", [
+    # once exit 0 after the default move 124, the unmutated seed and the
+    # unmutated potential; 124,,145 ran as 124,145 and 1,,2,3 as 123
+    (("xcheck", "rect:3,6", "--mutations", ","), "--mutations", ","),
+    (("mutate", "rect:3,6", "--mutations", ","), "--mutations", ","),
+    (("superpotential", "--kn", "3,6", "--mutations", ","), "--mutations", ","),
+    (("xcheck", "rect:3,6", "--mutations", "124,,145"), "--mutations", "124,,145"),
+    (("mutate", "rect:3,6", "--mutations", "124,,145"), "--mutations", "124,,145"),
+    (("xcheck", "rect:3,6", "--mutations", ""), "--mutations", ""),
+    # past n = 9 a face name is a comma list of its own
+    (("mutate", "rect:2,10", "--mutations", "1,2,,3"), "--mutations", "1,2,,3"),
+    (("wx", "--kn", "2,4", "--order", "q,"), "--order", "q,"),
+    (("flow", "rect:3,6", "1,,2,3"), "k-subset", "1,,2,3"),
+], ids=["xcheck", "mutate", "superpotential", "xcheck-inner", "mutate-inner",
+        "xcheck-blank", "mutate-n10", "order", "flow-subset"])
+def test_an_empty_name_is_refused(capsys, argv, option, text):
+    rc, out, err = run_out(capsys, *argv)
+    assert (rc, out) == (2, "")
+    what = "element" if option == "k-subset" else "name"
+    assert err == f"error: empty {what} in {option} '{text}'\n"
+
+
+def test_an_absent_mutation_path_keeps_its_default(capsys):
+    rc, out, _ = run_out(capsys, "xcheck", "rect:3,6")
+    assert (rc, out) == (0, "PASS xcheck 124 (20 boundary values)\n")
+
+
 def test_gt_cone_json(capsys):
     rc, out, _ = run_out(capsys, "gt-cone", "--kn", "2,4", "--format", "json")
     assert rc == 0
@@ -569,17 +596,43 @@ def test_plucker_at_k_1_has_no_relations_to_fail(capsys):
     ["xcheck", "rect:2,5"],
 ])
 def test_invariant_violation_inside_a_suite_exits_3(monkeypatch, capsys, argv):
-    real = cli.plabic.FaceGraph.flow_weights
+    real = cli.plabic.FaceGraph.flow_route
 
     def last_face_plus_one(graph, mask):
-        w = real(graph, mask)
-        w[-1] += 1
-        return w
+        return real(graph, mask) + graph.unit[-1]
 
-    monkeypatch.setattr(cli.plabic.FaceGraph, "flow_weights", last_face_plus_one)
+    monkeypatch.setattr(cli.plabic.FaceGraph, "flow_route", last_face_plus_one)
     rc, out, err = run_out(capsys, *argv)
     assert (rc, out) == (3, "")
     assert err.startswith("invariant violation: flow-weight-mismatch: ")
+
+
+def test_a_face_weight_violation_names_its_boundary_value_and_matching(
+        monkeypatch, capsys):
+    # the last matching of I = 24 weighs one more on the flow route: the
+    # error names I and that matching's edges after the violation's name
+    model = plabic.build_rectangles_model(2, 5)
+    last = plabic.masks_at(model, (2, 4))[-1]
+    edges = ",".join(plabic.face_graph(model).edge_names(last))
+    real = plabic.FaceGraph.flow_route
+
+    def off_on_last(graph, mask):
+        return real(graph, mask) + (graph.unit[-1] if mask == last else 0)
+
+    monkeypatch.setattr(plabic.FaceGraph, "flow_route", off_on_last)
+    rc, out, err = run_out(capsys, "flow", "rect:2,5", "24")
+    assert (rc, out) == (3, "")
+    assert err.startswith(
+        f"invariant violation: flow-weight-mismatch: at I=24, matching {edges}: flow {{")
+    # a mask that is no matching fails the flow decomposition first
+    monkeypatch.undo()
+    bad = last ^ 1
+    monkeypatch.setattr(charts, "masks_at", lambda model, I: (bad,))
+    rc, out, err = run_out(capsys, "flow", "rect:2,5", "24")
+    assert (rc, out) == (3, "")
+    edges = ",".join(plabic.face_graph(model).edge_names(bad))
+    assert err.startswith(
+        f"invariant violation: flow-degree: at I=24, matching {edges}: ")
 
 
 def test_xflow_mismatch_is_verification_failure(monkeypatch, capsys):

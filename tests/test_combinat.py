@@ -55,6 +55,9 @@ def test_parse_format():
     assert format_ksubset((1, 4, 10), 12) == "1,4,10"
     with pytest.raises(ValueError):
         parse_ksubset("99", 9)
+    for text in ("1,,2,3", "1,2,", ",1,2", "1, ,2"):
+        with pytest.raises(ValueError, match="empty element"):
+            parse_ksubset(text, 12)
 
 
 @given(st.integers(2, 12).flatmap(

@@ -9,7 +9,6 @@ from plabicflow.laurent import (
     lp_add,
     lp_equal,
     lp_exact_div,
-    lp_max_exponent,
     lp_min_exponent,
     lp_mul,
     lp_substitute,
@@ -88,7 +87,6 @@ def test_min_max_exponent():
     assert lp_min_exponent(f) == ((0, 1, 0), False)
     g = poly({(0, 1, 0): 1, (1, 1, 0): 2})
     assert lp_min_exponent(g) == ((0, 1, 0), True)
-    assert lp_max_exponent(g) == ((1, 1, 0), True)
     with pytest.raises(ValueError):
         lp_min_exponent(poly({}))
 
@@ -103,12 +101,6 @@ def quadratic_min_exponent(f):
     if len(minimal) == 1 and below_all:
         return minimal[0], True
     return min(minimal), False
-
-
-def quadratic_max_exponent(f):
-    neg = LaurentPoly.make(f.lattice, {tuple(-x for x in e): c for e, c in f.terms})
-    m, unique = quadratic_min_exponent(neg)
-    return tuple(-x for x in m), unique
 
 
 @st.composite
@@ -130,7 +122,6 @@ def nonzero_polys(draw):
 @settings(max_examples=200)
 def test_extremes_equal_quadratic_search(f):
     assert lp_min_exponent(f) == quadratic_min_exponent(f)
-    assert lp_max_exponent(f) == quadratic_max_exponent(f)
 
 
 @given(polys, polys)
