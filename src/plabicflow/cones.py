@@ -88,8 +88,10 @@ def gt_ambient(k: int, n: int) -> tuple[str, ...]:
     return ("r",) + rectangles_seed(k, n).quiver.lattice
 
 
+@lru_cache(maxsize=None)
 def gt_inequalities(k: int, n: int) -> Cone:
-    """The cumulative Gelfand-Tsetlin cone of the k x (n-k) grid.
+    """The cumulative Gelfand-Tsetlin cone of the k x (n-k) grid (cached;
+    a Cone is immutable).
 
     With v_{0j} = v_{i0} = 0, the inequalities are v_11 >= 0, the two
     families of interlacing conditions
@@ -184,90 +186,156 @@ def _eliminate(system, var_ix):
     return cleaned
 
 
-def lattice_points(c: Cone, r: int) -> list[tuple[int, ...]]:
-    """All integer points of the level-r slice, as tuples over ``c.ambient``
-    (so each starts with r), by exact projection.
+# CPython refuses more than 20 statically nested blocks in one function, so
+# a kernel is a chain of functions of at most this many loops each.
+_LOOPS_PER_FUNCTION = 16
 
-    Variables are eliminated one by one (Fourier-Motzkin); the chain of
-    projections then drives an exact, backtracking-free enumeration in
-    lexicographic order.  Each projection is stored once as sparse rows
-    per coordinate: the lower rows (positive coefficient a) and the upper
-    rows (a < 0), each as (const, ((i, c), ...) over the nonzero earlier
-    coordinates, a).  A coordinate's range is read from those rows alone,
-    and the last coordinate is filled in one flat loop.  An infeasible
-    slice gives [] (also when a row on the level alone fails at r) and an
-    otherwise feasible empty ambient [(r,)]; if the enumeration reaches a
-    coordinate with no lower or no upper row, the slice is unbounded and
-    Unbounded is raised.
+
+def _affine_source(const: str | None, terms) -> str:
+    """``const + sum(a * x<i>)`` as source; ``terms`` are (i, a), a != 0."""
+    out = const or ""
+    for i, a in terms:
+        mag = "" if abs(a) == 1 else f"{abs(a)}*"
+        if out:
+            out += f" {'-' if a < 0 else '+'} {mag}x{i}"
+        else:
+            out = f"{'-' if a < 0 else ''}{mag}x{i}"
+    return out or "0"
+
+
+def _bound_source(rows, depth: int, lower: bool) -> list[str]:
+    """Statements setting ``lo`` (``lower``) or ``hi`` to the tightest bound
+    on x<depth> that the rows (const name or None, coeffs) give."""
+    name, tighter = ("lo", ">") if lower else ("hi", "<")
+    out = []
+    for n, (const, coeffs) in enumerate(rows):
+        a = coeffs[depth]
+        terms = [(i, x) for i, x in enumerate(coeffs[:depth]) if x]
+        if lower and a == 1:  # x >= -expr
+            bound = _affine_source(const and f"-{const}", [(i, -x) for i, x in terms])
+        elif lower:  # a*x >= -expr  ->  x >= ceil(-expr / a)
+            bound = f"-(({_affine_source(const, terms)}) // {a})"
+        elif a == -1:  # x <= expr
+            bound = _affine_source(const, terms)
+        else:  # a*x >= -expr with a < 0  ->  x <= floor(expr / -a)
+            bound = f"({_affine_source(const, terms)}) // {-a}"
+        if n == 0:
+            out.append(f"{name} = {bound}")
+        else:
+            out += [f"t = {bound}", f"if t {tighter} {name}: {name} = t"]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _slice_kernel(ineqs: tuple[tuple[int, ...], ...], sign: int, nv: int):
+    """The enumerator of the level-r slices, r of this sign, of the cone
+    with these rows over nv coordinates after the level; None when those
+    slices are infeasible.
+
+    ``kernel(abs(r), r, unbounded)`` returns the points and raises
+    ``unbounded(i)`` on reaching a coordinate i with no lower or no upper
+    row.  Only ints and fixed names go into the generated source.
     """
-    vars_ = list(c.ambient[1:])
-    nv = len(vars_)
+    for cov in ineqs:
+        for x in cov:
+            if type(x) is not int:
+                raise TypeError(f"cone entry {x!r} is not an int")
     base = []
-    for cov in c.ineqs:
-        const, coeffs = cov[0] * r, tuple(cov[1:])
+    for cov in ineqs:
+        const, coeffs = cov[0] * sign, tuple(cov[1:])
         if any(coeffs):
             base.append((const, coeffs))
         elif const < 0:
-            return []  # a row on the level alone that this level breaks
-    systems = [base]  # systems[d] involves vars_[: nv-d]
+            return None  # a row on the level alone that this level breaks
+    systems = [base]  # systems[d] involves x0 .. x<nv-1-d>
     for d in range(nv - 1, 0, -1):
         nxt = _eliminate(systems[-1], d)
         if nxt is None:
-            return []
+            return None
         systems.append(nxt)
-    systems.reverse()  # systems[i] constrains vars_[: i+1]
-    if nv == 0:
-        return [(r,)]
+    systems.reverse()  # systems[i] constrains x0 .. x<i>
 
-    lower: list[list] = []
-    upper: list[list] = []
-    for depth, system in enumerate(systems):
-        lo_rows, hi_rows = [], []
-        for const, coeffs in system:
-            a = coeffs[depth]
-            if a:
-                prefix = tuple((i, x) for i, x in enumerate(coeffs[:depth]) if x)
-                (lo_rows if a > 0 else hi_rows).append((const, prefix, a))
-        lower.append(lo_rows)
-        upper.append(hi_rows)
+    consts: dict[int, str] = {}  # const -> the name of const * |r|
 
-    points: list[tuple[int, ...]] = []
-    assignment = [0] * nv
-    last = nv - 1
+    def named(rows):
+        out = []
+        for const, coeffs in sorted(rows):
+            if const and const not in consts:
+                consts[const] = f"c{len(consts)}"
+            out.append((consts.get(const), coeffs))
+        return out
 
-    def feasible_range(depth):
-        lo_rows, hi_rows = lower[depth], upper[depth]
-        if not lo_rows or not hi_rows:
-            raise Unbounded(f"coordinate {vars_[depth]} unbounded at level {r}")
-        lo = hi = None
-        for const, prefix, a in lo_rows:
-            for i, x in prefix:
-                const += x * assignment[i]
-            # a*x >= -const  ->  x >= ceil(-const / a)
-            bound = -(const // a)
-            if lo is None or bound > lo:
-                lo = bound
-        for const, prefix, a in hi_rows:
-            for i, x in prefix:
-                const += x * assignment[i]
-            # a*x >= -const with a < 0  ->  x <= floor(const / -a)
-            bound = const // -a
-            if hi is None or bound < hi:
-                hi = bound
-        return lo, hi
+    def xs(stop):
+        return ", ".join(f"x{i}" for i in range(stop))
 
-    def rec(depth):
-        lo, hi = feasible_range(depth)
-        if depth == last:
-            head = (r, *assignment[:last])
-            points.extend([(*head, val) for val in range(lo, hi + 1)])
-            return
-        for val in range(lo, hi + 1):
-            assignment[depth] = val
-            rec(depth + 1)
+    funcs = []  # (first coordinate, body lines) of each function of the chain
+    for first in range(0, max(nv, 1), _LOOPS_PER_FUNCTION):
+        stop = min(first + _LOOPS_PER_FUNCTION, nv)
+        lines = []
+        for depth in range(first, stop):
+            pad = "    " * (1 + depth - first)
+            lo = named(row for row in systems[depth] if row[1][depth] > 0)
+            hi = named(row for row in systems[depth] if row[1][depth] < 0)
+            if not lo or not hi:
+                lines.append(f"{pad}raise unbounded({depth})")
+                break
+            lines += [pad + x for x in _bound_source(lo, depth, True)]
+            lines += [pad + x for x in _bound_source(hi, depth, False)]
+            lines.append(f"{pad}for x{depth} in range(lo, hi + 1):")
+        else:
+            pad = "    " * (1 + stop - first)
+            if stop < nv:
+                lines.append(f"{pad}k{stop}({xs(stop)})")
+            else:
+                lines.append(f"{pad}append((r, {xs(nv)}))" if nv else f"{pad}append((r,))")
+        funcs.append((first, lines))
 
-    rec(0)
-    return points
+    src = ["def kernel(R, r, unbounded):", "    points = []", "    append = points.append"]
+    src += [f"    {name} = {const} * R" for const, name in consts.items()]
+    for first, lines in reversed(funcs[1:]):  # defined before the loops call them
+        src.append(f"    def k{first}({xs(first)}):")
+        src += ["    " + x for x in lines]
+    src += funcs[0][1]
+    src.append("    return points")
+    namespace: dict = {}
+    exec(compile("\n".join(src) + "\n", "<lattice kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def lattice_points(c: Cone, r: int) -> list[tuple[int, ...]]:
+    """All integer points of the level-r slice, as tuples over ``c.ambient``
+    (so each starts with r), in lexicographic order.
+
+    Variables are eliminated one by one (Fourier-Motzkin) from the rows
+    (sign(r) * const, coeffs).  With its constant multiplied by |r|, each
+    row of that chain is a positive multiple of a row of the chain at r,
+    so one chain gives every level of a sign the same bounds, order,
+    infeasibility and first unbounded coordinate.  The chain is compiled
+    into a kernel with one ``for`` per coordinate, whose bounds are integer
+    expressions in the earlier loop variables and in the constants
+    const * |r|, set when the kernel starts; the last loop appends the
+    points.  The loops come in a chain of functions of at most 16 loops
+    each (CPython allows 20 nested blocks in a function); the innermost
+    loop of one calls the next with the loop variables.  Kernels are kept
+    in a bounded cache keyed on (c.ineqs, sign of r, number of
+    coordinates), so levels 1, 2, ... of a cone compile once.  Labels and
+    r are passed in at call time and never enter the generated source; an
+    entry of ``c.ineqs`` that is not an int raises TypeError before
+    anything is compiled.
+
+    An infeasible slice gives [] (also when a row on the level alone fails
+    at r) and an otherwise feasible empty ambient [(r,)]; if the
+    enumeration reaches a coordinate with no lower or no upper row, the
+    slice is unbounded and Unbounded is raised.
+    """
+    kernel = _slice_kernel(c.ineqs, (r > 0) - (r < 0), len(c.ambient) - 1)
+    if kernel is None:
+        return []
+
+    def unbounded(i):
+        return Unbounded(f"coordinate {c.ambient[i + 1]} unbounded at level {r}")
+
+    return kernel(abs(r), r, unbounded)
 
 
 def weyl_dim(k: int, n: int, r: int) -> int:
@@ -295,6 +363,14 @@ class GTPattern:
 
 
 @lru_cache(maxsize=None)
+def _grid_cells(k: int, n: int):
+    """Read-only map from grid label to its cell (t, s), 1 <= t <= k,
+    1 <= s <= n-k."""
+    return MappingProxyType({grid_label(k, n, t, s): (t, s)
+                             for t in range(1, k + 1) for s in range(1, n - k + 1)})
+
+
+@lru_cache(maxsize=None)
 def kappa_table(k: int, n: int):
     """Read-only map from level-1 point (a tuple over ``gt_ambient``) to I."""
     points = no_body_level1(rectangles_seed(k, n))
@@ -311,8 +387,7 @@ def gt_decompose(pat: GTPattern) -> list[KSubset]:
     k, n, r = pat.k, pat.n, pat.r
     w = n - k
     cone = gt_inequalities(k, n)
-    cells = {grid_label(k, n, t, s): (t, s)
-             for t in range(1, k + 1) for s in range(1, w + 1)}
+    cells = _grid_cells(k, n)
     if pat.v.keys() != cells.keys():
         missing = [lab for lab in cells if lab not in pat.v]
         extra = sorted((lab for lab in pat.v if lab not in cells), key=str)

@@ -4,11 +4,14 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plabicflow import cones
 from plabicflow.combinat import ksubsets
 from plabicflow.cones import (
+    Cone,
     GTPattern,
     Unbounded,
     _eliminate,
+    _slice_kernel,
     body_membership_check,
     cone_contains,
     cone_to_json_obj,
@@ -227,7 +230,7 @@ def test_lattice_points_honour_level_only_rows_at_every_size():
 @given(st.integers(0, 3).flatmap(lambda m: st.tuples(
     st.just(m),
     st.lists(st.lists(st.integers(-2, 2), min_size=m + 1, max_size=m + 1), max_size=7),
-    st.integers(0, 3),
+    st.integers(-3, 3),
     st.booleans(),
 )))
 def test_lattice_points_equal_dense_on_small_cones(args):
@@ -241,6 +244,60 @@ def test_lattice_points_equal_dense_on_small_cones(args):
                 covs = covs + [cov]
     c = make_cone(ambient, covs)
     assert _outcome(lattice_points, c, r) == _outcome(dense_lattice_points, c, r)
+
+
+@pytest.mark.parametrize("k,n,r", [(4, 9, 2), (3, 10, 2), (5, 10, 1), (6, 12, 1)])
+def test_lattice_points_equal_dense_past_one_function_of_loops(k, n, r):
+    # 20, 21, 25 and 36 coordinates: kernels of two and three chained functions
+    c = gt_inequalities(k, n)
+    got = lattice_points(c, r)
+    assert got == dense_lattice_points(c, r)
+    assert len(got) == weyl_dim(k, n, r)
+
+
+def test_one_kernel_per_cone_and_sign_of_the_level():
+    c = make_cone(("r", "x", "y"), [{"x": 1}, {"x": -1, "r": 7}, {"y": 1}, {"y": -1, "x": 1}])
+    _slice_kernel.cache_clear()
+    for r in (1, 2, 3):
+        assert lattice_points(c, r) == dense_lattice_points(c, r)
+    assert _slice_kernel.cache_info().misses == 1
+    for r in (0, -1, -2):
+        assert lattice_points(c, r) == dense_lattice_points(c, r)
+    assert _slice_kernel.cache_info().misses == 3
+
+
+@pytest.mark.parametrize("label", ['x"); raise SystemExit("', "a\nb", "{r}"])
+def test_labels_never_enter_the_kernel(label):
+    plain = make_cone(("r", "x", "y"), [{"x": 1}, {"x": -1, "r": 1}, {"y": 1}, {"y": -1, "x": 2}])
+    odd = Cone(("r", label, "y"), plain.ineqs)
+    assert lattice_points(odd, 2) == lattice_points(plain, 2) == dense_lattice_points(plain, 2)
+    y_free = make_cone(("r", "x", "y"), [{"x": 1}, {"x": -1, "r": 1}, {"y": 1}])
+    unbounded = Cone(("r", "x", label), y_free.ineqs)
+    with pytest.raises(Unbounded) as exc:
+        lattice_points(unbounded, 1)
+    assert str(exc.value) == f"coordinate {label} unbounded at level 1"
+
+
+class _FormatsAsCode:
+    """An entry that survives the kernel's arithmetic and formats as code."""
+
+    def __mul__(self, other):
+        return self
+
+    __rmul__ = __mul__
+
+    def __format__(self, spec):
+        return "exit(3)"
+
+
+@pytest.mark.parametrize("entry", [_FormatsAsCode(), "1", 0.5])
+def test_non_int_cone_entries_are_refused_before_compiling(monkeypatch, entry):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled a kernel")
+
+    monkeypatch.setattr(cones, "compile", refuse, raising=False)
+    with pytest.raises(TypeError, match="is not an int"):
+        lattice_points(Cone(("r", "x"), ((0, 1), (entry, -1))), 1)
 
 
 def test_kappa_table_injective():
