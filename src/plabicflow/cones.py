@@ -173,8 +173,6 @@ def _eliminate(system, var_ix):
             canon = _canonical_covector((const,) + coeffs)
             if canon is not None:
                 out.add(canon)
-            elif const < 0:
-                return None  # 0 >= positive constant: infeasible
     cleaned = []
     for row in out:
         const, coeffs = row[0], row[1:]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import add, itemgetter, sub
 
 
 class NotLaurent(ArithmeticError):
@@ -32,14 +33,6 @@ def check_lattice(labels) -> tuple[str, ...]:
     return labels
 
 
-def vec_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 @dataclass(frozen=True)
 class LaurentPoly:
     """Sparse Laurent polynomial over a labelled lattice."""
@@ -50,13 +43,11 @@ class LaurentPoly:
     @staticmethod
     def make(lattice, term_map: dict[Exponent, int]) -> "LaurentPoly":
         lattice = check_lattice(lattice)
-        terms = tuple(
-            (e, c) for e, c in sorted(term_map.items()) if c != 0
-        )
-        for e, _ in terms:
+        f = _checked(lattice, term_map)
+        for e, _ in f.terms:
             if len(e) != len(lattice):
                 raise ValueError(f"exponent {e} does not fit lattice {lattice}")
-        return LaurentPoly(lattice, terms)
+        return f
 
     @staticmethod
     def zero(lattice) -> "LaurentPoly":
@@ -65,7 +56,7 @@ class LaurentPoly:
     @staticmethod
     def one(lattice) -> "LaurentPoly":
         lattice = check_lattice(lattice)
-        return LaurentPoly.make(lattice, {(0,) * len(lattice): 1})
+        return _checked(lattice, {(0,) * len(lattice): 1})
 
     @staticmethod
     def monomial(lattice, exp: Mapping[str, int], coeff: int = 1) -> "LaurentPoly":
@@ -74,7 +65,7 @@ class LaurentPoly:
         if unknown:
             raise ValueError(f"labels {sorted(unknown)} not in lattice")
         key = tuple(exp.get(lab, 0) for lab in lattice)
-        return LaurentPoly.make(lattice, {key: coeff})
+        return _checked(lattice, {key: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -110,8 +101,8 @@ class LaurentPoly:
         gcd_exp = tuple(
             min(e[i] for e, _ in self.terms) for i in range(len(self.lattice))
         )
-        rest = LaurentPoly.make(
-            self.lattice, {vec_sub(e, gcd_exp): c for e, c in self.terms}
+        rest = _checked(
+            self.lattice, {tuple(map(sub, e, gcd_exp)): c for e, c in self.terms}
         )
         mono = _pretty_monomial(self.lattice, gcd_exp, var_prefix)
         body = "+".join(
@@ -125,6 +116,13 @@ class LaurentPoly:
                 return f"-{mono}" if c == -1 else f"{c}*{mono}"
             return f"{mono}*({body})"
         return body
+
+
+def _checked(lattice: tuple[str, ...], term_map: dict[Exponent, int]) -> LaurentPoly:
+    """``make`` without its checks, for results built from checked operands:
+    the lattice is one already checked and every exponent already has its
+    length."""
+    return LaurentPoly(lattice, tuple((e, c) for e, c in sorted(term_map.items()) if c))
 
 
 def _pretty_monomial(lattice, exp, var_prefix) -> str:
@@ -158,7 +156,7 @@ def lp_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     out = dict(f.terms)
     for e, c in g.terms:
         out[e] = out.get(e, 0) + c
-    return LaurentPoly.make(f.lattice, out)
+    return _checked(f.lattice, out)
 
 
 def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -166,9 +164,9 @@ def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     out: dict[Exponent, int] = {}
     for e1, c1 in f.terms:
         for e2, c2 in g.terms:
-            e = vec_add(e1, e2)
+            e = tuple(map(add, e1, e2))
             out[e] = out.get(e, 0) + c1 * c2
-    return LaurentPoly.make(f.lattice, out)
+    return _checked(f.lattice, out)
 
 
 def lp_equal(f: LaurentPoly, g: LaurentPoly) -> bool:
@@ -198,28 +196,28 @@ def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
         return f
     fmin = _coordinatewise_min([e for e, _ in f.terms])
     gmin = _coordinatewise_min([e for e, _ in g.terms])
-    shift = vec_sub(fmin, gmin)
-    rem = {vec_sub(e, fmin): c for e, c in f.terms}
-    div = {vec_sub(e, gmin): c for e, c in g.terms}
+    shift = tuple(map(sub, fmin, gmin))
+    rem = {tuple(map(sub, e, fmin)): c for e, c in f.terms}
+    div = {tuple(map(sub, e, gmin)): c for e, c in g.terms}
     glead = max(div)
     gc = div[glead]
     quot: dict[Exponent, int] = {}
     while rem:
         flead = max(rem)
         fc = rem[flead]
-        qe = vec_sub(flead, glead)
-        if any(x < 0 for x in qe) or fc % gc != 0:
+        qe = tuple(map(sub, flead, glead))
+        if min(qe, default=0) < 0 or fc % gc != 0:
             raise NotLaurent("division is not exact")
         qc = fc // gc
         quot[qe] = qc
         for e, c in div.items():
-            key = vec_add(qe, e)
+            key = tuple(map(add, qe, e))
             nc = rem.get(key, 0) - qc * c
             if nc:
                 rem[key] = nc
             else:
                 rem.pop(key, None)
-    return LaurentPoly.make(f.lattice, {vec_add(e, shift): c for e, c in quot.items()})
+    return _checked(f.lattice, {tuple(map(add, e, shift)): c for e, c in quot.items()})
 
 
 class Substitution:
@@ -229,27 +227,46 @@ class Substitution:
     ``images`` maps every label of ``lattice`` to a pair (m, e) standing
     for x^m * u^e: m a sparse {label: exponent} monomial over u's lattice,
     e an integer power of the one shared exchange binomial u.  The build
-    turns the images into sparse columns; the powers of u are made on
-    first use and kept for every later ``apply``.
+    splits the labels in two.  A plain label maps to one codomain
+    coordinate with exponent 1 and no power of u, a coordinate that no
+    earlier plain label takes, so the plain labels form a partial
+    permutation and one gather reads their part of every image.  Every
+    other label is twisted and keeps a sparse column and its power of u;
+    in X- and A-mutation these are the mutated vertex and, in X-mutation,
+    its neighbours.  The powers of u are made on first use and kept for
+    every later ``apply``.
     """
 
     def __init__(
         self, lattice, images: dict[str, tuple[dict[str, int], int]], u: LaurentPoly
     ):
         col = {lab: i for i, lab in enumerate(u.lattice)}
-        sparse = []
-        for lab in lattice:
+        lattice = tuple(lattice)
+        zero = len(lattice)  # the index of the 0 that apply appends
+        source = [zero] * len(col)  # codomain coordinate -> plain label
+        twisted = []
+        for t, lab in enumerate(lattice):
             if lab not in images:
                 raise ValueError(f"no image for label {lab!r}")
             m, e = images[lab]
-            unknown = set(m) - set(col)
-            if unknown:
-                raise ValueError(
-                    f"image of {lab!r} uses {sorted(unknown)} outside the codomain")
-            sparse.append(([(col[x], v) for x, v in m.items() if v], e))
-        self.lattice = tuple(lattice)
+            if not m.keys() <= col.keys():
+                raise ValueError(f"image of {lab!r} uses "
+                                 f"{sorted(set(m) - set(col))} outside the codomain")
+            pairs = [(col[x], v) for x, v in m.items() if v]
+            i, v = pairs[0] if len(pairs) == 1 else (0, 0)
+            if not e and v == 1 and source[i] == zero:
+                source[i] = t
+            else:
+                twisted.append((t, pairs, e))
+        self.lattice = lattice
         self.u = u
-        self._sparse = sparse
+        # itemgetter gives a bare item for one index and refuses none; a
+        # slice gives a tuple on those codomains
+        if len(source) > 1:
+            self._gather = itemgetter(*source)
+        else:
+            self._gather = itemgetter(slice(source[0], source[0] + 1) if source else slice(0))
+        self._twisted = tuple(twisted)
         self._powers = [LaurentPoly.one(u.lattice)]
 
     def _power(self, p: int) -> LaurentPoly:
@@ -262,25 +279,28 @@ class Substitution:
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         """The image of f, which must live on the built lattice.
 
-        The terms of f are grouped by their power E of u, each group a
-        polynomial g_E.  The groups with E >= 0 expand to the plain
-        polynomial P = sum g_E u^E.  With u^-D the lowest power (D = 0 when
-        there is no negative one), the other groups give
-        N = sum g_E u^(E+D), and the image is P + N / u^D.  As P u^D is a
-        multiple of u^D, the image is Laurent exactly when u^D divides
-        P u^D + N, that is exactly when it divides N; so only N goes to
-        ``lp_exact_div``, and a non-exact division raises NotLaurent.
+        Each term's image is gathered from its exponent and corrected by
+        the twisted labels it carries, which also give its power E of u.
+        The terms are grouped by E, each group a polynomial g_E.  The
+        groups with E >= 0 expand to the plain polynomial P = sum g_E u^E.
+        With u^-D the lowest power (D = 0 when there is no negative one),
+        the other groups give N = sum g_E u^(E+D), and the image is
+        P + N / u^D.  As P u^D is a multiple of u^D, the image is Laurent
+        exactly when u^D divides P u^D + N, that is exactly when it divides
+        N; so only N goes to ``lp_exact_div``, and a non-exact division
+        raises NotLaurent.  The groups that u^0 multiplies (g_0 in P and
+        g_-D in N) are taken as they are.
         """
         if f.lattice != self.lattice:
             raise ValueError(
                 f"lattice mismatch: {f.lattice} vs substitution on {self.lattice}")
-        lattice = self.u.lattice
-        d = len(lattice)
+        gather, twisted = self._gather, self._twisted
         by_power: dict[int, dict[Exponent, int]] = {}
         for exp, c in f.terms:
-            mono = [0] * d
+            mono = list(gather(exp + (0,)))
             E = 0
-            for x, (pairs, e) in zip(exp, self._sparse):
+            for t, pairs, e in twisted:
+                x = exp[t]
                 if x:
                     for i, v in pairs:
                         mono[i] += x * v
@@ -290,27 +310,19 @@ class Substitution:
             group[key] = group.get(key, 0) + c
 
         D = max(0, -min(by_power, default=0))
-
-        def expand(negative: bool) -> dict[Exponent, int]:
-            """P's terms, or with ``negative`` N's."""
-            out: dict[Exponent, int] = {}
-            for E, group in by_power.items():
-                if (E < 0) != negative:
-                    continue
-                up = self._power(E + D if negative else E)
+        out = by_power.pop(0, {})
+        low = by_power.pop(-D, {}) if D else {}
+        for E, group in by_power.items():
+            into = low if E < 0 else out
+            for e2, c2 in self._power(E + D if E < 0 else E).terms:
                 for e1, c1 in group.items():
-                    for e2, c2 in up.terms:
-                        key = vec_add(e1, e2)
-                        out[key] = out.get(key, 0) + c1 * c2
-            return out
-
-        out = expand(negative=False)
+                    key = tuple(map(add, e1, e2))
+                    into[key] = into.get(key, 0) + c1 * c2
+        lattice = self.u.lattice
         if D:
-            quot = lp_exact_div(LaurentPoly.make(lattice, expand(negative=True)),
-                                self._power(D))
-            for e, c in quot.terms:
+            for e, c in lp_exact_div(_checked(lattice, low), self._power(D)).terms:
                 out[e] = out.get(e, 0) + c
-        return LaurentPoly.make(lattice, out)
+        return _checked(lattice, out)
 
 
 def lp_substitute(

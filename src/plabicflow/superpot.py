@@ -44,7 +44,7 @@ def _check_a_form(f: LaurentPoly, single_q: bool = False) -> None:
     qcount = 0
     qix = f.lattice.index("q")
     for exp, _c in f.terms:
-        pdeg = sum(e for i, e in enumerate(exp) if i != qix)
+        pdeg = sum(exp) - exp[qix]
         if pdeg != 0:
             raise ModelInvariantError(
                 "superpotential-degree", f"term of p-degree {pdeg}"

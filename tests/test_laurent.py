@@ -13,8 +13,17 @@ from plabicflow.laurent import (
     lp_mul,
     lp_substitute,
     Substitution,
-    vec_add,
 )
+from plabicflow.charts import face_lattice, flow_polynomial, x_mutate
+from plabicflow.plabic import build_rectangles_model, positroid, square_moves
+from plabicflow.seeds import (
+    label_exchange,
+    neighbours,
+    rectangles_seed,
+    seed_mutations,
+    seed_of_model,
+)
+from plabicflow.superpot import a_mutate_w, w_rectangles
 
 L3 = ("a", "b", "c")
 
@@ -235,8 +244,10 @@ def test_substitute_equals_global_division(case):
 
 
 def one_shot_substitute(f, images, u):
-    """The substitution before it was split into a build and an apply: the
-    image columns and the powers of u are made afresh for every f."""
+    """The substitution before it was split into a build and an apply, and
+    before plain labels were gathered: the image columns and the powers of
+    u are made afresh for every f, and every label of every term adds its
+    sparse column."""
     col = {lab: i for i, lab in enumerate(u.lattice)}
     sparse = []
     for lab in f.lattice:
@@ -278,7 +289,7 @@ def one_shot_substitute(f, images, u):
             up = power(E + D if negative else E)
             for e1, c1 in group.items():
                 for e2, c2 in up.terms:
-                    key = vec_add(e1, e2)
+                    key = tuple(x + y for x, y in zip(e1, e2))
                     out[key] = out.get(key, 0) + c1 * c2
         return out
 
@@ -357,3 +368,154 @@ def test_built_substitution_refuses_another_lattice():
     step = Substitution(L3, IMAGES, BINOM)
     with pytest.raises(ValueError, match="lattice mismatch"):
         step.apply(LaurentPoly.one(SOURCE))
+
+
+def test_substitution_splits_plain_and_twisted_labels():
+    # plain: one coordinate, exponent 1, no power of u, not taken before;
+    # z is reached by no plain label and is fed the appended 0
+    images = {"a": ({"x": 1}, 0), "b": ({"x": 1}, 0), "c": ({"y": 2}, 0),
+              "d": ({"y": -1}, 0), "e": ({"y": 1}, 1), "f": ({"y": 1, "z": 0}, 0),
+              "g": ({}, 0)}
+    u = LaurentPoly.make(("x", "y", "z"), {(0, 0, 0): 1, (0, 0, 1): 1})
+    step = Substitution(tuple("abcdefg"), images, u)
+    assert [step.lattice[t] for t, _pairs, _e in step._twisted] == ["b", "c", "d", "e", "g"]
+    f = LaurentPoly.make(step.lattice, {(1, 1, 1, 1, 0, 1, 5): 3, (0, 0, 0, 0, -1, 0, 0): 1})
+    for route in (step.apply, lambda f: one_shot_substitute(f, images, u)):
+        with pytest.raises(NotLaurent):
+            route(f)
+    # e/f maps to u: times it, every term's power of u is at least 0
+    f = lp_mul(f, LaurentPoly.make(step.lattice, {(0, 0, 0, 0, 1, -1, 0): 1}))
+    want = LaurentPoly.make(u.lattice, {(0, -1, 0): 1, (2, 2, 0): 3, (2, 2, 1): 3})
+    assert step.apply(f) == one_shot_substitute(f, images, u) == want
+
+
+@st.composite
+def gathered_substitutions(draw):
+    """(lattice, images, u, fs) with plain and twisted labels mixed.
+
+    The codomain has 0-4 coordinates x0, x1, ...  The carriers b and c map
+    to the two terms of u = s*x^p + t*x^q, so f = F * (s*b + t*c)^h clears
+    up to h negative powers of u; on the empty codomain u is the constant
+    s and b alone maps to 1.  The labels p0, p1, ... map to a random
+    partial permutation of the codomain, so some coordinates may be
+    reached by no plain label; ``clash`` maps like a plain label onto a
+    coordinate that one of them takes, so one of the two is twisted; the
+    labels t0, t1, ... map to monomials with exponents -1..2 over the
+    whole codomain times u^-2..u^2.  The labels come in a random order, and
+    now and then f is 0."""
+    d = draw(st.integers(0, 4))
+    target = tuple(f"x{i}" for i in range(d))
+    exps = st.tuples(*(st.integers(-2, 2) for _ in target))
+    s, t = (draw(st.sampled_from([-2, -1, 1, 3])) for _ in range(2))
+    if d:
+        p = draw(exps)
+        q = draw(exps.filter(lambda e: e != p))
+        u = LaurentPoly.make(target, {p: s, q: t})
+        images = {"b": (dict(zip(target, p)), 0), "c": (dict(zip(target, q)), 0)}
+        carriers = {"b": s, "c": t}
+    else:
+        u = LaurentPoly.make((), {(): s})
+        images = {"b": ({}, 0)}
+        carriers = {"b": s}
+    plain = draw(st.permutations(target))[:draw(st.integers(0, d))]
+    for i, y in enumerate(plain):
+        images[f"p{i}"] = ({y: 1}, 0)
+    if plain and draw(st.booleans()):
+        images["clash"] = ({draw(st.sampled_from(plain)): 1}, 0)
+    for i in range(draw(st.integers(0, 3))):
+        images[f"t{i}"] = ({y: draw(st.integers(-1, 2)) for y in target},
+                           draw(st.integers(-2, 2)))
+    lattice = tuple(draw(st.permutations(sorted(images))))
+    H = LaurentPoly.make(lattice, {
+        tuple(int(lab == b) for lab in lattice): c for b, c in carriers.items()})
+    fs = []
+    for _ in range(draw(st.integers(1, 4))):
+        F = LaurentPoly.make(lattice, draw(st.dictionaries(
+            st.tuples(*(st.integers(-2, 2) for _ in lattice)),
+            st.integers(-4, 4).filter(bool), max_size=5)))
+        fs.append(lp_mul(F, power(H, draw(st.integers(0, 4)))))
+    return lattice, images, u, fs
+
+
+@given(gathered_substitutions())
+@settings(max_examples=300, deadline=None)
+def test_gathered_substitution_equals_one_shot_route(case):
+    # the same polynomial, or NotLaurent on all three routes
+    lattice, images, u, fs = case
+    step = Substitution(lattice, images, u)
+    for f in fs:
+        try:
+            want = one_shot_substitute(f, images, u)
+        except NotLaurent:
+            with pytest.raises(NotLaurent):
+                step.apply(f)
+            with pytest.raises(NotLaurent):
+                lp_substitute(f, images, u)
+            continue
+        assert step.apply(f) == want
+        assert lp_substitute(f, images, u) == want
+
+
+def _model_orbit(model, depth):
+    """The model and every model reached from it by up to ``depth``
+    successive square moves."""
+    yield model
+    if depth:
+        for _j, moved in square_moves(model):
+            yield from _model_orbit(moved, depth - 1)
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
+def test_x_mutate_equals_one_shot_route_on_orbits(k, n):
+    # every flow polynomial of every model one square move from the orbit
+    # to depth 1, pulled back through its move: the moved models make up
+    # the orbit to depth 2
+    checked = 0
+    for m in _model_orbit(build_rectangles_model(k, n), 1):
+        q = seed_of_model(m).quiver
+        for j, moved in square_moves(m):
+            ins, outs = neighbours(q, j)
+            images = {}
+            for x in face_lattice(moved):
+                if x in q.vertices:
+                    bij = ins.get(x, 0) - outs.get(x, 0)
+                    images[x] = ({x: 1, j: max(-bij, 0)}, bij)
+                else:
+                    images[x] = ({j: -1}, 0)
+            u = LaurentPoly.make(q.lattice, {
+                (0,) * len(q.lattice): 1,
+                tuple(int(x == j) for x in q.lattice): 1})
+            for I in positroid(moved):
+                F = flow_polynomial(moved, I)
+                got = x_mutate(q, j, F)
+                assert (got.lattice, got.terms) == (q.lattice, one_shot_substitute(F, images, u).terms)
+                checked += 1
+    assert checked > 0
+
+
+def _seed_orbit(s, W, depth):
+    """(seed, vertex, A-form potential) for every seed mutation from the
+    seed and every seed reached from it by up to ``depth - 1`` mutations."""
+    if depth:
+        for j, s2 in seed_mutations(s):
+            yield s, j, W
+            yield from _seed_orbit(s2, a_mutate_w(s, W, j), depth - 1)
+
+
+@pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
+def test_a_mutate_w_equals_one_shot_route_on_orbits(k, n):
+    checked = 0
+    for s, j, W in _seed_orbit(rectangles_seed(k, n), w_rectangles(k, n), 2):
+        j2, _labels, vertices = label_exchange(s, j)
+        lattice2 = ("q",) + vertices
+        images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
+        images[j] = ({j2: -1}, 1)
+        ins, outs = neighbours(s.quiver, j)
+        u = LaurentPoly.make(lattice2, {
+            tuple(ins.get(x, 0) for x in lattice2): 1,
+            tuple(outs.get(x, 0) for x in lattice2): 1})
+        got = a_mutate_w(s, W, j).poly
+        want = one_shot_substitute(W.poly, images, u)
+        assert (got.lattice, got.terms) == (lattice2, want.terms)
+        checked += 1
+    assert checked > 0
