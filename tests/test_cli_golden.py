@@ -2,15 +2,17 @@
 
 Every command of README's CLI block is run in ``--format pretty`` and
 ``--format json``; its exit code and the sha256 of its stdout are pinned.
-So are a few longer exchange paths (``EXCHANGE_PATHS``) and larger matching
-listings in every format (``MATCHINGS``).  A change to the computation that
+So are a few longer exchange paths (``EXCHANGE_PATHS``), larger matching
+listings in every format (``MATCHINGS``), polynomials in edge and face
+variables past the shark (``POLYNOMIALS``), and the CSV partition function
+of a square-moved model read back from its file (``MOVED_PARTITION``).  A change to the computation that
 is meant to leave the output alone must leave every pin alone.  To re-pin
 after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS`` and
-``MATCHINGS``.
+and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS``,
+``MATCHINGS``, ``POLYNOMIALS`` and ``MOVED_PARTITION``.
 """
 
 import contextlib
@@ -18,10 +20,11 @@ import hashlib
 import io
 import os
 import shlex
+import tempfile
 
 import pytest
 
-from plabicflow import cli
+from plabicflow import cli, plabic
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                       "README.md")
@@ -114,6 +117,33 @@ MATCHINGS = {
         (0, '6a98ccdfe6c8031f37486f06f8a6dc8fd8ba42c84d9e1d5938137653e99a9bd9'),
 }
 
+# A partition function's variables are the model's edges and a flow
+# polynomial's its faces, each in its one order: these pin both orders and
+# the exponents read off the edge masks and the packed face weights.
+POLYNOMIALS = {
+    ('partition rect:3,7 146', 'pretty'):
+        (0, '15d6be23689e3463cd75d94c509102bbe3ae42d8a509a1e125e3ade95ef2a755'),
+    ('partition rect:3,7 146', 'json'):
+        (0, '78157f4a46f667d69716d7c32b33a11dc7c8a8e4bd64948a346fa69c8f5c74bc'),
+    ('partition rect:3,7 146', 'csv'):
+        (0, 'e0dcc22e74894a16906f560e2abd7f073c720e2988e1660c8de5269e1fddc23c'),
+    ('flow rect:3,7 146', 'pretty'):
+        (0, '5bbba8d3d6917b96526cec37b8ff455e0d876f0fedf4b664d3266d3bae192113'),
+    ('flow rect:3,7 146', 'json'):
+        (0, '23c523859ceb62706d4c4e0c4cd688464c5033f54d9bec83569cd86099f3b323'),
+    ('flow rect:3,7 146', 'csv'):
+        (0, '1efa5f9260a374fe36e3ca9609eb8548a3baa4680623844df4ce48add559722b'),
+}
+
+# The square move at 134 of rect:3,7 adds edges named leg_* and sq_*; the
+# CSV header of a partition function of the moved model, saved and loaded
+# back, lists them in the one edge order.
+MOVED_FACE = (1, 3, 4)
+MOVED_PARTITION = {
+    ('partition', '146', 'csv'):
+        (0, '5199e922ad37842d8c6b60749148e1e198f758c755fff9a9a66325e618cd20dc'),
+}
+
 
 def readme_commands() -> list[str]:
     """The ``plabicflow ...`` lines of README's CLI block, comments cut."""
@@ -156,6 +186,26 @@ def test_matching_listing_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == MATCHINGS[command, fmt]
 
 
+@pytest.mark.parametrize("command,fmt", sorted(POLYNOMIALS))
+def test_polynomial_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == POLYNOMIALS[command, fmt]
+
+
+def moved_partition_hashes(directory) -> dict:
+    """``MOVED_PARTITION``'s commands run on the square-moved model, saved
+    to a file in ``directory``."""
+    path = os.path.join(directory, "moved.plabic")
+    with open(path, "w") as fh:
+        fh.write(plabic.save_model(
+            plabic.square_move(plabic.build_rectangles_model(3, 7), MOVED_FACE)))
+    return {(cmd, subset, fmt): run_hashed(f"{cmd} {path} {subset}", fmt)
+            for cmd, subset, fmt in MOVED_PARTITION}
+
+
+def test_moved_model_partition_is_byte_identical(tmp_path):
+    assert moved_partition_hashes(str(tmp_path)) == MOVED_PARTITION
+
+
 def print_table(name, pins):
     print(f"{name} = {{")
     for command, fmt in pins:
@@ -168,3 +218,6 @@ if __name__ == "__main__":
     print_table("GOLDEN", [(c, f) for c in readme_commands() for f in FORMATS])
     print_table("EXCHANGE_PATHS", list(EXCHANGE_PATHS))
     print_table("MATCHINGS", list(MATCHINGS))
+    print_table("POLYNOMIALS", list(POLYNOMIALS))
+    with tempfile.TemporaryDirectory() as directory:
+        print(f"MOVED_PARTITION = {moved_partition_hashes(directory)!r}")
