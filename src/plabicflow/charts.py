@@ -30,6 +30,7 @@ from .plabic import (
     ModelInvariantError,
     PlabicModel,
     analyze,
+    edge_names,
     enumerate_matchings,  # noqa: F401  re-exported: charts.enumerate_matchings
     face_graph,
     masks_at,
@@ -38,7 +39,8 @@ from .seeds import Quiver, neighbours
 
 
 def edge_lattice(model: PlabicModel) -> tuple[str, ...]:
-    return tuple(sorted(model.edges))
+    """The edge variables, in the edge order of the edge masks."""
+    return analyze(model).edges
 
 
 def face_lattice(model: PlabicModel) -> tuple[str, ...]:
@@ -59,7 +61,6 @@ def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
 
 
 def _partition_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
-    # the edge lattice is the bit order of the edge masks
     lattice = edge_lattice(model)
     bits = range(len(lattice))
     pos: dict[tuple, int] = {}
@@ -92,19 +93,16 @@ def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     if not masks:
         return LaurentPoly.make(lattice, {})
     graph = face_graph(model)
-    flow_route, dual_route = graph.flow_route, graph.dual_route
+    weigh = graph.weigh
     counts: dict[int, int] = {}  # packed face weights -> matchings
     try:
         for mask in masks:
-            flow = flow_route(mask)
-            w = dual_route(mask)
-            if flow != w:
-                raise graph.mismatch(flow, w)
+            w = weigh(mask)
             counts[w] = counts.get(w, 0) + 1
     except ModelInvariantError as exc:
         raise ModelInvariantError(exc.violation, (
             f"at I={format_ksubset(I, model.n)}, matching "
-            f"{','.join(graph.edge_names(mask))}: {exc.detail}")) from exc
+            f"{','.join(edge_names(model, mask))}: {exc.detail}")) from exc
     # the coordinatewise least and greatest exponents must be terms, each
     # with coefficient 1
     for which, extreme in zip(("min", "max"), graph.extremes(counts)):

@@ -216,8 +216,8 @@ def cmd_matchings(args) -> int:
     table = plabic.matching_table(model)
     label = {I: format_ksubset(I, model.n) for I in table.positroid}
     # made one at a time, so pretty and csv rows are written as they come
-    rows = ((label[I], table.edge_names(m))
-            for m, I in zip(table.masks, table.boundary))
+    rows = ((label[table.boundary_of(m)], plabic.edge_names(model, m))
+            for m in table.masks)
     if args.format == "pretty":
         for bv, eds in rows:
             print(f"{bv}: {' '.join(eds)}")

@@ -12,6 +12,15 @@ The module provides the dimer-model layer: perfect matchings (internal
 nodes covered exactly once), their boundary values and face weights, the
 equivalent flow picture, the quadrilateral move, and a builder for the
 rectangles model of the (k, n) grid.
+
+Three conventions carry the matching layer, and each is decided once.  The
+edge order is ``Analysis.edges``, the edge ids sorted: bit i of an edge
+mask, dual arrow i and edge variable i stand for its i-th edge.  Which end
+of an edge is black is ``Analysis.black_white``, where a boundary tip takes
+the color opposite its node.  The boundary sense, l in a matching's
+boundary value iff stub l is used xor l is clockwise (Postnikov,
+math/0609764), is encoded and decoded by the matching frontier
+(``_Frontier.stub_bits`` and ``_Frontier.boundary``).
 """
 
 from __future__ import annotations
@@ -98,6 +107,8 @@ class Analysis:
     face_of_dart: dict  # dart -> face index (outer face excluded)
     label_to_face: dict
     star: int
+    edges: tuple[str, ...]  # the edge order, made by ``_edge_order``
+    black_white: tuple[tuple[End, End], ...]  # (black end, white end) by edge
     arrows: list[tuple[str, int, int]]  # (edge id, source face, target face)
     stub: dict[int, str]  # boundary label -> edge id
     gap_face: dict[int, int]
@@ -175,17 +186,6 @@ def _other_end(ends: tuple[End, End], here: End) -> End:
     if ends[1] == here:
         return ends[0]
     raise ValueError(f"{here} not an end of {ends}")
-
-
-def _end_color(model: PlabicModel, ends: tuple[End, End], end: End) -> str:
-    """Color of an end; a boundary tip takes the color opposite its partner."""
-    kind, val = end
-    if kind == "n":
-        return model.colors[val]
-    inner = _other_end(ends, end)
-    if inner[0] != "n":
-        raise ModelInvariantError("edge-both-boundary", f"edge {ends}")
-    return WHITE if model.colors[inner[1]] == BLACK else BLACK
 
 
 def _closed_rotation_system(model: PlabicModel):
@@ -342,8 +342,8 @@ def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
     return hits[0]
 
 
-def _trip_labels(model: PlabicModel, arrows, stub_of, adjacency: FaceAdjacency
-                 ) -> list[tuple[int, ...]]:
+def _trip_labels(model: PlabicModel, black_white, arrows, stub_of,
+                 adjacency: FaceAdjacency) -> list[tuple[int, ...]]:
     """Postnikov's target labelling, read off the trips.
 
     The trip from tip l enters the graph along stub l; at a black node it
@@ -358,8 +358,7 @@ def _trip_labels(model: PlabicModel, arrows, stub_of, adjacency: FaceAdjacency
     left = [0] * (model.n + 1)  # j -> mask of the faces left of trip j
     for l in range(1, model.n + 1):
         e, here = stub_of[l], ("t", l)
-        # a tip takes the color opposite its node
-        from_black = colors[_other_end(edges[e], here)[1]] == WHITE
+        from_black = black_white[index[e]][0] == here
         path = seeds = 0
         while True:
             i = index[e]
@@ -381,6 +380,14 @@ def _trip_labels(model: PlabicModel, arrows, stub_of, adjacency: FaceAdjacency
         left[there[1]] = adjacency.region(seeds, path)
     return [tuple(j for j in range(1, model.n + 1) if left[j] >> f & 1)
             for f in range(len(adjacency.around))]
+
+
+def _edge_order(model: PlabicModel) -> tuple[str, ...]:
+    """The edge order, sorted by id: kept on the analysis as
+    ``Analysis.edges``, and made afresh for a bare model that was never
+    analysed."""
+    an = model._analysis
+    return tuple(sorted(model.edges)) if an is None else an.edges
 
 
 def analyze(model: PlabicModel) -> Analysis:
@@ -408,23 +415,26 @@ def analyze(model: PlabicModel) -> Analysis:
     if set(gap_face) != set(range(1, model.n + 1)):
         raise ModelInvariantError("gap-structure", f"gap faces {sorted(gap_face)}")
 
-    # dual arrows: one per real edge, pointing white-on-right
-    arrows = []
-    for e in sorted(model.edges):
-        # _validate_raw has checked the colors; a tip takes the color
-        # opposite its node
-        a, b = model.edges[e]
-        black0 = (model.colors[a[1]] == BLACK if a[0] == "n"
-                  else model.colors[b[1]] == WHITE)
-        s = face_of_dart[(("e", e), 0 if black0 else 1)]  # right of black -> white
-        t = face_of_dart[(("e", e), 1 if black0 else 0)]
-        arrows.append((e, s, t))
+    # the one place that says which end of an edge is black (_validate_raw
+    # has checked the colors; a tip takes the color opposite its node), and
+    # one dual arrow per edge, from the face right of its black-to-white
+    # dart (dart d runs ends[d] -> ends[1 - d]) to the face right of its
+    # white-to-black one
+    edges = _edge_order(model)
+    black_white, arrows = [], []
+    for e in edges:
+        a, b = ends = model.edges[e]
+        d = 0 if (model.colors[a[1]] == BLACK if a[0] == "n"
+                  else model.colors[b[1]] == WHITE) else 1
+        black_white.append((ends[d], ends[1 - d]))
+        arrows.append((e, face_of_dart[(("e", e), d)], face_of_dart[(("e", e), 1 - d)]))
+    black_white = tuple(black_white)
 
     adjacency = FaceAdjacency(len(orbits), arrows)
     faces: list[Face] = []
     label_to_face: dict = {}
-    for i, (orbit, label) in enumerate(
-            zip(orbits, _trip_labels(model, arrows, stub_of, adjacency))):
+    for i, (orbit, label) in enumerate(zip(
+            orbits, _trip_labels(model, black_white, arrows, stub_of, adjacency))):
         edge_ids = frozenset(ek[1] for ek, _ in orbit if ek[0] == "e")
         if len(label) != model.k:
             raise ModelInvariantError(
@@ -456,6 +466,8 @@ def analyze(model: PlabicModel) -> Analysis:
         face_of_dart,
         label_to_face,
         star,
+        edges,
+        black_white,
         arrows,
         stub_of,
         gap_face,
@@ -510,7 +522,7 @@ def save_model(model: PlabicModel) -> str:
     out = ["plabic v1", f"kn {model.k} {model.n}"]
     for v in sorted(model.colors):
         out.append(f"node {v} {model.colors[v]}")
-    for e in sorted(model.edges):
+    for e in an.edges:
         a, b = model.edges[e]
         out.append(f"edge {e} {_format_end(a)} {_format_end(b)}")
     for v in sorted(model.rot):
@@ -659,23 +671,27 @@ class _Frontier:
     """The layout of one model's matching recursion, shared by the whole
     enumeration, the lists of one boundary value and the base-value search.
 
-    Bit i of an edge mask is the i-th edge of ``names``, which is
-    ``sorted(model.edges)``.  The internal nodes are numbered breadth-first
-    over the internal edges, each component from its first node in (fewest
-    incident edges, id) order, so node b is bit b of a covered mask and the
-    frontier between covered and uncovered nodes stays narrow.
-    ``options[b]`` lists (edge bit, covered mask) for each edge at node b,
-    ``inner[b]`` the same without the boundary stubs, and ``stubs`` holds
-    (boundary label, edge bit, covered mask) for each stub in label order.
-    Nothing here refers to the model, so keeping it keeps no model alive.
+    Bit i of an edge mask is edge i of the edge order (``Analysis.edges``).
+    The internal nodes are numbered breadth-first over the internal edges,
+    each component from its first node in (fewest incident edges, id)
+    order, so node b is bit b of a covered mask and the frontier between
+    covered and uncovered nodes stays narrow.  ``options[b]`` lists (edge
+    bit, covered mask) for each edge at node b, ``inner[b]`` the same
+    without the boundary stubs, and ``stubs`` holds (boundary label, edge
+    bit, covered mask) for each stub in label order.
+
+    The boundary sense lives here: a matching's stub bits are those of its
+    boundary value flipped at the ``clockwise`` stubs, so ``stub_bits``
+    encodes a value and ``boundary`` decodes it; a bare model, which has no
+    boundary values, has no ``anticlockwise`` labels to give.  Nothing here
+    refers to the model, so keeping it keeps no model alive.
     """
 
-    def __init__(self, model: PlabicModel):
-        self.names = tuple(sorted(model.edges))
+    def __init__(self, model: PlabicModel, anticlockwise=()):
         incident: dict[str, list[int]] = {v: [] for v in model.colors}
         ends = []  # the internal nodes of each edge
         stub_at = []  # (boundary label, edge index) per stub
-        for i, e in enumerate(self.names):
+        for i, e in enumerate(_edge_order(model)):
             nodes = []
             for kind, val in model.edges[e]:
                 if kind == "n":
@@ -707,6 +723,17 @@ class _Frontier:
         self.inner = [[(1 << i, covers[i]) for i in incident[v] if i not in stub_edges]
                       for v in order]
         self.stubs = tuple((l, 1 << i, covers[i]) for l, i in sorted(stub_at))
+        self.clockwise = sum(ebit for l, ebit, _ in self.stubs if l not in anticlockwise)
+
+    def stub_bits(self, I) -> int:
+        """The stub bits of every matching with boundary value I."""
+        return self.clockwise ^ sum(ebit for l, ebit, _ in self.stubs if l in I)
+
+    def boundary(self, mask: int) -> tuple[int, ...]:
+        """The boundary value of an edge mask, read at its stub bits: the
+        inverse of ``stub_bits``.  Its size is not checked (``_sized``)."""
+        mask ^= self.clockwise
+        return tuple(l for l, ebit, _ in self.stubs if mask & ebit)
 
 
 def _frontier(model: PlabicModel) -> _Frontier:
@@ -716,23 +743,31 @@ def _frontier(model: PlabicModel) -> _Frontier:
     an = model._analysis
     if an is None:
         return _Frontier(model)
-    return an.derive("frontier", lambda: _Frontier(model))
+    return an.derive("frontier", lambda: _Frontier(model, an.anticlockwise))
+
+
+def _sized(model: PlabicModel, value: KSubset) -> KSubset:
+    """A matching's boundary value, which must have k elements."""
+    if len(value) != model.k:
+        raise ModelInvariantError(
+            "boundary-size", f"matching boundary {value} has size != k")
+    return value
 
 
 def matching_masks(model: PlabicModel, I=None) -> list[int]:
     """The edge sets covering every internal node exactly once, as edge
-    masks (bit i for the i-th edge of ``sorted(model.edges)``): all of them,
-    or, given a boundary value I, those with boundary value I.
+    masks over the edge order (``Analysis.edges``): all of them, or, given
+    a boundary value I, those with boundary value I.
 
     A memoised recursion over the covered-node mask (frontier-based search,
     see ``_Frontier``).  ``rest(covered)`` lists the edge masks that
     complete ``covered``: it branches on the lowest uncovered node's edges,
     skips an edge that covers a covered node (a boundary edge covers only
     its own node), and is kept per mask, so a dead end is explored once.
-    Given I, stub l is in every matching when (l in I) == (l anticlockwise)
-    and in none otherwise: the forced stubs cover their nodes before the
-    recursion starts, which then runs on the internal edges alone; two
-    forced stubs at one node leave no matching.
+    Given I, every matching uses exactly the stubs of ``stub_bits(I)``:
+    these forced stubs cover their nodes before the recursion starts, which
+    then runs on the internal edges alone; two forced stubs at one node
+    leave no matching.
 
     The matchings come out sorted by their sorted edge names: of two, the
     one holding the lowest edge where they differ comes first, which is
@@ -745,26 +780,26 @@ def matching_masks(model: PlabicModel, I=None) -> list[int]:
     than that: once the lists built pass the budget, one integer count over
     the same recursion decides.
     """
+    if I is not None:
+        analyze(model)  # the boundary sense comes with the analysis
     fr = _frontier(model)
     options, covered, forced = fr.options, 0, 0
     if I is not None:
         I = tuple(I)
         if I != tuple(l for l in range(1, model.n + 1) if l in I):
             return []  # not a sorted subset of 1..n: no boundary value
-        anticlockwise = analyze(model).anticlockwise
-        options = fr.inner
-        for l, ebit, mask in fr.stubs:
-            if (l in I) == (l in anticlockwise):
+        options, forced = fr.inner, fr.stub_bits(I)
+        for _, ebit, mask in fr.stubs:
+            if forced & ebit:
                 if covered & mask:
                     return []
                 covered |= mask
-                forced |= ebit
     found = _completions(model, I, options, fr.full, covered)
     if forced:
         found = [forced | m for m in found]
     # the little-endian bytes of a mask, each bit-reversed, read it lowest
     # bit first
-    size = (len(fr.names) + 7) // 8
+    size = (len(model.edges) + 7) // 8
     found.sort(key=lambda m: m.to_bytes(size, "little").translate(_BITS_REVERSED),
                reverse=True)
     return found
@@ -828,26 +863,24 @@ def base_value(model: PlabicModel) -> KSubset | None:
     model, without listing a matching.
 
     Of k-subsets, the lex-max is the one least in sum over l in I of
-    2^(n-l).  A matching's sum is a constant plus a weight per used stub:
-    l is in I iff stub l is used xor l is clockwise, so stub l weighs
-    +2^(n-l) when l is anticlockwise and -2^(n-l), with 2^(n-l) in the
-    constant, when it is clockwise.  One integer min over the recursion of
-    ``matching_masks`` finds the least sum, whose bits are the value.
+    2^(n-l).  The frontier's ``boundary`` flips one label per stub, so a
+    matching's sum is the sum of the value with no stub used plus, per used
+    stub, what using that stub alone changes.  One integer min over the
+    recursion of ``matching_masks`` finds the least sum, whose bits are the
+    value.
     """
     return analyze(model).derive("base value", lambda: _least_boundary(model))
 
 
 def _least_boundary(model: PlabicModel) -> KSubset | None:
-    an = analyze(model)
     fr = _frontier(model)
     n = model.n
-    weight, total = {}, 0
-    for l, ebit, _ in fr.stubs:
-        if l in an.anticlockwise:
-            weight[ebit] = 1 << (n - l)
-        else:
-            weight[ebit] = -(1 << (n - l))
-            total += 1 << (n - l)
+
+    def key(value) -> int:
+        return sum(1 << (n - l) for l in value)
+
+    total = key(fr.boundary(0))
+    weight = {ebit: key(fr.boundary(ebit)) - total for _, ebit, _ in fr.stubs}
     options = [[(weight.get(ebit, 0), mask) for ebit, mask in opts]
                for opts in fr.options]
     full = fr.full
@@ -873,16 +906,13 @@ def _least_boundary(model: PlabicModel) -> KSubset | None:
     if low is None:
         return None
     total += low
-    value = tuple(l for l in range(1, n + 1) if total >> (n - l) & 1)
-    if len(value) != model.k:
-        raise ModelInvariantError(
-            "boundary-size", f"matching boundary {value} has size != k")
-    return value
+    return _sized(model, tuple(l for l in range(1, n + 1) if total >> (n - l) & 1))
 
 
-def _edge_names(names, mask: int) -> list[str]:
-    """The names of the set bits of an edge mask, lowest bit first, so in
-    the order of ``names``."""
+def edge_names(model: PlabicModel, mask: int) -> list[str]:
+    """The edges of an edge mask by name, lowest bit first, so in the edge
+    order."""
+    names = _edge_order(model)
     out = []
     while mask:
         low = mask & -mask
@@ -893,73 +923,47 @@ def _edge_names(names, mask: int) -> list[str]:
 
 def enumerate_matchings(model: PlabicModel) -> list[frozenset]:
     """``matching_masks`` as sets of edge names, in the same order."""
-    names = sorted(model.edges)
-    return [frozenset(_edge_names(names, m)) for m in matching_masks(model)]
-
-
-def _boundary(model: PlabicModel, used_stubs) -> KSubset:
-    """The boundary value of a matching that uses the stubs at the boundary
-    positions ``used_stubs``: l is in it iff stub l is used xor l is
-    clockwise."""
-    an = analyze(model)
-    value = tuple(l for l in range(1, model.n + 1)
-                  if (l in used_stubs) == (l in an.anticlockwise))
-    if len(value) != model.k:
-        raise ModelInvariantError(
-            "boundary-size", f"matching boundary {value} has size != k"
-        )
-    return value
+    return [frozenset(edge_names(model, m)) for m in matching_masks(model)]
 
 
 def boundary_value(model: PlabicModel, m) -> KSubset:
     """The k-subset cut out on the boundary by a matching."""
-    stub = analyze(model).stub
+    stub, fr = analyze(model).stub, _frontier(model)
     m = set(m)
-    return _boundary(model, {l for l in range(1, model.n + 1) if stub[l] in m})
+    return _sized(model, fr.boundary(
+        sum(ebit for l, ebit, _ in fr.stubs if stub[l] in m)))
 
 
 class MatchingTable:
     """The perfect matchings of one model, grouped by boundary value.
 
-    ``masks`` is the output of one ``matching_masks`` call, in its order:
-    bit j of a mask for the j-th edge of ``edges``, which is
-    ``sorted(model.edges)``.  ``boundary[i]`` is the boundary value of
-    ``masks[i]``, read at the boundary-stub bits; ``groups`` maps each
-    boundary value to the masks of its matchings and ``positroid`` lists
-    the boundary values in sorted order.  The public fields are tuples and a
-    read-only mapping, so callers cannot change the table.  Edge names are
-    made only on request (``edge_names``).
+    ``masks`` is the output of one ``matching_masks`` call, in its order,
+    over the edge order (``Analysis.edges``).
+    ``groups`` maps each boundary value to the masks of its matchings and
+    ``positroid`` lists the boundary values in sorted order; the boundary
+    value of one matching is read off its stub bits (``boundary_of``).  The
+    public fields are tuples and a read-only mapping, so callers cannot
+    change the table.
     """
 
     def __init__(self, model: PlabicModel, masks):
         fr = _frontier(model)
-        self.edges: tuple[str, ...] = fr.names
         self.masks: tuple[int, ...] = tuple(masks)
-        stub_mask = sum(ebit for _, ebit, _ in fr.stubs)
-        values: dict[int, KSubset] = {}  # mask & stub_mask -> boundary value
-        boundary = []
+        self._stubs = stubs = sum(ebit for _, ebit, _ in fr.stubs)
+        self._values = values = {}  # the stub bits of a mask -> its boundary value
+        groups: dict[KSubset, list[int]] = {}
         for mask in self.masks:
-            key = mask & stub_mask
+            key = mask & stubs
             I = values.get(key)
             if I is None:
-                I = values[key] = _boundary(
-                    model, {l for l, ebit, _ in fr.stubs if key & ebit})
-            boundary.append(I)
-        self.boundary: tuple[KSubset, ...] = tuple(boundary)
-        groups: dict[KSubset, list[int]] = {}
-        for mask, I in zip(self.masks, self.boundary):
+                I = values[key] = _sized(model, fr.boundary(key))
             groups.setdefault(I, []).append(mask)
         self.groups = MappingProxyType({I: tuple(ms) for I, ms in groups.items()})
         self.positroid: tuple[KSubset, ...] = tuple(sorted(groups))
 
-    def edge_names(self, mask: int) -> list[str]:
-        """The edges of a mask by name, in sorted order."""
-        return _edge_names(self.edges, mask)
-
-    def masks_at(self, I) -> tuple[int, ...]:
-        """The edge masks of the matchings with boundary value I, in
-        enumeration order."""
-        return self.groups.get(tuple(I), ())
+    def boundary_of(self, mask: int) -> KSubset:
+        """The boundary value of one of the table's matchings."""
+        return self._values[mask & self._stubs]
 
 
 def matching_table(model: PlabicModel) -> MatchingTable:
@@ -989,7 +993,7 @@ def masks_at(model: PlabicModel, I) -> tuple[int, ...]:
     an = analyze(model)
     table = an.kept("matching table")
     if table is not None:
-        return table.masks_at(I)
+        return table.groups.get(I, ())
     return an.derive(("matchings at", I), lambda: tuple(matching_masks(model, I)))
 
 
@@ -1011,12 +1015,12 @@ def _base_mask(model: PlabicModel) -> int:
 
 def base_matching(model: PlabicModel) -> frozenset:
     """The unique matching whose boundary value is lex-maximal."""
-    return frozenset(_edge_names(_frontier(model).names, _base_mask(model)))
+    return frozenset(edge_names(model, _base_mask(model)))
 
 
 class FaceGraph:
     """The face graph of one model, indexed for face weights of matchings
-    given as edge masks (bit i for the i-th edge of ``sorted(model.edges)``).
+    given as edge masks over the edge order (``Analysis.edges``).
 
     The weight of a matching M relative to the base matching solves
     w(target) - w(source) = [e in base] - [e in M] over the dual arrows,
@@ -1059,7 +1063,6 @@ class FaceGraph:
         F, E = len(an.faces), len(an.arrows)
         self.base = base
         self.labels = tuple(f.label for f in an.faces)
-        self.names = _frontier(model).names
         self.region = an.adjacency.region
         self.components: dict[int, list[tuple[int, int, int]]] = {}
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(F)]
@@ -1068,17 +1071,12 @@ class FaceGraph:
         self.leaving = leaving = [0] * len(nodes)
         self.at_node = at_node = [0] * len(nodes)
         from_tips = 0
-        colors, edges = model.colors, model.edges
-        for i, (e, s, t) in enumerate(an.arrows):  # arrows are in edge order
+        for i, ((_, s, t), (black, white)) in enumerate(zip(an.arrows, an.black_white)):
             ebit = 1 << i
             adj[s].append((t, i, 1))
             adj[t].append((s, i, -1))
             # the arrow runs from the face right of the black-to-white dart
-            # to the face right of the white-to-black one; a tip takes the
-            # color opposite its node
-            a, b = edges[e]
-            black, white = (a, b) if (colors[a[1]] == BLACK if a[0] == "n"
-                                      else colors[b[1]] == WHITE) else (b, a)
+            # to the face right of the white-to-black one
             if base & ebit:
                 tail, head, left = black, white, t
             else:
@@ -1196,10 +1194,6 @@ class FaceGraph:
             low = low & keep | x & ~keep
         return low + top, high + top
 
-    def edge_names(self, mask: int) -> list[str]:
-        """The edges of a mask by name, in sorted order."""
-        return _edge_names(self.names, mask)
-
     def dual_route(self, mask: int) -> int:
         """The packed face weights from the dual-arrow system: ``constant``
         less one column per edge of the mask; then every residual field
@@ -1303,14 +1297,10 @@ class FaceGraph:
         flow = self.flow_route(mask)
         dual = self.dual_route(mask)
         if flow != dual:
-            raise self.mismatch(flow, dual)
+            raise ModelInvariantError(
+                "flow-weight-mismatch",
+                f"flow {self._named(flow)} vs matching {self._named(dual)}")
         return dual
-
-    def mismatch(self, flow: int, dual: int) -> ModelInvariantError:
-        """The error for packed flow and dual weights that differ."""
-        return ModelInvariantError(
-            "flow-weight-mismatch",
-            f"flow {self._named(flow)} vs matching {self._named(dual)}")
 
 
 def face_graph(model: PlabicModel) -> FaceGraph:
@@ -1366,19 +1356,17 @@ def flow_of_matching(model: PlabicModel, m, mstar=None):
     boundary-to-boundary paths and internal cycles.  Returns a list of
     components, each an ordered list of darts (edge_id, tail_end, head_end).
     """
+    an = analyze(model)
     if mstar is None:
         mstar = base_matching(model)
     m, mstar = set(m), set(mstar)
     diff = sorted(m ^ mstar)
+    black_white = dict(zip(an.edges, an.black_white))
     darts = {}
     out_of: dict = {}
     for e in diff:
-        ends = model.edges[e]
-        c0 = _end_color(model, ends, ends[0])
-        if e in mstar:
-            tail, head = (ends[0], ends[1]) if c0 == BLACK else (ends[1], ends[0])
-        else:
-            tail, head = (ends[0], ends[1]) if c0 == WHITE else (ends[1], ends[0])
+        black, white = black_white[e]
+        tail, head = (black, white) if e in mstar else (white, black)
         dart = (e, tail, head)
         darts[e] = dart
         if tail in out_of:

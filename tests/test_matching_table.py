@@ -372,17 +372,14 @@ class DenseRoutes:
         self.head, self.left = [], []
         self.leaving = [0] * len(nodes)
         self.from_tips = 0
-        for i, (e, s, t) in enumerate(an.arrows):
+        for i, ((e, s, t), (black, white)) in enumerate(zip(an.arrows, an.black_white)):
             ebit = 1 << i
             step = 1 if base & ebit else -1
             adj[s].append((t, ebit, step))
             adj[t].append((s, ebit, -step))
-            ends = model.edges[e]
-            first = plabic.BLACK if base & ebit else plabic.WHITE
-            if plabic._end_color(model, ends, ends[0]) == first:
-                tail, head, rev = ends[0], ends[1], (("e", e), 1)
-            else:
-                tail, head, rev = ends[1], ends[0], (("e", e), 0)
+            tail, head = (black, white) if base & ebit else (white, black)
+            # the dart from head to tail, which has the left face on its right
+            rev = (("e", e), model.edges[e].index(head))
             if tail[0] == "n":
                 self.leaving[nodes[tail[1]]] |= ebit
             else:
@@ -496,7 +493,8 @@ def assert_routes_equal_reference(model):
     matchings = plabic.enumerate_matchings(model)
     bit = {e: 1 << i for i, e in enumerate(edge_lattice(model))}
     assert table.masks == tuple(sum(map(bit.__getitem__, m)) for m in matchings)
-    assert table.boundary == tuple(boundary_value(model, m) for m in matchings)
+    assert [table.boundary_of(mask) for mask in table.masks] == [
+        boundary_value(model, m) for m in matchings]
     faces = plabic.analyze(model).faces
     mstar = base_matching(model)
     graph = plabic.face_graph(model)
@@ -511,8 +509,8 @@ def assert_routes_equal_reference(model):
         assert graph.weights(graph.flow_route(mask)) == reference
         assert graph.weights(graph.weigh(mask)) == reference
     for I in table.positroid:
-        assert table.masks_at(I) == tuple(
-            mask for mask, J in zip(table.masks, table.boundary) if J == I)
+        assert plabic.masks_at(model, I) == tuple(
+            mask for mask in table.masks if table.boundary_of(mask) == I)
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATED))
@@ -787,10 +785,10 @@ def test_weights_are_filled_per_boundary_value(weighings, monkeypatch):
     assert graphs == []  # nor the face graph
     flow_polynomial(model, I)
     for masks in weighings.values():
-        assert sorted(masks) == sorted(matching_table(model).masks_at(I))
+        assert sorted(masks) == sorted(matching_table(model).groups[I])
     flow_polynomial(model, I)
     for masks in weighings.values():
-        assert len(masks) == len(matching_table(model).masks_at(I))
+        assert len(masks) == len(matching_table(model).groups[I])
     flow_polynomial(model, (1, 2, 3))
     assert graphs == [model]  # one face graph serves every boundary value
 
@@ -848,11 +846,11 @@ def test_returned_collections_cannot_corrupt_the_table(monkeypatch):
     before = snapshot()
     table = matching_table(model)
     handed[0].clear()
-    list(table.masks_at(I)).clear()
+    list(plabic.masks_at(model, I)).clear()
     with pytest.raises(TypeError):
         table.groups[I] = ()
     with pytest.raises(TypeError):
-        table.masks_at(I)[0] = 0
+        plabic.masks_at(model, I)[0] = 0
     with pytest.raises(TypeError):
         table.masks[0] = 0
     assert snapshot() == before
@@ -886,7 +884,7 @@ def test_lists_of_one_boundary_value_are_the_table_groups(spec):
         total = 0
         for I in ksubsets(model.n, model.k):
             masks = plabic.matching_masks(model, I)
-            assert masks == list(table.masks_at(I))
+            assert masks == list(table.groups.get(I, ()))
             total += len(masks)
         assert total == len(table.masks)
         assert plabic.base_value(model) == lex_max(table.positroid)
@@ -901,11 +899,11 @@ def test_masks_at_lists_one_boundary_value_without_the_table():
     # the face graph's base matching is the one matching of the base value
     assert plabic.face_graph(model).base == plabic.masks_at(model, (4, 5, 6))[0]
     assert analyze(model).kept("matching table") is None
-    assert masks == matching_table(model).masks_at(I)
-    assert plabic.masks_at(model, I) is matching_table(model).masks_at(I)
+    assert masks == matching_table(model).groups[I]
+    assert plabic.masks_at(model, I) is matching_table(model).groups[I]
     # an unsorted value names no boundary value on either route
     assert plabic.matching_masks(model, (6, 4, 2)) == []
-    assert matching_table(model).masks_at((6, 4, 2)) == ()
+    assert plabic.masks_at(model, (6, 4, 2)) == ()
 
 
 def test_the_base_value_search_checks_the_boundary_size():
@@ -925,6 +923,27 @@ def test_two_forced_stubs_at_one_node_leave_no_matching():
     assert {4, 5} <= analyze(model).anticlockwise
     assert plabic.matching_masks(model, (4, 5)) == []
     assert [I for I in ksubsets(5, 2) if I not in positroid(model)] == [(4, 5)]
+
+
+@pytest.mark.parametrize("spec", ["shark", "rect:2,5", "rect:2,6", "rect:3,6",
+                                  "rect:3,7", "rect:4,8"])
+def test_the_boundary_sense_decodes_what_it_encodes(spec):
+    # for every k-subset I: decoding the stub bits of I gives I back, every
+    # matching with value I uses exactly those stubs, and a value outside
+    # the positroid (such as the shark's 45) lists no matching
+    for model in square_move_orbit(spec, 1):
+        fr = plabic._frontier(model)
+        stubs = sum(ebit for _, ebit, _ in fr.stubs)
+        groups = matching_table(model).groups
+        for I in ksubsets(model.n, model.k):
+            bits = fr.stub_bits(I)
+            assert bits & ~stubs == 0
+            assert fr.boundary(bits) == I
+            masks = plabic.matching_masks(model, I)
+            assert masks == list(groups.get(I, ()))
+            assert all(mask & stubs == bits for mask in masks)
+        if spec == "shark":
+            assert (4, 5) not in groups
 
 
 def test_a_base_value_off_the_table_is_refused(monkeypatch):
