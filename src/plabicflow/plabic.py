@@ -424,8 +424,9 @@ def analyze(model: PlabicModel) -> Analysis:
     black_white, arrows = [], []
     for e in edges:
         a, b = ends = model.edges[e]
-        d = 0 if (model.colors[a[1]] == BLACK if a[0] == "n"
-                  else model.colors[b[1]] == WHITE) else 1
+        black0 = (model.colors[a[1]] == BLACK if a[0] == "n"
+                  else model.colors[b[1]] == WHITE)
+        d = 0 if black0 else 1
         black_white.append((ends[d], ends[1 - d]))
         arrows.append((e, face_of_dart[(("e", e), d)], face_of_dart[(("e", e), 1 - d)]))
     black_white = tuple(black_white)
