@@ -73,9 +73,10 @@ End = tuple[str, object]
 
 @dataclass(frozen=True)
 class PlabicModel:
-    """A model.  Its maps are read-only copies taken at construction, so
-    nothing derived from a model can go stale; ``analyze`` is the one
-    writer of ``_analysis``, which stays None until the model is analysed."""
+    """A model.  Its maps are read-only copies taken at construction, and
+    every field of its analysis but the memo is read-only, so nothing
+    derived from a model can go stale: what it is derived from cannot
+    change.  ``analyze`` alone sets ``_analysis``, None until then."""
 
     k: int
     n: int
@@ -103,16 +104,18 @@ class Face:
 
 @dataclass(frozen=True)
 class Analysis:
-    faces: list[Face]
-    face_of_dart: dict  # dart -> face index (outer face excluded)
-    label_to_face: dict
+    """A model's faces, labels, dual arrows and boundary orientation, each
+    recorded once in a read-only field.  The one mutable part is
+    ``_derived``, the memo that only ``derive`` writes."""
+
+    faces: tuple[Face, ...]
+    face_of_dart: Mapping  # dart -> face index (outer face excluded)
+    label_to_face: Mapping[KSubset, int]
     star: int
     edges: tuple[str, ...]  # the edge order, made by ``_edge_order``
     black_white: tuple[tuple[End, End], ...]  # (black end, white end) by edge
-    arrows: list[tuple[str, int, int]]  # (edge id, source face, target face)
-    stub: dict[int, str]  # boundary label -> edge id
-    gap_face: dict[int, int]
-    anticlockwise: set[int]
+    arrows: tuple[tuple[str, int, int], ...]  # (edge id, source face, target face)
+    anticlockwise: frozenset[int]
     lattice: tuple[KSubset, ...]  # face labels in subset order
     adjacency: FaceAdjacency
     _derived: dict = field(default_factory=dict, repr=False, compare=False)
@@ -147,17 +150,14 @@ class FaceAdjacency:
     edge bits."""
 
     def __init__(self, F: int, arrows):
-        self.nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
-        self.around = [0] * F
-        self.edges_at = [0] * F
+        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
         for i, (_, s, t) in enumerate(arrows):
-            sbit, tbit, ebit = 1 << s, 1 << t, 1 << i
-            self.nbrs[s].append((tbit, ebit))
-            self.nbrs[t].append((sbit, ebit))
-            self.around[s] |= tbit
-            self.around[t] |= sbit
-            self.edges_at[s] |= ebit
-            self.edges_at[t] |= ebit
+            nbrs[s].append((1 << t, 1 << i))
+            nbrs[t].append((1 << s, 1 << i))
+        self.nbrs: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, nbrs))
+        # distinct bits sum to their union
+        self.around = tuple(sum({fbit for fbit, _ in nb}) for nb in self.nbrs)
+        self.edges_at = tuple(sum({ebit for _, ebit in nb}) for nb in self.nbrs)
 
     def region(self, seeds: int, blocked: int) -> int:
         """The faces reached from the face mask ``seeds`` across edges
@@ -429,7 +429,7 @@ def analyze(model: PlabicModel) -> Analysis:
         d = 0 if black0 else 1
         black_white.append((ends[d], ends[1 - d]))
         arrows.append((e, face_of_dart[(("e", e), d)], face_of_dart[(("e", e), 1 - d)]))
-    black_white = tuple(black_white)
+    black_white, arrows = tuple(black_white), tuple(arrows)
 
     adjacency = FaceAdjacency(len(orbits), arrows)
     faces: list[Face] = []
@@ -463,16 +463,14 @@ def analyze(model: PlabicModel) -> Analysis:
             )
 
     analysis = Analysis(
-        faces,
-        face_of_dart,
-        label_to_face,
+        tuple(faces),
+        MappingProxyType(face_of_dart),
+        MappingProxyType(label_to_face),
         star,
         edges,
         black_white,
         arrows,
-        stub_of,
-        gap_face,
-        anticlockwise,
+        frozenset(anticlockwise),
         tuple(sorted(label_to_face)),
         adjacency,
     )
@@ -929,10 +927,10 @@ def enumerate_matchings(model: PlabicModel) -> list[frozenset]:
 
 def boundary_value(model: PlabicModel, m) -> KSubset:
     """The k-subset cut out on the boundary by a matching."""
-    stub, fr = analyze(model).stub, _frontier(model)
+    edges, fr = analyze(model).edges, _frontier(model)
     m = set(m)
     return _sized(model, fr.boundary(
-        sum(ebit for l, ebit, _ in fr.stubs if stub[l] in m)))
+        sum(ebit for _, ebit, _ in fr.stubs if edges[ebit.bit_length() - 1] in m)))
 
 
 class MatchingTable:
@@ -1462,13 +1460,13 @@ def check_model(model: PlabicModel) -> None:
     if not pos:
         raise ModelInvariantError("no-matchings")
     neck = necklace_of_positroid(pos, model.n)
-    for l in range(1, model.n + 1):
-        nxt = 1 if l == model.n else l + 1
-        got = an.faces[an.gap_face[l]].label
-        if got != neck[nxt - 1]:
+    # the gap faces in ascending l: gap face l carries the necklace's l + 1
+    for f in sorted((f for f in an.faces if f.gap), key=lambda f: f.gap):
+        l, got, want = f.gap, f.label, neck[f.gap % model.n]
+        if got != want:
             raise ModelInvariantError(
                 "gap-necklace-mismatch",
-                f"gap face {l} labelled {got}, necklace says {neck[nxt - 1]}",
+                f"gap face {l} labelled {got}, necklace says {want}",
             )
     if not pairwise_weakly_separated([f.label for f in an.faces], model.n):
         raise ModelInvariantError("labels-not-weakly-separated")
@@ -1769,12 +1767,10 @@ def build_rectangles_model(k: int, n: int) -> PlabicModel:
             raise ModelInvariantError("rect-build", f"arrow {a} in {len(nodes)} cycles")
 
     model = PlabicModel(k, n, colors, edges, rot, frozenset({"istar", "scol", "srow"}))
-    an = analyze(model)
-    # the boundary gap faces must carry the cyclic-interval labels
-    for l in range(1, n + 1):
-        nxt = 1 if l == n else l + 1
+    # the boundary gap faces, by l, must carry the cyclic-interval labels
+    for f in sorted((f for f in analyze(model).faces if f.gap), key=lambda f: f.gap):
+        l, got, nxt = f.gap, f.label, f.gap % n + 1
         want = tuple(sorted(cyclic_interval(nxt, (nxt + k - 2) % n + 1, n)))
-        got = an.faces[an.gap_face[l]].label
         if got != want:
             raise ModelInvariantError(
                 "gap-necklace-mismatch", f"rect({k},{n}) gap {l}: {got} != {want}"

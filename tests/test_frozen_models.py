@@ -18,6 +18,34 @@ def test_model_fields_cannot_be_rebound():
         analyze(model).faces[0].label = (1, 2)
 
 
+def test_an_analysis_refuses_every_edit():
+    # the frontier is built first: it copies the boundary orientation, so
+    # an edit that went through would be silently ignored from here on
+    model = shark_model()
+    plabic.matching_masks(model)
+    an = analyze(model)
+    base = plabic.base_value(model)
+    with pytest.raises(AttributeError):
+        an.anticlockwise.add(2)
+    with pytest.raises(TypeError):
+        an.faces[0] = an.faces[1]
+    with pytest.raises(TypeError):
+        an.arrows[0] = an.arrows[1]
+    with pytest.raises(TypeError):
+        an.label_to_face[an.lattice[0]] = 1
+    with pytest.raises(TypeError):
+        an.face_of_dart[next(iter(an.face_of_dart))] = 1
+    with pytest.raises(TypeError):
+        an.adjacency.nbrs[0] = ()
+    with pytest.raises(TypeError):
+        an.adjacency.around[0] = 0
+    with pytest.raises(TypeError):
+        an.adjacency.edges_at[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        an.anticlockwise = frozenset({2})
+    assert base == plabic.base_value(model) == (3, 5)
+
+
 @pytest.mark.parametrize("field", ["colors", "edges", "rot"])
 def test_model_maps_are_read_only(field):
     model = shark_model()

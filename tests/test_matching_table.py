@@ -906,10 +906,12 @@ def test_masks_at_lists_one_boundary_value_without_the_table():
     assert plabic.masks_at(model, (6, 4, 2)) == ()
 
 
-def test_the_base_value_search_checks_the_boundary_size():
-    # with 2 taken for anticlockwise, the shark's least sum is the 1-subset 5
+def test_the_base_value_search_checks_the_boundary_size(monkeypatch):
+    # with 2 taken for anticlockwise, the shark's least sum is the 1-subset 5;
+    # the analysis is read-only, so the search is handed a broken frontier
     model = shark_model()
-    analyze(model).anticlockwise.add(2)
+    broken = plabic._Frontier(model, analyze(model).anticlockwise | {2})
+    monkeypatch.setattr(plabic, "_frontier", lambda m: broken)
     with pytest.raises(ModelInvariantError) as err:
         plabic.base_value(model)
     assert err.value.violation == "boundary-size"
