@@ -25,8 +25,10 @@ math/0609764), is encoded and decoded by the matching frontier
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 
 from .combinat import (
@@ -143,21 +145,16 @@ class Analysis:
         return self._derived.get(key)
 
 
+@dataclass(frozen=True)
 class FaceAdjacency:
     """Faces joined across the dual arrows, with edge bit i for arrow i:
     ``nbrs[f]`` holds (face bit, edge bit) per arrow at face f,
     ``around[f]`` the union of those face bits and ``edges_at[f]`` of the
-    edge bits."""
+    edge bits.  ``analyze`` builds it with the arrows."""
 
-    def __init__(self, F: int, arrows):
-        nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
-        for i, (_, s, t) in enumerate(arrows):
-            nbrs[s].append((1 << t, 1 << i))
-            nbrs[t].append((1 << s, 1 << i))
-        self.nbrs: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, nbrs))
-        # distinct bits sum to their union
-        self.around = tuple(sum({fbit for fbit, _ in nb}) for nb in self.nbrs)
-        self.edges_at = tuple(sum({ebit for _, ebit in nb}) for nb in self.nbrs)
+    nbrs: tuple[tuple[tuple[int, int], ...], ...]
+    around: tuple[int, ...]
+    edges_at: tuple[int, ...]
 
     def region(self, seeds: int, blocked: int) -> int:
         """The faces reached from the face mask ``seeds`` across edges
@@ -188,134 +185,34 @@ def _other_end(ends: tuple[End, End], here: End) -> End:
     raise ValueError(f"{here} not an end of {ends}")
 
 
-def _closed_rotation_system(model: PlabicModel):
-    """Rotations for the disc closed up with virtual tips and arcs.
-
-    Returns (rots, ends, stub_of) over vertex keys ("n", id) / ("t", l) and
-    edge keys ("e", id) / ("a", l), where arc l joins tips l and l+1
-    (cyclically) and stub_of[l] is the edge at tip l.
-    """
-    n = model.n
-    stub_of: dict[int, str] = {}
-    for e, (a, b) in model.edges.items():
-        for end in (a, b):
-            if end[0] == "t":
-                if end[1] in stub_of:
-                    raise ModelInvariantError(
-                        "duplicate-boundary-label", f"label {end[1]}"
-                    )
-                stub_of[end[1]] = e
-    # checked before anything is built per boundary label, so a huge n in
-    # the kn line costs nothing
-    if len(stub_of) != n or set(stub_of) != set(range(1, n + 1)):
-        raise ModelInvariantError(
-            "bad-boundary-labels",
-            f"have {sorted(stub_of)}, expected 1..{n}",
-        )
-    ends: dict = {("e", e): ab for e, ab in model.edges.items()}
-    for l in range(1, n + 1):
-        nxt = 1 if l == n else l + 1
-        ends[("a", l)] = (("t", l), ("t", nxt))
-
-    rots: dict = {}
-    for v, r in model.rot.items():
-        rots[("n", v)] = [("e", e) for e in r]
-    for l in range(1, n + 1):
-        prev = n if l == 1 else l - 1
-        rots[("t", l)] = [("a", prev), ("e", stub_of[l]), ("a", l)]
-    return rots, ends, stub_of
+def _tip_vertex(e: str, end, V: int, n: int) -> int:
+    """The vertex int of an edge end that names no node: tip l is V + l - 1.
+    Raises the violation of an end that is neither a node nor a tip."""
+    if end[0] == "n":
+        raise ModelInvariantError("unknown-node", f"edge {e}: {end[1]}")
+    if end[0] != "t":
+        raise ModelInvariantError("bad-end", f"edge {e}: {end}")
+    if not (1 <= end[1] <= n):
+        raise ModelInvariantError("bad-boundary-labels", f"edge {e}: label {end[1]}")
+    return V + end[1] - 1
 
 
-def _dart_successors(rots, ends) -> dict:
-    """The next dart of each dart's face: at its head, the edge after it
-    in the counterclockwise rotation, leaving the head.  A bijection on
-    the darts, as every rotation lists each edge at its node once."""
-    succ = {}
-    for head, r in rots.items():
-        for i, ekey in enumerate(r):
-            nxt = r[(i + 1) % len(r)]
-            succ[(ekey, 0 if ends[ekey][1] == head else 1)] = (
-                nxt, 0 if ends[nxt][0] == head else 1)
-    return succ
+# Edge ids whose ``str(("e", id))`` sorts as the id does: printable ASCII
+# above the quote, no backslash, so ``repr`` writes them as they are and
+# the closing quote sorts below every character of an id.
+_PLAIN_IDS = re.compile(r"[(-\[\]-~]*")
 
 
-def _trace_faces(model: PlabicModel):
-    """All dart orbits of the closed surface but the outer face.
-
-    Returns (orbits, stub_of) where each orbit is the ordered dart list of
-    one face (the face lies on the right of each of its darts).  Only a
-    model that passed ``_validate_raw`` may be traced.  The outer face is
-    the one orbit of arcs alone: each arc run from tip l to tip l + 1 turns
-    into stub l + 1, and the arcs run the other way close up.
-    """
-    rots, ends, stub_of = _closed_rotation_system(model)
-    succ = _dart_successors(rots, ends)
-    orbits = []
-    for ek in sorted(ends, key=str):
-        for start in ((ek, 0), (ek, 1)):
-            if start not in succ:
-                continue  # on an orbit already traced
-            orbit = [start]
-            cur = succ.pop(start)
-            while cur != start:
-                orbit.append(cur)
-                cur = succ.pop(cur)
-            if any(e[0] == "e" for e, _ in orbit):
-                orbits.append(orbit)
-    return orbits, stub_of
-
-
-def _validate_raw(model: PlabicModel):
-    for v, c in model.colors.items():
-        if c not in (BLACK, WHITE):
-            raise ModelInvariantError("bad-color", f"node {v}: {c}")
-    if set(model.rot) != set(model.colors):
-        raise ModelInvariantError("rotation-coverage", "rot keys != node set")
-    incident: dict[str, list[str]] = {v: [] for v in model.colors}
-    for e, (a, b) in model.edges.items():
-        for end in (a, b):
-            if end[0] == "n":
-                if end[1] not in model.colors:
-                    raise ModelInvariantError("unknown-node", f"edge {e}: {end[1]}")
-                incident[end[1]].append(e)
-            elif end[0] == "t":
-                if not (1 <= end[1] <= model.n):
-                    raise ModelInvariantError(
-                        "bad-boundary-labels", f"edge {e}: label {end[1]}"
-                    )
-            else:
-                raise ModelInvariantError("bad-end", f"edge {e}: {end}")
-        if a[0] == "n" and b[0] == "n":
-            if model.colors[a[1]] == model.colors[b[1]]:
-                raise ModelInvariantError("bipartite", f"edge {e} joins equal colors")
-        if a[0] == "t" and b[0] == "t":
-            raise ModelInvariantError("edge-both-boundary", f"edge {e}")
-    for v in model.colors:
-        if sorted(model.rot[v]) != sorted(incident[v]):
-            raise ModelInvariantError(
-                "rotation-mismatch",
-                f"node {v}: rot {model.rot[v]} vs incident {sorted(incident[v])}",
-            )
-    # connectivity over internal nodes and tips
-    adj: dict = {}
-    for e, (a, b) in model.edges.items():
-        ka = (a[0], a[1])
-        kb = (b[0], b[1])
-        adj.setdefault(ka, set()).add(kb)
-        adj.setdefault(kb, set()).add(ka)
-    if adj:
-        start = next(iter(adj))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        want = set(adj) | {("n", v) for v in model.colors}
-        if seen != want:
-            raise ModelInvariantError("disconnected", f"missing {want - seen}")
+def _trace_order(edges: tuple[str, ...], n: int) -> list[int]:
+    """The keys in the order their orbits are traced, which numbers the
+    faces: the closed keys ("a", l) and ("e", id) sorted by ``str``.  That
+    puts the arcs first, by str(l); plain edge ids then come in the edge
+    order."""
+    E = len(edges)
+    arcs = [E + l - 1 for l in sorted(range(1, n + 1), key=str)]
+    if _PLAIN_IDS.fullmatch("".join(edges)):
+        return arcs + list(range(E))
+    return arcs + sorted(range(E), key=lambda x: str(("e", edges[x])))
 
 
 def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
@@ -342,44 +239,36 @@ def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
     return hits[0]
 
 
-def _trip_labels(model: PlabicModel, black_white, arrows, stub_of,
-                 adjacency: FaceAdjacency) -> list[tuple[int, ...]]:
+def _trip_labels(n: int, F: int, starts: list[int], trip: list[int],
+                 face: list[int], tail: list[int], V: int, region) -> list[list[int]]:
     """Postnikov's target labelling, read off the trips.
 
-    The trip from tip l enters the graph along stub l; at a black node it
-    leaves by the previous edge of the counterclockwise rotation, at a
-    white node by the next one, until it reaches a tip j.  A face carries j
-    iff it lies left of the trip ending at j: the faces left of the trip's
-    darts, flooded across every edge the trip does not use.  Returns the
-    sorted label of each face by index.
+    The trip from tip l leaves it by the dart ``starts[l]`` and follows
+    ``trip`` until it reaches a tip j.  A face carries j iff it lies left of
+    the trip ending at j: the faces left of the trip's darts (right of their
+    reverses), flooded across every edge the trip does not use.  Returns the
+    label of each face, ascending, by face index.
     """
-    index = {e: i for i, (e, _, _) in enumerate(arrows)}
-    edges, rot, colors = model.edges, model.rot, model.colors
-    left = [0] * (model.n + 1)  # j -> mask of the faces left of trip j
-    for l in range(1, model.n + 1):
-        e, here = stub_of[l], ("t", l)
-        from_black = black_white[index[e]][0] == here
+    left = [0] * (n + 1)  # j -> mask of the faces left of trip j
+    for l in range(1, n + 1):
+        d = starts[l]
         path = seeds = 0
         while True:
-            i = index[e]
-            path |= 1 << i
-            # the arrow of edge i runs from the face right of its black-to-
-            # white dart to the face right of its white-to-black dart
-            _, s, t = arrows[i]
-            seeds |= 1 << (t if from_black else s)
-            a, there = edges[e]
-            if a != here:
-                there = a
-            if there[0] == "t":
+            path |= 1 << (d >> 1)
+            seeds |= 1 << face[d ^ 1]
+            nxt = trip[d]
+            if nxt < 0:
                 break
-            here = there
-            r = rot[there[1]]
-            from_black = colors[there[1]] == BLACK
-            i = r.index(e)
-            e = r[i - 1] if from_black else r[(i + 1) % len(r)]
-        left[there[1]] = adjacency.region(seeds, path)
-    return [tuple(j for j in range(1, model.n + 1) if left[j] >> f & 1)
-            for f in range(len(adjacency.around))]
+            d = nxt
+        left[tail[d ^ 1] - V + 1] = region(seeds, path)
+    labels: list[list[int]] = [[] for _ in range(F)]
+    for j in range(1, n + 1):
+        mask = left[j]
+        while mask:
+            low = mask & -mask
+            labels[low.bit_length() - 1].append(j)
+            mask ^= low
+    return labels
 
 
 def _edge_order(model: PlabicModel) -> tuple[str, ...]:
@@ -391,85 +280,225 @@ def _edge_order(model: PlabicModel) -> tuple[str, ...]:
 
 
 def analyze(model: PlabicModel) -> Analysis:
+    """The model's analysis, made on the first call and kept on the model.
+
+    One pass over integer darts.  The disc is closed up with a tip per
+    boundary label and an arc per l = 1..n, from tip l to tip l + 1
+    (cyclically); tip l's rotation is arc l - 1, stub l, arc l.  The keys
+    are the edges, in ``Analysis.edges`` order, then the arcs 1..n, and
+    dart 2x + d runs along key x from its end d to its end 1 - d.  Node i
+    of ``colors`` is vertex i and tip l is vertex V + l - 1.  One walk of
+    each rotation gives every dart arriving at a vertex its face successor,
+    the next edge counterclockwise, leaving, and, at a node, its trip
+    successor: the previous edge at a black node, the next at a white one.
+    The faces are the successor's orbits but the outer one (every arc run
+    backwards), numbered in the ``str`` order of their first keys.
+
+    A model that breaks an invariant raises ModelInvariantError naming it,
+    first found first: a color, the rotation keys, each edge's ends (in
+    ``edges`` order, then its color classes), each node's rotation against
+    its edges, connectivity, the boundary labels, the gap faces, each
+    face's label, the star and the boundary arrows.
+    """
     if model._analysis is not None:
         return model._analysis
-    _validate_raw(model)
-    orbits, stub_of = _trace_faces(model)
+    k, n, colors, rot, model_edges = model.k, model.n, model.colors, model.rot, model.edges
+    for v, c in colors.items():
+        if c not in (BLACK, WHITE):
+            raise ModelInvariantError("bad-color", f"node {v}: {c}")
+    if rot.keys() != colors.keys():
+        raise ModelInvariantError("rotation-coverage", "rot keys != node set")
 
-    face_of_dart: dict = {}
-    gaps: list[int | None] = []
-    for i, orbit in enumerate(orbits):
-        gap = None
-        for ek, d in orbit:
-            if ek[0] == "a":
-                if gap is not None and gap != ek[1]:
-                    raise ModelInvariantError(
-                        "gap-structure", f"face with two arcs {gap},{ek[1]}"
-                    )
-                gap = ek[1]
-        gaps.append(gap)
-        for dart in orbit:
-            face_of_dart[dart] = i
-
-    gap_face = {g: i for i, g in enumerate(gaps) if g is not None}
-    if set(gap_face) != set(range(1, model.n + 1)):
-        raise ModelInvariantError("gap-structure", f"gap faces {sorted(gap_face)}")
-
-    # the one place that says which end of an edge is black (_validate_raw
-    # has checked the colors; a tip takes the color opposite its node), and
-    # one dual arrow per edge, from the face right of its black-to-white
-    # dart (dart d runs ends[d] -> ends[1 - d]) to the face right of its
-    # white-to-black one
+    V = len(colors)
+    vertex = {v: i for i, v in enumerate(colors)}
+    black = [c == BLACK for c in colors.values()]
     edges = _edge_order(model)
-    black_white, arrows = [], []
-    for e in edges:
-        a, b = ends = model.edges[e]
-        black0 = (model.colors[a[1]] == BLACK if a[0] == "n"
-                  else model.colors[b[1]] == WHITE)
-        d = 0 if black0 else 1
-        black_white.append((ends[d], ends[1 - d]))
-        arrows.append((e, face_of_dart[(("e", e), d)], face_of_dart[(("e", e), 1 - d)]))
-    black_white, arrows = tuple(black_white), tuple(arrows)
+    E = len(edges)
+    key = {e: x for x, e in enumerate(edges)}
+    tail = [0] * (2 * E)  # the vertex each dart of an edge leaves
+    leaving: list[dict[str, int]] = [{} for _ in range(V)]  # edge id -> dart out
+    joined: list[list[int]] = [[] for _ in range(V + n)]
+    stub_of: dict[int, int] = {}  # tip label -> key of its edge
+    duplicate = None  # the first tip label met twice
+    for e, (a, b) in model_edges.items():
+        u = vertex.get(a[1]) if a[0] == "n" else None
+        if u is None:
+            u = _tip_vertex(e, a, V, n)
+        w = vertex.get(b[1]) if b[0] == "n" else None
+        if w is None:
+            w = _tip_vertex(e, b, V, n)
+        x = key[e]
+        tail[2 * x], tail[2 * x + 1] = u, w
+        if u < V and w < V:
+            if black[u] == black[w]:
+                raise ModelInvariantError("bipartite", f"edge {e} joins equal colors")
+            leaving[u][e], leaving[w][e] = 2 * x, 2 * x + 1
+        else:
+            if u >= V and w >= V:
+                raise ModelInvariantError("edge-both-boundary", f"edge {e}")
+            if u < V:
+                leaving[u][e], l = 2 * x, w - V + 1
+            else:
+                leaving[w][e], l = 2 * x + 1, u - V + 1
+            if l not in stub_of:
+                stub_of[l] = x
+            elif duplicate is None:
+                duplicate = l
+        joined[u].append(w)
+        joined[w].append(u)
 
-    adjacency = FaceAdjacency(len(orbits), arrows)
+    succ = [0] * (2 * (E + n))  # dart -> the next dart of the face on its right
+    trip = [-1] * (2 * E)  # dart into a node -> the dart its trip leaves by
+    for u, v in enumerate(colors):
+        r, out = rot[v], leaving[u]
+        if len(r) != len(out) or out.keys() != set(r):
+            raise ModelInvariantError(
+                "rotation-mismatch", f"node {v}: rot {r} vs incident {sorted(out)}")
+        if not r:
+            continue
+        prev = out[r[-1]]
+        if black[u]:
+            for e in r:
+                d = out[e]
+                succ[prev ^ 1] = d
+                trip[d ^ 1] = prev
+                prev = d
+        else:
+            for e in r:
+                d = out[e]
+                succ[prev ^ 1] = trip[prev ^ 1] = d
+                prev = d
+
+    if model_edges:
+        start = tail[2 * key[next(iter(model_edges))]]
+        seen = [False] * (V + n)
+        seen[start] = True
+        todo = [start]
+        while todo:
+            for w in joined[todo.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    todo.append(w)
+        if seen.count(True) != V + len(stub_of):
+            names = list(colors)
+            missing = sorted(("n", names[u]) if u < V else ("t", u - V + 1)
+                             for u in range(V + n) if not seen[u] and (u < V or joined[u]))
+            raise ModelInvariantError("disconnected", f"missing {missing}")
+    if duplicate is not None:
+        raise ModelInvariantError("duplicate-boundary-label", f"label {duplicate}")
+    # checked before anything is built per boundary label, so a huge n in
+    # the kn line costs nothing
+    if len(stub_of) != n or set(stub_of) != set(range(1, n + 1)):
+        raise ModelInvariantError(
+            "bad-boundary-labels", f"have {sorted(stub_of)}, expected 1..{n}")
+
+    starts = [0] * (n + 1)  # tip l -> its stub's dart out of it
+    for l in range(1, n + 1):
+        x = stub_of[l]
+        starts[l] = d = 2 * x if tail[2 * x] == V + l - 1 else 2 * x + 1
+        arc, arc_back = 2 * (E + l - 1), 2 * (E + (l - 2) % n) + 1
+        succ[arc_back ^ 1] = d
+        succ[d ^ 1] = arc
+        succ[arc ^ 1] = arc_back
+
+    # every arc run backwards, tip l + 1 to tip l, is the outer face
+    face = [-1] * (2 * (E + n))
+    face[2 * E + 1::2] = [-2] * n
+    orbits: list[list[int]] = []
+    for x in _trace_order(edges, n):
+        for start in (2 * x, 2 * x + 1):
+            if face[start] != -1:
+                continue  # on an orbit already traced
+            f = len(orbits)
+            orbit = [start]
+            face[start] = f
+            d = succ[start]
+            while d != start:
+                orbit.append(d)
+                face[d] = f
+                d = succ[d]
+            orbits.append(orbit)
+    F = len(orbits)
+    gap: list[int | None] = [None] * F
+    for l in range(1, n + 1):
+        f = face[2 * (E + l - 1)]
+        if gap[f] is not None:
+            for orbit in orbits:
+                arcs = [(d >> 1) - E + 1 for d in orbit if d >= 2 * E]
+                if len(arcs) > 1:
+                    raise ModelInvariantError(
+                        "gap-structure", f"face with two arcs {arcs[0]},{arcs[1]}")
+        gap[f] = l
+    gap_face = {l: f for f, l in enumerate(gap) if l is not None}
+
+    # the one place that says which end of an edge is black (a tip takes the
+    # color opposite its node), and one dual arrow per edge, from the face
+    # right of its black-to-white dart to the face right of its
+    # white-to-black one
+    black_white, arrows = [], []
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
+    around, edges_at = [0] * F, [0] * F
+    for x, e in enumerate(edges):
+        ends = model_edges[e]
+        u = tail[2 * x]
+        if black[u] if u < V else not black[tail[2 * x + 1]]:
+            s, t = face[2 * x], face[2 * x + 1]
+        else:
+            s, t, ends = face[2 * x + 1], face[2 * x], ends[::-1]
+        black_white.append(ends)
+        arrows.append((e, s, t))
+        sbit, tbit, ebit = 1 << s, 1 << t, 1 << x
+        nbrs[s].append((tbit, ebit))
+        nbrs[t].append((sbit, ebit))
+        around[s] |= tbit
+        around[t] |= sbit
+        edges_at[s] |= ebit
+        edges_at[t] |= ebit
+    adjacency = FaceAdjacency(tuple(map(tuple, nbrs)), tuple(around), tuple(edges_at))
+
+    keys = [("e", e) for e in edges] + [("a", l) for l in range(1, n + 1)]
+    darts = [(kx, d) for kx in keys for d in (0, 1)]  # dart int -> dart
+    E2 = 2 * E
     faces: list[Face] = []
     label_to_face: dict = {}
-    for i, (orbit, label) in enumerate(zip(
-            orbits, _trip_labels(model, black_white, arrows, stub_of, adjacency))):
-        edge_ids = frozenset(ek[1] for ek, _ in orbit if ek[0] == "e")
-        if len(label) != model.k:
+    for f, (orbit, label) in enumerate(zip(
+            orbits, _trip_labels(n, F, starts, trip, face, tail, V, adjacency.region))):
+        label = tuple(label)
+        edge_ids = frozenset([edges[d >> 1] for d in orbit if d < E2])
+        if len(label) != k:
             raise ModelInvariantError(
                 "bad-label",
                 f"face bounded by {sorted(edge_ids)} lies left of "
-                f"{len(label)} trips, not k = {model.k}",
+                f"{len(label)} trips, not k = {k}",
             )
         if label in label_to_face:
-            raise ModelInvariantError("duplicate-label", format_ksubset(label, model.n))
-        label_to_face[label] = i
-        faces.append(Face(i, tuple(orbit), edge_ids, label, gaps[i]))
+            raise ModelInvariantError("duplicate-label", format_ksubset(label, n))
+        label_to_face[label] = f
+        faces.append(Face(f, tuple(map(darts.__getitem__, orbit)), edge_ids, label, gap[f]))
     star = _star_face(faces, gap_face, model.star_spec)
 
     # orientation class per boundary edge
-    anticlockwise = set()
-    arrow_of = {e: (s, t) for e, s, t in arrows}
-    for l in range(1, model.n + 1):
-        prev = model.n if l == 1 else l - 1
-        s, t = arrow_of[stub_of[l]]
+    anticlockwise = []
+    for l in range(1, n + 1):
+        prev = n if l == 1 else l - 1
+        _, s, t = arrows[stub_of[l]]
         if (s, t) == (gap_face[l], gap_face[prev]):
-            anticlockwise.add(l)
+            anticlockwise.append(l)
         elif (s, t) != (gap_face[prev], gap_face[l]):
             raise ModelInvariantError(
                 "boundary-arrow", f"stub {l} arrow {s}->{t} not between gap faces"
             )
 
+    in_order = list(chain.from_iterable(orbits))
     analysis = Analysis(
         tuple(faces),
-        MappingProxyType(face_of_dart),
+        MappingProxyType(dict(zip(map(darts.__getitem__, in_order),
+                                  map(face.__getitem__, in_order)))),
         MappingProxyType(label_to_face),
         star,
         edges,
-        black_white,
-        arrows,
+        tuple(black_white),
+        tuple(arrows),
         frozenset(anticlockwise),
         tuple(sorted(label_to_face)),
         adjacency,

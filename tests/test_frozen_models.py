@@ -42,6 +42,10 @@ def test_an_analysis_refuses_every_edit():
     with pytest.raises(TypeError):
         an.adjacency.edges_at[0] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
+        an.adjacency.around = (0,) * len(an.faces)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del an.adjacency.nbrs
+    with pytest.raises(dataclasses.FrozenInstanceError):
         an.anticlockwise = frozenset({2})
     assert base == plabic.base_value(model) == (3, 5)
 

@@ -5,16 +5,20 @@ of their own; these tests pin the derived labels against the labels those
 routes used to state: the rectangle formula, the labels written in the shark
 file, and labels carried through a square move along the surviving darts.
 Model files must agree with the trips, and any line edit of a model file
-either loads, saving back to a fixed point, or is refused with a named error.
+either loads, saving back to a fixed point, or is refused with a named error,
+alike on ``analyze`` and on its keyed oracle.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plabicflow import cli, seeds
+from analyze_oracle import analyze_oracle
+
+from plabicflow import cli, plabic, seeds
 from plabicflow.combinat import format_ksubset, ksubsets, parse_ksubset, rectangle_label
 from plabicflow.plabic import (
     SHARK_TEXT,
@@ -204,3 +208,20 @@ def test_load_model_edits_load_or_raise_named_errors(text):
         return
     saved = save_model(model)
     assert save_model(load_model(saved)) == saved
+
+
+def load_outcome(text):
+    """What loading ``text`` comes to: the model saved back, or the type,
+    violation and message of the error that refuses it."""
+    try:
+        return save_model(load_model(text))
+    except (ParseError, ModelInvariantError) as exc:
+        return type(exc), getattr(exc, "violation", None), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_model_text())
+def test_load_model_edits_come_out_alike_on_the_keyed_route(text):
+    got = load_outcome(text)
+    with mock.patch.object(plabic, "analyze", analyze_oracle):
+        assert load_outcome(text) == got
