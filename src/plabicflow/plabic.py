@@ -6,7 +6,10 @@ by rotation systems (counterclockwise edge order at each internal node) plus
 1..n clockwise.  Faces are recovered by closing the disc with virtual
 boundary arcs and tracing dart orbits; every face carries the k-subset
 label read off the model's trips, and one face is distinguished (the base
-face, written ``*`` informally).
+face, written ``*`` informally).  ``analyze`` does this in one pass over
+integer darts: dart 2x + d runs along edge or arc x, and one walk of each
+rotation gives every dart its face successor and, into a node, its trip
+successor (the previous edge at a black node, the next at a white one).
 
 The module provides the dimer-model layer: perfect matchings (internal
 nodes covered exactly once), their boundary values and face weights, the
@@ -284,21 +287,24 @@ def analyze(model: PlabicModel) -> Analysis:
 
     One pass over integer darts.  The disc is closed up with a tip per
     boundary label and an arc per l = 1..n, from tip l to tip l + 1
-    (cyclically); tip l's rotation is arc l - 1, stub l, arc l.  The keys
-    are the edges, in ``Analysis.edges`` order, then the arcs 1..n, and
-    dart 2x + d runs along key x from its end d to its end 1 - d.  Node i
-    of ``colors`` is vertex i and tip l is vertex V + l - 1.  One walk of
-    each rotation gives every dart arriving at a vertex its face successor,
-    the next edge counterclockwise, leaving, and, at a node, its trip
-    successor: the previous edge at a black node, the next at a white one.
-    The faces are the successor's orbits but the outer one (every arc run
-    backwards), numbered in the ``str`` order of their first keys.
+    (cyclically), and tip l's rotation is arc l - 1, stub l, arc l.  The
+    keys are the edges, in ``Analysis.edges`` order, then the arcs 1..n;
+    dart 2x + d runs along key x from its end d to its end 1 - d, so
+    dart ^ 1 is its reverse.  Node i of ``colors`` is vertex i and tip l is
+    vertex V + l - 1.  One walk of each rotation gives every dart into a
+    vertex its face successor, the dart out along the next edge
+    counterclockwise, and every dart into a node its trip successor, the
+    dart out along the previous edge at a black node and the next at a
+    white one.  The faces are the orbits of the face successor but the
+    outer one (the arcs run backwards), numbered in the ``str`` order of
+    the keys ("e", id) and ("a", l) they are traced from; ``Face.darts`` and
+    ``face_of_dart`` name dart 2x + d as (key, d) in that form.
 
     A model that breaks an invariant raises ModelInvariantError naming it,
-    first found first: a color, the rotation keys, each edge's ends (in
-    ``edges`` order, then its color classes), each node's rotation against
-    its edges, connectivity, the boundary labels, the gap faces, each
-    face's label, the star and the boundary arrows.
+    first found first: a color, the rotation keys, each edge's ends and
+    colors (in the model's edge order), each node's rotation against its
+    edges, connectivity, the boundary labels, the gap faces, each face's
+    label, the star and the boundary arrows.
     """
     if model._analysis is not None:
         return model._analysis
