@@ -445,13 +445,14 @@ def analyze(model: PlabicModel) -> Analysis:
     nbrs: list[list[tuple[int, int]]] = [[] for _ in range(F)]
     around, edges_at = [0] * F, [0] * F
     for x, e in enumerate(edges):
-        ends = model_edges[e]
+        a, b = model_edges[e]
         u = tail[2 * x]
         if black[u] if u < V else not black[tail[2 * x + 1]]:
             s, t = face[2 * x], face[2 * x + 1]
+            black_white.append((a, b))
         else:
-            s, t, ends = face[2 * x + 1], face[2 * x], ends[::-1]
-        black_white.append(ends)
+            s, t = face[2 * x + 1], face[2 * x]
+            black_white.append((b, a))
         arrows.append((e, s, t))
         sbit, tbit, ebit = 1 << s, 1 << t, 1 << x
         nbrs[s].append((tbit, ebit))
