@@ -323,7 +323,8 @@ def analyze(model: PlabicModel) -> Analysis:
     key = {e: x for x, e in enumerate(edges)}
     tail = [0] * (2 * E)  # the vertex each dart of an edge leaves
     leaving: list[dict[str, int]] = [{} for _ in range(V)]  # edge id -> dart out
-    joined: list[list[int]] = [[] for _ in range(V + n)]
+    # the vertices each node, and each tip an edge names, is joined to
+    joined: dict[int, list[int]] = {u: [] for u in range(V)}
     stub_of: dict[int, int] = {}  # tip label -> key of its edge
     duplicate = None  # the first tip label met twice
     for e, (a, b) in model_edges.items():
@@ -343,17 +344,19 @@ def analyze(model: PlabicModel) -> Analysis:
             if u >= V and w >= V:
                 raise ModelInvariantError("edge-both-boundary", f"edge {e}")
             if u < V:
-                leaving[u][e], l = 2 * x, w - V + 1
+                leaving[u][e], tip = 2 * x, w
             else:
-                leaving[w][e], l = 2 * x + 1, u - V + 1
+                leaving[w][e], tip = 2 * x + 1, u
+            l = tip - V + 1
             if l not in stub_of:
                 stub_of[l] = x
             elif duplicate is None:
                 duplicate = l
+            joined.setdefault(tip, [])
         joined[u].append(w)
         joined[w].append(u)
 
-    succ = [0] * (2 * (E + n))  # dart -> the next dart of the face on its right
+    succ = [0] * (2 * E)  # dart -> the next dart of the face on its right
     trip = [-1] * (2 * E)  # dart into a node -> the dart its trip leaves by
     for u, v in enumerate(colors):
         r, out = rot[v], leaving[u]
@@ -377,18 +380,17 @@ def analyze(model: PlabicModel) -> Analysis:
 
     if model_edges:
         start = tail[2 * key[next(iter(model_edges))]]
-        seen = [False] * (V + n)
-        seen[start] = True
+        seen = {start}
         todo = [start]
         while todo:
             for w in joined[todo.pop()]:
-                if not seen[w]:
-                    seen[w] = True
+                if w not in seen:
+                    seen.add(w)
                     todo.append(w)
-        if seen.count(True) != V + len(stub_of):
+        if len(seen) != len(joined):
             names = list(colors)
             missing = sorted(("n", names[u]) if u < V else ("t", u - V + 1)
-                             for u in range(V + n) if not seen[u] and (u < V or joined[u]))
+                             for u in joined if u not in seen)
             raise ModelInvariantError("disconnected", f"missing {missing}")
     if duplicate is not None:
         raise ModelInvariantError("duplicate-boundary-label", f"label {duplicate}")
@@ -398,6 +400,7 @@ def analyze(model: PlabicModel) -> Analysis:
         raise ModelInvariantError(
             "bad-boundary-labels", f"have {sorted(stub_of)}, expected 1..{n}")
 
+    succ += [0] * (2 * n)
     starts = [0] * (n + 1)  # tip l -> its stub's dart out of it
     for l in range(1, n + 1):
         x = stub_of[l]

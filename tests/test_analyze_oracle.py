@@ -11,6 +11,7 @@ same way there.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,24 @@ def test_broken_models_raise_alike(case):
         analyze_oracle(bare(model))
     assert (got.value.violation, got.value.detail) == (want.value.violation, want.value.detail)
     assert got.value.violation == case.split(",")[0]
+
+
+def test_a_huge_n_is_refused_before_anything_is_built_per_label():
+    # the kn line bounds n by nothing: the label check comes before any array
+    # over the tips or arcs is made
+    model = shark_with(n=10 ** 6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelInvariantError) as err:
+            analyze(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "bad-boundary-labels: have [1, 2, 3, 4, 5], expected 1..1000000"
+    assert peak < 10 ** 6
+    with pytest.raises(ModelInvariantError) as want:
+        analyze_oracle(model)
+    assert str(want.value) == str(err.value)
 
 
 def test_text_models_raise_alike():
