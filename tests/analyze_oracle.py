@@ -231,11 +231,10 @@ def analyze_oracle(model: PlabicModel) -> Analysis:
     if set(gap_face) != set(range(1, model.n + 1)):
         raise ModelInvariantError("gap-structure", f"gap faces {sorted(gap_face)}")
 
-    # the one place that says which end of an edge is black (_validate_raw
-    # has checked the colors; a tip takes the color opposite its node), and
-    # one dual arrow per edge, from the face right of its black-to-white
-    # dart (dart d runs ends[d] -> ends[1 - d]) to the face right of its
-    # white-to-black one
+    # which end of an edge is black (_validate_raw has checked the colors;
+    # a tip takes the color opposite its node), and one dual arrow per edge,
+    # from the face right of its black-to-white dart (dart d runs ends[d] ->
+    # ends[1 - d]) to the face right of its white-to-black one
     edges = tuple(sorted(model.edges))
     black_white, arrows = [], []
     for e in edges:
