@@ -189,8 +189,9 @@ def _other_end(ends: tuple[End, End], here: End) -> End:
 
 
 def _tip_vertex(e: str, end, V: int, n: int) -> int:
-    """The vertex int of an edge end that names no node: tip l is V + l - 1.
-    Raises the violation of an end that is neither a node nor a tip."""
+    """The vertex int of an edge end that names no known node: tip l is
+    V + l - 1.  Raises the violation of an unknown node, of an end that is
+    neither a node nor a tip, and of a label outside 1..n."""
     if end[0] == "n":
         raise ModelInvariantError("unknown-node", f"edge {e}: {end[1]}")
     if end[0] != "t":
