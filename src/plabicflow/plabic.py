@@ -28,7 +28,6 @@ math/0609764), is encoded and decoded by the matching frontier
 
 from __future__ import annotations
 
-import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
@@ -201,24 +200,6 @@ def _tip_vertex(e: str, end, V: int, n: int) -> int:
     return V + end[1] - 1
 
 
-# Edge ids whose ``str(("e", id))`` sorts as the id does: printable ASCII
-# above the quote, no backslash, so ``repr`` writes them as they are and
-# the closing quote sorts below every character of an id.
-_PLAIN_IDS = re.compile(r"[(-\[\]-~]*")
-
-
-def _trace_order(edges: tuple[str, ...], n: int) -> list[int]:
-    """The keys in the order their orbits are traced, which numbers the
-    faces: the closed keys ("a", l) and ("e", id) sorted by ``str``.  That
-    puts the arcs first, by str(l); plain edge ids then come in the edge
-    order."""
-    E = len(edges)
-    arcs = [E + l - 1 for l in sorted(range(1, n + 1), key=str)]
-    if _PLAIN_IDS.fullmatch("".join(edges)):
-        return arcs + list(range(E))
-    return arcs + sorted(range(E), key=lambda x: str(("e", edges[x])))
-
-
 def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
     """The face a star spec names: its bounding edge-id set (the text-format
     identity) or a single ("gap", l) token naming the gap face along
@@ -241,38 +222,6 @@ def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
     if not hits:
         raise ModelInvariantError("star-unmatched", f"{sorted(spec)}")
     return hits[0]
-
-
-def _trip_labels(n: int, F: int, starts: list[int], trip: list[int],
-                 face: list[int], tail: list[int], V: int, region) -> list[list[int]]:
-    """Postnikov's target labelling, read off the trips.
-
-    The trip from tip l leaves it by the dart ``starts[l]`` and follows
-    ``trip`` until it reaches a tip j.  A face carries j iff it lies left of
-    the trip ending at j: the faces left of the trip's darts (right of their
-    reverses), flooded across every edge the trip does not use.  Returns the
-    label of each face, ascending, by face index.
-    """
-    left = [0] * (n + 1)  # j -> mask of the faces left of trip j
-    for l in range(1, n + 1):
-        d = starts[l]
-        path = seeds = 0
-        while True:
-            path |= 1 << (d >> 1)
-            seeds |= 1 << face[d ^ 1]
-            nxt = trip[d]
-            if nxt < 0:
-                break
-            d = nxt
-        left[tail[d ^ 1] - V + 1] = region(seeds, path)
-    labels: list[list[int]] = [[] for _ in range(F)]
-    for j in range(1, n + 1):
-        mask = left[j]
-        while mask:
-            low = mask & -mask
-            labels[low.bit_length() - 1].append(j)
-            mask ^= low
-    return labels
 
 
 def _edge_order(model: PlabicModel) -> tuple[str, ...]:
@@ -414,8 +363,9 @@ def analyze(model: PlabicModel) -> Analysis:
     # every arc run backwards, tip l + 1 to tip l, is the outer face
     face = [-1] * (2 * (E + n))
     face[2 * E + 1::2] = [-2] * n
+    keys = [("e", e) for e in edges] + [("a", l) for l in range(1, n + 1)]
     orbits: list[list[int]] = []
-    for x in _trace_order(edges, n):
+    for x in sorted(range(E + n), key=lambda x: str(keys[x])):
         for start in (2 * x, 2 * x + 1):
             if face[start] != -1:
                 continue  # on an orbit already traced
@@ -467,13 +417,36 @@ def analyze(model: PlabicModel) -> Analysis:
         edges_at[t] |= ebit
     adjacency = FaceAdjacency(tuple(map(tuple, nbrs)), tuple(around), tuple(edges_at))
 
-    keys = [("e", e) for e in edges] + [("a", l) for l in range(1, n + 1)]
+    # Postnikov's target labelling, read off the trips.  The trip from tip l
+    # leaves it by starts[l] and follows ``trip`` until it reaches a tip j.
+    # A face carries j iff it lies left of that trip: the faces left of the
+    # trip's darts (right of their reverses), flooded across every edge the
+    # trip does not use.
+    left = [0] * (n + 1)  # j -> mask of the faces left of the trip ending at j
+    for l in range(1, n + 1):
+        d = starts[l]
+        path = seeds = 0
+        while True:
+            path |= 1 << (d >> 1)
+            seeds |= 1 << face[d ^ 1]
+            nxt = trip[d]
+            if nxt < 0:
+                break
+            d = nxt
+        left[tail[d ^ 1] - V + 1] = adjacency.region(seeds, path)
+    labels: list[list[int]] = [[] for _ in range(F)]
+    for j in range(1, n + 1):
+        mask = left[j]
+        while mask:
+            low = mask & -mask
+            labels[low.bit_length() - 1].append(j)
+            mask ^= low
+
     darts = [(kx, d) for kx in keys for d in (0, 1)]  # dart int -> dart
     E2 = 2 * E
     faces: list[Face] = []
     label_to_face: dict = {}
-    for f, (orbit, label) in enumerate(zip(
-            orbits, _trip_labels(n, F, starts, trip, face, tail, V, adjacency.region))):
+    for f, (orbit, label) in enumerate(zip(orbits, labels)):
         label = tuple(label)
         edge_ids = frozenset([edges[d >> 1] for d in orbit if d < E2])
         if len(label) != k:
