@@ -516,7 +516,7 @@ def _suite_weyl_count(model: PlabicModel, tag: str, level: int):
     k, n = model.k, model.n
     cone = cones.gt_inequalities(k, n)
     for r in range(level + 1):
-        got = len(cones.lattice_points(cone, r))
+        got = cones.count_lattice_points(cone, r)
         want = cones.weyl_dim(k, n, r)
         if got != want:
             return False, f"{tag} level {r}: {got} points != dimension {want}"

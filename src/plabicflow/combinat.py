@@ -15,7 +15,6 @@ or ``Quiver.vertices``.  For n <= 9 the two orders agree.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
 from operator import sub
@@ -191,8 +190,8 @@ def max_diag(J: KSubset, I: KSubset, n: int) -> int:
     cells of one shape on d, and the answer is the largest of these.
 
     Any sequences are accepted.  This computes one pair and keeps nothing;
-    the memo of tables over many pairs is ``_max_diag_row``.  A size
-    mismatch or a bad subset raises ValueError.
+    the memo of tables over many pairs is ``_max_diag_row``, keyed by the
+    bitmask of J.  A size mismatch or a bad subset raises ValueError.
 
     >>> max_diag((2, 4), (1, 3), 4)
     1
@@ -206,8 +205,8 @@ def max_diag(J: KSubset, I: KSubset, n: int) -> int:
 
 
 class _MaxDiagRow(dict):
-    """J -> max_diag(J, I, n) for one (I, n); an entry is computed on its
-    first request and kept."""
+    """mask(J) -> max_diag(J, I, n) for one (I, n), where mask(J) has bit x
+    set for each element x of J; entries are added by ``fill``."""
 
     __slots__ = ("I", "n")
 
@@ -215,9 +214,13 @@ class _MaxDiagRow(dict):
         super().__init__()
         self.I, self.n = I, n
 
-    def __missing__(self, J: KSubset) -> int:
-        value = self[J] = max_diag(J, self.I, self.n)
-        return value
+    def fill(self, pairs) -> None:
+        """Add the entry of each (mask, J) pair, J a tuple, that the row
+        lacks, in the order given.  A bad J, or a J of another size, raises
+        ValueError before its entry is made."""
+        for mask, J in pairs:
+            if mask not in self:
+                self[mask] = max_diag(J, self.I, self.n)
 
 
 # (I, n) -> its row; the one memo of MaxDiag, at most C(n,k)^2 entries per
@@ -225,14 +228,18 @@ class _MaxDiagRow(dict):
 _MAX_DIAG_ROWS: dict[tuple[KSubset, int], _MaxDiagRow] = {}
 
 
-def _max_diag_row(I: KSubset, n: int) -> Mapping[KSubset, int]:
-    """The memoised row of I: a mapping from a tuple J to max_diag(J, I, n),
-    filled on first request of each J, shared by every caller.
+def _max_diag_row(I: KSubset, n: int) -> _MaxDiagRow:
+    """The memoised row of I: a dict from the bitmask of a k-subset J (bit x
+    for element x) to max_diag(J, I, n), shared by every caller.  A miss
+    raises KeyError; ``row.fill(pairs)`` computes the missing entries of
+    (mask, J) pairs from the tuples J, so a mask is never decoded.  A caller reads a
+    whole column of J's with one ``operator.itemgetter`` over their masks.
 
     I must be a tuple.  A bad I raises ValueError on every call and leaves
-    no row behind.  Looking up a bad J, or a J of another size, raises
-    ValueError and leaves no entry behind.  The row is the package's to
-    fill: read it only.
+    no row behind.  Filling a bad J, or a J of another size, raises
+    ValueError and leaves no entry behind, so every key of a row is the
+    mask of a valid k-subset of [n].  The row is the package's to fill:
+    read it only.
     """
     row = _MAX_DIAG_ROWS.get((I, n))
     if row is None:

@@ -225,14 +225,17 @@ def _bound_source(rows, depth: int, lower: bool) -> list[str]:
 
 
 @lru_cache(maxsize=64)
-def _slice_kernel(ineqs: tuple[tuple[int, ...], ...], sign: int, nv: int):
+def _slice_kernel(ineqs: tuple[tuple[int, ...], ...], sign: int, nv: int,
+                  count: bool):
     """The enumerator of the level-r slices, r of this sign, of the cone
     with these rows over nv coordinates after the level; None when those
     slices are infeasible.
 
-    ``kernel(abs(r), r, unbounded)`` returns the points and raises
-    ``unbounded(i)`` on reaching a coordinate i with no lower or no upper
-    row.  Only ints and fixed names go into the generated source.
+    ``kernel(abs(r), r, unbounded)`` returns the points, or with ``count``
+    their number, and raises ``unbounded(i)`` on reaching a coordinate i
+    with no lower or no upper row.  A counting kernel runs the same loops
+    but the last, whose range length it adds up.  Only ints and fixed names
+    go into the generated source.
     """
     for cov in ineqs:
         for x in cov:
@@ -269,7 +272,7 @@ def _slice_kernel(ineqs: tuple[tuple[int, ...], ...], sign: int, nv: int):
     funcs = []  # (first coordinate, body lines) of each function of the chain
     for first in range(0, max(nv, 1), _LOOPS_PER_FUNCTION):
         stop = min(first + _LOOPS_PER_FUNCTION, nv)
-        lines = []
+        lines = ["    nonlocal count"] if count and first else []
         for depth in range(first, stop):
             pad = "    " * (1 + depth - first)
             lo = named(row for row in systems[depth] if row[1][depth] > 0)
@@ -279,22 +282,28 @@ def _slice_kernel(ineqs: tuple[tuple[int, ...], ...], sign: int, nv: int):
                 break
             lines += [pad + x for x in _bound_source(lo, depth, True)]
             lines += [pad + x for x in _bound_source(hi, depth, False)]
-            lines.append(f"{pad}for x{depth} in range(lo, hi + 1):")
+            if count and depth == nv - 1:
+                lines.append(f"{pad}if hi >= lo: count += hi - lo + 1")
+            else:
+                lines.append(f"{pad}for x{depth} in range(lo, hi + 1):")
         else:
             pad = "    " * (1 + stop - first)
             if stop < nv:
                 lines.append(f"{pad}k{stop}({xs(stop)})")
-            else:
+            elif not count:
                 lines.append(f"{pad}append((r, {xs(nv)}))" if nv else f"{pad}append((r,))")
+            elif not nv:
+                lines.append(f"{pad}count += 1")
         funcs.append((first, lines))
 
-    src = ["def kernel(R, r, unbounded):", "    points = []", "    append = points.append"]
+    src = ["def kernel(R, r, unbounded):"]
+    src += ["    count = 0"] if count else ["    points = []", "    append = points.append"]
     src += [f"    {name} = {const} * R" for const, name in consts.items()]
     for first, lines in reversed(funcs[1:]):  # defined before the loops call them
         src.append(f"    def k{first}({xs(first)}):")
         src += ["    " + x for x in lines]
     src += funcs[0][1]
-    src.append("    return points")
+    src.append("    return count" if count else "    return points")
     namespace: dict = {}
     exec(compile("\n".join(src) + "\n", "<lattice kernel>", "exec"), namespace)
     return namespace["kernel"]
@@ -316,19 +325,33 @@ def lattice_points(c: Cone, r: int) -> list[tuple[int, ...]]:
     each (CPython allows 20 nested blocks in a function); the innermost
     loop of one calls the next with the loop variables.  Kernels are kept
     in a bounded cache keyed on (c.ineqs, sign of r, number of
-    coordinates), so levels 1, 2, ... of a cone compile once.  Labels and
-    r are passed in at call time and never enter the generated source; an
-    entry of ``c.ineqs`` that is not an int raises TypeError before
-    anything is compiled.
+    coordinates, counting or not), so levels 1, 2, ... of a cone compile
+    once.  Labels and r are passed in at call time and never enter the
+    generated source; an entry of ``c.ineqs`` that is not an int raises
+    TypeError before anything is compiled.
 
     An infeasible slice gives [] (also when a row on the level alone fails
     at r) and an otherwise feasible empty ambient [(r,)]; if the
     enumeration reaches a coordinate with no lower or no upper row, the
     slice is unbounded and Unbounded is raised.
     """
-    kernel = _slice_kernel(c.ineqs, (r > 0) - (r < 0), len(c.ambient) - 1)
+    return _run_slice(c, r, False)
+
+
+def count_lattice_points(c: Cone, r: int) -> int:
+    """The number of integer points of the level-r slice, that is
+    ``len(lattice_points(c, r))``, without making them: the same chain of
+    loops, but the last coordinate adds the length of its range.  It has
+    the same answers where no point is made (0 when infeasible, 1 for a
+    feasible empty ambient) and raises Unbounded on the same slices.
+    """
+    return _run_slice(c, r, True)
+
+
+def _run_slice(c: Cone, r: int, count: bool):
+    kernel = _slice_kernel(c.ineqs, (r > 0) - (r < 0), len(c.ambient) - 1, count)
     if kernel is None:
-        return []
+        return 0 if count else []
 
     def unbounded(i):
         return Unbounded(f"coordinate {c.ambient[i + 1]} unbounded at level {r}")

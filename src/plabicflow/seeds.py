@@ -27,11 +27,13 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add, itemgetter, sub
 from types import MappingProxyType
 
 from .combinat import (
     KSubset,
     _max_diag_row,
+    check_ksubset,
     format_ksubset,
     pairwise_weakly_separated,
 )
@@ -200,6 +202,10 @@ class Seed:
     # the labels as tuples in vertex order: the order of every kappa vector
     vertex_labels: tuple[KSubset, ...] = field(init=False, repr=False,
                                                compare=False)
+    # (getter, star mask, label of mask) for reading kappa columns off
+    # MaxDiag rows, built by ``_kappa_getter`` on the first kappa request
+    _kappa: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
@@ -313,25 +319,76 @@ def kappa_vector(s: Seed, I: KSubset) -> dict[str, int]:
 
     Coordinate at vertex J is the longest diagonal of the set difference
     of Young diagrams young(label(J)) minus young(I); the star coordinate
-    is always 0.  The coordinates are lookups in I's row of the one MaxDiag
-    memo (``combinat._max_diag_row``), so a table over all k-subsets and a
-    sequence of seeds (which share most labels) computes each label pair
-    once.  A bad I raises ValueError on every call and is not memoised.
+    is always 0.  The coordinates are read off I's row of the one MaxDiag
+    memo (``combinat._max_diag_row``) by one getter over the bitmasks of
+    the seed's labels (``_kappa_column``), so a table over all k-subsets
+    and a sequence of seeds (which share most labels) computes each label
+    pair once.  A bad I raises ValueError on every call and is not
+    memoised.
     """
     return dict(zip(s.quiver.vertices, _kappa_column(s, tuple(I))))
 
 
 def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
-    """``kappa_vector`` as a tuple in vertex order; I is a tuple."""
+    """``kappa_vector`` as a tuple in vertex order; I is a tuple.
+
+    The column is one call of the seed's getter on I's MaxDiag row.  When
+    the row lacks a label, its entry is computed from the label tuple and
+    the row is read again, so a miss costs one exception and no decoding
+    of a mask.  A bad label raises ValueError; a star label with nonzero
+    kappa raises ``bad-label``.
+    """
     if len(I) != s.k:
         raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
     row = _max_diag_row(I, s.n)
-    col = tuple(map(row.__getitem__, s.vertex_labels))
-    if row[s.labels[s.quiver.star]]:
+    get, star, label_of = s._kappa or _kappa_getter(s)
+    try:
+        col = get(row)
+    except KeyError as miss:
+        # the getter stopped at the first label the row lacks; most often
+        # it is the one label new to the row (a mutated seed reading its
+        # parent's rows), so fill it and read again, and fill every lacking
+        # label only if that read misses too
+        mask = miss.args[0]
+        row.fill([(mask, label_of[mask])])
+        try:
+            col = get(row)
+        except KeyError:
+            row.fill(label_of.items())
+            col = get(row)
+    if row[star]:
         raise ModelInvariantError(
             "bad-label", f"star label {s.labels[s.quiver.star]} has nonzero kappa"
         )
     return col
+
+
+def _kappa_getter(s: Seed) -> tuple:
+    """Build and keep the seed's (getter, star mask, label of mask): the
+    bitmask of each label (bit x for element x) in vertex order, an
+    ``operator.itemgetter`` over them that returns a tuple, and a dict from
+    each mask to its label tuple, in vertex order, to fill rows from.
+
+    A label that is not strictly increasing from 1 up is not a sorted
+    subset, and ``check_ksubset`` raises on it; a label with an element
+    past n, or of another size, has a mask that no row holds, and raises
+    when a row is filled from it.  So a mask found in a row always stands
+    for the one valid subset with that mask.
+    """
+    masks = []
+    for J in s.vertex_labels:
+        mask = last = 0
+        for x in J:
+            if x <= last:
+                check_ksubset(J, s.n)  # raises
+            mask |= 1 << x
+            last = x
+        masks.append(mask)
+    get = itemgetter(*masks) if len(masks) > 1 else lambda row: (row[masks[0]],)
+    star = masks[s.quiver.vertices.index(s.quiver.star)]
+    kappa = (get, star, dict(zip(masks, s.vertex_labels)))
+    object.__setattr__(s, "_kappa", kappa)
+    return kappa
 
 
 def _beta_columns(s: Seed) -> dict[str, dict[str, int]]:
@@ -416,7 +473,12 @@ def exact_sequence_checks(s: Seed) -> bool:
         col = [0] * m  # column v of wt . beta, plus e_v
         col[i] = 1
         for w, c in cols[v].items():
-            col = [a + c * x for a, x in zip(col, wt[w])]
+            if c == 1:
+                col = list(map(add, col, wt[w]))
+            elif c == -1:
+                col = list(map(sub, col, wt[w]))
+            else:
+                col = [a + c * x for a, x in zip(col, wt[w])]
         if any(col):
             return False
     return True
@@ -429,11 +491,17 @@ def trop_a_mutate(q: Quiver, j: str, v: dict[str, int]) -> dict[str, int]:
     """Piecewise-linear mutation of an integer vector at vertex j.
 
     v'_j = min(sum over in-arrows, sum over out-arrows) - v_j with arrow
-    multiplicities; all other coordinates are unchanged.
+    multiplicities; all other coordinates are unchanged.  The result is a
+    new dict in the order of v.  The sums are plain loops over the
+    ``neighbours`` maps.
     """
     ins, outs = neighbours(q, j)
-    s_in = sum(mult * v[u] for u, mult in ins.items())
-    s_out = sum(mult * v[w] for w, mult in outs.items())
+    s_in = 0
+    for u, mult in ins.items():
+        s_in += mult * v[u]
+    s_out = 0
+    for w, mult in outs.items():
+        s_out += mult * v[w]
     out = dict(v)
     out[j] = min(s_in, s_out) - v[j]
     return out

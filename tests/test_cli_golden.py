@@ -5,14 +5,16 @@ Every command of README's CLI block is run in ``--format pretty`` and
 So are a few longer exchange paths (``EXCHANGE_PATHS``), larger matching
 listings in every format (``MATCHINGS``), polynomials in edge and face
 variables past the shark (``POLYNOMIALS``), and the CSV partition function
-of a square-moved model read back from its file (``MOVED_PARTITION``).  A change to the computation that
+of a square-moved model read back from its file (``MOVED_PARTITION``), and
+seed-layer commands past n = 9, where labels are comma lists
+(``PAST_NINE``).  A change to the computation that
 is meant to leave the output alone must leave every pin alone.  To re-pin
 after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS``,
-``MATCHINGS``, ``POLYNOMIALS`` and ``MOVED_PARTITION``.
+``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE`` and ``MOVED_PARTITION``.
 """
 
 import contextlib
@@ -135,6 +137,24 @@ POLYNOMIALS = {
         (0, '1efa5f9260a374fe36e3ca9609eb8548a3baa4680623844df4ce48add559722b'),
 }
 
+# The seed layer past n = 9: a kappa vector over the rectangles seed of
+# (3,11), a three-step label exchange at (4,10), the level-1 points of
+# (3,7), and a two-step potential mutation at (3,10).
+PAST_NINE = {
+    ('kappa rect:3,11 2,5,10', 'pretty'):
+        (0, '253ba7e26cd99a7245f755c20f3dcbf6b6b3020230b842cda482233b653b84dc'),
+    ('kappa rect:3,11 2,5,10', 'json'):
+        (0, 'cff001f9d4965584d0d2716e9ebb7eaa84a69b3da6255be6cf8c814589c83d77'),
+    ('mutate rect:4,10 --mutations 1,2,3,9,1,2,4,5,1,2,8,9', 'json'):
+        (0, '8b185c812e5c3b01a951f7f8c06ab5a2d4c15a5efe27c92be157003cc49f3cbc'),
+    ('no-body rect:3,7', 'json'):
+        (0, 'c230d5abdc0e0f4ffd2c5a99fd8ed56db8da5dc9be1bc92c1d5bf601125adda1'),
+    ('superpotential --kn 3,10 --mutations 1,2,8,1,2,9', 'pretty'):
+        (0, '16775a763f7e567f18f21fedc015cc99f385b915e738fd5528b75eb2fdfc0c4a'),
+    ('superpotential --kn 3,10 --mutations 1,2,8,1,2,9', 'json'):
+        (0, '1dc572005ada1e01af544cbeddcf4aa79b48891300cf66a74b1d17a3904e9176'),
+}
+
 # The square move at 134 of rect:3,7 adds edges named leg_* and sq_*; the
 # CSV header of a partition function of the moved model, saved and loaded
 # back, lists them in the one edge order.
@@ -191,6 +211,11 @@ def test_polynomial_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == POLYNOMIALS[command, fmt]
 
 
+@pytest.mark.parametrize("command,fmt", sorted(PAST_NINE))
+def test_seed_command_past_nine_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == PAST_NINE[command, fmt]
+
+
 def moved_partition_hashes(directory) -> dict:
     """``MOVED_PARTITION``'s commands run on the square-moved model, saved
     to a file in ``directory``."""
@@ -219,5 +244,6 @@ if __name__ == "__main__":
     print_table("EXCHANGE_PATHS", list(EXCHANGE_PATHS))
     print_table("MATCHINGS", list(MATCHINGS))
     print_table("POLYNOMIALS", list(POLYNOMIALS))
+    print_table("PAST_NINE", list(PAST_NINE))
     with tempfile.TemporaryDirectory() as directory:
         print(f"MOVED_PARTITION = {moved_partition_hashes(directory)!r}")

@@ -15,6 +15,7 @@ from plabicflow.cones import (
     body_membership_check,
     cone_contains,
     cone_to_json_obj,
+    count_lattice_points,
     gt_ambient,
     gt_decompose,
     gt_inequalities,
@@ -176,6 +177,19 @@ def _outcome(enumerate_, c, r):
         return ("Unbounded", str(exc))
 
 
+def _count_outcome(c, r):
+    """``count_lattice_points``, or the error raised, as ``_outcome`` of the
+    points would read once their list is replaced by its length."""
+    try:
+        return count_lattice_points(c, r)
+    except Unbounded as exc:
+        return ("Unbounded", str(exc))
+
+
+def _length(outcome):
+    return len(outcome) if isinstance(outcome, list) else outcome
+
+
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
 def test_lattice_points_equal_dense_on_gt_cones(k, n):
     c = gt_inequalities(k, n)
@@ -209,6 +223,7 @@ def test_lattice_points_edge_cases_equal_dense():
     for c, r, want in cases:
         assert _outcome(lattice_points, c, r) == want
         assert _outcome(dense_lattice_points, c, r) == want
+        assert _count_outcome(c, r) == _length(want)
 
 
 def test_lattice_points_honour_level_only_rows_at_every_size():
@@ -220,6 +235,8 @@ def test_lattice_points_honour_level_only_rows_at_every_size():
     for c in (one, two, none):
         assert lattice_points(c, 1) == []
         assert dense_lattice_points(c, 1) == []
+        assert count_lattice_points(c, 1) == 0
+        assert count_lattice_points(c, 0) == 1
     assert lattice_points(one, 0) == [(0, 0)]
     assert lattice_points(two, 0) == [(0, 0, 0)]
     assert lattice_points(none, 0) == [(0,)]
@@ -243,7 +260,9 @@ def test_lattice_points_equal_dense_on_small_cones(args):
                 cov[0], cov[i] = 1, sign
                 covs = covs + [cov]
     c = make_cone(ambient, covs)
-    assert _outcome(lattice_points, c, r) == _outcome(dense_lattice_points, c, r)
+    want = _outcome(dense_lattice_points, c, r)
+    assert _outcome(lattice_points, c, r) == want
+    assert _count_outcome(c, r) == _length(want)
 
 
 @pytest.mark.parametrize("k,n,r", [(4, 9, 2), (3, 10, 2), (5, 10, 1), (6, 12, 1)])
@@ -252,7 +271,15 @@ def test_lattice_points_equal_dense_past_one_function_of_loops(k, n, r):
     c = gt_inequalities(k, n)
     got = lattice_points(c, r)
     assert got == dense_lattice_points(c, r)
-    assert len(got) == weyl_dim(k, n, r)
+    assert len(got) == weyl_dim(k, n, r) == count_lattice_points(c, r)
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8), (4, 9),
+                                 (3, 10), (5, 10)])
+def test_count_lattice_points_is_weyl_dim_on_gt_cones(k, n):
+    c = gt_inequalities(k, n)
+    for r in range(3):
+        assert count_lattice_points(c, r) == weyl_dim(k, n, r)
 
 
 def test_one_kernel_per_cone_and_sign_of_the_level():
@@ -264,6 +291,9 @@ def test_one_kernel_per_cone_and_sign_of_the_level():
     for r in (0, -1, -2):
         assert lattice_points(c, r) == dense_lattice_points(c, r)
     assert _slice_kernel.cache_info().misses == 3
+    for r in (1, 2, 3):  # counting kernels are keyed apart
+        assert count_lattice_points(c, r) == len(dense_lattice_points(c, r))
+    assert _slice_kernel.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("label", ['x"); raise SystemExit("', "a\nb", "{r}"])

@@ -385,17 +385,25 @@ def test_kappa_vector_bad_subset_raises_every_time_and_is_not_memoised():
     assert {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()} == rows
 
 
+def mask(J) -> int:
+    """The key of J in a MaxDiag row: bit x for each element x."""
+    return sum(1 << x for x in J)
+
+
 def test_max_diag_row_rejects_bad_subsets_and_labels():
+    # rows are keyed by masks and filled from the tuples
     row = combinat._max_diag_row((1, 3), 4)
-    assert row[(2, 4)] == 1
+    row.fill([(mask((2, 4)), (2, 4))])
+    assert row[mask((2, 4))] == 1
     assert combinat._max_diag_row((1, 3), 4) is row
     for _ in range(2):
         with pytest.raises(ValueError):
             combinat._max_diag_row((3, 1), 4)
-        with pytest.raises(ValueError):
-            row[(1, 2, 3)]  # another size: no entry is kept
+        for bad in [(1, 2, 3), (1, 5)]:  # another size, out of range
+            with pytest.raises(ValueError):
+                row.fill([(mask(bad), bad)])
     assert ((3, 1), 4) not in combinat._MAX_DIAG_ROWS
-    assert (1, 2, 3) not in row
+    assert mask((1, 2, 3)) not in row and mask((1, 5)) not in row
 
 
 def test_a_star_label_with_nonzero_kappa_is_refused():
@@ -501,3 +509,207 @@ def test_exact_sequence_column_sums_see_the_row_wt_cannot():
             assert entry == (-1 if i == v else 0)
     assert not exact_sequence_checks(moved)
     assert not dict_product_exact_sequence_checks(moved)
+
+
+# ------------------------- the mask-keyed kappa route against its tuple route
+
+
+class TupleRow(dict):
+    """The tuple-keyed MaxDiag row: J -> max_diag(J, I, n), filled on first
+    request of each J."""
+
+    def __init__(self, I, n):
+        super().__init__()
+        self.I, self.n = I, n
+
+    def __missing__(self, J):
+        value = self[J] = combinat.max_diag(J, self.I, self.n)
+        return value
+
+
+TUPLE_ROWS: dict = {}
+
+
+def tuple_kappa_column(s: Seed, I) -> tuple:
+    """The kappa column read label by label off a row keyed by the label
+    tuples: the reference route for ``seeds._kappa_column``."""
+    I = tuple(I)
+    if len(I) != s.k:
+        raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
+    row = TUPLE_ROWS.get((I, s.n))
+    if row is None:
+        combinat.check_ksubset(I, s.n)
+        row = TUPLE_ROWS[(I, s.n)] = TupleRow(I, s.n)
+    col = tuple(map(row.__getitem__, s.vertex_labels))
+    if row[s.labels[s.quiver.star]]:
+        raise ModelInvariantError(
+            "bad-label", f"star label {s.labels[s.quiver.star]} has nonzero kappa"
+        )
+    return col
+
+
+def tuple_wt_matrix(s: Seed) -> dict:
+    out = {}
+    for u in s.quiver.vertices:
+        for v, c in zip(s.quiver.vertices, tuple_kappa_column(s, s.labels[u])):
+            if c:
+                out[(v, u)] = c
+    return out
+
+
+def tuple_exact_sequence_checks(s: Seed) -> bool:
+    """``exact_sequence_checks`` over ``tuple_kappa_column``."""
+    q = s.quiver
+    cols = seeds._beta_columns(s)
+    if any(sum(colmap.values()) for colmap in cols.values()):
+        return False
+    wt = {v: tuple_kappa_column(s, J) for v, J in zip(q.vertices, s.vertex_labels)}
+    m = len(q.vertices)
+    for i, v in enumerate(q.vertices):
+        if v == q.star:
+            continue
+        col = [0] * m
+        col[i] = 1
+        for w, c in cols[v].items():
+            col = [a + c * x for a, x in zip(col, wt[w])]
+        if any(col):
+            return False
+    return True
+
+
+def genexpr_trop_a_mutate(q: Quiver, j: str, v: dict) -> dict:
+    """``trop_a_mutate`` with generator sums: its reference route."""
+    ins, outs = seeds.neighbours(q, j)
+    s_in = sum(mult * v[u] for u, mult in ins.items())
+    s_out = sum(mult * v[w] for w, mult in outs.items())
+    out = dict(v)
+    out[j] = min(s_in, s_out) - v[j]
+    return out
+
+
+def outcome(f, *args):
+    """What f returns, or the violation name or type of what it raises."""
+    try:
+        return f(*args)
+    except ModelInvariantError as exc:
+        return exc.violation
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def walked_seeds(start: Seed, rng: random.Random, steps: int) -> list[Seed]:
+    """The seeds of a seeded walk of up to ``steps`` accepted mutations from
+    ``start``; a vertex that mutation refuses is passed over."""
+    out = [start]
+    for _ in range(steps):
+        s = out[-1]
+        vertices = mutable_vertices(s.quiver)
+        for j in rng.sample(vertices, len(vertices)):
+            try:
+                out.append(mutate_labels(s, j))
+            except (NotPlabicMutable, ModelInvariantError):
+                continue
+            break
+    return out
+
+
+MASK_WALK_STARTS = [(2, 5), (3, 6), (3, 7), (4, 8), (4, 9), (3, 10), "shark"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MASK_WALK_STARTS), st.integers(0, 2**32), st.integers(0, 5))
+def test_mask_kappa_route_equals_tuple_route_on_walks(start, seed, steps):
+    rng = random.Random(seed)
+    if start == "shark":
+        s0, n = seed_of_model(shark_model()), 5
+    else:
+        s0, n = rectangles_seed(*start), start[1]
+    subsets = ksubsets(n, s0.k)
+    walk = walked_seeds(s0, rng, steps)
+    assert all(s._kappa is None for s in walk[1:])  # built on first request
+    for s in walk:
+        some = subsets if n < 9 else rng.sample(subsets, 20)
+        for I in some:
+            kv = kappa_vector(s, I)
+            assert list(kv) == list(s.quiver.vertices)
+            assert tuple(kv.values()) == tuple_kappa_column(s, I)
+        assert wt_matrix(s) == tuple_wt_matrix(s)
+        assert (outcome(exact_sequence_checks, s)
+                == outcome(tuple_exact_sequence_checks, s))
+        # two labels swapped, perhaps the star's, over the vertices in
+        # reverse order, so that the star is not the first: another getter,
+        # and bad-label wherever the tuple route raises it
+        a, b = rng.sample(list(s.quiver.vertices), 2)
+        labels = dict(s.labels)
+        labels[a], labels[b] = labels[b], labels[a]
+        q = s.quiver
+        reversed_q = make_quiver(q.vertices[::-1], q.frozen, q.star,
+                                 {(u, v): m for u, v, m in q.arrows})
+        swapped = Seed(s.k, s.n, reversed_q, labels)
+        for I in some:
+            got = outcome(kappa_vector, swapped, I)
+            want = outcome(tuple_kappa_column, swapped, I)
+            assert (tuple(got.values()) if isinstance(got, dict) else got) == want
+        assert outcome(wt_matrix, swapped) == outcome(tuple_wt_matrix, swapped)
+        assert (outcome(exact_sequence_checks, swapped)
+                == outcome(tuple_exact_sequence_checks, swapped))
+
+
+def test_a_bad_label_raises_like_the_tuple_route():
+    # (3, 1) has the mask of 13, which the row of 12 holds once a valid seed
+    # has asked for it; the mask route must still refuse it, every time
+    s = rectangles_seed(2, 4)
+    kappa_vector(s, (1, 2))
+    for bad in [(3, 1), (1, 1), (0, 3), (1, 5), (1, 2, 3)]:
+        labels = dict(s.labels)
+        labels["13"] = bad
+        broken = Seed(s.k, s.n, s.quiver, labels)
+        for _ in range(2):
+            want = outcome(tuple_kappa_column, broken, (1, 2))
+            assert want[0] == "ValueError"
+            assert outcome(kappa_vector, broken, (1, 2)) == want
+            assert outcome(exact_sequence_checks, broken) == outcome(
+                tuple_exact_sequence_checks, broken)
+
+
+def test_a_one_vertex_seed_has_a_kappa_column():
+    s = Seed(1, 2, make_quiver(["1"], ["1"], "1", {}), {"1": (1,)})
+    assert kappa_vector(s, (1,)) == {"1": 0}
+    assert kappa_vector(s, (2,)) == {"1": 0}
+
+
+# a quiver with an arrow of multiplicity 2 into b and a frozen-frozen arrow
+MULTI_QUIVER = make_quiver(
+    ["a", "b", "c", "d", "e"], ["a", "e"], "a",
+    {("a", "b"): 2, ("b", "c"): 1, ("d", "b"): 1, ("b", "e"): 3,
+     ("c", "d"): 2, ("e", "a"): 1, ("d", "a"): 1},
+)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+       st.sampled_from(["b", "c", "d"]), st.permutations(range(5)))
+def test_trop_a_mutate_equals_generator_sums(values, j, order):
+    q = MULTI_QUIVER
+    v = {q.vertices[i]: values[i] for i in order}
+    before = dict(v)
+    got = trop_a_mutate(q, j, v)
+    want = genexpr_trop_a_mutate(q, j, v)
+    assert got == want and list(got) == list(want) == list(v)
+    assert got is not v and v == before
+
+
+def test_exact_sequence_checks_with_double_arrows_equal_tuple_route():
+    # doubling the arrows of an oriented 3-cycle of mutable vertices keeps
+    # every row and column of beta balanced and puts entries -2 and 2 in it
+    s = rectangles_seed(3, 6)
+    q = s.quiver
+    counts = {(u, v): m for u, v, m in q.arrows}
+    a, b, c = next((a, b, c) for a, b in counts for c in q.vertices
+                   if (b, c) in counts and (c, a) in counts
+                   and not {a, b, c} & q.frozen)
+    for pair in [(a, b), (b, c), (c, a)]:
+        counts[pair] = 2
+    doubled = Seed(s.k, s.n, make_quiver(q.vertices, q.frozen, q.star, counts), s.labels)
+    assert {abs(e) for e in beta_matrix(doubled).values()} >= {2}
+    assert (outcome(exact_sequence_checks, doubled)
+            == outcome(tuple_exact_sequence_checks, doubled) is False)
