@@ -15,6 +15,7 @@ or ``Quiver.vertices``.  For n <= 9 the two orders agree.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import combinations
 from operator import sub
@@ -201,51 +202,42 @@ def max_diag(J: KSubset, I: KSubset, n: int) -> int:
     J, I = tuple(J), tuple(I)
     if len(J) != len(I):
         raise ValueError(f"size mismatch: |{J}| != |{I}|")
-    return max(0, max(map(sub, _diag_counts(J, n), _diag_counts(I, n)), default=0))
+    return max((0, *map(sub, _diag_counts(J, n), _diag_counts(I, n))))
 
 
-class _MaxDiagRow(dict):
-    """mask(J) -> max_diag(J, I, n) for one (I, n), where mask(J) has bit x
-    set for each element x of J; entries are added by ``fill``."""
-
-    __slots__ = ("I", "n")
-
-    def __init__(self, I: KSubset, n: int):
-        super().__init__()
-        self.I, self.n = I, n
-
-    def fill(self, pairs) -> None:
-        """Add the entry of each (mask, J) pair, J a tuple, that the row
-        lacks, in the order given.  A bad J, or a J of another size, raises
-        ValueError before its entry is made."""
-        for mask, J in pairs:
-            if mask not in self:
-                self[mask] = max_diag(J, self.I, self.n)
+# (I, n) -> its row, a dict from the bitmask of a k-subset J (bit x for
+# element x) to max_diag(J, I, n); the one memo of MaxDiag, at most
+# C(n,k)^2 entries per (k, n) in all
+_MAX_DIAG_ROWS: dict[tuple[KSubset, int], dict[int, int]] = {}
 
 
-# (I, n) -> its row; the one memo of MaxDiag, at most C(n,k)^2 entries per
-# (k, n) in all
-_MAX_DIAG_ROWS: dict[tuple[KSubset, int], _MaxDiagRow] = {}
-
-
-def _max_diag_row(I: KSubset, n: int) -> _MaxDiagRow:
+def _max_diag_row(I: KSubset, n: int) -> dict[int, int]:
     """The memoised row of I: a dict from the bitmask of a k-subset J (bit x
-    for element x) to max_diag(J, I, n), shared by every caller.  A miss
-    raises KeyError; ``row.fill(pairs)`` computes the missing entries of
-    (mask, J) pairs from the tuples J, so a mask is never decoded.  A caller reads a
-    whole column of J's with one ``operator.itemgetter`` over their masks.
+    for element x) to max_diag(J, I, n), shared by every caller.  A caller
+    reads a whole column of J's with one ``operator.itemgetter`` over their
+    masks; a miss raises KeyError, and ``_fill_max_diag_row`` adds the
+    missing entries.
 
     I must be a tuple.  A bad I raises ValueError on every call and leaves
-    no row behind.  Filling a bad J, or a J of another size, raises
-    ValueError and leaves no entry behind, so every key of a row is the
-    mask of a valid k-subset of [n].  The row is the package's to fill:
-    read it only.
+    no row behind.  The row is the package's to fill: read it only.
     """
     row = _MAX_DIAG_ROWS.get((I, n))
     if row is None:
         check_ksubset(I, n)
-        row = _MAX_DIAG_ROWS[(I, n)] = _MaxDiagRow(I, n)
+        row = _MAX_DIAG_ROWS[(I, n)] = {}
     return row
+
+
+def _fill_max_diag_row(row: dict[int, int], I: KSubset, n: int,
+                       masks: frozenset[int],
+                       label_of: Mapping[int, KSubset]) -> None:
+    """Add to ``row``, the row of (I, n), the entry of every mask in
+    ``masks`` that it lacks.  The entry is ``max_diag`` of the tuple J that
+    ``label_of`` gives for the mask, so no mask is decoded.  A bad J, or a
+    J of another size, raises ValueError before its entry is made, so every
+    key of a row is the mask of a valid k-subset of [n]."""
+    for mask in masks.difference(row):
+        row[mask] = max_diag(label_of[mask], I, n)
 
 
 def lex_max(P) -> KSubset:

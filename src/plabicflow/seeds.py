@@ -27,14 +27,15 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import add, itemgetter, sub
+from operator import itemgetter
 from types import MappingProxyType
 
 from .combinat import (
     KSubset,
+    _fill_max_diag_row,
     _max_diag_row,
-    check_ksubset,
     format_ksubset,
+    max_diag,
     pairwise_weakly_separated,
 )
 from .plabic import (
@@ -202,8 +203,8 @@ class Seed:
     # the labels as tuples in vertex order: the order of every kappa vector
     vertex_labels: tuple[KSubset, ...] = field(init=False, repr=False,
                                                compare=False)
-    # (getter, star mask, label of mask) for reading kappa columns off
-    # MaxDiag rows, built by ``_kappa_getter`` on the first kappa request
+    # (getter, star mask, masks, label of mask) for reading kappa columns
+    # off MaxDiag rows, built by ``_kappa_getter`` on the first kappa request
     _kappa: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -333,29 +334,20 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     """``kappa_vector`` as a tuple in vertex order; I is a tuple.
 
     The column is one call of the seed's getter on I's MaxDiag row.  When
-    the row lacks a label, its entry is computed from the label tuple and
-    the row is read again, so a miss costs one exception and no decoding
-    of a mask.  A bad label raises ValueError; a star label with nonzero
-    kappa raises ``bad-label``.
+    the row lacks labels, their entries are computed from the label tuples
+    and the row is read again, so a miss costs one exception and no
+    decoding of a mask.  A bad label raises ValueError; a star label with
+    nonzero kappa raises ``bad-label``.
     """
     if len(I) != s.k:
         raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
     row = _max_diag_row(I, s.n)
-    get, star, label_of = s._kappa or _kappa_getter(s)
+    get, star, masks, label_of = s._kappa or _kappa_getter(s, I)
     try:
         col = get(row)
-    except KeyError as miss:
-        # the getter stopped at the first label the row lacks; most often
-        # it is the one label new to the row (a mutated seed reading its
-        # parent's rows), so fill it and read again, and fill every lacking
-        # label only if that read misses too
-        mask = miss.args[0]
-        row.fill([(mask, label_of[mask])])
-        try:
-            col = get(row)
-        except KeyError:
-            row.fill(label_of.items())
-            col = get(row)
+    except KeyError:
+        _fill_max_diag_row(row, I, s.n, masks, label_of)
+        col = get(row)
     if row[star]:
         raise ModelInvariantError(
             "bad-label", f"star label {s.labels[s.quiver.star]} has nonzero kappa"
@@ -363,30 +355,35 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     return col
 
 
-def _kappa_getter(s: Seed) -> tuple:
-    """Build and keep the seed's (getter, star mask, label of mask): the
-    bitmask of each label (bit x for element x) in vertex order, an
-    ``operator.itemgetter`` over them that returns a tuple, and a dict from
-    each mask to its label tuple, in vertex order, to fill rows from.
+def _kappa_getter(s: Seed, I: KSubset) -> tuple:
+    """Build and keep the seed's (getter, star mask, masks, label of mask):
+    the bitmask of each label (bit x for element x) in vertex order, an
+    ``operator.itemgetter`` over them that returns a tuple, the star's
+    mask, and the set of masks and a dict from each mask to its label
+    tuple, to fill rows from.
 
-    A label that is not strictly increasing from 1 up is not a sorted
-    subset, and ``check_ksubset`` raises on it; a label with an element
-    past n, or of another size, has a mask that no row holds, and raises
-    when a row is filled from it.  So a mask found in a row always stands
-    for the one valid subset with that mask.
+    Every label must be a k-subset of [n], strictly increasing.  The first
+    label in vertex order that is not raises the ValueError that
+    ``max_diag(label, I, n)`` raises, as reading it off a row keyed by
+    tuples did, and no getter is kept.  So a mask in the getter always
+    stands for the one valid subset with that mask.
     """
     masks = []
     for J in s.vertex_labels:
         mask = last = 0
         for x in J:
             if x <= last:
-                check_ksubset(J, s.n)  # raises
+                break
             mask |= 1 << x
             last = x
-        masks.append(mask)
+        else:
+            if len(J) == s.k and last <= s.n:
+                masks.append(mask)
+                continue
+        max_diag(J, I, s.n)  # raises
     get = itemgetter(*masks) if len(masks) > 1 else lambda row: (row[masks[0]],)
     star = masks[s.quiver.vertices.index(s.quiver.star)]
-    kappa = (get, star, dict(zip(masks, s.vertex_labels)))
+    kappa = (get, star, frozenset(masks), dict(zip(masks, s.vertex_labels)))
     object.__setattr__(s, "_kappa", kappa)
     return kappa
 
@@ -473,12 +470,7 @@ def exact_sequence_checks(s: Seed) -> bool:
         col = [0] * m  # column v of wt . beta, plus e_v
         col[i] = 1
         for w, c in cols[v].items():
-            if c == 1:
-                col = list(map(add, col, wt[w]))
-            elif c == -1:
-                col = list(map(sub, col, wt[w]))
-            else:
-                col = [a + c * x for a, x in zip(col, wt[w])]
+            col = [a + c * x for a, x in zip(col, wt[w])]
         if any(col):
             return False
     return True

@@ -390,10 +390,15 @@ def mask(J) -> int:
     return sum(1 << x for x in J)
 
 
+def fill(row, I, n, J):
+    """Fill the entry of J into the row of (I, n), as a seed does."""
+    combinat._fill_max_diag_row(row, I, n, frozenset({mask(J)}), {mask(J): J})
+
+
 def test_max_diag_row_rejects_bad_subsets_and_labels():
     # rows are keyed by masks and filled from the tuples
     row = combinat._max_diag_row((1, 3), 4)
-    row.fill([(mask((2, 4)), (2, 4))])
+    fill(row, (1, 3), 4, (2, 4))
     assert row[mask((2, 4))] == 1
     assert combinat._max_diag_row((1, 3), 4) is row
     for _ in range(2):
@@ -401,7 +406,7 @@ def test_max_diag_row_rejects_bad_subsets_and_labels():
             combinat._max_diag_row((3, 1), 4)
         for bad in [(1, 2, 3), (1, 5)]:  # another size, out of range
             with pytest.raises(ValueError):
-                row.fill([(mask(bad), bad)])
+                fill(row, (1, 3), 4, bad)
     assert ((3, 1), 4) not in combinat._MAX_DIAG_ROWS
     assert mask((1, 2, 3)) not in row and mask((1, 5)) not in row
 
@@ -657,19 +662,27 @@ def test_mask_kappa_route_equals_tuple_route_on_walks(start, seed, steps):
 
 def test_a_bad_label_raises_like_the_tuple_route():
     # (3, 1) has the mask of 13, which the row of 12 holds once a valid seed
-    # has asked for it; the mask route must still refuse it, every time
+    # has asked for it; the mask route must still refuse it, every time,
+    # and with the tuple route's message: (3, 1, 2) is unsorted and of
+    # another size, and the size is what the tuple route names
     s = rectangles_seed(2, 4)
     kappa_vector(s, (1, 2))
-    for bad in [(3, 1), (1, 1), (0, 3), (1, 5), (1, 2, 3)]:
-        labels = dict(s.labels)
-        labels["13"] = bad
-        broken = Seed(s.k, s.n, s.quiver, labels)
+    bads = [(3, 1), (1, 1), (0, 3), (1, 5), (1, 2, 3), (3, 1, 2), (0, 3, 4)]
+    cases = [{"13": bad} for bad in bads]
+    # two bad labels: the first in vertex order is the one named
+    cases += [{"13": (1, 5), "14": (3, 1)}, {"13": (1, 2, 3), "14": (3, 1)},
+              {"13": (3, 1), "14": (1, 2, 3)}, {"13": (3, 1, 2), "14": (0, 3)}]
+    for case in cases:
+        broken = Seed(s.k, s.n, s.quiver, {**s.labels, **case})
         for _ in range(2):
-            want = outcome(tuple_kappa_column, broken, (1, 2))
-            assert want[0] == "ValueError"
-            assert outcome(kappa_vector, broken, (1, 2)) == want
+            for I in [(1, 2), (2, 4)]:
+                want = outcome(tuple_kappa_column, broken, I)
+                assert want[0] == "ValueError"
+                assert outcome(kappa_vector, broken, I) == want
+            assert outcome(wt_matrix, broken) == outcome(tuple_wt_matrix, broken)
             assert outcome(exact_sequence_checks, broken) == outcome(
                 tuple_exact_sequence_checks, broken)
+            assert broken._kappa is None
 
 
 def test_a_one_vertex_seed_has_a_kappa_column():
