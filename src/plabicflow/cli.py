@@ -34,7 +34,6 @@ from . import charts, cones, plabic, seeds, superpot
 from .combinat import KSubset, format_ksubset, ksubsets, parse_ksubset
 from .laurent import LaurentPoly, NotLaurent, lp_equal
 from .plabic import ModelInvariantError, NotPlabicMutable, ParseError, PlabicModel
-from .seeds import NotMutable
 
 FORMATS = ("pretty", "json", "csv")
 # Most lattice points ``gt-cone --level`` or ``verify weyl-count`` enumerates
@@ -672,7 +671,7 @@ def _run(argv) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotMutable, NotPlabicMutable) as exc:
+    except NotPlabicMutable as exc:
         print(f"error: not mutable: {exc}", file=sys.stderr)
         return 2
     except cones.Unbounded as exc:

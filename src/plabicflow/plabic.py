@@ -14,7 +14,9 @@ successor (the previous edge at a black node, the next at a white one).
 The module provides the dimer-model layer: perfect matchings (internal
 nodes covered exactly once), their boundary values and face weights, the
 equivalent flow picture, the quadrilateral move, and a builder for the
-rectangles model of the (k, n) grid.
+rectangles model of the (k, n) grid.  The matching layer takes analysed
+models only, and its flows against the one base matching are boundary
+paths (``FaceGraph``).
 
 Three conventions carry the matching layer, and each is decided once.  The
 edge order is ``Analysis.edges``, the edge ids sorted: bit i of an edge
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import chain
 from types import MappingProxyType
 
 from .combinat import (
@@ -66,7 +67,7 @@ class ParseError(Exception):
 
 
 class NotPlabicMutable(Exception):
-    """The requested move is not available at this face."""
+    """The requested move or mutation is not available at this face or vertex."""
 
 
 # An edge end is ("n", node_id) or ("t", boundary_label:int).
@@ -113,10 +114,9 @@ class Analysis:
     ``_derived``, the memo that only ``derive`` writes."""
 
     faces: tuple[Face, ...]
-    face_of_dart: Mapping  # dart -> face index (outer face excluded)
     label_to_face: Mapping[KSubset, int]
     star: int
-    edges: tuple[str, ...]  # the edge order, made by ``_edge_order``
+    edges: tuple[str, ...]  # the edge order: the edge ids sorted
     black_white: tuple[tuple[End, End], ...]  # (black end, white end) by edge
     arrows: tuple[tuple[str, int, int], ...]  # (edge id, source face, target face)
     anticlockwise: frozenset[int]
@@ -224,14 +224,6 @@ def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
     return hits[0]
 
 
-def _edge_order(model: PlabicModel) -> tuple[str, ...]:
-    """The edge order, sorted by id: kept on the analysis as
-    ``Analysis.edges``, and made afresh for a bare model that was never
-    analysed."""
-    an = model._analysis
-    return tuple(sorted(model.edges)) if an is None else an.edges
-
-
 def analyze(model: PlabicModel) -> Analysis:
     """The model's analysis, made on the first call and kept on the model.
 
@@ -247,8 +239,8 @@ def analyze(model: PlabicModel) -> Analysis:
     dart out along the previous edge at a black node and the next at a
     white one.  The faces are the orbits of the face successor but the
     outer one (the arcs run backwards), numbered in the ``str`` order of
-    the keys ("e", id) and ("a", l) they are traced from; ``Face.darts`` and
-    ``face_of_dart`` name dart 2x + d as (key, d) in that form.
+    the keys ("e", id) and ("a", l) they are traced from; ``Face.darts``
+    names dart 2x + d as (key, d) in that form.
 
     A model that breaks an invariant raises ModelInvariantError naming it,
     first found first: a color, the rotation keys, each edge's ends and
@@ -268,7 +260,7 @@ def analyze(model: PlabicModel) -> Analysis:
     V = len(colors)
     vertex = {v: i for i, v in enumerate(colors)}
     black = [c == BLACK for c in colors.values()]
-    edges = _edge_order(model)
+    edges = tuple(sorted(model_edges))
     E = len(edges)
     key = {e: x for x, e in enumerate(edges)}
     tail = [0] * (2 * E)  # the vertex each dart of an edge leaves
@@ -473,11 +465,8 @@ def analyze(model: PlabicModel) -> Analysis:
                 "boundary-arrow", f"stub {l} arrow {s}->{t} not between gap faces"
             )
 
-    in_order = list(chain.from_iterable(orbits))
     analysis = Analysis(
         tuple(faces),
-        MappingProxyType(dict(zip(map(darts.__getitem__, in_order),
-                                  map(face.__getitem__, in_order)))),
         MappingProxyType(label_to_face),
         star,
         edges,
@@ -680,8 +669,9 @@ class MatchingBudgetExceeded(Exception):
 
 
 class _Frontier:
-    """The layout of one model's matching recursion, shared by the whole
-    enumeration, the lists of one boundary value and the base-value search.
+    """The layout of one analysed model's matching recursion, shared by the
+    whole enumeration, the lists of one boundary value and the base-value
+    search.
 
     Bit i of an edge mask is edge i of the edge order (``Analysis.edges``).
     The internal nodes are numbered breadth-first over the internal edges,
@@ -693,17 +683,17 @@ class _Frontier:
     bit, covered mask) for each stub in label order.
 
     The boundary sense lives here: a matching's stub bits are those of its
-    boundary value flipped at the ``clockwise`` stubs, so ``stub_bits``
-    encodes a value and ``boundary`` decodes it; a bare model, which has no
-    boundary values, has no ``anticlockwise`` labels to give.  Nothing here
+    boundary value flipped at the ``clockwise`` stubs (those not
+    ``anticlockwise``), so ``stub_bits`` encodes a value and ``boundary``
+    decodes it.  Nothing here
     refers to the model, so keeping it keeps no model alive.
     """
 
-    def __init__(self, model: PlabicModel, anticlockwise=()):
+    def __init__(self, model: PlabicModel, anticlockwise):
         incident: dict[str, list[int]] = {v: [] for v in model.colors}
         ends = []  # the internal nodes of each edge
         stub_at = []  # (boundary label, edge index) per stub
-        for i, e in enumerate(_edge_order(model)):
+        for i, e in enumerate(analyze(model).edges):
             nodes = []
             for kind, val in model.edges[e]:
                 if kind == "n":
@@ -749,12 +739,8 @@ class _Frontier:
 
 
 def _frontier(model: PlabicModel) -> _Frontier:
-    """The model's frontier, made once per analysed model.  A bare model
-    that was never analysed (one ``analyze`` would refuse) gets a fresh one,
-    so its matchings can still be listed."""
-    an = model._analysis
-    if an is None:
-        return _Frontier(model)
+    """The model's frontier, made once per model on its analysis."""
+    an = analyze(model)
     return an.derive("frontier", lambda: _Frontier(model, an.anticlockwise))
 
 
@@ -787,13 +773,12 @@ def matching_masks(model: PlabicModel, I=None) -> list[int]:
     never nested, so neither is a prefix of the other).  So the list of I
     is the whole list's matchings with boundary value I, in the same order.
 
-    Raises MatchingBudgetExceeded, having built at most about twice
+    A model ``analyze`` refuses raises its error.  Raises
+    MatchingBudgetExceeded, having built at most about twice
     ``MATCHING_BUDGET`` list entries, when the request holds more matchings
     than that: once the lists built pass the budget, one integer count over
     the same recursion decides.
     """
-    if I is not None:
-        analyze(model)  # the boundary sense comes with the analysis
     fr = _frontier(model)
     options, covered, forced = fr.options, 0, 0
     if I is not None:
@@ -924,7 +909,7 @@ def _least_boundary(model: PlabicModel) -> KSubset | None:
 def edge_names(model: PlabicModel, mask: int) -> list[str]:
     """The edges of an edge mask by name, lowest bit first, so in the edge
     order."""
-    names = _edge_order(model)
+    names = analyze(model).edges
     out = []
     while mask:
         low = mask & -mask
@@ -1057,16 +1042,22 @@ class FaceGraph:
       that enter (+) or leave (-) the face, all made in one pass from the
       leaves up; ``digit_sums`` takes 15 sums per four edges.
     - The flow route decomposes M ^ base into vertex-disjoint
-      boundary-to-boundary paths and internal cycles of darts (base edges
-      run black to white, all others white to black), each adding 1 to
-      every face enclosed on its left.  Dart i has ``head[i]`` as its head
-      node (internal nodes numbered from 0, tip l as -l) and the face
-      ``left[i]`` on its left, as a face bit; ``leaving[v]`` is the mask of
-      the darts with tail v, ``at_node[v]`` of every dart at v, and
-      ``from_tips`` of those with a tip as tail.  ``components`` keeps per
-      start dart each component found from it, as (its darts, the darts at
-      its nodes, its packed flood): the faces left of its darts, flooded
-      through ``region`` and blocked on its darts.
+      boundary-to-boundary paths of darts (base edges run black to white,
+      all others white to black), each adding 1 to every face enclosed on
+      its left.  Dart i has ``head[i]`` as its head node (internal nodes
+      numbered from 0, tip l as -l) and the face ``left[i]`` on its left,
+      as a face bit; ``leaving[v]`` is the mask of the darts with tail v,
+      ``at_node[v]`` of every dart at v, and ``from_tips`` of those with a
+      tip as tail.  ``components`` keeps per tip dart each path found from
+      it, as (its darts, the darts at its nodes, its packed flood): the
+      faces left of its darts, flooded through ``region`` and blocked on
+      its darts.
+
+    ``face_graph`` takes as base the only matching of its boundary value
+    (``_base_mask``), so this orientation has no directed cycle: a cycle
+    would alternate base and other edges, and flipping it would give a
+    second matching of that value (Postnikov, math/0609764).  A dart of
+    M ^ base left over after its paths raises ``flow-degree``.
     """
 
     def __init__(self, model: PlabicModel, base: int):
@@ -1228,30 +1219,25 @@ class FaceGraph:
 
     def flow_route(self, mask: int) -> int:
         """The packed face weights from the flow picture: ``bias`` plus the
-        flood of each component of M ^ base.
+        flood of each path of M ^ base, walked from its tip dart.
 
-        The decomposition runs on every call.  A component stored under its
-        start dart is taken when the difference holds exactly its darts
-        among the darts at its nodes and no earlier component used one of
-        them: then the walk would find it without raising.  The one taken
-        moves to the front of its list, as matchings in enumeration order
-        share most components with the one before.  Any other start is
-        walked (``_walk``), and what the walks found is stored once the
-        whole decomposition has succeeded, so a mask that raises stores
-        nothing and no component is stored twice.
+        The decomposition runs on every call.  A path stored under its tip
+        dart is taken when the difference holds exactly its darts among the
+        darts at its nodes and no earlier path used one of them: then the
+        walk would find it without raising.  The one taken moves to the
+        front of its list, as matchings in enumeration order share most
+        paths with the one before.  Any other tip dart is walked
+        (``_walk``); a dart on no path raises ``flow-degree``.  What the
+        walks found is stored once the whole decomposition has succeeded,
+        so a mask that raises stores nothing and no path is stored twice.
         """
         diff = mask ^ self.base
         components = self.components
         packed, used, found = self.bias, 0, []
-        # boundary-to-boundary paths first, then the darts left form cycles
         starts = diff & self.from_tips
-        rest = diff
-        while rest:
-            if starts:
-                first = starts & -starts
-                starts ^= first
-            else:
-                first = rest & -rest
+        while starts:
+            first = starts & -starts
+            starts ^= first
             stored = components.get(first, ())
             for p, entry in enumerate(stored):
                 comp, guard, flood = entry
@@ -1264,17 +1250,19 @@ class FaceGraph:
                 comp, guard, flood = self._walk(first, diff, used)
                 found.append((first, (comp, guard, flood)))
             used |= comp
-            rest &= ~comp
             packed += flood
+        if used != diff:
+            raise ModelInvariantError(
+                "flow-degree", f"{bin(diff ^ used).count('1')} darts on no boundary path")
         for first, entry in found:
             components.setdefault(first, []).append(entry)
         return packed
 
     def _walk(self, first: int, diff: int, used: int) -> tuple[int, int, int]:
-        """The component of ``diff`` from the dart ``first``, as (its darts,
-        the darts at its nodes, its packed flood), following the one dart
-        of ``diff`` that leaves each head node; ``used`` holds the darts of
-        the components found before it."""
+        """The path of ``diff`` from the tip dart ``first`` to a tip, as
+        (its darts, the darts at its nodes, its packed flood), following the
+        one dart of ``diff`` that leaves each head node; ``used`` holds the
+        darts of the paths found before it."""
         head, left, leaving, at_node = self.head, self.left, self.leaving, self.at_node
         i = first.bit_length() - 1
         comp = guard = first
@@ -1282,8 +1270,6 @@ class FaceGraph:
         while head[i] >= 0:
             guard |= at_node[head[i]]
             out = leaving[head[i]] & diff
-            if out == first:
-                break  # a closed cycle
             if not out or out & (out - 1):
                 raise ModelInvariantError(
                     "flow-degree",
@@ -1294,9 +1280,6 @@ class FaceGraph:
             comp |= out
             i = out.bit_length() - 1
             seeds |= left[i]
-        else:  # reached the boundary
-            if not first & self.from_tips:
-                raise ModelInvariantError("flow-degree", "broken cycle")
         region, flood, unit = self.region(seeds, comp), 0, self.unit
         while region:
             low = region & -region
@@ -1323,7 +1306,7 @@ def face_graph(model: PlabicModel) -> FaceGraph:
         "face graph", lambda: FaceGraph(model, _base_mask(model)))
 
 
-def weight_of_matching(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
+def weight_of_matching(model: PlabicModel, m) -> dict[KSubset, int]:
     """Face weights of a matching relative to the base matching.
 
     Solved from w(target) - w(source) = [e in base] - [e in m] over the dual
@@ -1331,9 +1314,7 @@ def weight_of_matching(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
     consistent and nonnegative.
     """
     an = analyze(model)
-    if mstar is None:
-        mstar = base_matching(model)
-    m, mstar = set(m), set(mstar)
+    m, mstar = set(m), base_matching(model)
     adj: dict[int, list[tuple[int, int]]] = {f.index: [] for f in an.faces}
     for e, s, t in an.arrows:
         rhs = (1 if e in mstar else 0) - (1 if e in m else 0)
@@ -1360,18 +1341,17 @@ def weight_of_matching(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
     return {an.faces[i].label: wi for i, wi in w.items()}
 
 
-def flow_of_matching(model: PlabicModel, m, mstar=None):
-    """The oriented symmetric difference with the base matching.
+def flow_of_matching(model: PlabicModel, m):
+    """The paths of the oriented symmetric difference with the base matching.
 
     Edges of the base matching run black to white, all others white to
     black; the difference then decomposes into vertex-disjoint directed
-    boundary-to-boundary paths and internal cycles.  Returns a list of
-    components, each an ordered list of darts (edge_id, tail_end, head_end).
+    boundary-to-boundary paths, with no cycle (``FaceGraph``), and a dart
+    on no path raises ``flow-degree`` with their number.  Returns a list of
+    paths, each an ordered list of darts (edge_id, tail_end, head_end).
     """
     an = analyze(model)
-    if mstar is None:
-        mstar = base_matching(model)
-    m, mstar = set(m), set(mstar)
+    m, mstar = set(m), base_matching(model)
     diff = sorted(m ^ mstar)
     black_white = dict(zip(an.edges, an.black_white))
     darts = {}
@@ -1386,7 +1366,6 @@ def flow_of_matching(model: PlabicModel, m, mstar=None):
         out_of[tail] = dart
     components = []
     used = set()
-    # boundary-to-boundary paths first
     for e in diff:
         dart = darts[e]
         if dart[1][0] != "t" or e in used:
@@ -1400,40 +1379,25 @@ def flow_of_matching(model: PlabicModel, m, mstar=None):
             comp.append(nxt)
             used.add(nxt[0])
         components.append(comp)
-    # remaining darts form cycles
-    for e in diff:
-        if e in used:
-            continue
-        comp = [darts[e]]
-        used.add(e)
-        while True:
-            nxt = out_of.get(comp[-1][2])
-            if nxt is None:
-                raise ModelInvariantError("flow-degree", "broken cycle")
-            if nxt[0] == comp[0][0]:
-                break
-            if nxt[0] in used:
-                raise ModelInvariantError("flow-degree", "cycle collision")
-            comp.append(nxt)
-            used.add(nxt[0])
-        components.append(comp)
+    if len(used) != len(diff):
+        raise ModelInvariantError(
+            "flow-degree", f"{len(diff) - len(used)} darts on no boundary path")
     return components
 
 
-def flow_weight(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
+def flow_weight(model: PlabicModel, m) -> dict[KSubset, int]:
     """Face weights computed from the flow picture.
 
-    Each component contributes 1 to every face enclosed on its left: the
-    faces immediately left of its darts are flooded through face adjacency,
-    blocked on the component's own edges.  The result must agree with the
-    matching-weight computation, which is asserted.  This and the two
-    routes it calls work on edge-name sets; they are the reference for the
-    edge-mask routes of ``FaceGraph``.
+    Each path contributes 1 to every face enclosed on its left: the faces
+    immediately left of its darts (read off ``Face.darts``) are flooded
+    through face adjacency, blocked on the path's own edges.  The result
+    must agree with the matching-weight computation, which is asserted.
+    This and the two routes it calls work on edge-name sets; they are the
+    reference for the edge-mask routes of ``FaceGraph``.
     """
     an = analyze(model)
-    if mstar is None:
-        mstar = base_matching(model)
-    comps = flow_of_matching(model, m, mstar)
+    comps = flow_of_matching(model, m)
+    face_of_dart = {d: f.index for f in an.faces for d in f.darts}
     adj: dict[int, list[tuple[int, str]]] = {f.index: [] for f in an.faces}
     for e, s, t in an.arrows:
         adj[s].append((t, e))
@@ -1445,7 +1409,7 @@ def flow_weight(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
         for e, tail, head in comp:
             ends = model.edges[e]
             rev = (("e", e), 1) if (tail, head) == ends else (("e", e), 0)
-            seeds.add(an.face_of_dart[rev])
+            seeds.add(face_of_dart[rev])
         region = set(seeds)
         stack = list(seeds)
         while stack:
@@ -1458,7 +1422,7 @@ def flow_weight(model: PlabicModel, m, mstar=None) -> dict[KSubset, int]:
         for f in region:
             total[f] += 1
     weights = {an.faces[i].label: wi for i, wi in total.items()}
-    check = weight_of_matching(model, m, mstar)
+    check = weight_of_matching(model, m)
     if weights != check:
         raise ModelInvariantError(
             "flow-weight-mismatch", f"flow {weights} vs matching {check}"

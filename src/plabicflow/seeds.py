@@ -47,10 +47,6 @@ from .plabic import (
 )
 
 
-class NotMutable(Exception):
-    """Raised when a mutation is requested at a frozen vertex."""
-
-
 @dataclass(frozen=True)
 class Quiver:
     vertices: tuple[str, ...]
@@ -84,7 +80,7 @@ def neighbours(q: Quiver, j: str) -> tuple[Mapping[str, int], Mapping[str, int]]
         if j not in q.vertices:
             raise ModelInvariantError("unknown-node", f"no vertex {j}")
         if j in q.frozen:
-            raise NotMutable(f"vertex {j} is frozen")
+            raise NotPlabicMutable(f"vertex {j} is frozen")
         memo[j] = (MappingProxyType({u: m for u, v, m in q.arrows if v == j}),
                    MappingProxyType({v: m for u, v, m in q.arrows if u == j}))
     return memo[j]

@@ -279,7 +279,6 @@ def analyze_oracle(model: PlabicModel) -> Analysis:
 
     analysis = Analysis(
         tuple(faces),
-        MappingProxyType(face_of_dart),
         MappingProxyType(label_to_face),
         star,
         edges,

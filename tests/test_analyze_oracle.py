@@ -35,8 +35,8 @@ from plabicflow.plabic import (
 
 MODELS = Path(__file__).parent / "models"
 
-FIELDS = ("faces", "face_of_dart", "label_to_face", "star", "edges", "black_white",
-          "arrows", "anticlockwise", "lattice")
+FIELDS = ("faces", "label_to_face", "star", "edges", "black_white", "arrows",
+          "anticlockwise", "lattice")
 
 
 def bare(model):
@@ -49,8 +49,7 @@ def assert_routes_agree(model):
     got, want = analyze(bare(model)), analyze_oracle(bare(model))
     for name in FIELDS:
         assert getattr(got, name) == getattr(want, name), name
-    # the maps in the same order too, so that listing them reads alike
-    assert list(got.face_of_dart.items()) == list(want.face_of_dart.items())
+    # the map in the same order too, so that listing it reads alike
     assert list(got.label_to_face.items()) == list(want.label_to_face.items())
     for name in ("nbrs", "around", "edges_at"):
         assert getattr(got.adjacency, name) == getattr(want.adjacency, name), name

@@ -149,7 +149,7 @@ def test_mutate_roundtrip_restores_labels(capsys):
 def test_mutate_frozen_is_usage_error(capsys):
     rc, _out, err = run_out(capsys, "mutate", "rect:2,4", "--mutations", "12")
     assert rc == 2
-    assert "not mutable" in err
+    assert err == "error: not mutable: vertex 12 is frozen\n"
 
 
 def test_xcheck(capsys):
@@ -295,6 +295,23 @@ def test_negative_level_is_usage_error(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "--level must be >= 0" in err
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("verify", "all", "--kn", "2"), "expected k,n — got '2'"),
+    (("verify", "all", "--kn", "a,5"), "expected integers k,n — got 'a,5'"),
+    (("verify", "all", "--kn", "3,3"), "need 1 <= k <= n-1, got k=3, n=3"),
+    (("flow", "{absent}", "25"), "cannot read model '{absent}': "),
+    (("kappa", "rect:2,5", "1"), "'1' is not a 2-subset"),
+    (("xcheck", "rect:2,3"), "model has no mutable faces"),
+])
+def test_a_bad_request_is_one_error_line(tmp_path, capsys, argv, text):
+    # each refusal is one line on stderr, exit 2, nothing on stdout
+    absent = str(tmp_path / "absent.plabic")
+    rc, out, err = run_out(capsys, *(a.format(absent=absent) for a in argv))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + text.format(absent=absent))
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("argv,needs", [

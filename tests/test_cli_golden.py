@@ -5,16 +5,18 @@ Every command of README's CLI block is run in ``--format pretty`` and
 So are a few longer exchange paths (``EXCHANGE_PATHS``), larger matching
 listings in every format (``MATCHINGS``), polynomials in edge and face
 variables past the shark (``POLYNOMIALS``), and the CSV partition function
-of a square-moved model read back from its file (``MOVED_PARTITION``), and
+of a square-moved model read back from its file (``MOVED_PARTITION``),
 seed-layer commands past n = 9, where labels are comma lists
-(``PAST_NINE``).  A change to the computation that
+(``PAST_NINE``), and a cone's inequalities as CSV (``CONES``).  A change to
+the computation that
 is meant to leave the output alone must leave every pin alone.  To re-pin
 after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS``,
-``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE`` and ``MOVED_PARTITION``.
+``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE``, ``CONES`` and
+``MOVED_PARTITION``.
 """
 
 import contextlib
@@ -155,6 +157,13 @@ PAST_NINE = {
         (0, '1dc572005ada1e01af544cbeddcf4aa79b48891300cf66a74b1d17a3904e9176'),
 }
 
+# gt-cone without --level prints the cone's inequalities; as CSV, a header
+# of the ambient coordinates and one row of coefficients each.
+CONES = {
+    ('gt-cone --kn 2,5', 'csv'):
+        (0, 'e3511fd678df6c671f4151aac00d81df74db5fcb117775e2f58a03328278dd8d'),
+}
+
 # The square move at 134 of rect:3,7 adds edges named leg_* and sq_*; the
 # CSV header of a partition function of the moved model, saved and loaded
 # back, lists them in the one edge order.
@@ -216,6 +225,11 @@ def test_seed_command_past_nine_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == PAST_NINE[command, fmt]
 
 
+@pytest.mark.parametrize("command,fmt", sorted(CONES))
+def test_cone_csv_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == CONES[command, fmt]
+
+
 def moved_partition_hashes(directory) -> dict:
     """``MOVED_PARTITION``'s commands run on the square-moved model, saved
     to a file in ``directory``."""
@@ -245,5 +259,6 @@ if __name__ == "__main__":
     print_table("MATCHINGS", list(MATCHINGS))
     print_table("POLYNOMIALS", list(POLYNOMIALS))
     print_table("PAST_NINE", list(PAST_NINE))
+    print_table("CONES", list(CONES))
     with tempfile.TemporaryDirectory() as directory:
         print(f"MOVED_PARTITION = {moved_partition_hashes(directory)!r}")

@@ -36,7 +36,6 @@ from plabicflow.laurent import LaurentPoly
 from plabicflow.plabic import (
     ModelInvariantError,
     NotPlabicMutable,
-    PlabicModel,
     analyze,
     base_matching,
     boundary_value,
@@ -205,53 +204,10 @@ def test_masks_equal_the_index_backtracker_on_orbits(name, seed, moves):
         frozenset(names[i] for i in m) for m in found]
 
 
-def direct_sum(a, b):
-    """a and b side by side on one disc: b's nodes and edges primed and its
-    boundary labels shifted past a's.  The internal nodes fall into two
-    components, so ``analyze`` refuses the result (a model is connected), but
-    its matchings are the unions of one matching of a and one of b."""
-    def end(e):
-        return ("n", e[1] + "'") if e[0] == "n" else ("t", e[1] + a.n)
-
-    return PlabicModel(
-        a.k + b.k, a.n + b.n,
-        {**a.colors, **{v + "'": c for v, c in b.colors.items()}},
-        {**a.edges, **{e + "'": (end(x), end(y)) for e, (x, y) in b.edges.items()}},
-        {}, frozenset())
-
-
-@given(st.sampled_from(sorted(BASES)), st.sampled_from(sorted(BASES)),
-       st.integers(0, 2**16), st.integers(0, 3))
-@settings(max_examples=15, deadline=None)
-def test_masks_equal_the_index_backtracker_on_two_components(left, right, seed, moves):
-    # the breadth-first node order starts again on the second component
-    a = orbit(BASES[left](), seed, moves)
-    b = orbit(BASES[right](), seed + 1, moves)
-    model = direct_sum(a, b)
-    masks = plabic.matching_masks(model)
-    assert masks == [sum(1 << i for i in m) for m in index_matchings(model)]
-    assert len(masks) == len(plabic.matching_masks(a)) * len(plabic.matching_masks(b))
-
-
 @pytest.mark.parametrize("kn, count", [((4, 8), 424), ((4, 9), 1450), ((5, 10), 7234),
                                        ((6, 12), 207997)])
 def test_rectangles_matching_counts(kn, count):
     assert len(plabic.matching_masks(build_rectangles_model(*kn))) == count
-
-
-def test_enumeration_edge_cases():
-    def bare(colors, edges):
-        return PlabicModel(1, 2, colors, edges, {}, frozenset())
-
-    assert plabic.enumerate_matchings(bare({}, {})) == [frozenset()]
-    assert plabic.enumerate_matchings(bare({"a": "black"}, {})) == []
-    path = bare({"a": "black", "b": "white"},
-                {"x": (("t", 1), ("n", "a")), "y": (("n", "a"), ("n", "b")),
-                 "z": (("n", "b"), ("t", 2))})
-    assert plabic.enumerate_matchings(path) == [frozenset("xz"), frozenset("y")]
-    # an isolated node beside the path leaves nothing to cover it
-    lone = bare({**path.colors, "c": "white"}, path.edges)
-    assert plabic.enumerate_matchings(lone) == []
 
 
 @pytest.mark.parametrize("name", sorted(ENUMERATED))
@@ -325,10 +281,10 @@ class Reference:
 
     def flow(self, I):
         lattice = face_lattice(self.model)
-        n, mstar = self.model.n, self.base()
+        n = self.model.n
         terms = Counter()
         for m in self.groups.get(I, ()):
-            w = {format_ksubset(J, n): c for J, c in flow_weight(self.model, m, mstar).items()}
+            w = {format_ksubset(J, n): c for J, c in flow_weight(self.model, m).items()}
             terms[tuple(w[x] for x in lattice)] += 1
         return LaurentPoly.make(lattice, terms)
 
@@ -372,6 +328,7 @@ class DenseRoutes:
         self.head, self.left = [], []
         self.leaving = [0] * len(nodes)
         self.from_tips = 0
+        face_of_dart = {d: f.index for f in an.faces for d in f.darts}
         for i, ((e, s, t), (black, white)) in enumerate(zip(an.arrows, an.black_white)):
             ebit = 1 << i
             step = 1 if base & ebit else -1
@@ -385,7 +342,7 @@ class DenseRoutes:
             else:
                 self.from_tips |= ebit
             self.head.append(nodes[head[1]] if head[0] == "n" else -head[1])
-            self.left.append(1 << an.face_of_dart[rev])
+            self.left.append(1 << face_of_dart[rev])
         self.tree = []
         reached, order, tree_edges = {an.star}, [an.star], 0
         for u in order:
@@ -417,24 +374,19 @@ class DenseRoutes:
         return w
 
     def components(self, mask: int) -> list[tuple[int, int, int]]:
-        """The components of M ^ base in walk order, as (start dart, darts,
-        left faces)."""
+        """The paths of M ^ base in walk order, as (tip dart, darts, left
+        faces); a dart on no path raises."""
         diff = mask ^ self.base
         head, left, leaving = self.head, self.left, self.leaving
         comps, used = [], 0
-        starts, rest = diff & self.from_tips, diff
-        while rest:
-            if starts:
-                first = starts & -starts
-                starts ^= first
-            else:
-                first = rest & -rest
+        starts = diff & self.from_tips
+        while starts:
+            first = starts & -starts
+            starts ^= first
             i = first.bit_length() - 1
             comp, seeds = first, left[i]
             while head[i] >= 0:
                 out = leaving[head[i]] & diff
-                if out == first:
-                    break
                 if not out or out & (out - 1):
                     raise ModelInvariantError(
                         "flow-degree",
@@ -445,12 +397,12 @@ class DenseRoutes:
                 comp |= out
                 i = out.bit_length() - 1
                 seeds |= left[i]
-            else:
-                if not first & self.from_tips:
-                    raise ModelInvariantError("flow-degree", "broken cycle")
             used |= comp
-            rest &= ~comp
             comps.append((first, comp, seeds))
+        left_over = bin(diff & ~used).count("1")
+        if left_over:
+            raise ModelInvariantError(
+                "flow-degree", f"{left_over} darts on no boundary path")
         return comps
 
     def flow_weights(self, mask: int) -> list[int]:
@@ -496,12 +448,11 @@ def assert_routes_equal_reference(model):
     assert [table.boundary_of(mask) for mask in table.masks] == [
         boundary_value(model, m) for m in matchings]
     faces = plabic.analyze(model).faces
-    mstar = base_matching(model)
     graph = plabic.face_graph(model)
     dense = DenseRoutes(model, graph.base)
     for m, mask in zip(matchings, table.masks):
-        dual = plabic.weight_of_matching(model, m, mstar)
-        flow = flow_weight(model, m, mstar)
+        dual = plabic.weight_of_matching(model, m)
+        flow = flow_weight(model, m)
         reference = [flow[f.label] for f in faces]
         assert dense.dual_weights(mask) == [dual[f.label] for f in faces]
         assert dense.flow_weights(mask) == reference
@@ -592,14 +543,16 @@ def test_packed_routes_with_two_byte_fields():
 def test_routes_reject_a_non_matching():
     # flipping one internal edge of the base matching uncovers or doubly
     # covers both its ends: no face weights solve the dual system there, and
-    # the difference is one dart that is neither a path nor a cycle; the
-    # checks run before any stored component is read, so a warm store
-    # changes nothing
+    # the difference is one dart on no boundary path, which the packed, the
+    # dense and the set-based flow routes refuse alike; the checks run
+    # before any stored path is read, so a warm store changes nothing
     model = build_rectangles_model(3, 6)
     graph = plabic.face_graph(model)
+    dense = DenseRoutes(model, graph.base)
     internal = [i for i, e in enumerate(edge_lattice(model))
                 if all(end[0] == "n" for end in model.edges[e])]
     assert internal
+    left_over = ("flow-degree", "flow-degree: 1 darts on no boundary path")
     for warm in (False, True):
         if warm:
             for mask in matching_table(model).masks:
@@ -609,8 +562,10 @@ def test_routes_reject_a_non_matching():
             bad = graph.base ^ (1 << i)
             with pytest.raises(ModelInvariantError, match="weight-inconsistent"):
                 graph.dual_route(bad)
-            with pytest.raises(ModelInvariantError, match="flow-degree"):
-                graph.flow_route(bad)
+            names = plabic.edge_names(model, bad)
+            for route, arg in ((graph.flow_route, bad), (dense.flow_weights, bad),
+                               (lambda m: plabic.flow_of_matching(model, m), names)):
+                assert outcome(route, arg) == left_over
 
 
 FLOOD_BASES = {**BASES, "rect:4,8": lambda: build_rectangles_model(4, 8)}
@@ -657,6 +612,26 @@ def test_flood_memo_equals_a_fresh_flood(name, seed, moves):
     for mask in reversed(order):
         assert graph.weigh(mask) == weights[mask]
     assert stored(graph) == filled
+
+
+@given(st.sampled_from(sorted(FLOOD_BASES)), st.integers(0, 2**16), st.integers(0, 3))
+@settings(max_examples=20, deadline=None)
+def test_every_dart_of_a_difference_lies_on_a_boundary_path(name, seed, moves):
+    # the base matching is the one matching of its boundary value, so its
+    # orientation has no directed cycle: for every matching M, the paths
+    # walked from the tip darts of M ^ base cover it.  A base that shares
+    # its value with another matching M fails here, as M ^ base then has no
+    # tip dart at all.
+    model = orbit(FLOOD_BASES[name](), seed, moves)
+    graph = plabic.face_graph(model)
+    for mask in matching_table(model).masks:
+        diff = mask ^ graph.base
+        covered, starts = 0, diff & graph.from_tips
+        while starts:
+            first = starts & -starts
+            starts ^= first
+            covered |= graph._walk(first, diff, covered)[0]
+        assert covered == diff
 
 
 def test_dual_route_rejects_negative_weights():

@@ -13,7 +13,6 @@ from plabicflow.plabic import (
     square_moves,
 )
 from plabicflow.seeds import (
-    NotMutable,
     Quiver,
     Seed,
     beta_matrix,
@@ -88,7 +87,7 @@ def test_fz_mutate_24():
     q3 = fz_mutate(q2, "13")
     at13 = lambda q: {a for a in q.arrows if "13" in a[:2]}
     assert at13(q3) == at13(q)
-    with pytest.raises(NotMutable):
+    with pytest.raises(NotPlabicMutable):
         fz_mutate(q, "12")
 
 
@@ -158,7 +157,7 @@ def test_seed_and_mutate_labels():
     # mutating back restores the original label set
     s3 = mutate_labels(s2, "24")
     assert sorted(s3.labels) == sorted(s.labels)
-    with pytest.raises(NotMutable):
+    with pytest.raises(NotPlabicMutable):
         mutate_labels(s, "34")
 
 

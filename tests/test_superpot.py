@@ -14,7 +14,6 @@ from plabicflow.cones import (
 from plabicflow.laurent import LaurentPoly, lp_add, lp_equal, lp_substitute
 from plabicflow.plabic import NotPlabicMutable
 from plabicflow.seeds import (
-    NotMutable,
     mutable_vertices,
     mutate_labels,
     neighbours,
@@ -155,7 +154,7 @@ def test_a_mutate_w_splits_the_q_term():
 def test_a_mutate_w_guards():
     s = rectangles_seed(2, 4)
     W = w_rectangles(2, 4)
-    with pytest.raises(NotMutable):
+    with pytest.raises(NotPlabicMutable):
         a_mutate_w(s, W, "12")
     with pytest.raises(ValueError):
         a_mutate_w(s, w_x_rectangles(2, 4), "13")

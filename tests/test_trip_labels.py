@@ -90,13 +90,14 @@ def carried_labels_agree(model, moved, face_label):
     carries that face's label, and the one face keeping none carries the
     exchange partner of the moved label."""
     an, an2 = analyze(model), analyze(moved)
+    face_of_dart = {d: f.index for f in an.faces for d in f.darts}
     moved_face = an.label_to_face[face_label]
     seed = seeds.seed_of_model(model)
     partner = seeds.exchange_label(seed.quiver, seed.labels, format_ksubset(face_label, model.n))
     fresh = []
     for f in an2.faces:
-        hits = {an.faces[an.face_of_dart[d]].label for d in f.darts
-                if d in an.face_of_dart and an.face_of_dart[d] != moved_face}
+        hits = {an.faces[face_of_dart[d]].label for d in f.darts
+                if d in face_of_dart and face_of_dart[d] != moved_face}
         if hits:
             assert hits == {f.label}
         else:
