@@ -10,7 +10,9 @@ flow decomposition, and the two must agree.  Both routes of
 face in the flow polynomial's column order; a flow polynomial counts its
 matchings by packed value and reads each exponent tuple off the packed
 value once, so no weight list is built per matching.  A face-weight
-violation names the boundary value and the matching's edges.
+violation names the boundary value and the matching's edges.  The
+valuation of a flow polynomial is its leading exponent, read off its first
+term, since a ``LaurentPoly`` keeps its terms sorted.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .laurent import (
     Substitution,
     lp_add,
     lp_equal,
-    lp_min_exponent,
     lp_mul,
 )
 from .plabic import (
@@ -115,9 +116,17 @@ def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
 
 
 def valuation(f: LaurentPoly) -> dict[str, int]:
-    """Coordinatewise-minimal exponent of f, lex tiebreak in face order."""
-    exp, _unique = lp_min_exponent(f)
-    return dict(zip(f.lattice, exp))
+    """The leading exponent of f: its first term's, by name.
+
+    The terms are sorted by exponent, and an exponent below another one
+    coordinatewise also comes before it in lex order, so the first is a
+    minimal exponent; of a flow polynomial it is the least one, which
+    ``flow_polynomial`` checks is unique.  The zero polynomial has none and
+    raises ValueError.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial has no valuation")
+    return dict(zip(f.lattice, f.terms[0][0]))
 
 
 # ------------------------------------------------------------ X-mutation

@@ -256,12 +256,13 @@ def cmd_flow(args) -> int:
 
 def cmd_valuation(args) -> int:
     model, I = _model_and_subset(args)
-    if not plabic.masks_at(model, I):
+    f = charts.flow_polynomial(model, I)
+    if f.is_zero():
         raise UsageError(
             f"{format_ksubset(I, model.n)} is outside the model's positroid: "
             "its flow polynomial is 0, which has no valuation"
         )
-    _emit_vector(charts.valuation(charts.flow_polynomial(model, I)), args.format)
+    _emit_vector(charts.valuation(f), args.format)
     return 0
 
 

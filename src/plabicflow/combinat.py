@@ -94,23 +94,18 @@ def cyclic_interval(a: int, b: int, n: int) -> list[int]:
     return out
 
 
-def weakly_separated(I: KSubset, J: KSubset, n: int) -> bool:
+@lru_cache(maxsize=None)
+def _weakly_separated(I: KSubset, J: KSubset, n: int) -> bool:
     """True iff I \\ J and J \\ I occupy disjoint arcs of the cyclic order.
 
     Equivalently: no cyclic pattern a < b < c < d with a, c in I \\ J and
     b, d in J \\ I.  Implemented by counting maximal blocks of the cyclic
     membership word: separated iff there are at most two blocks.
 
-    Any sequences are accepted; they are made tuples and the answer is
-    memoised by the pair (``_weakly_separated``), at most C(n,k)^2 entries
-    per (k, n).  A size mismatch raises ValueError on every call.
+    I and J are tuples; the answer is memoised by the pair, at most
+    C(n,k)^2 entries per (k, n).  A size mismatch raises ValueError on
+    every call, since exceptions are not cached.
     """
-    return _weakly_separated(tuple(I), tuple(J), n)
-
-
-@lru_cache(maxsize=None)
-def _weakly_separated(I: KSubset, J: KSubset, n: int) -> bool:
-    """``weakly_separated`` on tuples; exceptions are not cached."""
     if len(I) != len(J):
         raise ValueError(f"size mismatch: |{I}| != |{J}|")
     S = set(I) - set(J)
@@ -238,14 +233,6 @@ def _fill_max_diag_row(row: dict[int, int], I: KSubset, n: int,
     key of a row is the mask of a valid k-subset of [n]."""
     for mask in masks.difference(row):
         row[mask] = max_diag(label_of[mask], I, n)
-
-
-def lex_max(P) -> KSubset:
-    """Lexicographic maximum of a collection of sorted tuples."""
-    P = [tuple(I) for I in P]
-    if not P:
-        raise ValueError("empty collection")
-    return max(P)
 
 
 def rectangle_label(k: int, n: int, i: int, j: int) -> KSubset:

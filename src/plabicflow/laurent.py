@@ -98,9 +98,7 @@ class LaurentPoly:
         """
         if self.is_zero():
             return "0"
-        gcd_exp = tuple(
-            min(e[i] for e, _ in self.terms) for i in range(len(self.lattice))
-        )
+        gcd_exp = _coordinatewise_min([e for e, _ in self.terms])
         rest = _checked(
             self.lattice, {tuple(map(sub, e, gcd_exp)): c for e, c in self.terms}
         )
@@ -331,26 +329,3 @@ def lp_substitute(
     """Homomorphic image of f over u's lattice: one ``Substitution`` built
     on f's lattice and applied to f."""
     return Substitution(f.lattice, images, u).apply(f)
-
-
-def lp_min_exponent(f: LaurentPoly):
-    """Minimal exponent under the coordinatewise partial order.
-
-    Returns (exponent tuple, unique flag).  A unique minimum is one below
-    every exponent, so it exists iff the coordinatewise minimum of all
-    exponents is itself an exponent, and then it is that vector.  When no
-    unique minimum exists the lex-minimal one of the minimal exponents, in
-    lattice order, is returned with flag False.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial has no minimal exponent")
-    exps = [e for e, _ in f.terms]
-    low = _coordinatewise_min(exps)
-    if low in exps:
-        return low, True
-    minimal = [
-        e
-        for e in exps
-        if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps)
-    ]
-    return min(minimal), False

@@ -39,7 +39,6 @@ from .combinat import (
     cyclic_interval,
     format_ksubset,
     ksubsets,
-    lex_max,
     necklace_of_positroid,
     pairwise_weakly_separated,
     parse_ksubset,
@@ -557,6 +556,8 @@ def load_model(text: str) -> PlabicModel:
         if cmd == "kn":
             if len(parts) != 3:
                 raise ParseError(line_no, "kn wants two integers")
+            if k is not None:
+                raise ParseError(line_no, "duplicate kn line")
             try:
                 k, n = int(parts[1]), int(parts[2])
             except ValueError:
@@ -966,11 +967,12 @@ class MatchingTable:
 def matching_table(model: PlabicModel) -> MatchingTable:
     """The model's matching table, built from one enumeration on the first
     request; later requests are lookups.  Its base value, the lex-max of its
-    positroid, must be the one ``base_value`` finds without listing."""
+    positroid and so the last entry of the sorted tuple, must be the one
+    ``base_value`` finds without listing."""
 
     def build():
         table = MatchingTable(model, matching_masks(model))
-        want = lex_max(table.positroid) if table.positroid else None
+        want = table.positroid[-1] if table.positroid else None
         got = base_value(model)
         if got != want:
             raise ModelInvariantError(

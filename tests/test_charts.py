@@ -126,6 +126,19 @@ def test_valuation_equals_kappa_after_square_move():
         assert val == {v: c for v, c in kappa_vector(s, I).items() if v != star}
 
 
+@pytest.mark.parametrize("spec,depth", [
+    ("shark", 2), ("rect:2,5", 2), ("rect:3,6", 2), ("rect:3,7", 2), ("rect:4,8", 2),
+])
+def test_valuation_is_the_coordinatewise_least_exponent_on_orbits(spec, depth):
+    # the leading term is the least exponent of every flow polynomial, as
+    # the coordinatewise minimum over all its exponents says
+    for m in _orbit(load_any_model(spec), depth):
+        for I in positroid(m):
+            f = flow_polynomial(m, I)
+            least = tuple(map(min, zip(*(e for e, _ in f.terms))))
+            assert valuation(f) == dict(zip(f.lattice, least)), (spec, I)
+
+
 def test_flow_extremes_unique():
     # minimal and maximal exponents of every flow polynomial are unique
     # with coefficient one (checked again here from the outside)

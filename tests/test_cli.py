@@ -604,6 +604,16 @@ def test_comma_in_an_id_is_a_parse_error(tmp_path, old, new):
     assert "Traceback" not in proc.stderr
 
 
+def test_repeated_kn_line_is_a_parse_error(tmp_path, capsys):
+    # a conflicting kn line after the labels is refused where it stands,
+    # not later as a bad label
+    path = tmp_path / "kn.plabic"
+    path.write_text(plabic.SHARK_TEXT + "kn 3 5\n")
+    line = len(plabic.SHARK_TEXT.splitlines()) + 1
+    assert run_out(capsys, "flow", str(path), "25") == (
+        2, "", f"error: line {line}: duplicate kn line\n")
+
+
 def test_kappa_has_no_order_option(capsys):
     # both print a vector in face order; valuation has no tie to break,
     # since a flow polynomial's minimal exponent is unique

@@ -4,8 +4,9 @@ Every command of README's CLI block is run in ``--format pretty`` and
 ``--format json``; its exit code and the sha256 of its stdout are pinned.
 So are a few longer exchange paths (``EXCHANGE_PATHS``), larger matching
 listings in every format (``MATCHINGS``), polynomials in edge and face
-variables past the shark (``POLYNOMIALS``), and the CSV partition function
-of a square-moved model read back from its file (``MOVED_PARTITION``),
+variables and their valuations past the shark (``POLYNOMIALS``), the CSV
+partition function and the valuation of a square-moved model read back from
+its file (``MOVED_PARTITION``),
 seed-layer commands past n = 9, where labels are comma lists
 (``PAST_NINE``), and a cone's inequalities as CSV (``CONES``).  A change to
 the computation that
@@ -123,7 +124,8 @@ MATCHINGS = {
 
 # A partition function's variables are the model's edges and a flow
 # polynomial's its faces, each in its one order: these pin both orders and
-# the exponents read off the edge masks and the packed face weights.
+# the exponents read off the edge masks and the packed face weights, and the
+# valuation, the flow polynomial's leading exponent.
 POLYNOMIALS = {
     ('partition rect:3,7 146', 'pretty'):
         (0, '15d6be23689e3463cd75d94c509102bbe3ae42d8a509a1e125e3ade95ef2a755'),
@@ -137,16 +139,25 @@ POLYNOMIALS = {
         (0, '23c523859ceb62706d4c4e0c4cd688464c5033f54d9bec83569cd86099f3b323'),
     ('flow rect:3,7 146', 'csv'):
         (0, '1efa5f9260a374fe36e3ca9609eb8548a3baa4680623844df4ce48add559722b'),
+    ('valuation rect:3,7 146', 'pretty'):
+        (0, '943bcbe16fffbcd36187c0b144b9802535d20d8779143be882fc082fedf5a3be'),
+    ('valuation rect:3,7 146', 'json'):
+        (0, '06691a6f09942c2d711d2b1e8073d3ba26c4322d9b59d4a6202e80f315583cbe'),
 }
 
 # The seed layer past n = 9: a kappa vector over the rectangles seed of
-# (3,11), a three-step label exchange at (4,10), the level-1 points of
-# (3,7), and a two-step potential mutation at (3,10).
+# (3,11) and the valuation that must equal it, a three-step label exchange
+# at (4,10), the level-1 points of (3,7), and a two-step potential mutation
+# at (3,10).
 PAST_NINE = {
     ('kappa rect:3,11 2,5,10', 'pretty'):
         (0, '253ba7e26cd99a7245f755c20f3dcbf6b6b3020230b842cda482233b653b84dc'),
     ('kappa rect:3,11 2,5,10', 'json'):
         (0, 'cff001f9d4965584d0d2716e9ebb7eaa84a69b3da6255be6cf8c814589c83d77'),
+    ('valuation rect:3,11 2,5,10', 'pretty'):
+        (0, 'b71e33926a5b637dc1a25fe02e6a41924790a8d28c817067b60aff6fdf5babad'),
+    ('valuation rect:3,11 2,5,10', 'json'):
+        (0, '4778cf46f7175ac92150f3ba03593f0e06c54f77e2e8a8e8212661e0a1cc9ee9'),
     ('mutate rect:4,10 --mutations 1,2,3,9,1,2,4,5,1,2,8,9', 'json'):
         (0, '8b185c812e5c3b01a951f7f8c06ab5a2d4c15a5efe27c92be157003cc49f3cbc'),
     ('no-body rect:3,7', 'json'):
@@ -166,11 +177,16 @@ CONES = {
 
 # The square move at 134 of rect:3,7 adds edges named leg_* and sq_*; the
 # CSV header of a partition function of the moved model, saved and loaded
-# back, lists them in the one edge order.
+# back, lists them in the one edge order; its valuation reads the moved
+# model's faces.
 MOVED_FACE = (1, 3, 4)
 MOVED_PARTITION = {
     ('partition', '146', 'csv'):
         (0, '5199e922ad37842d8c6b60749148e1e198f758c755fff9a9a66325e618cd20dc'),
+    ('valuation', '146', 'pretty'):
+        (0, 'f4c5e0ba78eed85ce5ba9b28a59cfa1acdc0940075f08735d6897ad4cb60b350'),
+    ('valuation', '146', 'json'):
+        (0, '190620df0a619311ec9a59cd9c17df32910315deba7ba8a04955a1a62375d747'),
 }
 
 

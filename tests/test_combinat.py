@@ -4,18 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plabicflow.combinat import (
+    _weakly_separated,
     check_ksubset,
     cyclic_interval,
     format_ksubset,
     ksubsets,
-    lex_max,
     max_diag,
     necklace_of_positroid,
     pairwise_weakly_separated,
     parse_ksubset,
     rectangle_label,
     shifted_key,
-    weakly_separated,
     young_of,
 )
 
@@ -83,13 +82,13 @@ def test_weak_separation_symmetric(args):
     n, A, B = args
     k = min(len(A), len(B))
     I, J = tuple(sorted(A)[:k]), tuple(sorted(B)[:k])
-    assert weakly_separated(I, J, n) == weakly_separated(J, I, n)
+    assert _weakly_separated(I, J, n) == _weakly_separated(J, I, n)
 
 
 def test_weak_separation_examples():
     # 13 and 24 cross on the 4-cycle; 13 and 14 do not
-    assert not weakly_separated((1, 3), (2, 4), 4)
-    assert weakly_separated((1, 3), (1, 4), 4)
+    assert not _weakly_separated((1, 3), (2, 4), 4)
+    assert _weakly_separated((1, 3), (1, 4), 4)
     assert pairwise_weakly_separated([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)], 4)
     assert not pairwise_weakly_separated([(1, 3), (2, 4)], 4)
 
@@ -107,7 +106,7 @@ def crossing_weakly_separated(I, J, n: int) -> bool:
 
 def test_weak_separation_equals_crossings_exhaustive():
     # every pair of k-subsets with n <= 8, each asked twice (the second
-    # answer comes from the memo) and once more as lists
+    # answer comes from the memo)
     pairs = 0
     for n in range(9):
         for k in range(n + 1):
@@ -115,9 +114,8 @@ def test_weak_separation_equals_crossings_exhaustive():
             for I in subs:
                 for J in subs:
                     want = crossing_weakly_separated(I, J, n)
-                    assert weakly_separated(I, J, n) is want, (I, J, n)
-                    assert weakly_separated(I, J, n) is want
-                    assert weakly_separated(list(I), list(J), n) is want
+                    assert _weakly_separated(I, J, n) is want, (I, J, n)
+                    assert _weakly_separated(I, J, n) is want
                     pairs += 1
     assert pairs == 17577
 
@@ -125,13 +123,9 @@ def test_weak_separation_equals_crossings_exhaustive():
 def test_weak_separation_bad_input_on_every_call():
     for _ in range(3):
         with pytest.raises(ValueError):
-            weakly_separated((1, 2), (1, 2, 3), 4)
-        with pytest.raises(ValueError):
-            weakly_separated([1, 2], [1, 2, 3], 4)
+            _weakly_separated((1, 2), (1, 2, 3), 4)
         with pytest.raises(ValueError):
             pairwise_weakly_separated([(1, 2), [1, 2, 3]], 4)
-        assert weakly_separated([1, 3], [2, 4], 4) is False
-        assert weakly_separated([1, 3], (1, 4), 4) is True
         assert pairwise_weakly_separated([[1, 2], [1, 3], (1, 4)], 4)
         assert not pairwise_weakly_separated([[1, 3], [2, 4]], 4)
 
@@ -214,9 +208,7 @@ def test_max_diag_zero_iff_contained(args):
     assert got == cell_set_max_diag(J, I, n)
 
 
-def test_shifted_key_and_lex_max():
-    P = [(1, 2), (1, 3), (2, 3)]
-    assert lex_max(P) == (2, 3)
+def test_shifted_key():
     assert shifted_key((2, 3), 2, 3) == (0, 1)
 
 

@@ -9,7 +9,6 @@ from plabicflow.laurent import (
     lp_add,
     lp_equal,
     lp_exact_div,
-    lp_min_exponent,
     lp_mul,
     lp_substitute,
     Substitution,
@@ -90,26 +89,12 @@ def test_exact_division_failure():
         lp_exact_div(f, g)
 
 
-def test_min_max_exponent():
-    f = poly({(0, 1, 0): 1, (1, 1, 0): 2, (2, 0, 0): 1})
-    # two incomparable minima: lex order picks (0,1,0), flag says non-unique
-    assert lp_min_exponent(f) == ((0, 1, 0), False)
-    g = poly({(0, 1, 0): 1, (1, 1, 0): 2})
-    assert lp_min_exponent(g) == ((0, 1, 0), True)
-    with pytest.raises(ValueError):
-        lp_min_exponent(poly({}))
-
-
 def quadratic_min_exponent(f):
-    """The all-pairs search that the coordinatewise fast path replaced; the
-    lex-minimal minimal exponent, in lattice order, when none is unique."""
+    """The all-pairs search for a minimal exponent under the coordinatewise
+    partial order: the lex-least minimal exponent, in lattice order."""
     exps = [e for e, _ in f.terms]
-    minimal = [e for e in exps
-               if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps)]
-    below_all = [e for e in minimal if all(all(x <= y for x, y in zip(e, o)) for o in exps)]
-    if len(minimal) == 1 and below_all:
-        return minimal[0], True
-    return min(minimal), False
+    return min(e for e in exps
+               if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps))
 
 
 @st.composite
@@ -130,20 +115,19 @@ def nonzero_polys(draw):
 @given(nonzero_polys())
 @settings(max_examples=200)
 def test_extremes_equal_quadratic_search(f):
-    assert lp_min_exponent(f) == quadratic_min_exponent(f)
+    # terms are sorted by exponent, so the leading term is a minimal one
+    assert quadratic_min_exponent(f) == f.terms[0][0]
 
 
 @given(polys, polys)
 @settings(max_examples=60)
-def test_min_exponent_additive_for_positive_polys(f, g):
-    fp = LaurentPoly.make(L3, {e: abs(c) for e, c in f.terms})
-    gp = LaurentPoly.make(L3, {e: abs(c) for e, c in g.terms})
-    if fp.is_zero() or gp.is_zero():
+def test_first_term_of_product_is_sum_of_first_terms(f, g):
+    # lex order is a monomial order: the product of the two first terms is
+    # the only one at its exponent, so no cancellation reaches it
+    if f.is_zero() or g.is_zero():
         return
-    ef, _ = lp_min_exponent(fp)
-    eg, _ = lp_min_exponent(gp)
-    eh, _ = lp_min_exponent(lp_mul(fp, gp))
-    assert eh == tuple(x + y for x, y in zip(ef, eg))
+    (ef, cf), (eg, cg) = f.terms[0], g.terms[0]
+    assert lp_mul(f, g).terms[0] == (tuple(x + y for x, y in zip(ef, eg)), cf * cg)
 
 
 # a -> u*(1+v), b -> v, c -> 1 over (u, v): the image of b + c is the

@@ -31,7 +31,7 @@ from plabicflow.charts import (
     plucker_verify,
     three_term_relations,
 )
-from plabicflow.combinat import format_ksubset, ksubsets, lex_max
+from plabicflow.combinat import format_ksubset, ksubsets
 from plabicflow.laurent import LaurentPoly
 from plabicflow.plabic import (
     ModelInvariantError,
@@ -862,7 +862,7 @@ def test_lists_of_one_boundary_value_are_the_table_groups(spec):
             assert masks == list(table.groups.get(I, ()))
             total += len(masks)
         assert total == len(table.masks)
-        assert plabic.base_value(model) == lex_max(table.positroid)
+        assert plabic.base_value(model) == max(table.positroid)
 
 
 def test_masks_at_lists_one_boundary_value_without_the_table():

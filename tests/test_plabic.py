@@ -107,6 +107,14 @@ def test_load_errors():
     )
     with pytest.raises((ParseError, ModelInvariantError)):
         load_model(bad)
+    # a second kn line, the same or another: the label lines before it were
+    # read under the first n
+    lines = SHARK_TEXT.splitlines()
+    for repeat in ("kn 2 5", "kn 3 5"):
+        text = "\n".join(lines + [repeat]) + "\n"
+        with pytest.raises(ParseError, match="duplicate kn line") as err:
+            load_model(text)
+        assert err.value.line_no == len(lines) + 1
 
 
 # an id with a ',' in it: label and star lines join edge ids with ','

@@ -16,12 +16,15 @@ PACKAGE = ROOT / "src" / "plabicflow"
 # public names that no code in the package or the benchmark names, each
 # with the reason it stays
 ALLOWED = {
-    "combinat.weakly_separated": "the benchmark tracer wraps it",
-    "plabic.flow_weight": "the reference flow route; the benchmark's "
-                          "per-layer metrics name it",
-    "plabic.check_model": "a whole-model check that no suite runs yet",
-    "cones.level1_slice_check": "the no-body check that no suite runs yet",
-    "superpot.gvector_cone_ineqs": "a cone check that no suite runs yet",
+    "plabic.flow_weight": "the reference flow route, named by the benchmark's "
+                          "per-layer metrics; ROADMAP item 2's benchmark "
+                          "change moves it into the tests",
+    "plabic.check_model": "a whole-model check that no suite runs yet; "
+                          "ROADMAP item 9's --orbit walk will run it",
+    "cones.level1_slice_check": "the no-body check that no suite runs yet; "
+                                "ROADMAP item 5's cone-fill suite will run it",
+    "superpot.gvector_cone_ineqs": "a cone check that no suite runs yet; "
+                                   "ROADMAP item 5's cone-fill suite will run it",
 }
 
 
