@@ -36,11 +36,12 @@ from .laurent import LaurentPoly, NotLaurent, lp_equal
 from .plabic import ModelInvariantError, NotPlabicMutable, ParseError, PlabicModel
 
 FORMATS = ("pretty", "json", "csv")
-# Most lattice points ``gt-cone --level`` or ``verify weyl-count`` enumerates
-# in one request.  A level slice holds exactly ``cones.weyl_dim`` points, so
-# the count is known before enumerating; 232,848 points, (4,8) at level 4,
-# take 1.5-2.1 s CPU and 60 MB peak RSS as CSV, 84 MB as JSON, in process on
-# a shared 2-vCPU x86 box with Python 3.11.
+# Most lattice points ``gt-cone --level``, ``verify weyl-count``, ``verify
+# trop-a`` or ``no-body`` enumerates in one request.  A level slice holds
+# exactly ``cones.weyl_dim`` points, so the count is known before
+# enumerating; the level-1 slice holds one point per k-subset.  232,848
+# points, (4,8) at level 4, take 1.5-2.1 s CPU and 60 MB peak RSS as CSV,
+# 84 MB as JSON, in process on a shared 2-vCPU x86 box with Python 3.11.
 POINT_BUDGET = 500_000
 
 
@@ -379,6 +380,8 @@ def cmd_gt_cone(args) -> int:
 
 def cmd_no_body(args) -> int:
     model = load_any_model(args.model)
+    # one level-1 point per k-subset: weyl_dim(k, n, 1) = C(n, k)
+    _check_point_budget(model.k, model.n, [1], "no-body")
     s = seeds.seed_of_model(model)
     pts = cones.no_body_level1(s)
     labels = s.quiver.lattice
@@ -548,9 +551,12 @@ def cmd_verify(args) -> int:
     instances = [_parse_kn(kn) for kn in args.kn] if args.kn else [(2, 4)]
     level = _parse_level(args.level)
     level = 2 if level is None else level
-    if "weyl-count" in chosen:
-        for k, n in instances:
+    for k, n in instances:
+        if "weyl-count" in chosen:
             _check_point_budget(k, n, range(level + 1), "verify weyl-count")
+        # trop-a tabulates one kappa vector per k-subset, C(n, k) of them
+        if "trop-a" in chosen:
+            _check_point_budget(k, n, [1], "verify trop-a")
     emit = _record_writer(args.format)
     all_ok = True
     for k, n in instances:

@@ -1,4 +1,4 @@
-"""Cyclic-set combinatorics: k-subsets, weak separation, necklaces, Young diagrams.
+"""Cyclic-set combinatorics: k-subsets, weak separation, Young diagrams.
 
 A k-subset of [n] = {1, ..., n} is represented as a sorted tuple of ints.
 Textual form is a digit string like "1457" when n <= 9, otherwise a comma
@@ -134,17 +134,9 @@ def pairwise_weakly_separated(coll, n: int) -> bool:
     )
 
 
-def shifted_key(I: KSubset, i: int, n: int) -> tuple[int, ...]:
-    """Sort key for the <=_i order: lex order of [n] restarted at i."""
-    return tuple(sorted((x - i) % n for x in I))
-
-
-def necklace_of_positroid(P, n: int) -> tuple[KSubset, ...]:
-    """The sequence of <=_i-minima of a nonempty collection of k-subsets."""
-    P = [tuple(I) for I in P]
-    if not P:
-        raise ValueError("empty collection has no necklace")
-    return tuple(min(P, key=lambda I: shifted_key(I, i, n)) for i in range(1, n + 1))
+def weakly_separated_from(I: KSubset, coll, n: int) -> bool:
+    """True iff the tuple I is weakly separated from every tuple of coll."""
+    return all(_weakly_separated(I, J, n) for J in coll)
 
 
 def young_of(I: KSubset, n: int) -> tuple[int, ...]:

@@ -39,8 +39,6 @@ from .combinat import (
     cyclic_interval,
     format_ksubset,
     ksubsets,
-    necklace_of_positroid,
-    pairwise_weakly_separated,
     parse_ksubset,
 )
 
@@ -1432,28 +1430,6 @@ def flow_weight(model: PlabicModel, m) -> dict[KSubset, int]:
     return weights
 
 
-def check_model(model: PlabicModel) -> None:
-    """Heavyweight consistency checks (enumerates all matchings)."""
-    an = analyze(model)
-    pos = positroid(model)
-    if not pos:
-        raise ModelInvariantError("no-matchings")
-    neck = necklace_of_positroid(pos, model.n)
-    # the gap faces in ascending l: gap face l carries the necklace's l + 1
-    for f in sorted((f for f in an.faces if f.gap), key=lambda f: f.gap):
-        l, got, want = f.gap, f.label, neck[f.gap % model.n]
-        if got != want:
-            raise ModelInvariantError(
-                "gap-necklace-mismatch",
-                f"gap face {l} labelled {got}, necklace says {want}",
-            )
-    if not pairwise_weakly_separated([f.label for f in an.faces], model.n):
-        raise ModelInvariantError("labels-not-weakly-separated")
-    weigh = face_graph(model).weigh
-    for mask in matching_table(model).masks:
-        weigh(mask)
-
-
 # ------------------------------------------------------------ square move
 
 
@@ -1498,7 +1474,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     if len(set(sides)) != 4:
         raise NotPlabicMutable(f"face {face_label} has a repeated edge")
     # corner i is the head of side i; there the rotation runs side i, then
-    # side i + 1 (``_dart_successors``), and the colors alternate
+    # side i + 1 (the face successor of ``analyze``), and the colors alternate
     corners = []
     for (_, e), d in orbit:
         head = model.edges[e][1 - d]

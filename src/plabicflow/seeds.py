@@ -9,6 +9,12 @@ adds the k-subset labels.  Mutation comes in three flavors: ``fz_mutate``
 the Plucker exchange of the mutated label), and ``trop_a_mutate`` (the
 piecewise-linear action on integer vectors).
 
+The labels of every seed that ``seed_of_model`` or ``mutate_labels``
+returns are pairwise weakly separated (Oh-Postnikov-Speyer).
+``seed_of_model`` checks every pair once per model; ``mutate_labels``
+checks only the exchanged label against the others, since every other
+pair is the parent seed's.  Both raise ``labels-not-weakly-separated``.
+
 Entries of the exchange matrix between two frozen vertices need care:
 ``fz_mutate`` is the plain matrix rule and copies frozen-frozen arrows
 through unchanged (matrix mutation does not define them), so comparisons of
@@ -37,6 +43,7 @@ from .combinat import (
     format_ksubset,
     max_diag,
     pairwise_weakly_separated,
+    weakly_separated_from,
 )
 from .plabic import (
     ModelInvariantError,
@@ -213,10 +220,13 @@ class Seed:
 def seed_of_model(model: PlabicModel) -> Seed:
     """The seed of a model, derived once per model: its dual quiver, with
     faces named by their label strings and listed in the subset order of
-    their labels, and the face labels."""
+    their labels, and the face labels, whose every pair is checked for
+    weak separation here (``labels-not-weakly-separated`` otherwise)."""
     an = analyze(model)
 
     def build():
+        if not pairwise_weakly_separated((f.label for f in an.faces), model.n):
+            raise ModelInvariantError("labels-not-weakly-separated")
         name = {f.index: format_ksubset(f.label, model.n) for f in an.faces}
         counts: dict[tuple[str, str], int] = {}
         for _e, s, t in an.arrows:
@@ -278,9 +288,15 @@ def label_exchange(s: Seed, j: str) -> tuple[str, dict[str, KSubset], tuple[str,
 
 
 def mutate_labels(s: Seed, j: str) -> Seed:
-    """Seed mutation: quiver mutation plus the Plucker label exchange at j."""
+    """Seed mutation: quiver mutation plus the Plucker label exchange at j.
+
+    The exchanged label is checked for weak separation against the other
+    m - 1 labels; every other pair is the parent seed's, which is pairwise
+    weakly separated (``seed_of_model``), so the new seed is too.  A
+    crossing raises ``labels-not-weakly-separated``."""
     new_name, labels2, vertices = label_exchange(s, j)
-    if not pairwise_weakly_separated(list(labels2.values()), s.n):
+    others = (lab for v, lab in labels2.items() if v != new_name)
+    if not weakly_separated_from(labels2[new_name], others, s.n):
         raise ModelInvariantError(
             "labels-not-weakly-separated", f"after exchanging {j} -> {new_name}"
         )

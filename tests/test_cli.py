@@ -319,13 +319,29 @@ def test_a_bad_request_is_one_error_line(tmp_path, capsys, argv, text):
     # levels 0..29 of (2,4) already pass the budget; nothing is printed
     (("verify", "weyl-count", "--kn", "2,4", "--level", "1000"), "515,592 lattice points by level 29"),
     (("verify", "all", "--kn", "2,5", "--level", "100"), "596,904 lattice points by level 15"),
-], ids=["gt-cone", "weyl-count", "verify-all"])
+    # one level-1 point per k-subset: C(44, 22) of them
+    (("verify", "trop-a", "--kn", "22,44"), "2,104,098,963,720 lattice points by level 1"),
+    (("no-body", "rect:22,44"), "2,104,098,963,720 lattice points by level 1"),
+], ids=["gt-cone", "weyl-count", "verify-all", "trop-a", "no-body"])
 def test_point_budget_refuses_large_slices(capsys, argv, needs):
     rc, out, err = run_out(capsys, *argv)
     assert rc == 2
     assert out == ""
     assert needs in err
     assert "past the point budget of 500,000" in err
+
+
+def test_level1_budget_is_inclusive(monkeypatch, capsys):
+    # (2,5) has C(5, 2) = 10 level-1 points, (2,6) has 15
+    monkeypatch.setattr(cli, "POINT_BUDGET", 10)
+    assert run_out(capsys, "verify", "trop-a", "--kn", "2,5")[0] == 0
+    assert run_out(capsys, "no-body", "rect:2,5")[0] == 0
+    # every instance is weighed before any suite runs
+    rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "2,5", "--kn", "2,6")
+    assert (rc, out) == (2, "")
+    assert err == ("error: verify trop-a at (2,6) needs 15 lattice points by "
+                   "level 1, past the point budget of 10\n")
+    assert run_out(capsys, "no-body", "rect:2,6")[0] == 2
 
 
 def test_point_budget_is_inclusive(monkeypatch, capsys):

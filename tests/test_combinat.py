@@ -10,11 +10,10 @@ from plabicflow.combinat import (
     format_ksubset,
     ksubsets,
     max_diag,
-    necklace_of_positroid,
     pairwise_weakly_separated,
     parse_ksubset,
     rectangle_label,
-    shifted_key,
+    weakly_separated_from,
     young_of,
 )
 
@@ -91,6 +90,16 @@ def test_weak_separation_examples():
     assert _weakly_separated((1, 3), (1, 4), 4)
     assert pairwise_weakly_separated([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)], 4)
     assert not pairwise_weakly_separated([(1, 3), (2, 4)], 4)
+
+
+def test_weakly_separated_from_tests_each_member():
+    coll = [(1, 2), (1, 4), (2, 3), (3, 4)]
+    assert weakly_separated_from((1, 3), coll, 4)
+    assert not weakly_separated_from((2, 4), coll + [(1, 3)], 4)
+    assert weakly_separated_from((2, 4), [], 4)
+    for I in ksubsets(6, 3):
+        for J in ksubsets(6, 3):
+            assert weakly_separated_from(I, [J], 6) is _weakly_separated(I, J, 6)
 
 
 def crossing_weakly_separated(I, J, n: int) -> bool:
@@ -206,15 +215,6 @@ def test_max_diag_zero_iff_contained(args):
     got = max_diag(J, I, n)
     assert (got == 0) == contained
     assert got == cell_set_max_diag(J, I, n)
-
-
-def test_shifted_key():
-    assert shifted_key((2, 3), 2, 3) == (0, 1)
-
-
-def test_necklace_of_positroid_full():
-    P = ksubsets(4, 2)
-    assert necklace_of_positroid(P, 4) == ((1, 2), (2, 3), (3, 4), (1, 4))
 
 
 def test_rectangle_label():

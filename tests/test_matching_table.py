@@ -9,7 +9,9 @@ matchings afresh on every call and filters them by ``boundary_value``; it
 is the oracle for the table's positroid, base matching, partition
 functions and flow polynomials.  ``DenseRoutes`` holds the per-face face
 weight routes that the packed ones of ``FaceGraph`` replaced; it is the
-oracle for their weights and their error messages.
+oracle for their weights and their error messages.  The Grassmann necklace
+of the enumerated positroid (``necklace_oracle``) is the oracle for the
+gap-face labels.
 """
 
 import gc
@@ -48,6 +50,7 @@ from plabicflow.plabic import (
     square_moves,
 )
 from plabicflow.seeds import mutable_vertices, seed_of_model
+from necklace_oracle import necklace_of_positroid, shifted_key
 
 BASES = {
     "shark": shark_model,
@@ -298,6 +301,26 @@ def test_table_equals_fresh_enumeration(name):
     for I in ksubsets(model.n, model.k):
         assert partition_function(model, I) == ref.partition(I), (name, I)
         assert flow_polynomial(model, I) == ref.flow(I), (name, I)
+
+
+def test_shifted_key():
+    assert shifted_key((2, 3), 2, 3) == (0, 1)
+
+
+def test_necklace_of_positroid_full():
+    P = ksubsets(4, 2)
+    assert necklace_of_positroid(P, 4) == ((1, 2), (2, 3), (3, 4), (1, 4))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_gap_labels_are_the_necklace_of_the_positroid(name):
+    # the gap face between stubs l and l + 1 carries the necklace's
+    # (l + 1)-th entry of the enumerated positroid
+    model = MODELS[name]()
+    neck = necklace_of_positroid(positroid(model), model.n)
+    gaps = {f.gap: f.label for f in analyze(model).faces if f.gap is not None}
+    assert sorted(gaps) == list(range(1, model.n + 1))
+    assert gaps == {l: neck[l % model.n] for l in gaps}
 
 
 def test_orbits_leave_the_base_model():
@@ -688,7 +711,6 @@ def test_one_enumeration_per_model(enumerations):
             flow_polynomial(m, I)
         for rel in three_term_relations(3, 6):
             assert plucker_verify(m, rel)
-        plabic.check_model(m)
     assert enumerations[id(model)] == 1
     assert enumerations[id(moved)] == 1
 
@@ -941,7 +963,6 @@ def test_table_path_never_names_matchings(monkeypatch, capsys):
     for I in positroid(model):
         partition_function(model, I)
         flow_polynomial(model, I)
-    plabic.check_model(model)
     assert cli.main(["matchings", "rect:3,6"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 42
 

@@ -189,6 +189,106 @@ def test_seed_mutations_skips_refused_vertices(k, n):
     assert len(got) < len(mutable_vertices(s.quiver)) or k == 2
 
 
+# -------------------------------------------------------- weak separation
+
+
+def refuse_pair(monkeypatch, I, J):
+    """Make the pair test of ``combinat`` refuse the pair I, J (either
+    way round) and answer every other pair as before."""
+    real = combinat._weakly_separated
+    monkeypatch.setattr(combinat, "_weakly_separated",
+                        lambda A, B, n: {A, B} != {I, J} and real(A, B, n))
+
+
+def test_seed_of_model_refuses_crossing_labels(monkeypatch, capsys):
+    refuse_pair(monkeypatch, (1, 3), (2, 3))
+    model = build_rectangles_model(2, 4)
+    for _ in range(2):  # a refused build keeps nothing, so it is refused again
+        with pytest.raises(ModelInvariantError) as err:
+            seed_of_model(model)
+        assert err.value.violation == "labels-not-weakly-separated"
+    monkeypatch.undo()
+    assert sorted(seed_of_model(model).labels) == ["12", "13", "14", "23", "34"]
+
+
+def test_mutate_labels_refuses_a_crossing_exchanged_label(monkeypatch):
+    s = rectangles_seed(2, 5)
+    # 25 crosses 13 and 14 on the 5-cycle
+    monkeypatch.setattr(seeds, "exchange_label", lambda q, labels, j: (2, 5))
+    with pytest.raises(ModelInvariantError) as err:
+        mutate_labels(s, "13")
+    assert err.value.violation == "labels-not-weakly-separated"
+    assert err.value.detail == "after exchanging 13 -> 25"
+    monkeypatch.undo()
+    # the real partner 24, with one of its m - 1 pairs refused
+    refuse_pair(monkeypatch, (2, 4), (1, 5))
+    with pytest.raises(ModelInvariantError) as err:
+        mutate_labels(s, "13")
+    assert err.value.detail == "after exchanging 13 -> 24"
+
+
+def test_one_mutation_tests_the_exchanged_label_only(monkeypatch):
+    calls = []
+    real = combinat._weakly_separated
+    monkeypatch.setattr(combinat, "_weakly_separated",
+                        lambda I, J, n: calls.append((I, J)) or real(I, J, n))
+    model = build_rectangles_model(6, 12)
+    s = seed_of_model(model)
+    m = len(s.quiver.vertices)
+    assert (m, len(calls)) == (37, 666)  # every pair, once per model
+    seed_of_model(model)
+    assert len(calls) == 666
+    j = next(j for j, _ in seed_mutations(s))
+    calls.clear()
+    moved = mutate_labels(s, j)
+    assert len(calls) == m - 1 == 36
+    new = (set(moved.labels.values()) - set(s.labels.values())).pop()
+    assert {I for I, _ in calls} == {new}
+
+
+def full_pair_check(s: Seed, j: str) -> bool:
+    """The check ``mutate_labels`` made before it tested one label: every
+    pair of the labels after the exchange at j."""
+    _name, labels, _vertices = seeds.label_exchange(s, j)
+    return combinat.pairwise_weakly_separated(list(labels.values()), s.n)
+
+
+def passes_separation(s: Seed, j: str) -> bool:
+    """Whether ``mutate_labels`` at j gets past its weak-separation check; a
+    violation found after it (the corner rule) still means it did."""
+    try:
+        mutate_labels(s, j)
+    except ModelInvariantError as exc:
+        return exc.violation != "labels-not-weakly-separated"
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["shark", (3, 6), (3, 7), (4, 8)]), st.integers(0, 2**32),
+       st.integers(0, 5))
+def test_one_label_check_equals_the_full_pair_check_on_walks(start, seed, steps):
+    # at every exchangeable vertex of every seed of the walk, with its real
+    # exchange partner and with a random k-subset in its place, which the
+    # full check often refuses
+    rng = random.Random(seed)
+    s0 = seed_of_model(shark_model()) if start == "shark" else rectangles_seed(*start)
+    for s in walked_seeds(s0, rng, steps):
+        assert combinat.pairwise_weakly_separated(s.labels.values(), s.n)
+        for j in mutable_vertices(s.quiver):
+            try:
+                real = exchange_label(s.quiver, s.labels, j)
+            except NotPlabicMutable:
+                continue
+            for partner in (real, tuple(sorted(rng.sample(range(1, s.n + 1), s.k)))):
+                if partner in s.labels.values():  # refused as duplicate-label
+                    continue
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(seeds, "exchange_label", lambda q, labels, v: partner)
+                    want = full_pair_check(s, j)
+                    assert want or partner != real
+                    assert passes_separation(s, j) is want
+
+
 def test_kappa_table_24():
     s = rectangles_seed(2, 4)
     got = {
