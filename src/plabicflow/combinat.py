@@ -5,6 +5,9 @@ Textual form is a digit string like "1457" when n <= 9, otherwise a comma
 list like "1,4,10".  The ambient n is always carried alongside, never
 inferred from the largest element.
 
+Weak separation and MaxDiag rows read a subset as a bitmask, bit x for
+element x; weak separation memoises nothing.
+
 Labels are ordered as tuples (subset order), never as their textual
 forms: "1,3,4" precedes "1,3,10".  The order is applied where names are
 first made from subsets -- ``plabic.analyze`` (the face lattice),
@@ -94,49 +97,52 @@ def cyclic_interval(a: int, b: int, n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _weakly_separated(I: KSubset, J: KSubset, n: int) -> bool:
-    """True iff I \\ J and J \\ I occupy disjoint arcs of the cyclic order.
-
-    Equivalently: no cyclic pattern a < b < c < d with a, c in I \\ J and
-    b, d in J \\ I.  Implemented by counting maximal blocks of the cyclic
-    membership word: separated iff there are at most two blocks.
-
-    I and J are tuples; the answer is memoised by the pair, at most
-    C(n,k)^2 entries per (k, n).  A size mismatch raises ValueError on
-    every call, since exceptions are not cached.
-    """
-    if len(I) != len(J):
-        raise ValueError(f"size mismatch: |{I}| != |{J}|")
-    S = set(I) - set(J)
-    T = set(J) - set(I)
-    word = []
-    for x in range(1, n + 1):
-        if x in S:
-            word.append("S")
-        elif x in T:
-            word.append("T")
-    if not word:
-        return True
-    blocks = 1
-    for i in range(1, len(word)):
-        if word[i] != word[i - 1]:
-            blocks += 1
-    if word[0] == word[-1] and blocks > 1:
-        blocks -= 1  # first and last block merge cyclically
-    return blocks <= 2
+def _mask(I: KSubset) -> int:
+    """The bitmask of a subset: bit x for each element x."""
+    mask = 0
+    for x in I:
+        mask |= 1 << x
+    return mask
 
 
-def pairwise_weakly_separated(coll, n: int) -> bool:
-    coll = [tuple(I) for I in coll]
-    return all(
-        _weakly_separated(I, J, n) for I, J in combinations(coll, 2)
-    )
+def _separated(a: int, b: int) -> bool:
+    """Weak separation of two labels of one size, given as bitmasks:
+    S = a \\ b and T = b \\ a occupy disjoint arcs of the cyclic order.
+    Read linearly, no element of T lies between the least and greatest
+    elements of S, or none of S between those of T.  The run of bits from
+    the lowest to the highest bit of v is (1 << v.bit_length()) - (v & -v)."""
+    s = a & ~b
+    t = b & ~a
+    return (not (t & ((1 << s.bit_length()) - (s & -s)))
+            or not (s & ((1 << t.bit_length()) - (t & -t))))
 
 
-def weakly_separated_from(I: KSubset, coll, n: int) -> bool:
-    """True iff the tuple I is weakly separated from every tuple of coll."""
-    return all(_weakly_separated(I, J, n) for J in coll)
+def crossing_pair(coll) -> tuple[KSubset, KSubset] | None:
+    """The first pair of coll, in ``itertools.combinations`` order, that is
+    not weakly separated, as tuples; None when every pair is.  Members of
+    different sizes raise ValueError."""
+    labels = [tuple(I) for I in coll]
+    for J in labels[1:]:
+        if len(J) != len(labels[0]):
+            raise ValueError(f"size mismatch: |{labels[0]}| != |{J}|")
+    for (I, a), (J, b) in combinations(zip(labels, map(_mask, labels)), 2):
+        if not _separated(a, b):
+            return I, J
+    return None
+
+
+def crossing_partner(I: KSubset, coll) -> KSubset | None:
+    """The first member of coll, as a tuple, that is not weakly separated
+    from I; None when every member is.  A member of another size than I
+    raises ValueError."""
+    a = _mask(I)
+    for J in coll:
+        J = tuple(J)
+        if len(J) != len(I):
+            raise ValueError(f"size mismatch: |{tuple(I)}| != |{J}|")
+        if not _separated(a, _mask(J)):
+            return J
+    return None
 
 
 def young_of(I: KSubset, n: int) -> tuple[int, ...]:

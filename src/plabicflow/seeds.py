@@ -13,7 +13,10 @@ The labels of every seed that ``seed_of_model`` or ``mutate_labels``
 returns are pairwise weakly separated (Oh-Postnikov-Speyer).
 ``seed_of_model`` checks every pair once per model; ``mutate_labels``
 checks only the exchanged label against the others, since every other
-pair is the parent seed's.  Both raise ``labels-not-weakly-separated``.
+pair is the parent seed's.  Both test pairs on the labels' bitmasks,
+keep nothing, and raise ``labels-not-weakly-separated`` naming a crossing
+pair.  beta is one sparse map by column (``beta_columns``), and wt is read
+a kappa column at a time.
 
 Entries of the exchange matrix between two frozen vertices need care:
 ``fz_mutate`` is the plain matrix rule and copies frozen-frozen arrows
@@ -40,10 +43,10 @@ from .combinat import (
     KSubset,
     _fill_max_diag_row,
     _max_diag_row,
+    crossing_pair,
+    crossing_partner,
     format_ksubset,
     max_diag,
-    pairwise_weakly_separated,
-    weakly_separated_from,
 )
 from .plabic import (
     ModelInvariantError,
@@ -221,12 +224,14 @@ def seed_of_model(model: PlabicModel) -> Seed:
     """The seed of a model, derived once per model: its dual quiver, with
     faces named by their label strings and listed in the subset order of
     their labels, and the face labels, whose every pair is checked for
-    weak separation here (``labels-not-weakly-separated`` otherwise)."""
+    weak separation here (``labels-not-weakly-separated``, naming the first
+    crossing pair in face order, otherwise)."""
     an = analyze(model)
 
     def build():
-        if not pairwise_weakly_separated((f.label for f in an.faces), model.n):
-            raise ModelInvariantError("labels-not-weakly-separated")
+        if pair := crossing_pair(f.label for f in an.faces):
+            I, J = (format_ksubset(L, model.n) for L in pair)
+            raise ModelInvariantError("labels-not-weakly-separated", f"{I} and {J} cross")
         name = {f.index: format_ksubset(f.label, model.n) for f in an.faces}
         counts: dict[tuple[str, str], int] = {}
         for _e, s, t in an.arrows:
@@ -293,12 +298,16 @@ def mutate_labels(s: Seed, j: str) -> Seed:
     The exchanged label is checked for weak separation against the other
     m - 1 labels; every other pair is the parent seed's, which is pairwise
     weakly separated (``seed_of_model``), so the new seed is too.  A
-    crossing raises ``labels-not-weakly-separated``."""
+    crossing raises ``labels-not-weakly-separated``, naming the exchanged
+    label and its first crossing partner in vertex order."""
     new_name, labels2, vertices = label_exchange(s, j)
-    others = (lab for v, lab in labels2.items() if v != new_name)
-    if not weakly_separated_from(labels2[new_name], others, s.n):
+    others = (labels2[v] for v in vertices if v != new_name)
+    partner = crossing_partner(labels2[new_name], others)
+    if partner is not None:
         raise ModelInvariantError(
-            "labels-not-weakly-separated", f"after exchanging {j} -> {new_name}"
+            "labels-not-weakly-separated",
+            f"after exchanging {j} -> {new_name}, which crosses "
+            f"{format_ksubset(partner, s.n)}",
         )
     # mutate on arrow counts and rename j to new_name; the one make_quiver
     # checks the result
@@ -400,10 +409,17 @@ def _kappa_getter(s: Seed, I: KSubset) -> tuple:
     return kappa
 
 
-def _beta_columns(s: Seed) -> dict[str, dict[str, int]]:
-    """The nonzero entries of ``beta_matrix`` by column: column -> row ->
-    entry.  Raises ``beta-unbalanced`` when a row does not sum to 0, that is
-    when beta does not annihilate the all-ones vector."""
+def beta_columns(s: Seed) -> dict[str, dict[str, int]]:
+    """The boundary map from vertex simples to vertex projectives, by
+    column: column -> row -> entry, nonzero entries only, columns in vertex
+    order.
+
+    Column at an interior vertex v is (sum of in-neighbors) - (sum of
+    out-neighbors); at a boundary vertex v it is e_v - (sum of
+    out-neighbors) + (sum of interior in-neighbors).  Raises
+    ``beta-unbalanced`` when a row does not sum to 0, that is when beta
+    does not annihilate the all-ones vector.
+    """
     q = s.quiver
     cols: dict[str, dict[str, int]] = {v: {} for v in q.vertices}
 
@@ -430,48 +446,24 @@ def _beta_columns(s: Seed) -> dict[str, dict[str, int]]:
     return cols
 
 
-def beta_matrix(s: Seed) -> dict[tuple[str, str], int]:
-    """Boundary map from vertex simples to vertex projectives.
-
-    Column at an interior vertex v is (sum of in-neighbors) - (sum of
-    out-neighbors); at a boundary vertex v it is e_v - (sum of
-    out-neighbors) + (sum of interior in-neighbors).  Entries are returned
-    as a sparse (row, column) map.  Raises ``beta-unbalanced`` on a seed
-    whose beta does not annihilate the all-ones vector.
-    """
-    return {
-        (row, col): c
-        for col, colmap in _beta_columns(s).items() for row, c in colmap.items()
-    }
-
-
-def wt_matrix(s: Seed) -> dict[tuple[str, str], int]:
-    """Matrix whose column at vertex u is the kappa vector of label(u)."""
-    out = {}
-    for u in s.quiver.vertices:
-        kv = kappa_vector(s, s.labels[u])
-        for v, c in kv.items():
-            if c:
-                out[(v, u)] = c
-    return out
-
-
 def exact_sequence_checks(s: Seed) -> bool:
     """Two matrix identities tying beta, rank, and weight together.
 
     Every column of beta sums to 0 (rank of beta is 0), and wt composed
     with beta is minus the identity away from the star coordinate.  The
     third, beta of the all-ones vector is 0, is enforced where beta is
-    built: a seed that breaks it raises ``beta-unbalanced``, as
-    ``beta_matrix`` does.
+    built: a seed that breaks it raises ``beta-unbalanced`` in
+    ``beta_columns``.
 
     wt . beta is built one column at a time: column v is the sum over w of
     beta[w, v] times the kappa vector of label(w), a tuple in vertex order.
     The star's entry is 0 in every kappa vector (``kappa_vector`` raises
-    ``bad-label`` otherwise), so the star row needs no exception.
+    ``bad-label`` otherwise), so the star row needs no exception.  The
+    column stays a dense list because the kappa vectors of large seeds are
+    dense: a sparse map over the coordinates they touch is slower there.
     """
     q = s.quiver
-    cols = _beta_columns(s)
+    cols = beta_columns(s)
     if any(sum(colmap.values()) for colmap in cols.values()):
         return False
     wt = {v: _kappa_column(s, J) for v, J in zip(q.vertices, s.vertex_labels)}

@@ -9,6 +9,7 @@ boundary matrix, and ``verify_wformula`` checks the two agree exactly."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .cones import Cone, grid_label, make_cone
 from .laurent import (
@@ -21,11 +22,11 @@ from .laurent import (
 from .plabic import ModelInvariantError
 from .seeds import (
     Seed,
-    beta_matrix,
+    _kappa_column,
+    beta_columns,
     label_exchange,
     neighbours,
     rectangles_seed,
-    wt_matrix,
 )
 
 
@@ -173,22 +174,18 @@ def _beta_dual_image(s: Seed, wx: LaurentPoly) -> LaurentPoly:
     """Map an X-form polynomial to cluster variables.
 
     A monomial x^m goes to q^(m at the corner vertex) times the product of
-    p_v^(-<beta column at v, m>) over non-star vertices."""
+    p_v^(-<beta column at v, m>) over non-star vertices; each pairing sums
+    the entries of one sparse beta column."""
     corner = grid_label(s.k, s.n, s.k, s.n - s.k)
-    beta = beta_matrix(s)
-    plabs = s.quiver.lattice
-    lattice = ("q",) + plabs
+    beta = beta_columns(s)
+    cols = [tuple(beta[v].items()) for v in s.quiver.lattice]
     terms: dict[tuple, int] = {}
     for exp, coeff in wx.terms:
         m = dict(zip(wx.lattice, exp))
-        out = {"q": m.get(corner, 0)}
-        for v in plabs:
-            out[v] = -sum(
-                beta.get((u, v), 0) * m.get(u, 0) for u in s.quiver.vertices
-            )
-        key = tuple(out[lab] for lab in lattice)
+        key = (m.get(corner, 0),
+               *(-sum(c * m.get(u, 0) for u, c in col) for col in cols))
         terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly.make(lattice, terms)
+    return LaurentPoly.make(("q",) + s.quiver.lattice, terms)
 
 
 def wformula_sides(k: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -241,20 +238,15 @@ def gvector_cone_ineqs(k: int, n: int) -> Cone:
     """Inequalities of the g-vector cone, in the projectives basis.
 
     Each monomial of the cluster-variable superpotential gives a covector;
-    composing with the weight maps (rank at q, the kappa matrix elsewhere)
-    transports it to a functional on the projectives lattice.
+    composing with the weight maps (rank at q, wt elsewhere) transports it
+    to a functional on the projectives lattice: at u, the q exponent plus
+    the vertex exponents dotted with the kappa column of label(u).
     """
     s = rectangles_seed(k, n)
     wa = w_rectangles(k, n).poly
-    wtm = wt_matrix(s)
-    ambient = s.quiver.vertices
-    covs = []
-    for exp, _c in wa.terms:
-        m = dict(zip(wa.lattice, exp))
-        cov = {}
-        for u in ambient:
-            cov[u] = m.get("q", 0) + sum(
-                m.get(v, 0) * wtm.get((v, u), 0) for v in s.quiver.lattice
-            )
-        covs.append(cov)
-    return make_cone(ambient, covs)
+    wt = [_kappa_column(s, J) for J in s.vertex_labels]
+    covs = [
+        tuple(q + sum(map(mul, exp, col)) for col in wt)
+        for (q, *exp), _c in wa.terms
+    ]
+    return make_cone(s.quiver.vertices, covs)

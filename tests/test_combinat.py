@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plabicflow.combinat import (
-    _weakly_separated,
+    _mask,
+    _separated,
     check_ksubset,
+    crossing_pair,
+    crossing_partner,
     cyclic_interval,
     format_ksubset,
     ksubsets,
     max_diag,
-    pairwise_weakly_separated,
     parse_ksubset,
     rectangle_label,
-    weakly_separated_from,
     young_of,
 )
 
@@ -72,6 +73,29 @@ def test_cyclic_interval():
     assert cyclic_interval(3, 3, 5) == [3]
 
 
+def word_weakly_separated(I, J, n: int) -> bool:
+    """Reference weak separation by the cyclic membership word: write S for
+    each element of I \\ J and T for each of J \\ I in the order 1..n; the
+    pair is separated iff the word has at most two maximal blocks, the first
+    and last block merging cyclically.  The rule that ``combinat._separated``
+    replaced."""
+    if len(I) != len(J):
+        raise ValueError(f"size mismatch: |{I}| != |{J}|")
+    S = set(I) - set(J)
+    T = set(J) - set(I)
+    word = ["S" if x in S else "T" for x in range(1, n + 1) if x in S or x in T]
+    if not word:
+        return True
+    blocks = 1 + sum(a != b for a, b in zip(word, word[1:]))
+    if word[0] == word[-1] and blocks > 1:
+        blocks -= 1
+    return blocks <= 2
+
+
+def mask_weakly_separated(I, J) -> bool:
+    return _separated(_mask(I), _mask(J))
+
+
 @given(st.integers(3, 9).flatmap(lambda n: st.tuples(
     st.just(n),
     st.sets(st.integers(1, n), min_size=2, max_size=n - 1),
@@ -81,25 +105,30 @@ def test_weak_separation_symmetric(args):
     n, A, B = args
     k = min(len(A), len(B))
     I, J = tuple(sorted(A)[:k]), tuple(sorted(B)[:k])
-    assert _weakly_separated(I, J, n) == _weakly_separated(J, I, n)
+    assert mask_weakly_separated(I, J) == mask_weakly_separated(J, I)
 
 
 def test_weak_separation_examples():
     # 13 and 24 cross on the 4-cycle; 13 and 14 do not
-    assert not _weakly_separated((1, 3), (2, 4), 4)
-    assert _weakly_separated((1, 3), (1, 4), 4)
-    assert pairwise_weakly_separated([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)], 4)
-    assert not pairwise_weakly_separated([(1, 3), (2, 4)], 4)
+    assert not mask_weakly_separated((1, 3), (2, 4))
+    assert mask_weakly_separated((1, 3), (1, 4))
+    assert crossing_pair([(1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]) is None
+    assert crossing_pair([(1, 3), (2, 4)]) == ((1, 3), (2, 4))
+    # the first crossing pair in combinations order, as tuples
+    assert crossing_pair([[1, 2], [2, 4], (1, 4), [1, 3], (3, 5)]) == ((2, 4), (1, 3))
+    assert crossing_pair([]) is None and crossing_pair([(1, 2)]) is None
 
 
 def test_weakly_separated_from_tests_each_member():
     coll = [(1, 2), (1, 4), (2, 3), (3, 4)]
-    assert weakly_separated_from((1, 3), coll, 4)
-    assert not weakly_separated_from((2, 4), coll + [(1, 3)], 4)
-    assert weakly_separated_from((2, 4), [], 4)
+    assert crossing_partner((1, 3), coll) is None
+    assert crossing_partner((2, 4), coll + [(1, 3)]) == (1, 3)
+    assert crossing_partner((2, 4), [[1, 3], (1, 3)]) == (1, 3)
+    assert crossing_partner((2, 4), []) is None
     for I in ksubsets(6, 3):
         for J in ksubsets(6, 3):
-            assert weakly_separated_from(I, [J], 6) is _weakly_separated(I, J, 6)
+            want = None if word_weakly_separated(I, J, 6) else J
+            assert crossing_partner(I, [J]) == want
 
 
 def crossing_weakly_separated(I, J, n: int) -> bool:
@@ -114,8 +143,7 @@ def crossing_weakly_separated(I, J, n: int) -> bool:
 
 
 def test_weak_separation_equals_crossings_exhaustive():
-    # every pair of k-subsets with n <= 8, each asked twice (the second
-    # answer comes from the memo)
+    # every pair of k-subsets with n <= 8, by the word rule and the mask rule
     pairs = 0
     for n in range(9):
         for k in range(n + 1):
@@ -123,20 +151,47 @@ def test_weak_separation_equals_crossings_exhaustive():
             for I in subs:
                 for J in subs:
                     want = crossing_weakly_separated(I, J, n)
-                    assert _weakly_separated(I, J, n) is want, (I, J, n)
-                    assert _weakly_separated(I, J, n) is want
+                    assert word_weakly_separated(I, J, n) is want, (I, J, n)
+                    assert mask_weakly_separated(I, J) is want, (I, J, n)
                     pairs += 1
     assert pairs == 17577
 
 
+def test_mask_rule_equals_word_rule_exhaustive():
+    # every pair of distinct k-subsets with n <= 10, both ways round
+    pairs = 0
+    for n in range(11):
+        for k in range(n + 1):
+            subs = ksubsets(n, k)
+            for I, J in combinations(subs, 2):
+                want = word_weakly_separated(I, J, n)
+                a, b = _mask(I), _mask(J)
+                assert _separated(a, b) is _separated(b, a) is want, (I, J, n)
+                pairs += 1
+    assert pairs == 124453
+
+
+@given(st.integers(2, 44).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.integers(1, n - 1).flatmap(lambda k: st.tuples(
+        st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True),
+        st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True))),
+)))
+def test_mask_rule_equals_word_rule_on_random_pairs(args):
+    n, (A, B) = args
+    I, J = tuple(sorted(A)), tuple(sorted(B))
+    assert mask_weakly_separated(I, J) is word_weakly_separated(I, J, n)
+    assert (crossing_pair([I, J]) is None) is word_weakly_separated(I, J, n)
+
+
 def test_weak_separation_bad_input_on_every_call():
     for _ in range(3):
-        with pytest.raises(ValueError):
-            _weakly_separated((1, 2), (1, 2, 3), 4)
-        with pytest.raises(ValueError):
-            pairwise_weakly_separated([(1, 2), [1, 2, 3]], 4)
-        assert pairwise_weakly_separated([[1, 2], [1, 3], (1, 4)], 4)
-        assert not pairwise_weakly_separated([[1, 3], [2, 4]], 4)
+        with pytest.raises(ValueError, match="size mismatch"):
+            crossing_pair([(1, 2), [1, 2, 3]])
+        with pytest.raises(ValueError, match="size mismatch"):
+            crossing_partner((1, 2), [(3, 4), [1, 2, 3]])
+        assert crossing_pair([[1, 2], [1, 3], (1, 4)]) is None
+        assert crossing_pair([[1, 3], [2, 4]]) == ((1, 3), (2, 4))
 
 
 def test_young_roundtrip_and_cells():

@@ -15,7 +15,7 @@ from plabicflow.plabic import (
 from plabicflow.seeds import (
     Quiver,
     Seed,
-    beta_matrix,
+    beta_columns,
     exact_sequence_checks,
     exchange_label,
     fz_mutate,
@@ -27,7 +27,6 @@ from plabicflow.seeds import (
     seed_mutations,
     seed_of_model,
     trop_a_mutate,
-    wt_matrix,
 )
 from test_combinat import cell_set_max_diag
 
@@ -47,12 +46,30 @@ KAPPA24 = {
     "34": {"12": 0, "13": 0, "14": 0, "23": 0, "34": 0},
 }
 
+# beta of the (2,4) seed as (row, column) -> entry, nonzero entries only
 BETA24 = {
     ("12", "12"): 1, ("12", "13"): -1, ("13", "12"): 1, ("13", "14"): -1,
     ("13", "23"): -1, ("13", "34"): 1, ("14", "12"): -1, ("14", "13"): 1,
     ("14", "14"): 1, ("14", "34"): -1, ("23", "12"): -1, ("23", "13"): 1,
     ("23", "23"): 1, ("23", "34"): -1, ("34", "13"): -1, ("34", "34"): 1,
 }
+
+
+def flat(columns) -> dict:
+    """A map column -> row -> entry flattened to (row, column) -> entry,
+    nonzero entries only."""
+    return {(row, col): c for col, colmap in columns.items()
+            for row, c in colmap.items() if c}
+
+
+def flat_beta(s: Seed) -> dict:
+    return flat(beta_columns(s))
+
+
+def flat_wt(s: Seed) -> dict:
+    """wt as (row, column) -> entry: the column at u is the kappa vector of
+    label(u), read in vertex order."""
+    return flat({u: kappa_vector(s, s.labels[u]) for u in s.quiver.vertices})
 
 
 def test_quiver_of_rect24():
@@ -192,12 +209,19 @@ def test_seed_mutations_skips_refused_vertices(k, n):
 # -------------------------------------------------------- weak separation
 
 
+def mask(J) -> int:
+    """The bitmask of J, bit x for each element x: what the weak-separation
+    test compares, and the key of J in a MaxDiag row."""
+    return sum(1 << x for x in J)
+
+
 def refuse_pair(monkeypatch, I, J):
     """Make the pair test of ``combinat`` refuse the pair I, J (either
     way round) and answer every other pair as before."""
-    real = combinat._weakly_separated
-    monkeypatch.setattr(combinat, "_weakly_separated",
-                        lambda A, B, n: {A, B} != {I, J} and real(A, B, n))
+    real = combinat._separated
+    refused = {mask(I), mask(J)}
+    monkeypatch.setattr(combinat, "_separated",
+                        lambda a, b: {a, b} != refused and real(a, b))
 
 
 def test_seed_of_model_refuses_crossing_labels(monkeypatch, capsys):
@@ -207,6 +231,8 @@ def test_seed_of_model_refuses_crossing_labels(monkeypatch, capsys):
         with pytest.raises(ModelInvariantError) as err:
             seed_of_model(model)
         assert err.value.violation == "labels-not-weakly-separated"
+        # the refused pair is named
+        assert "13" in err.value.detail and "23" in err.value.detail
     monkeypatch.undo()
     assert sorted(seed_of_model(model).labels) == ["12", "13", "14", "23", "34"]
 
@@ -218,20 +244,21 @@ def test_mutate_labels_refuses_a_crossing_exchanged_label(monkeypatch):
     with pytest.raises(ModelInvariantError) as err:
         mutate_labels(s, "13")
     assert err.value.violation == "labels-not-weakly-separated"
-    assert err.value.detail == "after exchanging 13 -> 25"
+    # 13 itself is exchanged away, so 14 is the first crossing partner
+    assert err.value.detail == "after exchanging 13 -> 25, which crosses 14"
     monkeypatch.undo()
     # the real partner 24, with one of its m - 1 pairs refused
     refuse_pair(monkeypatch, (2, 4), (1, 5))
     with pytest.raises(ModelInvariantError) as err:
         mutate_labels(s, "13")
-    assert err.value.detail == "after exchanging 13 -> 24"
+    assert err.value.detail == "after exchanging 13 -> 24, which crosses 15"
 
 
 def test_one_mutation_tests_the_exchanged_label_only(monkeypatch):
     calls = []
-    real = combinat._weakly_separated
-    monkeypatch.setattr(combinat, "_weakly_separated",
-                        lambda I, J, n: calls.append((I, J)) or real(I, J, n))
+    real = combinat._separated
+    monkeypatch.setattr(combinat, "_separated",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
     model = build_rectangles_model(6, 12)
     s = seed_of_model(model)
     m = len(s.quiver.vertices)
@@ -243,14 +270,14 @@ def test_one_mutation_tests_the_exchanged_label_only(monkeypatch):
     moved = mutate_labels(s, j)
     assert len(calls) == m - 1 == 36
     new = (set(moved.labels.values()) - set(s.labels.values())).pop()
-    assert {I for I, _ in calls} == {new}
+    assert {a for a, _ in calls} == {mask(new)}
 
 
 def full_pair_check(s: Seed, j: str) -> bool:
     """The check ``mutate_labels`` made before it tested one label: every
     pair of the labels after the exchange at j."""
     _name, labels, _vertices = seeds.label_exchange(s, j)
-    return combinat.pairwise_weakly_separated(list(labels.values()), s.n)
+    return combinat.crossing_pair(labels.values()) is None
 
 
 def passes_separation(s: Seed, j: str) -> bool:
@@ -273,7 +300,7 @@ def test_one_label_check_equals_the_full_pair_check_on_walks(start, seed, steps)
     rng = random.Random(seed)
     s0 = seed_of_model(shark_model()) if start == "shark" else rectangles_seed(*start)
     for s in walked_seeds(s0, rng, steps):
-        assert combinat.pairwise_weakly_separated(s.labels.values(), s.n)
+        assert combinat.crossing_pair(s.labels.values()) is None
         for j in mutable_vertices(s.quiver):
             try:
                 real = exchange_label(s.quiver, s.labels, j)
@@ -327,7 +354,11 @@ def test_kappa_injective_49():
 
 def test_beta_matrix_24():
     s = rectangles_seed(2, 4)
-    assert beta_matrix(s) == BETA24
+    assert flat_beta(s) == BETA24
+    # the columns in vertex order, each holding its nonzero entries only
+    cols = beta_columns(s)
+    assert list(cols) == list(s.quiver.vertices)
+    assert all(all(colmap.values()) for colmap in cols.values())
 
 
 def test_beta_unbalanced_outside_scope():
@@ -335,7 +366,7 @@ def test_beta_unbalanced_outside_scope():
     # do not annihilate the all-ones vector
     s = seed_of_model(shark_model())
     with pytest.raises(ModelInvariantError) as err:
-        beta_matrix(s)
+        beta_columns(s)
     assert "beta-unbalanced" in str(err.value)
 
 
@@ -367,7 +398,7 @@ def test_exact_sequence_checks_diagonal_and_off_diagonal():
     # one label everywhere: wt is 0, so only the diagonal entries fail
     s = rectangles_seed(2, 4)
     same = {v: s.labels[s.quiver.star] for v in s.quiver.vertices}
-    assert wt_matrix(Seed(s.k, s.n, s.quiver, same)) == {}
+    assert flat_wt(Seed(s.k, s.n, s.quiver, same)) == {}
     assert not exact_sequence_checks(Seed(s.k, s.n, s.quiver, same))
 
 
@@ -395,12 +426,14 @@ def test_mutated_quiver_matches_square_moved_model():
 
 
 def test_wt_matrix_is_kappa_columns():
+    # wt's column at u is the kappa column of label(u), read in vertex order
     s = rectangles_seed(2, 4)
-    wt = wt_matrix(s)
+    wt = flat_wt(s)
     for u in s.quiver.vertices:
-        for v in s.quiver.vertices:
-            # wt_matrix stores nonzero entries only
-            assert wt.get((v, u), 0) == kappa_vector(s, s.labels[u])[v]
+        col = seeds._kappa_column(s, s.labels[u])
+        for v, c in zip(s.quiver.vertices, col):
+            # the flattened wt stores nonzero entries only
+            assert wt.get((v, u), 0) == c == KAPPA24[u][v]
 
 
 def test_trop_a_mutate_kappa_compat():
@@ -428,7 +461,7 @@ def test_degenerate_seed():
     assert sorted(s.labels) == ["1", "2"]
     assert s.quiver.star == "1"
     assert mutable_vertices(s.quiver) == []
-    b = beta_matrix(s)
+    b = flat_beta(s)
     assert b == {("1", "1"): 1, ("2", "1"): -1,
                  ("1", "2"): -1, ("2", "2"): 1}
 
@@ -484,11 +517,6 @@ def test_kappa_vector_bad_subset_raises_every_time_and_is_not_memoised():
     assert {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()} == rows
 
 
-def mask(J) -> int:
-    """The key of J in a MaxDiag row: bit x for each element x."""
-    return sum(1 << x for x in J)
-
-
 def fill(row, I, n, J):
     """Fill the entry of J into the row of (I, n), as a seed does."""
     combinat._fill_max_diag_row(row, I, n, frozenset({mask(J)}), {mask(J): J})
@@ -530,7 +558,7 @@ def dict_product_exact_sequence_checks(s: Seed) -> bool:
     """The exact-sequence check as a product of sparse (row, column) maps,
     the reference route for ``exact_sequence_checks``."""
     q = s.quiver
-    beta = beta_matrix(s)
+    beta = flat_beta(s)
     colsum = {}
     for (_row, col), c in beta.items():
         colsum[col] = colsum.get(col, 0) + c
@@ -540,7 +568,7 @@ def dict_product_exact_sequence_checks(s: Seed) -> bool:
     for (w, v), c in beta.items():
         beta_rows.setdefault(w, []).append((v, c))
     prod = {}
-    for (i, w), a in wt_matrix(s).items():
+    for (i, w), a in flat_wt(s).items():
         for v, c in beta_rows.get(w, ()):
             prod[(i, v)] = prod.get((i, v), 0) + a * c
     if any(prod.get((v, v), 0) != -1 for v in q.vertices if v != q.star):
@@ -599,12 +627,12 @@ def test_exact_sequence_column_sums_see_the_row_wt_cannot():
     assert counts.pop(("15", "45")) == 1 and ("23", "45") not in counts
     counts["23", "45"] = 1
     moved = Seed(s.k, s.n, make_quiver(q.vertices, q.frozen, q.star, counts), s.labels)
-    beta = beta_matrix(moved)  # the rows still balance
+    beta = flat_beta(moved)  # the rows still balance
     colsum = {}
     for (_row, col), c in beta.items():
         colsum[col] = colsum.get(col, 0) + c
     assert {col: c for col, c in colsum.items() if c} == {"15": 1, "23": -1}
-    wt = wt_matrix(moved)
+    wt = flat_wt(moved)
     for v in q.vertices:
         if v == q.star:
             continue
@@ -664,7 +692,7 @@ def tuple_wt_matrix(s: Seed) -> dict:
 def tuple_exact_sequence_checks(s: Seed) -> bool:
     """``exact_sequence_checks`` over ``tuple_kappa_column``."""
     q = s.quiver
-    cols = seeds._beta_columns(s)
+    cols = seeds.beta_columns(s)
     if any(sum(colmap.values()) for colmap in cols.values()):
         return False
     wt = {v: tuple_kappa_column(s, J) for v, J in zip(q.vertices, s.vertex_labels)}
@@ -737,7 +765,7 @@ def test_mask_kappa_route_equals_tuple_route_on_walks(start, seed, steps):
             kv = kappa_vector(s, I)
             assert list(kv) == list(s.quiver.vertices)
             assert tuple(kv.values()) == tuple_kappa_column(s, I)
-        assert wt_matrix(s) == tuple_wt_matrix(s)
+        assert flat_wt(s) == tuple_wt_matrix(s)
         assert (outcome(exact_sequence_checks, s)
                 == outcome(tuple_exact_sequence_checks, s))
         # two labels swapped, perhaps the star's, over the vertices in
@@ -754,7 +782,7 @@ def test_mask_kappa_route_equals_tuple_route_on_walks(start, seed, steps):
             got = outcome(kappa_vector, swapped, I)
             want = outcome(tuple_kappa_column, swapped, I)
             assert (tuple(got.values()) if isinstance(got, dict) else got) == want
-        assert outcome(wt_matrix, swapped) == outcome(tuple_wt_matrix, swapped)
+        assert outcome(flat_wt, swapped) == outcome(tuple_wt_matrix, swapped)
         assert (outcome(exact_sequence_checks, swapped)
                 == outcome(tuple_exact_sequence_checks, swapped))
 
@@ -778,7 +806,7 @@ def test_a_bad_label_raises_like_the_tuple_route():
                 want = outcome(tuple_kappa_column, broken, I)
                 assert want[0] == "ValueError"
                 assert outcome(kappa_vector, broken, I) == want
-            assert outcome(wt_matrix, broken) == outcome(tuple_wt_matrix, broken)
+            assert outcome(flat_wt, broken) == outcome(tuple_wt_matrix, broken)
             assert outcome(exact_sequence_checks, broken) == outcome(
                 tuple_exact_sequence_checks, broken)
             assert broken._kappa is None
@@ -822,6 +850,6 @@ def test_exact_sequence_checks_with_double_arrows_equal_tuple_route():
     for pair in [(a, b), (b, c), (c, a)]:
         counts[pair] = 2
     doubled = Seed(s.k, s.n, make_quiver(q.vertices, q.frozen, q.star, counts), s.labels)
-    assert {abs(e) for e in beta_matrix(doubled).values()} >= {2}
+    assert {abs(e) for e in flat_beta(doubled).values()} >= {2}
     assert (outcome(exact_sequence_checks, doubled)
             == outcome(tuple_exact_sequence_checks, doubled) is False)

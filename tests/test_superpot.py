@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import random
+import shlex
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +23,6 @@ from plabicflow.seeds import (
     neighbours,
     rectangles_seed,
     trop_a_mutate,
-    wt_matrix,
 )
 from plabicflow.superpot import (
     SuperpotentialExpr,
@@ -34,6 +37,7 @@ from plabicflow.superpot import (
     w_x_rectangles,
     wformula_sides,
 )
+from test_seeds import flat_wt
 
 
 def terms_as_set(poly):
@@ -266,7 +270,7 @@ def test_gvector_cone_is_wt_image_of_gt():
         s = rectangles_seed(k, n)
         gv = gvector_cone_ineqs(k, n)
         gt = gt_inequalities(k, n)
-        wtm = wt_matrix(s)
+        wtm = flat_wt(s)
         star = s.quiver.star
         composed = []
         for cov in gt.ineqs:
@@ -280,3 +284,35 @@ def test_gvector_cone_is_wt_image_of_gt():
                 for u in s.quiver.vertices
             })
         assert make_cone(gv.ambient, composed) == gv
+
+
+# sha256 of the outputs of the seed layer's beta and wt, pinned before beta
+# and wt were read by column: (exit code, stdout) of two suites, and the
+# g-vector cones as repr((ambient, ineqs))
+SUITE_PINS = {
+    "verify exact-seq --kn 6,12 --format pretty":
+        (0, "f2f7296054f500a008b0b27b95f6e60821cc19526f81f97ab02a37d570b741c1"),
+    "verify wformula --kn 4,9 --format json":
+        (0, "d00c9585768f8fbe71f00e548c3319e38fdcde0363c10b3d539d3559a66242dc"),
+}
+GVECTOR_PINS = {
+    (3, 6): "25b677100d7adb13baa0d125cc8918704ed3aeabf01e2d27617cc6ca1dbd18b4",
+    (3, 7): "9f77328bbc6e1f2457d0a744278a12f0fd3713bee395089736a4cc82403d6856",
+    (4, 8): "b900235bdbc2e8ffd5104bfa9949181698956aa9cf9eeb6b17894abdd2bcbdab",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUITE_PINS))
+def test_beta_and_wt_suites_are_byte_identical(command):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(shlex.split(command))
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert (rc, digest) == SUITE_PINS[command]
+
+
+@pytest.mark.parametrize("kn", sorted(GVECTOR_PINS))
+def test_gvector_cone_is_pinned(kn):
+    c = gvector_cone_ineqs(*kn)
+    digest = hashlib.sha256(repr((c.ambient, c.ineqs)).encode()).hexdigest()
+    assert digest == GVECTOR_PINS[kn]
