@@ -29,9 +29,10 @@ import json
 import os
 import random
 import sys
+from collections import namedtuple
 
 from . import charts, cones, plabic, seeds, superpot
-from .combinat import KSubset, format_ksubset, ksubsets, parse_ksubset
+from .combinat import format_ksubset, ksubsets, parse_ksubset
 from .laurent import LaurentPoly, NotLaurent, lp_equal
 from .plabic import ModelInvariantError, NotPlabicMutable, ParseError, PlabicModel
 
@@ -303,21 +304,17 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-def _xcheck_one(model: PlabicModel, j: str, moved: PlabicModel) -> KSubset | None:
-    """The first boundary value I at which mutation at the face named j does
-    not carry the moved model's flow polynomial back to the one computed on
-    the original model, or None when it carries every one."""
+def _xcheck_one(model: PlabicModel, tag: str, j: str, moved: PlabicModel) -> str | None:
+    """The FAIL detail, led by tag, of the first boundary value I at which
+    mutation at the face named j does not carry the moved model's flow
+    polynomial back to the one computed on the original model, or None."""
     q = seeds.seed_of_model(model).quiver
     for I in plabic.positroid(model):
-        f_old = charts.flow_polynomial(model, I)
         image = charts.x_mutate(q, j, charts.flow_polynomial(moved, I))
-        if not lp_equal(image, f_old):
-            return I
+        if not lp_equal(image, charts.flow_polynomial(model, I)):
+            return (f"{tag}: mutation at {j} disagrees with flows at "
+                    f"I={format_ksubset(I, model.n)}")
     return None
-
-
-def _xcheck_mismatch(j: str, I: KSubset, n: int) -> str:
-    return f"mutation at {j} disagrees with flows at I={format_ksubset(I, n)}"
 
 
 def cmd_xcheck(args) -> int:
@@ -333,11 +330,10 @@ def cmd_xcheck(args) -> int:
         s = seeds.seed_of_model(cur)
         _require_face(s, j)
         moved = plabic.square_move(cur, s.labels[j])
-        I = _xcheck_one(cur, j, moved)
+        bad = _xcheck_one(cur, j, j, moved)
         where = args.model + (f" after {','.join(path[:i])}" if i else "")
-        if I is not None:
-            detail = f"{j}: {_xcheck_mismatch(j, I, cur.n)}"
-            emit(f"FAIL xcheck {detail}", "xcheck", where, False, detail)
+        if bad:
+            emit(f"FAIL xcheck {bad}", "xcheck", where, False, bad)
             return 1
         detail = f"{j} ({len(plabic.positroid(cur))} boundary values)"
         emit(f"PASS xcheck {detail}", "xcheck", where, True, detail)
@@ -434,8 +430,7 @@ def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
     not its κ vector, or None."""
     s = seeds.seed_of_model(model)
     for I in plabic.positroid(model):
-        f = charts.flow_polynomial(model, I)
-        v = charts.valuation(f)
+        v = charts.valuation(charts.flow_polynomial(model, I))
         kappa = seeds.kappa_vector(s, I)
         kv = {a: kappa[a] for a in s.quiver.lattice}
         if v != kv:
@@ -443,27 +438,29 @@ def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
     return None
 
 
-def _suite_valuation_kappa(model: PlabicModel, tag: str, level: int):
-    bad = _val_kappa_mismatch(model, tag)
-    if bad:
-        return False, bad
+# a suite of checks on the base model, (model, tag), or None, and on each
+# square-moved model, (model, tag, j, moved), each a FAIL detail or None
+MoveSuite = namedtuple("MoveSuite", "base step passed")
+
+
+def _walk_moves(model: PlabicModel, tag: str, names: list[str]) -> dict:
+    """suite name -> (ok, detail) for the move suites named, from one walk:
+    each square move is made once, checked by every suite not yet failed,
+    and dropped before the next is made."""
+    failed = {name: bad for name in names
+              if SUITES[name].base and (bad := SUITES[name].base(model, tag))}
     moves = []
-    for j, moved in plabic.square_moves(model):
-        bad = _val_kappa_mismatch(moved, f"{tag} after move {j}")
-        if bad:
-            return False, bad
+    for j, moved in plabic.square_moves(model) if len(failed) < len(names) else ():
+        for name in names:
+            if name not in failed and (bad := SUITES[name].step(model, tag, j, moved)):
+                failed[name] = bad
+        del moved  # so the next move is made with none held
+        if len(failed) == len(names):
+            break
         moves.append(j)
-    return True, f"{tag} base and after moves [{','.join(moves)}]"
-
-
-def _suite_xflow(model: PlabicModel, tag: str, level: int):
-    done = []
-    for j, moved in plabic.square_moves(model):
-        I = _xcheck_one(model, j, moved)
-        if I is not None:
-            return False, f"{tag}: {_xcheck_mismatch(j, I, model.n)}"
-        done.append(j)
-    return True, f"{tag} flow/mutation agree at [{','.join(done)}]"
+    return {name: (False, failed[name]) if name in failed else
+            (True, SUITES[name].passed.format(tag=tag, moves=",".join(moves)))
+            for name in names}
 
 
 def _suite_trop_a(model: PlabicModel, tag: str, level: int):
@@ -526,11 +523,15 @@ def _suite_weyl_count(model: PlabicModel, tag: str, level: int):
     return True, f"{tag} point counts match dimensions for levels 0..{level}"
 
 
-# suite name -> suite(model, tag, level) -> (ok, detail)
+# suite name -> suite(model, tag, level) -> (ok, detail), or a MoveSuite
 SUITES = {
     "plucker": _suite_plucker,
-    "valuation-kappa": _suite_valuation_kappa,
-    "xflow": _suite_xflow,
+    "valuation-kappa": MoveSuite(
+        _val_kappa_mismatch,
+        lambda model, tag, j, moved: _val_kappa_mismatch(moved, f"{tag} after move {j}"),
+        "{tag} base and after moves [{moves}]",
+    ),
+    "xflow": MoveSuite(None, _xcheck_one, "{tag} flow/mutation agree at [{moves}]"),
     "trop-a": _suite_trop_a,
     "exact-seq": _suite_exact_seq,
     "gt-trop": _suite_gt_trop,
@@ -557,14 +558,16 @@ def cmd_verify(args) -> int:
         # trop-a tabulates one kappa vector per k-subset, C(n, k) of them
         if "trop-a" in chosen:
             _check_point_budget(k, n, [1], "verify trop-a")
+    walking = [s for s in chosen if isinstance(SUITES[s], MoveSuite)]
     emit = _record_writer(args.format)
     all_ok = True
     for k, n in instances:
         # one model per instance, shared by the suites and their memos
         model = plabic.build_rectangles_model(k, n)
         tag = f"rect:{k},{n}"
+        walked = _walk_moves(model, tag, walking)
         for suite in chosen:
-            ok, detail = SUITES[suite](model, tag, level)
+            ok, detail = walked.get(suite) or SUITES[suite](model, tag, level)
             emit(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}", suite, tag, ok, detail)
             all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -672,10 +675,7 @@ def _run(argv) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotPlabicMutable as exc:

@@ -30,7 +30,7 @@ math/0609764), is encoded and decoded by the matching frontier
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -126,8 +126,8 @@ class Analysis:
         first request and kept for the model's lifetime.  Every quantity
         derived from a model past its analysis (matching frontier, matching
         table or lists of one boundary value, base value, face graph,
-        partition functions, flow polynomials, face names, seed,
-        square-moved models) is kept here and nowhere else, and each once:
+        partition functions, flow polynomials, face names, seed) is kept
+        here and nowhere else, and each once:
         face weights are kept only as the exponents of the flow
         polynomials.  A build that raises keeps nothing, so the next
         request builds again."""
@@ -1575,25 +1575,21 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     return result
 
 
-def square_moves(model: PlabicModel) -> tuple[tuple[str, PlabicModel], ...]:
-    """(face name, moved model) for every mutable face of the model whose
-    square move is defined, in ``mutable_vertices`` order.  The moves are
-    made once per model, so every caller shares the moved models and what
-    they derive."""
+def square_moves(model: PlabicModel) -> Iterator[tuple[str, PlabicModel]]:
+    """Yield (face name, moved model) for every mutable face whose square
+    move is defined, in ``mutable_vertices`` order, skipping the faces
+    refused with NotPlabicMutable; a move is made when asked for and not
+    held past its yield.  The model-level twin of ``seeds.seed_mutations``."""
     from . import seeds
 
-    def build():
-        seed = seeds.seed_of_model(model)
-        moves = []
-        for j in seeds.mutable_vertices(seed.quiver):
-            try:
-                moved = square_move(model, seed.labels[j])
-            except NotPlabicMutable:
-                continue
-            moves.append((j, moved))
-        return tuple(moves)
-
-    return analyze(model).derive("square moves", build)
+    seed = seeds.seed_of_model(model)
+    for j in seeds.mutable_vertices(seed.quiver):
+        try:
+            moved = square_move(model, seed.labels[j])
+        except NotPlabicMutable:
+            continue
+        yield j, moved
+        del moved
 
 
 # --------------------------------------------------------- builtin models

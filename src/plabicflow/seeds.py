@@ -233,11 +233,15 @@ def seed_of_model(model: PlabicModel) -> Seed:
             I, J = (format_ksubset(L, model.n) for L in pair)
             raise ModelInvariantError("labels-not-weakly-separated", f"{I} and {J} cross")
         name = {f.index: format_ksubset(f.label, model.n) for f in an.faces}
+        frozen = frozenset(name[f.index] for f in an.faces if f.gap is not None)
         counts: dict[tuple[str, str], int] = {}
         for _e, s, t in an.arrows:
-            key = (name[s], name[t])
-            counts[key] = counts.get(key, 0) + 1
-        frozen = frozenset(name[f.index] for f in an.faces if f.gap is not None)
+            u, v = name[s], name[t]
+            # a pair with a mutable end keeps its net count (a split edge: +1, -1, +1)
+            if counts.get((v, u)) and not {u, v} <= frozen:
+                counts[v, u] -= 1
+            else:
+                counts[u, v] = counts.get((u, v), 0) + 1
         vertices = [name[an.label_to_face[I]] for I in an.lattice]
         q = make_quiver(vertices, frozen, name[an.star], counts)
         return Seed(model.k, model.n, q, {name[f.index]: f.label for f in an.faces})
@@ -323,8 +327,8 @@ def mutate_labels(s: Seed, j: str) -> Seed:
 def seed_mutations(s: Seed) -> Iterator[tuple[str, Seed]]:
     """Yield (vertex, mutated seed) for every mutable vertex whose label
     exchange is defined, in ``mutable_vertices`` order; vertices refused
-    with NotPlabicMutable are skipped.  The seed-level twin of
-    ``plabic.square_moves``."""
+    with NotPlabicMutable are skipped.  Each seed is made when it is asked
+    for.  The seed-level twin of ``plabic.square_moves``."""
     for j in mutable_vertices(s.quiver):
         try:
             moved = mutate_labels(s, j)

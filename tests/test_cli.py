@@ -16,6 +16,7 @@ from plabicflow import charts, cli, cones, plabic, seeds, superpot
 from plabicflow.combinat import ksubsets
 from plabicflow.laurent import lp_add
 from plabicflow.plabic import save_model, shark_model
+from model_transforms import insert_degree_two_pair
 
 
 def run(*argv):
@@ -186,6 +187,34 @@ def test_xcheck_passes_on_a_saved_moved_shark(tmp_path, capsys):
 def test_mutate_answers_a_saved_moved_shark(tmp_path, capsys):
     rc, _out, err = run_out(capsys, "mutate", moved_shark_file(tmp_path), "--mutations", "13")
     assert (rc, err) == (0, "")
+
+
+RECT36_INTERNAL_EDGES = sorted(
+    e for e, (a, b) in plabic.build_rectangles_model(3, 6).edges.items()
+    if a[0] == b[0] == "n")
+
+
+@pytest.mark.parametrize("edge", RECT36_INTERNAL_EDGES)
+def test_a_degree_two_pair_on_an_internal_edge_changes_no_answer(
+        tmp_path, capsys, edge):
+    # the edge's three pieces give its two faces the arrows +1, -1, +1, and
+    # the seed carries their net arrow
+    rect = plabic.build_rectangles_model(3, 6)
+    path = tmp_path / "pair.plabic"
+    path.write_text(save_model(insert_degree_two_pair(rect, edge)))
+    for argv in (["kappa", "M", "246"], ["mutate", "M", "--mutations", "124,145"],
+                 ["no-body", "M"], ["flow", "M", "246"]):
+        got = run_out(capsys, *[str(path) if a == "M" else a for a in argv])
+        assert got == run_out(capsys, *["rect:3,6" if a == "M" else a for a in argv])
+        assert got[0] == 0
+    # xcheck moves at 124, whose face has six sides when the pair is on one
+    rc, out, err = run_out(capsys, "xcheck", str(path))
+    an = plabic.analyze(rect)
+    if edge in an.faces[an.label_to_face[(1, 2, 4)]].edge_ids:
+        assert (rc, out) == (2, "")
+        assert err == "error: not mutable: face (1, 2, 4) has 6 sides, need 4\n"
+    else:
+        assert (rc, out, err) == (0, "PASS xcheck 124 (20 boundary values)\n", "")
 
 
 def test_xcheck_hexagonal_is_usage_error(capsys):
@@ -489,6 +518,37 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     rc, out, _ = run_out(capsys, "verify", "plucker")
     assert rc == 1
     assert out == "FAIL plucker: forced failure\n"
+
+
+def test_a_failed_move_suite_leaves_the_other_checking_every_move(
+        monkeypatch, capsys):
+    # valuation-kappa fails at the second square move and checks no third;
+    # xflow still checks every move and lists them all in its PASS line
+    real = cli._val_kappa_mismatch
+    moved = []
+
+    def fail_at_second_move(model, tag):
+        if " after move " in tag:
+            moved.append(tag)
+            if len(moved) == 2:
+                return f"{tag}: forced failure"
+        return real(model, tag)
+
+    monkeypatch.setattr(cli, "_val_kappa_mismatch", fail_at_second_move)
+    rc, out, _ = run_out(capsys, "verify", "all", "--kn", "3,6")
+    assert rc == 1
+    assert out == (
+        "PASS plucker: rect:3,6 all three-term relations, both charts\n"
+        "FAIL valuation-kappa: rect:3,6 after move 125: forced failure\n"
+        "PASS xflow: rect:3,6 flow/mutation agree at [124,125,134]\n"
+        "PASS trop-a: rect:3,6 kappa-compatibility and involution\n"
+        "PASS exact-seq: rect:3,6 wt.beta = -id on the seed and after "
+        "mutations [124,125,134]\n"
+        "PASS gt-trop: rect:3,6 tropicalized potential equals the pattern cone\n"
+        "PASS wformula: rect:3,6 boundary-module expansion equals the potential\n"
+        "PASS weyl-count: rect:3,6 point counts match dimensions for levels 0..2\n"
+    )
+    assert moved == ["rect:3,6 after move 124", "rect:3,6 after move 125"]
 
 
 def test_verify_unknown_suite(capsys):

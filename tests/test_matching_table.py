@@ -747,6 +747,27 @@ def test_cli_commands_enumerate_once_per_model(listings, capsys):
                                                (4, 5, 6), (4, 5, 6)]
 
 
+@pytest.mark.parametrize("suite", ["valuation-kappa", "xflow", "all"])
+def test_verify_keeps_no_moved_model_past_its_checks(monkeypatch, capsys, suite):
+    # when a square move is made, every model moved before it is gone
+    made, alive = [], []
+    real = plabic.square_move
+
+    def recorded(model, face_label):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        moved = real(model, face_label)
+        made.append(weakref.ref(moved))
+        return moved
+
+    monkeypatch.setattr(plabic, "square_move", recorded)
+    assert cli.main(["verify", suite, "--kn", "3,6"]) == 0
+    capsys.readouterr()
+    # four faces are tried and three move
+    assert len(made) == 3
+    assert alive == [0, 0, 0, 0]
+
+
 # ------------------------------------------------------ laziness and checks
 
 
