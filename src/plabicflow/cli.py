@@ -485,13 +485,16 @@ def _suite_trop_a(model: PlabicModel, tag: str, level: int):
 
 
 def _suite_exact_seq(model: PlabicModel, tag: str, level: int):
+    # every check is a call of ``exact_sequence_checks``, the span a trace
+    # books it under; the witness is sought again only after a failure
     s = seeds.seed_of_model(model)
     if not seeds.exact_sequence_checks(s):
-        return False, f"{tag}: wt.beta != -id on the seed"
+        return False, f"{tag} on the seed: {seeds._exact_sequence_witness(s)}"
     done = []
     for j, s2 in seeds.seed_mutations(s):
         if not seeds.exact_sequence_checks(s2):
-            return False, f"{tag} after mutation at {j}: wt.beta != -id"
+            witness = seeds._exact_sequence_witness(s2)
+            return False, f"{tag} after mutation at {j}: {witness}"
         done.append(j)
     return True, f"{tag} wt.beta = -id on the seed and after mutations [{','.join(done)}]"
 

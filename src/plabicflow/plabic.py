@@ -1459,39 +1459,37 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     """
     an = analyze(model)
     face_label = tuple(face_label)
+    j = format_ksubset(face_label, model.n)
     if face_label not in an.label_to_face:
-        raise NotPlabicMutable(f"no face labelled {face_label}")
+        raise NotPlabicMutable(f"no face labelled {j}")
     face = an.faces[an.label_to_face[face_label]]
     if face.gap is not None:
-        raise NotPlabicMutable(f"face {face_label} touches the boundary")
+        raise NotPlabicMutable(f"face {j} touches the boundary")
     first = face.darts.index(min(face.darts))
     orbit = face.darts[first:] + face.darts[:first]
     if len(orbit) != 4:
-        raise NotPlabicMutable(
-            f"face {face_label} has {len(orbit)} sides, need 4"
-        )
+        raise NotPlabicMutable(f"face {j} has {len(orbit)} sides, need 4")
     sides = [ek[1] for ek, _ in orbit]
     if len(set(sides)) != 4:
-        raise NotPlabicMutable(f"face {face_label} has a repeated edge")
+        raise NotPlabicMutable(f"face {j} has a repeated edge")
     # corner i is the head of side i; there the rotation runs side i, then
     # side i + 1 (the face successor of ``analyze``), and the colors alternate
     corners = []
     for (_, e), d in orbit:
         head = model.edges[e][1 - d]
         if head[0] != "n":
-            raise NotPlabicMutable(f"face {face_label} has a boundary corner")
+            raise NotPlabicMutable(f"face {j} has a boundary corner")
         corners.append(head[1])
     if len(set(corners)) != 4:
-        raise NotPlabicMutable(f"face {face_label} has a repeated corner")
+        raise NotPlabicMutable(f"face {j} has a repeated corner")
 
     from . import seeds
 
     seed = seeds.seed_of_model(model)
-    j = format_ksubset(face_label, model.n)
     try:
         j_new, _labels, vertices = seeds.label_exchange(seed, j)
     except NotPlabicMutable as exc:
-        raise ModelInvariantError("exchange-mismatch", f"face {face_label}: {exc}") from None
+        raise ModelInvariantError("exchange-mismatch", f"face {j}: {exc}") from None
 
     # fresh names for every new corner, leg and square edge, dropped or not
     taken_nodes, taken_edges = set(model.colors), set(model.edges)

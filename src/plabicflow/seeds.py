@@ -16,7 +16,8 @@ checks only the exchanged label against the others, since every other
 pair is the parent seed's.  Both test pairs on the labels' bitmasks,
 keep nothing, and raise ``labels-not-weakly-separated`` naming a crossing
 pair.  beta is one sparse map by column (``beta_columns``), and wt is read
-a kappa column at a time.
+a kappa column at a time, each packed into one int for the exact-sequence
+check (``exact_sequence_checks``).
 
 Entries of the exchange matrix between two frozen vertices need care:
 ``fz_mutate`` is the plain matrix rule and copies frozen-frozen arrows
@@ -33,6 +34,7 @@ seed), so the exact-sequence identities survive mutation there.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -459,29 +461,68 @@ def exact_sequence_checks(s: Seed) -> bool:
     built: a seed that breaks it raises ``beta-unbalanced`` in
     ``beta_columns``.
 
-    wt . beta is built one column at a time: column v is the sum over w of
-    beta[w, v] times the kappa vector of label(w), a tuple in vertex order.
-    The star's entry is 0 in every kappa vector (``kappa_vector`` raises
-    ``bad-label`` otherwise), so the star row needs no exception.  The
-    column stays a dense list because the kappa vectors of large seeds are
-    dense: a sparse map over the coordinates they touch is slower there.
+    wt . beta is checked a column at a time on packed kappa columns.  The
+    kappa vector of each label, a tuple in vertex order, is packed into one
+    int with a field of ``width`` bits per vertex, vertex i at bit
+    width * i.  Column v of wt . beta plus e_v is then the one integer
+    2^(width * i) + sum over w of beta[w, v] times the packed kappa of
+    label(w), and the column passes exactly when it is 0.  The star's
+    entry is 0 in every kappa vector (``kappa_vector`` raises ``bad-label``
+    otherwise), so the star row needs no exception.
+
+    Width rule: every kappa entry lies in 0..top and every column of beta
+    has sum of |entries| at most reach, so each field of the sum, read as a
+    balanced digit d_i (the entry at row i), has |d_i| <= 1 + reach * top.
+    ``width`` is 8 times the fewest bytes among 1, 2, 4, 8, 16, 24, ...
+    with 2^(width - 1) > 1 + reach * top, so |d_i| < 2^(width - 1).  No
+    carry can hide a nonzero field: if field i is the lowest nonzero one,
+    the sum is 2^(width * i) times (d_i + 2^width * rest) with
+    0 < |d_i| < 2^width, which is not 0.  The lowest set bit of a nonzero
+    sum thus lies in the first row that differs, and the field there, read
+    modulo 2^width into (-2^(width - 1), 2^(width - 1)), is d_i.
     """
+    return _exact_sequence_witness(s) is None
+
+
+# struct code of a field of each width in bytes up to 8; wider fields are
+# a "Q" and pad bytes
+_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _exact_sequence_witness(s: Seed) -> str | None:
+    """``exact_sequence_checks``, naming its witness: None when both
+    identities hold, else the first column of beta, in vertex order, that
+    does not sum to 0, or the first column v of wt . beta that is not -e_v
+    with its first differing row and that row's entry."""
     q = s.quiver
     cols = beta_columns(s)
-    if any(sum(colmap.values()) for colmap in cols.values()):
-        return False
-    wt = {v: _kappa_column(s, J) for v, J in zip(q.vertices, s.vertex_labels)}
-    m = len(q.vertices)
+    for v, colmap in cols.items():
+        if total := sum(colmap.values()):
+            return f"beta column {v} sums to {total}, not 0"
+    wt = [_kappa_column(s, J) for J in s.vertex_labels]
+    top = max(map(max, wt))
+    reach = max(sum(map(abs, colmap.values())) for colmap in cols.values())
+    size = 1
+    while (1 + reach * top) >> (8 * size - 1):
+        size = 2 * size if size < 8 else size + 8
+    width = 8 * size
+    fmt = "<" + (_FIELD_CODE.get(size) or f"Q{size - 8}x") * len(wt)
+    packed = {v: int.from_bytes(struct.pack(fmt, *col), "little")
+              for v, col in zip(q.vertices, wt)}
     for i, v in enumerate(q.vertices):
         if v == q.star:
             continue
-        col = [0] * m  # column v of wt . beta, plus e_v
-        col[i] = 1
+        acc = 1 << (width * i)  # column v of wt . beta, plus e_v
         for w, c in cols[v].items():
-            col = [a + c * x for a, x in zip(col, wt[w])]
-        if any(col):
-            return False
-    return True
+            acc += c * packed[w]
+        if acc:
+            r = ((acc & -acc).bit_length() - 1) // width  # first row that differs
+            d = (acc >> (width * r)) & ((1 << width) - 1)
+            d -= d >> (width - 1) << width  # as a signed digit
+            want = -1 if r == i else 0
+            return (f"wt.beta column {v}, row {q.vertices[r]} is {d + want}, "
+                    f"not {want}")
+    return None
 
 
 # ------------------------------------------------------ tropical mutation

@@ -212,15 +212,17 @@ def test_a_degree_two_pair_on_an_internal_edge_changes_no_answer(
     an = plabic.analyze(rect)
     if edge in an.faces[an.label_to_face[(1, 2, 4)]].edge_ids:
         assert (rc, out) == (2, "")
-        assert err == "error: not mutable: face (1, 2, 4) has 6 sides, need 4\n"
+        assert err == "error: not mutable: face 124 has 6 sides, need 4\n"
     else:
         assert (rc, out, err) == (0, "PASS xcheck 124 (20 boundary values)\n", "")
 
 
 def test_xcheck_hexagonal_is_usage_error(capsys):
-    rc, _out, err = run_out(capsys, "xcheck", "rect:3,6", "--mutations", "145")
-    assert rc == 2
-    assert "not mutable" in err
+    # the face is named as a face name, with commas past n = 9
+    for kn, face in [("3,6", "145"), ("3,10", "1,4,5")]:
+        rc, out, err = run_out(capsys, "xcheck", f"rect:{kn}", "--mutations", face)
+        assert (rc, out) == (2, "")
+        assert err == f"error: not mutable: face {face} has 6 sides, need 4\n"
 
 
 def test_xcheck_mismatch_is_verification_failure(monkeypatch, capsys):
@@ -509,6 +511,39 @@ def test_verify_repeated_kn_fails_if_any_instance_fails(monkeypatch, capsys):
         "PASS plucker: rect:2,4 all three-term relations, both charts",
         "FAIL plucker: forced failure",
     ]
+
+
+def test_verify_exact_seq_fail_line_names_its_witness(monkeypatch, capsys):
+    # labels 124 and 125 swapped, on the seed and then on a mutated seed:
+    # the first column of wt.beta that is not -e_v, its first differing row
+    # and that row's entry
+    s = seeds.rectangles_seed(3, 6)
+    labels = dict(s.labels)
+    labels["124"], labels["125"] = labels["125"], labels["124"]
+    swapped = seeds.Seed(s.k, s.n, s.quiver, labels)
+    with monkeypatch.context() as m:
+        m.setattr(seeds, "seed_of_model", lambda model: swapped)
+        rc, out, _ = run_out(capsys, "verify", "exact-seq", "--kn", "3,6")
+    assert (rc, out) == (1, "FAIL exact-seq: rect:3,6 on the seed: "
+                            "wt.beta column 124, row 124 is 1, not -1\n")
+    with monkeypatch.context() as m:
+        m.setattr(seeds, "seed_mutations", lambda s: iter([("134", swapped)]))
+        rc, out, _ = run_out(capsys, "verify", "exact-seq", "--kn", "3,6")
+    assert (rc, out) == (1, "FAIL exact-seq: rect:3,6 after mutation at 134: "
+                            "wt.beta column 124, row 124 is 1, not -1\n")
+    # the arrow 15 -> 45 of the (2,5) seed mutated at 14 moved to 23 -> 45:
+    # every row of beta balances, column 15 sums to 1 and column 23 to -1
+    s = seeds.mutate_labels(seeds.rectangles_seed(2, 5), "14")
+    q = s.quiver
+    counts = {(u, v): mult for u, v, mult in q.arrows}
+    counts["23", "45"] = counts.pop(("15", "45"))
+    moved = seeds.Seed(s.k, s.n, seeds.make_quiver(q.vertices, q.frozen, q.star, counts),
+                       s.labels)
+    with monkeypatch.context() as m:
+        m.setattr(seeds, "seed_of_model", lambda model: moved)
+        rc, out, _ = run_out(capsys, "verify", "exact-seq", "--kn", "2,5")
+    assert (rc, out) == (1, "FAIL exact-seq: rect:2,5 on the seed: "
+                            "beta column 15 sums to 1, not 0\n")
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

@@ -690,23 +690,35 @@ def tuple_wt_matrix(s: Seed) -> dict:
 
 
 def tuple_exact_sequence_checks(s: Seed) -> bool:
-    """``exact_sequence_checks`` over ``tuple_kappa_column``."""
+    """``exact_sequence_checks`` over ``tuple_kappa_column``, on dense
+    columns: the reference route for the packed columns."""
+    return tuple_exact_sequence_witness(s) is None
+
+
+def tuple_exact_sequence_witness(s: Seed) -> str | None:
+    """``seeds._exact_sequence_witness`` with column v of wt . beta built as
+    a dense list over all m vertices, one list comprehension per entry of
+    beta."""
     q = s.quiver
     cols = seeds.beta_columns(s)
-    if any(sum(colmap.values()) for colmap in cols.values()):
-        return False
+    for v, colmap in cols.items():
+        if total := sum(colmap.values()):
+            return f"beta column {v} sums to {total}, not 0"
     wt = {v: tuple_kappa_column(s, J) for v, J in zip(q.vertices, s.vertex_labels)}
     m = len(q.vertices)
     for i, v in enumerate(q.vertices):
         if v == q.star:
             continue
-        col = [0] * m
+        col = [0] * m  # column v of wt . beta, plus e_v
         col[i] = 1
         for w, c in cols[v].items():
             col = [a + c * x for a, x in zip(col, wt[w])]
-        if any(col):
-            return False
-    return True
+        for r, a in enumerate(col):
+            if a:
+                want = -1 if r == i else 0
+                return (f"wt.beta column {v}, row {q.vertices[r]} is "
+                        f"{a + want}, not {want}")
+    return None
 
 
 def genexpr_trop_a_mutate(q: Quiver, j: str, v: dict) -> dict:
@@ -853,3 +865,129 @@ def test_exact_sequence_checks_with_double_arrows_equal_tuple_route():
     assert {abs(e) for e in flat_beta(doubled).values()} >= {2}
     assert (outcome(exact_sequence_checks, doubled)
             == outcome(tuple_exact_sequence_checks, doubled) is False)
+
+
+# ------------------------------------ packed wt . beta columns at the width bound
+
+
+def with_arrows_added(s: Seed, extra: dict) -> Seed:
+    """s with the net arrow count u -> v raised by c for each (u, v): c of
+    ``extra`` (lowered, for c < 0), on pairs with a mutable end: beta gains
+    c at row u of column v and -c at row v of column u."""
+    q = s.quiver
+    counts = {(u, v): m for u, v, m in q.arrows}
+    for (u, v), c in extra.items():
+        assert not {u, v} <= q.frozen
+        c += counts.pop((u, v), 0) - counts.pop((v, u), 0)
+        if c:
+            counts[(u, v) if c > 0 else (v, u)] = abs(c)
+    return Seed(s.k, s.n, make_quiver(q.vertices, q.frozen, q.star, counts), s.labels)
+
+
+def field_bound(s: Seed) -> int:
+    """1 + reach * top: the bound on a field of a packed column of wt . beta
+    plus e_v, from the largest kappa entry and the largest sum of |beta| of
+    a column."""
+    cols = beta_columns(s)
+    top = max(max(kappa_vector(s, J).values()) for J in s.vertex_labels)
+    return 1 + top * max(sum(map(abs, colmap.values())) for colmap in cols.values())
+
+
+def dense_residual(s: Seed) -> dict:
+    """wt . beta plus the identity, as column -> row -> entry, nonzero
+    entries only, from the flat matrices."""
+    wt, beta = flat_wt(s), flat_beta(s)
+    out = {}
+    for v in s.quiver.vertices:
+        col = {i: sum(wt.get((i, w), 0) * beta.get((w, v), 0) for w in s.quiver.vertices)
+              + (i == v) for i in s.quiver.vertices}
+        out[v] = {i: a for i, a in col.items() if a}
+    return out
+
+
+def test_exact_sequence_checks_see_what_8_bit_fields_alias():
+    # x and y sum to 0, and so do their images under wt packed in 8-bit
+    # fields (vertex i at bit 8i): wt.x is 256 at rows 13 and 34 and -1 at
+    # rows 14 and 45.  Adding x y^T - y x^T to beta keeps every row and
+    # column sum 0 and puts in every column of wt.beta + id a value that
+    # 8-bit fields pack to 0; column 15 of wt.beta is 256 at row 13 and -1
+    # at row 14, and column 13 needs 32-bit fields
+    s = rectangles_seed(2, 6)
+    x = {"12": 256, "13": -257, "14": 1}
+    y = {"12": 256, "13": -1, "14": -256, "15": 1}
+    support = ["12", "13", "14", "15"]
+    extra = {(u, v): x.get(u, 0) * y.get(v, 0) - y.get(u, 0) * x.get(v, 0)
+             for i, u in enumerate(support) for v in support[i + 1:]}
+    broken = with_arrows_added(s, extra)
+    assert max(m for _u, _v, m in broken.quiver.arrows) == 65792
+    cols = beta_columns(broken)
+    assert not any(sum(colmap.values()) for colmap in cols.values())
+    residual = dense_residual(broken)
+    assert residual["15"] == {"13": 256, "14": -1, "34": 256, "45": -1}
+    order = {v: i for i, v in enumerate(broken.quiver.vertices)}
+    for v, col in residual.items():
+        if v != broken.quiver.star:
+            assert sum(a << (8 * order[i]) for i, a in col.items()) == 0
+    assert 2**15 <= field_bound(broken) < 2**31
+    assert exact_sequence_checks(broken) is False
+    assert tuple_exact_sequence_checks(broken) is False
+    assert dict_product_exact_sequence_checks(broken) is False
+    witness = "wt.beta column 13, row 13 is 65535, not -1"
+    assert seeds._exact_sequence_witness(broken) == witness
+    assert tuple_exact_sequence_witness(broken) == witness
+
+
+def test_the_16_bit_shape_of_rect_22_44_equals_the_dense_route():
+    # kappa entries up to 22 and columns of beta with |entries| summing to 6
+    # take 16-bit fields; two labels swapped fail at a named entry
+    s = rectangles_seed(22, 44)
+    assert 2**7 <= field_bound(s) < 2**15
+    assert exact_sequence_checks(s) is tuple_exact_sequence_checks(s) is True
+    a, b = mutable_vertices(s.quiver)[10:12]
+    labels = dict(s.labels)
+    labels[a], labels[b] = labels[b], labels[a]
+    swapped = Seed(s.k, s.n, s.quiver, labels)
+    witness = seeds._exact_sequence_witness(swapped)
+    assert witness is not None
+    assert witness == tuple_exact_sequence_witness(swapped)
+
+
+# multiplicities about each field width's bound, up to fields wider than a
+# struct code (8 bytes)
+MULTIPLICITIES = [1, 2, 42, 63, 64, 127, 128, 255, 256, 257, 2**14, 2**15 - 1,
+                  2**15, 2**16 + 1, 2**30, 2**31, 2**32 + 1, 2**62, 2**63, 2**64 + 3,
+                  2**100]
+
+
+@settings(max_examples=60, deadline=None)
+@given(walks, st.sampled_from(["none", "cycle", "swap", "drop"]),
+       st.sampled_from(MULTIPLICITIES))
+def test_packed_columns_equal_both_dense_routes_on_heavy_arrows(walk, change, mult):
+    # a walk seed, perhaps with a directed 3-cycle of multiplicity mult added
+    # through vertices with at most one frozen (every row and column of beta
+    # still sums to 0), two labels swapped as well (False or bad-label), or
+    # an arrow dropped as well (False or beta-unbalanced)
+    (k, n), seed, steps = walk
+    rng = random.Random(seed)
+    s = random_walk_seed(k, n, rng, steps)
+    q = s.quiver
+    if change != "none":
+        mutable = mutable_vertices(q)
+        a, b = rng.sample(mutable, 2)
+        c = rng.choice([v for v in q.vertices if v not in (a, b)])
+        s = with_arrows_added(s, {(a, b): mult, (b, c): mult, (c, a): mult})
+    if change == "swap":
+        u, v = rng.sample(list(q.vertices), 2)
+        labels = dict(s.labels)
+        labels[u], labels[v] = labels[v], labels[u]
+        s = Seed(k, n, s.quiver, labels)
+    elif change == "drop":
+        arrows = list(s.quiver.arrows)
+        del arrows[rng.randrange(len(arrows))]
+        s = Seed(k, n, Quiver(q.vertices, q.frozen, q.star, tuple(arrows)), s.labels)
+    got = outcome(exact_sequence_checks, s)
+    assert got == outcome(tuple_exact_sequence_checks, s)
+    assert got == outcome(dict_product_exact_sequence_checks, s)
+    assert got is (change == "none") or got in ("bad-label", "beta-unbalanced")
+    assert (outcome(seeds._exact_sequence_witness, s)
+            == outcome(tuple_exact_sequence_witness, s))
