@@ -421,7 +421,8 @@ def _suite_plucker(model: PlabicModel, tag: str, level: int):
     for rel in charts.three_term_relations(model.k, model.n):
         if not charts.plucker_verify(model, rel):
             a, b, c, d, S = rel
-            return False, f"relation ({a},{b},{c},{d};S={S}) fails on {tag}"
+            S = f";S={format_ksubset(S, model.n)}" if S else ""
+            return False, f"relation ({a},{b},{c},{d}{S}) fails on {tag}"
     return True, f"{tag} all three-term relations, both charts"
 
 
@@ -475,11 +476,14 @@ def _suite_trop_a(model: PlabicModel, tag: str, level: int):
             want = {j if a == j2 else a: b for a, b in want.items()}
             if moved != want:
                 return False, f"{tag} at {j}, I={format_ksubset(I, s.n)}: {moved} != {want}"
+        # mutating back at j2 on the mutated seed's quiver gives v back
         rng = random.Random(0)
         for _ in range(50):
             v = {x: rng.randint(-5, 5) for x in q.vertices}
             v[q.star] = 0
-            if seeds.trop_a_mutate(q, j, seeds.trop_a_mutate(q, j, v)) != v:
+            moved = {j2 if a == j else a: b for a, b in seeds.trop_a_mutate(q, j, v).items()}
+            back = seeds.trop_a_mutate(s2.quiver, j2, moved)
+            if {j if a == j2 else a: b for a, b in back.items()} != v:
                 return False, f"{tag} at {j}: double mutation moved {v}"
     return True, f"{tag} kappa-compatibility and involution"
 

@@ -6,7 +6,8 @@ list like "1,4,10".  The ambient n is always carried alongside, never
 inferred from the largest element.
 
 Weak separation and MaxDiag rows read a subset as a bitmask, bit x for
-element x; weak separation memoises nothing.
+element x (``_mask``); a seed makes its labels' masks once, where it is
+made (``seeds.Seed.masks``).  Weak separation memoises nothing.
 
 Labels are ordered as tuples (subset order), never as their textual
 forms: "1,3,4" precedes "1,3,10".  The order is applied where names are
@@ -117,31 +118,23 @@ def _separated(a: int, b: int) -> bool:
             or not (s & ((1 << t.bit_length()) - (t & -t))))
 
 
-def crossing_pair(coll) -> tuple[KSubset, KSubset] | None:
-    """The first pair of coll, in ``itertools.combinations`` order, that is
-    not weakly separated, as tuples; None when every pair is.  Members of
-    different sizes raise ValueError."""
-    labels = [tuple(I) for I in coll]
-    for J in labels[1:]:
-        if len(J) != len(labels[0]):
-            raise ValueError(f"size mismatch: |{labels[0]}| != |{J}|")
-    for (I, a), (J, b) in combinations(zip(labels, map(_mask, labels)), 2):
+def crossing_pair(masks) -> tuple[int, int] | None:
+    """The indices of the first pair of ``masks``, labels of one size as
+    bitmasks, in ``itertools.combinations`` order, that is not weakly
+    separated; None when every pair is."""
+    for (i, a), (j, b) in combinations(enumerate(masks), 2):
         if not _separated(a, b):
-            return I, J
+            return i, j
     return None
 
 
-def crossing_partner(I: KSubset, coll) -> KSubset | None:
-    """The first member of coll, as a tuple, that is not weakly separated
-    from I; None when every member is.  A member of another size than I
-    raises ValueError."""
-    a = _mask(I)
-    for J in coll:
-        J = tuple(J)
-        if len(J) != len(I):
-            raise ValueError(f"size mismatch: |{tuple(I)}| != |{J}|")
-        if not _separated(a, _mask(J)):
-            return J
+def crossing_partner(mask: int, masks) -> int | None:
+    """The index of the first member of ``masks`` that is not weakly
+    separated from ``mask``, all labels of one size as bitmasks; None when
+    every member is."""
+    for i, b in enumerate(masks):
+        if not _separated(mask, b):
+            return i
     return None
 
 

@@ -9,15 +9,15 @@ adds the k-subset labels.  Mutation comes in three flavors: ``fz_mutate``
 the Plucker exchange of the mutated label), and ``trop_a_mutate`` (the
 piecewise-linear action on integer vectors).
 
-The labels of every seed that ``seed_of_model`` or ``mutate_labels``
-returns are pairwise weakly separated (Oh-Postnikov-Speyer).
-``seed_of_model`` checks every pair once per model; ``mutate_labels``
-checks only the exchanged label against the others, since every other
-pair is the parent seed's.  Both test pairs on the labels' bitmasks,
-keep nothing, and raise ``labels-not-weakly-separated`` naming a crossing
-pair.  beta is one sparse map by column (``beta_columns``), and wt is read
-a kappa column at a time, each packed into one int for the exact-sequence
-check (``exact_sequence_checks``).
+A seed checks each label where it is made (a strictly increasing k-subset
+of [n]) and keeps its bitmask in ``Seed.masks``, read by weak separation
+and kappa.  Every seed that ``seed_of_model`` or ``mutate_labels`` returns
+is pairwise weakly separated (Oh-Postnikov-Speyer): ``seed_of_model`` tests
+every pair of masks once per model, ``mutate_labels`` only the exchanged
+label against the parent's other masks, and both raise
+``labels-not-weakly-separated`` naming a crossing pair.  beta is one sparse
+map by column (``beta_columns``), and wt is read a kappa column at a time,
+each packed into one int for the exact-sequence check.
 
 Entries of the exchange matrix between two frozen vertices need care:
 ``fz_mutate`` is the plain matrix rule and copies frozen-frozen arrows
@@ -44,11 +44,11 @@ from types import MappingProxyType
 from .combinat import (
     KSubset,
     _fill_max_diag_row,
+    _mask,
     _max_diag_row,
     crossing_pair,
     crossing_partner,
     format_ksubset,
-    max_diag,
 )
 from .plabic import (
     ModelInvariantError,
@@ -211,6 +211,9 @@ class Seed:
     # the labels as tuples in vertex order: the order of every kappa vector
     vertex_labels: tuple[KSubset, ...] = field(init=False, repr=False,
                                                compare=False)
+    # the labels, each a strictly increasing k-subset of [n], as bitmasks
+    # (bit x for element x) in vertex order, so a mask stands for one subset
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
     # (getter, star mask, masks, label of mask) for reading kappa columns
     # off MaxDiag rows, built by ``_kappa_getter`` on the first kappa request
     _kappa: tuple | None = field(default=None, init=False, repr=False,
@@ -220,6 +223,21 @@ class Seed:
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         object.__setattr__(self, "vertex_labels", tuple(
             tuple(self.labels[v]) for v in self.quiver.vertices))
+        masks = []
+        for v, J in zip(self.quiver.vertices, self.vertex_labels):
+            mask = last = 0
+            for x in J:
+                if x <= last:
+                    break
+                mask |= 1 << x
+                last = x
+            else:
+                if len(J) == self.k and last <= self.n:
+                    masks.append(mask)
+                    continue
+            raise ValueError(f"label {J} of vertex {v} is not a strictly "
+                             f"increasing {self.k}-subset of 1..{self.n}")
+        object.__setattr__(self, "masks", tuple(masks))
 
 
 def seed_of_model(model: PlabicModel) -> Seed:
@@ -227,13 +245,10 @@ def seed_of_model(model: PlabicModel) -> Seed:
     faces named by their label strings and listed in the subset order of
     their labels, and the face labels, whose every pair is checked for
     weak separation here (``labels-not-weakly-separated``, naming the first
-    crossing pair in face order, otherwise)."""
+    crossing pair in vertex order, otherwise)."""
     an = analyze(model)
 
     def build():
-        if pair := crossing_pair(f.label for f in an.faces):
-            I, J = (format_ksubset(L, model.n) for L in pair)
-            raise ModelInvariantError("labels-not-weakly-separated", f"{I} and {J} cross")
         name = {f.index: format_ksubset(f.label, model.n) for f in an.faces}
         frozen = frozenset(name[f.index] for f in an.faces if f.gap is not None)
         counts: dict[tuple[str, str], int] = {}
@@ -246,7 +261,11 @@ def seed_of_model(model: PlabicModel) -> Seed:
                 counts[u, v] = counts.get((u, v), 0) + 1
         vertices = [name[an.label_to_face[I]] for I in an.lattice]
         q = make_quiver(vertices, frozen, name[an.star], counts)
-        return Seed(model.k, model.n, q, {name[f.index]: f.label for f in an.faces})
+        seed = Seed(model.k, model.n, q, {name[f.index]: f.label for f in an.faces})
+        if pair := crossing_pair(seed.masks):
+            I, J = (vertices[i] for i in pair)
+            raise ModelInvariantError("labels-not-weakly-separated", f"{I} and {J} cross")
+        return seed
 
     return an.derive("seed", build)
 
@@ -288,9 +307,9 @@ def label_exchange(s: Seed, j: str) -> tuple[str, dict[str, KSubset], tuple[str,
     NotPlabicMutable as ``exchange_label`` does, and ``duplicate-label``
     when the partner is already a label."""
     new_label = exchange_label(s.quiver, s.labels, j)
-    if new_label in s.labels.values():
-        raise ModelInvariantError("duplicate-label", f"{new_label} already a label")
     new_name = format_ksubset(new_label, s.n)
+    if new_label in s.labels.values():
+        raise ModelInvariantError("duplicate-label", f"{new_name} already a label")
     labels = {v: lab for v, lab in s.labels.items() if v != j}
     labels[new_name] = new_label
     vertices = sorted((new_name if v == j else v for v in s.quiver.vertices),
@@ -301,19 +320,21 @@ def label_exchange(s: Seed, j: str) -> tuple[str, dict[str, KSubset], tuple[str,
 def mutate_labels(s: Seed, j: str) -> Seed:
     """Seed mutation: quiver mutation plus the Plucker label exchange at j.
 
-    The exchanged label is checked for weak separation against the other
-    m - 1 labels; every other pair is the parent seed's, which is pairwise
-    weakly separated (``seed_of_model``), so the new seed is too.  A
-    crossing raises ``labels-not-weakly-separated``, naming the exchanged
-    label and its first crossing partner in vertex order."""
+    The exchanged label is checked for weak separation against the parent's
+    masks of the other m - 1 labels; every other pair is the parent seed's,
+    which is pairwise weakly separated (``seed_of_model``), so the new seed
+    is too.  A crossing raises ``labels-not-weakly-separated``, naming the
+    exchanged label and its first crossing partner in vertex order."""
     new_name, labels2, vertices = label_exchange(s, j)
-    others = (labels2[v] for v in vertices if v != new_name)
-    partner = crossing_partner(labels2[new_name], others)
+    i = s.quiver.vertices.index(j)
+    others = s.masks[:i] + s.masks[i + 1:]
+    partner = crossing_partner(_mask(labels2[new_name]), others)
     if partner is not None:
+        partner += partner >= i  # its index among the parent's labels
         raise ModelInvariantError(
             "labels-not-weakly-separated",
             f"after exchanging {j} -> {new_name}, which crosses "
-            f"{format_ksubset(partner, s.n)}",
+            f"{format_ksubset(s.vertex_labels[partner], s.n)}",
         )
     # mutate on arrow counts and rename j to new_name; the one make_quiver
     # checks the result
@@ -348,11 +369,11 @@ def kappa_vector(s: Seed, I: KSubset) -> dict[str, int]:
     Coordinate at vertex J is the longest diagonal of the set difference
     of Young diagrams young(label(J)) minus young(I); the star coordinate
     is always 0.  The coordinates are read off I's row of the one MaxDiag
-    memo (``combinat._max_diag_row``) by one getter over the bitmasks of
-    the seed's labels (``_kappa_column``), so a table over all k-subsets
-    and a sequence of seeds (which share most labels) computes each label
-    pair once.  A bad I raises ValueError on every call and is not
-    memoised.
+    memo (``combinat._max_diag_row``) by one getter over the seed's label
+    masks, checked and made with the seed (``Seed.masks``), so a table over
+    all k-subsets and a sequence of seeds (which share most labels)
+    computes each label pair once.  A bad I raises ValueError on every call
+    and is not memoised.
     """
     return dict(zip(s.quiver.vertices, _kappa_column(s, tuple(I))))
 
@@ -363,13 +384,13 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     The column is one call of the seed's getter on I's MaxDiag row.  When
     the row lacks labels, their entries are computed from the label tuples
     and the row is read again, so a miss costs one exception and no
-    decoding of a mask.  A bad label raises ValueError; a star label with
-    nonzero kappa raises ``bad-label``.
+    decoding of a mask.  The labels are k-subsets of [n], checked where the
+    seed is made; a star label with nonzero kappa raises ``bad-label``.
     """
     if len(I) != s.k:
         raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
     row = _max_diag_row(I, s.n)
-    get, star, masks, label_of = s._kappa or _kappa_getter(s, I)
+    get, star, masks, label_of = s._kappa or _kappa_getter(s)
     try:
         col = get(row)
     except KeyError:
@@ -382,32 +403,13 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     return col
 
 
-def _kappa_getter(s: Seed, I: KSubset) -> tuple:
-    """Build and keep the seed's (getter, star mask, masks, label of mask):
-    the bitmask of each label (bit x for element x) in vertex order, an
-    ``operator.itemgetter`` over them that returns a tuple, the star's
-    mask, and the set of masks and a dict from each mask to its label
-    tuple, to fill rows from.
-
-    Every label must be a k-subset of [n], strictly increasing.  The first
-    label in vertex order that is not raises the ValueError that
-    ``max_diag(label, I, n)`` raises, as reading it off a row keyed by
-    tuples did, and no getter is kept.  So a mask in the getter always
-    stands for the one valid subset with that mask.
-    """
-    masks = []
-    for J in s.vertex_labels:
-        mask = last = 0
-        for x in J:
-            if x <= last:
-                break
-            mask |= 1 << x
-            last = x
-        else:
-            if len(J) == s.k and last <= s.n:
-                masks.append(mask)
-                continue
-        max_diag(J, I, s.n)  # raises
+def _kappa_getter(s: Seed) -> tuple:
+    """Build and keep the seed's (getter, star mask, masks, label of mask)
+    from ``Seed.masks``, which were checked and made with the seed: an
+    ``operator.itemgetter`` over the masks in vertex order that returns a
+    tuple, the star's mask, and the set of masks and a dict from each mask
+    to its label tuple, to fill rows from."""
+    masks = s.masks
     get = itemgetter(*masks) if len(masks) > 1 else lambda row: (row[masks[0]],)
     star = masks[s.quiver.vertices.index(s.quiver.star)]
     kappa = (get, star, frozenset(masks), dict(zip(masks, s.vertex_labels)))

@@ -684,6 +684,28 @@ def test_closed_stdout_exits_141_without_traceback(argv):
     assert proc.stderr == ""
 
 
+def test_closed_stdout_exits_141_in_process(monkeypatch, capsys):
+    # stdout is a pipe whose reader is gone: the first write raises
+    # BrokenPipeError, main points stdout at devnull and returns 141
+    r, w = os.pipe()
+    os.close(r)
+    with open(w, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert cli.main(["flow", "shark", "25"]) == cli.EXIT_BROKEN_PIPE
+        monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
+def test_an_unbounded_slice_exits_2(monkeypatch, capsys):
+    # a cone with no inequalities leaves its first coordinate unbounded
+    real = cones.gt_inequalities
+    monkeypatch.setattr(cones, "gt_inequalities",
+                        lambda k, n: cones.make_cone(real(k, n).ambient, []))
+    rc, out, err = run_out(capsys, "gt-cone", "--kn", "2,4", "--level", "1")
+    assert (rc, out) == (2, "")
+    assert err == "error: unbounded enumeration: coordinate 13 unbounded at level 1\n"
+
+
 # ------------------------------------------------- exit codes of bad requests
 
 
@@ -747,6 +769,19 @@ def test_plucker_at_k_1_has_no_relations_to_fail(capsys):
     rc, out, _ = run_out(capsys, "verify", "plucker", "--kn", "1,4")
     assert rc == 0
     assert out == "PASS plucker: rect:1,4 all three-term relations, both charts\n"
+
+
+@pytest.mark.parametrize("kn,failing,line", [
+    ("3,6", (2,), "relation (1,3,4,5;S=2) fails on rect:3,6"),
+    ("2,4", (), "relation (1,2,3,4) fails on rect:2,4"),
+    ("4,10", (1, 2), "relation (3,4,5,6;S=1,2) fails on rect:4,10"),
+], ids=["3,6", "2,4", "4,10"])
+def test_plucker_fail_line_names_s_as_a_subset(monkeypatch, capsys, kn, failing, line):
+    # the relations with S = failing fail; S is named as the command line
+    # names a subset, and left out when empty
+    monkeypatch.setattr(charts, "plucker_verify", lambda model, rel: rel[4] != failing)
+    rc, out, err = run_out(capsys, "verify", "plucker", "--kn", kn)
+    assert (rc, out, err) == (1, f"FAIL plucker: {line}\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -891,6 +926,27 @@ def test_trop_a_mismatch_is_verification_failure(monkeypatch, capsys):
         "FAIL trop-a: rect:2,4 at 13, I=13: "
         "{'12': 0, '13': 0, '14': 1, '23': 1, '34': 1} != "
         "{'12': 0, '14': 1, '23': 1, '13': 1, '34': 1}\n"
+    )
+
+
+def test_trop_a_involution_fails_on_a_wrong_mutated_quiver(monkeypatch, capsys):
+    # one arrow at j of the mutated quiver doubled: mutating there and back
+    # on the parent's quiver still gives every vector back, but mutating
+    # back at j2 on the mutated seed's quiver does not
+    real = seeds._fz_counts
+
+    def one_arrow_doubled(q, j):
+        counts = real(q, j)
+        counts[next(pair for pair in counts if j in pair)] = 2
+        return counts
+
+    monkeypatch.setattr(seeds, "_fz_counts", one_arrow_doubled)
+    rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "3,6")
+    assert (rc, err) == (1, "")
+    assert out == (
+        "FAIL trop-a: rect:3,6 at 125: double mutation moved "
+        "{'123': 0, '124': -2, '125': 3, '126': -3, '134': -1, '145': -3, "
+        "'156': -4, '234': 4, '345': -1, '456': 3}\n"
     )
 
 

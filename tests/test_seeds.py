@@ -188,6 +188,37 @@ def test_exchange_label_patterns():
         exchange_label(s36.quiver, s36.labels, "145")
 
 
+def swapped_labels(s: Seed, u: str, v: str) -> Seed:
+    """s with the labels of vertices u and v swapped: still k-subsets, so
+    the seed is made, but perhaps no longer a seed of a model."""
+    labels = dict(s.labels)
+    labels[u], labels[v] = labels[v], labels[u]
+    return Seed(s.k, s.n, s.quiver, labels)
+
+
+def test_label_exchange_refuses_a_neighborhood_of_no_exchange():
+    # at 13 of rect:2,5 the in-neighbours 14, 23 and out-neighbours 12, 34
+    # share S = {} and the quadruple 1234, and 13 exchanges to 24
+    s = rectangles_seed(2, 5)
+    assert seeds.label_exchange(s, "13")[0] == "24"
+    # out-neighbour 34 labelled 45: the outs span 1245, not 1234
+    with pytest.raises(NotPlabicMutable) as err:
+        mutate_labels(swapped_labels(s, "34", "45"), "13")
+    assert str(err.value) == "neighbor labels of 13 do not share a quadruple"
+    # 13 labelled 15, which the quadruple 1234 does not contain
+    with pytest.raises(NotPlabicMutable) as err:
+        mutate_labels(swapped_labels(s, "13", "15"), "13")
+    assert str(err.value) == "label of 13 does not match its neighborhood"
+    # no swap of labels gives a duplicate: a neighborhood that passes needs
+    # all six S + two of its quadruple as labels, two of which cross, and a
+    # swap keeps the weakly separated label set.  So the frozen 15, outside
+    # the neighborhood, is labelled 24, the partner of 13
+    labels = {**s.labels, "15": (2, 4)}
+    with pytest.raises(ModelInvariantError) as err:
+        mutate_labels(Seed(s.k, s.n, s.quiver, labels), "13")
+    assert (err.value.violation, err.value.detail) == ("duplicate-label", "24 already a label")
+
+
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 8)])
 def test_seed_mutations_skips_refused_vertices(k, n):
     s = rectangles_seed(k, n)
@@ -277,7 +308,7 @@ def full_pair_check(s: Seed, j: str) -> bool:
     """The check ``mutate_labels`` made before it tested one label: every
     pair of the labels after the exchange at j."""
     _name, labels, _vertices = seeds.label_exchange(s, j)
-    return combinat.crossing_pair(labels.values()) is None
+    return combinat.crossing_pair(map(mask, labels.values())) is None
 
 
 def passes_separation(s: Seed, j: str) -> bool:
@@ -300,7 +331,7 @@ def test_one_label_check_equals_the_full_pair_check_on_walks(start, seed, steps)
     rng = random.Random(seed)
     s0 = seed_of_model(shark_model()) if start == "shark" else rectangles_seed(*start)
     for s in walked_seeds(s0, rng, steps):
-        assert combinat.crossing_pair(s.labels.values()) is None
+        assert combinat.crossing_pair(s.masks) is None
         for j in mutable_vertices(s.quiver):
             try:
                 real = exchange_label(s.quiver, s.labels, j)
@@ -801,27 +832,59 @@ def test_mask_kappa_route_equals_tuple_route_on_walks(start, seed, steps):
 
 def test_a_bad_label_raises_like_the_tuple_route():
     # (3, 1) has the mask of 13, which the row of 12 holds once a valid seed
-    # has asked for it; the mask route must still refuse it, every time,
-    # and with the tuple route's message: (3, 1, 2) is unsorted and of
-    # another size, and the size is what the tuple route names
+    # has asked for it; the seed must still refuse it, every time, before
+    # any kappa is read.  A label of another size than k, such as (1, 2, 3),
+    # never reaches weak separation or a MaxDiag row.  Every label the seed
+    # refuses is one the tuple route (a row keyed by label tuples) refuses
     s = rectangles_seed(2, 4)
     kappa_vector(s, (1, 2))
-    bads = [(3, 1), (1, 1), (0, 3), (1, 5), (1, 2, 3), (3, 1, 2), (0, 3, 4)]
-    cases = [{"13": bad} for bad in bads]
+    rows = {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()}
+    bads = [(3, 1), (1, 1), (0, 3), (1, 5), (1, 2, 3), (3, 1, 2), (0, 3, 4), (1,)]
+    cases = [({"13": bad}, "13", bad) for bad in bads]
     # two bad labels: the first in vertex order is the one named
-    cases += [{"13": (1, 5), "14": (3, 1)}, {"13": (1, 2, 3), "14": (3, 1)},
-              {"13": (3, 1), "14": (1, 2, 3)}, {"13": (3, 1, 2), "14": (0, 3)}]
-    for case in cases:
-        broken = Seed(s.k, s.n, s.quiver, {**s.labels, **case})
+    cases += [({"13": (1, 5), "14": (3, 1)}, "13", (1, 5)),
+              ({"14": (1, 2, 3), "13": (3, 1)}, "13", (3, 1)),
+              ({"34": (3, 1, 2), "23": (0, 3)}, "23", (0, 3))]
+    for case, vertex, bad in cases:
         for _ in range(2):
-            for I in [(1, 2), (2, 4)]:
-                want = outcome(tuple_kappa_column, broken, I)
-                assert want[0] == "ValueError"
-                assert outcome(kappa_vector, broken, I) == want
-            assert outcome(flat_wt, broken) == outcome(tuple_wt_matrix, broken)
-            assert outcome(exact_sequence_checks, broken) == outcome(
-                tuple_exact_sequence_checks, broken)
-            assert broken._kappa is None
+            with pytest.raises(ValueError) as err:
+                Seed(s.k, s.n, s.quiver, {**s.labels, **case})
+            assert str(err.value) == (f"label {bad} of vertex {vertex} is not a "
+                                      "strictly increasing 2-subset of 1..4")
+    assert {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()} == rows
+    for bad in bads:
+        for I in [(1, 2), (2, 4)]:
+            with pytest.raises(ValueError):
+                TupleRow(I, s.n)[bad]
+
+
+def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
+    # the masks are the labels' bitmasks in vertex order; the kappa getter
+    # reads them and mutation masks the exchanged label alone, where the
+    # m - 1 other labels' masks are the parent's
+    calls = []
+    real = combinat._mask
+    counted = lambda J: calls.append(J) or real(J)
+    monkeypatch.setattr(combinat, "_mask", counted)
+    monkeypatch.setattr(seeds, "_mask", counted)
+    s = rectangles_seed(4, 8)
+    assert s.masks == tuple(map(mask, s.vertex_labels))
+    for _j, moved in seed_mutations(s):
+        assert moved.masks == tuple(map(mask, moved.vertex_labels))
+    calls.clear()
+    j = mutable_vertices(s.quiver)[0]
+    moved = mutate_labels(s, j)
+    assert calls == [moved.labels[next(iter(set(moved.labels) - set(s.labels)))]]
+    # the getter is built from Seed.masks, whatever they hold: shifted
+    # masks give a shifted getter, and no mask is made
+    calls.clear()
+    fresh = Seed(s.k, s.n, s.quiver, s.labels)
+    shifted = tuple(m << 1 for m in fresh.masks)
+    object.__setattr__(fresh, "masks", shifted)
+    _get, star, masks, label_of = seeds._kappa_getter(fresh)
+    assert calls == []
+    assert masks == frozenset(shifted) and list(label_of) == list(shifted)
+    assert star == shifted[s.quiver.vertices.index(s.quiver.star)]
 
 
 def test_a_one_vertex_seed_has_a_kappa_column():
