@@ -16,8 +16,10 @@ fixture, or ``rect:k,n``) or on a Grassmannian instance given as ``--kn k,n``:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a request
 past the matching budget (``plabic.MATCHING_BUDGET``), 3 model invariant
-violation or internal consistency fault.  Output is byte-deterministic for
-fixed inputs.
+violation or internal consistency fault.  Inside ``verify`` such a fault is
+the FAIL line of the suite that met it, and the other suites still run, so
+``verify`` exits 3 only when an instance's own model cannot be built.
+Output is byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -305,11 +307,19 @@ def cmd_mutate(args) -> int:
 
 
 def _xcheck_one(model: PlabicModel, tag: str, j: str, moved: PlabicModel) -> str | None:
-    """The FAIL detail, led by tag, of the first boundary value I at which
-    mutation at the face named j does not carry the moved model's flow
-    polynomial back to the one computed on the original model, or None."""
+    """The FAIL detail, led by tag, of the first boundary value I in the
+    positroid of just one of the model and its move at the face named j,
+    else of the first I at which mutation at j does not carry the moved
+    model's flow polynomial back to the one computed on the original model,
+    or None.  The flows read both models' matching tables, so the positroids
+    are compared here and not in ``plabic.square_move``."""
+    P = plabic.positroid(model)
+    changed = sorted(set(P) ^ set(plabic.positroid(moved)))
+    if changed:
+        return (f"{tag}: the move at {j} changes the positroid at "
+                f"I={format_ksubset(changed[0], model.n)}")
     q = seeds.seed_of_model(model).quiver
-    for I in plabic.positroid(model):
+    for I in P:
         image = charts.x_mutate(q, j, charts.flow_polynomial(moved, I))
         if not lp_equal(image, charts.flow_polynomial(model, I)):
             return (f"{tag}: mutation at {j} disagrees with flows at "
@@ -443,21 +453,52 @@ def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
 # square-moved model, (model, tag, j, moved), each a FAIL detail or None
 MoveSuite = namedtuple("MoveSuite", "base step passed")
 
+# what a check may raise on a model it cannot make sense of, or on a fault
+# of the package (bad input is refused as a UsageError where it is read):
+# under ``verify`` it fails the suite that met it, and elsewhere it exits 3
+_FAULTS = (ModelInvariantError, NotLaurent, ValueError)
+
+
+def _fault(exc: Exception) -> str:
+    """A fault as it reads on stderr and in a FAIL detail."""
+    if isinstance(exc, ModelInvariantError):
+        return f"invariant violation: {exc}"
+    return f"internal error: {exc}"
+
+
+def _checked(where: str, check, *args) -> str | None:
+    """``check(*args)``, a FAIL detail or None; a fault it raises is the
+    detail ``where: <fault>``."""
+    try:
+        return check(*args)
+    except _FAULTS as exc:
+        return f"{where}: {_fault(exc)}"
+
 
 def _walk_moves(model: PlabicModel, tag: str, names: list[str]) -> dict:
     """suite name -> (ok, detail) for the move suites named, from one walk:
     each square move is made once, checked by every suite not yet failed,
-    and dropped before the next is made."""
-    failed = {name: bad for name in names
-              if SUITES[name].base and (bad := SUITES[name].base(model, tag))}
-    moves = []
-    for j, moved in plabic.square_moves(model) if len(failed) < len(names) else ():
+    and dropped before the next is made.  A fault raised by a check fails
+    its suite, naming the move; one raised making a move fails every suite
+    not yet failed, naming the moves made before it (``square_move`` names
+    the face in its own violations)."""
+    failed = {name: bad for name in names if SUITES[name].base
+              and (bad := _checked(tag, SUITES[name].base, model, tag))}
+    moves, walk = [], plabic.square_moves(model)
+    while len(failed) < len(names):
+        try:
+            j, moved = next(walk)
+        except StopIteration:
+            break
+        except _FAULTS as exc:
+            bad = f"{tag} at the move after [{','.join(moves)}]: {_fault(exc)}"
+            failed.update((name, bad) for name in names if name not in failed)
+            break
         for name in names:
-            if name not in failed and (bad := SUITES[name].step(model, tag, j, moved)):
+            if name not in failed and (bad := _checked(
+                    f"{tag} after move {j}", SUITES[name].step, model, tag, j, moved)):
                 failed[name] = bad
         del moved  # so the next move is made with none held
-        if len(failed) == len(names):
-            break
         moves.append(j)
     return {name: (False, failed[name]) if name in failed else
             (True, SUITES[name].passed.format(tag=tag, moves=",".join(moves)))
@@ -574,7 +615,10 @@ def cmd_verify(args) -> int:
         tag = f"rect:{k},{n}"
         walked = _walk_moves(model, tag, walking)
         for suite in chosen:
-            ok, detail = walked.get(suite) or SUITES[suite](model, tag, level)
+            try:
+                ok, detail = walked.get(suite) or SUITES[suite](model, tag, level)
+            except _FAULTS as exc:
+                ok, detail = False, f"{tag}: {_fault(exc)}"
             emit(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}", suite, tag, ok, detail)
             all_ok = all_ok and ok
     return 0 if all_ok else 1
@@ -696,13 +740,8 @@ def _run(argv) -> int:
         where = getattr(args, "model", None) or f"rect:{exc.k},{exc.n}"
         print(f"error: {where} has {exc}", file=sys.stderr)
         return 2
-    except ModelInvariantError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, NotLaurent) as exc:
-        # bad input is refused as a UsageError where it is read, so these
-        # are faults of the package, not of the request
-        print(f"internal error: {exc}", file=sys.stderr)
+    except _FAULTS as exc:
+        print(_fault(exc), file=sys.stderr)
         return 3
 
 

@@ -38,7 +38,6 @@ from .combinat import (
     KSubset,
     cyclic_interval,
     format_ksubset,
-    ksubsets,
     parse_ksubset,
 )
 
@@ -174,14 +173,6 @@ class FaceAdjacency:
             todo |= reach & ~region
             region |= reach
         return region
-
-
-def _other_end(ends: tuple[End, End], here: End) -> End:
-    if ends[0] == here:
-        return ends[1]
-    if ends[1] == here:
-        return ends[0]
-    raise ValueError(f"{here} not an end of {ends}")
 
 
 def _tip_vertex(e: str, end, V: int, n: int) -> int:
@@ -998,6 +989,21 @@ def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
     return matching_table(model).positroid
 
 
+def _gap_labels(an: Analysis) -> dict[int, KSubset]:
+    """The gap-face labels by gap index l (the face between stubs l, l + 1)."""
+    return {f.gap: f.label for f in an.faces if f.gap is not None}
+
+
+def _check_necklace(model: PlabicModel, want, violation: str, where: str) -> None:
+    """Raise ``violation`` at the first gap l whose face label is not
+    ``want[l]``: the positroid check of the builder and the square move."""
+    got = _gap_labels(analyze(model))
+    for l in sorted(want):
+        if got[l] != want[l]:
+            raise ModelInvariantError(violation, f"{where} gap {l}: " + " != ".join(
+                format_ksubset(I, model.n) for I in (got[l], want[l])))
+
+
 def _base_mask(model: PlabicModel) -> int:
     target = base_value(model)
     if target is None:
@@ -1433,13 +1439,14 @@ def flow_weight(model: PlabicModel, m) -> dict[KSubset, int]:
 # ------------------------------------------------------------ square move
 
 
-def _fresh(base: str, taken) -> str:
-    if base not in taken:
-        return base
-    i = 2
-    while f"{base}{i}" in taken:
-        i += 1
-    return f"{base}{i}"
+def _fresh(base: str, taken: set) -> str:
+    """``base``, or else ``base`` with the least suffix 2, 3, ... that is
+    not in ``taken``; the name is added to ``taken``."""
+    name, i = base, 2
+    while name in taken:
+        name, i = f"{base}{i}", i + 1
+    taken.add(name)
+    return name
 
 
 def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
@@ -1455,7 +1462,12 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     must be the model's with the face's label replaced by its Plucker
     exchange partner (``seeds.label_exchange``), it must keep the
     positroid, and the arrows of its dual quiver with a mutable end must be
-    those of the matrix mutation of the model's.
+    those of the matrix mutation of the model's.  The positroid is compared
+    on the gap labels (``_check_necklace``): on a reduced model they are its
+    Grassmann necklace, which fixes it (Postnikov, math/0609764 §16-17;
+    Oh-Postnikov-Speyer, arXiv:1109.4434), and a move keeps a model reduced,
+    reducedness being defined up to moves.  ``cli._xcheck_one`` compares
+    the positroids themselves, off reduced models too.
     """
     an = analyze(model)
     face_label = tuple(face_label)
@@ -1493,16 +1505,10 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
 
     # fresh names for every new corner, leg and square edge, dropped or not
     taken_nodes, taken_edges = set(model.colors), set(model.edges)
-    new_corner, leg, square = {}, {}, []
-    for c in corners:
-        new_corner[c] = _fresh(f"{c}x", taken_nodes)
-        taken_nodes.add(new_corner[c])
-    for c in corners:
-        leg[c] = _fresh(f"leg_{c}", taken_edges)
-        taken_edges.add(leg[c])
-    for i in range(4):
-        square.append(_fresh(f"sq_{corners[i]}_{corners[(i + 1) % 4]}", taken_edges))
-        taken_edges.add(square[-1])
+    new_corner = {c: _fresh(f"{c}x", taken_nodes) for c in corners}
+    leg = {c: _fresh(f"leg_{c}", taken_edges) for c in corners}
+    square = [_fresh(f"sq_{c}_{corners[(i + 1) % 4]}", taken_edges)
+              for i, c in enumerate(corners)]
 
     colors = dict(model.colors)
     edges = {e: ends for e, ends in model.edges.items() if e not in sides}
@@ -1513,13 +1519,13 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
         p = r.index(sides[i])
         rest = (r[p:] + r[:p])[2:]  # c's other edges, counterclockwise
         pair = [square[i - 1], square[i]]
-        far = _other_end(edges[rest[0]], ("n", c)) if len(rest) == 1 else None
+        far = next(x for x in edges[rest[0]] if x != ("n", c)) if len(rest) == 1 else None
         if far is not None and far[0] == "n":
             # c and its one edge go away; the square joins z in their place
             g, z = rest[0], far[1]
             if z in corners:
                 raise ModelInvariantError(
-                    "contracted-into-corner", f"corner {c} contracts into {z}"
+                    "contracted-into-corner", f"moving {j}: corner {c} contracts into {z}"
                 )
             del colors[c], edges[g]
             q = rot[z].index(g)
@@ -1556,8 +1562,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
             f"moving {j} gives labels {list(got)}, exchange gives {list(vertices)}",
         )
 
-    if positroid(result) != positroid(model):
-        raise ModelInvariantError("positroid-changed")
+    _check_necklace(result, _gap_labels(an), "positroid-changed", f"moving {j}")
     # compare the arrows with a mutable end, the moved face renamed back to j
     expect = seeds.fz_mutate(seed.quiver, j)
     q_new = seeds.seed_of_model(result).quiver
@@ -1568,7 +1573,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
             if u not in expect.frozen or v not in expect.frozen}
     if got != want:
         raise ModelInvariantError(
-            "quiver-fz-mismatch", f"arrows differ at {sorted(got ^ want)}"
+            "quiver-fz-mismatch", f"moving {j}: arrows differ at {sorted(got ^ want)}"
         )
     return result
 
@@ -1631,17 +1636,12 @@ def shark_model() -> PlabicModel:
 
 
 def _star_model(k: int, n: int) -> PlabicModel:
-    color = BLACK if k == 1 else WHITE
-    colors = {"C": color}
+    colors = {"C": BLACK if k == 1 else WHITE}
     edges = {f"E{l}": (("n", "C"), ("t", l)) for l in range(1, n + 1)}
     rot = {"C": tuple(f"E{l}" for l in range(n, 0, -1))}
     # every face is a gap face here, so name the star by its gap index
     # (edge sets collide at n = 2: both faces are bounded by the same edges)
-    model = PlabicModel(k, n, colors, edges, rot, frozenset({("gap", n)}))
-    analyze(model)
-    if positroid(model) != tuple(ksubsets(n, k)):
-        raise ModelInvariantError("positroid-mismatch", f"star model ({k},{n})")
-    return model
+    return PlabicModel(k, n, colors, edges, rot, frozenset({("gap", n)}))
 
 
 def build_rectangles_model(k: int, n: int) -> PlabicModel:
@@ -1650,12 +1650,20 @@ def build_rectangles_model(k: int, n: int) -> PlabicModel:
     Planar dual of the grid quiver whose vertices are the rectangle labels:
     each closed quiver face becomes one graph node (clockwise faces white,
     counterclockwise black), each arrow one edge, and the quiver vertices
-    come back as the faces of the result, whose trips label them.
+    come back as the faces of the result, whose trips label them; a star
+    when k is 1 or n - 1.
     """
     if not (1 <= k <= n - 1):
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    if k == 1 or k == n - 1:
-        return _star_model(k, n)
+    model = _star_model(k, n) if k == 1 or k == n - 1 else _grid_model(k, n)
+    # the gap faces, by l, must carry the cyclic intervals l + 1, ..., l + k
+    want = {l: tuple(sorted(cyclic_interval(l % n + 1, (l + k - 1) % n + 1, n)))
+            for l in range(1, n + 1)}
+    _check_necklace(model, want, "gap-necklace-mismatch", f"rect({k},{n})")
+    return model
+
+
+def _grid_model(k: int, n: int) -> PlabicModel:
     w = n - k  # grid width
 
     def r_id(t, s):
@@ -1715,14 +1723,5 @@ def build_rectangles_model(k: int, n: int) -> PlabicModel:
         else:
             raise ModelInvariantError("rect-build", f"arrow {a} in {len(nodes)} cycles")
 
-    model = PlabicModel(k, n, colors, edges, rot, frozenset({"istar", "scol", "srow"}))
-    # the boundary gap faces, by l, must carry the cyclic-interval labels
-    for f in sorted((f for f in analyze(model).faces if f.gap), key=lambda f: f.gap):
-        l, got, nxt = f.gap, f.label, f.gap % n + 1
-        want = tuple(sorted(cyclic_interval(nxt, (nxt + k - 2) % n + 1, n)))
-        if got != want:
-            raise ModelInvariantError(
-                "gap-necklace-mismatch", f"rect({k},{n}) gap {l}: {got} != {want}"
-            )
-    return model
+    return PlabicModel(k, n, colors, edges, rot, frozenset({"istar", "scol", "srow"}))
 

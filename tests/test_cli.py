@@ -234,6 +234,24 @@ def test_xcheck_mismatch_is_verification_failure(monkeypatch, capsys):
     assert out == "FAIL xcheck 13: mutation at 13 disagrees with flows at I=12\n"
 
 
+@pytest.mark.parametrize("argv,line", [
+    (("xcheck", "rect:2,5"), "FAIL xcheck 13: the move at 13 changes the positroid at I=12"),
+    (("verify", "xflow", "--kn", "2,5"),
+     "FAIL xflow: rect:2,5: the move at 13 changes the positroid at I=12"),
+], ids=["xcheck", "xflow"])
+def test_a_move_that_changes_the_positroid_fails_xcheck(monkeypatch, capsys, argv, line):
+    # the square move compares gap labels only; the enumerated positroids
+    # are compared where the flows are, and the first boundary value in
+    # just one of them is the witness
+    base = plabic.build_rectangles_model(2, 5)
+    real = plabic.positroid
+    monkeypatch.setattr(plabic, "build_rectangles_model", lambda k, n: base)
+    monkeypatch.setattr(plabic, "positroid",
+                        lambda model: real(model) if model is base else real(model)[1:])
+    rc, out, err = run_out(capsys, *argv)
+    assert (rc, out, err) == (1, line + "\n", "")
+
+
 @pytest.mark.parametrize("face", ["999", "12"])
 def test_xcheck_unknown_face_is_usage_error(capsys, face):
     rc, out, err = run_out(capsys, "xcheck", "rect:3,6", "--mutations", face)
@@ -763,6 +781,10 @@ def test_value_error_inside_the_package_is_an_internal_fault(monkeypatch, capsys
     rc, out, err = run_out(capsys, "xcheck", "rect:2,4")
     assert (rc, out) == (3, "")
     assert err.startswith("internal error: lattice mismatch: ")
+    # inside verify it is the FAIL line of the suite that met it
+    rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,4")
+    assert (rc, err) == (1, "")
+    assert out.startswith("FAIL xflow: rect:2,4 after move 13: internal error: lattice mismatch: ")
 
 
 def test_plucker_at_k_1_has_no_relations_to_fail(capsys):
@@ -784,19 +806,33 @@ def test_plucker_fail_line_names_s_as_a_subset(monkeypatch, capsys, kn, failing,
     assert (rc, out, err) == (1, f"FAIL plucker: {line}\n", "")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "xflow", "--kn", "2,5"],
-    ["verify", "valuation-kappa", "--kn", "2,5"],
-    ["xcheck", "rect:2,5"],
-])
-def test_invariant_violation_inside_a_suite_exits_3(monkeypatch, capsys, argv):
+def last_face_plus_one(monkeypatch):
+    """Every matching weighs one more at the last face on the flow route."""
     real = cli.plabic.FaceGraph.flow_route
+    monkeypatch.setattr(cli.plabic.FaceGraph, "flow_route",
+                        lambda graph, mask: real(graph, mask) + graph.unit[-1])
 
-    def last_face_plus_one(graph, mask):
-        return real(graph, mask) + graph.unit[-1]
 
-    monkeypatch.setattr(cli.plabic.FaceGraph, "flow_route", last_face_plus_one)
-    rc, out, err = run_out(capsys, *argv)
+@pytest.mark.parametrize("suite,where", [
+    ("xflow", "rect:2,5 after move 13"),
+    ("valuation-kappa", "rect:2,5"),
+], ids=["xflow", "valuation-kappa"])
+def test_invariant_violation_inside_a_suite_is_its_fail_line(
+        monkeypatch, capsys, suite, where):
+    # xflow meets the violation on the first moved model, valuation-kappa
+    # on the base model; either names where, prints nothing on stderr and
+    # exits 1
+    last_face_plus_one(monkeypatch)
+    rc, out, err = run_out(capsys, "verify", suite, "--kn", "2,5")
+    assert (rc, err) == (1, "")
+    assert out.count("\n") == 1
+    assert out.startswith(
+        f"FAIL {suite}: {where}: invariant violation: flow-weight-mismatch: at I=12, ")
+
+
+def test_invariant_violation_in_xcheck_exits_3(monkeypatch, capsys):
+    last_face_plus_one(monkeypatch)
+    rc, out, err = run_out(capsys, "xcheck", "rect:2,5")
     assert (rc, out) == (3, "")
     assert err.startswith("invariant violation: flow-weight-mismatch: ")
 
@@ -929,25 +965,67 @@ def test_trop_a_mismatch_is_verification_failure(monkeypatch, capsys):
     )
 
 
-def test_trop_a_involution_fails_on_a_wrong_mutated_quiver(monkeypatch, capsys):
-    # one arrow at j of the mutated quiver doubled: mutating there and back
-    # on the parent's quiver still gives every vector back, but mutating
-    # back at j2 on the mutated seed's quiver does not
+def one_arrow_doubled(monkeypatch):
+    """Matrix mutation at j doubles the first arrow it gives at j."""
     real = seeds._fz_counts
 
-    def one_arrow_doubled(q, j):
+    def doubled(q, j):
         counts = real(q, j)
         counts[next(pair for pair in counts if j in pair)] = 2
         return counts
 
-    monkeypatch.setattr(seeds, "_fz_counts", one_arrow_doubled)
+    monkeypatch.setattr(seeds, "_fz_counts", doubled)
+
+
+TROP_A_DOUBLED = (
+    "FAIL trop-a: rect:3,6 at 125: double mutation moved "
+    "{'123': 0, '124': -2, '125': 3, '126': -3, '134': -1, '145': -3, "
+    "'156': -4, '234': 4, '345': -1, '456': 3}")
+
+
+def test_trop_a_involution_fails_on_a_wrong_mutated_quiver(monkeypatch, capsys):
+    # one arrow at j of the mutated quiver doubled: mutating there and back
+    # on the parent's quiver still gives every vector back, but mutating
+    # back at j2 on the mutated seed's quiver does not
+    one_arrow_doubled(monkeypatch)
     rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "3,6")
     assert (rc, err) == (1, "")
-    assert out == (
-        "FAIL trop-a: rect:3,6 at 125: double mutation moved "
-        "{'123': 0, '124': -2, '125': 3, '126': -3, '134': -1, '145': -3, "
-        "'156': -4, '234': 4, '345': -1, '456': 3}\n"
-    )
+    assert out == TROP_A_DOUBLED + "\n"
+
+
+def test_a_fault_fails_the_suites_that_meet_it_and_the_rest_run(monkeypatch, capsys):
+    # the doubled arrow breaks the square move's quiver check on the first
+    # move, which fails both move suites, and exact-seq's beta check; each
+    # is a FAIL line naming the instance, the move and the violation, and
+    # the suites it does not reach still pass
+    one_arrow_doubled(monkeypatch)
+    rc, out, err = run_out(capsys, "verify", "all", "--kn", "3,6")
+    assert (rc, err) == (1, "")
+    moved = ("rect:3,6 at the move after []: invariant violation: quiver-fz-mismatch: "
+             "moving 124: arrows differ at [('123', '124', 1), ('123', '124', 2)]")
+    lines = out.splitlines()
+    assert lines[:4] == [
+        "PASS plucker: rect:3,6 all three-term relations, both charts",
+        f"FAIL valuation-kappa: {moved}",
+        f"FAIL xflow: {moved}",
+        TROP_A_DOUBLED,
+    ]
+    assert lines[4].startswith(
+        "FAIL exact-seq: rect:3,6: invariant violation: beta-unbalanced: ")
+    assert [line.split(":")[0] for line in lines[5:]] == [
+        "PASS gt-trop", "PASS wformula", "PASS weyl-count"]
+    # the records carry the same details
+    records = [line.split(": ", 1) for line in lines]
+    rc, out, _ = run_out(capsys, "verify", "all", "--kn", "3,6", "--format", "json")
+    assert rc == 1
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"suite": head.split()[1], "instance": "rect:3,6", "ok": head.startswith("PASS"),
+         "detail": detail} for head, detail in records]
+    rc, out, _ = run_out(capsys, "verify", "all", "--kn", "3,6", "--format", "csv")
+    assert rc == 1
+    assert list(csv.reader(io.StringIO(out)))[1:] == [
+        [head.split()[1], "rect:3,6", str(int(head.startswith("PASS"))), detail]
+        for head, detail in records]
 
 
 def test_gt_trop_mismatch_is_verification_failure(monkeypatch, capsys):

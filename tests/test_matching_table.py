@@ -61,8 +61,8 @@ BASES = {
 ORBIT_SEEDS = (1, 2)
 
 
-def orbit(model, seed: int, moves: int = 3):
-    """The model after up to ``moves`` seeded square moves."""
+def orbit_steps(model, seed: int, moves: int = 3):
+    """Yield the model after each of up to ``moves`` seeded square moves."""
     rng = random.Random(seed)
     for _ in range(moves):
         s = seed_of_model(model)
@@ -73,7 +73,14 @@ def orbit(model, seed: int, moves: int = 3):
                 model = square_move(model, s.labels[j])
             except NotPlabicMutable:
                 continue
+            yield model
             break
+
+
+def orbit(model, seed: int, moves: int = 3):
+    """The model after up to ``moves`` seeded square moves."""
+    for model in orbit_steps(model, seed, moves):
+        pass
     return model
 
 
@@ -312,15 +319,76 @@ def test_necklace_of_positroid_full():
     assert necklace_of_positroid(P, 4) == ((1, 2), (2, 3), (3, 4), (1, 4))
 
 
-@pytest.mark.parametrize("name", sorted(MODELS))
-def test_gap_labels_are_the_necklace_of_the_positroid(name):
-    # the gap face between stubs l and l + 1 carries the necklace's
-    # (l + 1)-th entry of the enumerated positroid
-    model = MODELS[name]()
+def gap_labels_are_the_necklace(model):
+    """Whether the gap face between stubs l and l + 1 carries the
+    necklace's (l + 1)-th entry of the enumerated positroid, for every l."""
     neck = necklace_of_positroid(positroid(model), model.n)
     gaps = {f.gap: f.label for f in analyze(model).faces if f.gap is not None}
-    assert sorted(gaps) == list(range(1, model.n + 1))
-    assert gaps == {l: neck[l % model.n] for l in gaps}
+    return gaps == {l: neck[l % model.n] for l in range(1, model.n + 1)}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_gap_labels_are_the_necklace_of_the_positroid(name):
+    assert gap_labels_are_the_necklace(MODELS[name]())
+
+
+@given(st.sampled_from(sorted(BASES)), st.integers(0, 2**16), st.integers(1, 3))
+@settings(max_examples=30, deadline=None)
+def test_square_moves_keep_the_positroid_and_the_necklace(name, seed, moves):
+    # square_move compares the gap labels only: every move of an orbit
+    # keeps the enumerated positroid, and its gap labels stay the
+    # necklace of that positroid
+    model = BASES[name]()
+    for moved in orbit_steps(model, seed, moves):
+        assert positroid(moved) == positroid(model)
+        assert gap_labels_are_the_necklace(moved)
+        model = moved
+
+
+def test_a_move_that_changes_a_gap_label_is_refused(monkeypatch):
+    # the model's own gap labels, with gaps 1 and 2 swapped, as the
+    # necklace the moved model must carry
+    model = build_rectangles_model(3, 6)
+    real = plabic._gap_labels
+
+    def swapped(an):
+        got = real(an)
+        if an is analyze(model):
+            got[1], got[2] = got[2], got[1]
+        return got
+
+    monkeypatch.setattr(plabic, "_gap_labels", swapped)
+    with pytest.raises(ModelInvariantError) as err:
+        square_move(model, (1, 2, 4))
+    assert err.value.violation == "positroid-changed"
+    assert err.value.detail == "moving 124 gap 1: 234 != 345"
+
+
+@pytest.mark.parametrize("kn,detail", [
+    ((1, 5), "rect(1,5) gap 1: 2 != 3"),
+    ((4, 5), "rect(4,5) gap 1: 2345 != 1345"),
+    ((3, 7), "rect(3,7) gap 1: 234 != 345"),
+])
+def test_a_built_model_off_the_cyclic_intervals_is_refused(monkeypatch, kn, detail):
+    # every interval shifted by one, for a star and for grids
+    real = plabic.cyclic_interval
+    monkeypatch.setattr(plabic, "cyclic_interval",
+                        lambda a, b, n: real(a % n + 1, b % n + 1, n))
+    with pytest.raises(ModelInvariantError) as err:
+        build_rectangles_model(*kn)
+    assert (err.value.violation, err.value.detail) == ("gap-necklace-mismatch", detail)
+
+
+def test_moves_and_builders_list_no_matching(monkeypatch):
+    def refused(model, I=None):
+        raise AssertionError("a matching was listed")
+
+    monkeypatch.setattr(plabic, "matching_masks", refused)
+    assert [j for j, _ in square_moves(build_rectangles_model(4, 8))] == [
+        "1235", "1236", "1237", "1245", "1345"]
+    assert [j for j, _ in square_moves(shark_model())] == ["24"]
+    for kn in ((1, 5), (4, 5), (3, 7)):
+        build_rectangles_model(*kn)
 
 
 def test_orbits_leave_the_base_model():
