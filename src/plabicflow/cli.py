@@ -19,6 +19,11 @@ past the matching budget (``plabic.MATCHING_BUDGET``), 3 model invariant
 violation or internal consistency fault.  Inside ``verify`` such a fault is
 the FAIL line of the suite that met it, and the other suites still run, so
 ``verify`` exits 3 only when an instance's own model cannot be built.
+The suites that check every one-step neighbour share a walk, made once:
+``valuation-kappa`` and ``xflow`` the square moves, ``trop-a`` and
+``exact-seq`` the seed's mutations.  A fault on a walk names its step
+(``after move 124``, ``after mutation at 124``) or the steps made before
+it (``at the move after [...]``, ``at the mutation after [...]``).
 Output is byte-deterministic for fixed inputs.
 """
 
@@ -449,9 +454,13 @@ def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
     return None
 
 
-# a suite of checks on the base model, (model, tag), or None, and on each
-# square-moved model, (model, tag, j, moved), each a FAIL detail or None
-MoveSuite = namedtuple("MoveSuite", "base step passed")
+# a walk over a model's one-step neighbours, (name, neighbour) pairs, and where
+# a fault on it arose: checking the step at j, or making the one after those done
+_Walk = namedtuple("_Walk", "neighbours after broken")
+
+# a suite on a walk: start(model, tag) is the instance's FAIL detail, or else
+# the check of one step, (j, neighbour) -> a FAIL detail or None
+_WalkingSuite = namedtuple("_WalkingSuite", "walk start passed")
 
 # what a check may raise on a model it cannot make sense of, or on a fault
 # of the package (bad input is refused as a UsageError where it is read):
@@ -466,57 +475,69 @@ def _fault(exc: Exception) -> str:
     return f"internal error: {exc}"
 
 
-def _checked(where: str, check, *args) -> str | None:
-    """``check(*args)``, a FAIL detail or None; a fault it raises is the
-    detail ``where: <fault>``."""
+def _checked(where: str, check, *args):
+    """``check(*args)``; a fault it raises is the FAIL detail
+    ``where: <fault>``."""
     try:
         return check(*args)
     except _FAULTS as exc:
         return f"{where}: {_fault(exc)}"
 
 
-def _walk_moves(model: PlabicModel, tag: str, names: list[str]) -> dict:
-    """suite name -> (ok, detail) for the move suites named, from one walk:
-    each square move is made once, checked by every suite not yet failed,
+def _walk(model: PlabicModel, tag: str, walk: _Walk, names: list[str]) -> dict:
+    """suite name -> (ok, detail) for the named suites on the walk, from one
+    pass: each step is made once, checked by every suite not yet failed,
     and dropped before the next is made.  A fault raised by a check fails
-    its suite, naming the move; one raised making a move fails every suite
-    not yet failed, naming the moves made before it (``square_move`` names
+    its suite, naming the step; one raised making a step fails every suite
+    not yet failed, naming the steps made before it (``square_move`` names
     the face in its own violations)."""
-    failed = {name: bad for name in names if SUITES[name].base
-              and (bad := _checked(tag, SUITES[name].base, model, tag))}
-    moves, walk = [], plabic.square_moves(model)
+    names = [name for name in names if SUITES[name].walk is walk]
+    steps = {name: _checked(tag, SUITES[name].start, model, tag) for name in names}
+    failed = {name: bad for name, bad in steps.items() if isinstance(bad, str)}
+    done, neighbours = [], None
     while len(failed) < len(names):
         try:
-            j, moved = next(walk)
+            # made at the first step: a walk no suite reads is never made, and
+            # a fault making it is met here
+            neighbours = neighbours or walk.neighbours(model)
+            j, moved = next(neighbours)
         except StopIteration:
             break
         except _FAULTS as exc:
-            bad = f"{tag} at the move after [{','.join(moves)}]: {_fault(exc)}"
+            bad = f"{walk.broken.format(tag=tag, done=','.join(done))}: {_fault(exc)}"
             failed.update((name, bad) for name in names if name not in failed)
             break
         for name in names:
             if name not in failed and (bad := _checked(
-                    f"{tag} after move {j}", SUITES[name].step, model, tag, j, moved)):
+                    walk.after.format(tag=tag, j=j), steps[name], j, moved)):
                 failed[name] = bad
-        del moved  # so the next move is made with none held
-        moves.append(j)
+        del moved  # so the next step is made with none held
+        done.append(j)
     return {name: (False, failed[name]) if name in failed else
-            (True, SUITES[name].passed.format(tag=tag, moves=",".join(moves)))
+            (True, SUITES[name].passed.format(tag=tag, done=",".join(done)))
             for name in names}
 
 
-def _suite_trop_a(model: PlabicModel, tag: str, level: int):
+_MOVES = _Walk(lambda model: plabic.square_moves(model),
+               "{tag} after move {j}", "{tag} at the move after [{done}]")
+_MUTATIONS = _Walk(lambda model: seeds.seed_mutations(seeds.seed_of_model(model)),
+                   "{tag} after mutation at {j}", "{tag} at the mutation after [{done}]")
+
+
+def _trop_a(model: PlabicModel, tag: str):
+    """trop-a's κ table on the seed, made once, and its check of one mutation."""
     s = seeds.seed_of_model(model)
     q = s.quiver
     base = {I: seeds.kappa_vector(s, I) for I in ksubsets(s.n, s.k)}
-    for j, s2 in seeds.seed_mutations(s):
+
+    def step(j: str, s2: seeds.Seed) -> str | None:
         j2 = next(iter(set(s2.labels) - set(s.labels)))
         for I, kv in base.items():
             moved = seeds.trop_a_mutate(q, j, kv)
             want = seeds.kappa_vector(s2, I)
             want = {j if a == j2 else a: b for a, b in want.items()}
             if moved != want:
-                return False, f"{tag} at {j}, I={format_ksubset(I, s.n)}: {moved} != {want}"
+                return f"{tag} at {j}, I={format_ksubset(I, s.n)}: {moved} != {want}"
         # mutating back at j2 on the mutated seed's quiver gives v back
         rng = random.Random(0)
         for _ in range(50):
@@ -525,23 +546,20 @@ def _suite_trop_a(model: PlabicModel, tag: str, level: int):
             moved = {j2 if a == j else a: b for a, b in seeds.trop_a_mutate(q, j, v).items()}
             back = seeds.trop_a_mutate(s2.quiver, j2, moved)
             if {j if a == j2 else a: b for a, b in back.items()} != v:
-                return False, f"{tag} at {j}: double mutation moved {v}"
-    return True, f"{tag} kappa-compatibility and involution"
+                return f"{tag} at {j}: double mutation moved {v}"
+        return None
+
+    return step
 
 
-def _suite_exact_seq(model: PlabicModel, tag: str, level: int):
+def _exact_seq(model: PlabicModel, tag: str):
     # every check is a call of ``exact_sequence_checks``, the span a trace
     # books it under; the witness is sought again only after a failure
     s = seeds.seed_of_model(model)
     if not seeds.exact_sequence_checks(s):
-        return False, f"{tag} on the seed: {seeds._exact_sequence_witness(s)}"
-    done = []
-    for j, s2 in seeds.seed_mutations(s):
-        if not seeds.exact_sequence_checks(s2):
-            witness = seeds._exact_sequence_witness(s2)
-            return False, f"{tag} after mutation at {j}: {witness}"
-        done.append(j)
-    return True, f"{tag} wt.beta = -id on the seed and after mutations [{','.join(done)}]"
+        return f"{tag} on the seed: {seeds._exact_sequence_witness(s)}"
+    return lambda j, s2: None if seeds.exact_sequence_checks(s2) else (
+        f"{tag} after mutation at {j}: {seeds._exact_sequence_witness(s2)}")
 
 
 def _suite_gt_trop(model: PlabicModel, tag: str, level: int):
@@ -571,17 +589,20 @@ def _suite_weyl_count(model: PlabicModel, tag: str, level: int):
     return True, f"{tag} point counts match dimensions for levels 0..{level}"
 
 
-# suite name -> suite(model, tag, level) -> (ok, detail), or a MoveSuite
+# suite name -> suite(model, tag, level) -> (ok, detail), or a _WalkingSuite
 SUITES = {
     "plucker": _suite_plucker,
-    "valuation-kappa": MoveSuite(
-        _val_kappa_mismatch,
-        lambda model, tag, j, moved: _val_kappa_mismatch(moved, f"{tag} after move {j}"),
-        "{tag} base and after moves [{moves}]",
-    ),
-    "xflow": MoveSuite(None, _xcheck_one, "{tag} flow/mutation agree at [{moves}]"),
-    "trop-a": _suite_trop_a,
-    "exact-seq": _suite_exact_seq,
+    "valuation-kappa": _WalkingSuite(
+        _MOVES, lambda model, tag: _val_kappa_mismatch(model, tag) or (
+            lambda j, moved: _val_kappa_mismatch(moved, f"{tag} after move {j}")),
+        "{tag} base and after moves [{done}]"),
+    "xflow": _WalkingSuite(
+        _MOVES, lambda model, tag: functools.partial(_xcheck_one, model, tag),
+        "{tag} flow/mutation agree at [{done}]"),
+    "trop-a": _WalkingSuite(_MUTATIONS, _trop_a, "{tag} kappa-compatibility and involution"),
+    "exact-seq": _WalkingSuite(
+        _MUTATIONS, _exact_seq,
+        "{tag} wt.beta = -id on the seed and after mutations [{done}]"),
     "gt-trop": _suite_gt_trop,
     "wformula": _suite_wformula,
     "weyl-count": _suite_weyl_count,
@@ -606,19 +627,18 @@ def cmd_verify(args) -> int:
         # trop-a tabulates one kappa vector per k-subset, C(n, k) of them
         if "trop-a" in chosen:
             _check_point_budget(k, n, [1], "verify trop-a")
-    walking = [s for s in chosen if isinstance(SUITES[s], MoveSuite)]
+    walking = [s for s in chosen if isinstance(SUITES[s], _WalkingSuite)]
     emit = _record_writer(args.format)
     all_ok = True
     for k, n in instances:
         # one model per instance, shared by the suites and their memos
         model = plabic.build_rectangles_model(k, n)
         tag = f"rect:{k},{n}"
-        walked = _walk_moves(model, tag, walking)
+        walked = {**_walk(model, tag, _MOVES, walking),
+                  **_walk(model, tag, _MUTATIONS, walking)}
         for suite in chosen:
-            try:
-                ok, detail = walked.get(suite) or SUITES[suite](model, tag, level)
-            except _FAULTS as exc:
-                ok, detail = False, f"{tag}: {_fault(exc)}"
+            result = walked.get(suite) or _checked(tag, SUITES[suite], model, tag, level)
+            ok, detail = (False, result) if isinstance(result, str) else result
             emit(f"{'PASS' if ok else 'FAIL'} {suite}: {detail}", suite, tag, ok, detail)
             all_ok = all_ok and ok
     return 0 if all_ok else 1

@@ -351,13 +351,15 @@ def seed_mutations(s: Seed) -> Iterator[tuple[str, Seed]]:
     """Yield (vertex, mutated seed) for every mutable vertex whose label
     exchange is defined, in ``mutable_vertices`` order; vertices refused
     with NotPlabicMutable are skipped.  Each seed is made when it is asked
-    for.  The seed-level twin of ``plabic.square_moves``."""
+    for and not held past its yield.  The seed-level twin of
+    ``plabic.square_moves``."""
     for j in mutable_vertices(s.quiver):
         try:
             moved = mutate_labels(s, j)
         except NotPlabicMutable:
             continue
         yield j, moved
+        del moved
 
 
 # ------------------------------------------------------------- invariants
@@ -426,7 +428,8 @@ def beta_columns(s: Seed) -> dict[str, dict[str, int]]:
     out-neighbors); at a boundary vertex v it is e_v - (sum of
     out-neighbors) + (sum of interior in-neighbors).  Raises
     ``beta-unbalanced`` when a row does not sum to 0, that is when beta
-    does not annihilate the all-ones vector.
+    does not annihilate the all-ones vector, naming the first such row in
+    vertex order and its sum.
     """
     q = s.quiver
     cols: dict[str, dict[str, int]] = {v: {} for v in q.vertices}
@@ -446,10 +449,11 @@ def beta_columns(s: Seed) -> dict[str, dict[str, int]]:
     for colmap in cols.values():
         for row, c in colmap.items():
             rowsum[row] = rowsum.get(row, 0) + c
-    if any(rowsum.values()):
+    if row := next((v for v in q.vertices if rowsum.get(v)), None):
         raise ModelInvariantError(
             "beta-unbalanced",
-            "all-ones vector not annihilated; seed outside the supported class",
+            f"beta row {row} sums to {rowsum[row]}, not 0: all-ones vector "
+            "not annihilated; seed outside the supported class",
         )
     return cols
 

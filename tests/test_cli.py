@@ -993,11 +993,23 @@ def test_trop_a_involution_fails_on_a_wrong_mutated_quiver(monkeypatch, capsys):
     assert out == TROP_A_DOUBLED + "\n"
 
 
+def test_beta_unbalanced_names_its_first_row(monkeypatch):
+    # the doubled arrow at 124 of rect:3,6 leaves row 123 of beta summing to
+    # 1, the first row in vertex order that does not sum to 0
+    one_arrow_doubled(monkeypatch)
+    s = seeds.mutate_labels(seeds.rectangles_seed(3, 6), "124")
+    with pytest.raises(plabic.ModelInvariantError) as err:
+        seeds.beta_columns(s)
+    assert str(err.value) == (
+        "beta-unbalanced: beta row 123 sums to 1, not 0: all-ones vector not "
+        "annihilated; seed outside the supported class")
+
+
 def test_a_fault_fails_the_suites_that_meet_it_and_the_rest_run(monkeypatch, capsys):
     # the doubled arrow breaks the square move's quiver check on the first
-    # move, which fails both move suites, and exact-seq's beta check; each
-    # is a FAIL line naming the instance, the move and the violation, and
-    # the suites it does not reach still pass
+    # move, which fails both move suites, and exact-seq's beta check on the
+    # first seed mutation; each is a FAIL line naming the instance, the step
+    # and the violation, and the suites it does not reach still pass
     one_arrow_doubled(monkeypatch)
     rc, out, err = run_out(capsys, "verify", "all", "--kn", "3,6")
     assert (rc, err) == (1, "")
@@ -1011,7 +1023,8 @@ def test_a_fault_fails_the_suites_that_meet_it_and_the_rest_run(monkeypatch, cap
         TROP_A_DOUBLED,
     ]
     assert lines[4].startswith(
-        "FAIL exact-seq: rect:3,6: invariant violation: beta-unbalanced: ")
+        "FAIL exact-seq: rect:3,6 after mutation at 124: invariant violation: "
+        "beta-unbalanced: ")
     assert [line.split(":")[0] for line in lines[5:]] == [
         "PASS gt-trop", "PASS wformula", "PASS weyl-count"]
     # the records carry the same details
@@ -1026,6 +1039,83 @@ def test_a_fault_fails_the_suites_that_meet_it_and_the_rest_run(monkeypatch, cap
     assert list(csv.reader(io.StringIO(out)))[1:] == [
         [head.split()[1], "rect:3,6", str(int(head.startswith("PASS"))), detail]
         for head, detail in records]
+
+
+@pytest.mark.parametrize("kn,vertices", [("3,6", 4), ("4,8", 9)])
+def test_verify_all_makes_each_seed_mutation_once(monkeypatch, capsys, kn, vertices):
+    # trop-a and exact-seq check every seed mutation on one walk: one
+    # mutate_labels call per mutable vertex of the seed, refused or not
+    calls = []
+    real = seeds.mutate_labels
+
+    def counted(s, j):
+        calls.append(j)
+        return real(s, j)
+
+    monkeypatch.setattr(seeds, "mutate_labels", counted)
+    rc, _out, _ = run_out(capsys, "verify", "all", "--kn", kn)
+    assert rc == 0
+    assert len(calls) == len(set(calls)) == vertices
+
+
+@pytest.mark.parametrize("suite", ["trop-a", "exact-seq", "all"])
+def test_verify_keeps_no_mutated_seed_past_its_checks(monkeypatch, capsys, suite):
+    # when a seed mutation is made, every seed mutated before it is gone
+    made, alive = [], []
+    real = seeds.mutate_labels
+
+    def recorded(s, j):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        mutated = real(s, j)
+        made.append(weakref.ref(mutated))
+        return mutated
+
+    monkeypatch.setattr(seeds, "mutate_labels", recorded)
+    assert cli.main(["verify", suite, "--kn", "3,6"]) == 0
+    capsys.readouterr()
+    # four vertices are tried and three mutate
+    assert len(made) == 3
+    assert alive == [0, 0, 0, 0]
+
+
+def test_a_fault_in_a_seed_suite_names_its_mutation(monkeypatch, capsys):
+    def broken(q, j, v):
+        raise ValueError("forced fault")
+
+    monkeypatch.setattr(seeds, "trop_a_mutate", broken)
+    rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "2,4")
+    assert (rc, err) == (1, "")
+    assert out == "FAIL trop-a: rect:2,4 after mutation at 13: internal error: forced fault\n"
+
+
+def test_a_fault_making_a_seed_mutation_fails_both_seed_suites(monkeypatch, capsys):
+    # the second seed mutation raises: both seed suites fail, naming the
+    # mutation made before it, and the suites off their walk still pass
+    calls = []
+    real = seeds.mutate_labels
+
+    def second_fails(s, j):
+        calls.append(j)
+        if len(calls) == 2:
+            raise plabic.ModelInvariantError("forced-fault", f"mutating {j}")
+        return real(s, j)
+
+    monkeypatch.setattr(seeds, "mutate_labels", second_fails)
+    rc, out, err = run_out(capsys, "verify", "all", "--kn", "3,6")
+    assert (rc, err) == (1, "")
+    bad = ("rect:3,6 at the mutation after [124]: invariant violation: "
+           "forced-fault: mutating 125")
+    assert out.splitlines() == [
+        "PASS plucker: rect:3,6 all three-term relations, both charts",
+        "PASS valuation-kappa: rect:3,6 base and after moves [124,125,134]",
+        "PASS xflow: rect:3,6 flow/mutation agree at [124,125,134]",
+        f"FAIL trop-a: {bad}",
+        f"FAIL exact-seq: {bad}",
+        "PASS gt-trop: rect:3,6 tropicalized potential equals the pattern cone",
+        "PASS wformula: rect:3,6 boundary-module expansion equals the potential",
+        "PASS weyl-count: rect:3,6 point counts match dimensions for levels 0..2",
+    ]
 
 
 def test_gt_trop_mismatch_is_verification_failure(monkeypatch, capsys):

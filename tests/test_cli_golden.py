@@ -8,16 +8,17 @@ variables and their valuations past the shark (``POLYNOMIALS``), the CSV
 partition function and the valuation of a square-moved model read back from
 its file (``MOVED_PARTITION``),
 seed-layer commands past n = 9, where labels are comma lists
-(``PAST_NINE``), and a cone's inequalities as CSV (``CONES``).  A change to
-the computation that
+(``PAST_NINE``), a cone's inequalities as CSV (``CONES``), and every verify
+suite up the ladder past (2,5) in every format (``VERIFY_LADDER``).  A change
+to the computation that
 is meant to leave the output alone must leave every pin alone.  To re-pin
 after an intended output change, run
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS``,
-``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE``, ``CONES`` and
-``MOVED_PARTITION``.
+``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE``, ``CONES``, ``VERIFY_LADDER``
+and ``MOVED_PARTITION``.
 """
 
 import contextlib
@@ -175,6 +176,30 @@ CONES = {
         (0, 'e3511fd678df6c671f4151aac00d81df74db5fcb117775e2f58a03328278dd8d'),
 }
 
+# All eight verify suites on the ladder's rungs past README's (2,5), in
+# every format: the PASS details name the square moves and seed mutations
+# each walk made, in the order it made them.
+VERIFY_LADDER = {
+    ('verify all --kn 3,6', 'pretty'):
+        (0, 'a5986dadc7292f8e42a981da14331726e6e70220eeeee0a81bcc1ab92be4ae56'),
+    ('verify all --kn 3,6', 'json'):
+        (0, 'ee57535f5b742bd6fda4ae6da8ed4ce82da26640d0c822b4562a756fb23c7f19'),
+    ('verify all --kn 3,6', 'csv'):
+        (0, '05e7fa5d1a70732ed5ac60306fe21317dffe769464f5a6a2fa6cf8013acc6a81'),
+    ('verify all --kn 3,7', 'pretty'):
+        (0, 'fa97a13751b3f9ef2cead6ae8a40593219f7c086f93d4898e250753b7c91bb0e'),
+    ('verify all --kn 3,7', 'json'):
+        (0, '002aafa213547c05799cd13a3e3b3e355c1bd0a840eebbf03026ad9fd43a4fba'),
+    ('verify all --kn 3,7', 'csv'):
+        (0, 'a3f4383ca840ba4f4f405d8bb0fff2cd98885b81427ad68fbad4e6d4ee4e8a13'),
+    ('verify all --kn 4,8', 'pretty'):
+        (0, '110236f99bc2b02887c5fdd578e01c871577fd9ec626ea3c546ef01bad6a63ad'),
+    ('verify all --kn 4,8', 'json'):
+        (0, '44918df26e64033396cd16fc32b1ca5fe8ace76e1d869b776cd94772c69c5fe7'),
+    ('verify all --kn 4,8', 'csv'):
+        (0, '077e9efaa7cbd29c27ae4e91d407a832a79ad771231e96331e736abf76f1b6a5'),
+}
+
 # The square move at 134 of rect:3,7 adds edges named leg_* and sq_*; the
 # CSV header of a partition function of the moved model, saved and loaded
 # back, lists them in the one edge order; its valuation reads the moved
@@ -246,6 +271,11 @@ def test_cone_csv_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == CONES[command, fmt]
 
 
+@pytest.mark.parametrize("command,fmt", sorted(VERIFY_LADDER))
+def test_verify_ladder_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == VERIFY_LADDER[command, fmt]
+
+
 def moved_partition_hashes(directory) -> dict:
     """``MOVED_PARTITION``'s commands run on the square-moved model, saved
     to a file in ``directory``."""
@@ -276,5 +306,6 @@ if __name__ == "__main__":
     print_table("POLYNOMIALS", list(POLYNOMIALS))
     print_table("PAST_NINE", list(PAST_NINE))
     print_table("CONES", list(CONES))
+    print_table("VERIFY_LADDER", list(VERIFY_LADDER))
     with tempfile.TemporaryDirectory() as directory:
         print(f"MOVED_PARTITION = {moved_partition_hashes(directory)!r}")
