@@ -1,13 +1,15 @@
-"""Cyclic-set combinatorics: k-subsets, weak separation, Young diagrams.
+"""Cyclic-set combinatorics: k-subsets, weak separation, MaxDiag.
 
 A k-subset of [n] = {1, ..., n} is represented as a sorted tuple of ints.
 Textual form is a digit string like "1457" when n <= 9, otherwise a comma
 list like "1,4,10".  The ambient n is always carried alongside, never
 inferred from the largest element.
 
-Weak separation and MaxDiag rows read a subset as a bitmask, bit x for
-element x (``_mask``); a seed makes its labels' masks once, where it is
-made (``seeds.Seed.masks``).  Weak separation memoises nothing.
+Weak separation and MaxDiag read a subset as a bitmask, bit x for element
+x (``_mask``); a seed makes its labels' masks once, where it is made
+(``seeds.Seed.masks``).  MaxDiag of two Young diagrams is one walk over
+the symmetric difference of their labels (``max_diag``).  Nothing here
+memoises: the kappa rows over many label pairs live in ``seeds``.
 
 Labels are ordered as tuples (subset order), never as their textual
 forms: "1,3,4" precedes "1,3,10".  The order is applied where names are
@@ -19,10 +21,7 @@ or ``Quiver.vertices``.  For n <= 9 the two orders agree.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from functools import lru_cache
 from itertools import combinations
-from operator import sub
 
 KSubset = tuple[int, ...]
 
@@ -138,47 +137,39 @@ def crossing_partner(mask: int, masks) -> int | None:
     return None
 
 
-def young_of(I: KSubset, n: int) -> tuple[int, ...]:
-    """Partition lambda with lambda_t = i_{k+1-t} - (k+1-t), inside k x (n-k).
-
-    >>> young_of((1, 4, 5, 7), 9)
-    (3, 2, 2, 0)
-    >>> young_of((1, 2), 4)
-    (0, 0)
-    """
-    I = check_ksubset(tuple(I), n)
-    k = len(I)
-    parts = tuple(I[k - t] - (k + 1 - t) for t in range(1, k + 1))
-    assert all(0 <= p <= n - k for p in parts), f"profile of {I} escapes box"
-    assert all(parts[t] >= parts[t + 1] for t in range(k - 1))
-    return parts
-
-
-@lru_cache(maxsize=None)
-def _diag_counts(I: KSubset, n: int) -> tuple[int, ...]:
-    """Cell count of lambda_I on each diagonal d = col - row, d = 1-k .. n-k-1."""
-    parts = young_of(I, n)
-    k = len(parts)
-    return tuple(
-        sum(1 for r in range(max(1, 1 - d), k + 1) if parts[r - 1] - r >= d)
-        for d in range(1 - k, n - k)
-    )
+def _max_diag_masks(j: int, i: int) -> int:
+    """``max_diag`` of two labels of one size given as bitmasks (bit x for
+    element x), J's first: the high point, floored at 0, of the walk over
+    I delta J in increasing order that steps +1 at each element of I and -1
+    at each element of J.  Keeps nothing; the labels are not checked."""
+    top = height = 0
+    rest = i ^ j
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if i & low:
+            height += 1
+            if height > top:
+                top = height
+        else:
+            height -= 1
+    return top
 
 
 def max_diag(J: KSubset, I: KSubset, n: int) -> int:
-    """Maximal number of cells on one diagonal of lambda_J minus lambda_I.
+    """Maximal number of cells on one diagonal of lambda_J minus lambda_I,
+    a plain cell-set difference with diagonals d = col - row, where lambda_I
+    has parts lambda_t = i_{k+1-t} - (k+1-t) inside the k x (n-k) box.
 
-    The difference is taken as a plain cell-set difference; diagonals are
-    indexed by d = col - row.  Closed form: the cells of a partition lambda
-    on diagonal d are the rows r >= max(1, 1-d) with lambda_r - r >= d, and
-    lambda_r - r strictly decreases in r, so for every lambda they are an
-    initial run of the same ray of rows.  Hence lambda_J minus lambda_I has
-    exactly max(0, c_J(d) - c_I(d)) cells on diagonal d, where c counts the
-    cells of one shape on d, and the answer is the largest of these.
+    On lattice paths it is one walk (``_max_diag_masks``):
+    max(0, max over 1 <= m < n of |I & [1,m]| - |J & [1,m]|).  Proof: for
+    s = k + 1 - r, lambda_r - r = i_s - k - 1, so row r meets diagonal
+    d = m - k exactly when s <= min(k, m) and i_s > m; these rows are an
+    initial run, c_I(d) = min(k, m) - |I & [1,m]| of them, so lambda_J minus
+    lambda_I has max(0, |I & [1,m]| - |J & [1,m]|) cells on d.
 
-    Any sequences are accepted.  This computes one pair and keeps nothing;
-    the memo of tables over many pairs is ``_max_diag_row``, keyed by the
-    bitmask of J.  A size mismatch or a bad subset raises ValueError.
+    Any sequences are accepted, and nothing is kept.  A size mismatch, then
+    a bad J, then a bad I raises ValueError.
 
     >>> max_diag((2, 4), (1, 3), 4)
     1
@@ -188,42 +179,7 @@ def max_diag(J: KSubset, I: KSubset, n: int) -> int:
     J, I = tuple(J), tuple(I)
     if len(J) != len(I):
         raise ValueError(f"size mismatch: |{J}| != |{I}|")
-    return max((0, *map(sub, _diag_counts(J, n), _diag_counts(I, n))))
-
-
-# (I, n) -> its row, a dict from the bitmask of a k-subset J (bit x for
-# element x) to max_diag(J, I, n); the one memo of MaxDiag, at most
-# C(n,k)^2 entries per (k, n) in all
-_MAX_DIAG_ROWS: dict[tuple[KSubset, int], dict[int, int]] = {}
-
-
-def _max_diag_row(I: KSubset, n: int) -> dict[int, int]:
-    """The memoised row of I: a dict from the bitmask of a k-subset J (bit x
-    for element x) to max_diag(J, I, n), shared by every caller.  A caller
-    reads a whole column of J's with one ``operator.itemgetter`` over their
-    masks; a miss raises KeyError, and ``_fill_max_diag_row`` adds the
-    missing entries.
-
-    I must be a tuple.  A bad I raises ValueError on every call and leaves
-    no row behind.  The row is the package's to fill: read it only.
-    """
-    row = _MAX_DIAG_ROWS.get((I, n))
-    if row is None:
-        check_ksubset(I, n)
-        row = _MAX_DIAG_ROWS[(I, n)] = {}
-    return row
-
-
-def _fill_max_diag_row(row: dict[int, int], I: KSubset, n: int,
-                       masks: frozenset[int],
-                       label_of: Mapping[int, KSubset]) -> None:
-    """Add to ``row``, the row of (I, n), the entry of every mask in
-    ``masks`` that it lacks.  The entry is ``max_diag`` of the tuple J that
-    ``label_of`` gives for the mask, so no mask is decoded.  A bad J, or a
-    J of another size, raises ValueError before its entry is made, so every
-    key of a row is the mask of a valid k-subset of [n]."""
-    for mask in masks.difference(row):
-        row[mask] = max_diag(label_of[mask], I, n)
+    return _max_diag_masks(_mask(check_ksubset(J, n)), _mask(check_ksubset(I, n)))
 
 
 def rectangle_label(k: int, n: int, i: int, j: int) -> KSubset:

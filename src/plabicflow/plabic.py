@@ -30,6 +30,7 @@ math/0609764), is encoded and decoded by the matching frontier
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -643,19 +644,33 @@ _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # a 2-vCPU x86 box with Python 3.11.
 MATCHING_BUDGET = 1_000_000
 
+# Most covered masks one of the matching recursions keeps (``_completions``,
+# ``_count_completions``, ``_least_boundary``); a search that needs more is
+# refused with MatchingBudgetExceeded.  The base-value search keeps 845,066
+# at rect (11,22) and 2,817,620 at rect (12,24), about three times as many
+# per step of k.  It is its own constant: tests shrink ``MATCHING_BUDGET`` to
+# pin exact matching counts.
+STATE_BUDGET = 1_000_000
+
 
 class MatchingBudgetExceeded(Exception):
-    """A request would list more perfect matchings than the matching budget;
-    ``I`` is the boundary value asked for, or None for all matchings."""
+    """A request would list more perfect matchings than the matching budget
+    (``count`` of them), or its search would pass ``limit``, the state
+    budget or Python's recursion limit (``count`` None); ``I`` is the
+    boundary value asked for, or None for all matchings or the base value."""
 
-    def __init__(self, model: PlabicModel, count: int, budget: int, I=None):
+    def __init__(self, model: PlabicModel, count: int | None, budget: int, I=None,
+                 limit: str = "matching budget"):
         self.k, self.n = model.k, model.n
         self.count = count
         self.budget = budget
         self.I = I
         at = "" if I is None else f" with boundary value {format_ksubset(I, model.n)}"
-        super().__init__(
-            f"{count:,} perfect matchings{at}, past the matching budget of {budget:,}")
+        if count is None:
+            super().__init__(f"a matching search{at} past the {limit} of {budget:,}")
+        else:
+            super().__init__(
+                f"{count:,} perfect matchings{at}, past the {limit} of {budget:,}")
 
 
 class _Frontier:
@@ -767,7 +782,9 @@ def matching_masks(model: PlabicModel, I=None) -> list[int]:
     MatchingBudgetExceeded, having built at most about twice
     ``MATCHING_BUDGET`` list entries, when the request holds more matchings
     than that: once the lists built pass the budget, one integer count over
-    the same recursion decides.
+    the same recursion decides.  It raises MatchingBudgetExceeded too when
+    either recursion keeps more than ``STATE_BUDGET`` covered masks or runs
+    past Python's recursion limit.
     """
     fr = _frontier(model)
     options, covered, forced = fr.options, 0, 0
@@ -809,9 +826,11 @@ def _completions(model: PlabicModel, I, options, full: int, start: int) -> list[
                 if not covered & mask:
                     out += [ebit | c for c in rest(covered | mask)]
             memo[covered] = out
+            if len(memo) > STATE_BUDGET:
+                raise MatchingBudgetExceeded(model, None, STATE_BUDGET, I, "state budget")
             built += len(out)
             if built > limit:
-                count = _count_completions(options, full, memo, start)
+                count = _count_completions(model, I, options, full, memo, start)
                 if count > budget:
                     raise MatchingBudgetExceeded(model, count, budget, I)
                 limit = float("inf")  # counted, and it fits
@@ -819,13 +838,17 @@ def _completions(model: PlabicModel, I, options, full: int, start: int) -> list[
 
     try:
         return rest(start)
+    except RecursionError:
+        raise MatchingBudgetExceeded(model, None, sys.getrecursionlimit(), I,
+                                     "recursion limit") from None
     finally:
         # rest refers to itself: without this its memo and the model would
         # live on until the next garbage collection
         del rest
 
 
-def _count_completions(options, full: int, memo: dict, start: int) -> int:
+def _count_completions(model: PlabicModel, I, options, full: int, memo: dict,
+                       start: int) -> int:
     """The number of matchings ``_completions`` lists from ``start``, by
     the same recursion over integers; a covered mask already in ``memo``
     counts its list."""
@@ -839,6 +862,8 @@ def _count_completions(options, full: int, memo: dict, start: int) -> int:
                 count(covered | mask)
                 for _, mask in options[(free & -free).bit_length() - 1]
                 if not covered & mask)
+            if len(counts) > STATE_BUDGET:
+                raise MatchingBudgetExceeded(model, None, STATE_BUDGET, I, "state budget")
         return got
 
     return count(start)
@@ -884,10 +909,15 @@ def _least_boundary(model: PlabicModel) -> KSubset | None:
                 if rest is not None and (out is None or w + rest < out):
                     out = w + rest
         best[covered] = out
+        if len(best) > STATE_BUDGET:
+            raise MatchingBudgetExceeded(model, None, STATE_BUDGET, None, "state budget")
         return out
 
     try:
         low = least(0)
+    except RecursionError:
+        raise MatchingBudgetExceeded(model, None, sys.getrecursionlimit(), None,
+                                     "recursion limit") from None
     finally:
         del least  # it refers to itself, as ``_completions``' rest does
     if low is None:

@@ -15,9 +15,10 @@ and kappa.  Every seed that ``seed_of_model`` or ``mutate_labels`` returns
 is pairwise weakly separated (Oh-Postnikov-Speyer): ``seed_of_model`` tests
 every pair of masks once per model, ``mutate_labels`` only the exchanged
 label against the parent's other masks, and both raise
-``labels-not-weakly-separated`` naming a crossing pair.  beta is one sparse
-map by column (``beta_columns``), and wt is read a kappa column at a time,
-each packed into one int for the exact-sequence check.
+``labels-not-weakly-separated`` naming a crossing pair.  Kappa is walked
+from the masks into the one kappa memo (``_KAPPA_ROWS``).  beta is one
+sparse map by column (``beta_columns``), and wt is read a kappa column at
+a time, each packed into one int for the exact-sequence check.
 
 Entries of the exchange matrix between two frozen vertices need care:
 ``fz_mutate`` is the plain matrix rule and copies frozen-frozen arrows
@@ -43,9 +44,9 @@ from types import MappingProxyType
 
 from .combinat import (
     KSubset,
-    _fill_max_diag_row,
     _mask,
-    _max_diag_row,
+    _max_diag_masks,
+    check_ksubset,
     crossing_pair,
     crossing_partner,
     format_ksubset,
@@ -214,8 +215,8 @@ class Seed:
     # the labels, each a strictly increasing k-subset of [n], as bitmasks
     # (bit x for element x) in vertex order, so a mask stands for one subset
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # (getter, star mask, masks, label of mask) for reading kappa columns
-    # off MaxDiag rows, built by ``_kappa_getter`` on the first kappa request
+    # (getter, star mask, set of masks) for reading kappa columns off the
+    # kappa rows, built by ``_kappa_getter`` on the first kappa request
     _kappa: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
 
@@ -370,33 +371,49 @@ def kappa_vector(s: Seed, I: KSubset) -> dict[str, int]:
 
     Coordinate at vertex J is the longest diagonal of the set difference
     of Young diagrams young(label(J)) minus young(I); the star coordinate
-    is always 0.  The coordinates are read off I's row of the one MaxDiag
-    memo (``combinat._max_diag_row``) by one getter over the seed's label
-    masks, checked and made with the seed (``Seed.masks``), so a table over
-    all k-subsets and a sequence of seeds (which share most labels)
-    computes each label pair once.  A bad I raises ValueError on every call
-    and is not memoised.
+    is always 0.  On lattice paths, with L = label(J), it is
+    max(0, max over 1 <= m < n of |I & [1,m]| - |L & [1,m]|), the high point
+    of the walk over I delta L that steps +1 at each element of I and -1 at
+    each element of L.  Proof: row r of lambda_I meets diagonal m - k exactly
+    when k + 1 - r <= min(k, m) and i_{k+1-r} > m, so lambda_I has
+    min(k, m) - |I & [1,m]| cells there, and lambda_L the same with L.
+
+    The coordinates are read off I's row of the one kappa memo
+    (``_KAPPA_ROWS``) by one getter over the seed's label masks, checked
+    and made with the seed (``Seed.masks``), so a table over all k-subsets
+    and a sequence of seeds (which share most labels) computes each label
+    pair once.  A bad I raises ValueError on every call and leaves no row.
     """
     return dict(zip(s.quiver.vertices, _kappa_column(s, tuple(I))))
+
+
+# (I, n) -> its row, a dict from the mask of a seed's label J to
+# max_diag(J, I, n); the one memo of MaxDiag, at most C(n,k)^2 entries per
+# (k, n) in all
+_KAPPA_ROWS: dict[tuple[KSubset, int], dict[int, int]] = {}
 
 
 def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     """``kappa_vector`` as a tuple in vertex order; I is a tuple.
 
-    The column is one call of the seed's getter on I's MaxDiag row.  When
-    the row lacks labels, their entries are computed from the label tuples
-    and the row is read again, so a miss costs one exception and no
-    decoding of a mask.  The labels are k-subsets of [n], checked where the
-    seed is made; a star label with nonzero kappa raises ``bad-label``.
+    The column is one call of the seed's getter on I's kappa row.  When the
+    row lacks labels, their entries are walked from the seed's masks and
+    the row is read again, so a miss costs one exception and no decoding
+    of a mask.  A star label with nonzero kappa raises ``bad-label``.
     """
     if len(I) != s.k:
         raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
-    row = _max_diag_row(I, s.n)
-    get, star, masks, label_of = s._kappa or _kappa_getter(s)
+    row = _KAPPA_ROWS.get((I, s.n))
+    if row is None:
+        check_ksubset(I, s.n)
+        row = _KAPPA_ROWS[(I, s.n)] = {}
+    get, star, masks = s._kappa or _kappa_getter(s)
     try:
         col = get(row)
     except KeyError:
-        _fill_max_diag_row(row, I, s.n, masks, label_of)
+        i = _mask(I)
+        for j in masks.difference(row):
+            row[j] = _max_diag_masks(j, i)
         col = get(row)
     if row[star]:
         raise ModelInvariantError(
@@ -406,15 +423,15 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
 
 
 def _kappa_getter(s: Seed) -> tuple:
-    """Build and keep the seed's (getter, star mask, masks, label of mask)
-    from ``Seed.masks``, which were checked and made with the seed: an
+    """Build and keep the seed's (getter, star mask, set of masks) from
+    ``Seed.masks``, which were checked and made with the seed: an
     ``operator.itemgetter`` over the masks in vertex order that returns a
-    tuple, the star's mask, and the set of masks and a dict from each mask
-    to its label tuple, to fill rows from."""
+    tuple, the star's mask, and the masks as a frozenset, to fill rows
+    from."""
     masks = s.masks
     get = itemgetter(*masks) if len(masks) > 1 else lambda row: (row[masks[0]],)
     star = masks[s.quiver.vertices.index(s.quiver.star)]
-    kappa = (get, star, frozenset(masks), dict(zip(masks, s.vertex_labels)))
+    kappa = (get, star, frozenset(masks))
     object.__setattr__(s, "_kappa", kappa)
     return kappa
 

@@ -60,12 +60,6 @@ def _check_a_form(f: LaurentPoly, single_q: bool = False) -> None:
         )
 
 
-def _plabel(k: int, n: int, i: int, j: int, star: str) -> str:
-    if i <= 0 or j <= 0:
-        return star
-    return grid_label(k, n, i, j)
-
-
 def w_rectangles(k: int, n: int) -> SuperpotentialExpr:
     """The superpotential of the rectangles seed in cluster variables.
 
@@ -81,7 +75,7 @@ def w_rectangles(k: int, n: int) -> SuperpotentialExpr:
     w = n - k
 
     def P(i, j):
-        return _plabel(k, n, i, j, star)
+        return grid_label(k, n, i, j)  # index 0 names the star
 
     terms: dict[tuple, int] = {}
 

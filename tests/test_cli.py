@@ -431,6 +431,29 @@ def test_matching_budget_is_inclusive(monkeypatch, capsys):
     assert len(out.splitlines()) == 1 + 424
 
 
+def test_a_deep_matching_search_is_refused_with_one_line(capsys):
+    # rect:20,40 lists the matchings of one boundary value by a recursion
+    # that runs past Python's recursion limit: exit 2, one error line
+    # naming the model, no traceback
+    odd = ",".join(map(str, range(1, 40, 2)))
+    rc, out, err = run_out(capsys, "flow", "rect:20,40", odd)
+    assert rc == 2
+    assert out == ""
+    assert err == (f"error: rect:20,40 has a matching search with boundary value "
+                   f"{odd} past the recursion limit of {sys.getrecursionlimit():,}\n")
+
+
+def test_a_search_past_the_state_budget_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(plabic, "STATE_BUDGET", 10)
+    for argv, at in [(("flow", "rect:4,8", "1357"), " with boundary value 1357"),
+                     (("matchings", "rect:4,8"), ""),
+                     (("verify", "plucker", "--kn", "4,8"), "")]:
+        rc, out, err = run_out(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: rect:4,8 has a matching search{at} past the state "
+                       "budget of 10\n")
+
+
 def test_matching_budget_refuses_rect_6_13(capsys):
     rc, out, err = run_out(capsys, "matchings", "rect:6,13")
     assert rc == 2

@@ -15,9 +15,19 @@ from plabicflow.combinat import (
     max_diag,
     parse_ksubset,
     rectangle_label,
-    young_of,
 )
 from plabicflow.seeds import Seed, rectangles_seed
+
+
+def young_of(I, n: int) -> tuple[int, ...]:
+    """Partition lambda with lambda_t = i_{k+1-t} - (k+1-t), inside k x (n-k):
+    the Young diagram of a k-subset, for the cell-set oracle."""
+    I = check_ksubset(tuple(I), n)
+    k = len(I)
+    parts = tuple(I[k - t] - (k + 1 - t) for t in range(1, k + 1))
+    assert all(0 <= p <= n - k for p in parts), f"profile of {I} escapes box"
+    assert all(parts[t] >= parts[t + 1] for t in range(k - 1))
+    return parts
 
 
 def young_cells(parts) -> set[tuple[int, int]]:
@@ -26,7 +36,8 @@ def young_cells(parts) -> set[tuple[int, int]]:
 
 
 def cell_set_max_diag(J, I, n: int) -> int:
-    """Reference MaxDiag: count the cells of the set difference per diagonal."""
+    """Reference MaxDiag: count the cells of the set difference of the two
+    Young diagrams per diagonal."""
     counts: dict[int, int] = {}
     for r, c in young_cells(young_of(J, n)) - young_cells(young_of(I, n)):
         counts[c - r] = counts.get(c - r, 0) + 1
@@ -235,7 +246,7 @@ def test_max_diag_rejects_bad_input():
 
 
 def test_max_diag_accepts_lists_on_every_call():
-    # list arguments are made tuples before the memo; repeated calls agree
+    # list arguments are read like tuples; repeated calls agree
     for n in range(8):
         for k in range(n + 1):
             subs = ksubsets(n, k)
@@ -264,7 +275,8 @@ def test_max_diag_equals_cell_sets_exhaustive():
     assert pairs == 17577
 
 
-@given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+# n up to 80, so that a label's bitmask (bit x for element x) passes 64 bits
+@given(st.integers(2, 80).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(1, n - 1))).flatmap(lambda nk: st.tuples(
         st.just(nk[0]),
         st.sets(st.integers(1, nk[0]), min_size=nk[1], max_size=nk[1]),

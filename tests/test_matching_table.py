@@ -250,6 +250,77 @@ def test_matching_budget_refuses_before_listing(monkeypatch):
     assert peak < 2_000_000
 
 
+def least_state_budget(search) -> int:
+    """The least ``plabic.STATE_BUDGET`` under which ``search()`` answers;
+    every smaller budget must refuse it as a search past the state budget."""
+    budget = 1
+    while True:
+        plabic.STATE_BUDGET = budget
+        try:
+            search()
+            return budget
+        except plabic.MatchingBudgetExceeded as exc:
+            assert (exc.count, exc.budget) == (None, budget)
+            assert str(exc).endswith(f" past the state budget of {budget:,}")
+        budget += 1
+
+
+def test_state_budget_bounds_the_listing_and_its_count(monkeypatch):
+    # the listing keeps one list per covered mask, and the count that
+    # decides the matching budget one integer per covered mask, over the
+    # same masks: under a matching budget of 1, which starts the count at
+    # once, the count is refused at the same state budget as the listing
+    monkeypatch.setattr(plabic, "STATE_BUDGET", plabic.STATE_BUDGET)
+    model = build_rectangles_model(3, 6)
+    masks = plabic.matching_masks(model)
+    states = least_state_budget(lambda: plabic.matching_masks(model))
+    assert 1 < states < len(masks)
+    monkeypatch.setattr(plabic, "MATCHING_BUDGET", 1)
+    with pytest.raises(plabic.MatchingBudgetExceeded) as info:
+        plabic.matching_masks(model)
+    assert (info.value.count, info.value.budget) == (len(masks), 1)
+    plabic.STATE_BUDGET = states - 1
+    with pytest.raises(plabic.MatchingBudgetExceeded) as info:
+        plabic.matching_masks(model)
+    assert (info.value.count, info.value.budget) == (None, states - 1)
+    # one boundary value: its search runs on the internal edges alone
+    I = (1, 3, 5)
+    plabic.STATE_BUDGET = 1
+    with pytest.raises(plabic.MatchingBudgetExceeded) as info:
+        plabic.matching_masks(model, I)
+    assert str(info.value) == ("a matching search with boundary value 135 past "
+                               "the state budget of 1")
+
+
+def test_state_budget_bounds_the_base_value_search(monkeypatch):
+    monkeypatch.setattr(plabic, "STATE_BUDGET", plabic.STATE_BUDGET)
+    want = plabic.base_value(build_rectangles_model(3, 6))
+    least_state_budget(lambda: plabic.base_value(build_rectangles_model(3, 6)))
+    assert plabic.base_value(build_rectangles_model(3, 6)) == want
+
+
+def test_a_search_past_the_recursion_limit_is_refused():
+    # both recursions of rect (6,12) go more than 20 calls deep; a
+    # RecursionError from either is refused as a request past the limit
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    model = build_rectangles_model(6, 12)
+    plabic.analyze(model)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 20)
+    try:
+        for search in (plabic.matching_masks, plabic.base_value):
+            with pytest.raises(plabic.MatchingBudgetExceeded) as info:
+                search(model)
+            assert (info.value.count, info.value.budget) == (None, depth + 20)
+            assert str(info.value) == (
+                f"a matching search past the recursion limit of {depth + 20}")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert plabic.base_value(model) == tuple(range(7, 13))
+
+
 def test_enumeration_leaves_no_reference_cycle():
     # a cycle through the memoised recursion would keep its lists and the
     # model alive until the next garbage collection

@@ -23,6 +23,10 @@ ALLOWED = {
                                 "ROADMAP item 5's cone-fill suite will run it",
     "superpot.gvector_cone_ineqs": "a cone check that no suite runs yet; "
                                    "ROADMAP item 5's cone-fill suite will run it",
+    "combinat.max_diag": "MaxDiag of one pair of k-subsets, checked; kappa "
+                         "rows walk the same kernel on the seed's masks "
+                         "(combinat._max_diag_masks), which are checked "
+                         "where the seed is made",
 }
 
 

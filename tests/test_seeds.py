@@ -540,33 +540,36 @@ def test_kappa_vector_equals_cell_sets_on_random_walks(walk):
 def test_kappa_vector_bad_subset_raises_every_time_and_is_not_memoised():
     s = rectangles_seed(3, 6)
     kappa_vector(s, (1, 2, 4))  # a memoised row to compare against
-    rows = {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()}
+    rows = {key: dict(row) for key, row in seeds._KAPPA_ROWS.items()}
     for bad in [(2, 1, 4), (1, 2, 7), (0, 1, 2), (1, 1, 2), (1, 2), (1, 2, 3, 4)]:
         for _ in range(2):
             with pytest.raises(ValueError):
                 kappa_vector(s, bad)
-    assert {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()} == rows
+    assert {key: dict(row) for key, row in seeds._KAPPA_ROWS.items()} == rows
 
 
-def fill(row, I, n, J):
-    """Fill the entry of J into the row of (I, n), as a seed does."""
-    combinat._fill_max_diag_row(row, I, n, frozenset({mask(J)}), {mask(J): J})
-
-
-def test_max_diag_row_rejects_bad_subsets_and_labels():
-    # rows are keyed by masks and filled from the tuples
-    row = combinat._max_diag_row((1, 3), 4)
-    fill(row, (1, 3), 4, (2, 4))
-    assert row[mask((2, 4))] == 1
-    assert combinat._max_diag_row((1, 3), 4) is row
+def test_max_diag_row_rejects_bad_subsets_and_labels(monkeypatch):
+    # the rows live in seeds, keyed by (I, n), and hold an entry per mask of
+    # a label that a seed asked for, walked from the seed's own masks
+    monkeypatch.setattr(seeds, "_KAPPA_ROWS", {})
+    s = rectangles_seed(2, 4)
+    kappa_vector(s, (1, 3))
+    row = seeds._KAPPA_ROWS[((1, 3), 4)]
+    assert row == {mask(J): cell_set_max_diag(J, (1, 3), 4) for J in s.vertex_labels}
+    assert row[mask((1, 2))] == 0 and row[mask((3, 4))] == 1
+    kappa_vector(s, [1, 3])
+    assert seeds._KAPPA_ROWS[((1, 3), 4)] is row
+    # a bad I raises on every call and leaves no row behind
     for _ in range(2):
-        with pytest.raises(ValueError):
-            combinat._max_diag_row((3, 1), 4)
-        for bad in [(1, 2, 3), (1, 5)]:  # another size, out of range
+        for bad in [(3, 1), (1, 5), (0, 3)]:
             with pytest.raises(ValueError):
-                fill(row, (1, 3), 4, bad)
-    assert ((3, 1), 4) not in combinat._MAX_DIAG_ROWS
-    assert mask((1, 2, 3)) not in row and mask((1, 5)) not in row
+                kappa_vector(s, bad)
+            assert (bad, 4) not in seeds._KAPPA_ROWS
+    # a bad label never reaches a row: the seed that would hold it is refused
+    for bad in [(1, 2, 3), (1, 5), (3, 1)]:  # another size, out of range, unsorted
+        with pytest.raises(ValueError):
+            Seed(s.k, s.n, s.quiver, {**s.labels, "13": bad})
+    assert set(row) == set(s.masks)
 
 
 def test_a_star_label_with_nonzero_kappa_is_refused():
@@ -838,7 +841,7 @@ def test_a_bad_label_raises_like_the_tuple_route():
     # refuses is one the tuple route (a row keyed by label tuples) refuses
     s = rectangles_seed(2, 4)
     kappa_vector(s, (1, 2))
-    rows = {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()}
+    rows = {key: dict(row) for key, row in seeds._KAPPA_ROWS.items()}
     bads = [(3, 1), (1, 1), (0, 3), (1, 5), (1, 2, 3), (3, 1, 2), (0, 3, 4), (1,)]
     cases = [({"13": bad}, "13", bad) for bad in bads]
     # two bad labels: the first in vertex order is the one named
@@ -851,7 +854,7 @@ def test_a_bad_label_raises_like_the_tuple_route():
                 Seed(s.k, s.n, s.quiver, {**s.labels, **case})
             assert str(err.value) == (f"label {bad} of vertex {vertex} is not a "
                                       "strictly increasing 2-subset of 1..4")
-    assert {key: dict(row) for key, row in combinat._MAX_DIAG_ROWS.items()} == rows
+    assert {key: dict(row) for key, row in seeds._KAPPA_ROWS.items()} == rows
     for bad in bads:
         for I in [(1, 2), (2, 4)]:
             with pytest.raises(ValueError):
@@ -881,10 +884,20 @@ def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
     fresh = Seed(s.k, s.n, s.quiver, s.labels)
     shifted = tuple(m << 1 for m in fresh.masks)
     object.__setattr__(fresh, "masks", shifted)
-    _get, star, masks, label_of = seeds._kappa_getter(fresh)
+    _get, star, masks = seeds._kappa_getter(fresh)
     assert calls == []
-    assert masks == frozenset(shifted) and list(label_of) == list(shifted)
+    assert masks == frozenset(shifted)
     assert star == shifted[s.quiver.vertices.index(s.quiver.star)]
+    # a row is filled from the seed's masks: the one mask made on a miss is
+    # I's, and the masks walked against it are the seed's
+    calls.clear()
+    walked = []
+    real_walk = seeds._max_diag_masks
+    monkeypatch.setattr(seeds, "_max_diag_masks",
+                        lambda j, i: walked.append(j) or real_walk(j, i))
+    monkeypatch.setattr(seeds, "_KAPPA_ROWS", {})
+    kappa_vector(Seed(s.k, s.n, s.quiver, s.labels), (2, 3, 5, 8))
+    assert calls == [(2, 3, 5, 8)] and sorted(walked) == sorted(s.masks)
 
 
 def test_a_one_vertex_seed_has_a_kappa_column():
