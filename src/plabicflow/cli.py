@@ -10,7 +10,8 @@ fixture, or ``rect:k,n``) or on a Grassmannian instance given as ``--kn k,n``:
 * ``mutate`` — mutate the seed along a vertex path
 * ``xcheck`` — flow polynomials versus cluster mutation, one move at a time
 * ``gt-cone`` — the Gelfand-Tsetlin cone, or its lattice points at a level
-* ``no-body`` — level-1 body points of a seed
+* ``no-body`` — level-1 body points of a seed, one per subset of the
+  model's positroid
 * ``superpotential`` / ``wx`` — the potential in cluster or simples variables
 * ``verify`` — named verification suites with pass/fail reporting
 
@@ -391,10 +392,10 @@ def cmd_gt_cone(args) -> int:
 
 def cmd_no_body(args) -> int:
     model = load_any_model(args.model)
-    # one level-1 point per k-subset: weyl_dim(k, n, 1) = C(n, k)
+    # at most one level-1 point per k-subset: weyl_dim(k, n, 1) = C(n, k)
     _check_point_budget(model.k, model.n, [1], "no-body")
     s = seeds.seed_of_model(model)
-    pts = cones.no_body_level1(s)
+    pts = cones.no_body_level1(s, plabic._positroid_subsets(model))
     labels = s.quiver.lattice
     if args.format == "json":
         _emit_json([dict(zip(labels, p[1:])) for p in pts])
@@ -689,7 +690,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kn", required=True, help="instance, e.g. 2,4")
     p.add_argument("--level", type=int, help="enumerate points at this level")
 
-    p = add("no-body", cmd_no_body, help="level-1 body points of the seed")
+    p = add("no-body", cmd_no_body,
+            help="level-1 body points of the seed, one per positroid subset")
     p.add_argument("model", help="model file, 'shark', or 'rect:k,n'")
 
     p = add("superpotential", cmd_superpotential,

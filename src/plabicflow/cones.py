@@ -394,8 +394,9 @@ def _grid_cells(k: int, n: int):
 @lru_cache(maxsize=None)
 def kappa_table(k: int, n: int):
     """Read-only map from level-1 point (a tuple over ``gt_ambient``) to I."""
-    points = no_body_level1(rectangles_seed(k, n))
-    return MappingProxyType(dict(zip(points, ksubsets(n, k))))
+    subsets = ksubsets(n, k)
+    points = no_body_level1(rectangles_seed(k, n), subsets)
+    return MappingProxyType(dict(zip(points, subsets)))
 
 
 def gt_decompose(pat: GTPattern) -> list[KSubset]:
@@ -445,12 +446,11 @@ def gt_decompose(pat: GTPattern) -> list[KSubset]:
 # ------------------------------------------------- level-1 NO point sets
 
 
-def no_body_level1(s: Seed) -> list[tuple[int, ...]]:
-    """The level-1 points (1, *kappa) of all k-subsets, kappa over the
-    seed's non-star vertices in vertex order."""
+def no_body_level1(s: Seed, subsets) -> list[tuple[int, ...]]:
+    """The level-1 points (1, *kappa) of the given k-subsets, kappa over
+    the seed's non-star vertices in vertex order."""
     lattice = s.quiver.lattice
-    return [(1, *map(kappa_vector(s, I).__getitem__, lattice))
-            for I in ksubsets(s.n, s.k)]
+    return [(1, *map(kappa_vector(s, I).__getitem__, lattice)) for I in subsets]
 
 
 def body_membership_check(points, cone: Cone) -> bool:

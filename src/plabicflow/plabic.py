@@ -39,6 +39,7 @@ from .combinat import (
     KSubset,
     cyclic_interval,
     format_ksubset,
+    ksubsets,
     parse_ksubset,
 )
 
@@ -866,7 +867,10 @@ def _count_completions(model: PlabicModel, I, options, full: int, memo: dict,
                 raise MatchingBudgetExceeded(model, None, STATE_BUDGET, I, "state budget")
         return got
 
-    return count(start)
+    try:
+        return count(start)
+    finally:
+        del count  # it refers to itself, as ``_completions``' rest does
 
 
 def base_value(model: PlabicModel) -> KSubset | None:
@@ -1022,6 +1026,36 @@ def positroid(model: PlabicModel) -> tuple[KSubset, ...]:
 def _gap_labels(an: Analysis) -> dict[int, KSubset]:
     """The gap-face labels by gap index l (the face between stubs l, l + 1)."""
     return {f.gap: f.label for f in an.faces if f.gap is not None}
+
+
+def _cyclic_necklace(k: int, n: int) -> dict[int, KSubset]:
+    """Gap l -> the cyclic interval l + 1, ..., l + k, sorted: the gap
+    labels of a model whose positroid holds every k-subset."""
+    return {l: tuple(sorted(cyclic_interval(l % n + 1, (l + k - 1) % n + 1, n)))
+            for l in range(1, n + 1)}
+
+
+def _positroid_subsets(model: PlabicModel) -> list[KSubset]:
+    """The k-subsets of the model's positroid in lexicographic order, read
+    off its gap labels without listing a matching.
+
+    On a reduced model gap l carries N_{l+1} of the positroid's Grassmann
+    necklace, and I is in the positroid iff N_i <=_i I in the Gale order of
+    i < i+1 < ... < i-1, for every i (Oh, "Positroids and Schubert
+    matroids", JCTA 2011): each element of N_i, shifted to that order and
+    sorted, is at most I's.  When the necklace is the cyclic intervals, as
+    on every rectangles model, every k-subset passes and none is tested.
+    """
+    k, n = model.k, model.n
+    gaps = _gap_labels(analyze(model))
+    subsets = ksubsets(n, k)
+    if gaps == _cyclic_necklace(k, n):
+        return subsets
+    # gap l carries N_{l+1}: shift by l + 1
+    lows = [(l, sorted((x - l - 1) % n for x in N)) for l, N in gaps.items()]
+    return [I for I in subsets
+            if all(a <= b for l, low in lows
+                   for a, b in zip(low, sorted((x - l - 1) % n for x in I)))]
 
 
 def _check_necklace(model: PlabicModel, want, violation: str, where: str) -> None:
@@ -1687,9 +1721,8 @@ def build_rectangles_model(k: int, n: int) -> PlabicModel:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
     model = _star_model(k, n) if k == 1 or k == n - 1 else _grid_model(k, n)
     # the gap faces, by l, must carry the cyclic intervals l + 1, ..., l + k
-    want = {l: tuple(sorted(cyclic_interval(l % n + 1, (l + k - 1) % n + 1, n)))
-            for l in range(1, n + 1)}
-    _check_necklace(model, want, "gap-necklace-mismatch", f"rect({k},{n})")
+    _check_necklace(model, _cyclic_necklace(k, n), "gap-necklace-mismatch",
+                    f"rect({k},{n})")
     return model
 
 

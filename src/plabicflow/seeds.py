@@ -205,6 +205,10 @@ def _corner_rule(q: Quiver, j: str, counts: dict[tuple[str, str], int]) -> None:
 
 @dataclass(frozen=True)
 class Seed:
+    """A quiver with a k-subset of [n] on each vertex.  Everything a seed
+    derives is made in ``__post_init__``, so a seed is complete when made:
+    the labels' bitmasks and the kappa reader over them."""
+
     k: int
     n: int
     quiver: Quiver
@@ -215,10 +219,9 @@ class Seed:
     # the labels, each a strictly increasing k-subset of [n], as bitmasks
     # (bit x for element x) in vertex order, so a mask stands for one subset
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    # (getter, star mask, set of masks) for reading kappa columns off the
-    # kappa rows, built by ``_kappa_getter`` on the first kappa request
-    _kappa: tuple | None = field(default=None, init=False, repr=False,
-                                 compare=False)
+    # the kappa reader: an itemgetter over the masks in vertex order that
+    # returns a tuple, the star's mask, and the masks as a frozenset
+    _kappa: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
@@ -238,7 +241,11 @@ class Seed:
                     continue
             raise ValueError(f"label {J} of vertex {v} is not a strictly "
                              f"increasing {self.k}-subset of 1..{self.n}")
-        object.__setattr__(self, "masks", tuple(masks))
+        masks = tuple(masks)
+        object.__setattr__(self, "masks", masks)
+        get = itemgetter(*masks) if len(masks) > 1 else lambda row: (row[masks[0]],)
+        star = masks[self.quiver.vertices.index(self.quiver.star)]
+        object.__setattr__(self, "_kappa", (get, star, frozenset(masks)))
 
 
 def seed_of_model(model: PlabicModel) -> Seed:
@@ -379,8 +386,8 @@ def kappa_vector(s: Seed, I: KSubset) -> dict[str, int]:
     min(k, m) - |I & [1,m]| cells there, and lambda_L the same with L.
 
     The coordinates are read off I's row of the one kappa memo
-    (``_KAPPA_ROWS``) by one getter over the seed's label masks, checked
-    and made with the seed (``Seed.masks``), so a table over all k-subsets
+    (``_KAPPA_ROWS``) by the seed's kappa reader, made with the seed from
+    its checked label masks (``Seed.masks``), so a table over all k-subsets
     and a sequence of seeds (which share most labels) computes each label
     pair once.  A bad I raises ValueError on every call and leaves no row.
     """
@@ -396,7 +403,8 @@ _KAPPA_ROWS: dict[tuple[KSubset, int], dict[int, int]] = {}
 def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     """``kappa_vector`` as a tuple in vertex order; I is a tuple.
 
-    The column is one call of the seed's getter on I's kappa row.  When the
+    The column is one call of the getter of the seed's reader
+    (``Seed._kappa``, made with the seed) on I's kappa row.  When the
     row lacks labels, their entries are walked from the seed's masks and
     the row is read again, so a miss costs one exception and no decoding
     of a mask.  A star label with nonzero kappa raises ``bad-label``.
@@ -407,7 +415,7 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     if row is None:
         check_ksubset(I, s.n)
         row = _KAPPA_ROWS[(I, s.n)] = {}
-    get, star, masks = s._kappa or _kappa_getter(s)
+    get, star, masks = s._kappa
     try:
         col = get(row)
     except KeyError:
@@ -420,20 +428,6 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
             "bad-label", f"star label {s.labels[s.quiver.star]} has nonzero kappa"
         )
     return col
-
-
-def _kappa_getter(s: Seed) -> tuple:
-    """Build and keep the seed's (getter, star mask, set of masks) from
-    ``Seed.masks``, which were checked and made with the seed: an
-    ``operator.itemgetter`` over the masks in vertex order that returns a
-    tuple, the star's mask, and the masks as a frozenset, to fill rows
-    from."""
-    masks = s.masks
-    get = itemgetter(*masks) if len(masks) > 1 else lambda row: (row[masks[0]],)
-    star = masks[s.quiver.vertices.index(s.quiver.star)]
-    kappa = (get, star, frozenset(masks))
-    object.__setattr__(s, "_kappa", kappa)
-    return kappa
 
 
 def beta_columns(s: Seed) -> dict[str, dict[str, int]]:

@@ -471,6 +471,17 @@ def test_no_body_csv(capsys):
     assert "0,0,0,0" in lines
 
 
+def test_no_body_lists_the_positroid_of_the_model(capsys):
+    # the shark's positroid holds 9 of the 10 2-subsets of [5], not 45,
+    # whose point (0,0,0,0,0) was listed again beside 35's
+    rc, out, _ = run_out(capsys, "no-body", "shark", "--format", "csv")
+    assert rc == 0
+    rows = out.strip().split("\n")[1:]
+    assert len(rows) == len(set(rows)) == 9
+    rc, out, _ = run_out(capsys, "no-body", "shark")
+    assert rc == 0 and out.endswith("# 9 points\n")
+
+
 def test_superpotential_pretty(capsys):
     rc, out, _ = run_out(capsys, "superpotential", "--kn", "2,4")
     assert rc == 0

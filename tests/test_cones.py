@@ -390,7 +390,7 @@ def test_gt_decompose_rejects_missing_and_extra_labels():
 
 def test_no_body_level1_points():
     s = rectangles_seed(2, 4)
-    pts = no_body_level1(s)
+    pts = no_body_level1(s, ksubsets(4, 2))
     assert len(pts) == 6
     assert (1, 0, 0, 0, 0) in pts
     c = gt_inequalities(2, 4)
@@ -400,13 +400,14 @@ def test_no_body_level1_points():
 def test_level1_slice_check():
     for k, n in [(2, 4), (2, 5)]:
         s = rectangles_seed(k, n)
-        assert level1_slice_check(no_body_level1(s), gt_inequalities(k, n))
+        assert level1_slice_check(no_body_level1(s, ksubsets(n, k)),
+                                  gt_inequalities(k, n))
 
 
 def test_level1_slice_check_fails_on_subset():
     # dropping a vertex of the slice breaks the facet certificates
     s = rectangles_seed(2, 4)
-    pts = [p for p in no_body_level1(s) if any(p[1:])]
+    pts = [p for p in no_body_level1(s, ksubsets(4, 2)) if any(p[1:])]
     assert not level1_slice_check(pts, gt_inequalities(2, 4))
 
 
@@ -415,8 +416,8 @@ def test_level1_slice_check_fails_on_subset():
                                  (4, 9), (2, 10), (3, 10)])
 def test_level1_kappa_points_are_the_level1_slice(k, n):
     # (2,10) and (3,10) order their labels as subsets, not as strings
-    assert sorted(no_body_level1(rectangles_seed(k, n))) == lattice_points(
-        gt_inequalities(k, n), 1)
+    points = no_body_level1(rectangles_seed(k, n), ksubsets(n, k))
+    assert sorted(points) == lattice_points(gt_inequalities(k, n), 1)
 
 
 def test_lattice_points_memory_per_point():

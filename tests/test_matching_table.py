@@ -20,6 +20,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -321,18 +322,26 @@ def test_a_search_past_the_recursion_limit_is_refused():
     assert plabic.base_value(model) == tuple(range(7, 13))
 
 
-def test_enumeration_leaves_no_reference_cycle():
-    # a cycle through the memoised recursion would keep its lists and the
-    # model alive until the next garbage collection
-    model = build_rectangles_model(3, 6)
-    ref = weakref.ref(model)
-    gc.disable()
-    try:
-        plabic.matching_masks(model)
-        del model
-        assert ref() is None
-    finally:
-        gc.enable()
+def test_enumeration_leaves_no_reference_cycle(monkeypatch):
+    # a cycle through a memoised recursion, the listing's or the count's
+    # that decides the matching budget, would keep its memo and the model
+    # alive until the next garbage collection: on a plain listing, on one
+    # refused at the matching budget, and on one counted and then listed
+    # (rect:4,8 has 424 matchings)
+    for k, n, budget in [(3, 6, plabic.MATCHING_BUDGET), (4, 8, 10), (4, 8, 424)]:
+        monkeypatch.setattr(plabic, "MATCHING_BUDGET", budget)
+        model = build_rectangles_model(k, n)
+        ref = weakref.ref(model)
+        gc.disable()
+        try:
+            try:
+                assert len(plabic.matching_masks(model)) <= budget
+            except plabic.MatchingBudgetExceeded as exc:
+                assert budget == 10 and exc.count == 424
+            del model
+            assert ref() is None, budget
+        finally:
+            gc.enable()
 
 
 # ------------------------------------------------------ the reference route
@@ -414,6 +423,21 @@ def test_square_moves_keep_the_positroid_and_the_necklace(name, seed, moves):
         assert positroid(moved) == positroid(model)
         assert gap_labels_are_the_necklace(moved)
         model = moved
+
+
+@given(st.sampled_from(sorted(BASES)), st.integers(0, 2**16), st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_positroid_read_off_the_gap_labels_is_the_enumerated_one(name, seed, moves):
+    # Oh's test of each k-subset against the necklace on the gap labels
+    # keeps exactly the enumerated positroid on every model of an orbit,
+    # also when made to test every subset where the necklace is the
+    # cyclic intervals (which skips the test)
+    model = BASES[name]()
+    for m in [model, *orbit_steps(model, seed, moves)]:
+        want = list(positroid(m))
+        assert plabic._positroid_subsets(m) == want
+        with mock.patch.object(plabic, "_cyclic_necklace", lambda k, n: None):
+            assert plabic._positroid_subsets(m) == want
 
 
 def test_a_move_that_changes_a_gap_label_is_refused(monkeypatch):

@@ -791,6 +791,15 @@ def walked_seeds(start: Seed, rng: random.Random, steps: int) -> list[Seed]:
     return out
 
 
+def assert_kappa_reader(s: Seed) -> None:
+    """The seed's kappa reader is over its masks: the getter reads them in
+    vertex order, the star mask is the star's, the set is the masks'."""
+    get, star, masks = s._kappa
+    assert get({m: i for i, m in enumerate(s.masks)}) == tuple(range(len(s.masks)))
+    assert star == s.masks[s.quiver.vertices.index(s.quiver.star)]
+    assert masks == frozenset(s.masks)
+
+
 MASK_WALK_STARTS = [(2, 5), (3, 6), (3, 7), (4, 8), (4, 9), (3, 10), "shark"]
 
 
@@ -804,7 +813,8 @@ def test_mask_kappa_route_equals_tuple_route_on_walks(start, seed, steps):
         s0, n = rectangles_seed(*start), start[1]
     subsets = ksubsets(n, s0.k)
     walk = walked_seeds(s0, rng, steps)
-    assert all(s._kappa is None for s in walk[1:])  # built on first request
+    for s in walk:
+        assert_kappa_reader(s)  # made with the seed, before any kappa request
     for s in walk:
         some = subsets if n < 9 else rng.sample(subsets, 20)
         for I in some:
@@ -862,9 +872,9 @@ def test_a_bad_label_raises_like_the_tuple_route():
 
 
 def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
-    # the masks are the labels' bitmasks in vertex order; the kappa getter
-    # reads them and mutation masks the exchanged label alone, where the
-    # m - 1 other labels' masks are the parent's
+    # the masks are the labels' bitmasks in vertex order; the kappa reader
+    # is made from them with the seed, and mutation masks the exchanged
+    # label alone, where the m - 1 other labels' masks are the parent's
     calls = []
     real = combinat._mask
     counted = lambda J: calls.append(J) or real(J)
@@ -878,16 +888,12 @@ def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
     j = mutable_vertices(s.quiver)[0]
     moved = mutate_labels(s, j)
     assert calls == [moved.labels[next(iter(set(moved.labels) - set(s.labels)))]]
-    # the getter is built from Seed.masks, whatever they hold: shifted
-    # masks give a shifted getter, and no mask is made
+    # making a seed makes its masks and its kappa reader and calls no _mask
     calls.clear()
     fresh = Seed(s.k, s.n, s.quiver, s.labels)
-    shifted = tuple(m << 1 for m in fresh.masks)
-    object.__setattr__(fresh, "masks", shifted)
-    _get, star, masks = seeds._kappa_getter(fresh)
     assert calls == []
-    assert masks == frozenset(shifted)
-    assert star == shifted[s.quiver.vertices.index(s.quiver.star)]
+    assert fresh.masks == s.masks
+    assert_kappa_reader(fresh)
     # a row is filled from the seed's masks: the one mask made on a miss is
     # I's, and the masks walked against it are the seed's
     calls.clear()
