@@ -5,8 +5,9 @@ by rotation systems (counterclockwise edge order at each internal node) plus
 ``n`` boundary stubs whose endpoints sit on the disc boundary, labelled
 1..n clockwise.  Faces are recovered by closing the disc with virtual
 boundary arcs and tracing dart orbits; every face carries the k-subset
-label read off the model's trips, and one face is distinguished (the base
-face, written ``*`` informally).  ``analyze`` does this in one pass over
+label read off the model's trips, and the gap face between stubs n and 1,
+which carries the Grassmann necklace's first element N_1, is the star (the
+base face, written ``*`` informally).  ``analyze`` does this in one pass over
 integer darts: dart 2x + d runs along edge or arc x, and one walk of each
 rotation gives every dart its face successor and, into a node, its trip
 successor (the previous edge at a black node, the next at a white one).
@@ -79,14 +80,15 @@ class PlabicModel:
     """A model.  Its maps are read-only copies taken at construction, and
     every field of its analysis but the memo is read-only, so nothing
     derived from a model can go stale: what it is derived from cannot
-    change.  ``analyze`` alone sets ``_analysis``, None until then."""
+    change.  ``analyze`` alone sets ``_analysis``, None until then.  A
+    model names no star: ``analyze`` takes the gap face between stubs n
+    and 1."""
 
     k: int
     n: int
     colors: Mapping[str, str]  # internal node id -> BLACK | WHITE
     edges: Mapping[str, tuple[End, End]]
     rot: Mapping[str, tuple[str, ...]]  # node id -> CCW incident edge ids
-    star_spec: frozenset  # the star's bounding edge ids, or {("gap", l)}
     _analysis: Analysis | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,7 +115,7 @@ class Analysis:
 
     faces: tuple[Face, ...]
     label_to_face: Mapping[KSubset, int]
-    star: int
+    star: int  # the gap face between stubs n and 1
     edges: tuple[str, ...]  # the edge order: the edge ids sorted
     black_white: tuple[tuple[End, End], ...]  # (black end, white end) by edge
     arrows: tuple[tuple[str, int, int], ...]  # (edge id, source face, target face)
@@ -190,30 +192,6 @@ def _tip_vertex(e: str, end, V: int, n: int) -> int:
     return V + end[1] - 1
 
 
-def _star_face(faces: list[Face], gap_face: dict[int, int], spec) -> int:
-    """The face a star spec names: its bounding edge-id set (the text-format
-    identity) or a single ("gap", l) token naming the gap face along
-    boundary arc l -- needed when tiny models have two faces with identical
-    edge sets, where edge sets cannot tell them apart."""
-    gaps = [x for x in spec if isinstance(x, tuple) and x[:1] == ("gap",)]
-    if gaps:
-        if len(spec) != 1:
-            raise ModelInvariantError(
-                "star-unmatched", f"mixed face spec {sorted(map(str, spec))}")
-        l = gaps[0][1]
-        if l not in gap_face:
-            raise ModelInvariantError("star-unmatched", f"no gap face {l}")
-        return gap_face[l]
-    hits = [f.index for f in faces if f.edge_ids == spec]
-    if len(hits) > 1:
-        raise ModelInvariantError(
-            "ambiguous-face-spec", f"two faces bounded by {sorted(spec)}"
-        )
-    if not hits:
-        raise ModelInvariantError("star-unmatched", f"{sorted(spec)}")
-    return hits[0]
-
-
 def analyze(model: PlabicModel) -> Analysis:
     """The model's analysis, made on the first call and kept on the model.
 
@@ -236,7 +214,8 @@ def analyze(model: PlabicModel) -> Analysis:
     first found first: a color, the rotation keys, each edge's ends and
     colors (in the model's edge order), each node's rotation against its
     edges, connectivity, the boundary labels, the gap faces, each face's
-    label, the star and the boundary arrows.
+    label and the boundary arrows.  The star is the gap face between stubs
+    n and 1, which the gap-face check guarantees.
     """
     if model._analysis is not None:
         return model._analysis
@@ -441,7 +420,6 @@ def analyze(model: PlabicModel) -> Analysis:
             raise ModelInvariantError("duplicate-label", format_ksubset(label, n))
         label_to_face[label] = f
         faces.append(Face(f, tuple(map(darts.__getitem__, orbit)), edge_ids, label, gap[f]))
-    star = _star_face(faces, gap_face, model.star_spec)
 
     # orientation class per boundary edge
     anticlockwise = []
@@ -458,7 +436,7 @@ def analyze(model: PlabicModel) -> Analysis:
     analysis = Analysis(
         tuple(faces),
         MappingProxyType(label_to_face),
-        star,
+        gap_face[n],
         edges,
         tuple(black_white),
         tuple(arrows),
@@ -526,12 +504,15 @@ def save_model(model: PlabicModel) -> str:
 
 
 def load_model(text: str) -> PlabicModel:
+    """The model a text in the ``save_model`` format describes.  Each
+    label line must state the label its face's trips give, and the star
+    line must name the face between stubs n and 1 (``star-mismatch``)."""
     k = n = None
     colors: dict[str, str] = {}
     edges: dict[str, tuple[End, End]] = {}
     rot: dict[str, tuple[str, ...]] = {}
     label_specs: dict[frozenset, KSubset] = {}
-    star_spec = None
+    star_ids = None
     saw_header = False
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -596,18 +577,18 @@ def load_model(text: str) -> PlabicModel:
         elif cmd == "star":
             if len(parts) != 2:
                 raise ParseError(line_no, "star wants <edge-set>")
-            if star_spec is not None:
+            if star_ids is not None:
                 raise ParseError(line_no, "duplicate star line")
-            star_spec = frozenset(parts[1].split(","))
+            star_ids = frozenset(parts[1].split(","))
         else:
             raise ParseError(line_no, f"unknown directive {cmd!r}")
     if not saw_header:
         raise ParseError(1, "empty input")
     if k is None:
         raise ParseError(1, "missing kn line")
-    if star_spec is None:
+    if star_ids is None:
         raise ParseError(1, "missing star line")
-    model = PlabicModel(k, n, colors, edges, rot, star_spec)
+    model = PlabicModel(k, n, colors, edges, rot)
     an = analyze(model)
     # every face needs a label line, and every line must state the label
     # the trips give that face
@@ -626,6 +607,13 @@ def load_model(text: str) -> PlabicModel:
         # a face without a line, or two faces bounded by the same edges
         f = next(f for f in an.faces if label_specs.get(f.edge_ids) != f.label)
         raise ModelInvariantError("unlabeled-face", f"face bounded by {sorted(f.edge_ids)}")
+    star = an.faces[an.star].edge_ids
+    if star_ids != star:
+        raise ModelInvariantError(
+            "star-mismatch",
+            f"star {','.join(sorted(star_ids))}, the face between stubs "
+            f"{n} and 1 is {','.join(sorted(star))}",
+        )
     return model
 
 
@@ -1531,7 +1519,8 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     Grassmann necklace, which fixes it (Postnikov, math/0609764 §16-17;
     Oh-Postnikov-Speyer, arXiv:1109.4434), and a move keeps a model reduced,
     reducedness being defined up to moves.  ``cli._xcheck_one`` compares
-    the positroids themselves, off reduced models too.
+    the positroids themselves, off reduced models too.  The moved face is
+    internal, so the star, the face between stubs n and 1, keeps its label.
     """
     an = analyze(model)
     face_label = tuple(face_label)
@@ -1613,12 +1602,8 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
     for i, se in enumerate(square):
         edges[se] = (("n", attach[i]), ("n", attach[(i + 1) % 4]))
 
-    # the star is a gap face (seed_of_model requires it frozen), so it keeps
-    # its gap; every face but the moved one keeps its label
-    result = PlabicModel(
-        model.k, model.n, colors, edges, rot,
-        frozenset({("gap", an.faces[an.star].gap)}),
-    )
+    # every face but the moved one keeps its label
+    result = PlabicModel(model.k, model.n, colors, edges, rot)
     got = tuple(format_ksubset(I, model.n) for I in analyze(result).lattice)
     if got != vertices:
         raise ModelInvariantError(
@@ -1700,12 +1685,13 @@ def shark_model() -> PlabicModel:
 
 
 def _star_model(k: int, n: int) -> PlabicModel:
+    """The one-node fan of k = 1 or n - 1.  Every face is a gap face; at
+    n = 2 both are bounded by the same two edges, so only the gap tells
+    the star apart, and ``save_model`` refuses the model."""
     colors = {"C": BLACK if k == 1 else WHITE}
     edges = {f"E{l}": (("n", "C"), ("t", l)) for l in range(1, n + 1)}
     rot = {"C": tuple(f"E{l}" for l in range(n, 0, -1))}
-    # every face is a gap face here, so name the star by its gap index
-    # (edge sets collide at n = 2: both faces are bounded by the same edges)
-    return PlabicModel(k, n, colors, edges, rot, frozenset({("gap", n)}))
+    return PlabicModel(k, n, colors, edges, rot)
 
 
 def build_rectangles_model(k: int, n: int) -> PlabicModel:
@@ -1786,5 +1772,5 @@ def _grid_model(k: int, n: int) -> PlabicModel:
         else:
             raise ModelInvariantError("rect-build", f"arrow {a} in {len(nodes)} cycles")
 
-    return PlabicModel(k, n, colors, edges, rot, frozenset({"istar", "scol", "srow"}))
+    return PlabicModel(k, n, colors, edges, rot)
 

@@ -21,7 +21,6 @@ from plabicflow.plabic import (
     FaceAdjacency,
     ModelInvariantError,
     PlabicModel,
-    _star_face,
 )
 
 
@@ -262,8 +261,6 @@ def analyze_oracle(model: PlabicModel) -> Analysis:
             raise ModelInvariantError("duplicate-label", format_ksubset(label, model.n))
         label_to_face[label] = i
         faces.append(Face(i, tuple(orbit), edge_ids, label, gaps[i]))
-    star = _star_face(faces, gap_face, model.star_spec)
-
     # orientation class per boundary edge
     anticlockwise = set()
     arrow_of = {e: (s, t) for e, s, t in arrows}
@@ -280,7 +277,7 @@ def analyze_oracle(model: PlabicModel) -> Analysis:
     analysis = Analysis(
         tuple(faces),
         MappingProxyType(label_to_face),
-        star,
+        gap_face[model.n],  # the star: the face between stubs n and 1
         edges,
         black_white,
         arrows,

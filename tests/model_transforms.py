@@ -30,5 +30,4 @@ def insert_degree_two_pair(model: PlabicModel, e: str) -> PlabicModel:
     rot[y] = (ex, ey)
     if far[0] == "n":
         rot[far[1]] = tuple(ey if d == e else d for d in rot[far[1]])
-    star = model.star_spec | ({ex, ey} if e in model.star_spec else set())
-    return PlabicModel(model.k, model.n, colors, edges, rot, star)
+    return PlabicModel(model.k, model.n, colors, edges, rot)

@@ -41,8 +41,7 @@ FIELDS = ("faces", "label_to_face", "star", "edges", "black_white", "arrows",
 
 def bare(model):
     """A copy of ``model`` that was never analysed."""
-    return PlabicModel(model.k, model.n, model.colors, model.edges, model.rot,
-                       model.star_spec)
+    return PlabicModel(model.k, model.n, model.colors, model.edges, model.rot)
 
 
 def assert_routes_agree(model):
@@ -90,8 +89,7 @@ def test_edge_ids_that_sort_apart_under_str_analyse_alike(mark):
     name = {e: "e" + mark * i for i, e in enumerate(sorted(base.edges))}
     assert_routes_agree(PlabicModel(
         base.k, base.n, base.colors, {name[e]: ends for e, ends in base.edges.items()},
-        {v: tuple(map(name.__getitem__, r)) for v, r in base.rot.items()},
-        frozenset(map(name.__getitem__, base.star_spec))))
+        {v: tuple(map(name.__getitem__, r)) for v, r in base.rot.items()}))
 
 
 @pytest.mark.parametrize("base", ["shark", (3, 6)])
@@ -100,14 +98,13 @@ def test_edges_written_end_first_analyse_alike(base):
     model = BASES[base]
     assert_routes_agree(PlabicModel(
         model.k, model.n, model.colors, {e: (b, a) for e, (a, b) in model.edges.items()},
-        model.rot, model.star_spec))
+        model.rot))
 
 
-def edited(base, colors=(), edges=(), rot=(), k=None, n=None, star=None):
+def edited(base, colors=(), edges=(), rot=(), k=None, n=None):
     """``base`` with some of its entries replaced."""
     return PlabicModel(k or base.k, n or base.n, {**base.colors, **dict(colors)},
-                       {**base.edges, **dict(edges)}, {**base.rot, **dict(rot)},
-                       star or base.star_spec)
+                       {**base.edges, **dict(edges)}, {**base.rot, **dict(rot)})
 
 
 def shark_with(**edits):
@@ -139,10 +136,6 @@ BROKEN = {
     "bad-label": shark_with(k=3),
     "bad-label, a rotation reversed": edited(
         build_rectangles_model(2, 5), rot={"A1_1": ("c1_2", "r1_1", "d1_1")}),
-    "ambiguous-face-spec": edited(build_rectangles_model(1, 2), star=frozenset({"E1", "E2"})),
-    "star-unmatched": shark_with(star=frozenset({"E1"})),
-    "star-unmatched, gap": shark_with(star=frozenset({("gap", 9)})),
-    "star-unmatched, mixed": shark_with(star=frozenset({("gap", 1), "E1"})),
 }
 
 

@@ -665,6 +665,25 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+STAR_COMMANDS = [("matchings",), ("partition", "25"), ("flow", "25"), ("valuation", "25"),
+                 ("kappa", "25"), ("mutate", "--mutations", "24"),
+                 ("xcheck", "--mutations", "24"), ("no-body",)]
+
+
+@pytest.mark.parametrize("name, star", [("star_23", "B4B5,E1,E2"),
+                                        ("star_24", "B1B3,B1B5,B3B4,B4B5")])
+@pytest.mark.parametrize("command", STAR_COMMANDS, ids=lambda c: c[0])
+def test_a_star_line_off_the_face_between_n_and_1_exits_3(capsys, name, star, command):
+    # the shark with its star line moved to the gap face 23 or the internal
+    # face 24: every command refuses it alike, where each once gave its own
+    # answer or violation
+    path = Path(__file__).parent / "models" / f"{name}.plabic"
+    rc, _out, err = run_out(capsys, command[0], str(path), *command[1:])
+    assert rc == 3
+    assert err == ("invariant violation: star-mismatch: star "
+                   f"{star}, the face between stubs 5 and 1 is B1B2,B1B5,E1,E5\n")
+
+
 def test_invariant_violation_exit_code(tmp_path, capsys):
     # parses fine but is not bipartite
     bad = (

@@ -11,7 +11,7 @@ from plabicflow.plabic import analyze, build_rectangles_model, shark_model
 
 def test_model_fields_cannot_be_rebound():
     model = shark_model()
-    for field, value in [("k", 3), ("edges", {}), ("star_spec", frozenset())]:
+    for field, value in [("k", 3), ("edges", {}), ("rot", {})]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(model, field, value)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -62,7 +62,7 @@ def test_model_maps_are_read_only(field):
 def test_a_model_keeps_its_own_copy_of_the_maps():
     built = build_rectangles_model(2, 4)
     colors, edges, rot = dict(built.colors), dict(built.edges), dict(built.rot)
-    model = plabic.PlabicModel(2, 4, colors, edges, rot, built.star_spec)
+    model = plabic.PlabicModel(2, 4, colors, edges, rot)
     text = plabic.save_model(model)
     for mapping in (colors, edges, rot):
         mapping.clear()
