@@ -128,8 +128,8 @@ class Analysis:
         """The model's quantity named ``key``, made by ``build()`` on the
         first request and kept for the model's lifetime.  Every quantity
         derived from a model past its analysis (matching frontier, matching
-        table or lists of one boundary value, base value, face graph,
-        partition functions, flow polynomials, face names, seed) is kept
+        table or lists of one boundary value, face graph, partition
+        functions, flow polynomials, face names, seed) is kept
         here and nowhere else, and each once:
         face weights are kept only as the exponents of the flow
         polynomials.  A build that raises keeps nothing, so the next
@@ -633,12 +633,10 @@ _BITS_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # a 2-vCPU x86 box with Python 3.11.
 MATCHING_BUDGET = 1_000_000
 
-# Most covered masks one of the matching recursions keeps (``_completions``,
-# ``_count_completions``, ``_least_boundary``); a search that needs more is
-# refused with MatchingBudgetExceeded.  The base-value search keeps 845,066
-# at rect (11,22) and 2,817,620 at rect (12,24), about three times as many
-# per step of k.  It is its own constant: tests shrink ``MATCHING_BUDGET`` to
-# pin exact matching counts.
+# Most covered masks one of the two matching recursions keeps
+# (``_completions`` and ``_count_completions``); a search that needs more is
+# refused with MatchingBudgetExceeded.  It is its own constant: tests shrink
+# ``MATCHING_BUDGET`` to pin exact matching counts.
 STATE_BUDGET = 1_000_000
 
 
@@ -646,7 +644,7 @@ class MatchingBudgetExceeded(Exception):
     """A request would list more perfect matchings than the matching budget
     (``count`` of them), or its search would pass ``limit``, the state
     budget or Python's recursion limit (``count`` None); ``I`` is the
-    boundary value asked for, or None for all matchings or the base value."""
+    boundary value asked for, or None for all matchings."""
 
     def __init__(self, model: PlabicModel, count: int | None, budget: int, I=None,
                  limit: str = "matching budget"):
@@ -664,8 +662,7 @@ class MatchingBudgetExceeded(Exception):
 
 class _Frontier:
     """The layout of one analysed model's matching recursion, shared by the
-    whole enumeration, the lists of one boundary value and the base-value
-    search.
+    whole enumeration and the lists of one boundary value.
 
     Bit i of an edge mask is edge i of the edge order (``Analysis.edges``).
     The internal nodes are numbered breadth-first over the internal edges,
@@ -861,63 +858,6 @@ def _count_completions(model: PlabicModel, I, options, full: int, memo: dict,
         del count  # it refers to itself, as ``_completions``' rest does
 
 
-def base_value(model: PlabicModel) -> KSubset | None:
-    """The lexicographically largest boundary value of the model's
-    matchings (the base value), or None when it has none; found once per
-    model, without listing a matching.
-
-    Of k-subsets, the lex-max is the one least in sum over l in I of
-    2^(n-l).  The frontier's ``boundary`` flips one label per stub, so a
-    matching's sum is the sum of the value with no stub used plus, per used
-    stub, what using that stub alone changes.  One integer min over the
-    recursion of ``matching_masks`` finds the least sum, whose bits are the
-    value.
-    """
-    return analyze(model).derive("base value", lambda: _least_boundary(model))
-
-
-def _least_boundary(model: PlabicModel) -> KSubset | None:
-    fr = _frontier(model)
-    n = model.n
-
-    def key(value) -> int:
-        return sum(1 << (n - l) for l in value)
-
-    total = key(fr.boundary(0))
-    weight = {ebit: key(fr.boundary(ebit)) - total for _, ebit, _ in fr.stubs}
-    options = [[(weight.get(ebit, 0), mask) for ebit, mask in opts]
-               for opts in fr.options]
-    full = fr.full
-    best: dict[int, int | None] = {full: 0}
-
-    def least(covered: int) -> int | None:
-        if covered in best:
-            return best[covered]
-        free = full & ~covered
-        out = None
-        for w, mask in options[(free & -free).bit_length() - 1]:
-            if not covered & mask:
-                rest = least(covered | mask)
-                if rest is not None and (out is None or w + rest < out):
-                    out = w + rest
-        best[covered] = out
-        if len(best) > STATE_BUDGET:
-            raise MatchingBudgetExceeded(model, None, STATE_BUDGET, None, "state budget")
-        return out
-
-    try:
-        low = least(0)
-    except RecursionError:
-        raise MatchingBudgetExceeded(model, None, sys.getrecursionlimit(), None,
-                                     "recursion limit") from None
-    finally:
-        del least  # it refers to itself, as ``_completions``' rest does
-    if low is None:
-        return None
-    total += low
-    return _sized(model, tuple(l for l in range(1, n + 1) if total >> (n - l) & 1))
-
-
 def edge_names(model: PlabicModel, mask: int) -> list[str]:
     """The edges of an edge mask by name, lowest bit first, so in the edge
     order."""
@@ -977,21 +917,10 @@ class MatchingTable:
 
 def matching_table(model: PlabicModel) -> MatchingTable:
     """The model's matching table, built from one enumeration on the first
-    request; later requests are lookups.  Its base value, the lex-max of its
-    positroid and so the last entry of the sorted tuple, must be the one
-    ``base_value`` finds without listing."""
-
-    def build():
-        table = MatchingTable(model, matching_masks(model))
-        want = table.positroid[-1] if table.positroid else None
-        got = base_value(model)
-        if got != want:
-            raise ModelInvariantError(
-                "base-value-mismatch",
-                f"the table's lex-max boundary value is {want}, the search gives {got}")
-        return table
-
-    return analyze(model).derive("matching table", build)
+    request; later requests are lookups.  Where the model has its table,
+    ``_base_mask`` checks the table's lex-max against ``base_value``."""
+    return analyze(model).derive(
+        "matching table", lambda: MatchingTable(model, matching_masks(model)))
 
 
 def masks_at(model: PlabicModel, I) -> tuple[int, ...]:
@@ -1056,10 +985,38 @@ def _check_necklace(model: PlabicModel, want, violation: str, where: str) -> Non
                 format_ksubset(I, model.n) for I in (got[l], want[l])))
 
 
+def base_value(model: PlabicModel) -> KSubset:
+    """The lexicographically largest boundary value of the model's
+    matchings (the base value), read off its gap labels without listing a
+    matching.
+
+    The positroid is a matroid, so its lex-max value is its Gale-max basis,
+    a function of the decorated permutation pi (Postnikov, math/0609764
+    §16-17; Oh, "Positroids and Schubert matroids", JCTA 2011).  On a
+    reduced model gap l carries N_{l+1} of the Grassmann necklace, and for
+    i in N_i, N_{i+1} = N_i - {i} + {pi(i)}.  The base value is the i in
+    N_i with pi(i) <= i; the <= keeps a coloop, where N_{i+1} = N_i.
+    """
+    n = model.n
+    gaps = _gap_labels(analyze(model))
+    # N_i is on gap i - 1 (gap n for i = 1); pi(i) is what N_{i+1} adds
+    return tuple(i for i in range(1, n + 1)
+                 if i in gaps[i - 1 or n]
+                 and min(set(gaps[i]) - set(gaps[i - 1 or n]), default=i) <= i)
+
+
 def _base_mask(model: PlabicModel) -> int:
+    """The edge mask of the base matching, the one matching of the base
+    value.  Where the model has its matching table, the table's lex-max
+    must be ``base_value`` (``base-value-mismatch`` otherwise)."""
     target = base_value(model)
-    if target is None:
-        raise ModelInvariantError("no-matchings")
+    table = analyze(model).kept("matching table")
+    if table is not None:
+        want = table.positroid[-1] if table.positroid else None
+        if want != target:
+            raise ModelInvariantError(
+                "base-value-mismatch",
+                f"the table's lex-max boundary value is {want}, the gap labels give {target}")
     hits = masks_at(model, target)
     if len(hits) != 1:
         raise ModelInvariantError(

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import os
@@ -443,6 +444,15 @@ def test_a_deep_matching_search_is_refused_with_one_line(capsys):
                    f"{odd} past the recursion limit of {sys.getrecursionlimit():,}\n")
 
 
+def test_the_base_value_is_no_search(capsys):
+    # the base value is read off the gap labels: a one-shot flow at rect:12,24
+    # lists only the matchings of its own value, and the one term comes out
+    I = ",".join(map(str, range(1, 13)))
+    rc, out, err = run_out(capsys, "flow", "rect:12,24", I)
+    assert (rc, err) == (0, "")
+    assert len(out.splitlines()) == 1
+
+
 def test_a_search_past_the_state_budget_is_refused(monkeypatch, capsys):
     monkeypatch.setattr(plabic, "STATE_BUDGET", 10)
     for argv, at in [(("flow", "rect:4,8", "1357"), " with boundary value 1357"),
@@ -682,6 +692,28 @@ def test_a_star_line_off_the_face_between_n_and_1_exits_3(capsys, name, star, co
     assert rc == 3
     assert err == ("invariant violation: star-mismatch: star "
                    f"{star}, the face between stubs 5 and 1 is B1B2,B1B5,E1,E5\n")
+
+
+def test_a_model_that_is_not_reduced_keeps_its_table_but_has_no_base(capsys):
+    # rect (3,6) with a chord: every 3-subset is a boundary value, so the
+    # table's lex-max is 456, but gap 3 carries 145 and the gap labels give
+    # the base value 356; matchings and partition answer from the table as
+    # before, the flow commands find no unique base matching, and the seed
+    # refuses the labels
+    path = str(Path(__file__).parent / "models" / "chord_36.plabic")
+    for argv, digest in [(("matchings", path), "f4658b5fb2"),
+                         (("partition", path, "123"), "3329eb23bd")]:
+        rc, out, err = run_out(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:10] == digest
+    for command in ("flow", "valuation"):
+        rc, out, err = run_out(capsys, command, path, "123")
+        assert (rc, out) == (3, "")
+        assert err == ("invariant violation: base-matching-not-unique: "
+                       "2 matchings reach (3, 5, 6)\n")
+    rc, out, err = run_out(capsys, "kappa", path, "123")
+    assert (rc, out) == (3, "")
+    assert err.startswith("invariant violation: labels-not-weakly-separated: ")
 
 
 def test_invariant_violation_exit_code(tmp_path, capsys):

@@ -51,6 +51,7 @@ from plabicflow.plabic import (
     square_moves,
 )
 from plabicflow.seeds import mutable_vertices, seed_of_model
+from model_transforms import insert_degree_two_pair
 from necklace_oracle import necklace_of_positroid, shifted_key
 
 BASES = {
@@ -293,16 +294,10 @@ def test_state_budget_bounds_the_listing_and_its_count(monkeypatch):
                                "the state budget of 1")
 
 
-def test_state_budget_bounds_the_base_value_search(monkeypatch):
-    monkeypatch.setattr(plabic, "STATE_BUDGET", plabic.STATE_BUDGET)
-    want = plabic.base_value(build_rectangles_model(3, 6))
-    least_state_budget(lambda: plabic.base_value(build_rectangles_model(3, 6)))
-    assert plabic.base_value(build_rectangles_model(3, 6)) == want
-
-
 def test_a_search_past_the_recursion_limit_is_refused():
-    # both recursions of rect (6,12) go more than 20 calls deep; a
-    # RecursionError from either is refused as a request past the limit
+    # the listing of rect (6,12) goes more than 20 calls deep; a
+    # RecursionError is refused as a request past the limit, while the
+    # base value, read off the gap labels, makes no recursion
     frame, depth = sys._getframe(), 0
     while frame:
         frame, depth = frame.f_back, depth + 1
@@ -311,15 +306,14 @@ def test_a_search_past_the_recursion_limit_is_refused():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 20)
     try:
-        for search in (plabic.matching_masks, plabic.base_value):
-            with pytest.raises(plabic.MatchingBudgetExceeded) as info:
-                search(model)
-            assert (info.value.count, info.value.budget) == (None, depth + 20)
-            assert str(info.value) == (
-                f"a matching search past the recursion limit of {depth + 20}")
+        with pytest.raises(plabic.MatchingBudgetExceeded) as info:
+            plabic.matching_masks(model)
+        assert (info.value.count, info.value.budget) == (None, depth + 20)
+        assert str(info.value) == (
+            f"a matching search past the recursion limit of {depth + 20}")
+        assert plabic.base_value(model) == tuple(range(7, 13))
     finally:
         sys.setrecursionlimit(limit)
-    assert plabic.base_value(model) == tuple(range(7, 13))
 
 
 def test_enumeration_leaves_no_reference_cycle(monkeypatch):
@@ -1057,10 +1051,19 @@ def square_move_orbit(spec: str, depth: int) -> list:
     return list(seen.values())
 
 
+def degree_two_pairs() -> list:
+    """rect (3,6) and the shark with a degree-2 pair on each internal edge."""
+    return [insert_degree_two_pair(model, e)
+            for model in (build_rectangles_model(3, 6), shark_model())
+            for e, ends in model.edges.items() if all(kind == "n" for kind, _ in ends)]
+
+
 @pytest.mark.parametrize("spec", ["shark", "rect:2,5", "rect:3,6", "rect:3,7",
-                                  "rect:4,8", "rect:4,9"])
+                                  "rect:4,8", "rect:4,9", "degree-two pairs"])
 def test_lists_of_one_boundary_value_are_the_table_groups(spec):
-    for model in square_move_orbit(spec, 2):
+    # the base value, read off the gap labels, is the table's lex-max
+    models = degree_two_pairs() if spec == "degree-two pairs" else square_move_orbit(spec, 2)
+    for model in models:
         table = matching_table(model)
         total = 0
         for I in ksubsets(model.n, model.k):
@@ -1085,17 +1088,6 @@ def test_masks_at_lists_one_boundary_value_without_the_table():
     # an unsorted value names no boundary value on either route
     assert plabic.matching_masks(model, (6, 4, 2)) == []
     assert plabic.masks_at(model, (6, 4, 2)) == ()
-
-
-def test_the_base_value_search_checks_the_boundary_size(monkeypatch):
-    # with 2 taken for anticlockwise, the shark's least sum is the 1-subset 5;
-    # the analysis is read-only, so the search is handed a broken frontier
-    model = shark_model()
-    broken = plabic._Frontier(model, analyze(model).anticlockwise | {2})
-    monkeypatch.setattr(plabic, "_frontier", lambda m: broken)
-    with pytest.raises(ModelInvariantError) as err:
-        plabic.base_value(model)
-    assert err.value.violation == "boundary-size"
 
 
 def test_two_forced_stubs_at_one_node_leave_no_matching():
@@ -1129,11 +1121,23 @@ def test_the_boundary_sense_decodes_what_it_encodes(spec):
             assert (4, 5) not in groups
 
 
-def test_a_base_value_off_the_table_is_refused(monkeypatch):
-    monkeypatch.setattr(plabic, "_least_boundary", lambda model: (1, 2))
+def test_a_base_value_off_the_table_is_refused(monkeypatch, capsys):
+    # the table's lex-max is checked against the base value where the base
+    # matching is taken; the table itself is built as before
+    monkeypatch.setattr(plabic, "base_value", lambda model: (1, 2))
+    model = build_rectangles_model(2, 5)
+    table = matching_table(model)
+    assert table.positroid[-1] == (4, 5)
     with pytest.raises(ModelInvariantError) as err:
-        matching_table(build_rectangles_model(2, 5))
+        plabic.face_graph(model)
     assert err.value.violation == "base-value-mismatch"
+    assert str(err.value) == ("base-value-mismatch: the table's lex-max boundary "
+                              "value is (4, 5), the gap labels give (1, 2)")
+    # every verify suite builds its table before its first flow polynomial,
+    # so the two routes still meet under verify
+    assert cli.main(["verify", "plucker", "--kn", "2,5"]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL plucker: rect:2,5: invariant violation: {err.value}\n")
 
 
 def test_table_path_never_names_matchings(monkeypatch, capsys):
