@@ -109,7 +109,8 @@ def _checked_flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     for which, extreme in zip(("min", "max"), graph.extremes(counts)):
         if counts.get(extreme) != 1:
             raise ModelInvariantError(
-                "flow-extremes", f"{which} term of flow polynomial at {I}"
+                "flow-extremes",
+                f"{which} term of flow polynomial at {format_ksubset(I, model.n)}"
             )
     exponents = graph.exponents
     return LaurentPoly.make(lattice, {exponents(w): c for w, c in counts.items()})

@@ -587,6 +587,21 @@ def _suite_weyl_count(model: PlabicModel, tag: str, level: int):
         want = cones.weyl_dim(k, n, r)
         if got != want:
             return False, f"{tag} level {r}: {got} points != dimension {want}"
+    if level >= 1:
+        # the level-1 slice is exactly the kappa points, one per k-subset
+        table = cones.kappa_table(k, n)
+        points = set(cones.lattice_points(cone, 1))
+        odd = points ^ table.keys()
+        if odd:
+            p = min(odd)
+            if p in points:
+                return False, f"{tag} level 1: lattice point {p} is no kappa point"
+            I = format_ksubset(table[p], n)
+            return False, f"{tag} level 1: kappa point {p} of {I} is outside the slice"
+        size = cones.weyl_dim(k, n, 1)
+        if len(table) != size:
+            return False, (f"{tag} level 1: {len(table)} kappa points for "
+                           f"{size} k-subsets: two share a point")
     return True, f"{tag} point counts match dimensions for levels 0..{level}"
 
 

@@ -1,6 +1,10 @@
 """Gelfand-Tsetlin cones, tropical cones, lattice points, and level-1
 Newton-Okounkov point sets.
 
+On the rectangles seed the level-1 kappa points of the k-subsets are exactly
+the lattice points of the level-1 slice of the Gelfand-Tsetlin cone, one
+point per k-subset; ``verify weyl-count`` compares the two sets.
+
 Cones are stored by inequalities only (H-representation) over an ambient
 lattice whose first coordinate "r" is the level.  The remaining coordinates
 are named by the faces of the rectangles seed, so tropicalized
@@ -393,7 +397,10 @@ def _grid_cells(k: int, n: int):
 
 @lru_cache(maxsize=None)
 def kappa_table(k: int, n: int):
-    """Read-only map from level-1 point (a tuple over ``gt_ambient``) to I."""
+    """Read-only map from level-1 point (a tuple over ``gt_ambient``) to I,
+    over every k-subset I.  Its keys are the level-1 slice of
+    ``gt_inequalities(k, n)``, as ``verify weyl-count`` checks, and
+    ``gt_decompose`` reads a peeled layer's subset off it."""
     subsets = ksubsets(n, k)
     points = no_body_level1(rectangles_seed(k, n), subsets)
     return MappingProxyType(dict(zip(points, subsets)))
@@ -451,51 +458,3 @@ def no_body_level1(s: Seed, subsets) -> list[tuple[int, ...]]:
     the seed's non-star vertices in vertex order."""
     lattice = s.quiver.lattice
     return [(1, *map(kappa_vector(s, I).__getitem__, lattice)) for I in subsets]
-
-
-def body_membership_check(points, cone: Cone) -> bool:
-    """Every point lies in the level-1 slice of the cone."""
-    return all(p[0] == 1 and cone_contains(cone, p) for p in points)
-
-
-def _affine_rank(points) -> int:
-    """Dimension of the affine span plus one (number of affinely
-    independent points), computed exactly."""
-    if not points:
-        return 0
-    base = points[0]
-    rows = [[Fraction(a - b) for a, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    for col in range(len(base)):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pr = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / pr[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], pr)]
-        rank += 1
-    return rank + 1
-
-
-def level1_slice_check(points, cone: Cone) -> bool:
-    """Dual containment between a point set and the level-1 slice.
-
-    Every point must satisfy every inequality, and every inequality must be
-    tight on enough affinely independent points to cut out a facet of the
-    convex hull; together these certify the hull equals the slice.
-    """
-    if not body_membership_check(points, cone):
-        return False
-    dim = len(cone.ambient) - 1
-    for cov in cone.ineqs:
-        tight = [p for p in points if sum(a * x for a, x in zip(cov, p)) == 0]
-        if _affine_rank(tight) < dim:
-            return False
-    return True

@@ -739,7 +739,8 @@ def _sized(model: PlabicModel, value: KSubset) -> KSubset:
     """A matching's boundary value, which must have k elements."""
     if len(value) != model.k:
         raise ModelInvariantError(
-            "boundary-size", f"matching boundary {value} has size != k")
+            "boundary-size",
+            f"matching boundary {format_ksubset(value, model.n)} has size != k")
     return value
 
 
@@ -1014,13 +1015,16 @@ def _base_mask(model: PlabicModel) -> int:
     if table is not None:
         want = table.positroid[-1] if table.positroid else None
         if want != target:
+            want = "none" if want is None else format_ksubset(want, model.n)
             raise ModelInvariantError(
                 "base-value-mismatch",
-                f"the table's lex-max boundary value is {want}, the gap labels give {target}")
+                f"the table's lex-max boundary value is {want}, "
+                f"the gap labels give {format_ksubset(target, model.n)}")
     hits = masks_at(model, target)
     if len(hits) != 1:
         raise ModelInvariantError(
-            "base-matching-not-unique", f"{len(hits)} matchings reach {target}"
+            "base-matching-not-unique",
+            f"{len(hits)} matchings reach {format_ksubset(target, model.n)}"
         )
     return hits[0]
 

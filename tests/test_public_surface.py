@@ -19,8 +19,6 @@ ALLOWED = {
     "plabic.flow_weight": "the reference flow route, named by the benchmark's "
                           "per-layer metrics; ROADMAP item 2's benchmark "
                           "change moves it into the tests",
-    "cones.level1_slice_check": "the no-body check that no suite runs yet; "
-                                "ROADMAP item 5's cone-fill suite will run it",
     "superpot.gvector_cone_ineqs": "a cone check that no suite runs yet; "
                                    "ROADMAP item 5's cone-fill suite will run it",
     "combinat.max_diag": "MaxDiag of one pair of k-subsets, checked; kappa "
