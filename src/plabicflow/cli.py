@@ -41,7 +41,7 @@ from collections import namedtuple
 
 from . import charts, cones, plabic, seeds, superpot
 from .combinat import format_ksubset, ksubsets, parse_ksubset
-from .laurent import LaurentPoly, NotLaurent, lp_equal
+from .laurent import LaurentPoly, NotLaurent, lp_equal, lp_substitute
 from .plabic import ModelInvariantError, NotPlabicMutable, ParseError, PlabicModel
 
 FORMATS = ("pretty", "json", "csv")
@@ -143,7 +143,7 @@ def _check_point_budget(k: int, n: int, levels, what: str) -> None:
 
 
 def _reorder(poly: LaurentPoly, order: str | None, k: int, n: int) -> LaurentPoly:
-    """Rebuild a polynomial over a user-supplied permutation of its lattice.
+    """The identity map into a user-supplied permutation of the lattice.
 
     A token that is a lattice label (``q``, an edge name, a face of k = 1)
     stands alone in the list; see ``_parse_names``."""
@@ -154,10 +154,8 @@ def _reorder(poly: LaurentPoly, order: str | None, k: int, n: int) -> LaurentPol
         raise UsageError(
             f"--order must be a permutation of {','.join(poly.lattice)}"
         )
-    return LaurentPoly.make(
-        labels, {tuple(poly.exp_as_dict(e).get(l, 0) for l in labels): c
-                 for e, c in poly.terms},
-    )
+    images = {lab: ({lab: 1}, 0) for lab in poly.lattice}
+    return lp_substitute(poly, images, LaurentPoly.one(labels))
 
 
 def _emit_json(obj) -> None:
@@ -576,7 +574,12 @@ def _suite_wformula(model: PlabicModel, tag: str, level: int):
     if superpot.verify_wformula(model.k, model.n):
         return True, f"{tag} boundary-module expansion equals the potential"
     lhs, rhs = superpot.wformula_sides(model.k, model.n)
-    return False, f"{tag}: {lhs.pretty('p')} != {rhs.pretty('p')}"
+    # name the first monomial, in term order, whose coefficients differ
+    a, b = dict(lhs.terms), dict(rhs.terms)
+    e = min(x for x in a.keys() | b.keys() if a.get(x, 0) != b.get(x, 0))
+    mono = LaurentPoly.make(lhs.lattice, {e: 1}).pretty("p")
+    return False, (f"{tag}: coefficient of {mono} is {a.get(e, 0)} in the "
+                   f"expansion, {b.get(e, 0)} in the potential")
 
 
 def _suite_weyl_count(model: PlabicModel, tag: str, level: int):

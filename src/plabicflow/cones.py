@@ -21,7 +21,7 @@ from math import gcd
 from types import MappingProxyType
 
 from .combinat import KSubset, format_ksubset, ksubsets, rectangle_label
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, lp_substitute
 from .seeds import Seed, kappa_vector, rectangles_seed
 
 
@@ -135,18 +135,15 @@ def gt_inequalities(k: int, n: int) -> Cone:
 
 
 def cone_from_tropical(W: LaurentPoly, star_label: str) -> Cone:
-    """One covector per monomial of W: the q-exponent lands on the level
-    coordinate, the star exponent is dropped, everything else is copied in
-    W's lattice order."""
-    labs = [x for x in W.lattice if x not in ("q", star_label)]
-    ambient = ("r",) + tuple(labs)
-    covs = []
-    for exp, _coeff in W.terms:
-        m = dict(zip(W.lattice, exp))
-        cov = {lab: m.get(lab, 0) for lab in labs}
-        cov["r"] = m.get("q", 0)
-        covs.append(cov)
-    return make_cone(ambient, covs)
+    """One covector per monomial of W: the exponent of its image under
+    q -> r, p_star -> 1 and every other variable to itself, over the level
+    r and then W's other labels in W's order.  The coefficients of W are
+    positive, so no two monomials cancel."""
+    ambient = ("r",) + tuple(x for x in W.lattice if x not in ("q", star_label))
+    images = {x: ({"r": 1} if x == "q" else {} if x == star_label else {x: 1}, 0)
+              for x in W.lattice}
+    image = lp_substitute(W, images, LaurentPoly.one(ambient))
+    return make_cone(ambient, [exp for exp, _coeff in image.terms])
 
 
 # ------------------------------------------------- lattice-point counting

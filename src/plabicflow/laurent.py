@@ -76,14 +76,12 @@ class LaurentPoly:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def exp_as_dict(self, exp: Exponent) -> dict[str, int]:
-        return {lab: e for lab, e in zip(self.lattice, exp) if e != 0}
-
     def to_json_obj(self) -> dict:
         return {
             "lattice": list(self.lattice),
             "terms": [
-                {"coeff": c, "exp": self.exp_as_dict(e)} for e, c in self.terms
+                {"coeff": c, "exp": {lab: x for lab, x in zip(self.lattice, e) if x}}
+                for e, c in self.terms
             ],
         }
 
@@ -233,6 +231,9 @@ class Substitution:
     in X- and A-mutation these are the mutated vertex and, in X-mutation,
     its neighbours.  The powers of u are made on first use and kept for
     every later ``apply``.
+
+    u's lattice is always the codomain; u = ``LaurentPoly.one`` of it and
+    every e = 0 make a plain monomial map, a label mapped to {} dropped.
     """
 
     def __init__(

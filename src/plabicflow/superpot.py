@@ -4,12 +4,17 @@ The A-form lives in cluster variables p_v (one per face, plus q) and is a
 sum of degree-0 ratios; the X-form lives in the simples variables x_v and
 is assembled from quotient F-polynomials of uniserial modules, one group
 per boundary vertex.  The change of basis between them is the dual of the
-boundary matrix, and ``verify_wformula`` checks the two agree exactly."""
+boundary matrix, and ``verify_wformula`` checks the two agree exactly.
+
+Every change of variables is one ``lp_substitute`` call, a plain monomial
+map (u = 1 over the codomain) but for A-mutation: x_u -> q^[u = corner] *
+prod_v p_v^(-beta[u, v]) (the beta-dual image), p_star -> 1 (the A-form
+side), and q -> prod_u y_u, p_v -> prod_u y_u^(kappa of label(u) at v)
+(the g-vector cone)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .cones import Cone, grid_label, make_cone
 from .laurent import (
@@ -22,8 +27,8 @@ from .laurent import (
 from .plabic import ModelInvariantError
 from .seeds import (
     Seed,
-    _kappa_column,
     beta_columns,
+    kappa_vector,
     label_exchange,
     neighbours,
     rectangles_seed,
@@ -165,21 +170,17 @@ def w_x_rectangles(k: int, n: int) -> SuperpotentialExpr:
 
 
 def _beta_dual_image(s: Seed, wx: LaurentPoly) -> LaurentPoly:
-    """Map an X-form polynomial to cluster variables.
-
-    A monomial x^m goes to q^(m at the corner vertex) times the product of
-    p_v^(-<beta column at v, m>) over non-star vertices; each pairing sums
-    the entries of one sparse beta column."""
+    """Map an X-form polynomial to cluster variables: x_u goes to
+    q^[u = corner] times the product over non-star v of p_v^(-beta[u, v]),
+    read off the sparse beta columns."""
     corner = grid_label(s.k, s.n, s.k, s.n - s.k)
+    images = {u: ({}, 0) for u in wx.lattice}
+    images[corner][0]["q"] = 1
     beta = beta_columns(s)
-    cols = [tuple(beta[v].items()) for v in s.quiver.lattice]
-    terms: dict[tuple, int] = {}
-    for exp, coeff in wx.terms:
-        m = dict(zip(wx.lattice, exp))
-        key = (m.get(corner, 0),
-               *(-sum(c * m.get(u, 0) for u, c in col) for col in cols))
-        terms[key] = terms.get(key, 0) + coeff
-    return LaurentPoly.make(("q",) + s.quiver.lattice, terms)
+    for v in s.quiver.lattice:
+        for u, c in beta[v].items():
+            images[u][0][v] = -c
+    return lp_substitute(wx, images, LaurentPoly.one(("q",) + s.quiver.lattice))
 
 
 def wformula_sides(k: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -188,12 +189,8 @@ def wformula_sides(k: int, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     star = s.quiver.star
     lhs = _beta_dual_image(s, w_x_rectangles(k, n).poly)
     wa = w_rectangles(k, n).poly
-    six = wa.lattice.index(star)
-    terms: dict[tuple, int] = {}
-    for exp, coeff in wa.terms:
-        key = tuple(e for i, e in enumerate(exp) if i != six)
-        terms[key] = terms.get(key, 0) + coeff
-    rhs = LaurentPoly.make(("q",) + s.quiver.lattice, terms)
+    images = {lab: ({} if lab == star else {lab: 1}, 0) for lab in wa.lattice}
+    rhs = lp_substitute(wa, images, LaurentPoly.one(("q",) + s.quiver.lattice))
     return lhs, rhs
 
 
@@ -231,16 +228,17 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
 def gvector_cone_ineqs(k: int, n: int) -> Cone:
     """Inequalities of the g-vector cone, in the projectives basis.
 
-    Each monomial of the cluster-variable superpotential gives a covector;
-    composing with the weight maps (rank at q, wt elsewhere) transports it
-    to a functional on the projectives lattice: at u, the q exponent plus
-    the vertex exponents dotted with the kappa column of label(u).
+    Each monomial of the cluster-variable superpotential gives a covector,
+    its exponent under the weight maps q -> prod_u y_u (rank) and
+    p_v -> prod_u y_u^(kappa of label(u) at v) (wt); W's coefficients are
+    positive, so no two monomials cancel.
     """
     s = rectangles_seed(k, n)
-    wa = w_rectangles(k, n).poly
-    wt = [_kappa_column(s, J) for J in s.vertex_labels]
-    covs = [
-        tuple(q + sum(map(mul, exp, col)) for col in wt)
-        for (q, *exp), _c in wa.terms
-    ]
-    return make_cone(s.quiver.vertices, covs)
+    vertices = s.quiver.vertices
+    images = {v: ({}, 0) for v in vertices}
+    images["q"] = (dict.fromkeys(vertices, 1), 0)
+    for u, J in zip(vertices, s.vertex_labels):
+        for v, x in kappa_vector(s, J).items():
+            images[v][0][u] = x
+    wt = lp_substitute(w_rectangles(k, n).poly, images, LaurentPoly.one(vertices))
+    return make_cone(vertices, [exp for exp, _c in wt.terms])

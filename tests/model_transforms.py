@@ -5,9 +5,22 @@
 degree-2 nodes.  The colours alternate along the path, so the graph stays
 bipartite, and the faces, their labels and the flow polynomials are those
 of the model without the pair.
+
+``orbit`` walks square moves instead: the model and the end of every
+path of up to ``depth`` moves from it, so a model two paths reach comes
+twice.
 """
 
-from plabicflow.plabic import BLACK, WHITE, PlabicModel
+from plabicflow.plabic import BLACK, WHITE, PlabicModel, square_moves
+
+
+def orbit(model: PlabicModel, depth: int):
+    """The model and every model reached from it by up to ``depth``
+    successive square moves."""
+    yield model
+    if depth:
+        for _j, moved in square_moves(model):
+            yield from orbit(moved, depth - 1)
 
 
 def insert_degree_two_pair(model: PlabicModel, e: str) -> PlabicModel:

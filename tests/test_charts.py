@@ -1,5 +1,6 @@
 import pytest
 
+from model_transforms import orbit
 from plabicflow import charts
 from plabicflow.cli import load_any_model
 from plabicflow.combinat import ksubsets
@@ -10,7 +11,6 @@ from plabicflow.plabic import (
     positroid,
     shark_model,
     square_move,
-    square_moves,
 )
 from plabicflow.charts import (
     edge_lattice,
@@ -35,15 +35,6 @@ def test_edge_and_face_lattices():
     assert face_lattice(m) == ("14", "15", "23", "24", "34")
 
 
-def _orbit(model, depth):
-    """The model and every model reached from it by up to ``depth``
-    successive square moves."""
-    yield model
-    if depth:
-        for _j, moved in square_moves(model):
-            yield from _orbit(moved, depth - 1)
-
-
 @pytest.mark.parametrize("spec,depth", [
     ("rect:2,5", 0), ("rect:3,6", 0), ("rect:3,7", 3), ("rect:4,8", 0),
     ("rect:4,9", 0), ("rect:2,10", 0), ("rect:3,10", 0), ("shark", 0),
@@ -51,7 +42,7 @@ def _orbit(model, depth):
 def test_face_lattice_is_the_seed_lattice(spec, depth):
     # flow polynomials live on the face lattice and X-mutation reads the
     # seed's, so the two must name the same faces in the same order
-    for m in _orbit(load_any_model(spec), depth):
+    for m in orbit(load_any_model(spec), depth):
         assert face_lattice(m) == seed_of_model(m).quiver.lattice
 
 
@@ -132,7 +123,7 @@ def test_valuation_equals_kappa_after_square_move():
 def test_valuation_is_the_coordinatewise_least_exponent_on_orbits(spec, depth):
     # the leading term is the least exponent of every flow polynomial, as
     # the coordinatewise minimum over all its exponents says
-    for m in _orbit(load_any_model(spec), depth):
+    for m in orbit(load_any_model(spec), depth):
         for I in positroid(m):
             f = flow_polynomial(m, I)
             least = tuple(map(min, zip(*(e for e, _ in f.terms))))

@@ -10,7 +10,7 @@ row becomes a plain one that pins its FAIL lines.
 
 import pytest
 
-from plabicflow import charts, cli, cones, superpot
+from plabicflow import charts, cli, cones, seeds, superpot
 from plabicflow.laurent import LaurentPoly, lp_add, lp_mul
 
 RUN = ["verify", "all", "--kn", "2,5", "--kn", "3,6", "--kn", "3,7"]
@@ -68,6 +68,44 @@ def drop_gvector_row(monkeypatch):
     monkeypatch.setattr(superpot, "gvector_cone_ineqs", dropped)
 
 
+def bump_non_star_beta_entry(monkeypatch):
+    # the beta-dual image reads the non-star columns only, so a bump in the
+    # star's column would escape
+    real = superpot.beta_columns
+
+    def bumped(s):
+        cols = real(s)
+        v = s.quiver.lattice[0]
+        row = next(iter(cols[v]))
+        cols[v] = {**cols[v], row: cols[v][row] + 1}
+        return cols
+
+    monkeypatch.setattr(superpot, "beta_columns", bumped)
+
+
+def drop_tropical_covector(monkeypatch):
+    real = cones.cone_from_tropical
+
+    def dropped(W, star_label):
+        c = real(W, star_label)
+        return cones.Cone(c.ambient, c.ineqs[:-1])
+
+    monkeypatch.setattr(cones, "cone_from_tropical", dropped)
+
+
+def kappa_plus_one(monkeypatch):
+    # every nonzero MaxDiag entry one too large; a fresh memo, so that no
+    # row made before the fault hides it
+    real = seeds._max_diag_masks
+
+    def plus_one(j, i):
+        d = real(j, i)
+        return d + 1 if d else d
+
+    monkeypatch.setattr(seeds, "_max_diag_masks", plus_one)
+    monkeypatch.setattr(seeds, "_KAPPA_ROWS", {})
+
+
 def one_sided_exchange_binomial(monkeypatch):
     # a_mutate_w reads the exchange binomial's two monomials off neighbours;
     # this fault loses the out-arrows' monomial, leaving (in-monomial + 1)
@@ -98,6 +136,49 @@ FAULTS = [
         "FAIL weyl-count: rect:3,7 level 1: lattice point "
         "(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) is no kappa point",
     ], id="no_body_level1 drops its last point"),
+    pytest.param(bump_non_star_beta_entry, [
+        f"FAIL wformula: rect:{kn}: coefficient of 1 is 1 in the expansion, "
+        "0 in the potential" for kn in ("2,5", "3,6", "3,7")
+    ], id="a non-star beta entry bumped"),
+    pytest.param(drop_tropical_covector, [
+        f"FAIL gt-trop: rect:{kn}: tropical cone differs from inequality cone"
+        for kn in ("2,5", "3,6", "3,7")
+    ], id="a covector dropped from cone_from_tropical"),
+    pytest.param(kappa_plus_one, [
+        "FAIL valuation-kappa: rect:2,5: I=12 valuation {'13': 1, '14': 1, "
+        "'15': 1, '23': 1, '34': 2, '45': 2} != kappa {'13': 2, '14': 2, "
+        "'15': 2, '23': 2, '34': 3, '45': 3}",
+        "FAIL trop-a: rect:2,5 at 13, I=12: {'12': 0, '13': 1, '14': 2, "
+        "'15': 2, '23': 2, '34': 3, '45': 3} != {'12': 0, '14': 2, '15': 2, "
+        "'23': 2, '13': 2, '34': 3, '45': 3}",
+        "FAIL exact-seq: rect:2,5 on the seed: wt.beta column 13, row 13 is -2, not -1",
+        "FAIL weyl-count: rect:2,5 level 1: lattice point (1, 0, 0, 0, 0, 0, 1) "
+        "is no kappa point",
+        "FAIL valuation-kappa: rect:3,6: I=123 valuation {'124': 1, '125': 1, "
+        "'126': 1, '134': 1, '145': 2, '156': 2, '234': 1, '345': 2, '456': 3} "
+        "!= kappa {'124': 2, '125': 2, '126': 2, '134': 2, '145': 3, '156': 3, "
+        "'234': 2, '345': 3, '456': 4}",
+        "FAIL trop-a: rect:3,6 at 124, I=123: {'123': 0, '124': 1, '125': 2, "
+        "'126': 2, '134': 2, '145': 3, '156': 3, '234': 2, '345': 3, '456': 4} "
+        "!= {'123': 0, '125': 2, '126': 2, '134': 2, '124': 2, '145': 3, "
+        "'156': 3, '234': 2, '345': 3, '456': 4}",
+        "FAIL exact-seq: rect:3,6 on the seed: wt.beta column 124, row 124 is -2, not -1",
+        "FAIL weyl-count: rect:3,6 level 1: lattice point "
+        "(1, 0, 0, 0, 0, 0, 0, 0, 0, 1) is no kappa point",
+        "FAIL valuation-kappa: rect:3,7: I=123 valuation {'124': 1, '125': 1, "
+        "'126': 1, '127': 1, '134': 1, '145': 2, '156': 2, '167': 2, '234': 1, "
+        "'345': 2, '456': 3, '567': 3} != kappa {'124': 2, '125': 2, '126': 2, "
+        "'127': 2, '134': 2, '145': 3, '156': 3, '167': 3, '234': 2, '345': 3, "
+        "'456': 4, '567': 4}",
+        "FAIL trop-a: rect:3,7 at 124, I=123: {'123': 0, '124': 1, '125': 2, "
+        "'126': 2, '127': 2, '134': 2, '145': 3, '156': 3, '167': 3, '234': 2, "
+        "'345': 3, '456': 4, '567': 4} != {'123': 0, '125': 2, '126': 2, "
+        "'127': 2, '134': 2, '124': 2, '145': 3, '156': 3, '167': 3, '234': 2, "
+        "'345': 3, '456': 4, '567': 4}",
+        "FAIL exact-seq: rect:3,7 on the seed: wt.beta column 124, row 124 is -2, not -1",
+        "FAIL weyl-count: rect:3,7 level 1: lattice point "
+        "(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1) is no kappa point",
+    ], id="kappa off by one"),
     pytest.param(double_partition_functions, None, id="P_I doubled", marks=_escapes(
         15, "the plucker relations are homogeneous, and no suite ties P_I to "
             "the flow polynomial term by term")),

@@ -3,6 +3,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from model_transforms import orbit
 from plabicflow.laurent import (
     LaurentPoly,
     NotLaurent,
@@ -227,6 +228,70 @@ def test_substitute_equals_global_division(case):
     assert lp_substitute(f, images, u) == want
 
 
+def rekeyed(f, images, codomain):
+    """The per-term re-keying that the plain monomial maps of ``superpot``,
+    ``cones`` and the CLI's ``--order`` once made by hand: each term's
+    exponent read as a {label: exponent} map, and each codomain coordinate
+    summed from it."""
+    terms = {}
+    for exp, coeff in f.terms:
+        m = dict(zip(f.lattice, exp))
+        key = tuple(sum(x * images[lab][0].get(y, 0) for lab, x in m.items())
+                    for y in codomain)
+        terms[key] = terms.get(key, 0) + coeff
+    return LaurentPoly.make(codomain, terms)
+
+
+@st.composite
+def monomial_maps(draw):
+    """(f, images, codomain) for a plain monomial map: u is 1 over the
+    codomain and every power of u is 0.
+
+    The shared labels x0, x1, ... map to themselves.  The codomain holds
+    all of them (a permutation of the domain when nothing else is drawn),
+    or a proper subset of them, each label left out mapping to a monomial
+    over the other coordinates, or all of them and extra coordinates y0,
+    y1, ... that no label feeds.  ``star`` may join the domain, mapping to
+    {} and so dropped, as the star is.  ``q`` may join the codomain, fed
+    only by the twisted labels t0, t1, ..., each mapping to q^a (a not 0
+    or 1) times a monomial over the other coordinates, as the corner feeds
+    q and the rank map feeds every coordinate."""
+    shared = [f"x{i}" for i in range(draw(st.integers(0, 4)))]
+    shape = draw(st.sampled_from(["permutation", "subset", "superset"]))
+    kept = list(shared)
+    if shape == "subset" and shared:
+        kept = draw(st.permutations(shared))[:draw(st.integers(0, len(shared) - 1))]
+    elif shape == "superset":
+        kept += [f"y{i}" for i in range(draw(st.integers(1, 2)))]
+    with_q = draw(st.booleans())
+    codomain = tuple(draw(st.permutations(kept + ["q"] * with_q)))
+
+    def monomial():
+        return {y: draw(st.integers(-2, 2)) for y in codomain if y != "q"}
+
+    images = {x: ({x: 1} if x in codomain else monomial(), 0) for x in shared}
+    if draw(st.booleans()):
+        images["star"] = ({}, 0)
+    if with_q:
+        for i in range(draw(st.integers(1, 2))):
+            images[f"t{i}"] = ({**monomial(), "q": draw(st.sampled_from([-2, -1, 2, 3]))}, 0)
+    lattice = tuple(draw(st.permutations(sorted(images))))
+    f = LaurentPoly.make(lattice, draw(st.dictionaries(
+        st.tuples(*(st.integers(-2, 2) for _ in lattice)),
+        st.integers(-4, 4).filter(bool), max_size=6)))
+    return f, images, codomain
+
+
+@given(monomial_maps())
+@settings(max_examples=300, deadline=None)
+def test_plain_monomial_map_equals_rekeying(case):
+    # u = 1 carries no power, so substitution is the re-keying of every term
+    f, images, codomain = case
+    one = LaurentPoly.one(codomain)
+    got = lp_substitute(f, images, one)
+    assert got == global_substitute(f, images, one) == rekeyed(f, images, codomain)
+
+
 def one_shot_substitute(f, images, u):
     """The substitution before it was split into a build and an apply, and
     before plain labels were gathered: the image columns and the powers of
@@ -440,22 +505,13 @@ def test_gathered_substitution_equals_one_shot_route(case):
         assert lp_substitute(f, images, u) == want
 
 
-def _model_orbit(model, depth):
-    """The model and every model reached from it by up to ``depth``
-    successive square moves."""
-    yield model
-    if depth:
-        for _j, moved in square_moves(model):
-            yield from _model_orbit(moved, depth - 1)
-
-
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])
 def test_x_mutate_equals_one_shot_route_on_orbits(k, n):
     # every flow polynomial of every model one square move from the orbit
     # to depth 1, pulled back through its move: the moved models make up
     # the orbit to depth 2
     checked = 0
-    for m in _model_orbit(build_rectangles_model(k, n), 1):
+    for m in orbit(build_rectangles_model(k, n), 1):
         q = seed_of_model(m).quiver
         for j, moved in square_moves(m):
             ins, outs = neighbours(q, j)
