@@ -41,7 +41,7 @@ from collections import namedtuple
 
 from . import charts, cones, plabic, seeds, superpot
 from .combinat import format_ksubset, ksubsets, parse_ksubset
-from .laurent import LaurentPoly, NotLaurent, lp_equal, lp_substitute
+from .laurent import LaurentPoly, NotLaurent, lp_substitute
 from .plabic import ModelInvariantError, NotPlabicMutable, ParseError, PlabicModel
 
 FORMATS = ("pretty", "json", "csv")
@@ -264,13 +264,12 @@ def cmd_flow(args) -> int:
 
 def cmd_valuation(args) -> int:
     model, I = _model_and_subset(args)
-    f = charts.flow_polynomial(model, I)
-    if f.is_zero():
+    if not charts.flow_counts(model, I):
         raise UsageError(
             f"{format_ksubset(I, model.n)} is outside the model's positroid: "
             "its flow polynomial is 0, which has no valuation"
         )
-    _emit_vector(charts.valuation(f), args.format)
+    _emit_vector(charts.valuation(model, I), args.format)
     return 0
 
 
@@ -314,18 +313,18 @@ def _xcheck_one(model: PlabicModel, tag: str, j: str, moved: PlabicModel) -> str
     """The FAIL detail, led by tag, of the first boundary value I in the
     positroid of just one of the model and its move at the face named j,
     else of the first I at which mutation at j does not carry the moved
-    model's flow polynomial back to the one computed on the original model,
-    or None.  The flows read both models' matching tables, so the positroids
-    are compared here and not in ``plabic.square_move``."""
+    model's flow counts back to those of the original model, or None.  The
+    flows read both models' matching tables, so the positroids are compared
+    here and not in ``plabic.square_move``."""
     P = plabic.positroid(model)
     changed = sorted(set(P) ^ set(plabic.positroid(moved)))
     if changed:
         return (f"{tag}: the move at {j} changes the positroid at "
                 f"I={format_ksubset(changed[0], model.n)}")
-    q = seeds.seed_of_model(model).quiver
+    step = charts.XStep(model, j, moved)
     for I in P:
-        image = charts.x_mutate(q, j, charts.flow_polynomial(moved, I))
-        if not lp_equal(image, charts.flow_polynomial(model, I)):
+        image = charts.x_mutate(step, charts.flow_counts(moved, I))
+        if image != charts.flow_counts(model, I):
             return (f"{tag}: mutation at {j} disagrees with flows at "
                     f"I={format_ksubset(I, model.n)}")
     return None
@@ -445,7 +444,7 @@ def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
     not its κ vector, or None."""
     s = seeds.seed_of_model(model)
     for I in plabic.positroid(model):
-        v = charts.valuation(charts.flow_polynomial(model, I))
+        v = charts.valuation(model, I)
         kappa = seeds.kappa_vector(s, I)
         kv = {a: kappa[a] for a in s.quiver.lattice}
         if v != kv:

@@ -31,6 +31,7 @@ math/0609764), is encoded and decoded by the matching frontier
 
 from __future__ import annotations
 
+import struct
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -129,11 +130,11 @@ class Analysis:
         first request and kept for the model's lifetime.  Every quantity
         derived from a model past its analysis (matching frontier, matching
         table or lists of one boundary value, face graph, partition
-        functions, flow polynomials, face names, seed) is kept
-        here and nowhere else, and each once:
-        face weights are kept only as the exponents of the flow
-        polynomials.  A build that raises keeps nothing, so the next
-        request builds again."""
+        functions, flow counts and the flow polynomials made from them,
+        face names, seed) is kept here and nowhere else, and each once:
+        face weights are kept only as the packed keys of the flow counts.
+        A build that raises keeps nothing, so the next request builds
+        again."""
         try:
             return self._derived[key]
         except KeyError:
@@ -1034,6 +1035,28 @@ def base_matching(model: PlabicModel) -> frozenset:
     return frozenset(edge_names(model, _base_mask(model)))
 
 
+# struct code of an unsigned field of each size in bytes up to 8; a wider
+# field is a "Q" and pad bytes, which holds any value below 2^64
+_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_size(top: int) -> int:
+    """The bytes of the least packed field, of 1, 2, 4, 8, 16, 24, ...
+    bytes, with ``top`` below 2^(width - 1) for its width in bits: such a
+    field holds any value up to ``top`` plus a bias of 2^(width - 1)
+    without carrying into the next."""
+    size = 1
+    while top >> (8 * size - 1):
+        size = 2 * size if size < 8 else size + 8
+    return size
+
+
+def _field_format(size: int, count: int) -> str:
+    """The struct format of ``count`` little-endian fields of ``size``
+    bytes, lowest field first."""
+    return "<" + (_FIELD_CODE.get(size) or f"Q{size - 8}x") * count
+
+
 class FaceGraph:
     """The face graph of one model, indexed for face weights of matchings
     given as edge masks over the edge order (``Analysis.edges``).
@@ -1044,11 +1067,11 @@ class FaceGraph:
     field of ``width`` bits per face, in the flow polynomial's column order
     with the star last (``fields``), then one per non-tree arrow
     (``cotree``), each holding its value plus the bias 2^(width - 1).
-    ``width`` is the least multiple of 8 with 2^(width - 1) > max(2F, E),
-    for F faces and E edges, so no field carries into the next for any
-    edge mask: a weight sums at most F - 1 tree arrows, a residual the at
-    most F arrows of one cycle, and a flow count is at most the number of
-    components.
+    ``width`` is the least of 8, 16, 32, 64, 128, ... bits
+    (``_field_size``) with 2^(width - 1) > max(2F, E), for F faces and E
+    edges, so no field carries into the next for any edge mask: a weight
+    sums at most F - 1 tree arrows, a residual the at most F arrows of one
+    cycle, and a flow count is at most the number of components.
 
     - The dual route is an affine map of the edge mask: ``constant`` less
       the column of each edge of M, summed four edges at a time, one hex
@@ -1136,7 +1159,10 @@ class FaceGraph:
         faces = [an.label_to_face[J] for J in an.lattice]
         faces.remove(an.star)
         self.fields = (*faces, an.star)
-        width = self.width = 8 * ((max(2 * F, E).bit_length() + 8) // 8)
+        size = _field_size(max(2 * F, E))
+        width = self.width = 8 * size
+        # the face fields as struct unpacks them, the star's last
+        self._faces_format = _field_format(size, F)
         self.face_bits = width * F
         unit = self.unit = [0] * F  # the 1 of each face's field, by face index
         for p, f in enumerate(self.fields):
@@ -1190,13 +1216,17 @@ class FaceGraph:
 
     def exponents(self, packed: int) -> tuple[int, ...]:
         """The weights of a value ``weigh`` returned, in the flow
-        polynomial's column order (the star's 0 left out)."""
+        polynomial's column order (the star's 0 left out): one
+        ``struct.unpack`` of the face fields."""
         x = packed - self.bias  # no borrow: every field is at least its bias
-        cols = len(self.labels) - 1
-        if self.width == 8:
-            return tuple(x.to_bytes(cols + 1, "little")[:cols])
-        width, mask = self.width, (1 << self.width) - 1
-        return tuple(x >> width * p & mask for p in range(cols))
+        return struct.unpack(self._faces_format,
+                             x.to_bytes(self.face_bits // 8, "little"))[:-1]
+
+    def pack(self, exponents) -> int:
+        """The value ``weigh`` returns for weights given in the flow
+        polynomial's column order, as ``exponents`` reads them."""
+        return self.bias + int.from_bytes(
+            struct.pack(self._faces_format, *exponents, 0), "little")
 
     def extremes(self, values) -> tuple[int, int]:
         """The coordinatewise least and greatest of a nonempty collection of
@@ -1319,8 +1349,8 @@ class FaceGraph:
 
 def face_graph(model: PlabicModel) -> FaceGraph:
     """The model's face graph, built on the first face-weight request.
-    Face weights are not kept: ``charts.flow_polynomial`` keeps them as its
-    exponents."""
+    Face weights are not kept: ``charts.flow_counts`` keeps them, packed,
+    as its keys."""
     return analyze(model).derive(
         "face graph", lambda: FaceGraph(model, _base_mask(model)))
 

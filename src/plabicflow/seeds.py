@@ -55,6 +55,8 @@ from .plabic import (
     ModelInvariantError,
     NotPlabicMutable,
     PlabicModel,
+    _field_format,
+    _field_size,
     analyze,
     build_rectangles_model,
 )
@@ -72,10 +74,6 @@ class Quiver:
     # mutable vertex -> its in/out maps, filled by ``neighbours``
     _neighbours: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
-    # (vertex, lattice) -> the built X-mutation step, filled by
-    # ``charts.x_mutate``; a step does not refer back to the quiver
-    _x_steps: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lattice",
@@ -501,11 +499,6 @@ def exact_sequence_checks(s: Seed) -> bool:
     return _exact_sequence_witness(s) is None
 
 
-# struct code of a field of each width in bytes up to 8; wider fields are
-# a "Q" and pad bytes
-_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
 def _exact_sequence_witness(s: Seed) -> str | None:
     """``exact_sequence_checks``, naming its witness: None when both
     identities hold, else the first column of beta, in vertex order, that
@@ -519,11 +512,9 @@ def _exact_sequence_witness(s: Seed) -> str | None:
     wt = [_kappa_column(s, J) for J in s.vertex_labels]
     top = max(map(max, wt))
     reach = max(sum(map(abs, colmap.values())) for colmap in cols.values())
-    size = 1
-    while (1 + reach * top) >> (8 * size - 1):
-        size = 2 * size if size < 8 else size + 8
+    size = _field_size(1 + reach * top)
     width = 8 * size
-    fmt = "<" + (_FIELD_CODE.get(size) or f"Q{size - 8}x") * len(wt)
+    fmt = _field_format(size, len(wt))
     packed = {v: int.from_bytes(struct.pack(fmt, *col), "little")
               for v, col in zip(q.vertices, wt)}
     for i, v in enumerate(q.vertices):

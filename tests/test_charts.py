@@ -4,7 +4,7 @@ from model_transforms import orbit
 from plabicflow import charts
 from plabicflow.cli import load_any_model
 from plabicflow.combinat import ksubsets
-from plabicflow.laurent import LaurentPoly, lp_equal
+from plabicflow.laurent import LaurentPoly
 from plabicflow.plabic import (
     ModelInvariantError,
     build_rectangles_model,
@@ -13,8 +13,10 @@ from plabicflow.plabic import (
     square_move,
 )
 from plabicflow.charts import (
+    XStep,
     edge_lattice,
     face_lattice,
+    flow_counts,
     flow_polynomial,
     partition_function,
     plucker_verify,
@@ -93,8 +95,7 @@ def test_valuation_equals_kappa_rect24():
     s = seed_of_model(m)
     star = s.quiver.star
     for I in ksubsets(4, 2):
-        f = flow_polynomial(m, I)
-        val = valuation(f)
+        val = valuation(m, I)
         kap = kappa_vector(s, I)
         assert val == {v: c for v, c in kap.items() if v != star}
 
@@ -104,7 +105,7 @@ def test_valuation_equals_kappa_shark():
     s = seed_of_model(m)
     star = s.quiver.star
     for I in positroid(m):
-        val = valuation(flow_polynomial(m, I))
+        val = valuation(m, I)
         assert val == {v: c for v, c in kappa_vector(s, I).items() if v != star}
 
 
@@ -113,7 +114,7 @@ def test_valuation_equals_kappa_after_square_move():
     s = seed_of_model(m)
     star = s.quiver.star
     for I in ksubsets(4, 2):
-        val = valuation(flow_polynomial(m, I))
+        val = valuation(m, I)
         assert val == {v: c for v, c in kappa_vector(s, I).items() if v != star}
 
 
@@ -127,7 +128,7 @@ def test_valuation_is_the_coordinatewise_least_exponent_on_orbits(spec, depth):
         for I in positroid(m):
             f = flow_polynomial(m, I)
             least = tuple(map(min, zip(*(e for e, _ in f.terms))))
-            assert valuation(f) == dict(zip(f.lattice, least)), (spec, I)
+            assert valuation(m, I) == dict(zip(f.lattice, least)), (spec, I)
 
 
 def test_flow_extremes_unique():
@@ -142,46 +143,46 @@ def test_flow_extremes_unique():
 
 
 def test_x_mutate_direction():
-    # mutation pulls the flow polynomial on the moved model back to the
-    # polynomial on the original model
+    # mutation pulls the flow counts of the moved model back to the counts
+    # of the original model, packed alike
     m = build_rectangles_model(2, 4)
-    q = seed_of_model(m).quiver
     m2 = square_move(m, (1, 3))
+    step = XStep(m, "13", m2)
     for I in ksubsets(4, 2):
-        got = x_mutate(q, "13", flow_polynomial(m2, I))
-        assert lp_equal(got, flow_polynomial(m, I))
+        assert x_mutate(step, flow_counts(m2, I)) == flow_counts(m, I)
 
 
 def test_x_mutate_involution():
     # the moved model's dual quiver pulls back in the other direction
     m = build_rectangles_model(2, 4)
     m2 = square_move(m, (1, 3))
-    q2 = seed_of_model(m2).quiver
+    step = XStep(m2, "24", m)
     for I in ksubsets(4, 2):
-        got = x_mutate(q2, "24", flow_polynomial(m, I))
-        assert lp_equal(got, flow_polynomial(m2, I))
+        assert x_mutate(step, flow_counts(m, I)) == flow_counts(m2, I)
 
 
 def test_x_mutate_lattice_mismatch():
-    q = seed_of_model(build_rectangles_model(2, 4)).quiver
-    bad = LaurentPoly.make(("13", "99"), {(1, 0): 1})
-    with pytest.raises(ModelInvariantError):
-        x_mutate(q, "13", bad)
+    # a "move" that renames no face, or renames another one than j
+    m = build_rectangles_model(2, 4)
+    with pytest.raises(ModelInvariantError, match="quiver-fz-mismatch"):
+        XStep(m, "13", m)
+    m = build_rectangles_model(3, 6)
+    with pytest.raises(ModelInvariantError, match="quiver-fz-mismatch"):
+        XStep(m, "124", square_move(m, (1, 2, 5)))
 
 
 def test_x_mutate_checks_each_lattice_once_per_quiver():
-    # a step built for one lattice at j does not serve another: a lattice
-    # that does not fit the quiver fails its own build, after a good one
-    # and again on a second try, since a build that raises keeps nothing
+    # a step checks its lattice where it is built, once per move, and then
+    # serves every boundary value; a move that does not fit fails its own
+    # build, after a good one and again on a second try
     m = build_rectangles_model(2, 4)
-    q = seed_of_model(m).quiver
-    good = flow_polynomial(square_move(m, (1, 3)), (1, 2))
-    assert lp_equal(x_mutate(q, "13", good), flow_polynomial(m, (1, 2)))
-    bad = LaurentPoly.make(("13", "99"), {(1, 0): 1})
+    m2 = square_move(m, (1, 3))
+    step = XStep(m, "13", m2)
+    for I in ksubsets(4, 2):
+        assert x_mutate(step, flow_counts(m2, I)) == flow_counts(m, I)
     for _ in range(2):
         with pytest.raises(ModelInvariantError, match="quiver-fz-mismatch"):
-            x_mutate(q, "13", bad)
-    assert list(q._x_steps) == [("13", good.lattice)]
+            XStep(m, "13", m)
 
 
 def test_three_term_relation_count():

@@ -226,10 +226,15 @@ def test_xcheck_hexagonal_is_usage_error(capsys):
         assert err == f"error: not mutable: face {face} has 6 sides, need 4\n"
 
 
-def test_xcheck_mismatch_is_verification_failure(monkeypatch, capsys):
+def double_every_image(monkeypatch):
+    """Every coefficient of every X-mutated image doubled."""
     real = cli.charts.x_mutate
-    monkeypatch.setattr(cli.charts, "x_mutate",
-                        lambda q, j, f: lp_add(real(q, j, f), real(q, j, f)))
+    monkeypatch.setattr(cli.charts, "x_mutate", lambda step, counts: {
+        w: 2 * c for w, c in real(step, counts).items()})
+
+
+def test_xcheck_mismatch_is_verification_failure(monkeypatch, capsys):
+    double_every_image(monkeypatch)
     rc, out, _ = run_out(capsys, "xcheck", "rect:2,4")
     assert rc == 1
     assert out == "FAIL xcheck 13: mutation at 13 disagrees with flows at I=12\n"
@@ -860,16 +865,18 @@ def test_kappa_has_no_order_option(capsys):
 
 
 def test_value_error_inside_the_package_is_an_internal_fault(monkeypatch, capsys):
-    # an image over the moved model's lattice cannot be compared with the
-    # old flow polynomial: a fault of the package, not of the request
-    monkeypatch.setattr(cli.charts, "x_mutate", lambda q, j, f: lp_add(f, f))
+    # an X-mutation that refuses its input is a fault of the package, not
+    # of the request
+    def refuse(step, counts):
+        raise ValueError("no image of these counts")
+
+    monkeypatch.setattr(cli.charts, "x_mutate", refuse)
     rc, out, err = run_out(capsys, "xcheck", "rect:2,4")
-    assert (rc, out) == (3, "")
-    assert err.startswith("internal error: lattice mismatch: ")
+    assert (rc, out, err) == (3, "", "internal error: no image of these counts\n")
     # inside verify it is the FAIL line of the suite that met it
     rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,4")
     assert (rc, err) == (1, "")
-    assert out.startswith("FAIL xflow: rect:2,4 after move 13: internal error: lattice mismatch: ")
+    assert out == "FAIL xflow: rect:2,4 after move 13: internal error: no image of these counts\n"
 
 
 def test_plucker_at_k_1_has_no_relations_to_fail(capsys):
@@ -951,9 +958,7 @@ def test_a_face_weight_violation_names_its_boundary_value_and_matching(
 
 
 def test_xflow_mismatch_is_verification_failure(monkeypatch, capsys):
-    real = cli.charts.x_mutate
-    monkeypatch.setattr(cli.charts, "x_mutate",
-                        lambda q, j, f: lp_add(real(q, j, f), real(q, j, f)))
+    double_every_image(monkeypatch)
     rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,5")
     assert (rc, err) == (1, "")
     assert out == "FAIL xflow: rect:2,5: mutation at 13 disagrees with flows at I=12\n"
@@ -968,14 +973,14 @@ MUTATION_COMMANDS = [
 @pytest.mark.parametrize("argv", MUTATION_COMMANDS)
 def test_one_x_mutation_step_per_quiver_and_vertex(monkeypatch, capsys, argv):
     # every boundary value of one move shares one built step
-    real = charts._x_step
+    real = charts.XStep
     builds = []
 
-    def counted(q, j, lattice):
-        builds.append((q, j))
-        return real(q, j, lattice)
+    def counted(model, j, moved):
+        builds.append((model, j))
+        return real(model, j, moved)
 
-    monkeypatch.setattr(charts, "_x_step", counted)
+    monkeypatch.setattr(charts, "XStep", counted)
     rc, out, _ = run_out(capsys, *argv)
     assert rc == 0
     # xcheck prints one line per move, xflow lists its moves in brackets
@@ -984,8 +989,8 @@ def test_one_x_mutation_step_per_quiver_and_vertex(monkeypatch, capsys, argv):
     else:
         moves = len(out.split("[")[1].split(","))
     assert len(builds) == moves > 1
-    assert all(not (q1 is q2 and j1 == j2)
-               for n, (q1, j1) in enumerate(builds) for q2, j2 in builds[:n])
+    assert all(not (m1 is m2 and j1 == j2)
+               for n, (m1, j1) in enumerate(builds) for m2, j2 in builds[:n])
 
 
 @pytest.mark.parametrize("argv", MUTATION_COMMANDS)
@@ -1004,7 +1009,7 @@ def test_mutation_commands_leave_no_reference_cycle(monkeypatch, capsys, argv):
         return call
 
     for module, name in ((plabic, "build_rectangles_model"), (plabic, "square_move"),
-                         (seeds, "seed_of_model"), (charts, "_x_step")):
+                         (seeds, "seed_of_model"), (charts, "XStep")):
         monkeypatch.setattr(module, name, watched(getattr(module, name)))
     gc.collect()
     gc.disable()
@@ -1012,7 +1017,7 @@ def test_mutation_commands_leave_no_reference_cycle(monkeypatch, capsys, argv):
         rc, _out, _ = run_out(capsys, *argv)
         assert rc == 0
         assert {kind for kind, _ in refs} == {
-            "PlabicModel", "Seed", "Quiver", "Substitution"}
+            "PlabicModel", "Seed", "Quiver", "XStep"}
         assert [kind for kind, ref in refs if ref() is not None] == []
     finally:
         gc.enable()
@@ -1025,9 +1030,10 @@ def test_mutation_commands_leave_no_reference_cycle(monkeypatch, capsys, argv):
 def test_valuation_kappa_mismatch_is_verification_failure(monkeypatch, capsys):
     real = charts.valuation
 
-    def first_plus_one(f):
-        v = real(f)
-        return {**v, f.lattice[0]: v[f.lattice[0]] + 1}
+    def first_plus_one(model, I):
+        v = real(model, I)
+        first = next(iter(v))
+        return {**v, first: v[first] + 1}
 
     monkeypatch.setattr(charts, "valuation", first_plus_one)
     rc, out, err = run_out(capsys, "verify", "valuation-kappa", "--kn", "2,4")
@@ -1288,9 +1294,7 @@ def test_verify_and_xcheck_print_one_record_per_line(capsys, argv, records):
 
 
 def test_a_fail_record_carries_the_witness(monkeypatch, capsys):
-    real = cli.charts.x_mutate
-    monkeypatch.setattr(cli.charts, "x_mutate",
-                        lambda q, j, f: lp_add(real(q, j, f), real(q, j, f)))
+    double_every_image(monkeypatch)
     rc, out, err = run_out(capsys, "verify", "xflow", "--kn", "2,5", "--format", "json")
     assert (rc, err) == (1, "")
     assert json.loads(out) == {

@@ -113,6 +113,19 @@ def one_sided_exchange_binomial(monkeypatch):
     monkeypatch.setattr(superpot, "neighbours", lambda q, j: (real(q, j)[0], {}))
 
 
+def exchange_multiplicity_off_by_one(monkeypatch):
+    # the packed X-mutation step reads the arrows at j off neighbours: one
+    # in-neighbour's multiplicity one too large
+    real = charts.neighbours
+
+    def bumped(q, j):
+        ins, outs = real(q, j)
+        first = next(iter(ins))
+        return {**ins, first: ins[first] + 1}, outs
+
+    monkeypatch.setattr(charts, "neighbours", bumped)
+
+
 def _escapes(item, why):
     return pytest.mark.xfail(strict=True, reason=f"escapes until ROADMAP item {item}: {why}")
 
@@ -179,6 +192,11 @@ FAULTS = [
         "FAIL weyl-count: rect:3,7 level 1: lattice point "
         "(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1) is no kappa point",
     ], id="kappa off by one"),
+    pytest.param(exchange_multiplicity_off_by_one, [
+        "FAIL xflow: rect:2,5: mutation at 13 disagrees with flows at I=12",
+        "FAIL xflow: rect:3,6: mutation at 124 disagrees with flows at I=123",
+        "FAIL xflow: rect:3,7: mutation at 124 disagrees with flows at I=123",
+    ], id="an exchange multiplicity off by one in X-mutation"),
     pytest.param(double_partition_functions, None, id="P_I doubled", marks=_escapes(
         15, "the plucker relations are homogeneous, and no suite ties P_I to "
             "the flow polynomial term by term")),

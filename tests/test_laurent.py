@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from model_transforms import orbit
+from x_mutate_oracle import x_mutate
 from plabicflow.laurent import (
     LaurentPoly,
     NotLaurent,
@@ -14,7 +15,7 @@ from plabicflow.laurent import (
     lp_substitute,
     Substitution,
 )
-from plabicflow.charts import face_lattice, flow_polynomial, x_mutate
+from plabicflow.charts import face_lattice, flow_polynomial
 from plabicflow.plabic import build_rectangles_model, positroid, square_moves
 from plabicflow.seeds import (
     label_exchange,

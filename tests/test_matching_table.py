@@ -29,6 +29,7 @@ from plabicflow import charts, cli, plabic
 from plabicflow.charts import (
     edge_lattice,
     face_lattice,
+    flow_counts,
     flow_polynomial,
     partition_function,
     plucker_verify,
@@ -720,6 +721,23 @@ def test_packed_routes_with_two_byte_fields():
         assert_extremes(graph, masks, random.Random(len(masks)))
 
 
+@pytest.mark.parametrize("k,n,width", [(3, 6, 8), (8, 16, 16)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_exponents_read_each_field_as_a_shift_and_mask_would(k, n, width, data):
+    # one struct.unpack of the face fields reads what a shift and a mask
+    # per field read, and pack undoes it, up to the top of a field's range
+    graph = plabic.face_graph(build_rectangles_model(k, n))
+    assert graph.width == width
+    cols, top = len(graph.labels) - 1, (1 << width - 1) - 1
+    exps = data.draw(st.lists(st.integers(0, top), min_size=cols, max_size=cols))
+    packed = graph.pack(exps)
+    x = packed - graph.bias
+    per_field = tuple(x >> width * p & (1 << width) - 1 for p in range(cols))
+    assert graph.exponents(packed) == per_field == tuple(exps)
+    assert packed >> graph.face_bits == graph.bias >> graph.face_bits
+
+
 def test_routes_reject_a_non_matching():
     # flipping one internal edge of the base matching uncovers or doubly
     # covers both its ends: no face weights solve the dual system there, and
@@ -1159,34 +1177,37 @@ def test_table_path_never_names_matchings(monkeypatch, capsys):
 
 
 def test_face_weights_are_kept_only_as_flow_exponents():
-    # after the table, every flow polynomial of rect (4,9) keeps little more
-    # than its own term tuples (1.2 times); a second store of the weights,
-    # one vector per matching, about doubles that
+    # after the table, the flow counts of rect (4,9), which the model keeps,
+    # take little more than their own maps and packed weights; a second
+    # store of the weights, one per matching, about doubles that
     model = build_rectangles_model(4, 9)
     table = matching_table(model)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        polys = [flow_polynomial(model, I) for I in table.positroid]
+        kept_counts = [flow_counts(model, I) for I in table.positroid]
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    terms = sum(sys.getsizeof(f.terms) + sum(sys.getsizeof(t) + sys.getsizeof(t[0])
-                                             for t in f.terms) for f in polys)
-    assert kept <= 1.4 * terms
+    # each is a read-only view of a dict, whose copy is as large
+    own = sum(sys.getsizeof(c) + sys.getsizeof(dict(c)) + sum(map(sys.getsizeof, c))
+              for c in kept_counts)
+    assert kept <= 1.4 * own
 
 
 def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
+    # the counts are weighed and checked once per model and I, and made a
+    # polynomial once, for the products of the relations
     built = []
-    real = charts._checked_flow_polynomial
+    real = charts._checked_flow_counts
 
     def counted(model, I):
         built.append(I)
         return real(model, I)
 
-    monkeypatch.setattr(charts, "_checked_flow_polynomial", counted)
+    monkeypatch.setattr(charts, "_checked_flow_counts", counted)
     models = [build_rectangles_model(3, 6), orbit(build_rectangles_model(3, 6), 1)]
     for model in models:
         for _ in range(2):
@@ -1197,6 +1218,7 @@ def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
     assert len(built) == len(models) * len(ksubsets(6, 3))
     for model in models:
         I = positroid(model)[0]
+        assert flow_counts(model, list(I)) is flow_counts(model, I)
         assert flow_polynomial(model, list(I)) is flow_polynomial(model, I)
 
 
