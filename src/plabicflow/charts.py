@@ -7,15 +7,22 @@ The two are tied together matching by matching: the face weight of a
 matching is computed both from the dual-arrow linear system and from the
 flow decomposition, and the two must agree.  Both routes of
 ``plabic.FaceGraph`` give the weights packed into one int, a field per
-face in the flow polynomial's column order.  A model keeps each flow
-polynomial as its flow counts, packed weight -> number of matchings
-(``flow_counts``), so no weight list is built per matching, and the checks
-stay packed: the valuation is the least weight that ``FaceGraph.extremes``
-finds, and X-mutation maps counts to counts (``XStep``, ``x_mutate``), so
-a square move's check compares two dicts.  ``flow_polynomial`` reads each
-packed weight as an exponent tuple, once, where a ``LaurentPoly`` is asked
-for: to print it, and for the products of the Plucker relations.  A
-face-weight violation names the boundary value and the matching's edges.
+face in the flow polynomial's column order.
+
+Both charts stay packed.  A model keeps its flow polynomials as one flow
+table (``flow_table``), made in one pass over its matching table: per
+boundary value the flow counts, packed weight -> number of matchings, and
+the packed least weight.  A model without a matching table weighs only the
+matchings of the value asked about (``flow_counts``), the rule
+``plabic.masks_at`` follows.  The edge chart spreads each matching's edge
+mask to 2-bit fields (``edge_counts``).  So every check compares packed
+terms: the valuation is the packed least weight, X-mutation maps counts to
+counts (``XStep``, ``x_mutate``), and a three-term relation multiplies
+packed terms, one int addition per pair (``plucker_verify``); each
+compares two dicts.  ``partition_function`` and ``flow_polynomial`` read
+the packed keys as exponent tuples where a ``LaurentPoly`` is asked for:
+to print it.  A face-weight violation names the boundary value and the
+matching's edges.
 """
 
 from __future__ import annotations
@@ -26,13 +33,7 @@ from operator import add
 from types import MappingProxyType
 
 from .combinat import KSubset, format_ksubset, ksubsets
-from .laurent import (
-    LaurentPoly,
-    NotLaurent,
-    lp_add,
-    lp_equal,
-    lp_mul,
-)
+from .laurent import LaurentPoly, NotLaurent
 from .plabic import (
     ModelInvariantError,
     PlabicModel,
@@ -41,6 +42,7 @@ from .plabic import (
     enumerate_matchings,  # noqa: F401  re-exported: charts.enumerate_matchings
     face_graph,
     masks_at,
+    matching_table,
 )
 from .seeds import neighbours, seed_of_model
 
@@ -58,10 +60,27 @@ def face_lattice(model: PlabicModel) -> tuple[str, ...]:
         if I != an.faces[an.star].label))
 
 
+def edge_counts(model: PlabicModel, I: KSubset) -> Mapping[int, int]:
+    """The partition function of I as ``plucker_verify`` multiplies it: a
+    read-only map from each matching's edge mask spread to 2-bit fields
+    (edge i's exponent at bits 2i and 2i + 1 of the edge order) to its
+    number of matchings, empty when I is not in the positroid.  Built once
+    per model and I, from ``masks_at``."""
+    I = tuple(I)
+    return analyze(model).derive(("edge counts", I), lambda: _edge_counts(model, I))
+
+
+def _edge_counts(model: PlabicModel, I: KSubset) -> Mapping[int, int]:
+    # the binary digits of a mask read in base 4 put bit i at bit 2i
+    return MappingProxyType(dict.fromkeys(
+        (int(format(mask, "b"), 4) for mask in masks_at(model, I)), 1))
+
+
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
     """Generating function of matchings with boundary value I, in edge
-    variables; zero when I is not in the positroid.  It is built once per
-    model and I."""
+    variables, zero when I is not in the positroid: ``edge_counts`` read
+    as exponent tuples, made once per model and I where a polynomial is
+    asked for (printing)."""
     I = tuple(I)
     return analyze(model).derive(
         ("partition function", I), lambda: _partition_polynomial(model, I))
@@ -69,36 +88,78 @@ def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
 
 def _partition_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     lattice = edge_lattice(model)
-    bits = range(len(lattice))
-    pos: dict[tuple, int] = {}
-    for mask in masks_at(model, I):
-        exp = tuple(mask >> i & 1 for i in bits)
-        pos[exp] = pos.get(exp, 0) + 1
-    return LaurentPoly.make(lattice, pos)
+    fields = range(0, 2 * len(lattice), 2)
+    return LaurentPoly.make(lattice, {tuple(s >> f & 3 for f in fields): c
+                                      for s, c in edge_counts(model, I).items()})
+
+
+# the flow counts and packed least weight of a value outside the positroid
+_ZERO = (MappingProxyType({}), None)
+
+
+def flow_table(model: PlabicModel) -> Mapping[KSubset, tuple[Mapping[int, int], int]]:
+    """Every flow polynomial of the model, as the model keeps it: a
+    read-only map from each boundary value of its positroid to (flow
+    counts, packed least weight), made on the first request in one pass
+    over the matching table, in positroid order, that weighs every
+    matching and checks every value (``_weighed``)."""
+    return analyze(model).derive("flow table", lambda: _flow_table(model))
+
+
+def _flow_table(model: PlabicModel) -> Mapping[KSubset, tuple[Mapping[int, int], int]]:
+    table, graph = matching_table(model), face_graph(model)
+    groups = table.groups
+    return MappingProxyType({I: _weighed(model, graph, I, groups[I]) for I in table.positroid})
+
+
+def _flow_entry(model: PlabicModel, I: KSubset) -> tuple[Mapping[int, int], int | None]:
+    """(flow counts, packed least weight) of I: read off the flow table
+    when the model has its matching table, else weighed from I's own
+    matchings once per model and I, the rule ``masks_at`` follows."""
+    I = tuple(I)
+    an = analyze(model)
+    table = an.kept("flow table")
+    if table is None:
+        if an.kept("matching table") is None:
+            return an.derive(("flow counts", I), lambda: _checked_flow_counts(model, I))
+        table = flow_table(model)
+    return table.get(I, _ZERO)
 
 
 def flow_counts(model: PlabicModel, I: KSubset) -> Mapping[int, int]:
     """The flow polynomial of I as the model keeps it: a read-only map from
     each packed face weight (``plabic.FaceGraph``) to its number of
-    matchings, empty when I is not in the positroid.
-
-    Each matching with boundary value I is weighed by the dual-arrow system
-    and independently by the flow decomposition (left-face counts), and the
-    polynomial must have unique minimal and maximal exponents, both with
-    coefficient 1.  It is built and checked once per model and I, and its
-    keys are the one place the face weights are kept.
-    """
-    I = tuple(I)
-    return analyze(model).derive(
-        ("flow counts", I), lambda: _checked_flow_counts(model, I))
+    matchings, empty when I is not in the positroid.  Its keys are the one
+    place the face weights are kept."""
+    return _flow_entry(model, I)[0]
 
 
-def _checked_flow_counts(model: PlabicModel, I: KSubset) -> Mapping[int, int]:
-    # weighing raises weight-negative on any face, so no exponent is negative
+def flow_least(model: PlabicModel, I: KSubset) -> int:
+    """The leading exponent of the flow polynomial of I, packed: the
+    coordinatewise least weight, which ``_weighed`` finds and checks to be
+    a term.  Outside the positroid the polynomial is 0, which has none,
+    and this raises ValueError."""
+    least = _flow_entry(model, I)[1]
+    if least is None:
+        raise ValueError("zero polynomial has no valuation")
+    return least
+
+
+def _checked_flow_counts(model: PlabicModel, I: KSubset) -> tuple[Mapping[int, int], int | None]:
+    """``_weighed`` on the matchings of I alone (``masks_at``)."""
     masks = masks_at(model, I)
-    if not masks:
-        return MappingProxyType({})
-    graph = face_graph(model)
+    return _weighed(model, face_graph(model), I, masks) if masks else _ZERO
+
+
+def _weighed(model: PlabicModel, graph, I: KSubset, masks) -> tuple[Mapping[int, int], int]:
+    """The flow counts of I from its matchings' edge masks, and their
+    packed least weight.
+
+    Each matching is weighed by the dual-arrow system and independently by
+    the flow decomposition (left-face counts), and the polynomial must have
+    unique minimal and maximal exponents, both with coefficient 1
+    (``flow-extremes``).  Weighing raises weight-negative on any face, so
+    no exponent is negative."""
     weigh = graph.weigh
     counts: dict[int, int] = {}  # packed face weights -> matchings
     try:
@@ -111,20 +172,21 @@ def _checked_flow_counts(model: PlabicModel, I: KSubset) -> Mapping[int, int]:
             f"{','.join(edge_names(model, mask))}: {exc.detail}")) from exc
     # the coordinatewise least and greatest exponents must be terms, each
     # with coefficient 1
-    for which, extreme in zip(("min", "max"), graph.extremes(counts)):
+    extremes = graph.extremes(counts)
+    for which, extreme in zip(("min", "max"), extremes):
         if counts.get(extreme) != 1:
             raise ModelInvariantError(
                 "flow-extremes",
                 f"{which} term of flow polynomial at {format_ksubset(I, model.n)}"
             )
-    return MappingProxyType(counts)
+    return MappingProxyType(counts), extremes[0]
 
 
 def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     """Generating function of flows from I to the base boundary value, in
     face variables: ``flow_counts`` with each packed weight read as its
     exponent tuple, made once per model and I where a polynomial is asked
-    for (printing, and the products of ``plucker_verify``)."""
+    for (printing)."""
     I = tuple(I)
     return analyze(model).derive(
         ("flow polynomial", I), lambda: _flow_view(model, I))
@@ -141,15 +203,8 @@ def _flow_view(model: PlabicModel, I: KSubset) -> LaurentPoly:
 
 def valuation(model: PlabicModel, I: KSubset) -> dict[str, int]:
     """The leading exponent of the flow polynomial of I, by name: its
-    coordinatewise least exponent, found packed by ``FaceGraph.extremes``.
-    ``flow_counts`` checks that it is a term, so it is the one minimal
-    exponent.  Outside the positroid the polynomial is 0, which has none,
-    and this raises ValueError."""
-    counts = flow_counts(model, I)
-    if not counts:
-        raise ValueError("zero polynomial has no valuation")
-    graph = face_graph(model)
-    return dict(zip(face_lattice(model), graph.exponents(graph.extremes(counts)[0])))
+    packed least weight (``flow_least``) read in the face lattice."""
+    return dict(zip(face_lattice(model), face_graph(model).exponents(flow_least(model, I))))
 
 
 # ------------------------------------------------------------ X-mutation
@@ -324,21 +379,43 @@ def _with(S, x, y):
     return tuple(sorted(set(S) | {x, y}))
 
 
+def _multiply(f: Mapping[int, int], g: Mapping[int, int], bias: int, out: dict) -> dict:
+    """Add the product of two packed polynomials, exponent -> coefficient,
+    to ``out`` and return it.  Each exponent holds every field plus
+    ``bias``, so the product of two terms is one int addition with the
+    bias taken off once, from g's exponents; a field's sum must stay in
+    its field, which the callers' bounds give.  Coefficients that cancel
+    are kept as 0."""
+    g = [(e - bias, c) for e, c in g.items()]
+    get = out.get
+    for e, c in f.items():
+        for e2, c2 in g:
+            e2 += e
+            out[e2] = get(e2, 0) + c * c2
+    return out
+
+
+def _relation_holds(polys, bias: int) -> bool:
+    ac, bd, ab, cd, ad, bc = polys
+    return _multiply(ac, bd, bias, {}) == _multiply(ad, bc, bias, _multiply(ab, cd, bias, {}))
+
+
 def plucker_verify(model: PlabicModel, rel) -> bool:
     """Check one three-term relation in both charts.
 
     The relation on (a, b, c, d, S) is
     D(Sac) D(Sbd) = D(Sab) D(Scd) + D(Sad) D(Sbc),
     with coordinates taken to be partition functions, then flow
-    polynomials; subsets outside the positroid contribute zero.
+    polynomials; subsets outside the positroid contribute zero.  Both sides
+    are multiplied packed (``_multiply``) and compared as dicts; the counts
+    are positive, so no coefficient cancels.  An edge field sums two
+    exponents of 0 or 1, below its 4.  A face field sums two weights, each
+    at most min(k, n - k), the number of paths of a flow; a model has F >=
+    n faces, one per gap, so the sum is below 2F <= max(2F, E) <
+    2^(width - 1), the field's bias (``plabic.FaceGraph``).
     """
     a, b, c, d, S = rel
-    for coord in (partition_function, flow_polynomial):
-        ac, bd = coord(model, _with(S, a, c)), coord(model, _with(S, b, d))
-        ab, cd = coord(model, _with(S, a, b)), coord(model, _with(S, c, d))
-        ad, bc = coord(model, _with(S, a, d)), coord(model, _with(S, b, c))
-        lhs = lp_mul(ac, bd)
-        rhs = lp_add(lp_mul(ab, cd), lp_mul(ad, bc))
-        if not lp_equal(lhs, rhs):
-            return False
-    return True
+    subsets = [_with(S, x, y) for x, y in ((a, c), (b, d), (a, b), (c, d), (a, d), (b, c))]
+    return (_relation_holds([edge_counts(model, J) for J in subsets], 0)
+            and _relation_holds([flow_counts(model, J) for J in subsets],
+                                face_graph(model).bias))

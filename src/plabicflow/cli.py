@@ -38,6 +38,7 @@ import os
 import random
 import sys
 from collections import namedtuple
+from itertools import compress
 
 from . import charts, cones, plabic, seeds, superpot
 from .combinat import format_ksubset, ksubsets, parse_ksubset
@@ -429,8 +430,13 @@ def cmd_wx(args) -> int:
 
 
 def _suite_plucker(model: PlabicModel, tag: str, level: int):
-    # the relations ask about every boundary value: one table serves them all
-    plabic.matching_table(model)
+    # the relations ask about every boundary value: one table serves them
+    # all; each chart counts the matchings of I, so P_I(1) = F_I(1)
+    for I in plabic.positroid(model):
+        p = sum(charts.edge_counts(model, I).values())
+        f = sum(charts.flow_counts(model, I).values())
+        if p != f:
+            return False, f"{tag}: I={format_ksubset(I, model.n)} P_I(1) = {p} != F_I(1) = {f}"
     for rel in charts.three_term_relations(model.k, model.n):
         if not charts.plucker_verify(model, rel):
             a, b, c, d, S = rel
@@ -441,13 +447,19 @@ def _suite_plucker(model: PlabicModel, tag: str, level: int):
 
 def _val_kappa_mismatch(model: PlabicModel, tag: str) -> str | None:
     """The FAIL detail of the first boundary value whose flow valuation is
-    not its κ vector, or None."""
+    not its κ vector, or None.  The two are compared packed: κ less the
+    star's 0, packed as a face weight, against ``charts.flow_least``.  A κ
+    entry is at most min(k, n - k), below every field's bias, so it packs."""
     s = seeds.seed_of_model(model)
-    for I in plabic.positroid(model):
-        v = charts.valuation(model, I)
-        kappa = seeds.kappa_vector(s, I)
-        kv = {a: kappa[a] for a in s.quiver.lattice}
-        if v != kv:
+    q = s.quiver
+    keep = [v != q.star for v in q.vertices]
+    P = plabic.positroid(model)  # the table first: the face graph reads it
+    pack = plabic.face_graph(model).pack
+    for I in P:
+        if charts.flow_least(model, I) != pack(compress(seeds._kappa_column(s, I), keep)):
+            v = charts.valuation(model, I)
+            kappa = seeds.kappa_vector(s, I)
+            kv = {a: kappa[a] for a in q.lattice}
             return f"{tag}: I={format_ksubset(I, model.n)} valuation {v} != kappa {kv}"
     return None
 

@@ -129,10 +129,11 @@ class Analysis:
         """The model's quantity named ``key``, made by ``build()`` on the
         first request and kept for the model's lifetime.  Every quantity
         derived from a model past its analysis (matching frontier, matching
-        table or lists of one boundary value, face graph, partition
-        functions, flow counts and the flow polynomials made from them,
-        face names, seed) is kept here and nowhere else, and each once:
-        face weights are kept only as the packed keys of the flow counts.
+        table or lists of one boundary value, face graph, flow table or
+        the flow counts of one boundary value, edge charts, the polynomial
+        views made from both charts for printing, face names, seed) is
+        kept here and nowhere else, and each once: face weights are kept
+        only as the packed keys of the flow counts.
         A build that raises keeps nothing, so the next request builds
         again."""
         try:
@@ -1349,8 +1350,8 @@ class FaceGraph:
 
 def face_graph(model: PlabicModel) -> FaceGraph:
     """The model's face graph, built on the first face-weight request.
-    Face weights are not kept: ``charts.flow_counts`` keeps them, packed,
-    as its keys."""
+    Face weights are not kept: the flow counts of ``charts`` keep them,
+    packed, as their keys."""
     return analyze(model).derive(
         "face graph", lambda: FaceGraph(model, _base_mask(model)))
 

@@ -4,10 +4,10 @@ from model_transforms import orbit
 from plabicflow import charts
 from plabicflow.cli import load_any_model
 from plabicflow.combinat import ksubsets
-from plabicflow.laurent import LaurentPoly
 from plabicflow.plabic import (
     ModelInvariantError,
     build_rectangles_model,
+    face_graph,
     positroid,
     shark_model,
     square_move,
@@ -209,11 +209,13 @@ def test_plucker_relations_shark():
 
 def test_plucker_fails_in_either_chart(monkeypatch):
     # every relation is checked in both charts, so one wrong chart fails it:
-    # with every coordinate 1 the relation reads 1 = 2
+    # with every coordinate 1 (the packed zero exponent, the bias in the face
+    # chart) the relation reads 1 = 2
     m = build_rectangles_model(2, 4)
     rel = next(iter(three_term_relations(2, 4)))
     assert plucker_verify(m, rel)
-    for chart in ("partition_function", "flow_polynomial"):
+    one = {"edge_counts": {0: 1}, "flow_counts": {face_graph(m).bias: 1}}
+    for chart, coordinate in one.items():
         with monkeypatch.context() as patch:
-            patch.setattr(charts, chart, lambda model, I: LaurentPoly.one(("x",)))
+            patch.setattr(charts, chart, lambda model, I, c=coordinate: c)
             assert not plucker_verify(m, rel)

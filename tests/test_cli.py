@@ -1028,14 +1028,9 @@ def test_mutation_commands_leave_no_reference_cycle(monkeypatch, capsys, argv):
 
 
 def test_valuation_kappa_mismatch_is_verification_failure(monkeypatch, capsys):
-    real = charts.valuation
-
-    def first_plus_one(model, I):
-        v = real(model, I)
-        first = next(iter(v))
-        return {**v, first: v[first] + 1}
-
-    monkeypatch.setattr(charts, "valuation", first_plus_one)
+    # the packed least weight with its first field, face 13's, one larger
+    real = charts.flow_least
+    monkeypatch.setattr(charts, "flow_least", lambda model, I: real(model, I) + 1)
     rc, out, err = run_out(capsys, "verify", "valuation-kappa", "--kn", "2,4")
     assert (rc, err) == (1, "")
     assert out == (

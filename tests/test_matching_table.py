@@ -31,6 +31,7 @@ from plabicflow.charts import (
     face_lattice,
     flow_counts,
     flow_polynomial,
+    flow_table,
     partition_function,
     plucker_verify,
     three_term_relations,
@@ -1177,23 +1178,27 @@ def test_table_path_never_names_matchings(monkeypatch, capsys):
 
 
 def test_face_weights_are_kept_only_as_flow_exponents():
-    # after the table, the flow counts of rect (4,9), which the model keeps,
-    # take little more than their own maps and packed weights; a second
-    # store of the weights, one per matching, about doubles that
+    # after the matching table, the flow table of rect (4,9), which the model
+    # keeps, takes little more than its own maps, entries and packed
+    # weights; a second store of the weights, one per matching, about
+    # doubles that
     model = build_rectangles_model(4, 9)
-    table = matching_table(model)
+    matching_table(model)
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        kept_counts = [flow_counts(model, I) for I in table.positroid]
+        table = flow_table(model)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    # each is a read-only view of a dict, whose copy is as large
-    own = sum(sys.getsizeof(c) + sys.getsizeof(dict(c)) + sum(map(sys.getsizeof, c))
-              for c in kept_counts)
+    # the table and each entry's counts are read-only views of dicts, whose
+    # copies are as large
+    own = sys.getsizeof(table) + sys.getsizeof(dict(table)) + sum(
+        sys.getsizeof(entry) + sys.getsizeof(least) + sys.getsizeof(counts)
+        + sys.getsizeof(dict(counts)) + sum(map(sys.getsizeof, counts))
+        for entry in table.values() for counts, least in [entry])
     assert kept <= 1.4 * own
 
 
