@@ -29,11 +29,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import combinations
-from operator import add
 from types import MappingProxyType
 
 from .combinat import KSubset, format_ksubset, ksubsets
-from .laurent import LaurentPoly, NotLaurent
+from .laurent import LaurentPoly, _divide_chain, _pascal_row
 from .plabic import (
     ModelInvariantError,
     PlabicModel,
@@ -259,16 +258,6 @@ class XStep:
             self.between = (1 << W * (p + 1)) - (1 << W * (p2 + 1))
             self.up, self.down = 0, W
         self.stay = (1 << graph.face_bits) - 1 & ~self.between & ~(self.mask << self.renamed)
-        self._rows = [(1,)]  # rows of Pascal's triangle, (1 + x_j)^E
-
-    def row(self, E: int) -> tuple[int, ...]:
-        """The coefficients of (1 + x_j)^E, each row made from the one
-        before on first use."""
-        rows = self._rows
-        while len(rows) <= E:
-            last = rows[-1]
-            rows.append((1, *map(add, last[:-1], last[1:]), 1))
-        return rows[E]
 
 
 def x_mutate(step: XStep, counts: Mapping[int, int]) -> dict:
@@ -298,7 +287,7 @@ def x_mutate(step: XStep, counts: Mapping[int, int]) -> dict:
     bias, mask, renamed = graph.bias, step.mask, step.renamed
     ins, outs = step.ins, step.outs
     stay, between, up, down = step.stay, step.between, step.up, step.down
-    row = step.row
+    row = _pascal_row
     # r, packed with the bias -> x_j exponent -> coefficient; and the terms
     # (a, E, c) with E < 0 of each r
     chains: dict[int, dict[int, int]] = {}
@@ -328,7 +317,7 @@ def x_mutate(step: XStep, counts: Mapping[int, int]) -> dict:
             for t, b in enumerate(row(E + D), a):
                 low[t] = low.get(t, 0) + b * c
         chain = chains.setdefault(r, {})
-        for t, c in _divide(low, D).items():
+        for t, c in _divide_chain(low, D).items():
             chain[t] = chain.get(t, 0) + c
     half, column = step.half, step.column
     image: dict = {}
@@ -337,28 +326,6 @@ def x_mutate(step: XStep, counts: Mapping[int, int]) -> dict:
             if c:
                 image[r + (t << column) if 0 <= t < half else (r, t)] = c
     return image
-
-
-def _divide(low: dict[int, int], D: int) -> dict[int, int]:
-    """low / (1 + x)^D for a Laurent polynomial in one variable, given as
-    exponent -> coefficient: D divisions by 1 + x from the lowest term up,
-    each exact or NotLaurent."""
-    exps = [t for t, c in low.items() if c]
-    if not exps:
-        return {}
-    lo = min(exps)
-    a = [0] * (max(exps) - lo + 1)
-    for t, c in low.items():
-        a[t - lo] += c
-    for _ in range(D):
-        q, prev = [], 0
-        for c in a[:-1]:
-            prev = c - prev
-            q.append(prev)
-        if a[-1] != prev:
-            raise NotLaurent("division is not exact")
-        a = q
-    return {lo + i: c for i, c in enumerate(a) if c}
 
 
 # ------------------------------------------------------ Plucker relations

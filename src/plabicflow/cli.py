@@ -155,8 +155,7 @@ def _reorder(poly: LaurentPoly, order: str | None, k: int, n: int) -> LaurentPol
         raise UsageError(
             f"--order must be a permutation of {','.join(poly.lattice)}"
         )
-    images = {lab: ({lab: 1}, 0) for lab in poly.lattice}
-    return lp_substitute(poly, images, LaurentPoly.one(labels))
+    return lp_substitute(poly, {lab: {lab: 1} for lab in poly.lattice}, labels)
 
 
 def _emit_json(obj) -> None:
@@ -535,10 +534,14 @@ _MUTATIONS = _Walk(lambda model: seeds.seed_mutations(seeds.seed_of_model(model)
 
 
 def _trop_a(model: PlabicModel, tag: str):
-    """trop-a's κ table on the seed, made once, and its check of one mutation."""
+    """trop-a's κ table on the seed, made once, and its check of one
+    mutation: κ carried by tropical A-mutation, the involution on random
+    points, and the rectangles potential (verify's models are rectangles
+    models) mutated there and back by ``a_mutate_w``."""
     s = seeds.seed_of_model(model)
     q = s.quiver
     base = {I: seeds.kappa_vector(s, I) for I in ksubsets(s.n, s.k)}
+    W = superpot.w_rectangles(s.k, s.n)
 
     def step(j: str, s2: seeds.Seed) -> str | None:
         j2 = next(iter(set(s2.labels) - set(s.labels)))
@@ -557,6 +560,14 @@ def _trop_a(model: PlabicModel, tag: str):
             back = seeds.trop_a_mutate(s2.quiver, j2, moved)
             if {j if a == j2 else a: b for a, b in back.items()} != v:
                 return f"{tag} at {j}: double mutation moved {v}"
+        try:
+            back = superpot.a_mutate_w(s2, superpot.a_mutate_w(s, W, j), j2)
+        except NotPlabicMutable as exc:
+            return f"{tag} at {j}: the potential cannot mutate back at {j2}: {exc}"
+        if diff := _first_difference(back.poly, W.poly):
+            mono, a, b = diff
+            return (f"{tag} at {j} and back at {j2}: coefficient of {mono} "
+                    f"is {a}, {b} in the potential")
         return None
 
     return step
@@ -584,13 +595,21 @@ def _suite_gt_trop(model: PlabicModel, tag: str, level: int):
 def _suite_wformula(model: PlabicModel, tag: str, level: int):
     if superpot.verify_wformula(model.k, model.n):
         return True, f"{tag} boundary-module expansion equals the potential"
-    lhs, rhs = superpot.wformula_sides(model.k, model.n)
-    # name the first monomial, in term order, whose coefficients differ
-    a, b = dict(lhs.terms), dict(rhs.terms)
-    e = min(x for x in a.keys() | b.keys() if a.get(x, 0) != b.get(x, 0))
-    mono = LaurentPoly.make(lhs.lattice, {e: 1}).pretty("p")
-    return False, (f"{tag}: coefficient of {mono} is {a.get(e, 0)} in the "
-                   f"expansion, {b.get(e, 0)} in the potential")
+    mono, a, b = _first_difference(*superpot.wformula_sides(model.k, model.n))
+    return False, (f"{tag}: coefficient of {mono} is {a} in the "
+                   f"expansion, {b} in the potential")
+
+
+def _first_difference(f: LaurentPoly, g: LaurentPoly) -> tuple[str, int, int] | None:
+    """The first monomial, in term order, whose coefficients in f and g
+    differ, written in p variables, and its coefficient in each; None when
+    f = g."""
+    a, b = dict(f.terms), dict(g.terms)
+    odd = [x for x in a.keys() | b.keys() if a.get(x, 0) != b.get(x, 0)]
+    if not odd:
+        return None
+    e = min(odd)
+    return LaurentPoly.make(f.lattice, {e: 1}).pretty("p"), a.get(e, 0), b.get(e, 0)
 
 
 def _suite_weyl_count(model: PlabicModel, tag: str, level: int):

@@ -140,9 +140,9 @@ def cone_from_tropical(W: LaurentPoly, star_label: str) -> Cone:
     r and then W's other labels in W's order.  The coefficients of W are
     positive, so no two monomials cancel."""
     ambient = ("r",) + tuple(x for x in W.lattice if x not in ("q", star_label))
-    images = {x: ({"r": 1} if x == "q" else {} if x == star_label else {x: 1}, 0)
+    images = {x: {"r": 1} if x == "q" else {} if x == star_label else {x: 1}
               for x in W.lattice}
-    image = lp_substitute(W, images, LaurentPoly.one(ambient))
+    image = lp_substitute(W, images, ambient)
     return make_cone(ambient, [exp for exp, _coeff in image.terms])
 
 

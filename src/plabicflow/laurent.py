@@ -54,11 +54,6 @@ class LaurentPoly:
         return LaurentPoly.make(lattice, {})
 
     @staticmethod
-    def one(lattice) -> "LaurentPoly":
-        lattice = check_lattice(lattice)
-        return _checked(lattice, {(0,) * len(lattice): 1})
-
-    @staticmethod
     def monomial(lattice, exp: Mapping[str, int], coeff: int = 1) -> "LaurentPoly":
         lattice = check_lattice(lattice)
         unknown = set(exp) - set(lattice)
@@ -216,30 +211,60 @@ def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return _checked(f.lattice, {tuple(map(add, e, shift)): c for e, c in quot.items()})
 
 
+# rows of Pascal's triangle, grown by _pascal_row
+_PASCAL = [(1,)]
+
+
+def _pascal_row(E: int) -> tuple[int, ...]:
+    """The coefficients of (1 + y)^E, E >= 0, each row made from the one
+    before on first use: the expansion of a term along its chain in the
+    packed exchange steps (``charts.x_mutate``, ``superpot.a_mutate_w``)."""
+    rows = _PASCAL
+    while len(rows) <= E:
+        last = rows[-1]
+        rows.append((1, *map(add, last[:-1], last[1:]), 1))
+    return rows[E]
+
+
+def _divide_chain(low: dict[int, int], D: int) -> dict[int, int]:
+    """low / (1 + y)^D for a Laurent polynomial in one variable y, given as
+    exponent -> coefficient: D divisions by 1 + y from the lowest term up,
+    each exact or NotLaurent.  The one chain division of the packed
+    exchange steps (``charts.x_mutate``, ``superpot.a_mutate_w``)."""
+    if not low:
+        return {}
+    lo = min(low)
+    a = [0] * (max(low) - lo + 1)
+    for t, c in low.items():
+        a[t - lo] += c
+    # min and max may fall on a coefficient 0, which divides like any other
+    for _ in range(D):
+        prev = 0
+        q = [prev := c - prev for c in a[:-1]]
+        if a[-1] != prev:
+            raise NotLaurent("division is not exact")
+        a = q
+    return {lo + i: c for i, c in enumerate(a) if c}
+
+
 class Substitution:
-    """One homomorphism from the Laurent polynomials on ``lattice`` to
-    those on u's lattice, built once and applied to any number of them.
+    """One monomial map from the Laurent polynomials on ``lattice`` to
+    those on ``codomain``, built once and applied to any number of them.
 
-    ``images`` maps every label of ``lattice`` to a pair (m, e) standing
-    for x^m * u^e: m a sparse {label: exponent} monomial over u's lattice,
-    e an integer power of the one shared exchange binomial u.  The build
-    splits the labels in two.  A plain label maps to one codomain
-    coordinate with exponent 1 and no power of u, a coordinate that no
-    earlier plain label takes, so the plain labels form a partial
-    permutation and one gather reads their part of every image.  Every
-    other label is twisted and keeps a sparse column and its power of u;
-    in X- and A-mutation these are the mutated vertex and, in X-mutation,
-    its neighbours.  The powers of u are made on first use and kept for
-    every later ``apply``.
-
-    u's lattice is always the codomain; u = ``LaurentPoly.one`` of it and
-    every e = 0 make a plain monomial map, a label mapped to {} dropped.
+    ``images`` maps every label of ``lattice`` to a sparse {label:
+    exponent} monomial over the codomain; a label mapped to {} is dropped.
+    The build splits the labels in two.  A plain label maps to one
+    codomain coordinate with exponent 1, a coordinate that no earlier plain
+    label takes, so the plain labels form a partial permutation and one
+    gather reads their part of every image.  Every other label is twisted
+    and keeps a sparse column.  Mutation, whose images carry powers of an
+    exchange binomial, is no monomial map: it runs on packed terms
+    (``charts.x_mutate``, ``superpot.a_mutate_w``).
     """
 
-    def __init__(
-        self, lattice, images: dict[str, tuple[dict[str, int], int]], u: LaurentPoly
-    ):
-        col = {lab: i for i, lab in enumerate(u.lattice)}
+    def __init__(self, lattice, images: dict[str, dict[str, int]], codomain):
+        codomain = check_lattice(codomain)
+        col = {lab: i for i, lab in enumerate(codomain)}
         lattice = tuple(lattice)
         zero = len(lattice)  # the index of the 0 that apply appends
         source = [zero] * len(col)  # codomain coordinate -> plain label
@@ -247,18 +272,18 @@ class Substitution:
         for t, lab in enumerate(lattice):
             if lab not in images:
                 raise ValueError(f"no image for label {lab!r}")
-            m, e = images[lab]
+            m = images[lab]
             if not m.keys() <= col.keys():
                 raise ValueError(f"image of {lab!r} uses "
                                  f"{sorted(set(m) - set(col))} outside the codomain")
             pairs = [(col[x], v) for x, v in m.items() if v]
             i, v = pairs[0] if len(pairs) == 1 else (0, 0)
-            if not e and v == 1 and source[i] == zero:
+            if v == 1 and source[i] == zero:
                 source[i] = t
             else:
-                twisted.append((t, pairs, e))
+                twisted.append((t, pairs))
         self.lattice = lattice
-        self.u = u
+        self.codomain = codomain
         # itemgetter gives a bare item for one index and refuses none; a
         # slice gives a tuple on those codomains
         if len(source) > 1:
@@ -266,67 +291,31 @@ class Substitution:
         else:
             self._gather = itemgetter(slice(source[0], source[0] + 1) if source else slice(0))
         self._twisted = tuple(twisted)
-        self._powers = [LaurentPoly.one(u.lattice)]
-
-    def _power(self, p: int) -> LaurentPoly:
-        """u^p, each power one product from the one before."""
-        powers = self._powers
-        while len(powers) <= p:
-            powers.append(lp_mul(powers[-1], self.u))
-        return powers[p]
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        """The image of f, which must live on the built lattice.
-
-        Each term's image is gathered from its exponent and corrected by
-        the twisted labels it carries, which also give its power E of u.
-        The terms are grouped by E, each group a polynomial g_E.  The
-        groups with E >= 0 expand to the plain polynomial P = sum g_E u^E.
-        With u^-D the lowest power (D = 0 when there is no negative one),
-        the other groups give N = sum g_E u^(E+D), and the image is
-        P + N / u^D.  As P u^D is a multiple of u^D, the image is Laurent
-        exactly when u^D divides P u^D + N, that is exactly when it divides
-        N; so only N goes to ``lp_exact_div``, and a non-exact division
-        raises NotLaurent.  The groups that u^0 multiplies (g_0 in P and
-        g_-D in N) are taken as they are.
-        """
+        """The image of f, which must live on the built lattice: each
+        term's image gathered from its exponent and corrected by the
+        twisted labels it carries."""
         if f.lattice != self.lattice:
             raise ValueError(
                 f"lattice mismatch: {f.lattice} vs substitution on {self.lattice}")
         gather, twisted = self._gather, self._twisted
-        by_power: dict[int, dict[Exponent, int]] = {}
+        out: dict[Exponent, int] = {}
         for exp, c in f.terms:
             mono = list(gather(exp + (0,)))
-            E = 0
-            for t, pairs, e in twisted:
+            for t, pairs in twisted:
                 x = exp[t]
                 if x:
                     for i, v in pairs:
                         mono[i] += x * v
-                    E += x * e
-            group = by_power.setdefault(E, {})
             key = tuple(mono)
-            group[key] = group.get(key, 0) + c
-
-        D = max(0, -min(by_power, default=0))
-        out = by_power.pop(0, {})
-        low = by_power.pop(-D, {}) if D else {}
-        for E, group in by_power.items():
-            into = low if E < 0 else out
-            for e2, c2 in self._power(E + D if E < 0 else E).terms:
-                for e1, c1 in group.items():
-                    key = tuple(map(add, e1, e2))
-                    into[key] = into.get(key, 0) + c1 * c2
-        lattice = self.u.lattice
-        if D:
-            for e, c in lp_exact_div(_checked(lattice, low), self._power(D)).terms:
-                out[e] = out.get(e, 0) + c
-        return _checked(lattice, out)
+            out[key] = out.get(key, 0) + c
+        return _checked(self.codomain, out)
 
 
 def lp_substitute(
-    f: LaurentPoly, images: dict[str, tuple[dict[str, int], int]], u: LaurentPoly
+    f: LaurentPoly, images: dict[str, dict[str, int]], codomain
 ) -> LaurentPoly:
-    """Homomorphic image of f over u's lattice: one ``Substitution`` built
+    """Monomial image of f over ``codomain``: one ``Substitution`` built
     on f's lattice and applied to f."""
-    return Substitution(f.lattice, images, u).apply(f)
+    return Substitution(f.lattice, images, codomain).apply(f)

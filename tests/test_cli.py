@@ -1067,13 +1067,22 @@ TROP_A_DOUBLED = (
     "FAIL trop-a: rect:3,6 at 125: double mutation moved "
     "{'123': 0, '124': -2, '125': 3, '126': -3, '134': -1, '145': -3, "
     "'156': -4, '234': 4, '345': -1, '456': 3}")
+# the doubled arrow leaves the exchanged vertex with three arrows one way,
+# where the potential cannot mutate back
+TROP_A_NO_WAY_BACK = (
+    "FAIL trop-a: rect:3,6 at 124: the potential cannot mutate back at 135: "
+    "vertex 135 has 3 in-arrows and 2 out-arrows")
 
 
 def test_trop_a_involution_fails_on_a_wrong_mutated_quiver(monkeypatch, capsys):
     # one arrow at j of the mutated quiver doubled: mutating there and back
     # on the parent's quiver still gives every vector back, but mutating
-    # back at j2 on the mutated seed's quiver does not
+    # back at j2 on the mutated seed's quiver does not.  The potential's way
+    # back meets the fault first; with it set aside, the involution does
     one_arrow_doubled(monkeypatch)
+    rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "3,6")
+    assert (rc, err, out) == (1, "", TROP_A_NO_WAY_BACK + "\n")
+    monkeypatch.setattr(superpot, "a_mutate_w", lambda s, W, j: W)
     rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "3,6")
     assert (rc, err) == (1, "")
     assert out == TROP_A_DOUBLED + "\n"
@@ -1106,7 +1115,7 @@ def test_a_fault_fails_the_suites_that_meet_it_and_the_rest_run(monkeypatch, cap
         "PASS plucker: rect:3,6 all three-term relations, both charts",
         f"FAIL valuation-kappa: {moved}",
         f"FAIL xflow: {moved}",
-        TROP_A_DOUBLED,
+        TROP_A_NO_WAY_BACK,
     ]
     assert lines[4].startswith(
         "FAIL exact-seq: rect:3,6 after mutation at 124: invariant violation: "

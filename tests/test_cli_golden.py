@@ -2,11 +2,12 @@
 
 Every command of README's CLI block is run in ``--format pretty`` and
 ``--format json``; its exit code and the sha256 of its stdout are pinned.
-So are a few longer exchange paths (``EXCHANGE_PATHS``), larger matching
-listings in every format (``MATCHINGS``), polynomials in edge and face
-variables and their valuations past the shark (``POLYNOMIALS``), the CSV
-partition function and the valuation of a square-moved model read back from
-its file (``MOVED_PARTITION``),
+So are a few longer exchange paths (``EXCHANGE_PATHS``), a twelve-step
+A-mutation path at (6,12) in every format and with ``--order``
+(``A_CHAINS``), larger matching listings in every format (``MATCHINGS``),
+polynomials in edge and face variables and their valuations past the shark
+(``POLYNOMIALS``), the CSV partition function and the valuation of a
+square-moved model read back from its file (``MOVED_PARTITION``),
 seed-layer commands past n = 9, where labels are comma lists
 (``PAST_NINE``), a cone's inequalities as CSV (``CONES``), and every verify
 suite up the ladder past (2,5) in every format (``VERIFY_LADDER``).  A change
@@ -17,8 +18,8 @@ after an intended output change, run
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS``,
-``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE``, ``CONES``, ``VERIFY_LADDER``
-and ``MOVED_PARTITION``.
+``A_CHAINS``, ``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE``, ``CONES``,
+``VERIFY_LADDER`` and ``MOVED_PARTITION``.
 """
 
 import contextlib
@@ -92,9 +93,9 @@ GOLDEN = {
         (0, '03c63612bcb3c4ad9344232540afa78759118c7fc57071b7ac4290884519acde'),
 }
 
-# Five-step exchange paths through the Laurent substitution and the seed
-# mutation: on the superpotential path every substitution divides by a
-# power of the exchange binomial, on the xcheck path 55 of 175 do.
+# Five-step exchange paths through the packed exchange steps and the seed
+# mutation: on the superpotential path every step divides by a power of the
+# exchange binomial, on the xcheck path 55 of 175 do.
 EXCHANGE_PATHS = {
     ('superpotential --kn 4,9 --mutations 1238,1237,1278,1345,1679', 'pretty'):
         (0, '17f5b3755f80ba77fc00c1aa5396cc6a02582dc1c4b2568768f8c1631bace890'),
@@ -104,6 +105,33 @@ EXCHANGE_PATHS = {
         (0, 'a7a5718248324a6754d9f591fb684f0bbe129ba535e49b76863fbb9fd31d41e5'),
     ('xcheck rect:3,7 --mutations 125,156,126,145,467', 'pretty'):
         (0, '082623ae3cfb57c9524c27932fba81e948fc47409352f0a731d77427d70b9bfa'),
+}
+
+# A twelve-step A-mutation path at (6,12), over q and 37 faces, in every
+# format, and with the last chart's lattice reversed by --order: the packed
+# exchange step at every vertex, and the view made once at the end.  Pinned
+# before the steps were packed.
+A_CHAIN_PATH = ('1,2,3,4,5,9,1,3,4,5,6,7,1,2,3,4,5,8,1,2,3,4,8,9,1,2,3,4,5,10,1,2,'
+                '3,5,6,7,1,2,5,6,7,8,1,2,3,4,9,10,1,5,6,7,8,9,1,2,3,9,10,11,1,4,5,'
+                '6,7,8,1,2,3,4,7,8')
+A_CHAIN_ORDER = ('7,8,9,10,11,12,6,7,8,9,10,11,5,6,7,8,9,10,4,6,7,8,9,10,4,5,6,7,8,'
+                 '9,3,4,5,6,7,8,2,4,6,7,8,9,2,4,5,6,7,8,2,3,4,5,6,7,1,8,9,10,11,12,'
+                 '1,7,8,9,10,11,1,6,7,8,9,10,1,4,6,7,8,9,1,2,9,10,11,12,1,2,8,10,11,'
+                 '12,1,2,8,9,10,11,1,2,7,8,9,10,1,2,6,7,8,9,1,2,4,6,7,8,1,2,4,5,6,7,'
+                 '1,2,3,10,11,12,1,2,3,8,10,11,1,2,3,8,9,10,1,2,3,7,8,10,1,2,3,7,8,'
+                 '9,1,2,3,6,7,10,1,2,3,6,7,8,1,2,3,4,11,12,1,2,3,4,10,11,1,2,3,4,8,'
+                 '10,1,2,3,4,7,11,1,2,3,4,7,10,1,2,3,4,6,7,1,2,3,4,5,12,1,2,3,4,5,'
+                 '11,1,2,3,4,5,7,1,2,3,4,5,6,q')
+A_CHAIN = f"superpotential --kn 6,12 --mutations {A_CHAIN_PATH}"
+A_CHAINS = {
+    (A_CHAIN, 'pretty'):
+        (0, '0a6340f1ec949edb91871c01762876c4bb3a6e8b58c2b5317fdaf842b671409b'),
+    (A_CHAIN, 'json'):
+        (0, '1adf9b1e4b6d0d813cc6967c475a27fee1273b36605a34272e2e6fbbf1a78e5f'),
+    (A_CHAIN, 'csv'):
+        (0, '7c029790d4e255534525e164c4c4bfe7d92e3cb81c076186d76854537b447414'),
+    (f"{A_CHAIN} --order {A_CHAIN_ORDER}", 'json'):
+        (0, '3c5f25ff546c3db1dc61ade6672548196576635ce7be98d2687c00c87be8f99c'),
 }
 
 # Matching listings past the README's shark, in every format: the edge names
@@ -251,6 +279,11 @@ def test_exchange_path_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == EXCHANGE_PATHS[command, fmt]
 
 
+@pytest.mark.parametrize("command,fmt", sorted(A_CHAINS))
+def test_a_mutation_chain_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == A_CHAINS[command, fmt]
+
+
 @pytest.mark.parametrize("command,fmt", sorted(MATCHINGS))
 def test_matching_listing_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == MATCHINGS[command, fmt]
@@ -302,6 +335,7 @@ def print_table(name, pins):
 if __name__ == "__main__":
     print_table("GOLDEN", [(c, f) for c in readme_commands() for f in FORMATS])
     print_table("EXCHANGE_PATHS", list(EXCHANGE_PATHS))
+    print_table("A_CHAINS", list(A_CHAINS))
     print_table("MATCHINGS", list(MATCHINGS))
     print_table("POLYNOMIALS", list(POLYNOMIALS))
     print_table("PAST_NINE", list(PAST_NINE))

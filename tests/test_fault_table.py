@@ -11,6 +11,7 @@ row becomes a plain one that pins its FAIL lines.
 import pytest
 
 from plabicflow import charts, cli, cones, seeds, superpot
+from plabicflow.laurent import LaurentPoly
 
 RUN = ["verify", "all", "--kn", "2,5", "--kn", "3,6", "--kn", "3,7"]
 
@@ -108,6 +109,19 @@ def one_sided_exchange_binomial(monkeypatch):
     monkeypatch.setattr(superpot, "neighbours", lambda q, j: (real(q, j)[0], {}))
 
 
+def doubled_a_mutation(monkeypatch):
+    # every coefficient of the mutated potential doubled: still an A-form
+    # and still Laurent, so only the way back shows it
+    real = superpot.a_mutate_w
+
+    def doubled(s, W, j):
+        f = real(s, W, j).poly
+        return superpot.SuperpotentialExpr(
+            LaurentPoly.make(f.lattice, {e: 2 * c for e, c in f.terms}), "A-form")
+
+    monkeypatch.setattr(superpot, "a_mutate_w", doubled)
+
+
 def exchange_multiplicity_off_by_one(monkeypatch):
     # the packed X-mutation step reads the arrows at j off neighbours: one
     # in-neighbour's multiplicity one too large
@@ -196,13 +210,21 @@ FAULTS = [
         f"FAIL plucker: rect:{kn}: I={I} P_I(1) = 2 != F_I(1) = 1"
         for kn, I in (("2,5", "12"), ("3,6", "123"), ("3,7", "123"))
     ], id="P_I doubled"),
+    pytest.param(one_sided_exchange_binomial, [
+        f"FAIL trop-a: rect:{kn} after mutation at {j}: internal error: division is not exact"
+        for kn, j in (("2,5", "13"), ("3,6", "124"), ("3,7", "124"))
+    ], id="a wrong exchange binomial in a_mutate_w"),
+    pytest.param(doubled_a_mutation, [
+        f"FAIL trop-a: rect:{kn} at {j} and back at {j2}: coefficient of "
+        f"p{star}^-1*p{j} is 4, 1 in the potential"
+        for kn, j, j2, star in (("2,5", "13", "24", "12"), ("3,6", "124", "135", "123"),
+                                ("3,7", "124", "135", "123"))
+    ], id="a_mutate_w doubles the potential"),
     pytest.param(edge_variable_when_1_in_I, None, id="P_I times an edge variable when 1 in I",
                  marks=_escapes(15, "each side of a three-term relation has "
                                     "equally many factors holding 1")),
     pytest.param(drop_gvector_row, None, id="a row dropped from gvector_cone_ineqs",
                  marks=_escapes(5, "no suite reads the g-vector cone")),
-    pytest.param(one_sided_exchange_binomial, None, id="a wrong exchange binomial in a_mutate_w",
-                 marks=_escapes(19, "no suite runs a_mutate_w")),
 ]
 
 

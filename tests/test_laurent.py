@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from model_transforms import orbit
+from substitution_oracle import BinomialSubstitution, binomial_substitute
 from x_mutate_oracle import x_mutate
 from plabicflow.laurent import (
     LaurentPoly,
@@ -35,7 +36,7 @@ def poly(terms):
 
 def power(f, e):
     """f to the power e >= 0, one product at a time."""
-    out = LaurentPoly.one(f.lattice)
+    out = LaurentPoly.monomial(f.lattice, {})
     for _ in range(e):
         out = lp_mul(out, f)
     return out
@@ -145,19 +146,19 @@ CLEAR = power(poly({(0, 1, 0): 1, (0, 0, 0): 1}), 3)
 @settings(max_examples=60)
 def test_substitute_is_a_homomorphism(F, G):
     f, g = lp_mul(F, CLEAR), lp_mul(G, CLEAR)
-    sf = lp_substitute(f, IMAGES, BINOM)
-    sg = lp_substitute(g, IMAGES, BINOM)
-    assert lp_equal(lp_substitute(lp_mul(f, g), IMAGES, BINOM), lp_mul(sf, sg))
-    assert lp_equal(lp_substitute(lp_add(f, g), IMAGES, BINOM), lp_add(sf, sg))
+    sf = binomial_substitute(f, IMAGES, BINOM)
+    sg = binomial_substitute(g, IMAGES, BINOM)
+    assert lp_equal(binomial_substitute(lp_mul(f, g), IMAGES, BINOM), lp_mul(sf, sg))
+    assert lp_equal(binomial_substitute(lp_add(f, g), IMAGES, BINOM), lp_add(sf, sg))
 
 
 def test_substitute_requires_monomial_denominators():
     # a^-1 maps to (u*(1+v))^-1, which is not a Laurent polynomial
     f = poly({(-1, 0, 0): 1})
     with pytest.raises(NotLaurent):
-        lp_substitute(f, IMAGES, BINOM)
+        binomial_substitute(f, IMAGES, BINOM)
     assert lp_equal(
-        lp_substitute(lp_mul(f, CLEAR), IMAGES, BINOM),
+        binomial_substitute(lp_mul(f, CLEAR), IMAGES, BINOM),
         LaurentPoly.make(TARGET, {(-1, 0): 1, (-1, 1): 2, (-1, 2): 1}),
     )
 
@@ -224,9 +225,9 @@ def test_substitute_equals_global_division(case):
         want = global_substitute(f, images, u)
     except NotLaurent:
         with pytest.raises(NotLaurent):
-            lp_substitute(f, images, u)
+            binomial_substitute(f, images, u)
         return
-    assert lp_substitute(f, images, u) == want
+    assert binomial_substitute(f, images, u) == want
 
 
 def rekeyed(f, images, codomain):
@@ -286,11 +287,13 @@ def monomial_maps(draw):
 @given(monomial_maps())
 @settings(max_examples=300, deadline=None)
 def test_plain_monomial_map_equals_rekeying(case):
-    # u = 1 carries no power, so substitution is the re-keying of every term
+    # u = 1 carries no power, so substitution is the re-keying of every term,
+    # and the monomial map on the codomain is the binomial route with u = 1
     f, images, codomain = case
-    one = LaurentPoly.one(codomain)
-    got = lp_substitute(f, images, one)
-    assert got == global_substitute(f, images, one) == rekeyed(f, images, codomain)
+    one = LaurentPoly.monomial(codomain, {})
+    got = lp_substitute(f, {lab: m for lab, (m, _e) in images.items()}, codomain)
+    assert got == binomial_substitute(f, images, one) == global_substitute(f, images, one)
+    assert got == rekeyed(f, images, codomain)
 
 
 def one_shot_substitute(f, images, u):
@@ -324,7 +327,7 @@ def one_shot_substitute(f, images, u):
         group[key] = group.get(key, 0) + c
 
     D = max(0, -min(by_power, default=0))
-    powers = [LaurentPoly.one(u.lattice)]
+    powers = [LaurentPoly.monomial(u.lattice, {})]
 
     def power(p):
         while len(powers) <= p:
@@ -389,7 +392,7 @@ def test_built_substitution_equals_one_shot_route(case):
     # reused for the smaller ones after it; a polynomial whose image is not
     # Laurent raises on both routes and leaves the step usable
     images, u, fs = case
-    step = Substitution(SOURCE, images, u)
+    step = BinomialSubstitution(SOURCE, images, u)
     for f in fs:
         try:
             want = one_shot_substitute(f, images, u)
@@ -398,13 +401,13 @@ def test_built_substitution_equals_one_shot_route(case):
                 step.apply(f)
             continue
         assert step.apply(f) == want
-        assert lp_substitute(f, images, u) == want
+        assert binomial_substitute(f, images, u) == want
 
 
 def test_built_substitution_raises_not_laurent_and_stays_usable():
     # a^-1 maps to (u*(1+v))^-1: not Laurent on either route; the same step
     # then carries a^-3 * (b + c)^3 as the one-shot route does
-    step = Substitution(L3, IMAGES, BINOM)
+    step = BinomialSubstitution(L3, IMAGES, BINOM)
     bad = poly({(-1, 0, 0): 1})
     with pytest.raises(NotLaurent):
         one_shot_substitute(bad, IMAGES, BINOM)
@@ -415,9 +418,10 @@ def test_built_substitution_raises_not_laurent_and_stays_usable():
 
 
 def test_built_substitution_refuses_another_lattice():
-    step = Substitution(L3, IMAGES, BINOM)
-    with pytest.raises(ValueError, match="lattice mismatch"):
-        step.apply(LaurentPoly.one(SOURCE))
+    monomials = {lab: m for lab, (m, _e) in IMAGES.items()}
+    for step in (Substitution(L3, monomials, TARGET), BinomialSubstitution(L3, IMAGES, BINOM)):
+        with pytest.raises(ValueError, match="lattice mismatch"):
+            step.apply(LaurentPoly.monomial(SOURCE, {}))
 
 
 def test_substitution_splits_plain_and_twisted_labels():
@@ -427,7 +431,7 @@ def test_substitution_splits_plain_and_twisted_labels():
               "d": ({"y": -1}, 0), "e": ({"y": 1}, 1), "f": ({"y": 1, "z": 0}, 0),
               "g": ({}, 0)}
     u = LaurentPoly.make(("x", "y", "z"), {(0, 0, 0): 1, (0, 0, 1): 1})
-    step = Substitution(tuple("abcdefg"), images, u)
+    step = BinomialSubstitution(tuple("abcdefg"), images, u)
     assert [step.lattice[t] for t, _pairs, _e in step._twisted] == ["b", "c", "d", "e", "g"]
     f = LaurentPoly.make(step.lattice, {(1, 1, 1, 1, 0, 1, 5): 3, (0, 0, 0, 0, -1, 0, 0): 1})
     for route in (step.apply, lambda f: one_shot_substitute(f, images, u)):
@@ -492,7 +496,7 @@ def gathered_substitutions(draw):
 def test_gathered_substitution_equals_one_shot_route(case):
     # the same polynomial, or NotLaurent on all three routes
     lattice, images, u, fs = case
-    step = Substitution(lattice, images, u)
+    step = BinomialSubstitution(lattice, images, u)
     for f in fs:
         try:
             want = one_shot_substitute(f, images, u)
@@ -500,10 +504,10 @@ def test_gathered_substitution_equals_one_shot_route(case):
             with pytest.raises(NotLaurent):
                 step.apply(f)
             with pytest.raises(NotLaurent):
-                lp_substitute(f, images, u)
+                binomial_substitute(f, images, u)
             continue
         assert step.apply(f) == want
-        assert lp_substitute(f, images, u) == want
+        assert binomial_substitute(f, images, u) == want
 
 
 @pytest.mark.parametrize("k,n", [(3, 6), (3, 7), (4, 8)])

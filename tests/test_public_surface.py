@@ -21,6 +21,11 @@ ALLOWED = {
                           "change moves it into the tests",
     "superpot.gvector_cone_ineqs": "a cone check that no suite runs yet; "
                                    "ROADMAP item 5's cone-fill suite will run it",
+    "laurent.lp_exact_div": "exact division, named by the benchmark's per-layer "
+                            "metrics (laurent.lp_exact_div.*) and so wrapped by "
+                            "its tracer; mutation divides along chains on packed "
+                            "terms, and the exchange-binomial substitution "
+                            "oracle of the tests divides with it",
     "combinat.max_diag": "MaxDiag of one pair of k-subsets, checked; kappa "
                          "rows walk the same kernel on the seed's masks "
                          "(combinat._max_diag_masks), which are checked "

@@ -15,7 +15,7 @@ from plabicflow.cones import (
     lattice_points,
     make_cone,
 )
-from plabicflow.laurent import LaurentPoly, lp_add, lp_equal, lp_substitute
+from plabicflow.laurent import LaurentPoly, lp_add, lp_equal
 from plabicflow.plabic import NotPlabicMutable
 from plabicflow.seeds import (
     mutable_vertices,
@@ -37,6 +37,7 @@ from plabicflow.superpot import (
     w_x_rectangles,
     wformula_sides,
 )
+from substitution_oracle import binomial_substitute
 from test_seeds import flat_wt
 
 
@@ -178,7 +179,7 @@ def full_seed_a_mutate_w(s, W, j):
     ins, outs = neighbours(s.quiver, j)
     binom = lp_add(LaurentPoly.monomial(lattice2, ins),
                    LaurentPoly.monomial(lattice2, outs))
-    out = lp_substitute(W.poly, images, binom)
+    out = binomial_substitute(W.poly, images, binom)
     _check_a_form(out)
     return SuperpotentialExpr(out, "A-form")
 

@@ -1,8 +1,9 @@
 """The X-mutation of a whole Laurent polynomial through one generic
-``laurent.Substitution``: the reference that ``charts.x_mutate``, the
+``BinomialSubstitution``: the reference that ``charts.x_mutate``, the
 packed step on flow counts, is checked against."""
 
-from plabicflow.laurent import LaurentPoly, Substitution, lp_add
+from substitution_oracle import BinomialSubstitution
+from plabicflow.laurent import LaurentPoly, lp_add
 from plabicflow.plabic import ModelInvariantError
 from plabicflow.seeds import Quiver, neighbours
 
@@ -19,7 +20,7 @@ def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
     return x_step(q, j, f.lattice).apply(f)
 
 
-def x_step(q: Quiver, j: str, incoming: tuple[str, ...]) -> Substitution:
+def x_step(q: Quiver, j: str, incoming: tuple[str, ...]) -> BinomialSubstitution:
     """The substitution of ``x_mutate`` at j for polynomials on the lattice
     ``incoming``, which must be q's lattice with j renamed: the lattice of
     the seed mutated at j."""
@@ -39,5 +40,5 @@ def x_step(q: Quiver, j: str, incoming: tuple[str, ...]) -> Substitution:
         else:
             bij = ins.get(x, 0) - outs.get(x, 0)
             images[x] = ({x: 1, j: max(-bij, 0)}, bij)
-    one_plus_xj = lp_add(LaurentPoly.one(old), LaurentPoly.monomial(old, {j: 1}))
-    return Substitution(incoming, images, one_plus_xj)
+    one_plus_xj = lp_add(LaurentPoly.monomial(old, {}), LaurentPoly.monomial(old, {j: 1}))
+    return BinomialSubstitution(incoming, images, one_plus_xj)
