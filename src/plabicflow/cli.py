@@ -303,9 +303,14 @@ def cmd_mutate(args) -> int:
             "arrows": [list(a) for a in q.arrows],
         })
     else:
+        # one row a vertex; its out-arrows as target:multiplicity, in arrow order
+        outs: dict[str, list[str]] = {v: [] for v in q.vertices}
+        for u, v, mult in q.arrows:
+            outs[u].append(f"{v}:{mult}")
         out = _csv_writer()
-        out.writerow(["vertex", "label", "frozen"])
-        out.writerows([v, labels[v], int(v in q.frozen)] for v in q.vertices)
+        out.writerow(["vertex", "label", "frozen", "star", "arrows"])
+        out.writerows([v, labels[v], int(v in q.frozen), int(v == q.star), ";".join(outs[v])]
+                      for v in q.vertices)
     return 0
 
 

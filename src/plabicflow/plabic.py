@@ -1544,7 +1544,7 @@ def square_move(model: PlabicModel, face_label: KSubset) -> PlabicModel:
 
     seed = seeds.seed_of_model(model)
     try:
-        j_new, _labels, vertices = seeds.label_exchange(seed, j)
+        j_new, _label, vertices = seeds.label_exchange(seed, j)
     except NotPlabicMutable as exc:
         raise ModelInvariantError("exchange-mismatch", f"face {j}: {exc}") from None
 

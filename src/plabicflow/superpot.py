@@ -333,7 +333,7 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     """
     if W.tag != "A-form":
         raise ValueError("a_mutate_w needs an A-form superpotential")
-    j2, _labels, vertices = label_exchange(s, j)
+    j2, _label, vertices = label_exchange(s, j)
     ins, outs = neighbours(s.quiver, j)
     # y = x^ins / x^outs; no vertex is both an in- and an out-neighbour
     y = {**ins, **{v: -m for v, m in outs.items()}}
@@ -349,8 +349,6 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     # j's column p in W, j''s column p2 in the image: only the columns
     # between them move, one column towards j's
     p, p2 = lattice.index(j), lattice2.index(j2)
-    if lattice[:p] + lattice[p + 1:] != lattice2[:p2] + lattice2[p2 + 1:]:
-        raise ValueError("a_mutate_w needs the seed's vertices in label order")
     at = {x: width * (d - 1 - i) for i, x in enumerate(lattice2)}  # field shifts
     unit = 1 << width * d  # a p-degree of 1
 

@@ -2,9 +2,10 @@
 
 Every command of README's CLI block is run in ``--format pretty`` and
 ``--format json``; its exit code and the sha256 of its stdout are pinned.
-So are a few longer exchange paths (``EXCHANGE_PATHS``), a twelve-step
-A-mutation path at (6,12) in every format and with ``--order``
-(``A_CHAINS``), larger matching listings in every format (``MATCHINGS``),
+So are a few longer exchange paths (``EXCHANGE_PATHS``), long seeded
+mutation paths at rect:22,44 and (6,12) (``LONG_PATHS``), ``mutate`` as CSV
+(``MUTATE_CSV``), a twelve-step A-mutation path at (6,12) in every format
+and with ``--order`` (``A_CHAINS``), larger matching listings in every format (``MATCHINGS``),
 polynomials in edge and face variables and their valuations past the shark
 (``POLYNOMIALS``), the CSV partition function and the valuation of a
 square-moved model read back from its file (``MOVED_PARTITION``),
@@ -18,8 +19,8 @@ after an intended output change, run
     PYTHONPATH=src python tests/test_cli_golden.py
 
 and paste the printed tables over ``GOLDEN``, ``EXCHANGE_PATHS``,
-``A_CHAINS``, ``MATCHINGS``, ``POLYNOMIALS``, ``PAST_NINE``, ``CONES``,
-``VERIFY_LADDER`` and ``MOVED_PARTITION``.
+``LONG_PATHS``, ``MUTATE_CSV``, ``A_CHAINS``, ``MATCHINGS``, ``POLYNOMIALS``,
+``PAST_NINE``, ``CONES``, ``VERIFY_LADDER`` and ``MOVED_PARTITION``.
 """
 
 import contextlib
@@ -132,6 +133,53 @@ A_CHAINS = {
         (0, '7c029790d4e255534525e164c4c4bfe7d92e3cb81c076186d76854537b447414'),
     (f"{A_CHAIN} --order {A_CHAIN_ORDER}", 'json'):
         (0, '3c5f25ff546c3db1dc61ade6672548196576635ce7be98d2687c00c87be8f99c'),
+}
+
+# Seeded walks of accepted seed mutations, never straight back: 24 steps at
+# rect:22,44, past n = 9, where each name is a comma list of 22 numbers, and
+# a 20-step A-mutation path at (6,12).  Pinned before a mutated seed was
+# built from its parent.
+LONG_MUTATE_PATH = ('1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,19,20,21,22,23,1,2,3,4,5,6,7,'
+                    '8,9,10,11,12,13,14,15,17,18,19,20,21,22,23,1,2,3,4,5,6,7,8,9,10,11,12,'
+                    '13,14,15,16,17,18,19,20,21,39,1,2,3,4,5,6,7,8,9,10,11,12,13,14,16,17,18,'
+                    '19,20,21,22,23,1,2,3,4,5,6,7,8,9,10,11,12,13,14,17,18,19,20,21,22,23,24,'
+                    '1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,19,20,21,22,23,24,1,2,3,4,5,6,7,'
+                    '8,9,10,11,12,13,15,16,18,19,20,21,22,23,24,1,2,3,4,5,6,8,9,10,11,12,13,'
+                    '14,15,16,17,18,19,20,21,22,23,1,2,3,4,5,6,7,9,10,11,12,13,14,15,16,17,'
+                    '18,19,20,21,22,23,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,'
+                    '26,1,2,3,4,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,1,2,3,4,5,'
+                    '6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,25,26,1,2,3,4,5,7,8,10,11,12,'
+                    '13,14,15,16,17,18,19,20,21,22,23,24,1,2,3,5,7,8,9,10,11,12,13,14,15,16,'
+                    '17,18,19,20,21,22,23,24,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,'
+                    '20,21,35,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,24,1,2,3,'
+                    '4,5,6,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,1,2,3,4,5,6,7,8,10,'
+                    '11,12,13,14,15,16,17,18,19,20,21,22,23,1,2,3,4,5,6,7,8,9,10,11,12,13,14,'
+                    '15,16,17,18,19,20,39,40,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,'
+                    '20,21,33,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,34,35,1,2,3,'
+                    '4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,35,36,1,2,3,4,5,6,7,8,9,10,'
+                    '11,12,13,14,15,16,17,18,19,20,21,31,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,'
+                    '16,17,18,19,20,21,37')
+LONG_A_PATH = ('1,2,3,4,5,11,1,2,3,4,6,7,1,2,3,4,5,10,1,2,4,5,6,7,1,2,3,4,5,8,1,2,3,4,8,'
+               '9,1,2,3,4,10,11,1,2,3,6,7,8,1,2,3,9,10,12,1,3,4,5,6,7,1,2,5,7,8,9,1,2,5,'
+               '6,7,8,1,2,3,4,10,12,1,2,3,4,9,10,1,4,5,6,7,8,1,2,3,7,9,10,2,3,5,6,7,8,1,'
+               '2,6,7,8,9,1,2,3,4,7,8,1,2,3,4,9,12')
+LONG_PATHS = {
+    (f"mutate rect:22,44 --mutations {LONG_MUTATE_PATH}", 'json'):
+        (0, 'f6e0767af227365aaa49dd3365f8e8a6289f1f4e58c182ca074179c4b0efaec4'),
+    (f"superpotential --kn 6,12 --mutations {LONG_A_PATH}", 'json'):
+        (0, 'f85ca3cc5b16d5b57af5e5cdbfa69a0f87b40a89de092aab57fd7f3cca7f2e31'),
+}
+
+# mutate as CSV: one row a vertex with its frozen and star marks and its
+# out-arrows, README's example, the five-step (4,9) path and the long
+# rect:22,44 path.
+MUTATE_CSV = {
+    ('mutate rect:2,4 --mutations 13', 'csv'):
+        (0, '57c9ef1b4bb9a6b2ab46f1bccca9efc04c08e92dcbb04b8fa5aafe57e4dbb25a'),
+    ('mutate rect:4,9 --mutations 1238,1237,1278,1345,1679', 'csv'):
+        (0, 'cd4f6b6daf7dff32adee62ead214865dd2b157fe049cfd999f83e07f77202a4d'),
+    (f"mutate rect:22,44 --mutations {LONG_MUTATE_PATH}", 'csv'):
+        (0, '6ea6e995375f8aea6cce80f4c6b4b807d5d439d96945476f7afd67ab2ed18442'),
 }
 
 # Matching listings past the README's shark, in every format: the edge names
@@ -284,6 +332,16 @@ def test_a_mutation_chain_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == A_CHAINS[command, fmt]
 
 
+@pytest.mark.parametrize("command,fmt", sorted(LONG_PATHS))
+def test_long_mutation_path_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == LONG_PATHS[command, fmt]
+
+
+@pytest.mark.parametrize("command,fmt", sorted(MUTATE_CSV))
+def test_mutate_csv_is_byte_identical(command, fmt):
+    assert run_hashed(command, fmt) == MUTATE_CSV[command, fmt]
+
+
 @pytest.mark.parametrize("command,fmt", sorted(MATCHINGS))
 def test_matching_listing_is_byte_identical(command, fmt):
     assert run_hashed(command, fmt) == MATCHINGS[command, fmt]
@@ -336,6 +394,8 @@ if __name__ == "__main__":
     print_table("GOLDEN", [(c, f) for c in readme_commands() for f in FORMATS])
     print_table("EXCHANGE_PATHS", list(EXCHANGE_PATHS))
     print_table("A_CHAINS", list(A_CHAINS))
+    print_table("LONG_PATHS", list(LONG_PATHS))
+    print_table("MUTATE_CSV", list(MUTATE_CSV))
     print_table("MATCHINGS", list(MATCHINGS))
     print_table("POLYNOMIALS", list(POLYNOMIALS))
     print_table("PAST_NINE", list(PAST_NINE))

@@ -155,14 +155,27 @@ def test_fz_mutate_equals_dense_rule_on_random_walks(k, n):
 
 
 def test_mutate_labels_builds_one_quiver(monkeypatch):
+    # one Quiver per mutation and no make_quiver over every arrow: the
+    # arrows checked are those within j's neighbourhood, renamed at j, and
+    # every other arrow is the parent's
     s = rectangles_seed(3, 7)
-    built = []
-    real = seeds.make_quiver
-    monkeypatch.setattr(seeds, "make_quiver", lambda *a: built.append(a) or real(*a))
+    built, checked, made = [], [], []
+    real_make, real_check, real_quiver = seeds.make_quiver, seeds._checked_arrows, seeds.Quiver
+    monkeypatch.setattr(seeds, "make_quiver", lambda *a: built.append(a) or real_make(*a))
+    monkeypatch.setattr(seeds, "_checked_arrows",
+                        lambda order, frozen, counts: checked.append(dict(counts))
+                        or real_check(order, frozen, counts))
+    monkeypatch.setattr(seeds, "Quiver", lambda *a: made.append(a) or real_quiver(*a))
     for j, _moved in seed_mutations(s):
-        built.clear()
-        seeds.mutate_labels(s, j)
-        assert len(built) == 1
+        built.clear(), checked.clear(), made.clear()
+        moved = seeds.mutate_labels(s, j)
+        assert built == [] and len(made) == 1 and len(checked) == 1
+        (new,) = set(moved.labels) - set(s.labels)
+        near = seeds._near(s.quiver, j)
+        renamed = {new if v == j else v for v in near}
+        assert checked[0] and all({u, v} <= renamed for u, v in checked[0])
+        assert ({a for a in s.quiver.arrows if not {a[0], a[1]} <= near}
+                == {a for a in moved.quiver.arrows if not {a[0], a[1]} <= renamed})
 
 
 def test_seed_and_mutate_labels():
@@ -307,8 +320,9 @@ def test_one_mutation_tests_the_exchanged_label_only(monkeypatch):
 def full_pair_check(s: Seed, j: str) -> bool:
     """The check ``mutate_labels`` made before it tested one label: every
     pair of the labels after the exchange at j."""
-    _name, labels, _vertices = seeds.label_exchange(s, j)
-    return combinat.crossing_pair(map(mask, labels.values())) is None
+    _name, label, _vertices = seeds.label_exchange(s, j)
+    labels = [lab for v, lab in s.labels.items() if v != j] + [label]
+    return combinat.crossing_pair(map(mask, labels)) is None
 
 
 def passes_separation(s: Seed, j: str) -> bool:
@@ -793,11 +807,13 @@ def walked_seeds(start: Seed, rng: random.Random, steps: int) -> list[Seed]:
 
 def assert_kappa_reader(s: Seed) -> None:
     """The seed's kappa reader is over its masks: the getter reads them in
-    vertex order, the star mask is the star's, the set is the masks'."""
-    get, star, masks = s._kappa
+    vertex order, the star mask is the star's, and the masks a row is
+    filled with first are none for a seed made from its labels and the new
+    label's alone for a mutated seed."""
+    get, star, new = s._kappa
     assert get({m: i for i, m in enumerate(s.masks)}) == tuple(range(len(s.masks)))
     assert star == s.masks[s.quiver.vertices.index(s.quiver.star)]
-    assert masks == frozenset(s.masks)
+    assert len(new) <= 1 and set(new) <= set(s.masks)
 
 
 MASK_WALK_STARTS = [(2, 5), (3, 6), (3, 7), (4, 8), (4, 9), (3, 10), "shark"]
@@ -873,8 +889,14 @@ def test_a_bad_label_raises_like_the_tuple_route():
 
 def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
     # the masks are the labels' bitmasks in vertex order; the kappa reader
-    # is made from them with the seed, and mutation masks the exchanged
-    # label alone, where the m - 1 other labels' masks are the parent's
+    # is made from them with the seed, and mutation checks and masks the
+    # exchanged label alone, where the m - 1 other labels' masks are the
+    # parent's.  The exchange itself reads the masks of j's label and its
+    # four neighbours'
+    checked = []
+    real_check = seeds._label_mask
+    monkeypatch.setattr(seeds, "_label_mask",
+                        lambda J, k, n: checked.append(J) or real_check(J, k, n))
     calls = []
     real = combinat._mask
     counted = lambda J: calls.append(J) or real(J)
@@ -884,14 +906,20 @@ def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
     assert s.masks == tuple(map(mask, s.vertex_labels))
     for _j, moved in seed_mutations(s):
         assert moved.masks == tuple(map(mask, moved.vertex_labels))
-    calls.clear()
-    j = mutable_vertices(s.quiver)[0]
-    moved = mutate_labels(s, j)
-    assert calls == [moved.labels[next(iter(set(moved.labels) - set(s.labels)))]]
-    # making a seed makes its masks and its kappa reader and calls no _mask
-    calls.clear()
+    for j in mutable_vertices(s.quiver)[:3]:
+        calls.clear(), checked.clear()
+        moved = mutate_labels(s, j)
+        new = moved.labels[next(iter(set(moved.labels) - set(s.labels)))]
+        assert checked == [new]
+        ins, outs = seeds.neighbours(s.quiver, j)
+        assert sorted(calls) == sorted(s.labels[v] for v in (j, *ins, *outs))
+        i = s.quiver.vertices.index(j)
+        assert set(moved.masks) == set(s.masks[:i] + s.masks[i + 1:]) | {mask(new)}
+    # making a seed checks and masks each label once, makes its kappa
+    # reader and calls no _mask
+    calls.clear(), checked.clear()
     fresh = Seed(s.k, s.n, s.quiver, s.labels)
-    assert calls == []
+    assert calls == [] and checked == list(s.vertex_labels)
     assert fresh.masks == s.masks
     assert_kappa_reader(fresh)
     # a row is filled from the seed's masks: the one mask made on a miss is
