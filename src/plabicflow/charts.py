@@ -17,9 +17,10 @@ matchings of the value asked about (``flow_counts``), the rule
 ``plabic.masks_at`` follows.  The edge chart spreads each matching's edge
 mask to 2-bit fields (``edge_counts``).  So every check compares packed
 terms: the valuation is the packed least weight, X-mutation maps counts to
-counts (``XStep``, ``x_mutate``), and a three-term relation multiplies
-packed terms, one int addition per pair (``plucker_verify``); each
-compares two dicts.  ``partition_function`` and ``flow_polynomial`` read
+counts by the exchange step that A-mutation shares (``laurent._exchange``,
+set up by ``XStep`` and keyed by ``x_mutate``), and a three-term relation
+multiplies packed terms, one int addition per pair (``plucker_verify``);
+each compares two dicts.  ``partition_function`` and ``flow_polynomial`` read
 the packed keys as exponent tuples where a ``LaurentPoly`` is asked for:
 to print it.  A face-weight violation names the boundary value and the
 matching's edges.
@@ -32,7 +33,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .combinat import KSubset, format_ksubset, ksubsets
-from .laurent import LaurentPoly, _divide_chain, _pascal_row
+from .laurent import LaurentPoly, _exchange
 from .plabic import (
     ModelInvariantError,
     PlabicModel,
@@ -211,17 +212,14 @@ def valuation(model: PlabicModel, I: KSubset) -> dict[str, int]:
 
 class XStep:
     """The X-mutation at the face named j, from the flow counts of
-    ``moved``, the model's square move at j, to the model's packing: made
-    once per move and applied to each boundary value by ``x_mutate``.
+    ``moved``, the model's square move at j, to the model's packing: the
+    exchange step's parameters, made once per move for ``x_mutate``.
 
     The moved model's lattice must be the model quiver's with j renamed
-    (``quiver-fz-mismatch`` otherwise); the renamed face j' sits in column
-    p' of the moved packing and j in column p of the model's.  The step
-    keeps the shifts that read the fields of j' and of j's neighbours, and
-    the masks that move the fields between columns p and p' one column
-    over, leaving j's column empty.  When the two face graphs differ in
-    field width (a move can add edges), ``x_mutate`` first re-packs each
-    weight at the model's width.
+    (``quiver-fz-mismatch`` otherwise).  The re-key moves the face fields
+    between j's column in the model and j''s in the moved packing one
+    column over, drops j''s, and or-s in a biased 0 at j's and the model's
+    residual fields.
     """
 
     def __init__(self, model: PlabicModel, j: str, moved: PlabicModel):
@@ -239,25 +237,24 @@ class XStep:
         self.graph = graph = face_graph(model)
         self.moved_graph = face_graph(moved)
         W = graph.width
-        self.half = 1 << (W - 1)
-        self.mask = (1 << W) - 1
+        self.half = half = 1 << (W - 1)
         column = {x: W * p for p, x in enumerate(incoming)}
-        # (shift, multiplicity) of each in- and out-neighbour in the lattice;
-        # the star's weight is 0
-        self.ins = tuple((column[x], m) for x, m in ins.items() if x in column)
-        self.outs = tuple((column[x], m) for x, m in outs.items() if x in column)
         p, p2 = old.index(j), incoming.index(extra[0])
-        self.renamed = W * p2  # j' in the moved packing
-        self.column = W * p  # j in the model's
+        # E and a as ``x_mutate`` reads them; the star's weight is 0
+        self.reads = (*((column[x], m, 0) for x, m in ins.items() if x in column),
+                      *((column[x], -m, m) for x, m in outs.items() if x in column),
+                      (W * p2, 0, -1))
+        self.column = W * p  # j in the model's packing; y = x_j
         # the fields from column p up to j', or from past j' up to p, move
-        # one column towards j's; the rest stay, and j's column is left 0
+        # one column towards j's; the rest stay
         if p2 >= p:
-            self.between = (1 << W * p2) - (1 << W * p)
-            self.up, self.down = W, 0
+            between, up, down = (1 << W * p2) - (1 << W * p), W, 0
         else:
-            self.between = (1 << W * (p + 1)) - (1 << W * (p2 + 1))
-            self.up, self.down = 0, W
-        self.stay = (1 << graph.face_bits) - 1 & ~self.between & ~(self.mask << self.renamed)
+            between, up, down = (1 << W * (p + 1)) - (1 << W * (p2 + 1)), 0, W
+        faces = graph.face_bits
+        keep = (1 << faces) - 1 & ~between & ~((1 << W) - 1 << W * p2)
+        self.rekey = (keep, between, up, down,
+                      graph.bias >> faces << faces | half << self.column)
 
 
 def x_mutate(step: XStep, counts: Mapping[int, int]) -> dict:
@@ -265,67 +262,27 @@ def x_mutate(step: XStep, counts: Mapping[int, int]) -> dict:
     packed X-mutation of their polynomial, keyed as ``flow_counts`` keys
     the model's, so it equals them exactly when the images agree.
 
-    The coordinate at j inverts and every other coordinate i picks up
-    x_j^max(-b_ij, 0) (1 + x_j)^b_ij, so the term c x^e goes to c x^r
-    x_j^a (1 + x_j)^E: r is e with j' moved out of its column, and with
-    m_i the multiplicity of i's arrow to or from j, a is the sum of m_i e_i
-    over the out-neighbours less e_j', and E the sum over the in-neighbours
-    less the one over the out-neighbours.  The terms fall into chains
-    along x_j by r.  A chain's terms with E >= 0
-    expand in place; those with E < 0, with -D the least E of the chain,
-    give N = sum c x_j^a (1 + x_j)^(E + D), which must be a multiple of
-    (1 + x_j)^D (``NotLaurent`` otherwise), and the quotient joins the
-    chain.  A term whose x_j exponent is outside [0, 2^(width - 1)) is no
-    term of any flow polynomial of the model; it is keyed (r, exponent)
-    instead, so that it still counts and never meets a packed key.
+    x_j inverts and every other x_i picks up x_j^max(-b_ij, 0) (1 +
+    x_j)^b_ij: the exchange step (``laurent._exchange``) with y = x_j, no
+    lift, E the sum of m_i e_i over the in-neighbours less that over the
+    out-neighbours, m_i the multiplicity of i's arrow, and a the latter
+    less e_j'.  Counts of another field width (a move can add edges) are
+    re-packed at the model's first.  A term whose x_j exponent t is
+    outside [0, 2^(width - 1)) is in no flow polynomial of the model; it
+    is keyed (r, t), so that it still counts and never meets a packed key.
     """
     graph, moved = step.graph, step.moved_graph
-    into = moved.bias
     if moved.width != graph.width:
         counts = {graph.pack(moved.exponents(w)): c for w, c in counts.items()}
-        into = graph.bias
-    bias, mask, renamed = graph.bias, step.mask, step.renamed
-    ins, outs = step.ins, step.outs
-    stay, between, up, down = step.stay, step.between, step.up, step.down
-    row = _pascal_row
-    # r, packed with the bias -> x_j exponent -> coefficient; and the terms
-    # (a, E, c) with E < 0 of each r
-    chains: dict[int, dict[int, int]] = {}
-    lows: dict[int, list[tuple[int, int, int]]] = {}
-    for w, c in counts.items():
-        x = w - into
-        a = 0
-        for s, m in outs:
-            a += m * (x >> s & mask)
-        E = -a
-        for s, m in ins:
-            E += m * (x >> s & mask)
-        a -= x >> renamed & mask
-        r = (x & stay | (x & between) << up >> down) + bias
-        if E < 0:
-            lows.setdefault(r, []).append((a, E, c))
-            continue
-        chain = chains.get(r)
-        if chain is None:
-            chain = chains[r] = {}
-        for t, b in enumerate(row(E), a):
-            chain[t] = chain.get(t, 0) + b * c
-    for r, terms in lows.items():
-        D = -min(E for _, E, _ in terms)
-        low: dict[int, int] = {}
-        for a, E, c in terms:
-            for t, b in enumerate(row(E + D), a):
-                low[t] = low.get(t, 0) + b * c
-        chain = chains.setdefault(r, {})
-        for t, c in _divide_chain(low, D).items():
-            chain[t] = chain.get(t, 0) + c
-    half, column = step.half, step.column
-    image: dict = {}
+    column = step.column
+    image, chains = _exchange(counts, graph.width, step.rekey, step.reads,
+                              1 << column, 0, (column, 1))
+    half, get = step.half, image.get
     for r, chain in chains.items():
         for t, c in chain.items():
-            if c:
-                image[r + (t << column) if 0 <= t < half else (r, t)] = c
-    return image
+            key = r + (t << column) if 0 <= t < half else (r, t)
+            image[key] = get(key, 0) + c
+    return {key: c for key, c in image.items() if c}
 
 
 # ------------------------------------------------------ Plucker relations

@@ -211,6 +211,28 @@ def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return _checked(f.lattice, {tuple(map(add, e, shift)): c for e, c in quot.items()})
 
 
+# struct code of an unsigned field of each size in bytes up to 8; a wider
+# field is a "Q" and pad bytes, which holds any value below 2^64
+_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_size(top: int) -> int:
+    """The bytes of the least packed field, of 1, 2, 4, 8, 16, 24, ...
+    bytes, with ``top`` below 2^(width - 1) for its width in bits: such a
+    field holds any value up to ``top`` plus a bias of 2^(width - 1)
+    without carrying into the next."""
+    size = 1
+    while top >> (8 * size - 1):
+        size = 2 * size if size < 8 else size + 8
+    return size
+
+
+def _field_format(size: int, count: int) -> str:
+    """The struct format of ``count`` little-endian fields of ``size``
+    bytes, lowest field first."""
+    return "<" + (_FIELD_CODE.get(size) or f"Q{size - 8}x") * count
+
+
 # rows of Pascal's triangle, grown by _pascal_row
 _PASCAL = [(1,)]
 
@@ -218,7 +240,7 @@ _PASCAL = [(1,)]
 def _pascal_row(E: int) -> tuple[int, ...]:
     """The coefficients of (1 + y)^E, E >= 0, each row made from the one
     before on first use: the expansion of a term along its chain in the
-    packed exchange steps (``charts.x_mutate``, ``superpot.a_mutate_w``)."""
+    packed exchange step (``_exchange``)."""
     rows = _PASCAL
     while len(rows) <= E:
         last = rows[-1]
@@ -229,8 +251,8 @@ def _pascal_row(E: int) -> tuple[int, ...]:
 def _divide_chain(low: dict[int, int], D: int) -> dict[int, int]:
     """low / (1 + y)^D for a Laurent polynomial in one variable y, given as
     exponent -> coefficient: D divisions by 1 + y from the lowest term up,
-    each exact or NotLaurent.  The one chain division of the packed
-    exchange steps (``charts.x_mutate``, ``superpot.a_mutate_w``)."""
+    each exact or NotLaurent.  The chain division of the packed exchange
+    step (``_exchange``)."""
     if not low:
         return {}
     lo = min(low)
@@ -247,6 +269,73 @@ def _divide_chain(low: dict[int, int], D: int) -> dict[int, int]:
     return {lo + i: c for i, c in enumerate(a) if c}
 
 
+def _exchange(terms: Mapping[int, int], width: int, rekey, reads, y: int, lift: int,
+              pivot: tuple[int, int]) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+    """The packed exchange step of X- and A-mutation (Fomin-Zelevinsky,
+    math/0602259) on packed key -> coefficient, each field ``width`` bits
+    wide and holding its value plus 2^(width - 1).
+
+    The term c x^k goes to c x^(r + E lift) y^a (1 + y)^E.  r is k
+    re-keyed by ``rekey`` = (keep, between, up, down, new): k's bits in
+    keep, those in between moved one column (<< up >> down), and those of
+    new, such as a biased 0 in the column left empty.  E and a are linear
+    in k: each of ``reads`` is (shift, coefficient in E, coefficient in a)
+    of one field.  y and lift are packed monomials with no bias.
+
+    A term with E = a = 0 goes straight to the image, as r.  One with E >=
+    0 expands along its chain, x^(r + E lift) times powers of y, by a row
+    of Pascal's triangle.  Those with E < 0 meet on one representative per
+    chain: t, the field of r + E lift at ``pivot`` = (shift, step) over
+    step, rounded down, is taken off as y^t, to give r + E lift - t y.
+    With -D the least E there, the sum of c y^(a + t) (1 + y)^(E + D) must
+    be a multiple of (1 + y)^D (``NotLaurent`` otherwise), and the
+    quotient joins the chain.  The caller keeps every field of r + E lift
+    and of a representative within its width, so that distinct chains
+    have distinct keys.
+
+    Returns (image, chains): key -> coefficient, and representative -> y
+    exponent -> coefficient, which the caller keys and adds to the image;
+    coefficients that cancel stay, as 0.
+    """
+    keep, between, up, down, new = rekey
+    half, mask = 1 << width - 1, (1 << width) - 1
+    at_pivot, step = pivot
+    image: dict[int, int] = {}
+    chains: dict[int, dict[int, int]] = {}
+    lows: dict[int, dict[int, dict[int, int]]] = {}  # representative -> E -> chain
+    get = image.get
+    for key, c in terms.items():
+        E = a = 0
+        for s, e, b in reads:
+            v = (key >> s & mask) - half
+            E += e * v
+            a += b * v
+        r = key & keep | (key & between) << up >> down | new
+        if not (E or a):
+            image[r] = get(r, 0) + c
+            continue
+        r += E * lift
+        if E < 0:
+            t = ((r >> at_pivot & mask) - half) // step
+            low = lows.setdefault(r - t * y, {}).setdefault(E, {})
+            low[a + t] = low.get(a + t, 0) + c
+            continue
+        chain = chains.setdefault(r, {})
+        for t, b in enumerate(_pascal_row(E), a):
+            chain[t] = chain.get(t, 0) + b * c
+    for r, by_E in lows.items():
+        D = -min(by_E)
+        low = by_E.pop(-D)
+        for E, part in by_E.items():
+            for a, c in part.items():
+                for t, b in enumerate(_pascal_row(E + D), a):
+                    low[t] = low.get(t, 0) + b * c
+        chain = chains.setdefault(r, {})
+        for t, c in _divide_chain(low, D).items():
+            chain[t] = chain.get(t, 0) + c
+    return image, chains
+
+
 class Substitution:
     """One monomial map from the Laurent polynomials on ``lattice`` to
     those on ``codomain``, built once and applied to any number of them.
@@ -258,8 +347,8 @@ class Substitution:
     label takes, so the plain labels form a partial permutation and one
     gather reads their part of every image.  Every other label is twisted
     and keeps a sparse column.  Mutation, whose images carry powers of an
-    exchange binomial, is no monomial map: it runs on packed terms
-    (``charts.x_mutate``, ``superpot.a_mutate_w``).
+    exchange binomial, is no monomial map: both charts mutate on packed
+    terms, by the one exchange step (``_exchange``).
     """
 
     def __init__(self, lattice, images: dict[str, dict[str, int]], codomain):

@@ -44,6 +44,7 @@ from .combinat import (
     ksubsets,
     parse_ksubset,
 )
+from .laurent import _field_format, _field_size
 
 BLACK = "black"
 WHITE = "white"
@@ -1034,28 +1035,6 @@ def _base_mask(model: PlabicModel) -> int:
 def base_matching(model: PlabicModel) -> frozenset:
     """The unique matching whose boundary value is lex-maximal."""
     return frozenset(edge_names(model, _base_mask(model)))
-
-
-# struct code of an unsigned field of each size in bytes up to 8; a wider
-# field is a "Q" and pad bytes, which holds any value below 2^64
-_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _field_size(top: int) -> int:
-    """The bytes of the least packed field, of 1, 2, 4, 8, 16, 24, ...
-    bytes, with ``top`` below 2^(width - 1) for its width in bits: such a
-    field holds any value up to ``top`` plus a bias of 2^(width - 1)
-    without carrying into the next."""
-    size = 1
-    while top >> (8 * size - 1):
-        size = 2 * size if size < 8 else size + 8
-    return size
-
-
-def _field_format(size: int, count: int) -> str:
-    """The struct format of ``count`` little-endian fields of ``size``
-    bytes, lowest field first."""
-    return "<" + (_FIELD_CODE.get(size) or f"Q{size - 8}x") * count
 
 
 class FaceGraph:

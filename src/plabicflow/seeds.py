@@ -21,11 +21,13 @@ from the masks into the one kappa memo (``_KAPPA_ROWS``).
 A mutation changes one vertex, and ``mutate_labels`` builds the child from
 its parent: the exchanged label is found on the masks of j's neighbourhood
 and placed by bisection among the parent's labels, which are in vertex
-order; it alone is checked and masked; the child's masks, labels and kappa
-reader are the parent's with j's entry replaced, and a kappa row that the
-parent read lacks only the new label's entry.  Only the arrows among j and
-its neighbours can change, so only they are mutated, checked as
-``make_quiver`` checks arrows and put in place among the parent's others.
+order; it alone is checked and masked, once per seed and vertex
+(``superpot.a_mutate_w`` at j finds it kept); the child's masks, labels
+and kappa reader are the parent's with j's entry replaced, and a kappa row
+that the parent read lacks only the new label's entry.  Only the arrows
+among j and its neighbours can change, so only they are mutated, checked
+as ``make_quiver`` checks arrows and put in place among the parent's
+others.
 
 beta is one list of positional entries (``_beta_entries``); the
 exact-sequence check sums its rows and columns and the columns of wt . beta,
@@ -64,12 +66,11 @@ from .combinat import (
     crossing_partner,
     format_ksubset,
 )
+from .laurent import _field_format, _field_size
 from .plabic import (
     ModelInvariantError,
     NotPlabicMutable,
     PlabicModel,
-    _field_format,
-    _field_size,
     analyze,
     build_rectangles_model,
 )
@@ -277,6 +278,8 @@ class Seed:
     # whether the vertices are in the subset order of their labels, which
     # mutation needs to place an exchanged label by bisection
     _ordered: bool = field(init=False, repr=False, compare=False)
+    # mutable vertex -> its exchange (``_exchange``), filled on first use
+    _exchanges: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
@@ -294,10 +297,12 @@ class Seed:
 
 def _set_derived(s: Seed, vertex_labels, masks, star: int, new: tuple, ordered: bool):
     """Set what a seed derives from its labels: the labels in vertex order,
-    their masks, the kappa reader and whether they are in order."""
+    their masks, the kappa reader, whether they are in order and an empty
+    memo of exchanges."""
     get = itemgetter(*masks) if len(masks) > 1 else lambda row: (row[masks[0]],)
     for name, value in (("vertex_labels", vertex_labels), ("masks", masks),
-                        ("_kappa", (get, star, new)), ("_ordered", ordered)):
+                        ("_kappa", (get, star, new)), ("_ordered", ordered),
+                        ("_exchanges", {})):
         object.__setattr__(s, name, value)
 
 
@@ -374,7 +379,11 @@ def _exchange(s: Seed, j: str) -> tuple[str, KSubset, int, int, int]:
     out and the partner put before the one at p; ``_moved``).  The partner
     is checked and masked as a seed's label is (ValueError), and refused
     when it is already a label or its name a vertex (``duplicate-label``);
-    a seed whose vertices are out of label order is refused (ValueError)."""
+    a seed whose vertices are out of label order is refused (ValueError).
+    Kept per seed and vertex, a refusal not."""
+    memo = s._exchanges
+    if j in memo:
+        return memo[j]
     label = exchange_label(s.quiver, s.labels, j)
     name = format_ksubset(label, s.n)
     mask = _label_mask(label, s.k, s.n)
@@ -386,7 +395,8 @@ def _exchange(s: Seed, j: str) -> tuple[str, KSubset, int, int, int]:
         raise ModelInvariantError("duplicate-label", "repeated quiver vertex")
     if not s._ordered:
         raise ValueError("the seed's vertices are not in label order")
-    return name, label, mask, s.quiver.vertices.index(j), bisect_left(s.vertex_labels, label)
+    memo[j] = name, label, mask, s.quiver.vertices.index(j), bisect_left(s.vertex_labels, label)
+    return memo[j]
 
 
 def _moved(t: tuple, i: int, p: int, x) -> tuple:

@@ -10,9 +10,10 @@ Every change of variables but A-mutation is one ``lp_substitute`` call,
 a monomial map: x_u -> q^[u = corner] * prod_v p_v^(-beta[u, v]) (the
 beta-dual image), p_star -> 1 (the A-form side), and q -> prod_u y_u,
 p_v -> prod_u y_u^(kappa of label(u) at v) (the g-vector cone).
-A-mutation runs on packed terms (``PackedTerms``): one exchange step per
-seed and vertex (``a_mutate_w``), so a chain of mutations keeps W packed
-and its ``LaurentPoly`` is made only where it is read."""
+A-mutation runs on packed terms (``PackedTerms``): the exchange step that
+X-mutation shares (``laurent._exchange``), set up and keyed once per seed
+and vertex by ``a_mutate_w``, so a chain of mutations keeps W packed and
+its ``LaurentPoly`` is made only where it is read."""
 
 from __future__ import annotations
 
@@ -21,14 +22,14 @@ import struct
 from .cones import Cone, grid_label, make_cone
 from .laurent import (
     LaurentPoly,
-    _divide_chain,
-    _pascal_row,
+    _exchange,
+    _field_size,
     lp_add,
     lp_equal,
     lp_mul,
     lp_substitute,
 )
-from .plabic import ModelInvariantError, _field_size
+from .plabic import ModelInvariantError
 from .seeds import (
     Seed,
     beta_columns,
@@ -308,34 +309,23 @@ def verify_wformula(k: int, n: int) -> bool:
 
 
 def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
-    """Rewrite an A-form superpotential in the cluster mutated at j: one
-    packed exchange step on W's ``PackedTerms``.
+    """Rewrite an A-form superpotential in the cluster mutated at j by the
+    exchange step (``laurent._exchange``) on W's ``PackedTerms``, over q and
+    the vertices of ``mutate_labels(s, j)``, read off ``label_exchange``
+    (the seed's own checks run in ``mutate_labels``).
 
-    The exchange relation replaces p_j by (x^ins + x^outs) / p_j', the
-    products over the in- and out-arrows, and the result must again be a
-    Laurent polynomial.  Its lattice is q and the vertices of
-    ``mutate_labels(s, j)``, read off ``label_exchange``; the seed's own
-    checks run in ``mutate_labels``.
-
-    Re-keying carries the fields into the mutated vertex order: those
-    between j's column and j''s move one column towards j's, and j' takes
-    the column at the other end, with exponent 0; r is a term's exponent so
-    carried.  With x^ins + x^outs = x^outs (1 + y),
-    the term c p^e, x = e_j, goes to c p^r (x^outs / p_j')^x (1 + y)^x.  A
-    term with x >= 0 expands in place along its chain in y.  The terms with
-    x = -D < 0 fall into chains by D and by r less its multiple of y, which
-    leaves the pivot coordinate (the first of y's) between 0 and its
-    exponent in y; each chain, sum c y^t over its terms, must be a multiple
-    of (1 + y)^D (``NotLaurent`` otherwise), and the quotient joins the
-    image.  The step then checks the A-form on the packed terms: p-degree 0,
-    q-degree 0 or 1 and at least one term carrying q, named as
-    ``_check_a_form`` names them on the polynomial.
+    p_j goes to (x^ins + x^outs) / p_j' = x^outs (1 + y) / p_j', the
+    products over the in- and out-arrows: y = x^ins / x^outs, E = e_j, a =
+    0, and the lift is 1 / p_j' less p_j's degree.  Each chain is then
+    multiplied by (x^outs)^E, E read off p_j''s column, which keeps a
+    chain's key within the headroom (``_headroom``).  The image is checked
+    as an A-form on the packed terms, with ``_check_a_form``'s messages.
     """
     if W.tag != "A-form":
         raise ValueError("a_mutate_w needs an A-form superpotential")
     j2, _label, vertices = label_exchange(s, j)
     ins, outs = neighbours(s.quiver, j)
-    # y = x^ins / x^outs; no vertex is both an in- and an out-neighbour
+    # no vertex is both an in- and an out-neighbour
     y = {**ins, **{v: -m for v, m in outs.items()}}
     m = max(map(abs, y.values()))
     src = _packed(W, m)
@@ -355,54 +345,25 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     def packed(mono) -> int:  # a monomial, its p-degree above the fields
         return sum(e * ((1 << at[x]) + unit) for x, e in mono.items())
 
-    up_y, out = packed(y), packed(outs)
-    # p_j^x goes to (x^outs / p_j')^x (1 + y)^x: a unit of x is lift, with
-    # p_j's own degree taken off
-    lift = out - packed({j2: 1}) - unit
-    pivot, step = next(iter(y.items()))
-    at_pivot = at[pivot]
-    at_j = width * (d - 1 - p)
+    up_y, out, at_j, at_j2 = packed(y), packed(outs), width * (d - 1 - p), at[j2]
     lo, hi = sorted((p, p2))
+    # ~region keeps every bit above the fields, so a p-degree below 0 stays
     region = (1 << width * (d - lo)) - (1 << width * (d - 1 - hi))
-    keep, between = ~region, region - (mask << at_j)
     up, down = (width, 0) if p2 > p else (0, width)
-    renamed = half << at[j2]
-
-    image: dict[int, int] = {}
+    pivot, step = next(iter(y.items()))
+    image, chains = _exchange(
+        src.terms, width, (~region, region - (mask << at_j), up, down, half << at_j2),
+        ((at_j, 1, 0),), up_y, -packed({j2: 1}) - unit, (at[pivot], step))
     get = image.get
-    # chain -> (D, y exponent -> coefficient) of the terms with x = -D < 0
-    chains: dict[int, tuple[int, dict[int, int]]] = {}
-    reach = 0  # the largest |x|
-    for key, c in src.terms.items():
-        x = (key >> at_j & mask) - half
-        # ~region keeps every bit above the fields, so a p-degree below 0 stays
-        r = key & keep | (key & between) << up >> down | renamed
-        if not x:
-            image[r] = get(r, 0) + c
-            continue
-        if x > 0:
-            if x > reach:
-                reach = x
-            r += x * lift
-            for b in _pascal_row(x):
-                image[r] = get(r, 0) + b * c
-                r += up_y
-            continue
-        if -x > reach:
-            reach = -x
-        # the chain: r less its multiple of y, times (p_j' / p_j)^D
-        t = ((r >> at_pivot & mask) - half) // step
-        r -= t * up_y - x * (lift - out)
-        chain = chains.get(r)
-        if chain is None:
-            chain = chains[r] = (-x, {})
-        low = chain[1]
-        low[t] = low.get(t, 0) + c
-    for chain, (D, low) in chains.items():
-        base = chain - D * out
-        for t, c in _divide_chain(low, D).items():
-            r = base + t * up_y
-            image[r] = get(r, 0) + c
+    reach = 0  # the largest |E|
+    for r, chain in chains.items():
+        E = half - (r >> at_j2 & mask)
+        if abs(E) > reach:
+            reach = abs(E)
+        r += E * out
+        for t, c in chain.items():
+            key = r + t * up_y
+            image[key] = get(key, 0) + c
     terms = {r: c for r, c in image.items() if c}
     at_q = width * (d - 1)
     if not _is_a_form(terms, at_q, half):

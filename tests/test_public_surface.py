@@ -74,3 +74,16 @@ def test_every_public_helper_has_a_caller_outside_tests():
             if named[node.name] == _names(node)[node.name]:
                 unreferenced.add(f"{path.stem}.{qualname}")
     assert unreferenced == set(ALLOWED)
+
+
+def test_one_function_expands_and_divides_exchange_chains():
+    # X- and A-mutation share one packed exchange step: Pascal's rows of
+    # (1 + y)^E and the chain division by (1 + y)^D are read in the body
+    # of one function of the package
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    for name in ("_pascal_row", "_divide_chain"):
+        users = [f"{path.stem}.{node.name}" for path, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and _names(node)[name]]
+        assert users == ["laurent._exchange"], name

@@ -29,6 +29,7 @@ from seed_step_oracle import (
     oracle_mutate_labels,
     set_exchange_label,
 )
+from test_seeds import unasked
 
 # walks start at rect (2,5) to (4,8), the shark, and the k = 1 star of rect
 # (1,5), whose vertices are all frozen
@@ -147,7 +148,7 @@ def test_child_route_and_whole_child_fail_alike(kn, monkeypatch):
                                    (taken, "duplicate-label")):
             with monkeypatch.context() as mp:
                 mp.setattr(seeds, "exchange_label", lambda q, labels, v: partner)
-                got = outcome(mutate_labels, s, j)
+                got = outcome(mutate_labels, unasked(s), j)
                 assert got == outcome(oracle_mutate_labels, s, j)
                 assert got[:2] == ("invariant", violation)
             faults += 1

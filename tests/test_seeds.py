@@ -28,6 +28,7 @@ from plabicflow.seeds import (
     seed_of_model,
     trop_a_mutate,
 )
+from plabicflow.superpot import a_mutate_w, w_rectangles
 from test_combinat import cell_set_max_diag
 
 # dual quiver of the (2,4) rectangles model
@@ -281,12 +282,19 @@ def test_seed_of_model_refuses_crossing_labels(monkeypatch, capsys):
     assert sorted(seed_of_model(model).labels) == ["12", "13", "14", "23", "34"]
 
 
+def unasked(s: Seed) -> Seed:
+    """s made again, with no exchange found yet: a seed keeps the exchange
+    it finds at a vertex, so only such a seed reads a patched
+    ``exchange_label``."""
+    return Seed(s.k, s.n, s.quiver, s.labels)
+
+
 def test_mutate_labels_refuses_a_crossing_exchanged_label(monkeypatch):
     s = rectangles_seed(2, 5)
     # 25 crosses 13 and 14 on the 5-cycle
     monkeypatch.setattr(seeds, "exchange_label", lambda q, labels, j: (2, 5))
     with pytest.raises(ModelInvariantError) as err:
-        mutate_labels(s, "13")
+        mutate_labels(unasked(s), "13")
     assert err.value.violation == "labels-not-weakly-separated"
     # 13 itself is exchanged away, so 14 is the first crossing partner
     assert err.value.detail == "after exchanging 13 -> 25, which crosses 14"
@@ -296,6 +304,32 @@ def test_mutate_labels_refuses_a_crossing_exchanged_label(monkeypatch):
     with pytest.raises(ModelInvariantError) as err:
         mutate_labels(s, "13")
     assert err.value.detail == "after exchanging 13 -> 24, which crosses 15"
+
+
+def test_a_seed_step_and_its_potential_step_find_the_exchange_once(monkeypatch):
+    # every walk of the potential pairs mutate_labels(s, j) with
+    # a_mutate_w(s, W, j); the two share the exchange the seed found
+    calls = []
+    real = seeds.exchange_label
+    monkeypatch.setattr(seeds, "exchange_label",
+                        lambda q, labels, j: calls.append(j) or real(q, labels, j))
+    s, W = unasked(rectangles_seed(4, 8)), w_rectangles(4, 8)
+    j = next(j for j, _ in seed_mutations(rectangles_seed(4, 8)))
+    child = mutate_labels(s, j)
+    a_mutate_w(s, W, j)
+    assert calls == [j]
+    # the child finds its own, once
+    j2 = seeds.label_exchange(s, j)[0]
+    mutate_labels(child, j2)
+    seeds.label_exchange(child, j2)
+    assert calls == [j, j2]
+    # a refusal is not kept: each request is refused anew
+    hexagon = next(v for v in mutable_vertices(s.quiver) if v not in (j, j2)
+                   and sum(seeds.neighbours(s.quiver, v)[0].values()) != 2)
+    for _ in range(2):
+        with pytest.raises(NotPlabicMutable):
+            mutate_labels(s, hexagon)
+    assert calls == [j, j2, hexagon, hexagon]
 
 
 def test_one_mutation_tests_the_exchanged_label_only(monkeypatch):
@@ -356,9 +390,10 @@ def test_one_label_check_equals_the_full_pair_check_on_walks(start, seed, steps)
                     continue
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setattr(seeds, "exchange_label", lambda q, labels, v: partner)
-                    want = full_pair_check(s, j)
+                    t = unasked(s)
+                    want = full_pair_check(t, j)
                     assert want or partner != real
-                    assert passes_separation(s, j) is want
+                    assert passes_separation(t, j) is want
 
 
 def test_kappa_table_24():
@@ -907,14 +942,19 @@ def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
     for _j, moved in seed_mutations(s):
         assert moved.masks == tuple(map(mask, moved.vertex_labels))
     for j in mutable_vertices(s.quiver)[:3]:
+        t = unasked(s)
         calls.clear(), checked.clear()
-        moved = mutate_labels(s, j)
+        moved = mutate_labels(t, j)
         new = moved.labels[next(iter(set(moved.labels) - set(s.labels)))]
         assert checked == [new]
         ins, outs = seeds.neighbours(s.quiver, j)
         assert sorted(calls) == sorted(s.labels[v] for v in (j, *ins, *outs))
         i = s.quiver.vertices.index(j)
         assert set(moved.masks) == set(s.masks[:i] + s.masks[i + 1:]) | {mask(new)}
+        # the seed keeps the exchange it found: mutating again masks nothing
+        calls.clear(), checked.clear()
+        mutate_labels(t, j)
+        assert calls == checked == []
     # making a seed checks and masks each label once, makes its kappa
     # reader and calls no _mask
     calls.clear(), checked.clear()
