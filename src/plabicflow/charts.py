@@ -216,10 +216,10 @@ class XStep:
     exchange step's parameters, made once per move for ``x_mutate``.
 
     The moved model's lattice must be the model quiver's with j renamed
-    (``quiver-fz-mismatch`` otherwise).  The re-key moves the face fields
-    between j's column in the model and j''s in the moved packing one
-    column over, drops j''s, and or-s in a biased 0 at j's and the model's
-    residual fields.
+    (``quiver-fz-mismatch`` otherwise).  The re-key (``Packing.rekey``)
+    moves the face fields between j's column in the model and j''s in the
+    moved packing one column over, drops j''s and the residual fields, and
+    or-s in a biased 0 at j's and the model's residual fields.
     """
 
     def __init__(self, model: PlabicModel, j: str, moved: PlabicModel):
@@ -245,15 +245,9 @@ class XStep:
                       *((column[x], -m, m) for x, m in outs.items() if x in column),
                       (W * p2, 0, -1))
         self.column = W * p  # j in the model's packing; y = x_j
-        # the fields from column p up to j', or from past j' up to p, move
-        # one column towards j's; the rest stay
-        if p2 >= p:
-            between, up, down = (1 << W * p2) - (1 << W * p), W, 0
-        else:
-            between, up, down = (1 << W * (p + 1)) - (1 << W * (p2 + 1)), 0, W
+        keep, between, up, down = graph.packing.rekey(p2, p)
         faces = graph.face_bits
-        keep = (1 << faces) - 1 & ~between & ~((1 << W) - 1 << W * p2)
-        self.rekey = (keep, between, up, down,
+        self.rekey = (keep & (1 << faces) - 1, between, up, down,
                       graph.bias >> faces << faces | half << self.column)
 
 

@@ -14,6 +14,7 @@ with zero exponents omitted from each "exp" map.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import add, itemgetter, sub
@@ -211,9 +212,9 @@ def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return _checked(f.lattice, {tuple(map(add, e, shift)): c for e, c in quot.items()})
 
 
-# struct code of an unsigned field of each size in bytes up to 8; a wider
-# field is a "Q" and pad bytes, which holds any value below 2^64
-_FIELD_CODE = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# struct code of a signed field of each size in bytes up to 8; a wider
+# field is a "Q" and pad bytes, which holds any value in [0, 2^64)
+_FIELD_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _field_size(top: int) -> int:
@@ -227,10 +228,48 @@ def _field_size(top: int) -> int:
     return size
 
 
-def _field_format(size: int, count: int) -> str:
-    """The struct format of ``count`` little-endian fields of ``size``
-    bytes, lowest field first."""
-    return "<" + (_FIELD_CODE.get(size) or f"Q{size - 8}x") * count
+class Packing:
+    """The packed layout of ``count`` integers in one int, little-endian:
+    field i sits at bit ``width`` * i, ``width`` = 8 * ``size``, and holds
+    its value plus 2^(width - 1); ``bias`` is that 2^(width - 1) in every
+    field.  A value lies in [-2^(width - 1), 2^(width - 1)) in a field of
+    at most 8 bytes and in [0, 2^64) in a wider one.  The bits from
+    ``bits`` up are the caller's: a packed sum carries whatever they hold,
+    and ``unpack`` ignores them."""
+
+    __slots__ = ("size", "width", "bits", "bias", "_format")
+
+    def __init__(self, size: int, count: int):
+        self.size = size
+        self.width = width = 8 * size
+        self.bits = width * count
+        self.bias = ((1 << self.bits) - 1) // ((1 << width) - 1) << (width - 1)
+        # XOR with the bias turns a field's two's complement (or a wide
+        # field's unsigned value) into the value plus the bias, and back
+        self._format = "<" + (_FIELD_CODE.get(size) or f"Q{size - 8}x") * count
+
+    def pack(self, values) -> int:
+        """The fields of ``values``, lowest field first: one ``struct.pack``."""
+        return int.from_bytes(struct.pack(self._format, *values), "little") ^ self.bias
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        """The values of the fields of ``key``: one ``struct.unpack``."""
+        bits = self.bits
+        return struct.unpack(self._format, (key & (1 << bits) - 1 ^ self.bias).to_bytes(
+            bits // 8, "little"))
+
+    def rekey(self, src: int, dst: int) -> tuple[int, int, int, int]:
+        """(keep, between, up, down) of ``_exchange``'s re-key that takes
+        field src out and leaves field dst empty, each field between them
+        moved one towards src's: keep holds the fields outside src..dst
+        and every bit above the fields; between holds those that move, by
+        << up >> down."""
+        width = self.width
+        if dst < src:  # dst .. src - 1 move up a field
+            between, up, down = (1 << width * src) - (1 << width * dst), width, 0
+        else:  # src + 1 .. dst move down a field
+            between, up, down = (1 << width * dst + width) - (1 << width * src + width), 0, width
+        return ~(between | (1 << width) - 1 << width * src), between, up, down
 
 
 # rows of Pascal's triangle, grown by _pascal_row
@@ -273,13 +312,13 @@ def _exchange(terms: Mapping[int, int], width: int, rekey, reads, y: int, lift: 
               pivot: tuple[int, int]) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
     """The packed exchange step of X- and A-mutation (Fomin-Zelevinsky,
     math/0602259) on packed key -> coefficient, each field ``width`` bits
-    wide and holding its value plus 2^(width - 1).
+    wide and holding its value plus 2^(width - 1) (``Packing``).
 
     The term c x^k goes to c x^(r + E lift) y^a (1 + y)^E.  r is k
     re-keyed by ``rekey`` = (keep, between, up, down, new): k's bits in
-    keep, those in between moved one column (<< up >> down), and those of
-    new, such as a biased 0 in the column left empty.  E and a are linear
-    in k: each of ``reads`` is (shift, coefficient in E, coefficient in a)
+    keep, those in between moved one column (<< up >> down), as
+    ``Packing.rekey`` gives them, and those of new, such as a biased 0 in
+    the column left empty.  E and a are linear in k: each of ``reads`` is (shift, coefficient in E, coefficient in a)
     of one field.  y and lift are packed monomials with no bias.
 
     A term with E = a = 0 goes straight to the image, as r.  One with E >=

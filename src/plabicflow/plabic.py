@@ -31,7 +31,6 @@ math/0609764), is encoded and decoded by the matching frontier
 
 from __future__ import annotations
 
-import struct
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -44,7 +43,7 @@ from .combinat import (
     ksubsets,
     parse_ksubset,
 )
-from .laurent import _field_format, _field_size
+from .laurent import Packing, _field_size
 
 BLACK = "black"
 WHITE = "white"
@@ -1045,13 +1044,13 @@ class FaceGraph:
     w(target) - w(source) = [e in base] - [e in M] over the dual arrows,
     with w = 0 on the star face.  Both routes give it as one packed int: a
     field of ``width`` bits per face, in the flow polynomial's column order
-    with the star last (``fields``), then one per non-tree arrow
-    (``cotree``), each holding its value plus the bias 2^(width - 1).
-    ``width`` is the least of 8, 16, 32, 64, 128, ... bits
-    (``_field_size``) with 2^(width - 1) > max(2F, E), for F faces and E
-    edges, so no field carries into the next for any edge mask: a weight
-    sums at most F - 1 tree arrows, a residual the at most F arrows of one
-    cycle, and a flow count is at most the number of components.
+    with the star last (``fields``, the ``laurent.Packing`` ``packing``),
+    then one per non-tree arrow (``cotree``), each holding its value plus
+    the bias 2^(width - 1).  ``width`` is the least of 8, 16, 32, 64, 128,
+    ... bits (``_field_size``) with 2^(width - 1) > max(2F, E), for F faces
+    and E edges, so no field carries into the next for any edge mask: a
+    weight sums at most F - 1 tree arrows, a residual the at most F arrows
+    of one cycle, and a flow count is at most the number of components.
 
     - The dual route is an affine map of the edge mask: ``constant`` less
       the column of each edge of M, summed four edges at a time, one hex
@@ -1139,11 +1138,10 @@ class FaceGraph:
         faces = [an.label_to_face[J] for J in an.lattice]
         faces.remove(an.star)
         self.fields = (*faces, an.star)
-        size = _field_size(max(2 * F, E))
-        width = self.width = 8 * size
-        # the face fields as struct unpacks them, the star's last
-        self._faces_format = _field_format(size, F)
-        self.face_bits = width * F
+        # the face fields, the star's last
+        self.packing = Packing(_field_size(max(2 * F, E)), F)
+        width = self.width = self.packing.width
+        self.face_bits = self.packing.bits
         unit = self.unit = [0] * F  # the 1 of each face's field, by face index
         for p, f in enumerate(self.fields):
             unit[f] = 1 << width * p
@@ -1164,7 +1162,7 @@ class FaceGraph:
             sub[parent] += sub[child]
             columns[i] = sub[child] if sign > 0 else -sub[child]
         self.bias = (one - 1) // ((1 << width) - 1) << (width - 1)
-        self.guards = self.bias & (1 << self.face_bits) - 1
+        self.guards = self.packing.bias
         # per hex digit of an edge mask's little-endian bytes (each byte's
         # high digit first, as ``bytes.hex`` writes them): digit -> the sum
         # of the columns of its four edges that it sets
@@ -1196,17 +1194,14 @@ class FaceGraph:
 
     def exponents(self, packed: int) -> tuple[int, ...]:
         """The weights of a value ``weigh`` returned, in the flow
-        polynomial's column order (the star's 0 left out): one
-        ``struct.unpack`` of the face fields."""
-        x = packed - self.bias  # no borrow: every field is at least its bias
-        return struct.unpack(self._faces_format,
-                             x.to_bytes(self.face_bits // 8, "little"))[:-1]
+        polynomial's column order (the star's 0 left out): the face
+        fields unpacked."""
+        return self.packing.unpack(packed)[:-1]
 
     def pack(self, exponents) -> int:
         """The value ``weigh`` returns for weights given in the flow
         polynomial's column order, as ``exponents`` reads them."""
-        return self.bias + int.from_bytes(
-            struct.pack(self._faces_format, *exponents, 0), "little")
+        return self.packing.pack((*exponents, 0)) + self.bias - self.guards
 
     def extremes(self, values) -> tuple[int, int]:
         """The coordinatewise least and greatest of a nonempty collection of

@@ -49,7 +49,6 @@ seed), so the exact-sequence identities survive mutation there.
 
 from __future__ import annotations
 
-import struct
 from bisect import bisect_left, insort
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -66,7 +65,7 @@ from .combinat import (
     crossing_partner,
     format_ksubset,
 )
-from .laurent import _field_format, _field_size
+from .laurent import Packing, _field_size
 from .plabic import (
     ModelInvariantError,
     NotPlabicMutable,
@@ -631,11 +630,12 @@ def exact_sequence_checks(s: Seed) -> bool:
     (``_beta_entries``), which sums beta's rows and columns and adds up
     each column of wt . beta on packed kappa columns.  The kappa vector of
     each label, a tuple in vertex order, is packed into one int with a
-    field of ``width`` bits per vertex, vertex i at bit width * i.  Column
-    v of wt . beta plus e_v is then the one integer 2^(width * i) + sum
-    over w of beta[w, v] times the packed kappa of label(w), and the column
-    passes exactly when it is 0.  The star's entry is 0 in every kappa
-    vector (``bad-label`` otherwise), so the star row needs no exception.
+    field of ``width`` bits per vertex, vertex i at bit width * i (a
+    ``laurent.Packing`` less its bias).  Column v of wt . beta plus e_v is
+    then the one integer 2^(width * i) + sum over w of beta[w, v] times
+    the packed kappa of label(w), and the column passes exactly when it is
+    0.  The star's entry is 0 in every kappa vector (``bad-label``
+    otherwise), so the star row needs no exception.
 
     Width rule: every kappa entry lies in 0..top and every column of beta
     has sum of |entries| at most reach = 1 + the sum of the arrows'
@@ -668,9 +668,9 @@ def _exact_sequence_witness(s: Seed) -> str | None:
         wt, star_kappa = [(0,) * m] * m, exc
     top = max(map(max, wt))
     size = _field_size(1 + (1 + sum(mult for _u, _v, mult in q.arrows)) * top)
-    width = 8 * size
-    fmt = _field_format(size, m)
-    packed = [int.from_bytes(struct.pack(fmt, *col), "little") for col in wt]
+    packing = Packing(size, m)
+    width = packing.width
+    packed = [packing.pack(col) - packing.bias for col in wt]
     rows, cols = [0] * m, [0] * m
     acc = [1 << (width * i) for i in range(m)]  # column i of wt . beta, plus e_i
     for r, c, e in _beta_entries(q):

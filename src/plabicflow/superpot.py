@@ -10,18 +10,18 @@ Every change of variables but A-mutation is one ``lp_substitute`` call,
 a monomial map: x_u -> q^[u = corner] * prod_v p_v^(-beta[u, v]) (the
 beta-dual image), p_star -> 1 (the A-form side), and q -> prod_u y_u,
 p_v -> prod_u y_u^(kappa of label(u) at v) (the g-vector cone).
-A-mutation runs on packed terms (``PackedTerms``): the exchange step that
-X-mutation shares (``laurent._exchange``), set up and keyed once per seed
-and vertex by ``a_mutate_w``, so a chain of mutations keeps W packed and
-its ``LaurentPoly`` is made only where it is read."""
+A-mutation runs on packed terms (``PackedTerms``, in the one packed layout
+of ``laurent.Packing``): the exchange step that X-mutation shares
+(``laurent._exchange``), set up and keyed once per seed and vertex by
+``a_mutate_w``, so a chain of mutations keeps W packed and its
+``LaurentPoly`` is made only where it is read."""
 
 from __future__ import annotations
-
-import struct
 
 from .cones import Cone, grid_label, make_cone
 from .laurent import (
     LaurentPoly,
+    Packing,
     _exchange,
     _field_size,
     lp_add,
@@ -44,15 +44,12 @@ class PackedTerms:
     """An A-form's terms packed, exponent -> coefficient, one int per
     exponent over ``lattice`` (q first, then the seed's vertices).
 
-    Each coordinate is a field of ``size`` bytes holding its exponent plus
-    a bias of 2^(width - 1), width = 8 * size bits, the first coordinate in
-    the highest field, so int order is the exponent order of a
-    ``LaurentPoly``.  Above the d fields sits the term's p-degree, the sum
-    of its exponents less q's, unbiased: it is linear in the exponent like
-    every field, so packed sums carry it along, and a term of p-degree 0
-    with q-degree 0 or 1 reads the bias or the bias plus 1 above its d - 1
-    lower fields.  Every |exponent| is at most ``top``, which keeps each
-    field within its width (``_headroom``).
+    The exponents fill a ``Packing`` of fields of ``size`` bytes, q in
+    field 0.  Above the fields sits the term's p-degree, the sum of its
+    exponents less q's, unbiased: it is linear in the exponent like every
+    field, so packed sums carry it along, and a term of p-degree 0 reads 0
+    there.  Every |exponent| is at most ``top``, which keeps each field
+    within its width (``_headroom``).
     """
 
     __slots__ = ("lattice", "size", "terms", "top")
@@ -63,38 +60,18 @@ class PackedTerms:
     @staticmethod
     def pack(f: LaurentPoly, size: int, top: int) -> "PackedTerms":
         """f packed at ``size`` bytes a field; ``top`` bounds its exponents."""
-        d, width = len(f.lattice), 8 * size
-        fmt, guards = _field_format(size, d), _guards(d, width)
+        packing = Packing(size, len(f.lattice))
+        bits = packing.bits
         return PackedTerms(f.lattice, size, {
-            (int.from_bytes(struct.pack(fmt, *exp), "big") ^ guards)
-            + (sum(exp) - exp[0] << width * d): c for exp, c in f.terms}, top)
+            packing.pack(exp) + (sum(exp) - exp[0] << bits): c
+            for exp, c in f.terms}, top)
 
     def view(self) -> LaurentPoly:
-        """The terms as a ``LaurentPoly``: one ``struct.unpack`` a term of
-        the fields as signed exponents, the p-degree above them left out."""
-        d, size = len(self.lattice), self.size
-        width = 8 * size
-        fmt, guards = _field_format(size, d), _guards(d, width)
-        low, nbytes = (1 << width * d) - 1, size * d
+        """The terms as a ``LaurentPoly``: each key's fields unpacked, the
+        p-degree above them left out."""
+        unpack = Packing(self.size, len(self.lattice)).unpack
         return LaurentPoly.make(self.lattice, {
-            struct.unpack(fmt, ((key & low) ^ guards).to_bytes(nbytes, "big")): c
-            for key, c in self.terms.items()})
-
-
-# struct code of a signed field of each size in bytes
-_SIGNED_CODE = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
-def _field_format(size: int, d: int) -> str:
-    """The struct format of d big-endian signed fields of ``size`` bytes,
-    the first the highest."""
-    return ">" + _SIGNED_CODE[size] * d
-
-
-def _guards(d: int, width: int) -> int:
-    """The top bit of each of d fields of ``width`` bits: XOR with it turns
-    a field's two's complement into the exponent plus the bias."""
-    return ((1 << width * d) - 1) // ((1 << width) - 1) << (width - 1)
+            unpack(key): c for key, c in self.terms.items()})
 
 
 def _headroom(top: int, m: int) -> int:
@@ -136,7 +113,7 @@ def _packed(W: SuperpotentialExpr, m: int) -> PackedTerms:
         f = W.poly
         top = max((abs(e) for exp, _c in f.terms for e in exp), default=0)
         size = _field_size(_headroom(top, m))
-        if size not in _SIGNED_CODE:
+        if size > 8:  # a wider field packs no exponent below 0
             raise OverflowError(f"exponents up to {top} need packed fields past 8 bytes")
         p = W._packed = PackedTerms.pack(f, size, top)
     return p
@@ -149,14 +126,10 @@ def _check_a_form(f: LaurentPoly, single_q: bool = False) -> None:
     may split it into several.
     """
     qix = f.lattice.index("q")
-    _check_degrees(((sum(exp) - exp[qix], exp[qix]) for exp, _c in f.terms), single_q)
-
-
-def _check_degrees(degrees, single_q: bool = False) -> None:
-    """``_check_a_form`` on the (p-degree, q-degree) of each term, in term
-    order."""
     qcount = 0
-    for pdeg, qdeg in degrees:
+    for exp, _c in f.terms:
+        qdeg = exp[qix]
+        pdeg = sum(exp) - qdeg
         if pdeg != 0:
             raise ModelInvariantError(
                 "superpotential-degree", f"term of p-degree {pdeg}"
@@ -319,7 +292,8 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     0, and the lift is 1 / p_j' less p_j's degree.  Each chain is then
     multiplied by (x^outs)^E, E read off p_j''s column, which keeps a
     chain's key within the headroom (``_headroom``).  The image is checked
-    as an A-form on the packed terms, with ``_check_a_form``'s messages.
+    as an A-form on the packed terms (``_is_a_form``); where that fails,
+    ``_check_a_form`` on their view names the first term at fault.
     """
     if W.tag != "A-form":
         raise ValueError("a_mutate_w needs an A-form superpotential")
@@ -332,28 +306,23 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     lattice = ("q",) + s.quiver.vertices
     if src.lattice != lattice:
         raise ValueError("a_mutate_w needs W over q and the seed's vertices")
-    size, d = src.size, len(lattice)
-    width = 8 * size
+    packing = Packing(src.size, len(lattice))
+    width, unit = packing.width, 1 << packing.bits  # unit: a p-degree of 1
     half, mask = 1 << width - 1, (1 << width) - 1
     lattice2 = ("q",) + vertices
-    # j's column p in W, j''s column p2 in the image: only the columns
-    # between them move, one column towards j's
+    # j's field p in W, j''s field p2 in the image: only the fields between
+    # them move, one field towards j's
     p, p2 = lattice.index(j), lattice2.index(j2)
-    at = {x: width * (d - 1 - i) for i, x in enumerate(lattice2)}  # field shifts
-    unit = 1 << width * d  # a p-degree of 1
+    at = {x: width * i for i, x in enumerate(lattice2)}  # field shifts
 
     def packed(mono) -> int:  # a monomial, its p-degree above the fields
         return sum(e * ((1 << at[x]) + unit) for x, e in mono.items())
 
-    up_y, out, at_j, at_j2 = packed(y), packed(outs), width * (d - 1 - p), at[j2]
-    lo, hi = sorted((p, p2))
-    # ~region keeps every bit above the fields, so a p-degree below 0 stays
-    region = (1 << width * (d - lo)) - (1 << width * (d - 1 - hi))
-    up, down = (width, 0) if p2 > p else (0, width)
+    up_y, out, at_j2 = packed(y), packed(outs), at[j2]
     pivot, step = next(iter(y.items()))
     image, chains = _exchange(
-        src.terms, width, (~region, region - (mask << at_j), up, down, half << at_j2),
-        ((at_j, 1, 0),), up_y, -packed({j2: 1}) - unit, (at[pivot], step))
+        src.terms, width, (*packing.rekey(p, p2), half << at_j2),
+        ((width * p, 1, 0),), up_y, -packed({j2: 1}) - unit, (at[pivot], step))
     get = image.get
     reach = 0  # the largest |E|
     for r, chain in chains.items():
@@ -364,24 +333,24 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
         for t, c in chain.items():
             key = r + t * up_y
             image[key] = get(key, 0) + c
-    terms = {r: c for r, c in image.items() if c}
-    at_q = width * (d - 1)
-    if not _is_a_form(terms, at_q, half):
-        # the same check in term order, which raises naming the first term
-        # at fault as on the polynomial
-        _check_degrees((r >> width * d, (r >> at_q & mask) - half)
-                       for r in sorted(terms, key=(unit - 1).__and__))
-    return SuperpotentialExpr(None, "A-form", PackedTerms(
-        lattice2, size, terms, src.top + reach * m))
+    result = PackedTerms(lattice2, src.size, {r: c for r, c in image.items() if c},
+                         src.top + reach * m)
+    if not _is_a_form(result.terms, packing.bits, mask, half):
+        # the same check on the polynomial, in term order, which raises
+        # naming the first term at fault
+        _check_a_form(result.view())
+    return SuperpotentialExpr(None, "A-form", result)
 
 
-def _is_a_form(terms, at_q: int, half: int) -> bool:
+def _is_a_form(terms, bits: int, mask: int, half: int) -> bool:
     """Whether every packed term has p-degree 0 and q-degree 0 or 1, and
-    at least one carries q: above q's field at ``at_q``, each reads the
-    bias or the bias plus 1."""
+    at least one carries q: each reads 0 above its fields, at ``bits``,
+    and the bias or the bias plus 1 in q's field, field 0."""
     carry_q = 0
     for key in terms:
-        h = (key >> at_q) - half
+        if key >> bits:
+            return False
+        h = (key & mask) - half
         if h == 1:
             carry_q += 1
         elif h:

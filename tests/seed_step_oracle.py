@@ -15,11 +15,9 @@ builds beta's column map straight from the arrows, the route
 ``seeds.beta_columns`` replaced.
 """
 
-import struct
-
 from plabicflow import seeds
 from plabicflow.combinat import _mask, crossing_partner, format_ksubset
-from plabicflow.plabic import ModelInvariantError, NotPlabicMutable, _field_format, _field_size
+from plabicflow.plabic import ModelInvariantError, NotPlabicMutable, _field_size
 
 
 def set_exchange_label(q, labels, j):
@@ -136,10 +134,8 @@ def dict_exact_sequence_witness(s):
     wt = [seeds._kappa_column(s, J) for J in s.vertex_labels]
     top = max(map(max, wt))
     reach = max(sum(map(abs, colmap.values())) for colmap in cols.values())
-    size = _field_size(1 + reach * top)
-    width = 8 * size
-    fmt = _field_format(size, len(wt))
-    packed = {v: int.from_bytes(struct.pack(fmt, *col), "little")
+    width = 8 * _field_size(1 + reach * top)
+    packed = {v: sum(x << width * i for i, x in enumerate(col))
               for v, col in zip(q.vertices, wt)}
     for i, v in enumerate(q.vertices):
         if v == q.star:

@@ -87,3 +87,14 @@ def test_one_function_expands_and_divides_exchange_chains():
                  for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef) and _names(node)[name]]
         assert users == ["laurent._exchange"], name
+
+
+def test_one_module_knows_the_packed_field_format():
+    # every packed exponent vector is a laurent.Packing: no other module of
+    # the package packs or unpacks fields with struct
+    importers = sorted(
+        path.stem for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "struct")
+    assert importers == ["laurent"]
