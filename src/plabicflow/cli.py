@@ -539,21 +539,35 @@ _MUTATIONS = _Walk(lambda model: seeds.seed_mutations(seeds.seed_of_model(model)
 
 
 def _trop_a(model: PlabicModel, tag: str):
-    """trop-a's κ table on the seed, made once, and its check of one
-    mutation: κ carried by tropical A-mutation, the involution on random
-    points, and the rectangles potential (verify's models are rectangles
-    models) mutated there and back by ``a_mutate_w``."""
+    """trop-a's κ table on the seed, made once as one column per vertex,
+    and its check of one mutation: κ carried by tropical A-mutation, the
+    involution on random points, and the rectangles potential (verify's
+    models are rectangles models) mutated there and back by ``a_mutate_w``.
+
+    Tropical A-mutation at j changes column j alone, and the new seed's
+    other labels are the parent's (``mutate_labels`` keeps them), so the
+    carried column j is compared with the new label's MaxDiag column.  A
+    new seed whose other labels differ is compared vector by vector.  The
+    FAIL line is made from the two κ vectors of the first subset that
+    differs."""
     s = seeds.seed_of_model(model)
     q = s.quiver
-    base = {I: seeds.kappa_vector(s, I) for I in ksubsets(s.n, s.k)}
+    subsets = ksubsets(s.n, s.k)
+    base = seeds.kappa_columns(s, subsets)
     W = superpot.w_rectangles(s.k, s.n)
 
     def step(j: str, s2: seeds.Seed) -> str | None:
         j2 = next(iter(set(s2.labels) - set(s.labels)))
-        for I, kv in base.items():
-            moved = seeds.trop_a_mutate(q, j, kv)
-            want = seeds.kappa_vector(s2, I)
-            want = {j if a == j2 else a: b for a, b in want.items()}
+        carried = seeds.trop_a_column(q, j, base)
+        column = seeds.kappa_label_column(s2, j2, subsets)
+        kept = ({v: x for v, x in zip(s2.quiver.vertices, s2.masks) if v != j2}
+                == {v: x for v, x in zip(q.vertices, s.masks) if v != j})
+        for I, a, b in zip(subsets, carried, column):
+            if a == b and kept:
+                continue
+            moved = seeds.kappa_vector(s, I)
+            moved[j] = a
+            want = {j if x == j2 else x: c for x, c in seeds.kappa_vector(s2, I).items()}
             if moved != want:
                 return f"{tag} at {j}, I={format_ksubset(I, s.n)}: {moved} != {want}"
         # mutating back at j2 on the mutated seed's quiver gives v back

@@ -318,8 +318,9 @@ def _exchange(terms: Mapping[int, int], width: int, rekey, reads, y: int, lift: 
     re-keyed by ``rekey`` = (keep, between, up, down, new): k's bits in
     keep, those in between moved one column (<< up >> down), as
     ``Packing.rekey`` gives them, and those of new, such as a biased 0 in
-    the column left empty.  E and a are linear in k: each of ``reads`` is (shift, coefficient in E, coefficient in a)
-    of one field.  y and lift are packed monomials with no bias.
+    the column left empty.  E and a are linear in k: each of ``reads``, of
+    which there is at least one, is (shift, coefficient in E, coefficient
+    in a) of one field.  y and lift are packed monomials with no bias.
 
     A term with E = a = 0 goes straight to the image, as r.  One with E >=
     0 expands along its chain, x^(r + E lift) times powers of y, by a row
@@ -339,13 +340,17 @@ def _exchange(terms: Mapping[int, int], width: int, rekey, reads, y: int, lift: 
     keep, between, up, down, new = rekey
     half, mask = 1 << width - 1, (1 << width) - 1
     at_pivot, step = pivot
+    # the first read is taken off its field before the loop over the rest,
+    # which one read (A-mutation) leaves empty
+    (s1, e1, b1), rest = reads[0], reads[1:]
     image: dict[int, int] = {}
     chains: dict[int, dict[int, int]] = {}
     lows: dict[int, dict[int, dict[int, int]]] = {}  # representative -> E -> chain
     get = image.get
     for key, c in terms.items():
-        E = a = 0
-        for s, e, b in reads:
+        v = (key >> s1 & mask) - half
+        E, a = e1 * v, b1 * v
+        for s, e, b in rest:
             v = (key >> s & mask) - half
             E += e * v
             a += b * v

@@ -6,8 +6,12 @@ arrow per edge, boundary faces frozen.  Mutation keeps that order, so every
 lattice derived from ``Quiver.vertices`` is in subset order too.  A seed
 adds the k-subset labels.  Mutation comes in three flavors: ``fz_mutate``
 (matrix mutation of the quiver alone), ``mutate_labels`` (seed-level, with
-the Plucker exchange of the mutated label), and ``trop_a_mutate`` (the
-piecewise-linear action on integer vectors).
+the Plucker exchange of the mutated label), and tropical A-mutation (the
+piecewise-linear action on integer vectors), in two forms: ``trop_a_mutate``
+on one vector and ``trop_a_column`` on a table of vectors held as columns,
+which makes only the new column j.  Both loop over j's ``exchange_pairs``,
+the arrows at j as (vertex, multiplicity) tuples, which a quiver keeps per
+vertex beside the ``neighbours`` maps, both read off its arrows once.
 
 A seed checks each label where it is made (a strictly increasing k-subset
 of [n]) and keeps its bitmask in ``Seed.masks``, read by weak separation
@@ -16,7 +20,10 @@ is pairwise weakly separated (Oh-Postnikov-Speyer): ``seed_of_model`` tests
 every pair of masks once per model, ``mutate_labels`` only the exchanged
 label against the parent's other masks, and both raise
 ``labels-not-weakly-separated`` naming a crossing pair.  Kappa is walked
-from the masks into the one kappa memo (``_KAPPA_ROWS``).
+from the masks into the one kappa memo (``_KAPPA_ROWS``), kept for the
+process, and read from it as one vector (``kappa_vector``), as a table of
+columns (``kappa_columns``) or as one label's column
+(``kappa_label_column``).
 
 A mutation changes one vertex, and ``mutate_labels`` builds the child from
 its parent: the exchanged label is found on the masks of j's neighbourhood
@@ -26,8 +33,8 @@ order; it alone is checked and masked, once per seed and vertex
 and kappa reader are the parent's with j's entry replaced, and a kappa row
 that the parent read lacks only the new label's entry.  Only the arrows
 among j and its neighbours can change, so only they are mutated, checked
-as ``make_quiver`` checks arrows and put in place among the parent's
-others.
+as ``make_quiver`` checks arrows and merged, in order, into the parent's
+others by bisection from the last place.
 
 beta is one list of positional entries (``_beta_entries``); the
 exact-sequence check sums its rows and columns and the columns of wt . beta,
@@ -49,11 +56,11 @@ seed), so the exact-sequence identities survive mutation there.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from collections.abc import Iterator, Mapping
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .combinat import (
@@ -84,9 +91,13 @@ class Quiver:
     # every vertex but the star, in vertex order: the coordinates of
     # X-mutation, kappa points, the GT ambient and the potential's image
     lattice: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # mutable vertex -> its in/out maps, filled by ``neighbours``
+    # mutable vertex -> its in/out maps (``neighbours``) and, beside them,
+    # its in/out (vertex, multiplicity) pairs (``exchange_pairs``), both
+    # filled by ``_read_arrows``
     _neighbours: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    _pairs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lattice",
@@ -101,13 +112,32 @@ def neighbours(q: Quiver, j: str) -> tuple[Mapping[str, int], Mapping[str, int]]
     the positive exchange-matrix entries b_{uj} and b_{jv}."""
     memo = q._neighbours
     if j not in memo:
-        if j not in q.vertices:
-            raise ModelInvariantError("unknown-node", f"no vertex {j}")
-        if j in q.frozen:
-            raise NotPlabicMutable(f"vertex {j} is frozen")
-        memo[j] = (MappingProxyType({u: m for u, v, m in q.arrows if v == j}),
-                   MappingProxyType({v: m for u, v, m in q.arrows if u == j}))
+        _read_arrows(q, j)
     return memo[j]
+
+
+def exchange_pairs(q: Quiver, j: str) -> tuple[tuple[tuple[str, int], ...],
+                                                tuple[tuple[str, int], ...]]:
+    """``neighbours`` as tuples of (vertex, multiplicity) pairs, in and out,
+    in vertex order: the form trop-A loops over, read off the arrows with
+    the maps."""
+    memo = q._pairs
+    if j not in memo:
+        _read_arrows(q, j)
+    return memo[j]
+
+
+def _read_arrows(q: Quiver, j: str) -> None:
+    """Read the arrows at j once, into both memos of the quiver; an
+    unknown vertex raises ``unknown-node``, a frozen one NotPlabicMutable."""
+    if j not in q.vertices:
+        raise ModelInvariantError("unknown-node", f"no vertex {j}")
+    if j in q.frozen:
+        raise NotPlabicMutable(f"vertex {j} is frozen")
+    ins = tuple((u, m) for u, v, m in q.arrows if v == j)
+    outs = tuple((v, m) for u, v, m in q.arrows if u == j)
+    q._pairs[j] = ins, outs
+    q._neighbours[j] = MappingProxyType(dict(ins)), MappingProxyType(dict(outs))
 
 
 def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
@@ -425,10 +455,11 @@ def mutate_labels(s: Seed, j: str) -> Seed:
 
     Only the arrows within ``_near(s.quiver, j)`` can change: they are
     mutated by ``_fz_counts`` and the corner rule, renamed at j, checked as
-    ``make_quiver`` checks arrows and put in place by bisection among the
-    parent's other arrows, which keep their order.  The labels, masks and
-    kappa reader are the parent's with j's entry replaced; a kappa row the
-    parent read lacks only the new mask, which a read fills first.
+    ``make_quiver`` checks arrows, which sorts them, and merged into the
+    parent's other arrows, which keep their order, each by bisection from
+    where the one before went.  The labels, masks and kappa reader are the
+    parent's with j's entry replaced; a kappa row the parent read lacks
+    only the new mask, which a read fills first.
     """
     name, label, mask, i, p = _exchange(s, j)
     others = s.masks[:i] + s.masks[i + 1:]
@@ -447,18 +478,22 @@ def mutate_labels(s: Seed, j: str) -> Seed:
     del labels[j]
     labels[name] = label
     rn = lambda x: name if x == j else x
+    vertices = _moved(q.vertices, i, p, name)
     # the vertices are in label order, so a label orders arrows as its
     # vertex's position would
+    key = lambda a: (labels[a[0]], labels[a[1]])
     near = _near(q, j)
     arrows = [a for a in q.arrows if a[0] not in near or a[1] not in near]
-    key = lambda a: (labels[a[0]], labels[a[1]])
+    # the new arrows in order, merged into the others from the last place
+    lo = 0
     for a in _checked_arrows(labels, q.frozen,
                              {(rn(u), rn(v)): m for (u, v), m in counts.items()}):
-        insort(arrows, a, key=key)
+        lo = bisect_left(arrows, key(a), lo, key=key)
+        arrows.insert(lo, a)
+        lo += 1
     child = object.__new__(Seed)
     for field_name, value in (("k", s.k), ("n", s.n), ("labels", MappingProxyType(labels)),
-                              ("quiver", Quiver(_moved(q.vertices, i, p, name), q.frozen,
-                                                q.star, tuple(arrows)))):
+                              ("quiver", Quiver(vertices, q.frozen, q.star, tuple(arrows)))):
         object.__setattr__(child, field_name, value)
     _set_derived(child, _moved(s.vertex_labels, i, p, label), _moved(s.masks, i, p, mask),
                  s._kappa[1], (mask,), True)
@@ -519,12 +554,9 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
     decoding of a mask.  A star label with nonzero kappa raises
     ``bad-label``.
     """
-    if len(I) != s.k:
-        raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
     row = _KAPPA_ROWS.get((I, s.n))
-    if row is None:
-        check_ksubset(I, s.n)
-        row = _KAPPA_ROWS[(I, s.n)] = {}
+    if row is None or len(I) != s.k:
+        row = _new_row(s, I)
     get, star, _new = s._kappa
     try:
         col = get(row)
@@ -534,6 +566,54 @@ def _kappa_column(s: Seed, I: KSubset) -> tuple[int, ...]:
         raise ModelInvariantError(
             "bad-label", f"star label {s.labels[s.quiver.star]} has nonzero kappa"
         )
+    return col
+
+
+def _new_row(s: Seed, I: KSubset) -> dict[int, int]:
+    """The kappa row of I, made empty where the memo lacks it, once I is
+    checked: a size other than the seed's k, then a bad I, raises
+    ValueError and leaves no row."""
+    if len(I) != s.k:
+        raise ValueError(f"size mismatch: {I} is not a {s.k}-subset")
+    row = _KAPPA_ROWS.get((I, s.n))
+    if row is None:
+        check_ksubset(I, s.n)
+        row = _KAPPA_ROWS[(I, s.n)] = {}
+    return row
+
+
+def kappa_columns(s: Seed, subsets) -> dict[str, tuple[int, ...]]:
+    """The kappa vectors of ``subsets`` on the seed as a table of columns:
+    vertex -> its coordinate in the kappa vector of each subset, in the
+    order of ``subsets``, columns in vertex order.  Each vector is read as
+    ``kappa_vector`` reads it, with its checks, but no dict is made: the
+    columns are read off the filled rows, and no vector is held."""
+    rows = []
+    for I in subsets:
+        I = tuple(I)
+        _kappa_column(s, I)
+        rows.append(_KAPPA_ROWS[(I, s.n)])
+    return {v: tuple(map(itemgetter(mask), rows))
+            for v, mask in zip(s.quiver.vertices, s.masks)}
+
+
+def kappa_label_column(s: Seed, v: str, subsets) -> list[int]:
+    """Column v of ``kappa_columns(s, subsets)`` alone: the MaxDiag of v's
+    label against each subset, read off the kappa rows, a missing entry
+    walked from the masks and kept.  No other coordinate is read, so the
+    star's entry is not checked here."""
+    mask = s.masks[s.quiver.vertices.index(v)]
+    rows, n, k = _KAPPA_ROWS, s.n, s.k
+    col = []
+    for I in subsets:
+        I = tuple(I)
+        row = rows.get((I, n))
+        if row is None or len(I) != k:
+            row = _new_row(s, I)
+        x = row.get(mask)
+        if x is None:
+            x = row[mask] = _max_diag_masks(mask, _mask(I))
+        col.append(x)
     return col
 
 
@@ -702,16 +782,38 @@ def trop_a_mutate(q: Quiver, j: str, v: dict[str, int]) -> dict[str, int]:
 
     v'_j = min(sum over in-arrows, sum over out-arrows) - v_j with arrow
     multiplicities; all other coordinates are unchanged.  The result is a
-    new dict in the order of v.  The sums are plain loops over the
-    ``neighbours`` maps.
+    new dict in the order of v.  The sums are plain loops over j's
+    ``exchange_pairs``; ``trop_a_column`` is the same map on a table of
+    vectors held as columns.
     """
-    ins, outs = neighbours(q, j)
-    s_in = 0
-    for u, mult in ins.items():
+    ins, outs = q._pairs.get(j) or exchange_pairs(q, j)
+    s_in = s_out = 0
+    for u, mult in ins:
         s_in += mult * v[u]
-    s_out = 0
-    for w, mult in outs.items():
+    for w, mult in outs:
         s_out += mult * v[w]
-    out = dict(v)
-    out[j] = min(s_in, s_out) - v[j]
+    out = v.copy()
+    out[j] = (s_in if s_in < s_out else s_out) - v[j]
     return out
+
+
+def trop_a_column(q: Quiver, j: str, columns: Mapping[str, Sequence[int]]) -> list[int]:
+    """``trop_a_mutate`` at j of every vector of a table held as columns,
+    vertex -> its coordinate in each vector: the new column j, entry by
+    entry min(sum over in-arrows, sum over out-arrows) less the old entry,
+    read off j's ``exchange_pairs``.  Every other column is unchanged, so
+    none is made."""
+    ins, outs = exchange_pairs(q, j)
+    col = columns[j]
+    return [(a if a < b else b) - c for a, b, c in zip(
+        _column_sum(ins, columns, len(col)), _column_sum(outs, columns, len(col)), col)]
+
+
+def _column_sum(pairs, columns: Mapping[str, Sequence[int]], size: int) -> list[int]:
+    """The columns of the pairs' vertices, each times its multiplicity,
+    added entry by entry; ``size`` zeros for no pairs."""
+    total = [0] * size
+    for u, mult in pairs:
+        col = columns[u]
+        total = list(map(add, total, col if mult == 1 else [mult * x for x in col]))
+    return total

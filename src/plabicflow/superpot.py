@@ -77,8 +77,12 @@ class PackedTerms:
 def _headroom(top: int, m: int) -> int:
     """The largest |exponent| that a step with exchange multiplicities at
     most m writes when each of its input's is at most ``top``: an image
-    term or a chain's representative (``a_mutate_w``)."""
-    return top + (top + 1) * m
+    term or a chain's representative (``a_mutate_w``).  A representative
+    of E < 0 is taken at the pivot, an in-neighbour u, after the lift has
+    multiplied it by (x^outs)^E: its field at an out-neighbour is its
+    exponent plus (E + t) times a multiplicity, t = e_u // b_uj, so
+    |E + t| <= 2 top."""
+    return top + (2 * top + 1) * m
 
 
 class SuperpotentialExpr:
@@ -289,11 +293,13 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
 
     p_j goes to (x^ins + x^outs) / p_j' = x^outs (1 + y) / p_j', the
     products over the in- and out-arrows: y = x^ins / x^outs, E = e_j, a =
-    0, and the lift is 1 / p_j' less p_j's degree.  Each chain is then
-    multiplied by (x^outs)^E, E read off p_j''s column, which keeps a
-    chain's key within the headroom (``_headroom``).  The image is checked
-    as an A-form on the packed terms (``_is_a_form``); where that fails,
-    ``_check_a_form`` on their view names the first term at fault.
+    0, and the lift is x^outs / p_j' less p_j's degree, so each chain is
+    made already multiplied by (x^outs)^E and only keyed here; its key
+    stays within the headroom (``_headroom``).  The largest |E|, which
+    bounds the image's exponents, is read off p_j''s field of the chains.
+    The image is checked as an A-form on the packed terms
+    (``_is_a_form``); where that fails, ``_check_a_form`` on their view
+    names the first term at fault.
     """
     if W.tag != "A-form":
         raise ValueError("a_mutate_w needs an A-form superpotential")
@@ -318,18 +324,18 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     def packed(mono) -> int:  # a monomial, its p-degree above the fields
         return sum(e * ((1 << at[x]) + unit) for x, e in mono.items())
 
-    up_y, out, at_j2 = packed(y), packed(outs), at[j2]
+    up_y, at_j2 = packed(y), at[j2]
     pivot, step = next(iter(y.items()))
     image, chains = _exchange(
         src.terms, width, (*packing.rekey(p, p2), half << at_j2),
-        ((width * p, 1, 0),), up_y, -packed({j2: 1}) - unit, (at[pivot], step))
+        ((width * p, 1, 0),), up_y, packed(outs) - packed({j2: 1}) - unit,
+        (at[pivot], step))
     get = image.get
     reach = 0  # the largest |E|
     for r, chain in chains.items():
         E = half - (r >> at_j2 & mask)
         if abs(E) > reach:
             reach = abs(E)
-        r += E * out
         for t, c in chain.items():
             key = r + t * up_y
             image[key] = get(key, 0) + c

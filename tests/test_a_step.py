@@ -133,8 +133,9 @@ def spread(f: LaurentPoly, factor: dict, E: int) -> LaurentPoly:
 def test_exponents_past_the_narrowest_field_are_repacked():
     # W times (p_j p_b / (p_c p_d))^E, b an out-neighbour of j and c, d no
     # neighbours: every exponent is at most E + 1, and mutating at j takes
-    # b's to about 2E.  At E = 32 W fits 8-bit fields (2(E + 1) + 1 < 128
-    # for the exchange multiplicities of 1 here) but its image does not:
+    # b's to about 2E.  At E = 32 W fits 8-bit fields (the headroom
+    # (E + 1) + 2(E + 1) + 1 < 128 for the exchange multiplicities of 1
+    # here) but its image does not:
     # the way back packs the image again, at 16 bits.  At E = 100 W needs
     # them from the start
     s = rectangles_seed(3, 6)

@@ -752,16 +752,17 @@ def test_byte_determinism_subprocess():
 
 
 def test_trop_a_computes_the_base_kappa_table_once(monkeypatch, capsys):
+    # the table's columns are read off one kappa column per subset
     base = seeds.rectangles_seed(3, 6).labels
     calls = []
-    real = seeds.kappa_vector
+    real = seeds._kappa_column
 
     def counted(s, I):
         if s.labels == base:
             calls.append(tuple(I))
         return real(s, I)
 
-    monkeypatch.setattr(seeds, "kappa_vector", counted)
+    monkeypatch.setattr(seeds, "_kappa_column", counted)
     rc, out, _ = run_out(capsys, "verify", "trop-a", "--kn", "3,6")
     assert rc == 0 and out.startswith("PASS trop-a")
     assert sorted(calls) == list(ksubsets(6, 3))
@@ -1041,13 +1042,35 @@ def test_valuation_kappa_mismatch_is_verification_failure(monkeypatch, capsys):
 
 
 def test_trop_a_mismatch_is_verification_failure(monkeypatch, capsys):
-    monkeypatch.setattr(seeds, "trop_a_mutate", lambda q, j, v: dict(v))
+    # the κ table is carried by the column form of tropical A-mutation;
+    # leaving column j as it is fails at the first subset it moves
+    monkeypatch.setattr(seeds, "trop_a_column", lambda q, j, columns: list(columns[j]))
     rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "2,4")
     assert (rc, err) == (1, "")
     assert out == (
         "FAIL trop-a: rect:2,4 at 13, I=13: "
         "{'12': 0, '13': 0, '14': 1, '23': 1, '34': 1} != "
         "{'12': 0, '14': 1, '23': 1, '13': 1, '34': 1}\n"
+    )
+
+
+def test_trop_a_compares_every_vector_when_a_kept_label_changed(monkeypatch, capsys):
+    # the table check carries column j alone, since the other labels are
+    # the parent's; a new seed that changes one of them (14 -> 35 here) is
+    # compared vector by vector, and the first subset names it
+    real = seeds.mutate_labels
+
+    def relabelled(s, j):
+        child = real(s, j)
+        return seeds.Seed(child.k, child.n, child.quiver, {**child.labels, "14": (3, 5)})
+
+    monkeypatch.setattr(seeds, "mutate_labels", relabelled)
+    rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "2,5")
+    assert (rc, err) == (1, "")
+    assert out == (
+        "FAIL trop-a: rect:2,5 at 13, I=12: "
+        "{'12': 0, '13': 1, '14': 1, '15': 1, '23': 1, '34': 2, '45': 2} != "
+        "{'12': 0, '14': 2, '15': 1, '23': 1, '13': 1, '34': 2, '45': 2}\n"
     )
 
 
@@ -1175,10 +1198,10 @@ def test_verify_keeps_no_mutated_seed_past_its_checks(monkeypatch, capsys, suite
 
 
 def test_a_fault_in_a_seed_suite_names_its_mutation(monkeypatch, capsys):
-    def broken(q, j, v):
+    def broken(q, j, columns):
         raise ValueError("forced fault")
 
-    monkeypatch.setattr(seeds, "trop_a_mutate", broken)
+    monkeypatch.setattr(seeds, "trop_a_column", broken)
     rc, out, err = run_out(capsys, "verify", "trop-a", "--kn", "2,4")
     assert (rc, err) == (1, "")
     assert out == "FAIL trop-a: rect:2,4 after mutation at 13: internal error: forced fault\n"

@@ -135,6 +135,20 @@ def exchange_multiplicity_off_by_one(monkeypatch):
     monkeypatch.setattr(charts, "neighbours", bumped)
 
 
+def trop_a_max(monkeypatch):
+    # both forms of tropical A-mutation, the vector's and the table's, take
+    # the max of the in- and out-sums in place of the min
+    def high(q, j, value):
+        ins, outs = seeds.neighbours(q, j)
+        return max(sum(m * value(u) for u, m in ins.items()),
+                   sum(m * value(w) for w, m in outs.items()))
+
+    monkeypatch.setattr(seeds, "trop_a_mutate",
+                        lambda q, j, v: {**v, j: high(q, j, v.__getitem__) - v[j]})
+    monkeypatch.setattr(seeds, "trop_a_column", lambda q, j, columns: [
+        high(q, j, lambda u: columns[u][i]) - x for i, x in enumerate(columns[j])])
+
+
 def _escapes(item, why):
     return pytest.mark.xfail(strict=True, reason=f"escapes until ROADMAP item {item}: {why}")
 
@@ -220,6 +234,20 @@ FAULTS = [
         for kn, j, j2, star in (("2,5", "13", "24", "12"), ("3,6", "124", "135", "123"),
                                 ("3,7", "124", "135", "123"))
     ], id="a_mutate_w doubles the potential"),
+    pytest.param(trop_a_max, [
+        "FAIL trop-a: rect:2,5 at 13, I=13: {'12': 0, '13': 2, '14': 1, '15': 1, "
+        "'23': 1, '34': 1, '45': 2} != {'12': 0, '14': 1, '15': 1, '23': 1, "
+        "'13': 1, '34': 1, '45': 2}",
+        "FAIL trop-a: rect:3,6 at 124, I=124: {'123': 0, '124': 2, '125': 1, "
+        "'126': 1, '134': 1, '145': 1, '156': 2, '234': 1, '345': 2, '456': 2} "
+        "!= {'123': 0, '125': 1, '126': 1, '134': 1, '124': 1, '145': 1, "
+        "'156': 2, '234': 1, '345': 2, '456': 2}",
+        "FAIL trop-a: rect:3,7 at 124, I=124: {'123': 0, '124': 2, '125': 1, "
+        "'126': 1, '127': 1, '134': 1, '145': 1, '156': 2, '167': 2, '234': 1, "
+        "'345': 2, '456': 2, '567': 3} != {'123': 0, '125': 1, '126': 1, "
+        "'127': 1, '134': 1, '124': 1, '145': 1, '156': 2, '167': 2, '234': 1, "
+        "'345': 2, '456': 2, '567': 3}",
+    ], id="trop-A with max in place of min"),
     pytest.param(edge_variable_when_1_in_I, None, id="P_I times an edge variable when 1 in I",
                  marks=_escapes(15, "each side of a three-term relation has "
                                     "equally many factors holding 1")),

@@ -1000,6 +1000,45 @@ def test_trop_a_mutate_equals_generator_sums(values, j, order):
     assert got is not v and v == before
 
 
+# (quiver, j, the quiver mutated at j with j renamed j2, j2) for every
+# one-step seed of rect (2,5) to (4,8), and the mutable vertices of a quiver
+# with multiplicities, which no seed mutation takes
+TROP_A_CASES = [
+    (s.quiver, j, moved.quiver, name)
+    for k, n in ((2, 5), (3, 6), (3, 7), (4, 8))
+    for s in [rectangles_seed(k, n)]
+    for j, moved in seed_mutations(s)
+    for (name,) in [set(moved.labels) - set(s.labels)]
+] + [(MULTI_QUIVER, j, None, None) for j in ("b", "c", "d")]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_column_trop_a_equals_trop_a_mutate_and_the_plain_read(data):
+    # a table of random vectors, held as dicts and as columns: the column
+    # form carries column j to trop_a_mutate's entry j, which equals the
+    # generator sums over the neighbours maps, and leaves the rest alone;
+    # on a seed step, both forms mutated back at j2 give the table back
+    q, j, q2, j2 = data.draw(st.sampled_from(TROP_A_CASES))
+    m = len(q.vertices)
+    rows = data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=m, max_size=m),
+                              min_size=1, max_size=5))
+    table = [dict(zip(q.vertices, row)) for row in rows]
+    columns = {v: tuple(row[i] for row in rows) for i, v in enumerate(q.vertices)}
+    carried = seeds.trop_a_column(q, j, columns)
+    assert carried == [trop_a_mutate(q, j, v)[j] for v in table]
+    for v, x in zip(table, carried):
+        assert trop_a_mutate(q, j, v) == genexpr_trop_a_mutate(q, j, v) == {**v, j: x}
+        if q2 is not None:
+            moved = {j2 if u == j else u: c for u, c in trop_a_mutate(q, j, v).items()}
+            back = trop_a_mutate(q2, j2, moved)
+            assert {j if u == j2 else u: c for u, c in back.items()} == v
+    if q2 is not None:
+        columns2 = {j2 if u == j else u: col for u, col in columns.items()}
+        columns2[j2] = carried
+        assert seeds.trop_a_column(q2, j2, columns2) == list(columns[j])
+
+
 def test_exact_sequence_checks_with_double_arrows_equal_tuple_route():
     # doubling the arrows of an oriented 3-cycle of mutable vertices keeps
     # every row and column of beta balanced and puts entries -2 and 2 in it
