@@ -44,7 +44,7 @@ from .plabic import (
     masks_at,
     matching_table,
 )
-from .seeds import neighbours, seed_of_model
+from .seeds import exchange_pairs, seed_of_model
 
 
 def edge_lattice(model: PlabicModel) -> tuple[str, ...]:
@@ -233,7 +233,7 @@ class XStep:
                 "quiver-fz-mismatch",
                 f"lattice {list(incoming)} does not match quiver vertices at {j}",
             )
-        ins, outs = neighbours(q, j)
+        ins, outs = exchange_pairs(q, j)
         self.graph = graph = face_graph(model)
         self.moved_graph = face_graph(moved)
         W = graph.width
@@ -241,8 +241,8 @@ class XStep:
         column = {x: W * p for p, x in enumerate(incoming)}
         p, p2 = old.index(j), incoming.index(extra[0])
         # E and a as ``x_mutate`` reads them; the star's weight is 0
-        self.reads = (*((column[x], m, 0) for x, m in ins.items() if x in column),
-                      *((column[x], -m, m) for x, m in outs.items() if x in column),
+        self.reads = (*((column[x], m, 0) for x, m in ins if x in column),
+                      *((column[x], -m, m) for x, m in outs if x in column),
                       (W * p2, 0, -1))
         self.column = W * p  # j in the model's packing; y = x_j
         keep, between, up, down = graph.packing.rekey(p2, p)

@@ -557,7 +557,7 @@ def _trop_a(model: PlabicModel, tag: str):
     W = superpot.w_rectangles(s.k, s.n)
 
     def step(j: str, s2: seeds.Seed) -> str | None:
-        j2 = next(iter(set(s2.labels) - set(s.labels)))
+        j2 = seeds.label_exchange(s, j)[0]  # found by the walk's mutate_labels
         carried = seeds.trop_a_column(q, j, base)
         column = seeds.kappa_label_column(s2, j2, subsets)
         kept = ({v: x for v, x in zip(s2.quiver.vertices, s2.masks) if v != j2}

@@ -9,9 +9,9 @@ adds the k-subset labels.  Mutation comes in three flavors: ``fz_mutate``
 the Plucker exchange of the mutated label), and tropical A-mutation (the
 piecewise-linear action on integer vectors), in two forms: ``trop_a_mutate``
 on one vector and ``trop_a_column`` on a table of vectors held as columns,
-which makes only the new column j.  Both loop over j's ``exchange_pairs``,
-the arrows at j as (vertex, multiplicity) tuples, which a quiver keeps per
-vertex beside the ``neighbours`` maps, both read off its arrows once.
+which makes only the new column j.  Every exchange step reads j's arrows
+as ``exchange_pairs``, (vertex, multiplicity) tuples in and out, which a
+quiver reads off its arrows once per vertex and keeps.
 
 A seed checks each label where it is made (a strictly increasing k-subset
 of [n]) and keeps its bitmask in ``Seed.masks``, read by weak separation
@@ -32,8 +32,9 @@ order; it alone is checked and masked, once per seed and vertex
 (``superpot.a_mutate_w`` at j finds it kept); the child's masks, labels
 and kappa reader are the parent's with j's entry replaced, and a kappa row
 that the parent read lacks only the new label's entry.  Only the arrows
-among j and its neighbours can change, so only they are mutated, checked
-as ``make_quiver`` checks arrows and merged, in order, into the parent's
+among j and its neighbours can change: one pass over the parent's arrows
+splits them from the others (``_fz_counts``), and only they are mutated,
+checked as ``make_quiver`` checks arrows and merged, in order, into the
 others by bisection from the last place.
 
 beta is one list of positional entries (``_beta_entries``); the
@@ -91,11 +92,8 @@ class Quiver:
     # every vertex but the star, in vertex order: the coordinates of
     # X-mutation, kappa points, the GT ambient and the potential's image
     lattice: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    # mutable vertex -> its in/out maps (``neighbours``) and, beside them,
-    # its in/out (vertex, multiplicity) pairs (``exchange_pairs``), both
-    # filled by ``_read_arrows``
-    _neighbours: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+    # mutable vertex -> its in/out (vertex, multiplicity) pairs, filled by
+    # ``exchange_pairs``
     _pairs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -104,40 +102,29 @@ class Quiver:
                            tuple(v for v in self.vertices if v != self.star))
 
 
-def neighbours(q: Quiver, j: str) -> tuple[Mapping[str, int], Mapping[str, int]]:
-    """The arrows at a mutable vertex j, as read-only maps in-neighbour ->
-    multiplicity and out-neighbour -> multiplicity, in vertex order.  Each
-    vertex's maps are read off the arrows once per quiver.  An arrow at a
-    mutable vertex has no reverse arrow (``make_quiver``), so these are also
-    the positive exchange-matrix entries b_{uj} and b_{jv}."""
-    memo = q._neighbours
-    if j not in memo:
-        _read_arrows(q, j)
-    return memo[j]
-
-
 def exchange_pairs(q: Quiver, j: str) -> tuple[tuple[tuple[str, int], ...],
                                                 tuple[tuple[str, int], ...]]:
-    """``neighbours`` as tuples of (vertex, multiplicity) pairs, in and out,
-    in vertex order: the form trop-A loops over, read off the arrows with
-    the maps."""
+    """The arrows at a mutable vertex j, as tuples of (in-neighbour,
+    multiplicity) and (out-neighbour, multiplicity) pairs in vertex order:
+    the one read of j's arrows, which every exchange step makes.  They are
+    read off the arrows in one pass, once per quiver and vertex.  An arrow
+    at a mutable vertex has no reverse arrow (``make_quiver``), so these
+    are also the positive exchange-matrix entries b_{uj} and b_{jv}.  An
+    unknown vertex raises ``unknown-node``, a frozen one NotPlabicMutable."""
     memo = q._pairs
     if j not in memo:
-        _read_arrows(q, j)
+        if j not in q.vertices:
+            raise ModelInvariantError("unknown-node", f"no vertex {j}")
+        if j in q.frozen:
+            raise NotPlabicMutable(f"vertex {j} is frozen")
+        ins, outs = [], []
+        for u, v, m in q.arrows:
+            if v == j:
+                ins.append((u, m))
+            elif u == j:
+                outs.append((v, m))
+        memo[j] = tuple(ins), tuple(outs)
     return memo[j]
-
-
-def _read_arrows(q: Quiver, j: str) -> None:
-    """Read the arrows at j once, into both memos of the quiver; an
-    unknown vertex raises ``unknown-node``, a frozen one NotPlabicMutable."""
-    if j not in q.vertices:
-        raise ModelInvariantError("unknown-node", f"no vertex {j}")
-    if j in q.frozen:
-        raise NotPlabicMutable(f"vertex {j} is frozen")
-    ins = tuple((u, m) for u, v, m in q.arrows if v == j)
-    outs = tuple((v, m) for u, v, m in q.arrows if u == j)
-    q._pairs[j] = ins, outs
-    q._neighbours[j] = MappingProxyType(dict(ins)), MappingProxyType(dict(outs))
 
 
 def make_quiver(vertices, frozen, star, arrow_counts: dict) -> Quiver:
@@ -203,56 +190,59 @@ def fz_mutate(q: Quiver, j: str) -> Quiver:
     are mutated (``_fz_counts``), the rest copied, and the one
     ``make_quiver`` checks them all.
     """
-    near = _near(q, j)
-    counts = {(u, v): mult for u, v, mult in q.arrows if u not in near or v not in near}
-    counts.update(_fz_counts(q, j))
-    return make_quiver(q.vertices, q.frozen, q.star, counts)
+    counts, others = _fz_counts(q, j)
+    return make_quiver(q.vertices, q.frozen, q.star,
+                       {**{(u, v): mult for u, v, mult in others}, **counts})
 
 
-def _near(q: Quiver, j: str) -> frozenset[str]:
-    """j and its in- and out-neighbours: every arrow that mutation at j can
-    change has both ends here."""
-    ins, outs = neighbours(q, j)
-    return frozenset((j, *ins, *outs))
-
-
-def _fz_counts(q: Quiver, j: str) -> dict[tuple[str, str], int]:
-    """Arrow counts of ``fz_mutate(q, j)`` on the pairs within ``_near(q,
-    j)``, by the neighbourhood rule: the arrows there in arrow order, those
-    at j reversed, and then each in-/out-neighbour pair of j that is not
-    frozen-frozen with its net count."""
-    ins, outs = neighbours(q, j)
+def _fz_counts(q: Quiver, j: str) -> tuple[dict[tuple[str, str], int],
+                                           list[tuple[str, str, int]]]:
+    """``fz_mutate(q, j)`` near j and the arrows it copies, from one pass
+    over the arrows: the arrow counts among j and its in- and
+    out-neighbours, the only ones mutation at j can change, by the
+    neighbourhood rule (the arrows there in arrow order, those at j
+    reversed, and then each in-/out-neighbour pair of j that is not
+    frozen-frozen with its net count), and every other arrow, in arrow
+    order."""
+    ins, outs = exchange_pairs(q, j)
     frozen = q.frozen
-    near = _near(q, j)
+    near = {j, *(u for u, _m in ins), *(v for v, _m in outs)}
     # arrows at j reverse, the rest are copied; a pair with a mutable end
     # carries arrows one way only (``make_quiver``), so its net count is
     # the one arrow count
-    counts = {((v, u) if j in (u, v) else (u, v)): mult
-              for u, v, mult in q.arrows if u in near and v in near}
-    for u, mu in ins.items():
-        for v, mv in outs.items():
+    counts, others = {}, []
+    for a in q.arrows:
+        u, v, mult = a
+        if u not in near or v not in near:
+            others.append(a)
+        elif u == j or v == j:
+            counts[v, u] = mult
+        else:
+            counts[u, v] = mult
+    for u, mu in ins:
+        for v, mv in outs:
             if u in frozen and v in frozen:
                 continue
             net = counts.pop((u, v), 0) - counts.pop((v, u), 0) + mu * mv
             if net:
                 counts[(u, v) if net > 0 else (v, u)] = abs(net)
-    return counts
+    return counts, others
 
 
 def _corner_rule(q: Quiver, j: str, counts: dict[tuple[str, str], int]) -> None:
     """The dimer update of frozen-frozen arrows after mutation at j.
 
     ``counts`` are the arrow counts of ``fz_mutate(q, j)`` near j
-    (``_fz_counts``), updated in place.
+    (the first of ``_fz_counts``), updated in place.
     Each 2-path u -> j -> v with both u and v frozen sits at a corner of
     the quadrilateral face dual to j, and the square move reverses the
     corner's third arrow v -> u to u -> v.  Seeds reachable from the
     rectangles seed always carry that arrow; its absence means the quiver
     is not the dual of a plabic model.
     """
-    ins, outs = neighbours(q, j)
-    for u, mu in ins.items():
-        for v, mv in outs.items():
+    ins, outs = exchange_pairs(q, j)
+    for u, mu in ins:
+        for v, mv in outs:
             if u not in q.frozen or v not in q.frozen:
                 continue
             c = mu * mv
@@ -379,12 +369,12 @@ def exchange_label(q: Quiver, labels: Mapping[str, KSubset], j: str) -> KSubset:
     S plus two of {a,b,c,d}; the exchange partner is S plus the other two.
     Raises NotPlabicMutable when the neighborhood does not have this shape.
     """
-    in_mult, out_mult = neighbours(q, j)
-    n_in, n_out = sum(in_mult.values()), sum(out_mult.values())
+    ins, outs = exchange_pairs(q, j)
+    n_in, n_out = sum(m for _u, m in ins), sum(m for _v, m in outs)
     if n_in != 2 or n_out != 2:
         raise NotPlabicMutable(f"vertex {j} has {n_in} in-arrows and {n_out} out-arrows")
-    a, b = (_mask(labels[u]) for u, mult in in_mult.items() for _ in range(mult))
-    c, d = (_mask(labels[v]) for v, mult in out_mult.items() for _ in range(mult))
+    a, b = (_mask(labels[u]) for u, mult in ins for _ in range(mult))
+    c, d = (_mask(labels[v]) for v, mult in outs for _ in range(mult))
     S, quad = a & b, a ^ b
     if c & d != S or c ^ d != quad:
         raise NotPlabicMutable(f"neighbor labels of {j} do not share a quadruple")
@@ -453,11 +443,12 @@ def mutate_labels(s: Seed, j: str) -> Seed:
     is too.  A crossing raises ``labels-not-weakly-separated``, naming the
     exchanged label and its first crossing partner in vertex order.
 
-    Only the arrows within ``_near(s.quiver, j)`` can change: they are
-    mutated by ``_fz_counts`` and the corner rule, renamed at j, checked as
+    Only the arrows among j and its neighbours can change: ``_fz_counts``
+    splits them from the parent's others in one pass and mutates them, the
+    corner rule follows, and they are renamed at j, checked as
     ``make_quiver`` checks arrows, which sorts them, and merged into the
-    parent's other arrows, which keep their order, each by bisection from
-    where the one before went.  The labels, masks and kappa reader are the
+    others, which keep their order, each by bisection from where the one
+    before went.  The labels, masks and kappa reader are the
     parent's with j's entry replaced; a kappa row the parent read lacks
     only the new mask, which a read fills first.
     """
@@ -472,7 +463,7 @@ def mutate_labels(s: Seed, j: str) -> Seed:
             f"{format_ksubset(s.vertex_labels[partner], s.n)}",
         )
     q = s.quiver
-    counts = _fz_counts(q, j)
+    counts, arrows = _fz_counts(q, j)
     _corner_rule(q, j, counts)
     labels = dict(s.labels)
     del labels[j]
@@ -482,8 +473,6 @@ def mutate_labels(s: Seed, j: str) -> Seed:
     # the vertices are in label order, so a label orders arrows as its
     # vertex's position would
     key = lambda a: (labels[a[0]], labels[a[1]])
-    near = _near(q, j)
-    arrows = [a for a in q.arrows if a[0] not in near or a[1] not in near]
     # the new arrows in order, merged into the others from the last place
     lo = 0
     for a in _checked_arrows(labels, q.frozen,
@@ -783,8 +772,9 @@ def trop_a_mutate(q: Quiver, j: str, v: dict[str, int]) -> dict[str, int]:
     v'_j = min(sum over in-arrows, sum over out-arrows) - v_j with arrow
     multiplicities; all other coordinates are unchanged.  The result is a
     new dict in the order of v.  The sums are plain loops over j's
-    ``exchange_pairs``; ``trop_a_column`` is the same map on a table of
-    vectors held as columns.
+    ``exchange_pairs``, taken from the quiver's memo where it holds them,
+    so only a first read at j calls it; ``trop_a_column`` is the same map
+    on a table of vectors held as columns.
     """
     ins, outs = q._pairs.get(j) or exchange_pairs(q, j)
     s_in = s_out = 0

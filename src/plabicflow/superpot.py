@@ -33,9 +33,9 @@ from .plabic import ModelInvariantError
 from .seeds import (
     Seed,
     beta_columns,
+    exchange_pairs,
     kappa_vector,
     label_exchange,
-    neighbours,
     rectangles_seed,
 )
 
@@ -304,10 +304,10 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     if W.tag != "A-form":
         raise ValueError("a_mutate_w needs an A-form superpotential")
     j2, _label, vertices = label_exchange(s, j)
-    ins, outs = neighbours(s.quiver, j)
-    # no vertex is both an in- and an out-neighbour
-    y = {**ins, **{v: -m for v, m in outs.items()}}
-    m = max(map(abs, y.values()))
+    ins, outs = exchange_pairs(s.quiver, j)
+    # the exponents of y, no vertex both an in- and an out-neighbour
+    y = (*ins, *((v, -m) for v, m in outs))
+    m = max(abs(e) for _v, e in y)
     src = _packed(W, m)
     lattice = ("q",) + s.quiver.vertices
     if src.lattice != lattice:
@@ -321,14 +321,14 @@ def a_mutate_w(s: Seed, W: SuperpotentialExpr, j: str) -> SuperpotentialExpr:
     p, p2 = lattice.index(j), lattice2.index(j2)
     at = {x: width * i for i, x in enumerate(lattice2)}  # field shifts
 
-    def packed(mono) -> int:  # a monomial, its p-degree above the fields
-        return sum(e * ((1 << at[x]) + unit) for x, e in mono.items())
+    def packed(mono) -> int:  # a monomial's pairs, its p-degree above the fields
+        return sum(e * ((1 << at[x]) + unit) for x, e in mono)
 
     up_y, at_j2 = packed(y), at[j2]
-    pivot, step = next(iter(y.items()))
+    pivot, step = y[0]
     image, chains = _exchange(
         src.terms, width, (*packing.rekey(p, p2), half << at_j2),
-        ((width * p, 1, 0),), up_y, packed(outs) - packed({j2: 1}) - unit,
+        ((width * p, 1, 0),), up_y, packed(outs) - packed(((j2, 1),)) - unit,
         (at[pivot], step))
     get = image.get
     reach = 0  # the largest |E|

@@ -1,11 +1,14 @@
 """The routes that seed mutation and the exact-sequence check replaced, kept
 as test oracles.
 
-``oracle_mutate_labels`` is the child made whole: the exchanged label read
-off sets, every vertex sorted by its label, the matrix rule over every
-arrow (``full_fz_counts``) and the corner rule, the one ``make_quiver``
-over the renamed counts and ``Seed(...)``, which checks and masks every
-label again.  ``seeds.mutate_labels`` builds the child from its parent.
+``oracle_mutate_labels`` is the child made whole: every vertex sorted by
+its label, the matrix rule over every arrow with the corner rule at the
+frozen pairs (``full_fz_counts``), the one ``make_quiver`` over the
+renamed counts and ``Seed(...)``, which checks and masks every label
+again.  ``seeds.mutate_labels`` builds the child from its parent.  The
+oracle reads the arrows at j straight off ``Quiver.arrows``
+(``arrows_at``), and ``set_exchange_label`` finds the exchanged label on
+sets, so neither shares code with the package's read of them.
 
 ``dict_exact_sequence_witness`` is the exact-sequence check over the
 column map ``seeds.beta_columns``, the κ columns of ``seeds._kappa_column``
@@ -20,9 +23,21 @@ from plabicflow.combinat import _mask, crossing_partner, format_ksubset
 from plabicflow.plabic import ModelInvariantError, NotPlabicMutable, _field_size
 
 
+def arrows_at(q, j):
+    """The arrows at j as maps in-neighbour -> multiplicity and
+    out-neighbour -> multiplicity, read off ``q.arrows``; an unknown or a
+    frozen j is refused as ``seeds.exchange_pairs`` refuses it."""
+    if j not in q.vertices:
+        raise ModelInvariantError("unknown-node", f"no vertex {j}")
+    if j in q.frozen:
+        raise NotPlabicMutable(f"vertex {j} is frozen")
+    return ({u: m for u, v, m in q.arrows if v == j},
+            {v: m for u, v, m in q.arrows if u == j})
+
+
 def set_exchange_label(q, labels, j):
     """``seeds.exchange_label`` on sets of elements."""
-    in_mult, out_mult = seeds.neighbours(q, j)
+    in_mult, out_mult = arrows_at(q, j)
     ins = [labels[u] for u, mult in in_mult.items() for _ in range(mult)]
     outs = [labels[v] for v, mult in out_mult.items() for _ in range(mult)]
     if len(ins) != 2 or len(outs) != 2:
@@ -54,13 +69,23 @@ def oracle_label_exchange(s, j):
 
 
 def full_fz_counts(q, j):
-    """Arrow counts of the matrix mutation of q at j over every arrow."""
-    ins, outs = seeds.neighbours(q, j)
+    """Arrow counts of seed mutation of q at j over every arrow: the
+    arrows at j reversed, and for each 2-path u -> j -> v of
+    multiplicities mu and mv, the matrix rule's net count mu * mv added to
+    u -> v where u or v is mutable.  Where both are frozen the arrows may
+    run both ways, and the dimer corner rule moves mu * mv arrows v -> u
+    to u -> v; too few v -> u arrows is a ``corner-structure`` fault."""
+    ins, outs = arrows_at(q, j)
     frozen = q.frozen
     counts = {((v, u) if j in (u, v) else (u, v)): mult for u, v, mult in q.arrows}
     for u, mu in ins.items():
         for v, mv in outs.items():
             if u in frozen and v in frozen:
+                if counts.get((v, u), 0) < mu * mv:
+                    raise ModelInvariantError(
+                        "corner-structure", f"no arrow {v} -> {u} at a corner of {j}")
+                counts[(v, u)] -= mu * mv
+                counts[(u, v)] = counts.get((u, v), 0) + mu * mv
                 continue
             net = counts.pop((u, v), 0) - counts.pop((v, u), 0) + mu * mv
             if net:
@@ -84,7 +109,6 @@ def oracle_mutate_labels(s, j):
     q = s.quiver
     rn = lambda x: new_name if x == j else x
     counts = full_fz_counts(q, j)
-    seeds._corner_rule(q, j, counts)
     q2 = seeds.make_quiver(vertices, q.frozen, q.star,
                            {(rn(u), rn(v)): m for (u, v), m in counts.items()})
     return seeds.Seed(s.k, s.n, q2, labels2)

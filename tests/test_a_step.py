@@ -16,9 +16,9 @@ from plabicflow.laurent import LaurentPoly, NotLaurent
 from plabicflow.plabic import ModelInvariantError
 from plabicflow.seeds import (
     Seed,
+    exchange_pairs,
     label_exchange,
     mutate_labels,
-    neighbours,
     rectangles_seed,
     seed_mutations,
 )
@@ -140,7 +140,7 @@ def test_exponents_past_the_narrowest_field_are_repacked():
     # them from the start
     s = rectangles_seed(3, 6)
     j = "124"
-    ins, outs = neighbours(s.quiver, j)
+    ins, outs = map(dict, exchange_pairs(s.quiver, j))
     assert set(ins.values()) == set(outs.values()) == {1}
     b = next(iter(outs))
     c, d = [v for v in s.quiver.vertices if v not in ins and v not in outs and v != j][-2:]

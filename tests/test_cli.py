@@ -1079,9 +1079,9 @@ def one_arrow_doubled(monkeypatch):
     real = seeds._fz_counts
 
     def doubled(q, j):
-        counts = real(q, j)
+        counts, others = real(q, j)
         counts[next(pair for pair in counts if j in pair)] = 2
-        return counts
+        return counts, others
 
     monkeypatch.setattr(seeds, "_fz_counts", doubled)
 

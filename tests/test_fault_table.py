@@ -103,10 +103,11 @@ def kappa_plus_one(monkeypatch):
 
 
 def one_sided_exchange_binomial(monkeypatch):
-    # a_mutate_w reads the exchange binomial's two monomials off neighbours;
-    # this fault loses the out-arrows' monomial, leaving (in-monomial + 1)
-    real = superpot.neighbours
-    monkeypatch.setattr(superpot, "neighbours", lambda q, j: (real(q, j)[0], {}))
+    # a_mutate_w reads the exchange binomial's two monomials off
+    # exchange_pairs; this fault loses the out-arrows' monomial, leaving
+    # (in-monomial + 1)
+    real = superpot.exchange_pairs
+    monkeypatch.setattr(superpot, "exchange_pairs", lambda q, j: (real(q, j)[0], ()))
 
 
 def doubled_a_mutation(monkeypatch):
@@ -123,30 +124,35 @@ def doubled_a_mutation(monkeypatch):
 
 
 def exchange_multiplicity_off_by_one(monkeypatch):
-    # the packed X-mutation step reads the arrows at j off neighbours: one
-    # in-neighbour's multiplicity one too large
-    real = charts.neighbours
+    # the packed X-mutation step reads the arrows at j off exchange_pairs:
+    # one in-neighbour's multiplicity one too large
+    real = charts.exchange_pairs
 
     def bumped(q, j):
-        ins, outs = real(q, j)
-        first = next(iter(ins))
-        return {**ins, first: ins[first] + 1}, outs
+        ((first, m), *ins), outs = real(q, j)
+        return ((first, m + 1), *ins), outs
 
-    monkeypatch.setattr(charts, "neighbours", bumped)
+    monkeypatch.setattr(charts, "exchange_pairs", bumped)
 
 
 def trop_a_max(monkeypatch):
     # both forms of tropical A-mutation, the vector's and the table's, take
     # the max of the in- and out-sums in place of the min
     def high(q, j, value):
-        ins, outs = seeds.neighbours(q, j)
-        return max(sum(m * value(u) for u, m in ins.items()),
-                   sum(m * value(w) for w, m in outs.items()))
+        ins, outs = seeds.exchange_pairs(q, j)
+        return max(sum(m * value(u) for u, m in ins),
+                   sum(m * value(w) for w, m in outs))
 
     monkeypatch.setattr(seeds, "trop_a_mutate",
                         lambda q, j, v: {**v, j: high(q, j, v.__getitem__) - v[j]})
     monkeypatch.setattr(seeds, "trop_a_column", lambda q, j, columns: [
         high(q, j, lambda u: columns[u][i]) - x for i, x in enumerate(columns[j])])
+
+
+def corner_rule_skipped(monkeypatch):
+    # seed mutation leaves the frozen-frozen arrows at j's corners as they
+    # were: matrix mutation alone does not define them
+    monkeypatch.setattr(seeds, "_corner_rule", lambda q, j, counts: None)
 
 
 def _escapes(item, why):
@@ -248,6 +254,14 @@ FAULTS = [
         "'127': 1, '134': 1, '124': 1, '145': 1, '156': 2, '167': 2, '234': 1, "
         "'345': 2, '456': 2, '567': 3}",
     ], id="trop-A with max in place of min"),
+    # exact-seq alone reads the frozen-frozen arrows of a mutated seed
+    pytest.param(corner_rule_skipped, [
+        f"FAIL exact-seq: rect:{kn} after mutation at {j}: invariant violation: "
+        f"beta-unbalanced: beta row {row} sums to {total}, not 0: all-ones vector "
+        "not annihilated; seed outside the supported class"
+        for kn, j, row, total in (("2,5", "13", "12", 1), ("3,6", "125", "126", -1),
+                                  ("3,7", "126", "127", -1))
+    ], id="the corner rule skipped in seed mutation"),
     pytest.param(edge_variable_when_1_in_I, None, id="P_I times an edge variable when 1 in I",
                  marks=_escapes(15, "each side of a three-term relation has "
                                     "equally many factors holding 1")),

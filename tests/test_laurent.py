@@ -19,8 +19,8 @@ from plabicflow.laurent import (
 from plabicflow.charts import face_lattice, flow_polynomial
 from plabicflow.plabic import build_rectangles_model, positroid, square_moves
 from plabicflow.seeds import (
+    exchange_pairs,
     label_exchange,
-    neighbours,
     rectangles_seed,
     seed_mutations,
     seed_of_model,
@@ -63,7 +63,7 @@ def test_monomial_and_pretty():
     assert lp_add(m, minus_f).pretty("y") == "-y24*y34"
     q = LaurentPoly.monomial(("q", "13", "34"), {"q": 1, "13": 1, "34": -1})
     assert q.pretty("p") == "q*p13*p34^-1"
-    # a read-only name map (as seeds.neighbours gives) is a name map too
+    # a read-only name map (as a seed's labels are) is a name map too
     ro = LaurentPoly.monomial(("24", "34"), MappingProxyType({"34": 1, "24": 2}))
     assert ro.terms == (((2, 1), 1),)
 
@@ -519,7 +519,7 @@ def test_x_mutate_equals_one_shot_route_on_orbits(k, n):
     for m in orbit(build_rectangles_model(k, n), 1):
         q = seed_of_model(m).quiver
         for j, moved in square_moves(m):
-            ins, outs = neighbours(q, j)
+            ins, outs = map(dict, exchange_pairs(q, j))
             images = {}
             for x in face_lattice(moved):
                 if x in q.vertices:
@@ -555,7 +555,7 @@ def test_a_mutate_w_equals_one_shot_route_on_orbits(k, n):
         lattice2 = ("q",) + vertices
         images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
         images[j] = ({j2: -1}, 1)
-        ins, outs = neighbours(s.quiver, j)
+        ins, outs = map(dict, exchange_pairs(s.quiver, j))
         u = LaurentPoly.make(lattice2, {
             tuple(ins.get(x, 0) for x in lattice2): 1,
             tuple(outs.get(x, 0) for x in lattice2): 1})

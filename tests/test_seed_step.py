@@ -116,7 +116,7 @@ def test_child_route_equals_the_whole_child_on_walks(start, seed, steps):
 
 def corner(s: Seed, j: str):
     """A corner arrow v -> u of j: u -> j -> v with u and v frozen."""
-    ins, outs = seeds.neighbours(s.quiver, j)
+    ins, outs = map(dict, seeds.exchange_pairs(s.quiver, j))
     return next(((v, u) for u in ins for v in outs
                  if u in s.quiver.frozen and v in s.quiver.frozen), None)
 

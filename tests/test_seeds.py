@@ -1,15 +1,17 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plabicflow import combinat, seeds
+from plabicflow import charts, combinat, seeds
 from plabicflow.combinat import format_ksubset, ksubsets
 from plabicflow.plabic import (
     ModelInvariantError,
     NotPlabicMutable,
     build_rectangles_model,
     shark_model,
+    square_move,
     square_moves,
 )
 from plabicflow.seeds import (
@@ -172,11 +174,54 @@ def test_mutate_labels_builds_one_quiver(monkeypatch):
         moved = seeds.mutate_labels(s, j)
         assert built == [] and len(made) == 1 and len(checked) == 1
         (new,) = set(moved.labels) - set(s.labels)
-        near = seeds._near(s.quiver, j)
+        ins, outs = seeds.exchange_pairs(s.quiver, j)
+        near = {j, *dict(ins), *dict(outs)}
         renamed = {new if v == j else v for v in near}
         assert checked[0] and all({u, v} <= renamed for u, v in checked[0])
         assert ({a for a in s.quiver.arrows if not {a[0], a[1]} <= near}
                 == {a for a in moved.quiver.arrows if not {a[0], a[1]} <= renamed})
+
+
+def test_every_exchange_step_reads_the_arrows_at_j_through_exchange_pairs(monkeypatch):
+    # exchange_pairs is the one read of j's arrows: each step at 124 of
+    # rect:3,6 asks for (its quiver, 124) in the module that runs it, and
+    # for nothing else.  Each seed step runs on a seed made afresh, so that
+    # no memo of the quiver's pairs or of the seed's exchange hides a read
+    assert not hasattr(seeds, "neighbours")
+    real = seeds.exchange_pairs
+    asked = []
+    binders = [m for name, m in sys.modules.items()
+               if name.startswith("plabicflow") and getattr(m, "exchange_pairs", None) is real]
+    assert {m.__name__ for m in binders} >= {"plabicflow.seeds", "plabicflow.charts",
+                                             "plabicflow.superpot"}
+    for m in binders:
+        monkeypatch.setattr(m, "exchange_pairs", lambda q, j, m=m: asked.append(
+            (m.__name__.rpartition(".")[2], q, j)) or real(q, j))
+
+    def fresh() -> Seed:
+        s = rectangles_seed(3, 6)
+        q = s.quiver
+        return Seed(s.k, s.n, Quiver(q.vertices, q.frozen, q.star, q.arrows), s.labels)
+
+    j = "124"
+    model = build_rectangles_model(3, 6)
+    moved = square_move(model, (1, 2, 4))  # the move reads the model's seed too
+    steps = [
+        ("mutate_labels", lambda s: mutate_labels(s, j), {"seeds"}),
+        ("fz_mutate", lambda s: fz_mutate(s.quiver, j), {"seeds"}),
+        ("a_mutate_w", lambda s: a_mutate_w(s, w_rectangles(3, 6), j), {"seeds", "superpot"}),
+        ("XStep", lambda s: charts.XStep(model, j, moved), {"charts"}),
+        ("trop_a_mutate", lambda s: trop_a_mutate(s.quiver, j, dict.fromkeys(s.quiver.vertices, 0)),
+         {"seeds"}),
+        ("trop_a_column", lambda s: seeds.trop_a_column(
+            s.quiver, j, dict.fromkeys(s.quiver.vertices, (0,))), {"seeds"}),
+    ]
+    for name, step, readers in steps:
+        s = seed_of_model(model) if name == "XStep" else fresh()
+        asked.clear()
+        step(s)
+        assert {(reader, q is s.quiver, v) for reader, q, v in asked} == {
+            (reader, True, j) for reader in readers}, name
 
 
 def test_seed_and_mutate_labels():
@@ -325,7 +370,7 @@ def test_a_seed_step_and_its_potential_step_find_the_exchange_once(monkeypatch):
     assert calls == [j, j2]
     # a refusal is not kept: each request is refused anew
     hexagon = next(v for v in mutable_vertices(s.quiver) if v not in (j, j2)
-                   and sum(seeds.neighbours(s.quiver, v)[0].values()) != 2)
+                   and sum(m for _u, m in seeds.exchange_pairs(s.quiver, v)[0]) != 2)
     for _ in range(2):
         with pytest.raises(NotPlabicMutable):
             mutate_labels(s, hexagon)
@@ -806,9 +851,9 @@ def tuple_exact_sequence_witness(s: Seed) -> str | None:
 
 def genexpr_trop_a_mutate(q: Quiver, j: str, v: dict) -> dict:
     """``trop_a_mutate`` with generator sums: its reference route."""
-    ins, outs = seeds.neighbours(q, j)
-    s_in = sum(mult * v[u] for u, mult in ins.items())
-    s_out = sum(mult * v[w] for w, mult in outs.items())
+    ins, outs = seeds.exchange_pairs(q, j)
+    s_in = sum(mult * v[u] for u, mult in ins)
+    s_out = sum(mult * v[w] for w, mult in outs)
     out = dict(v)
     out[j] = min(s_in, s_out) - v[j]
     return out
@@ -947,7 +992,7 @@ def test_labels_are_masked_once_where_the_seed_is_made(monkeypatch):
         moved = mutate_labels(t, j)
         new = moved.labels[next(iter(set(moved.labels) - set(s.labels)))]
         assert checked == [new]
-        ins, outs = seeds.neighbours(s.quiver, j)
+        ins, outs = map(dict, seeds.exchange_pairs(s.quiver, j))
         assert sorted(calls) == sorted(s.labels[v] for v in (j, *ins, *outs))
         i = s.quiver.vertices.index(j)
         assert set(moved.masks) == set(s.masks[:i] + s.masks[i + 1:]) | {mask(new)}
@@ -1017,7 +1062,7 @@ TROP_A_CASES = [
 def test_column_trop_a_equals_trop_a_mutate_and_the_plain_read(data):
     # a table of random vectors, held as dicts and as columns: the column
     # form carries column j to trop_a_mutate's entry j, which equals the
-    # generator sums over the neighbours maps, and leaves the rest alone;
+    # generator sums over the exchange pairs, and leaves the rest alone;
     # on a seed step, both forms mutated back at j2 give the table back
     q, j, q2, j2 = data.draw(st.sampled_from(TROP_A_CASES))
     m = len(q.vertices)

@@ -18,9 +18,9 @@ from plabicflow.cones import (
 from plabicflow.laurent import LaurentPoly, lp_add, lp_equal
 from plabicflow.plabic import NotPlabicMutable
 from plabicflow.seeds import (
+    exchange_pairs,
     mutable_vertices,
     mutate_labels,
-    neighbours,
     rectangles_seed,
     trop_a_mutate,
 )
@@ -176,7 +176,7 @@ def full_seed_a_mutate_w(s, W, j):
     lattice2 = ("q",) + s2.quiver.vertices
     images = {lab: ({lab: 1}, 0) for lab in W.poly.lattice if lab != j}
     images[j] = ({j2: -1}, 1)
-    ins, outs = neighbours(s.quiver, j)
+    ins, outs = map(dict, exchange_pairs(s.quiver, j))
     binom = lp_add(LaurentPoly.monomial(lattice2, ins),
                    LaurentPoly.monomial(lattice2, outs))
     out = binomial_substitute(W.poly, images, binom)

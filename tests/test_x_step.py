@@ -18,7 +18,7 @@ from plabicflow.charts import XStep, face_lattice, flow_counts, flow_polynomial,
 from plabicflow.cli import load_any_model
 from plabicflow.laurent import LaurentPoly, NotLaurent
 from plabicflow.plabic import build_rectangles_model, face_graph, positroid, square_move
-from plabicflow.seeds import neighbours, seed_of_model
+from plabicflow.seeds import exchange_pairs, seed_of_model
 
 SPECS = ("shark", "rect:2,5", "rect:3,6", "rect:3,7", "rect:4,8")
 
@@ -125,7 +125,7 @@ def rect_36_move():
 def test_an_inexact_division_is_not_laurent_on_both_routes():
     # one term with E = -1: x^a / (1 + x_j) is no Laurent polynomial
     model, j, moved = rect_36_move()
-    _ins, outs = neighbours(seed_of_model(model).quiver, j)
+    _ins, outs = map(dict, exchange_pairs(seed_of_model(model).quiver, j))
     out = next(x for x in outs if x in face_lattice(moved))
     counts = single_term(model, j, moved, {out: 1})
     packed, oracle = outcomes(model, j, moved, (1, 2, 3), counts)
@@ -136,7 +136,7 @@ def test_exponents_below_0_and_past_the_field_keep_their_terms():
     # x_j' alone maps to x_j^-5; two in- and two out-neighbours at 100 give
     # E = 0 and x_j^200, past the 8-bit field's 127: both keyed (r, t)
     model, j, moved = rect_36_move()
-    ins, outs = neighbours(seed_of_model(model).quiver, j)
+    ins, outs = map(dict, exchange_pairs(seed_of_model(model).quiver, j))
     renamed = renamed_face(model, j, moved)
     assert face_graph(model).width == 8
     assert len(ins) == len(outs) == 2 and set(ins.values()) == set(outs.values()) == {1}

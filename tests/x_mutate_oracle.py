@@ -5,7 +5,7 @@ packed step on flow counts, is checked against."""
 from substitution_oracle import BinomialSubstitution
 from plabicflow.laurent import LaurentPoly, lp_add
 from plabicflow.plabic import ModelInvariantError
-from plabicflow.seeds import Quiver, neighbours
+from plabicflow.seeds import Quiver, exchange_pairs
 
 
 def x_mutate(q: Quiver, j: str, f: LaurentPoly) -> LaurentPoly:
@@ -24,7 +24,7 @@ def x_step(q: Quiver, j: str, incoming: tuple[str, ...]) -> BinomialSubstitution
     """The substitution of ``x_mutate`` at j for polynomials on the lattice
     ``incoming``, which must be q's lattice with j renamed: the lattice of
     the seed mutated at j."""
-    ins, outs = neighbours(q, j)
+    ins, outs = map(dict, exchange_pairs(q, j))
     old = q.lattice
     extra = [x for x in incoming if x not in q.vertices]
     missing = [x for x in old if x not in incoming]
