@@ -21,9 +21,9 @@ counts by the exchange step that A-mutation shares (``laurent._exchange``,
 set up by ``XStep`` and keyed by ``x_mutate``), and a three-term relation
 multiplies packed terms, one int addition per pair (``plucker_verify``);
 each compares two dicts.  ``partition_function`` and ``flow_polynomial`` read
-the packed keys as exponent tuples where a ``LaurentPoly`` is asked for:
-to print it.  A face-weight violation names the boundary value and the
-matching's edges.
+the packed keys as exponent tuples on each call, where a ``LaurentPoly`` is
+printed; the model keeps no such view.  A face-weight violation names the
+boundary value and the matching's edges.
 """
 
 from __future__ import annotations
@@ -79,14 +79,7 @@ def _edge_counts(model: PlabicModel, I: KSubset) -> Mapping[int, int]:
 def partition_function(model: PlabicModel, I: KSubset) -> LaurentPoly:
     """Generating function of matchings with boundary value I, in edge
     variables, zero when I is not in the positroid: ``edge_counts`` read
-    as exponent tuples, made once per model and I where a polynomial is
-    asked for (printing)."""
-    I = tuple(I)
-    return analyze(model).derive(
-        ("partition function", I), lambda: _partition_polynomial(model, I))
-
-
-def _partition_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
+    as exponent tuples, for printing."""
     lattice = edge_lattice(model)
     fields = range(0, 2 * len(lattice), 2)
     return LaurentPoly.make(lattice, {tuple(s >> f & 3 for f in fields): c
@@ -115,12 +108,13 @@ def _flow_table(model: PlabicModel) -> Mapping[KSubset, tuple[Mapping[int, int],
 def _flow_entry(model: PlabicModel, I: KSubset) -> tuple[Mapping[int, int], int | None]:
     """(flow counts, packed least weight) of I: read off the flow table
     when the model has its matching table, else weighed from I's own
-    matchings once per model and I, the rule ``masks_at`` follows."""
+    matchings once per model and I, the rule ``masks_at`` follows; I
+    weighed alone is not weighed again for a matching table made later."""
     I = tuple(I)
     an = analyze(model)
     table = an.kept("flow table")
     if table is None:
-        if an.kept("matching table") is None:
+        if an.kept("matching table") is None or an.kept(("flow counts", I)) is not None:
             return an.derive(("flow counts", I), lambda: _checked_flow_counts(model, I))
         table = flow_table(model)
     return table.get(I, _ZERO)
@@ -185,14 +179,7 @@ def _weighed(model: PlabicModel, graph, I: KSubset, masks) -> tuple[Mapping[int,
 def flow_polynomial(model: PlabicModel, I: KSubset) -> LaurentPoly:
     """Generating function of flows from I to the base boundary value, in
     face variables: ``flow_counts`` with each packed weight read as its
-    exponent tuple, made once per model and I where a polynomial is asked
-    for (printing)."""
-    I = tuple(I)
-    return analyze(model).derive(
-        ("flow polynomial", I), lambda: _flow_view(model, I))
-
-
-def _flow_view(model: PlabicModel, I: KSubset) -> LaurentPoly:
+    exponent tuple, for printing."""
     counts = flow_counts(model, I)
     if not counts:
         return LaurentPoly.make(face_lattice(model), {})

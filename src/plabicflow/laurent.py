@@ -380,75 +380,54 @@ def _exchange(terms: Mapping[int, int], width: int, rekey, reads, y: int, lift: 
     return image, chains
 
 
-class Substitution:
-    """One monomial map from the Laurent polynomials on ``lattice`` to
-    those on ``codomain``, built once and applied to any number of them.
-
-    ``images`` maps every label of ``lattice`` to a sparse {label:
-    exponent} monomial over the codomain; a label mapped to {} is dropped.
-    The build splits the labels in two.  A plain label maps to one
-    codomain coordinate with exponent 1, a coordinate that no earlier plain
-    label takes, so the plain labels form a partial permutation and one
-    gather reads their part of every image.  Every other label is twisted
-    and keeps a sparse column.  Mutation, whose images carry powers of an
-    exchange binomial, is no monomial map: both charts mutate on packed
-    terms, by the one exchange step (``_exchange``).
-    """
-
-    def __init__(self, lattice, images: dict[str, dict[str, int]], codomain):
-        codomain = check_lattice(codomain)
-        col = {lab: i for i, lab in enumerate(codomain)}
-        lattice = tuple(lattice)
-        zero = len(lattice)  # the index of the 0 that apply appends
-        source = [zero] * len(col)  # codomain coordinate -> plain label
-        twisted = []
-        for t, lab in enumerate(lattice):
-            if lab not in images:
-                raise ValueError(f"no image for label {lab!r}")
-            m = images[lab]
-            if not m.keys() <= col.keys():
-                raise ValueError(f"image of {lab!r} uses "
-                                 f"{sorted(set(m) - set(col))} outside the codomain")
-            pairs = [(col[x], v) for x, v in m.items() if v]
-            i, v = pairs[0] if len(pairs) == 1 else (0, 0)
-            if v == 1 and source[i] == zero:
-                source[i] = t
-            else:
-                twisted.append((t, pairs))
-        self.lattice = lattice
-        self.codomain = codomain
-        # itemgetter gives a bare item for one index and refuses none; a
-        # slice gives a tuple on those codomains
-        if len(source) > 1:
-            self._gather = itemgetter(*source)
-        else:
-            self._gather = itemgetter(slice(source[0], source[0] + 1) if source else slice(0))
-        self._twisted = tuple(twisted)
-
-    def apply(self, f: LaurentPoly) -> LaurentPoly:
-        """The image of f, which must live on the built lattice: each
-        term's image gathered from its exponent and corrected by the
-        twisted labels it carries."""
-        if f.lattice != self.lattice:
-            raise ValueError(
-                f"lattice mismatch: {f.lattice} vs substitution on {self.lattice}")
-        gather, twisted = self._gather, self._twisted
-        out: dict[Exponent, int] = {}
-        for exp, c in f.terms:
-            mono = list(gather(exp + (0,)))
-            for t, pairs in twisted:
-                x = exp[t]
-                if x:
-                    for i, v in pairs:
-                        mono[i] += x * v
-            key = tuple(mono)
-            out[key] = out.get(key, 0) + c
-        return _checked(self.codomain, out)
-
-
 def lp_substitute(
     f: LaurentPoly, images: dict[str, dict[str, int]], codomain
 ) -> LaurentPoly:
-    """Monomial image of f over ``codomain``: one ``Substitution`` built
-    on f's lattice and applied to f."""
-    return Substitution(f.lattice, images, codomain).apply(f)
+    """The image of f under a monomial map to the Laurent polynomials on
+    ``codomain``.
+
+    ``images`` maps every label of f's lattice to a sparse {label:
+    exponent} monomial over the codomain; a label mapped to {} is dropped.
+    The labels split in two.  A plain label maps to one codomain coordinate
+    with exponent 1, a coordinate that no earlier plain label takes, so the
+    plain labels form a partial permutation and one gather reads their part
+    of each term's image.  Every other label is twisted and adds its sparse
+    column to the terms that carry it.  Mutation, whose images carry powers
+    of an exchange binomial, is no monomial map: both charts mutate on
+    packed terms, by the one exchange step (``_exchange``).
+    """
+    codomain = check_lattice(codomain)
+    col = {lab: i for i, lab in enumerate(codomain)}
+    zero = len(f.lattice)  # the index of the 0 appended to each exponent
+    source = [zero] * len(col)  # codomain coordinate -> plain label
+    twisted = []
+    for t, lab in enumerate(f.lattice):
+        if lab not in images:
+            raise ValueError(f"no image for label {lab!r}")
+        m = images[lab]
+        if not m.keys() <= col.keys():
+            raise ValueError(f"image of {lab!r} uses "
+                             f"{sorted(set(m) - set(col))} outside the codomain")
+        pairs = [(col[x], v) for x, v in m.items() if v]
+        i, v = pairs[0] if len(pairs) == 1 else (0, 0)
+        if v == 1 and source[i] == zero:
+            source[i] = t
+        else:
+            twisted.append((t, pairs))
+    # itemgetter gives a bare item for one index and refuses none; a slice
+    # gives a tuple on those codomains
+    if len(source) > 1:
+        gather = itemgetter(*source)
+    else:
+        gather = itemgetter(slice(source[0], source[0] + 1) if source else slice(0))
+    out: dict[Exponent, int] = {}
+    for exp, c in f.terms:
+        mono = list(gather(exp + (0,)))
+        for t, pairs in twisted:
+            x = exp[t]
+            if x:
+                for i, v in pairs:
+                    mono[i] += x * v
+        key = tuple(mono)
+        out[key] = out.get(key, 0) + c
+    return _checked(codomain, out)

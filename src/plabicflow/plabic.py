@@ -130,10 +130,9 @@ class Analysis:
         first request and kept for the model's lifetime.  Every quantity
         derived from a model past its analysis (matching frontier, matching
         table or lists of one boundary value, face graph, flow table or
-        the flow counts of one boundary value, edge charts, the polynomial
-        views made from both charts for printing, face names, seed) is
-        kept here and nowhere else, and each once: face weights are kept
-        only as the packed keys of the flow counts.
+        the flow counts of one boundary value, edge charts, face names,
+        seed) is kept here and nowhere else, and each once: face weights
+        are kept only as the packed keys of the flow counts.
         A build that raises keeps nothing, so the next request builds
         again."""
         try:
@@ -1181,16 +1180,10 @@ class FaceGraph:
             sums[digit] for sums, digit in zip(
                 self.digit_sums, base.to_bytes(self.nbytes, "little").hex()))
 
-    def weights(self, packed: int) -> list[int]:
-        """The face fields of a packed value by face index, less the bias."""
-        width, half = self.width, 1 << (self.width - 1)
-        w = [0] * len(self.labels)
-        for p, f in enumerate(self.fields):
-            w[f] = (packed >> width * p & (2 * half - 1)) - half
-        return w
-
     def _named(self, packed: int) -> dict[KSubset, int]:
-        return dict(zip(self.labels, self.weights(packed)))
+        """The face fields of a packed value by face label, in face order."""
+        by_face = sorted(zip(self.fields, self.packing.unpack(packed)))
+        return {self.labels[f]: w for f, w in by_face}
 
     def exponents(self, packed: int) -> tuple[int, ...]:
         """The weights of a value ``weigh`` returned, in the flow

@@ -1,7 +1,7 @@
 """Substitution with an exchange binomial, the generic route of X- and
 A-mutation: the reference that the packed steps ``charts.x_mutate``
 (through ``x_mutate_oracle``) and ``superpot.a_mutate_w`` are checked
-against.  ``laurent.Substitution`` is only the monomial maps."""
+against.  ``laurent.lp_substitute`` is only the monomial maps."""
 
 from operator import add, itemgetter
 

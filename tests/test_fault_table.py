@@ -10,7 +10,7 @@ row becomes a plain one that pins its FAIL lines.
 
 import pytest
 
-from plabicflow import charts, cli, cones, seeds, superpot
+from plabicflow import charts, cli, cones, plabic, seeds, superpot
 from plabicflow.laurent import LaurentPoly
 
 RUN = ["verify", "all", "--kn", "2,5", "--kn", "3,6", "--kn", "3,7"]
@@ -155,6 +155,26 @@ def corner_rule_skipped(monkeypatch):
     monkeypatch.setattr(seeds, "_corner_rule", lambda q, j, counts: None)
 
 
+def first_face_weight_plus_one(monkeypatch):
+    # each matching's packed face weights one too many on the first face,
+    # after both routes agree
+    real = plabic.FaceGraph.weigh
+    monkeypatch.setattr(plabic.FaceGraph, "weigh",
+                        lambda self, mask: real(self, mask) + self.unit[self.fields[0]])
+
+
+def drop_last_completion(monkeypatch):
+    # the matching recursion loses the last of its completions whenever it
+    # finds more than one
+    real = plabic._completions
+
+    def dropped(*args):
+        found = real(*args)
+        return found[:-1] if len(found) > 1 else found
+
+    monkeypatch.setattr(plabic, "_completions", dropped)
+
+
 def _escapes(item, why):
     return pytest.mark.xfail(strict=True, reason=f"escapes until ROADMAP item {item}: {why}")
 
@@ -262,6 +282,45 @@ FAULTS = [
         for kn, j, row, total in (("2,5", "13", "12", 1), ("3,6", "125", "126", -1),
                                   ("3,7", "126", "127", -1))
     ], id="the corner rule skipped in seed mutation"),
+    # each three-term relation is homogeneous in every face variable, so
+    # plucker passes
+    pytest.param(first_face_weight_plus_one, [
+        "FAIL valuation-kappa: rect:2,5: I=12 valuation {'13': 2, '14': 1, "
+        "'15': 1, '23': 1, '34': 2, '45': 2} != kappa {'13': 1, '14': 1, "
+        "'15': 1, '23': 1, '34': 2, '45': 2}",
+        "FAIL xflow: rect:2,5: mutation at 13 disagrees with flows at I=12",
+        "FAIL valuation-kappa: rect:3,6: I=123 valuation {'124': 2, '125': 1, "
+        "'126': 1, '134': 1, '145': 2, '156': 2, '234': 1, '345': 2, '456': 3} "
+        "!= kappa {'124': 1, '125': 1, '126': 1, '134': 1, '145': 2, '156': 2, "
+        "'234': 1, '345': 2, '456': 3}",
+        "FAIL xflow: rect:3,6: mutation at 124 disagrees with flows at I=123",
+        "FAIL valuation-kappa: rect:3,7: I=123 valuation {'124': 2, '125': 1, "
+        "'126': 1, '127': 1, '134': 1, '145': 2, '156': 2, '167': 2, '234': 1, "
+        "'345': 2, '456': 3, '567': 3} != kappa {'124': 1, '125': 1, '126': 1, "
+        "'127': 1, '134': 1, '145': 2, '156': 2, '167': 2, '234': 1, '345': 2, "
+        "'456': 3, '567': 3}",
+        "FAIL xflow: rect:3,7: mutation at 124 disagrees with flows at I=123",
+    ], id="a face weight one too many on the first face"),
+    pytest.param(drop_last_completion, [
+        "FAIL plucker: relation (1,2,3,4) fails on rect:2,5",
+        "FAIL valuation-kappa: rect:2,5 after move 13: I=24 valuation {'14': 0, "
+        "'15': 1, '23': 0, '24': 1, '34': 1, '45': 1} != kappa {'14': 0, "
+        "'15': 1, '23': 0, '24': 0, '34': 1, '45': 1}",
+        "FAIL xflow: rect:2,5: the move at 13 changes the positroid at I=23",
+        "FAIL plucker: relation (1,3,4,5;S=2) fails on rect:3,6",
+        "FAIL valuation-kappa: rect:3,6 after move 125: I=346 valuation "
+        "{'124': 0, '126': 0, '134': 0, '145': 0, '146': 1, '156': 1, '234': 0, "
+        "'345': 0, '456': 1} != kappa {'124': 0, '126': 0, '134': 0, '145': 0, "
+        "'146': 0, '156': 1, '234': 0, '345': 0, '456': 1}",
+        "FAIL xflow: rect:3,6: the move at 124 changes the positroid at I=234",
+        "FAIL plucker: relation (1,3,4,5;S=2) fails on rect:3,7",
+        "FAIL valuation-kappa: rect:3,7 after move 134: I=245 valuation "
+        "{'124': 0, '125': 0, '126': 1, '127': 1, '145': 0, '156': 1, '167': 2, "
+        "'234': 0, '245': 1, '345': 1, '456': 1, '567': 2} != kappa {'124': 0, "
+        "'125': 0, '126': 1, '127': 1, '145': 0, '156': 1, '167': 2, '234': 0, "
+        "'245': 0, '345': 1, '456': 1, '567': 2}",
+        "FAIL xflow: rect:3,7: the move at 124 changes the positroid at I=234",
+    ], id="the matching recursion drops a completion"),
     pytest.param(edge_variable_when_1_in_I, None, id="P_I times an edge variable when 1 in I",
                  marks=_escapes(15, "each side of a three-term relation has "
                                     "equally many factors holding 1")),

@@ -20,6 +20,7 @@ import sys
 import tracemalloc
 import weakref
 from collections import Counter
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -27,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from plabicflow import charts, cli, plabic
 from plabicflow.charts import (
+    edge_counts,
     edge_lattice,
     face_lattice,
     flow_counts,
@@ -610,6 +612,15 @@ class DenseRoutes:
         return dual, flow, dual
 
 
+def face_weights(graph, packed: int) -> list[int]:
+    """The face fields of a packed value by face index, read through the
+    graph's packing."""
+    w = [0] * len(graph.labels)
+    for f, x in zip(graph.fields, graph.packing.unpack(packed)):
+        w[f] = x
+    return w
+
+
 def outcome(route, mask, decode=list):
     """A route's weights on a mask as a list, or the name and message it
     raised as a tuple."""
@@ -638,9 +649,9 @@ def assert_routes_equal_reference(model):
         reference = [flow[f.label] for f in faces]
         assert dense.dual_weights(mask) == [dual[f.label] for f in faces]
         assert dense.flow_weights(mask) == reference
-        assert graph.weights(graph.dual_route(mask)) == reference
-        assert graph.weights(graph.flow_route(mask)) == reference
-        assert graph.weights(graph.weigh(mask)) == reference
+        assert face_weights(graph, graph.dual_route(mask)) == reference
+        assert face_weights(graph, graph.flow_route(mask)) == reference
+        assert face_weights(graph, graph.weigh(mask)) == reference
     for I in table.positroid:
         assert plabic.masks_at(model, I) == tuple(
             mask for mask in table.masks if table.boundary_of(mask) == I)
@@ -676,7 +687,7 @@ def test_packed_routes_equal_the_dense_oracles(name, seed, moves, flips):
         dense = DenseRoutes(model, graph.base)
         for mask in (*masks, *flipped) if graph.base == base else masks:
             want = dense.outcomes(mask)
-            got = tuple(outcome(route, mask, graph.weights)
+            got = tuple(outcome(route, mask, partial(face_weights, graph))
                         for route in (graph.dual_route, graph.flow_route, graph.weigh))
             assert got == want
             if not isinstance(want[2], tuple):
@@ -689,10 +700,10 @@ def assert_extremes(graph, masks, rng):
     """The packed coordinatewise least and greatest of the weights of all
     the matchings and of a sample of them, against the dense ones."""
     for sample in (masks, rng.sample(masks, rng.randint(1, len(masks)))):
-        weights = [graph.weights(graph.weigh(mask)) for mask in sample]
+        weights = [face_weights(graph, graph.weigh(mask)) for mask in sample]
         low, high = graph.extremes(graph.weigh(mask) for mask in sample)
-        assert graph.weights(low) == list(map(min, zip(*weights)))
-        assert graph.weights(high) == list(map(max, zip(*weights)))
+        assert face_weights(graph, low) == list(map(min, zip(*weights)))
+        assert face_weights(graph, high) == list(map(max, zip(*weights)))
 
 
 def test_packed_routes_with_two_byte_fields():
@@ -711,7 +722,7 @@ def test_packed_routes_with_two_byte_fields():
         exponents = Counter()
         for n, mask in enumerate(masks):
             for m in (mask ^ 1 << (n * 7 % E), mask):
-                got = tuple(outcome(route, m, graph.weights)
+                got = tuple(outcome(route, m, partial(face_weights, graph))
                             for route in (graph.dual_route, graph.flow_route,
                                           graph.weigh))
                 assert got == dense.outcomes(m)
@@ -1203,8 +1214,8 @@ def test_face_weights_are_kept_only_as_flow_exponents():
 
 
 def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
-    # the counts are weighed and checked once per model and I, and made a
-    # polynomial once, for the products of the relations
+    # the counts are weighed and checked once per model and I, for the
+    # printed polynomial and the products of the relations alike
     built = []
     real = charts._checked_flow_counts
 
@@ -1224,18 +1235,20 @@ def test_flow_polynomial_is_built_once_per_boundary_value(monkeypatch):
     for model in models:
         I = positroid(model)[0]
         assert flow_counts(model, list(I)) is flow_counts(model, I)
-        assert flow_polynomial(model, list(I)) is flow_polynomial(model, I)
+        assert flow_polynomial(model, list(I)) == flow_polynomial(model, I)
 
 
 def test_partition_function_is_built_once_per_boundary_value(monkeypatch):
+    # the edge chart is spread once per model and I, for the printed
+    # polynomial and the products of the relations alike
     built = []
-    real = charts._partition_polynomial
+    real = charts._edge_counts
 
     def counted(model, I):
         built.append(I)
         return real(model, I)
 
-    monkeypatch.setattr(charts, "_partition_polynomial", counted)
+    monkeypatch.setattr(charts, "_edge_counts", counted)
     models = [build_rectangles_model(3, 6), orbit(build_rectangles_model(3, 6), 1)]
     subsets = list(ksubsets(6, 3))
     for model in models:
@@ -1247,7 +1260,24 @@ def test_partition_function_is_built_once_per_boundary_value(monkeypatch):
     assert len(built) == len(models) * len(subsets)
     for model in models:
         I = positroid(model)[0]
-        assert partition_function(model, list(I)) is partition_function(model, I)
+        assert edge_counts(model, list(I)) is edge_counts(model, I)
+        assert partition_function(model, list(I)) == partition_function(model, I)
+
+
+def test_model_keeps_no_polynomial_view():
+    # the printed views are made on each call; only the packed charts they
+    # read are kept, once per model and I
+    rect = build_rectangles_model(3, 6)
+    _, moved = next(square_moves(rect))
+    for model in (rect, moved):
+        for I in ksubsets(6, 3):
+            partition_function(model, I)
+            flow_polynomial(model, I)
+        assert not any(isinstance(value, LaurentPoly)
+                       for value in analyze(model)._derived.values())
+        for I in ksubsets(6, 3):
+            assert edge_counts(model, I) is edge_counts(model, I)
+            assert flow_counts(model, I) is flow_counts(model, I)
 
 
 def test_perturbed_weight_raises_on_first_call(monkeypatch):
